@@ -31,7 +31,7 @@ from .semialgebra import (BchWitness, bch, bch_witness, expected_tangent,
                           orbit_wedge, semialgebra_case, semialgebra_probe,
                           tangent_space)
 from .reachable import (Schedule, contraction_audit, propagate,
-                        sample_reachable, steer)
+                        random_schedule, sample_reachable, steer)
 
 __all__ = [
     "__version__",
@@ -51,5 +51,6 @@ __all__ = [
     "majorized", "outer_wedge_check", "saturate", "wedge_contains",
     "BchWitness", "bch", "bch_witness", "expected_tangent", "orbit_wedge",
     "semialgebra_case", "semialgebra_probe", "tangent_space",
-    "Schedule", "contraction_audit", "propagate", "sample_reachable", "steer",
+    "Schedule", "contraction_audit", "propagate", "random_schedule",
+    "sample_reachable", "steer",
 ]

@@ -24,7 +24,7 @@ from .channels import (ChannelSpec, H_AXIS, H_X, H_Y, H_Z, P_Y, build_system,
 from .liealg import check_conditions
 from .lindblad import ControlSystem, Superop, cptp_audit, lindbladian, propagator
 from .matcore import ConvergenceError, expm, fro, inner
-from .reachable import Schedule, contraction_audit, sample_reachable
+from .reachable import contraction_audit, random_schedule, sample_reachable
 from .semialgebra import semialgebra_probe
 from .wedge import initial_wedge, saturate
 
@@ -463,13 +463,9 @@ def cmd_reachable(args) -> int:
     else:
         summary["max_spectral_norm"] = max(
             float(np.linalg.norm(np.asarray(s.matrix), 2)) for s in samples)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(
-        args.count + 1)[-1])
-    segs = []
-    for _ in range(args.switches):
-        dur = (horizon / args.switches) * (1.0 - rng.uniform(0.0, 1.0))
-        segs.append((dur, rng.uniform(-5.0, 5.0, size=system.n_controls)))
-    sched = Schedule(tuple(segs))
+    # the audit's schedule draws from the stream after the samples' streams
+    audit_seed = np.random.SeedSequence(args.seed).spawn(args.count + 1)[-1]
+    sched = random_schedule(system.n_controls, args.switches, horizon, audit_seed)
     try:
         audit = contraction_audit(system, sched, grid=50)
     except ValueError as exc:

@@ -27,11 +27,12 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
-from .matcore import expm, fro, inner, kron
+from .matcore import expm, fro, kron
 
 SIGMA = {
     "1": np.eye(2, dtype=complex),
@@ -162,6 +163,13 @@ def _check_herm(m: np.ndarray, what: str, tol: float = 1e-12):
         raise ValueError(f"{what} must be Hermitian")
 
 
+def _frozen(a, dtype) -> np.ndarray:
+    """Read-only copy of `a`, so later writes by the caller cannot reach it."""
+    out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class ControlSystem:
     """A bilinear control system u -> L_u = L_drift + sum_j u_j L_j.
@@ -173,12 +181,16 @@ class ControlSystem:
     controls : control Hamiltonians, switched with unbounded real amplitudes.
     lindblad_ops : pairs (V, gamma); for r3, V is a symmetric
         positive-semidefinite relaxation generator entering as gamma * V.
+
+    All arrays are stored as read-only copies.  The drift and control
+    generators are assembled once, on first use, and kept with the system.
     """
 
     rep: str
     drift_H: np.ndarray
     controls: tuple
     lindblad_ops: tuple = ()
+    _directions: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rep not in REPS:
@@ -187,11 +199,11 @@ class ControlSystem:
             n, dtype = 3, float
         else:
             n, dtype = _HILBERT_DIM[self.rep], complex
-        drift = np.asarray(self.drift_H, dtype=dtype)
+        drift = _frozen(self.drift_H, dtype)
         if drift.shape != (n, n):
             raise ValueError(f"drift must be {n}x{n} for rep {self.rep!r}")
-        controls = tuple(np.asarray(c, dtype=dtype) for c in self.controls)
-        ops = tuple((np.asarray(v, dtype=dtype), float(g)) for v, g in self.lindblad_ops)
+        controls = tuple(_frozen(c, dtype) for c in self.controls)
+        ops = tuple((_frozen(v, dtype), float(g)) for v, g in self.lindblad_ops)
         if self.rep == "r3":
             _check_skew(drift, "drift")
             for c in controls:
@@ -241,17 +253,32 @@ def dissipator_direction(sys: ControlSystem) -> Superop:
     return Superop(matrix=gks_dissipator(sys.lindblad_ops).matrix, rep=sys.rep)
 
 
+def _directions_of(sys: ControlSystem) -> tuple:
+    """(drift, controls) generator matrices of `sys`, read-only.
+
+    Assembled on the first call and cached on the system; every generator
+    handed out by this module is read from here.
+    """
+    if sys._directions is None:
+        drift = ham_drift_direction(sys).matrix + dissipator_direction(sys).matrix
+        if sys.rep == "r3":
+            controls = sys.controls
+        else:
+            controls = tuple(1j * ad_hat(c).matrix for c in sys.controls)
+        for m in (drift, *controls):
+            m.setflags(write=False)
+        object.__setattr__(sys, "_directions", (drift, controls))
+    return sys._directions
+
+
 def control_directions(sys: ControlSystem) -> tuple:
-    """Generators multiplying the control amplitudes."""
-    if sys.rep == "r3":
-        return tuple(Superop(matrix=c.copy(), rep="r3") for c in sys.controls)
-    return tuple(Superop(matrix=1j * ad_hat(c).matrix, rep=sys.rep) for c in sys.controls)
+    """Generators multiplying the control amplitudes (read-only matrices)."""
+    return tuple(Superop(matrix=c, rep=sys.rep) for c in _directions_of(sys)[1])
 
 
 def drift_direction(sys: ControlSystem) -> Superop:
-    """Full drift generator (Hamiltonian plus dissipative part)."""
-    m = ham_drift_direction(sys).matrix + dissipator_direction(sys).matrix
-    return Superop(matrix=m, rep=sys.rep)
+    """Full drift generator, Hamiltonian plus dissipative part (read-only)."""
+    return Superop(matrix=_directions_of(sys)[0], rep=sys.rep)
 
 
 def lindbladian(sys: ControlSystem, u=None) -> Superop:
@@ -261,9 +288,10 @@ def lindbladian(sys: ControlSystem, u=None) -> Superop:
     u = np.asarray(u, dtype=float)
     if u.shape != (sys.n_controls,):
         raise ValueError(f"expected {sys.n_controls} control amplitudes, got shape {u.shape}")
-    m = drift_direction(sys).matrix.copy()
-    for uj, cj in zip(u, control_directions(sys)):
-        m = m + uj * cj.matrix
+    drift, controls = _directions_of(sys)
+    m = drift.copy()
+    for uj, cj in zip(u, controls):
+        m = m + uj * cj
     return Superop(matrix=m, rep=sys.rep)
 
 
@@ -279,34 +307,44 @@ def propagator(L, t: float) -> Superop:
 # coherence representation (traceless Hermitian sector)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _pauli_vecs(n: int) -> np.ndarray:
+    """Columns vec(B_k) of `pauli_basis(n)`, read-only."""
+    v = np.stack([vec(b) for b in pauli_basis(n)], axis=1)
+    v.setflags(write=False)
+    return v
+
+
 def coherence_rep(L, rep: str = None, tol: float = 1e-12) -> np.ndarray:
     """Real matrix of a unital superoperator on the traceless sector.
 
-    Entries are ``M[i, j] = <B_j, L(B_i)>`` over `pauli_basis`; raises
+    Entries are ``M[i, j] = <B_j, L(B_i)>`` over `pauli_basis`, computed as
+    one product ``Re(V^H L V)^T`` with ``V = [vec(B_1), ...]``; raises
     ValueError if ``L`` mixes the identity with the traceless sector or
     produces non-real overlaps beyond ``tol``.
     """
     rep = _rep_of(L, rep)
     m = _as_matrix(L)
     n = _HILBERT_DIM[rep]
-    basis = pauli_basis(n)
-    norm = max(1.0, fro(m))
+    v = _pauli_vecs(n)
+    bound = tol * max(1.0, fro(m)) * 10
     eye_v = vec(np.eye(n)) / np.sqrt(n)
     out_id = m @ eye_v
     leak = out_id - eye_v * np.vdot(eye_v, out_id)
-    if np.linalg.norm(leak) > tol * norm * 10:
+    if np.linalg.norm(leak) > bound:
         raise ValueError("superoperator is not unital: identity leaks into the traceless sector")
-    cr = np.zeros((len(basis), len(basis)))
-    for i, bi in enumerate(basis):
-        out = unvec(m @ vec(bi), n)
-        if abs(np.trace(out)) > tol * norm * 10:
+    out = m @ v
+    gram = v.conj().T @ out
+    # The first basis element L(B_i) that fails decides the error, and its
+    # trace is checked before its overlaps.
+    bad_trace = np.abs(vec(np.eye(n)) @ out) > bound
+    bad_imag = np.any(np.abs(gram.imag) > bound, axis=0)
+    bad = bad_trace | bad_imag
+    if bad.any():
+        if bad_trace[np.argmax(bad)]:
             raise ValueError("superoperator does not preserve tracelessness")
-        for j, bj in enumerate(basis):
-            c = inner(bj, out) + 1j * np.imag(np.trace(bj.conj().T @ out))
-            if abs(np.imag(c)) > tol * norm * 10:
-                raise ValueError("coherence representation has non-real entries")
-            cr[i, j] = np.real(c)
-    return cr
+        raise ValueError("coherence representation has non-real entries")
+    return gram.real.T.copy()
 
 
 def superop_from_coherence(s: np.ndarray, rep: str) -> Superop:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .lindblad import ControlSystem, Superop, coherence_rep, lindbladian, vec
+from .lindblad import (ControlSystem, Superop, coherence_rep, drift_direction,
+                       lindbladian, vec)
 from .matcore import expm, fro
 
 U_MAX = 5.0
@@ -54,6 +55,12 @@ def _segment_generators(sys: ControlSystem, sched: Schedule) -> list:
     return gens
 
 
+def _identity(sys: ControlSystem) -> np.ndarray:
+    """Identity channel on the carrier of `sys`."""
+    dim = drift_direction(sys).matrix.shape[0]
+    return np.eye(dim, dtype=complex if sys.rep != "r3" else float)
+
+
 def propagate(sys: ControlSystem, sched: Schedule) -> Superop:
     """Time-ordered product of segment propagators.
 
@@ -61,11 +68,25 @@ def propagate(sys: ControlSystem, sched: Schedule) -> Superop:
     the matrix product; an empty schedule gives the identity channel.
     """
     gens = _segment_generators(sys, sched)
-    dim = np.asarray(lindbladian(sys, np.zeros(sys.n_controls)).matrix).shape[0]
-    out = np.eye(dim, dtype=complex if sys.rep != "r3" else float)
+    out = _identity(sys)
     for (dur, _), gen in zip(sched.segments, gens):
         out = expm(-dur * gen) @ out
     return Superop(matrix=out, rep=sys.rep)
+
+
+def random_schedule(n_controls: int, depth: int, horizon: float, seed,
+                    u_max: float = U_MAX) -> Schedule:
+    """Seeded random schedule of `depth` segments.
+
+    Durations are uniform on (0, horizon/depth], amplitudes uniform on
+    [-u_max, u_max]; `seed` is anything `np.random.default_rng` accepts.
+    """
+    rng = np.random.default_rng(seed)
+    segs = []
+    for _ in range(depth):
+        dur = (horizon / depth) * (1.0 - rng.uniform(0.0, 1.0))
+        segs.append((dur, rng.uniform(-u_max, u_max, size=n_controls)))
+    return Schedule(tuple(segs))
 
 
 def sample_reachable(sys: ControlSystem, n: int, depth: int,
@@ -73,23 +94,14 @@ def sample_reachable(sys: ControlSystem, n: int, depth: int,
                      u_max: float = U_MAX) -> list:
     """n random reachable channels as products of `depth` exponentials.
 
-    Segment durations are uniform on (0, horizon/depth], amplitudes
-    uniform on [-u_max, u_max].  Each sample draws from its own child
-    stream spawned from `seed`, so results are reproducible regardless
-    of evaluation order.
+    Each sample propagates a `random_schedule` drawn from its own child
+    stream spawned from `seed`, so results are reproducible regardless of
+    evaluation order.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    m = sys.n_controls
-    out = []
-    for child in np.random.SeedSequence(seed).spawn(n):
-        rng = np.random.default_rng(child)
-        segs = []
-        for _ in range(depth):
-            dur = (horizon / depth) * (1.0 - rng.uniform(0.0, 1.0))
-            segs.append((dur, rng.uniform(-u_max, u_max, size=m)))
-        out.append(propagate(sys, Schedule(tuple(segs))))
-    return out
+    return [propagate(sys, random_schedule(sys.n_controls, depth, horizon, child, u_max))
+            for child in np.random.SeedSequence(seed).spawn(n)]
 
 
 def _coherence_matrix(t: Superop) -> np.ndarray:
@@ -110,7 +122,7 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
     and the largest positive increment.
     """
     if sys.rep != "r3":
-        drift = lindbladian(sys, np.zeros(sys.n_controls))
+        drift = drift_direction(sys)
         n = drift.hilbert_dim
         defect = np.linalg.norm(np.asarray(drift.matrix) @ vec(np.eye(n)))
         if defect > 1e-10 * max(1.0, float(np.linalg.norm(drift.matrix))):
@@ -121,15 +133,18 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
     total = sched.total_duration
     times = np.linspace(0.0, total, int(grid))
     bounds = np.cumsum([0.0] + [d for d, _ in sched.segments])
-    dim = gens[0].shape[0] if gens else 3
+    # prefix[k] is the channel after the first k whole segments, so each grid
+    # point costs at most one exponential, of the segment it falls inside.
+    prefix = [_identity(sys)]
+    for k, gen in enumerate(gens):
+        prefix.append(expm(-(bounds[k + 1] - bounds[k]) * gen) @ prefix[k])
     vals = []
     for t in times:
-        x = np.eye(dim, dtype=complex if sys.rep != "r3" else float)
-        for k, gen in enumerate(gens):
-            lo, hi = bounds[k], bounds[k + 1]
-            if t <= lo:
-                break
-            x = expm(-(min(t, hi) - lo) * gen) @ x
+        k = int(np.searchsorted(bounds[:-1], t))  # segments that start before t
+        if t >= bounds[k]:
+            x = prefix[k]
+        else:
+            x = expm(-(t - bounds[k - 1]) * gens[k - 1]) @ prefix[k - 1]
         s = float(np.linalg.norm(_coherence_matrix(Superop(matrix=x, rep=sys.rep)),
                                  "fro") ** 2)
         vals.append(s)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from liewedge.lindblad import (ControlSystem, Superop, ad_hat, choi_matrix,
-                               coherence_rep, cptp_audit, gks_dissipator,
+                               coherence_rep, control_directions, cptp_audit,
+                               drift_direction, gks_dissipator,
                                gks_term, is_trace_preserving, is_unital,
                                lindbladian, pauli_basis, propagator,
                                superop_from_coherence, unvec, vec)
@@ -138,3 +139,25 @@ def test_closed_system_preserves_purity():
     rho = _random_density(2)
     out = unvec(t @ vec(rho), 2)
     assert abs(np.trace(out @ out) - np.trace(rho @ rho)) < 1e-10
+
+
+@pytest.mark.parametrize("rep", ["qubit", "r3"])
+def test_control_system_stores_read_only_copies(rep):
+    if rep == "qubit":
+        h, c, v = sigma("z") / 2.0, sigma("x") / 2.0, sigma("z") / 2.0
+    else:
+        h = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        c, v = h.T.copy(), np.diag([1.0, 0.0, 1.0])
+    sys = ControlSystem(rep=rep, drift_H=h, controls=(c,), lindblad_ops=((v, 0.4),))
+    before = np.array(lindbladian(sys, (0.3,)).matrix)
+    for theirs, ours in ((h, sys.drift_H), (c, sys.controls[0]),
+                         (v, sys.lindblad_ops[0][0])):
+        assert not np.shares_memory(theirs, ours)
+        assert not ours.flags.writeable
+    h[0, 1] = c[0, 1] = v[0, 0] = 7.0
+    assert np.array_equal(np.asarray(lindbladian(sys, (0.3,)).matrix), before)
+    for cached in (sys.drift_H, drift_direction(sys).matrix,
+                   control_directions(sys)[0].matrix):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+    assert lindbladian(sys, (0.3,)).matrix.flags.writeable

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from liewedge.channels import example2, sigma
+from liewedge.channels import ChannelSpec, build_system, example2, sigma
 from liewedge.lindblad import ControlSystem, Superop, cptp_audit, lindbladian
 from liewedge.matcore import expm, fro
-from liewedge.reachable import (Schedule, contraction_audit, propagate,
-                                sample_reachable, steer)
+from liewedge.reachable import (U_MAX, Schedule, contraction_audit, propagate,
+                                random_schedule, sample_reachable, steer)
 
 RNG = np.random.default_rng(62)
 
@@ -154,3 +154,28 @@ def test_steer_validates_inputs():
     bad = Superop(matrix=np.eye(3), rep="r3")
     with pytest.raises(ValueError):
         steer(sys, bad, 1)
+
+
+@pytest.mark.parametrize("name,value", [("phase_flip", 3.0), ("two_qubit_C", 15.0),
+                                        ("example2", 3.0)])
+def test_contraction_audit_empty_schedule_is_constant(name, value):
+    audit = contraction_audit(build_system(ChannelSpec(name=name)), Schedule(()), grid=6)
+    assert audit["times"] == [0.0] * 6
+    assert np.allclose(audit["s"], value, rtol=0.0, atol=1e-12)
+    assert audit["s"] == [audit["s"][0]] * 6
+    assert audit["monotone"] and audit["max_increment"] == 0.0
+
+
+def test_random_schedule_bounds_and_sampling_stream():
+    sys = _qubit_system()
+    sched = random_schedule(2, 7, 0.7, 4, u_max=0.5)
+    assert sched.n_segments == 7
+    for dur, u in sched.segments:
+        assert 0.0 < dur <= 0.1 and len(u) == 2
+        assert all(-0.5 <= v <= 0.5 for v in u)
+    default = random_schedule(1, 50, 1.0, 4)
+    assert max(abs(u[0]) for _, u in default.segments) <= U_MAX
+    child = np.random.SeedSequence(8).spawn(3)[1]
+    sample = sample_reachable(sys, 3, 2, seed=8)[1]
+    direct = propagate(sys, random_schedule(1, 2, 1.0, child))
+    assert np.array_equal(np.asarray(sample.matrix), np.asarray(direct.matrix))
