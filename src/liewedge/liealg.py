@@ -12,18 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lindblad import ControlSystem, control_directions, drift_direction, ham_drift_direction
-from .matcore import ConvergenceError, Subspace, fro, orthonormal_span
+from .matcore import (ConvergenceError, Subspace, fro, orthonormal_span, realify_stack,
+                      unrealify_stack)
 
 _CHUNK = 24
-
-
-def _realify_stack(mats: np.ndarray, complex_field: bool) -> np.ndarray:
-    """Realified coordinates of an (m, n, n) stack, as columns of a (d, m) array."""
-    m = mats.shape[0]
-    flat = mats.reshape(m, -1)
-    if complex_field:
-        return np.concatenate([np.real(flat), np.imag(flat)], axis=1).T.astype(float)
-    return np.real(flat).T.astype(float)
 
 
 def lie_closure(gens, tol: float = 1e-9, max_depth: int = 12) -> Subspace:
@@ -41,9 +33,8 @@ def lie_closure(gens, tol: float = 1e-9, max_depth: int = 12) -> Subspace:
     shape = basis.shape
     complex_field = basis.complex_field
     ambient = int(np.prod(shape)) * (2 if complex_field else 1)
-    dtype = complex if complex_field else float
     stack = basis.stack
-    mats = np.stack([np.asarray(m, dtype=dtype) for m in basis.mats])
+    mats = unrealify_stack(stack, shape, complex_field)
     frontier = mats
 
     for _ in range(max_depth):
@@ -54,7 +45,7 @@ def lie_closure(gens, tol: float = 1e-9, max_depth: int = 12) -> Subspace:
             f = frontier[lo:lo + _CHUNK]
             br = np.einsum("aij,bjk->abik", f, mats) - np.einsum("bij,ajk->abik", mats, f)
             br = br.reshape(-1, *shape)
-            cols = _realify_stack(br, complex_field)
+            cols = realify_stack(br, shape, complex_field)
             res = cols - stack @ (stack.T @ cols)
             res_norms = np.linalg.norm(res, axis=0)
             # Never normalise a bracket before this test: a near-zero bracket
@@ -64,7 +55,6 @@ def lie_closure(gens, tol: float = 1e-9, max_depth: int = 12) -> Subspace:
             if np.any(sel):
                 new_cols.append(res[:, sel])
         if not new_cols:
-            frontier = np.zeros((0, *shape), dtype=dtype)
             break
         cand = np.concatenate(new_cols, axis=1)
         u, s, _ = np.linalg.svd(cand, full_matrices=False)
@@ -74,23 +64,16 @@ def lie_closure(gens, tol: float = 1e-9, max_depth: int = 12) -> Subspace:
         keep = np.linalg.norm(add, axis=0) > 0.5
         add = add[:, keep]
         if add.shape[1] == 0:
-            frontier = np.zeros((0, *shape), dtype=dtype)
             break
         add /= np.linalg.norm(add, axis=0)
         stack = np.concatenate([stack, add], axis=1)
-        from .matcore import unrealify
-
-        frontier = np.stack([unrealify(add[:, i], shape, complex_field)
-                             for i in range(add.shape[1])]).astype(dtype)
+        frontier = unrealify_stack(add, shape, complex_field)
         mats = np.concatenate([mats, frontier], axis=0)
     else:
         raise ConvergenceError(f"Lie closure did not stabilise within {max_depth} rounds")
 
-    from .matcore import unrealify
-
-    out = tuple(unrealify(stack[:, i], shape, complex_field) for i in range(stack.shape[1]))
-    return Subspace(mats=out, shape=shape, complex_field=complex_field, tol=tol,
-                    stack=stack.copy())
+    return Subspace(mats=tuple(unrealify_stack(stack, shape, complex_field)), shape=shape,
+                    complex_field=complex_field, tol=tol, stack=stack.copy())
 
 
 def cartan_split(a: np.ndarray):
@@ -112,19 +95,12 @@ def subspace_leq(a: Subspace, b: Subspace, tol: float = 1e-8) -> bool:
 
 def orthocomplement(sub: Subspace) -> Subspace:
     """Orthogonal complement within the full ambient matrix space."""
-    from .matcore import unrealify
-
-    d = sub.stack.shape[0] if sub.stack.size else int(np.prod(sub.shape)) * (2 if sub.complex_field else 1)
     if sub.dim == 0:
-        eye = np.eye(d)
-        mats = tuple(unrealify(eye[:, i], sub.shape, sub.complex_field) for i in range(d))
-        return Subspace(mats=mats, shape=sub.shape, complex_field=sub.complex_field,
-                        tol=sub.tol, stack=eye)
-    u, _, _ = np.linalg.svd(sub.stack, full_matrices=True)
-    comp = u[:, sub.dim:]
-    mats = tuple(unrealify(comp[:, i], sub.shape, sub.complex_field) for i in range(comp.shape[1]))
-    return Subspace(mats=mats, shape=sub.shape, complex_field=sub.complex_field,
-                    tol=sub.tol, stack=comp.copy())
+        comp = np.eye(int(np.prod(sub.shape)) * (2 if sub.complex_field else 1))
+    else:
+        comp = np.linalg.svd(sub.stack, full_matrices=True)[0][:, sub.dim:].copy()
+    return Subspace(mats=tuple(unrealify_stack(comp, sub.shape, sub.complex_field)),
+                    shape=sub.shape, complex_field=sub.complex_field, tol=sub.tol, stack=comp)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import expm, fro, kron
+from .matcore import expm, fro
 
 SIGMA = {
     "1": np.eye(2, dtype=complex),
@@ -62,7 +62,7 @@ def pauli_basis(n: int) -> tuple:
             for nu in ("1", "x", "y", "z"):
                 if mu == "1" and nu == "1":
                     continue
-                out.append(kron(SIGMA[mu], SIGMA[nu]) / 2.0)
+                out.append(np.kron(SIGMA[mu], SIGMA[nu]) / 2.0)
         return tuple(out)
     raise ValueError(f"no Pauli basis for carrier dimension {n}")
 
@@ -126,7 +126,7 @@ def ad_hat(h: np.ndarray, tol: float = 1e-12) -> Superop:
         raise ValueError("Hamiltonian must be Hermitian")
     n = h.shape[0]
     eye = np.eye(n)
-    m = kron(eye, h) - kron(h.T, eye)
+    m = np.kron(eye, h) - np.kron(h.T, eye)
     return Superop(matrix=m, rep=_rep_of(m))
 
 
@@ -136,7 +136,7 @@ def gks_term(v: np.ndarray, gamma: float) -> np.ndarray:
     n = v.shape[0]
     eye = np.eye(n)
     vdv = v.conj().T @ v
-    return gamma * (0.5 * (kron(eye, vdv) + kron(vdv.T, eye)) - kron(v.conj(), v))
+    return gamma * (0.5 * (np.kron(eye, vdv) + np.kron(vdv.T, eye)) - np.kron(v.conj(), v))
 
 
 def gks_dissipator(ops) -> Superop:

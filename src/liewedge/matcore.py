@@ -38,11 +38,6 @@ def fro(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (thin wrapper, kept for a uniform vocabulary)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Commutator [a, b] = ab - ba."""
     a = np.asarray(a)
@@ -50,15 +45,6 @@ def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"commutator needs equal square shapes, got {a.shape}, {b.shape}")
     return a @ b - b @ a
-
-
-def acomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Anticommutator {a, b} = ab + ba."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"anticommutator needs equal square shapes, got {a.shape}, {b.shape}")
-    return a @ b + b @ a
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -114,6 +100,22 @@ def unrealify(v: np.ndarray, shape: tuple, complex_field: bool) -> np.ndarray:
     return v.reshape(shape).copy()
 
 
+def realify_stack(mats, shape: tuple, complex_field: bool) -> np.ndarray:
+    """`realify` of every matrix in a stack, as the columns of a (d, m) array."""
+    flat = np.asarray(mats).reshape(len(mats), int(np.prod(shape)))
+    if complex_field:
+        flat = np.concatenate([np.real(flat), np.imag(flat)], axis=1)
+    return np.real(flat).T.astype(float, order="C")
+
+
+def unrealify_stack(cols: np.ndarray, shape: tuple, complex_field: bool) -> np.ndarray:
+    """Inverse of `realify_stack`: the (m, *shape) stack of matrices."""
+    cols = np.asarray(cols, dtype=float)
+    n = int(np.prod(shape))
+    flat = cols[:n] + 1j * cols[n:] if complex_field else cols
+    return flat.T.copy().reshape(-1, *shape)
+
+
 @dataclass
 class Subspace:
     """A real subspace of matrices with an orthonormal basis.
@@ -130,9 +132,7 @@ class Subspace:
 
     def __post_init__(self):
         if self.stack is None:
-            d = int(np.prod(self.shape)) * (2 if self.complex_field else 1)
-            cols = [realify(m, self.complex_field) for m in self.mats]
-            self.stack = np.stack(cols, axis=1) if cols else np.zeros((d, 0))
+            self.stack = realify_stack(self.mats, self.shape, self.complex_field)
 
     @property
     def dim(self) -> int:
@@ -181,12 +181,12 @@ def orthonormal_span(gens, tol: float = RANK_TOL, shape: tuple = None,
     if not gens:
         return Subspace(mats=(), shape=tuple(shape), complex_field=complex_field, tol=tol)
 
-    m = np.stack([realify(g, complex_field) for g in gens], axis=1)
+    m = realify_stack(gens, shape, complex_field)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return Subspace(mats=(), shape=tuple(shape), complex_field=complex_field, tol=tol)
     keep = s > tol * s[0]
     cols = u[:, keep]
-    mats = tuple(unrealify(cols[:, i], shape, complex_field) for i in range(cols.shape[1]))
+    mats = tuple(unrealify_stack(cols, shape, complex_field))
     return Subspace(mats=mats, shape=tuple(shape), complex_field=complex_field,
                     tol=tol, stack=cols.copy())

@@ -98,6 +98,8 @@ def sample_reachable(sys: ControlSystem, n: int, depth: int,
     stream spawned from `seed`, so results are reproducible regardless of
     evaluation order.
     """
+    if n < 1:
+        raise ValueError(f"count must be at least 1, got {n}")
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     return [propagate(sys, random_schedule(sys.n_controls, depth, horizon, child, u_max))

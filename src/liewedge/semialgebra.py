@@ -18,7 +18,7 @@ from scipy.optimize import nnls
 from .channels import H_X, H_Y, H_Z, P_X, P_Y, P_Z
 from .liealg import orthocomplement, subspace_equal
 from .matcore import (Subspace, comm, eig_sym, fro, inner, orthonormal_span,
-                      realify, unrealify)
+                      realify_stack, unrealify)
 from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, wedge_contains
 
 BCH_MAX_ORDER = 4
@@ -253,9 +253,8 @@ def _dual_face_project(w: Wedge, a_mat: np.ndarray,
     """
     cone = w.cone
     blocks = [cone.stack] if cone.stack.shape[1] else []
-    eq = [realify(np.asarray(m), cone.complex_field) for m in w.edge.mats]
-    eq.append(realify(np.asarray(a_mat), cone.complex_field))
-    eq_mat = np.stack(eq + [-e for e in eq], axis=1)
+    eq = realify_stack([*w.edge.mats, np.asarray(a_mat)], cone.shape, cone.complex_field)
+    eq_mat = np.concatenate([eq, -eq], axis=1)
     cmat = np.concatenate(blocks + [eq_mat], axis=1)
     y = rng.standard_normal(cmat.shape[0])
     coef, _ = nnls(cmat, -y)

@@ -16,9 +16,8 @@ once a full round adds nothing while the edge dimension is stable.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar, nnls
@@ -26,16 +25,10 @@ from scipy.optimize import minimize, minimize_scalar, nnls
 from .liealg import lie_closure
 from .lindblad import (ControlSystem, ad_hat, coherence_rep, control_directions,
                        drift_direction, pauli_basis, superop_from_coherence)
-from .matcore import Subspace, eig_sym, expm, fro, inner, orthonormal_span, realify, unrealify
+from .matcore import (Subspace, eig_sym, expm, fro, inner, orthonormal_span, realify,
+                      realify_stack, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LIEWEDGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +50,8 @@ class ConjugationFamily:
     one-parameter sweep), 'grid2' (commuting two-parameter torus), or
     'orbit' (random exponentials of the whole edge).  The base is stored
     orthogonal to the edge; since edge conjugation is an isometry fixing
-    the edge, every family element stays orthogonal to it.
+    the edge, every family element stays orthogonal to it.  Every element
+    comes from the batched kernel `elements`.
     """
 
     kind: str
@@ -75,91 +69,105 @@ class ConjugationFamily:
     def n_params(self) -> int:
         return len(self.seeds)
 
-    def _phase_data(self):
+    @cached_property
+    def _seed_stack(self) -> np.ndarray:
+        return np.stack([np.asarray(s) for s in self.seeds])
+
+    @cached_property
+    def _skew(self) -> bool:
+        """Whether every seed is skew/anti-Hermitian, i.e. exponentiates to a
+        unitary that `eigh` diagonalises."""
+        return all(fro(s + s.conj().T) <= 1e-10 * max(1.0, fro(s)) for s in self._seed_stack)
+
+    @cached_property
+    def _phases(self):
         """Co-diagonalization of the (commuting, anti-Hermitian) seeds.
 
         Lets grid support functions evaluate f(theta) = <element(theta), D>
-        as a short exponential sum instead of repeated expm calls.  Returns
-        None when a seed is not anti-Hermitian (expm fallback is used).
+        as a short exponential sum instead of conjugating every grid point.
+        None when a seed is not anti-Hermitian or the seeds do not commute.
         """
-        cached = getattr(self, "_phase_cache", False)
-        if cached is not False:
-            return cached
-        data = None
+        if not self._skew:
+            return None
         hs = [1j * np.asarray(s, dtype=complex) for s in self.seeds]
-        if all(np.linalg.norm(h - h.conj().T) <= 1e-10 * max(1.0, np.linalg.norm(h))
-               for h in hs):
-            if len(hs) == 1:
-                w0, q = np.linalg.eigh(hs[0])
-                ws = [w0]
-            else:
-                # commuting seeds: a generic combination separates the joint
-                # eigenbasis, then each seed is diagonal in it
-                _, q = np.linalg.eigh(hs[0] + np.sqrt(2.0) * hs[1])
-                ws = [np.real(np.diag(q.conj().T @ h @ q)) for h in hs]
-                ok = all(np.linalg.norm(q.conj().T @ h @ q - np.diag(w)) < 1e-8
-                         for h, w in zip(hs, ws))
-                if not ok:
-                    object.__setattr__(self, "_phase_cache", None)
-                    return None
-            m = q.conj().T @ np.asarray(self.base, dtype=complex) @ q
-            deltas = [w[:, None] - w[None, :] for w in ws]
-            data = (q, m, deltas)
-        object.__setattr__(self, "_phase_cache", data)
-        return data
+        if len(hs) == 1:
+            w0, q = np.linalg.eigh(hs[0])
+            ws = [w0]
+        else:
+            # commuting seeds: a generic combination separates the joint
+            # eigenbasis, then each seed is diagonal in it
+            _, q = np.linalg.eigh(hs[0] + np.sqrt(2.0) * hs[1])
+            ws = [np.real(np.diag(q.conj().T @ h @ q)) for h in hs]
+            if not all(np.linalg.norm(q.conj().T @ h @ q - np.diag(w)) < 1e-8
+                       for h, w in zip(hs, ws)):
+                return None
+        m = q.conj().T @ np.asarray(self.base, dtype=complex) @ q
+        deltas = [w[:, None] - w[None, :] for w in ws]
+        return q, m, deltas
 
-    def _phase_values(self, thetas: np.ndarray, direction: np.ndarray) -> np.ndarray:
-        """f(theta) on a batch of parameter vectors via the eigenphase sum."""
-        q, m, deltas = self._phase_data()
-        nmat = q.conj().T @ np.asarray(direction, dtype=complex) @ q
-        coeff = (np.conj(m) * nmat).ravel()
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        phase = sum(np.multiply.outer(thetas[:, i], d.ravel())
-                    for i, d in enumerate(deltas))
-        return np.real(np.exp(1j * phase) @ coeff)
+    def elements(self, thetas, g: np.ndarray = None) -> np.ndarray:
+        """Ad_{expm(sum_i theta_i seed_i)}(g) for every row of `thetas`.
+
+        `thetas` is a (k, n_params) stack; `g` (default: the base) is one
+        matrix or a stack of k.  For skew/anti-Hermitian seeds one stacked
+        eigh of i*A = V diag(w) V^dag gives expm(A) = V diag(e) V^dag with
+        e = exp(-i w), so Ad(g) = V ((V^dag g V) * e e^dag) V^dag; real seeds
+        and a real g give a real result.  Other seeds fall back to
+        expm(A) g expm(-A) per row.
+        """
+        g = self.base if g is None else np.asarray(g)
+        thetas = np.asarray(thetas, dtype=float).reshape(-1, self.n_params)
+        a = np.tensordot(thetas, self._seed_stack, axes=1)
+        if not self._skew:
+            gs = np.broadcast_to(g, a.shape)
+            return np.array([expm(ak) @ gk @ expm(-ak) for ak, gk in zip(a, gs)])
+        w, v = np.linalg.eigh(1j * a)
+        e = np.exp(-1j * w)
+        vh = np.conj(np.swapaxes(v, -1, -2))
+        out = v @ ((vh @ g @ v) * (e[:, :, None] * np.conj(e[:, None, :]))) @ vh
+        if np.iscomplexobj(a) or np.iscomplexobj(g):
+            return out
+        return np.ascontiguousarray(out.real)
 
     def conjugate(self, g: np.ndarray, params) -> np.ndarray:
-        params = np.atleast_1d(np.asarray(params, dtype=float))
-        a = sum(p * s for p, s in zip(params, self.seeds))
-        u = expm(a)
-        return u @ g @ expm(-a)
+        return self.elements([params], g)[0]
 
     def element(self, params) -> np.ndarray:
-        return self.conjugate(self.base, params)
+        return self.elements([params])[0]
+
+    def _grid(self, n: int) -> np.ndarray:
+        """n uniform points per period and parameter, one row per grid
+        point; grid2 rows run over (t1[i], t2[j]) with j fastest."""
+        axes = np.meshgrid(*(np.arange(n) * (p / n) for p in self.periods), indexing="ij")
+        return np.stack([t.ravel() for t in axes], axis=1)
 
     def sweep(self, count: int, rng: np.random.Generator):
         """Deterministic grid (grid kinds) or random exponentials (orbit)."""
+        if count < 1:
+            return []
         if self.kind == "grid1":
-            thetas = np.arange(count) * (self.periods[0] / count)
-            return [(np.array([t]), self.element([t])) for t in thetas]
-        if self.kind == "grid2":
-            n = max(2, int(np.ceil(np.sqrt(count))))
-            t1 = np.arange(n) * (self.periods[0] / n)
-            t2 = np.arange(n) * (self.periods[1] / n)
-            out = []
-            u1 = [expm(t * self.seeds[0]) for t in t1]
-            u2 = [expm(t * self.seeds[1]) for t in t2]
-            u1i = [expm(-t * self.seeds[0]) for t in t1]
-            u2i = [expm(-t * self.seeds[1]) for t in t2]
-            for i in range(n):
-                for j in range(n):
-                    g = u1[i] @ u2[j] @ self.base @ u2i[j] @ u1i[i]
-                    out.append((np.array([t1[i], t2[j]]), g))
-            return out
-        params = rng.normal(scale=np.pi / np.sqrt(self.n_params),
-                            size=(count, self.n_params))
-        workers = _threads()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                elems = list(ex.map(self.element, params))
+            thetas = self._grid(count)
+        elif self.kind == "grid2":
+            thetas = self._grid(max(2, int(np.ceil(np.sqrt(count)))))
         else:
-            elems = [self.element(p) for p in params]
-        return list(zip(params, elems))
+            thetas = rng.normal(scale=np.pi / np.sqrt(self.n_params),
+                                size=(count, self.n_params))
+        return list(zip(thetas, self.elements(thetas)))
 
     # -- support function -------------------------------------------------
 
-    def _value(self, params, direction) -> float:
-        return inner(self.element(params), direction)
+    def _values(self, thetas, direction: np.ndarray) -> np.ndarray:
+        """f(theta) = <element(theta), direction> on a batch of parameter
+        vectors: an eigenphase sum where the seeds co-diagonalise."""
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if self._phases is None:
+            return np.real(np.sum(np.conj(self.elements(thetas)) * direction, axis=(1, 2)))
+        q, m, deltas = self._phases
+        nmat = q.conj().T @ np.asarray(direction, dtype=complex) @ q
+        coeff = (np.conj(m) * nmat).ravel()
+        phase = sum(np.multiply.outer(thetas[:, i], d.ravel())
+                    for i, d in enumerate(deltas))
+        return np.real(np.exp(1j * phase) @ coeff)
 
     def support(self, direction: np.ndarray, rng: np.random.Generator = None):
         """Family element maximizing the inner product against `direction`.
@@ -181,13 +189,9 @@ class ConjugationFamily:
     def _support_grid1(self, direction):
         period = self.periods[0]
         n = 2048
-        thetas = np.arange(n) * (period / n)
-        if self._phase_data() is not None:
-            vals = self._phase_values(thetas[:, None], direction)
-            f = lambda t: -float(self._phase_values([[t]], direction)[0])
-        else:
-            vals = np.array([self._value([t], direction) for t in thetas])
-            f = lambda t: -self._value([t], direction)
+        thetas = self._grid(n)[:, 0]
+        vals = self._values(thetas[:, None], direction)
+        f = lambda t: -float(self._values([[t]], direction)[0])
         k = int(np.argmax(vals))
         res = minimize_scalar(f, bounds=(thetas[k] - period / n,
                                          thetas[k] + period / n),
@@ -198,16 +202,9 @@ class ConjugationFamily:
         return self.element([t_best]), v_best
 
     def _support_grid2(self, direction):
-        n = 64
-        t1 = np.arange(n) * (self.periods[0] / n)
-        t2 = np.arange(n) * (self.periods[1] / n)
-        grid = np.stack([np.repeat(t1, n), np.tile(t2, n)], axis=1)
-        if self._phase_data() is not None:
-            vals = self._phase_values(grid, direction)
-            f = lambda p: -float(self._phase_values([p], direction)[0])
-        else:
-            vals = np.array([self._value(p, direction) for p in grid])
-            f = lambda p: -self._value(p, direction)
+        grid = self._grid(64)
+        vals = self._values(grid, direction)
+        f = lambda p: -float(self._values([p], direction)[0])
         k = int(np.argmax(vals))
         res = minimize(f, x0=grid[k], method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
@@ -251,7 +248,7 @@ class ConjugationFamily:
             v = inner(g, direction)
             if v > best:
                 best, best_params = v, p
-        res = minimize(lambda p: -self._value(p, direction), x0=best_params,
+        res = minimize(lambda p: -inner(self.element(p), direction), x0=best_params,
                        method="Nelder-Mead",
                        options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 300})
         params = res.x if -res.fun > best else best_params
@@ -287,11 +284,8 @@ class Cone:
                 gens.append(g / n)
         object.__setattr__(self, "generators", tuple(gens))
         if self.stack is None:
-            d = int(np.prod(self.shape)) * (2 if self.complex_field else 1)
-            cols = [realify(g, self.complex_field) for g in self.generators]
-            object.__setattr__(
-                self, "stack",
-                np.stack(cols, axis=1) if cols else np.zeros((d, 0)))
+            object.__setattr__(self, "stack", realify_stack(self.generators, self.shape,
+                                                            self.complex_field))
 
     @property
     def n_generators(self) -> int:
@@ -437,17 +431,19 @@ def initial_wedge(sys: ControlSystem) -> Wedge:
     return Wedge(edge=edge, cone=cone, rep=sys.rep, edge_seeds=seeds, drift=drift)
 
 
-def _dedupe_append(stack: np.ndarray, cols: list):
-    """Append columns not already present (cosine within 1e-12 of an old one)."""
-    kept = []
-    cur = stack
-    for col in cols:
-        if cur.shape[1]:
-            if (cur.T @ col).max() > 1.0 - 1e-12:
-                continue
-        kept.append(col)
-        cur = np.concatenate([cur, col[:, None]], axis=1)
-    return cur, kept
+def _novel_columns(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns of `cols` whose cosine with every column of `stack` and with
+    every earlier kept column stays below 1 - 1e-12."""
+    s = stack.shape[1]
+    cur = np.empty((stack.shape[0], s + cols.shape[1]))
+    cur[:, :s] = stack
+    j = s
+    for col in cols.T:
+        if j and (cur[:, :j].T @ col).max() > 1.0 - 1e-12:
+            continue
+        cur[:, j] = col
+        j += 1
+    return cur[:, s:j]
 
 
 def _build_family(edge: Subspace, base: np.ndarray, rep: str) -> ConjugationFamily:
@@ -528,36 +524,30 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
             extra = []
             if gens:
                 picks = rng.choice(len(gens), size=min(8, len(gens)), replace=False)
-                for i in picks:
-                    for _ in range(4):
-                        p = rng.normal(scale=np.pi / np.sqrt(family.n_params),
-                                       size=family.n_params)
-                        extra.append(family.conjugate(gens[i], p))
+                params = rng.normal(scale=np.pi / np.sqrt(family.n_params),
+                                    size=(4 * len(picks), family.n_params))
+                extra = list(family.elements(params, np.stack([gens[i] for i in picks
+                                                               for _ in range(4)])))
             cands = []
             for g in swept + extra:
                 p = g - edge.project(g)
                 n = fro(p)
                 if n > 1e-12:
                     cands.append(p / n)
-            cols = [realify(g, complex_field) for g in cands]
-            new_stack, kept = _dedupe_append(cone.stack, cols)
-            gens = gens + [unrealify(k, shape, complex_field) for k in kept]
+            kept = _novel_columns(cone.stack, realify_stack(cands, shape, complex_field))
+            gens = gens + list(unrealify_stack(kept, shape, complex_field))
             cone = Cone(generators=tuple(gens), shape=shape,
                         complex_field=complex_field, analytic=family, tol=tol)
-            report["novel_counts"].append(len(kept))
+            report["novel_counts"].append(kept.shape[1])
             continue
 
         # (d) stable edge: novelty by membership of a freshly offset sweep
         n_spot = min(32, max(8, orbit_samples // 32))
-        if family.kind == "grid1":
-            offs = rng.uniform(0, family.periods[0], size=n_spot)
-            spot = [family.element([t]) for t in offs]
-        elif family.kind == "grid2":
-            offs = np.stack([rng.uniform(0, family.periods[0], size=n_spot),
-                             rng.uniform(0, family.periods[1], size=n_spot)], axis=1)
-            spot = [family.element(p) for p in offs]
-        else:
+        if family.kind == "orbit":
             spot = [g for _, g in family.sweep(n_spot, rng)]
+        else:
+            spot = family.elements(np.stack([rng.uniform(0, p, size=n_spot)
+                                             for p in family.periods], axis=1))
         novel = []
         for g in spot:
             p = g - edge.project(g)
@@ -568,12 +558,11 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
             if not cone_contains(cone, p, tol, rng):
                 novel.append(p)
         if novel:
-            cols = [realify(g, complex_field) for g in novel]
-            _, kept = _dedupe_append(cone.stack, cols)
-            gens = gens + [unrealify(k, shape, complex_field) for k in kept]
+            kept = _novel_columns(cone.stack, realify_stack(novel, shape, complex_field))
+            gens = gens + list(unrealify_stack(kept, shape, complex_field))
             cone = Cone(generators=tuple(gens), shape=shape,
                         complex_field=complex_field, analytic=family, tol=tol)
-            report["novel_counts"].append(len(kept))
+            report["novel_counts"].append(kept.shape[1])
             continue
         report["novel_counts"].append(0)
         report["converged"] = True

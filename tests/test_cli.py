@@ -149,6 +149,15 @@ def test_reachable_subcommand(qubit_path, capsys):
     assert report["contraction_audit"]["monotone"] is True
 
 
+def test_reachable_rejects_a_zero_count(qubit_path, capsys):
+    capsys.readouterr()
+    assert main(["reachable", "--system", qubit_path, "--switches", "2",
+                 "--count", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: count must be at least 1, got 0\n"
+
+
 def test_exit_codes_for_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.sys"
     bad.write_text("rep r3\ndrift q\n")

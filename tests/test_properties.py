@@ -1,5 +1,6 @@
-"""Property tests of the cached generators, the one-product coherence map
-and the incremental contraction audit against loop references kept here."""
+"""Property tests of the cached generators, the one-product coherence map,
+the incremental contraction audit, the stacked realification and the
+batched conjugation kernel against loop or expm references kept here."""
 
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from liewedge.lindblad import (ControlSystem, Superop, ad_hat, coherence_rep,
                                gks_dissipator, lindbladian, pauli_basis, unvec,
                                vec)
-from liewedge.matcore import expm, fro, inner
+from liewedge.matcore import (expm, fro, inner, orthonormal_span, realify, realify_stack,
+                              unrealify, unrealify_stack)
 from liewedge.reachable import Schedule, contraction_audit
+from liewedge.wedge import ConjugationFamily
 
 REPS = ("r3", "qubit", "two_qubit")
 HILBERT_DIM = {"qubit": 2, "two_qubit": 4}
@@ -203,3 +206,121 @@ def test_contraction_audit_is_bitwise_naive_repropagation(rep, seed, n_controls,
     for sched, g in ((on_grid, max(2, sum(quarters) + 1)), (off_grid, grid)):
         audit = contraction_audit(sys, sched, grid=g)
         assert audit["s"] == _reference_audit_s(sys, sched, g)
+
+
+@SETTINGS
+@given(st.sampled_from(REPS), st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_realify_stack_is_per_matrix_realify(rep, seed, m):
+    rng = np.random.default_rng(seed)
+    n = 3 if rep == "r3" else HILBERT_DIM[rep] ** 2
+    complex_field = rep != "r3"
+    mats = [rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_field else 0)
+            for _ in range(m)]
+    cols = realify_stack(mats, (n, n), complex_field)
+    assert cols.shape == ((2 if complex_field else 1) * n * n, m)
+    for i, a in enumerate(mats):
+        assert cols[:, i].tobytes() == realify(a, complex_field).tobytes()
+    back = unrealify_stack(cols, (n, n), complex_field)
+    assert back.shape == (m, n, n)
+    for i, a in enumerate(mats):
+        assert back[i].tobytes() == unrealify(cols[:, i], (n, n), complex_field).tobytes()
+        assert np.array_equal(back[i], a)
+
+
+KINDS = ("grid1", "grid2", "orbit")
+
+
+def _family(rep: str, kind: str, seed: int, skew: bool = True) -> ConjugationFamily:
+    """Unit-norm seeds: skew 3x3 (r3) or i*ad_hat(H) (quantum), commuting
+    for grid2; a real (r3) or complex base; non-normal seeds unless `skew`."""
+    rng = np.random.default_rng(seed)
+    n_params = {"grid1": 1, "grid2": 2, "orbit": 3}[kind]
+    if rep == "r3":
+        first = _skew(rng)
+        seeds = ([first, 2.0 * first] if kind == "grid2"
+                 else [_skew(rng) for _ in range(n_params)])
+        if not skew:
+            seeds[0] = seeds[0] + rng.normal(size=(3, 3))
+        base = rng.normal(size=(3, 3))
+    else:
+        n = HILBERT_DIM[rep]
+        hs = [_hermitian(rng, n) for _ in range(n_params)]
+        if kind == "grid2":
+            q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            hs = [q @ np.diag(rng.normal(size=n)) @ q.conj().T for _ in range(2)]
+        seeds = [1j * ad_hat(h).matrix for h in hs]
+        if not skew:
+            seeds[0] = seeds[0] + rng.normal(size=seeds[0].shape)
+        base = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+    seeds = tuple(s / fro(s) for s in seeds)
+    # non-normal seeds have no period; unit ones keep grid exponentials finite
+    periods = None if skew else (1.0,) * n_params
+    return ConjugationFamily(kind=kind, seeds=seeds, base=base,
+                             edge=orthonormal_span(list(seeds)), rep=rep, periods=periods)
+
+
+def _reference(fam: ConjugationFamily, g: np.ndarray, params) -> np.ndarray:
+    a = sum(p * s for p, s in zip(params, fam.seeds))
+    return expm(a) @ g @ expm(-a)
+
+
+def _close(got: np.ndarray, want: np.ndarray, g: np.ndarray) -> bool:
+    """Within 1e-12 max(1, ||g||); unitary conjugation keeps ||want|| = ||g||,
+    the expm fallback on non-normal seeds may grow it."""
+    return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, fro(g), fro(want))
+
+
+@SETTINGS
+@given(st.sampled_from(REPS), st.sampled_from(KINDS), st.integers(0, 2**32 - 1),
+       st.booleans(), st.integers(1, 40))
+def test_conjugation_kernel_matches_expm(rep, kind, seed, skew, count):
+    """Skew/anti-Hermitian seeds take the stacked-eigh kernel, the others
+    the expm fallback; both agree with expm(a) g expm(-a)."""
+    fam = _family(rep, kind, seed, skew)
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=fam.base.shape) + (0 if rep == "r3" else 1j * rng.normal(size=fam.base.shape))
+    params = rng.normal(scale=np.pi, size=fam.n_params)
+    assert _close(fam.conjugate(g, params), _reference(fam, g, params), g)
+    assert _close(fam.element(params), _reference(fam, fam.base, params), fam.base)
+    swept = fam.sweep(count, rng)
+    if kind == "grid1":
+        assert len(swept) == count
+    elif kind == "grid2":
+        assert len(swept) == max(2, int(np.ceil(np.sqrt(count)))) ** 2
+    for p, elem in swept:
+        assert p.shape == (fam.n_params,)
+        assert _close(elem, _reference(fam, fam.base, p), fam.base)
+    stack = np.stack([g, fam.base, -g])
+    thetas = rng.normal(size=(3, fam.n_params))
+    for got, gi, p in zip(fam.elements(thetas, stack), stack, thetas):
+        assert _close(got, _reference(fam, gi, p), gi)
+
+
+def test_grid2_sweep_runs_over_the_torus_row_major():
+    fam = _family("qubit", "grid2", 5)
+    n = 3
+    t1 = np.arange(n) * (fam.periods[0] / n)
+    t2 = np.arange(n) * (fam.periods[1] / n)
+    params = [p for p, _ in fam.sweep(n * n, np.random.default_rng(0))]
+    assert np.array_equal(np.array(params),
+                          np.array([[t1[i], t2[j]] for i in range(n) for j in range(n)]))
+
+
+@pytest.mark.parametrize("rep", REPS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_sweep_draws_nothing(rep, kind):
+    fam = _family(rep, kind, 3)
+    rng = np.random.default_rng(11)
+    assert fam.sweep(0, rng) == []
+    assert rng.normal() == np.random.default_rng(11).normal()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_real_seeds_and_base_give_real_elements(kind):
+    fam = _family("r3", kind, 8)
+    rng = np.random.default_rng(8)
+    elems = [fam.element(rng.normal(size=fam.n_params)),
+             fam.conjugate(rng.normal(size=(3, 3)), rng.normal(size=fam.n_params))]
+    elems += [g for _, g in fam.sweep(9, rng)]
+    for g in elems:
+        assert g.dtype == np.float64

@@ -71,6 +71,12 @@ def test_sample_reachable_validates_depth():
         sample_reachable(_qubit_system(), 3, 0)
 
 
+def test_sample_reachable_validates_count():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"count must be at least 1, got {n}"):
+            sample_reachable(_qubit_system(), n, 3)
+
+
 def test_contraction_audit_monotone():
     sys = _qubit_system()
     sched = Schedule(((0.4, (0.9,)), (0.6, (-0.3,))))
