@@ -495,6 +495,11 @@ _FIG_SPECS = {
 def cmd_figdata(args) -> int:
     header, which, basis = _FIG_SPECS[args.figure]
     gamma = args.gamma
+    steps = args.theta_steps
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if steps < 1:
+        raise ValueError(f"theta-steps must be at least 1, got {steps}")
     if which == "example2":
         gamma0 = gamma * np.diag([1.0, 0.0, 1.0])
     else:
@@ -503,7 +508,6 @@ def cmd_figdata(args) -> int:
     mats = [named.get(b, b) if isinstance(b, str) else b for b in basis]
     drift = H_Z + gamma0
     print(header)
-    steps = args.theta_steps
     for k in range(steps):
         theta = 2.0 * np.pi * k / steps
         u = expm(theta * H_Y)

@@ -1,8 +1,9 @@
 """Lie closures of generator sets and controllability condition checks.
 
-The closure routine works in the realified coordinate space of `matcore`
-and batches commutators / projections through matmul so that even the
-225-dimensional closure over a two-qubit carrier stays fast.
+The closure routine works in the realified coordinate space of `matcore`.
+It builds Lie(S) from right-nested brackets [s1, [s2, [..., sk]]] of the
+generators: each round brackets only the directions the previous round
+added against an orthonormal basis of span(S), in batched matmuls.
 """
 
 from __future__ import annotations
@@ -12,19 +13,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lindblad import ControlSystem, control_directions, drift_direction, ham_drift_direction
-from .matcore import (ConvergenceError, Subspace, fro, orthonormal_span, realify_stack,
-                      unrealify_stack)
+from .matcore import Subspace, orthonormal_span, realify_stack, unrealify_stack
 
 _CHUNK = 24
 
 
-def lie_closure(gens, tol: float = 1e-9, max_depth: int = 12) -> Subspace:
+def lie_closure(gens, tol: float = 1e-9) -> Subspace:
     """Smallest real Lie algebra containing `gens`, as a `Subspace`.
 
-    Breadth-first: each round brackets the newest directions against the
-    whole current basis, keeps components orthogonal to it, and stops when
-    a round yields nothing new.  Raises ConvergenceError if `max_depth`
-    rounds do not stabilise.
+    By the Jacobi identity Lie(S) is spanned by the right-nested brackets
+    of the generators, so it is the smallest subspace containing S that is
+    invariant under ad_s for every s in S.  Each round therefore brackets
+    only the previous round's new directions (the frontier) against an
+    orthonormal basis of span(S), keeps components orthogonal to the
+    current basis, and stops when a round yields nothing new.  Every
+    productive round adds at least one orthonormal column, so there are at
+    most as many rounds as the real dimension of the ambient matrix space.
     """
     gens = [np.asarray(g) for g in gens]
     basis = orthonormal_span(gens, tol=tol)
@@ -34,16 +38,14 @@ def lie_closure(gens, tol: float = 1e-9, max_depth: int = 12) -> Subspace:
     complex_field = basis.complex_field
     ambient = int(np.prod(shape)) * (2 if complex_field else 1)
     stack = basis.stack
-    mats = unrealify_stack(stack, shape, complex_field)
-    frontier = mats
+    seeds = unrealify_stack(stack, shape, complex_field)
+    frontier = seeds
 
-    for _ in range(max_depth):
-        if frontier.shape[0] == 0 or stack.shape[1] >= ambient:
-            break
+    while stack.shape[1] < ambient:
         new_cols = []
         for lo in range(0, frontier.shape[0], _CHUNK):
             f = frontier[lo:lo + _CHUNK]
-            br = np.einsum("aij,bjk->abik", f, mats) - np.einsum("bij,ajk->abik", mats, f)
+            br = np.einsum("aij,bjk->abik", f, seeds) - np.einsum("bij,ajk->abik", seeds, f)
             br = br.reshape(-1, *shape)
             cols = realify_stack(br, shape, complex_field)
             res = cols - stack @ (stack.T @ cols)
@@ -68,9 +70,6 @@ def lie_closure(gens, tol: float = 1e-9, max_depth: int = 12) -> Subspace:
         add /= np.linalg.norm(add, axis=0)
         stack = np.concatenate([stack, add], axis=1)
         frontier = unrealify_stack(add, shape, complex_field)
-        mats = np.concatenate([mats, frontier], axis=0)
-    else:
-        raise ConvergenceError(f"Lie closure did not stabilise within {max_depth} rounds")
 
     return Subspace(mats=tuple(unrealify_stack(stack, shape, complex_field)), shape=shape,
                     complex_field=complex_field, tol=tol, stack=stack.copy())

@@ -51,7 +51,9 @@ class ConjugationFamily:
     'orbit' (random exponentials of the whole edge).  The base is stored
     orthogonal to the edge; since edge conjugation is an isometry fixing
     the edge, every family element stays orthogonal to it.  Every element
-    comes from the batched kernel `elements`.
+    comes from the batched kernel `elements`.  ``periods`` defaults to each
+    seed's rotation period; seeds that are not skew/anti-Hermitian have
+    none and must be given explicit periods.
     """
 
     kind: str
@@ -63,6 +65,9 @@ class ConjugationFamily:
 
     def __post_init__(self):
         if self.periods is None:
+            if not self._skew:
+                raise ValueError("seeds that are not skew/anti-Hermitian have no period; "
+                                 "pass explicit periods")
             object.__setattr__(self, "periods", tuple(_period(s) for s in self.seeds))
 
     @property

@@ -96,6 +96,21 @@ def test_figdata_3_matches_analytic_curve(capsys):
         assert abs(cg - (11 + np.cos(2 * theta)) / 12.0) < 1e-12
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--gamma", "0"], "gamma must be positive and finite, got 0.0"),
+    (["--gamma", "-1"], "gamma must be positive and finite, got -1.0"),
+    (["--gamma", "inf"], "gamma must be positive and finite, got inf"),
+    (["--theta-steps", "0"], "theta-steps must be at least 1, got 0"),
+    (["--theta-steps", "-3"], "theta-steps must be at least 1, got -3"),
+], ids=["gamma-zero", "gamma-negative", "gamma-inf", "steps-zero", "steps-negative"])
+def test_figdata_rejects_bad_input_before_the_header(flags, message, capsys):
+    capsys.readouterr()
+    assert main(["figdata", "2a", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_channel_identity_limit(capsys):
     assert main(["channel", "phase_flip", "--gamma", "0", "--t", "1"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 """Property tests of the cached generators, the one-product coherence map,
-the incremental contraction audit, the stacked realification and the
-batched conjugation kernel against loop or expm references kept here."""
+the incremental contraction audit, the stacked realification, the batched
+conjugation kernel and the right-nested Lie closure against loop, expm or
+full-pairwise references kept here."""
 
 from __future__ import annotations
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liewedge.channels import ChannelSpec, build_system, sigma2
+from liewedge.liealg import lie_closure
 from liewedge.lindblad import (ControlSystem, Superop, ad_hat, coherence_rep,
-                               gks_dissipator, lindbladian, pauli_basis, unvec,
-                               vec)
+                               control_directions, drift_direction, gks_dissipator,
+                               lindbladian, pauli_basis, unvec, vec)
 from liewedge.matcore import (expm, fro, inner, orthonormal_span, realify, realify_stack,
                               unrealify, unrealify_stack)
 from liewedge.reachable import Schedule, contraction_audit
@@ -324,3 +327,94 @@ def test_real_seeds_and_base_give_real_elements(kind):
     elems += [g for _, g in fam.sweep(9, rng)]
     for g in elems:
         assert g.dtype == np.float64
+
+
+def _reference_closure(gens, tol: float = 1e-9):
+    """The full pairwise closure: each round brackets the newest directions
+    against the whole current basis.  Returns the realified basis stack and
+    the number of rounds that added directions."""
+    basis = orthonormal_span(gens, tol=tol)
+    shape, complex_field = basis.shape, basis.complex_field
+    ambient = int(np.prod(shape)) * (2 if complex_field else 1)
+    stack = basis.stack
+    mats = unrealify_stack(stack, shape, complex_field)
+    frontier = mats
+    productive = 0
+    while stack.shape[1] < ambient:
+        new_cols = []
+        for lo in range(0, frontier.shape[0], 24):
+            f = frontier[lo:lo + 24]
+            br = np.einsum("aij,bjk->abik", f, mats) - np.einsum("bij,ajk->abik", mats, f)
+            cols = realify_stack(br.reshape(-1, *shape), shape, complex_field)
+            res = cols - stack @ (stack.T @ cols)
+            sel = np.linalg.norm(res, axis=0) > tol * np.maximum(1.0, np.linalg.norm(cols, axis=0))
+            if np.any(sel):
+                new_cols.append(res[:, sel])
+        if not new_cols:
+            break
+        u, s, _ = np.linalg.svd(np.concatenate(new_cols, axis=1), full_matrices=False)
+        add = u[:, s > tol * s[0]]
+        add = add - stack @ (stack.T @ add)
+        add = add[:, np.linalg.norm(add, axis=0) > 0.5]
+        if add.shape[1] == 0:
+            break
+        add /= np.linalg.norm(add, axis=0)
+        stack = np.concatenate([stack, add], axis=1)
+        frontier = unrealify_stack(add, shape, complex_field)
+        mats = np.concatenate([mats, frontier], axis=0)
+        productive += 1
+    return stack, productive
+
+
+CARRIERS = ("r3", "r3_skew", "qubit", "antihermitian4", "pauli4")
+PAULI_PAIRS = [a + b for a in "1xyz" for b in "1xyz"]
+
+
+def _closure_gens(carrier: str, seed: int, n: int) -> list:
+    """n random generators: real 3x3 (general or skew), complex 2x2, 4x4
+    anti-Hermitian, or i/2 times a sum of one or two Pauli pairs."""
+    rng = np.random.default_rng(seed)
+    if carrier == "r3":
+        return [rng.normal(size=(3, 3)) for _ in range(n)]
+    if carrier == "r3_skew":
+        return [_skew(rng) for _ in range(n)]
+    if carrier == "qubit":
+        return [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)]
+    if carrier == "antihermitian4":
+        return [1j * _hermitian(rng, 4) for _ in range(n)]
+    return [0.5j * sum(sigma2(p) for p in rng.choice(PAULI_PAIRS, size=rng.integers(1, 3)))
+            for _ in range(n)]
+
+
+def _bracket_residual(sub, a: np.ndarray, b: np.ndarray) -> float:
+    """Residual of [a, b] off `sub`, relative to max(1, ||[a, b]||)."""
+    br = a @ b - b @ a
+    return sub.residual(br) / max(1.0, fro(br))
+
+
+@SETTINGS
+@given(st.sampled_from(CARRIERS), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_lie_closure_matches_the_full_pairwise_closure(carrier, seed, n):
+    gens = _closure_gens(carrier, seed, n)
+    got = lie_closure(gens)
+    want, productive = _reference_closure(gens)
+    assert got.dim == want.shape[1]
+    assert np.max(np.abs(want - got.stack @ (got.stack.T @ want)), initial=0.0) <= 1e-8
+    assert np.max(np.abs(got.stack - want @ (want.T @ got.stack)), initial=0.0) <= 1e-8
+    for g in gens:
+        assert got.contains(g, 1e-8)
+    for a in got.mats:
+        for b in got.mats:
+            assert _bracket_residual(got, a, b) <= 1e-8
+    if productive <= 1:
+        assert got.stack.tobytes() == want.tobytes()
+
+
+def test_two_qubit_c_closure_is_closed_under_brackets():
+    sys = build_system(ChannelSpec(name="two_qubit_C"))
+    s = lie_closure([np.asarray(c) for c in control_directions(sys)]
+                    + [np.asarray(drift_direction(sys))])
+    assert s.dim == 225
+    rng = np.random.default_rng(225)
+    for i, j in rng.integers(s.dim, size=(200, 2)):
+        assert _bracket_residual(s, s.mats[i], s.mats[j]) <= 1e-8

@@ -76,6 +76,18 @@ def test_grid1_support_matches_brute_force():
         assert val >= grid - 1e-9
 
 
+def test_non_skew_seeds_need_explicit_periods():
+    """A seed that is not skew has no rotation period: the family refuses
+    to guess one, and takes explicit periods."""
+    seed = H_Y + 0.5 * GAMMA2
+    edge = orthonormal_span([seed], shape=(3, 3), complex_field=False)
+    with pytest.raises(ValueError, match="explicit periods"):
+        ConjugationFamily(kind="grid1", seeds=(seed,), base=H_Z, edge=edge, rep="r3")
+    fam = ConjugationFamily(kind="grid1", seeds=(seed,), base=H_Z, edge=edge,
+                            rep="r3", periods=(1.0,))
+    assert fam.periods == (1.0,)
+
+
 def test_saturate_example2_reference_geometry():
     w = saturate(initial_wedge(example2()), orbit_samples=360)
     assert w.saturation["converged"]
