@@ -10,8 +10,8 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .matcore import (ConvergenceError, RANK_TOL, Subspace, comm, expm, fro,
-                      inner, orthonormal_span)
+from .matcore import (RANK_TOL, Subspace, comm, expm, fro, inner,
+                      orthonormal_span)
 from .lindblad import (ControlSystem, Superop, ad_hat, choi_matrix,
                        coherence_rep, cptp_audit, gks_dissipator, gks_term,
                        is_trace_preserving, is_unital, lindbladian,
@@ -35,8 +35,8 @@ from .reachable import (Schedule, contraction_audit, propagate,
 
 __all__ = [
     "__version__",
-    "ConvergenceError", "RANK_TOL", "Subspace", "comm", "expm", "fro",
-    "inner", "orthonormal_span",
+    "RANK_TOL", "Subspace", "comm", "expm", "fro", "inner",
+    "orthonormal_span",
     "ControlSystem", "Superop", "ad_hat", "choi_matrix", "coherence_rep",
     "cptp_audit", "gks_dissipator", "gks_term", "is_trace_preserving",
     "is_unital", "lindbladian", "pauli_basis", "propagator",

@@ -157,6 +157,8 @@ class ChannelSpec:
         if len(rates) != _N_RATES[self.name]:
             raise ValueError(
                 f"{self.name} takes {_N_RATES[self.name]} rate(s), got {len(rates)}")
+        if not np.isfinite(rates).all():
+            raise ValueError(f"rates must be finite, got {rates}")
         if any(r < 0 for r in rates):
             raise ValueError("rates must be nonnegative")
         for a in ctrl:
@@ -302,6 +304,8 @@ class KrausSet:
 
     def __post_init__(self):
         ops = tuple(np.asarray(e, dtype=complex) for e in self.operators)
+        if not ops:
+            raise ValueError("a Kraus set needs at least one operator")
         n = ops[0].shape[0]
         total = sum(e.conj().T @ e for e in ops)
         if fro(total - np.eye(n)) > 1e-10:
@@ -316,8 +320,8 @@ def kraus_family(spec: ChannelSpec, t: float) -> KrausSet:
     coherence damping rate is twice the GKS rate.  Specs carrying controls
     or a drift are rejected: their time dependence has no closed form here.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     if spec.name not in _QUBIT_CHANNELS:
         raise ValueError(f"no Kraus family for {spec.name}")
     if spec.control_axes or spec.drift_axis:

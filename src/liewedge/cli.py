@@ -4,9 +4,9 @@ Subcommands: `example` (saturate the three rotation-carrier systems),
 `channel` (named channel report with Kraus data), `wedge`, `conditions`,
 `semialgebra`, `reachable` (all driven by a system file), and `figdata`
 (CSV of projected cone-boundary samples).  Exit codes: 0 success, 1
-numerical failure (non-convergence), 2 usage or parse error.  All floats
-are printed with 17 significant digits, so output is byte-identical for
-fixed inputs and seed.
+numerical failure (a saturation that did not converge, or a linear-algebra
+error), 2 usage or parse error.  All floats are printed with 17
+significant digits, so output is byte-identical for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .channels import (ChannelSpec, H_AXIS, H_X, H_Y, H_Z, P_Y, build_system,
                        sigma, sigma2)
 from .liealg import check_conditions
 from .lindblad import ControlSystem, Superop, cptp_audit, lindbladian, propagator
-from .matcore import ConvergenceError, expm, fro, inner
+from .matcore import expm, inner
 from .reachable import contraction_audit, random_schedule, sample_reachable
 from .semialgebra import semialgebra_probe
 from .wedge import initial_wedge, saturate
@@ -45,39 +45,27 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        if v.ndim == 0:
-            return _jsonable(v.item())
-        return [_jsonable(row) for row in v]
-    if isinstance(v, (np.bool_, bool)):
-        return bool(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.complexfloating, complex)):
-        return [float(v.real), float(v.imag)]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(u) for k, u in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(u) for u in v]
-    return v
-
-
 def _dumps(v, level: int = 0) -> str:
-    """JSON writer with %.17g floats and stable key order."""
-    pad = "  " * level
+    """JSON writer with %.17g floats and stable key order.
+
+    numpy arrays and scalars are written through `.tolist()`; a complex
+    number is written as ``[re, im]``.
+    """
+    if isinstance(v, float):
+        return _fmt(v)
+    if isinstance(v, (np.ndarray, np.generic)):
+        return _dumps(v.tolist(), level)
     if v is None:
         return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
-        return _fmt(v)
+    if isinstance(v, complex):
+        return f"[{_fmt(v.real)}, {_fmt(v.imag)}]"
     if isinstance(v, str):
         return json.dumps(v)
+    pad = "  " * level
     if isinstance(v, dict):
         if not v:
             return "{}"
@@ -85,22 +73,19 @@ def _dumps(v, level: int = 0) -> str:
                 for k, u in v.items()]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
     if isinstance(v, (list, tuple)):
-        items = list(v)
-        if not items:
+        if not v:
             return "[]"
-        if any(isinstance(u, dict) for u in items):
-            rows = [f"{pad}  {_dumps(u, level + 1)}" for u in items]
+        if any(isinstance(u, dict) for u in v):
+            rows = [f"{pad}  {_dumps(u, level + 1)}" for u in v]
             return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-        return "[" + ", ".join(_dumps(u, level + 1) for u in items) + "]"
+        return "[" + ", ".join([_dumps(u, level + 1) for u in v]) + "]"
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-def _emit(report: dict):
-    print(_dumps(_jsonable(report)))
-
-
-def _mat(m) -> list:
-    return _jsonable(np.asarray(m))
+def _emit(command: str, inputs: dict, body: dict):
+    """Print one report: the envelope, the command's input, then its body."""
+    print(_dumps({"schema": SCHEMA, "version": __version__, "command": command,
+                  "input": inputs, **body}))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +257,21 @@ def _load_system(args):
     return parse_system_file(text)
 
 
+_AT_LEAST_ONE = ("samples", "rounds", "pairs", "theta-steps")
+_POSITIVE = ("tol", "t", "horizon", "gamma")
+
+
+def _checked(values: dict) -> dict:
+    """Reject counts below 1 and non-positive or non-finite tolerances,
+    times and rates, from flags and system files alike, before any work."""
+    for k, v in values.items():
+        if k in _AT_LEAST_ONE and v < 1:
+            raise ValueError(f"{k} must be at least 1, got {v}")
+        if k in _POSITIVE and not 0 < v < np.inf:
+            raise ValueError(f"{k} must be positive and finite, got {v}")
+    return values
+
+
 def _saturation_options(args, file_options: dict) -> dict:
     opts = dict(_SATURATION_DEFAULTS)
     opts.update({k: v for k, v in file_options.items() if k in opts})
@@ -279,7 +279,7 @@ def _saturation_options(args, file_options: dict) -> dict:
         v = getattr(args, k, None)
         if v is not None:
             opts[k] = v
-    return opts
+    return _checked(opts)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +290,9 @@ def _system_report(system: ControlSystem) -> dict:
     return {
         "rep": system.rep,
         "n_controls": system.n_controls,
-        "drift_H": _mat(system.drift_H),
-        "controls": [_mat(c) for c in system.controls],
-        "lindblad_ops": [{"operator": _mat(v), "rate": g}
+        "drift_H": system.drift_H,
+        "controls": system.controls,
+        "lindblad_ops": [{"operator": v, "rate": g}
                          for v, g in system.lindblad_ops],
     }
 
@@ -343,17 +343,12 @@ def cmd_example(args) -> int:
     system = build_system(spec)
     opts = _saturation_options(args, {})
     w = _saturate_system(system, opts)
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "example",
-        "input": {"example": args.number, **opts},
+    _emit("example", {"example": args.number, **opts}, {
         "system": _system_report(system),
         "conditions": _conditions_report(system),
         **_wedge_report(w),
-        "cone_samples": [_mat(g) for g in w.cone.generators],
-    }
-    _emit(report)
+        "cone_samples": w.cone.generators,
+    })
     return _exit_code(w)
 
 
@@ -362,30 +357,23 @@ def cmd_channel(args) -> int:
     spec = ChannelSpec(name=args.name, rates=rates)
     system = build_system(spec)
     t = args.t
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "channel",
-        "input": {"name": args.name, "rates": list(spec.rates), "t": t},
-        "system": _system_report(system),
-    }
+    body = {"system": _system_report(system)}
     kraus = None
     try:
         ks = kraus_family(spec, t)
         kraus = {
             "t": t,
-            "operators": [_mat(e) for e in ks.operators],
+            "operators": ks.operators,
             "rank": kraus_rank(kraus_superop(ks).matrix),
         }
     except ValueError as exc:
-        report["kraus_unavailable"] = str(exc)
-    report["kraus"] = kraus
+        body["kraus_unavailable"] = str(exc)
+    body["kraus"] = kraus
     if spec.rep != "r3":
-        channel = propagator(lindbladian(system), t)
-        report["cptp_audit"] = cptp_audit(channel)
+        body["cptp_audit"] = cptp_audit(propagator(lindbladian(system), t))
     else:
-        report["cptp_audit"] = None
-    _emit(report)
+        body["cptp_audit"] = None
+    _emit("channel", {"name": args.name, "rates": spec.rates, "t": t}, body)
     return 0
 
 
@@ -393,64 +381,50 @@ def cmd_wedge(args) -> int:
     system, file_options = _load_system(args)
     opts = _saturation_options(args, file_options)
     w = _saturate_system(system, opts)
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "wedge",
-        "input": {"system": args.system, **opts},
+    _emit("wedge", {"system": args.system, **opts}, {
         "system": _system_report(system),
         **_wedge_report(w),
-        "generators": [_mat(g) for g in w.cone.generators],
-    }
-    _emit(report)
+        "generators": w.cone.generators,
+    })
     return _exit_code(w)
 
 
 def cmd_conditions(args) -> int:
     system, _ = _load_system(args)
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "conditions",
-        "input": {"system": args.system},
+    _emit("conditions", {"system": args.system}, {
         "system": _system_report(system),
         "conditions": _conditions_report(system),
-    }
-    _emit(report)
+    })
     return 0
 
 
 def cmd_semialgebra(args) -> int:
+    probe = _checked({"pairs": args.pairs, "t": args.t})
     system, file_options = _load_system(args)
     opts = _saturation_options(args, file_options)
     w = _saturate_system(system, opts)
     witness = semialgebra_probe(w, pair_samples=args.pairs,
                                 t_grid=(args.t,), seed=opts["seed"])
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "semialgebra",
-        "input": {"system": args.system, "pairs": args.pairs, "t": args.t,
-                  **opts},
+    _emit("semialgebra", {"system": args.system, **probe, **opts}, {
         **_wedge_report(w),
         "verdict": ("witness-found" if witness is not None
                     else "no-counterexample-found"),
         "witness": None if witness is None else {
-            "A": _mat(witness.A),
-            "B": _mat(witness.B),
+            "A": witness.A,
+            "B": witness.B,
             "t": witness.t,
             "residual": witness.residual,
-            "product": _mat(witness.product),
-            "offending_component": _mat(witness.offending_component),
+            "product": witness.product,
+            "offending_component": witness.offending_component,
         },
-    }
-    _emit(report)
+    })
     return _exit_code(w)
 
 
 def cmd_reachable(args) -> int:
     system, file_options = _load_system(args)
     horizon = file_options.get("horizon", 1.0)
+    _checked({"horizon": horizon})
     samples = sample_reachable(system, args.count, args.switches,
                                horizon=horizon, seed=args.seed)
     summary = {"count": args.count, "switches": args.switches,
@@ -470,17 +444,12 @@ def cmd_reachable(args) -> int:
         audit = contraction_audit(system, sched, grid=50)
     except ValueError as exc:
         audit = {"unavailable": str(exc)}
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "reachable",
-        "input": {"system": args.system, "switches": args.switches,
-                  "count": args.count, "seed": args.seed},
+    _emit("reachable", {"system": args.system, "switches": args.switches,
+                        "count": args.count, "seed": args.seed}, {
         "system": _system_report(system),
         "samples": summary,
         "contraction_audit": audit,
-    }
-    _emit(report)
+    })
     return 0
 
 
@@ -496,10 +465,7 @@ def cmd_figdata(args) -> int:
     header, which, basis = _FIG_SPECS[args.figure]
     gamma = args.gamma
     steps = args.theta_steps
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if steps < 1:
-        raise ValueError(f"theta-steps must be at least 1, got {steps}")
+    _checked({"gamma": gamma, "theta-steps": steps})
     if which == "example2":
         gamma0 = gamma * np.diag([1.0, 0.0, 1.0])
     else:
@@ -590,9 +556,6 @@ def main(argv=None) -> int:
     except SystemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

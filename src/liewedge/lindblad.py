@@ -163,9 +163,12 @@ def _check_herm(m: np.ndarray, what: str, tol: float = 1e-12):
         raise ValueError(f"{what} must be Hermitian")
 
 
-def _frozen(a, dtype) -> np.ndarray:
-    """Read-only copy of `a`, so later writes by the caller cannot reach it."""
+def _frozen(a, dtype, what: str) -> np.ndarray:
+    """Read-only copy of `a`, so later writes by the caller cannot reach it;
+    raises ValueError naming `what` if an entry is NaN or infinite."""
     out = np.array(a, dtype=dtype)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} has non-finite entries")
     out.setflags(write=False)
     return out
 
@@ -199,11 +202,15 @@ class ControlSystem:
             n, dtype = 3, float
         else:
             n, dtype = _HILBERT_DIM[self.rep], complex
-        drift = _frozen(self.drift_H, dtype)
+        drift = _frozen(self.drift_H, dtype, "drift")
         if drift.shape != (n, n):
             raise ValueError(f"drift must be {n}x{n} for rep {self.rep!r}")
-        controls = tuple(_frozen(c, dtype) for c in self.controls)
-        ops = tuple((_frozen(v, dtype), float(g)) for v, g in self.lindblad_ops)
+        controls = tuple(_frozen(c, dtype, "control") for c in self.controls)
+        ops = tuple((_frozen(v, dtype, "noise operator"), float(g))
+                    for v, g in self.lindblad_ops)
+        for _, g in ops:
+            if not np.isfinite(g):
+                raise ValueError(f"non-finite rate {g}")
         if self.rep == "r3":
             _check_skew(drift, "drift")
             for c in controls:
@@ -297,8 +304,8 @@ def lindbladian(sys: ControlSystem, u=None) -> Superop:
 
 def propagator(L, t: float) -> Superop:
     """Semigroup element expm(-t * L)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     rep = _rep_of(L) if isinstance(L, Superop) else _rep_of(L)
     return Superop(matrix=expm(-t * _as_matrix(L)), rep=rep)
 

@@ -20,10 +20,6 @@ from scipy.linalg import expm as _expm
 RANK_TOL = 1e-9
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its budget without stabilising."""
-
-
 def inner(a: np.ndarray, b: np.ndarray) -> float:
     """Real trace inner product Re tr(a^dag b)."""
     a = np.asarray(a)

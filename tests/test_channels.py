@@ -73,6 +73,26 @@ def test_kraus_set_validates_completeness():
     assert len(ks.operators) == 2
 
 
+def test_empty_kraus_set_is_rejected():
+    with pytest.raises(ValueError, match="at least one operator"):
+        KrausSet(operators=(), time=0.1)
+
+
+@pytest.mark.parametrize("rates", [(np.nan,), (np.inf,)])
+def test_channel_spec_rejects_non_finite_rates(rates):
+    with pytest.raises(ValueError, match="rates must be finite"):
+        ChannelSpec(name="phase_flip", rates=rates)
+    with pytest.raises(ValueError, match="rates must be finite"):
+        ChannelSpec(name="depolarizing", rates=(1.0, *rates, 1.0))
+
+
+@pytest.mark.parametrize("name", ["phase_flip", "depolarizing"])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+def test_kraus_family_rejects_bad_times(name, t):
+    with pytest.raises(ValueError, match="time must be nonnegative and finite"):
+        kraus_family(ChannelSpec(name=name), t)
+
+
 def test_flip_kraus_matches_generator_exponential():
     for name in FLIPS:
         spec = ChannelSpec(name=name, rates=(0.6,))

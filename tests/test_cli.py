@@ -229,3 +229,78 @@ def test_floats_are_emitted_at_full_precision(capsys):
     theta = row.split(",")[0]
     assert float(theta) == 2.0 * np.pi / 7.0
     assert len(theta.replace(".", "").replace("-", "")) >= 17
+
+
+def _expect_usage_error(argv, message, capsys):
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rep qubit\ndrift [[NaN,0],[0,0]]\n",
+     "invalid system: drift has non-finite entries"),
+    ("rep qubit\ndrift z\ncontrol [[0,Infinity],[Infinity,0]]\n",
+     "invalid system: control has non-finite entries"),
+    ("rep qubit\ndrift z\nlindblad [[NaN,0],[0,0]] 0.4\n",
+     "invalid system: noise operator has non-finite entries"),
+    ("rep qubit\ndrift z\ncontrol x\nlindblad z nan\n",
+     "invalid system: non-finite rate nan"),
+    ("rep r3\ndrift z\ncontrol y\nlindblad diag:1,0,1 inf\n",
+     "invalid system: non-finite rate inf"),
+], ids=["drift-nan", "control-inf", "noise-nan", "rate-nan", "r3-rate-inf"])
+@pytest.mark.parametrize("command", ["wedge", "conditions"])
+def test_system_files_with_non_finite_numbers_are_rejected(tmp_path, text, message,
+                                                           command, capsys):
+    path = tmp_path / "bad.sys"
+    path.write_text(text)
+    _expect_usage_error([command, "--system", str(path)], message, capsys)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["example1", "--gamma", "nan", "1", "1"], "rates must be finite, got (nan, 1.0, 1.0)"),
+    (["depolarizing", "--gamma", "1", "nan", "1"], "rates must be finite, got (1.0, nan, 1.0)"),
+    (["phase_flip", "--gamma", "inf"], "rates must be finite, got (inf,)"),
+    (["phase_flip", "--t", "nan"], "time must be nonnegative and finite, got nan"),
+    (["phase_flip", "--t", "inf"], "time must be nonnegative and finite, got inf"),
+], ids=["example1-gamma-nan", "depolarizing-gamma-nan", "gamma-inf", "t-nan", "t-inf"])
+def test_channel_rejects_non_finite_input(flags, message, capsys):
+    _expect_usage_error(["channel", *flags], message, capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["wedge", "--samples", "0"], "samples must be at least 1, got 0"),
+    (["wedge", "--samples", "-5"], "samples must be at least 1, got -5"),
+    (["wedge", "--rounds", "0"], "rounds must be at least 1, got 0"),
+    (["wedge", "--tol", "-1"], "tol must be positive and finite, got -1.0"),
+    (["wedge", "--tol", "nan"], "tol must be positive and finite, got nan"),
+    (["semialgebra", "--pairs", "0"], "pairs must be at least 1, got 0"),
+    (["semialgebra", "--t", "-1"], "t must be positive and finite, got -1.0"),
+    (["semialgebra", "--t", "inf"], "t must be positive and finite, got inf"),
+    (["semialgebra", "--rounds", "0"], "rounds must be at least 1, got 0"),
+], ids=["samples-zero", "samples-negative", "rounds-zero", "tol-negative", "tol-nan",
+        "pairs-zero", "t-negative", "t-inf", "semialgebra-rounds-zero"])
+def test_saturation_and_probe_flags_are_range_checked(qubit_path, argv, message, capsys):
+    _expect_usage_error([argv[0], "--system", qubit_path, *argv[1:]], message, capsys)
+
+
+@pytest.mark.parametrize("argv, line, message", [
+    (["wedge"], "samples 0", "samples must be at least 1, got 0"),
+    (["wedge"], "rounds -2", "rounds must be at least 1, got -2"),
+    (["wedge"], "tol 0", "tol must be positive and finite, got 0.0"),
+    (["reachable", "--switches", "2", "--count", "2"], "horizon nan",
+     "horizon must be positive and finite, got nan"),
+    (["reachable", "--switches", "2", "--count", "2"], "horizon -1",
+     "horizon must be positive and finite, got -1.0"),
+], ids=["samples-zero", "rounds-negative", "tol-zero", "horizon-nan", "horizon-negative"])
+def test_system_file_options_are_range_checked(tmp_path, argv, line, message, capsys):
+    path = tmp_path / "opts.sys"
+    path.write_text(QUBIT_FILE.replace("samples 240\n", line + "\n"))
+    _expect_usage_error([argv[0], "--system", str(path), *argv[1:]], message, capsys)
+
+
+def test_example_rejects_zero_rounds(capsys):
+    _expect_usage_error(["example", "1", "--rounds", "0"],
+                        "rounds must be at least 1, got 0", capsys)

@@ -161,3 +161,33 @@ def test_control_system_stores_read_only_copies(rep):
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
     assert lindbladian(sys, (0.3,)).matrix.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_control_system_rejects_non_finite_numbers(bad):
+    z = np.diag([0.5, -0.5]).astype(complex)
+    x = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    poisoned = z.copy()
+    poisoned[0, 0] = bad
+    with pytest.raises(ValueError, match="drift has non-finite entries"):
+        ControlSystem(rep="qubit", drift_H=poisoned, controls=())
+    with pytest.raises(ValueError, match="control has non-finite entries"):
+        ControlSystem(rep="qubit", drift_H=z, controls=(poisoned,))
+    with pytest.raises(ValueError, match="noise operator has non-finite entries"):
+        ControlSystem(rep="qubit", drift_H=z, controls=(x,),
+                      lindblad_ops=((poisoned, 0.4),))
+    with pytest.raises(ValueError, match="non-finite rate"):
+        ControlSystem(rep="qubit", drift_H=z, controls=(x,),
+                      lindblad_ops=((z, bad),))
+    skew = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite rate"):
+        ControlSystem(rep="r3", drift_H=skew, controls=(),
+                      lindblad_ops=((np.diag([1.0, 0.0, 1.0]), bad),))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+def test_propagator_rejects_bad_times(t):
+    z = np.diag([0.5, -0.5]).astype(complex)
+    sys = ControlSystem(rep="qubit", drift_H=z, controls=())
+    with pytest.raises(ValueError, match="time must be nonnegative and finite"):
+        propagator(lindbladian(sys), t)

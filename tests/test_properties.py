@@ -1,16 +1,21 @@
 """Property tests of the cached generators, the one-product coherence map,
 the incremental contraction audit, the stacked realification, the batched
-conjugation kernel and the right-nested Lie closure against loop, expm or
-full-pairwise references kept here."""
+conjugation kernel, the right-nested Lie closure and the one-pass report
+writer against loop, expm, full-pairwise or two-pass references kept
+here."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from liewedge.channels import ChannelSpec, build_system, sigma2
+from liewedge.cli import _dumps
 from liewedge.liealg import lie_closure
 from liewedge.lindblad import (ControlSystem, Superop, ad_hat, coherence_rep,
                                control_directions, drift_direction, gks_dissipator,
@@ -418,3 +423,104 @@ def test_two_qubit_c_closure_is_closed_under_brackets():
     rng = np.random.default_rng(225)
     for i, j in rng.integers(s.dim, size=(200, 2)):
         assert _bracket_residual(s, s.mats[i], s.mats[j]) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# report writer
+# ---------------------------------------------------------------------------
+
+def _reference_jsonable(v):
+    """Two-pass writer, first pass: numpy values and complex -> Python values."""
+    if isinstance(v, np.ndarray):
+        if v.ndim == 0:
+            return _reference_jsonable(v.item())
+        return [_reference_jsonable(row) for row in v]
+    if isinstance(v, (np.bool_, bool)):
+        return bool(v)
+    if isinstance(v, (np.integer, int)):
+        return int(v)
+    if isinstance(v, (np.floating, float)):
+        return float(v)
+    if isinstance(v, (np.complexfloating, complex)):
+        return [float(v.real), float(v.imag)]
+    if isinstance(v, dict):
+        return {str(k): _reference_jsonable(u) for k, u in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_reference_jsonable(u) for u in v]
+    return v
+
+
+def _reference_write(v, level: int = 0) -> str:
+    """Two-pass writer, second pass: Python values -> text."""
+    pad = "  " * level
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return "%.17g" % float(v)
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        rows = [f'{pad}  {json.dumps(str(k))}: {_reference_write(u, level + 1)}'
+                for k, u in v.items()]
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(v, (list, tuple)):
+        items = list(v)
+        if not items:
+            return "[]"
+        if any(isinstance(u, dict) for u in items):
+            rows = [f"{pad}  {_reference_write(u, level + 1)}" for u in items]
+            return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+        return "[" + ", ".join(_reference_write(u, level + 1) for u in items) + "]"
+    raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
+def _reference_dumps(v) -> str:
+    return _reference_write(_reference_jsonable(v))
+
+
+REPORT_DTYPES = ("float64", "float32", "complex128", "int64", "bool")
+
+numpy_arrays = st.sampled_from(REPORT_DTYPES).flatmap(
+    lambda dt: hnp.arrays(dt, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                min_side=0, max_side=3)))
+numpy_scalars = st.sampled_from(REPORT_DTYPES).flatmap(
+    lambda dt: hnp.arrays(dt, ())).map(lambda a: a[()])
+report_text = st.text() | st.sampled_from(['say "hi"', "back\\slash", "Lie–wedge ⊂ 𝔤", "tab\t"])
+report_leaves = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
+                 | st.complex_numbers() | report_text | numpy_arrays | numpy_scalars)
+reports = st.recursive(
+    report_leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(report_text, children, max_size=4)
+                      | st.lists(st.dictionaries(report_text, children, max_size=3),
+                                 max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports)
+def test_one_pass_writer_matches_the_two_pass_writer(report):
+    assert _dumps(report) == _reference_dumps(report)
+
+
+def test_writer_shapes_and_empty_arrays():
+    report = {"empty": np.zeros((2, 0)), "none": np.zeros((0,)), "c": 1 + 2j,
+              "z": np.complex128(-0.0 + 1j), "rows": [{"a": np.bool_(True)}]}
+    assert _dumps(report) == _reference_dumps(report)
+    assert '"empty": [[], []]' in _dumps(report)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, {"nested": [frozenset()]}])
+def test_writer_rejects_unsupported_objects(bad):
+    with pytest.raises(TypeError):
+        _dumps(bad)
+    with pytest.raises(TypeError):
+        _reference_dumps(bad)
