@@ -353,10 +353,12 @@ def cmd_example(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    t = args.t
+    if not 0 <= t < np.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     rates = tuple(args.gamma) if args.gamma is not None else None
     spec = ChannelSpec(name=args.name, rates=rates)
     system = build_system(spec)
-    t = args.t
     body = {"system": _system_report(system)}
     kraus = None
     try:

@@ -36,12 +36,11 @@ def lie_closure(gens, tol: float = 1e-9) -> Subspace:
         return basis
     shape = basis.shape
     complex_field = basis.complex_field
-    ambient = int(np.prod(shape)) * (2 if complex_field else 1)
     stack = basis.stack
     seeds = unrealify_stack(stack, shape, complex_field)
     frontier = seeds
 
-    while stack.shape[1] < ambient:
+    while stack.shape[1] < stack.shape[0]:
         new_cols = []
         for lo in range(0, frontier.shape[0], _CHUNK):
             f = frontier[lo:lo + _CHUNK]
@@ -71,8 +70,7 @@ def lie_closure(gens, tol: float = 1e-9) -> Subspace:
         stack = np.concatenate([stack, add], axis=1)
         frontier = unrealify_stack(add, shape, complex_field)
 
-    return Subspace(mats=tuple(unrealify_stack(stack, shape, complex_field)), shape=shape,
-                    complex_field=complex_field, tol=tol, stack=stack.copy())
+    return Subspace(stack.copy(), shape, complex_field, tol)
 
 
 def cartan_split(a: np.ndarray):
@@ -95,11 +93,10 @@ def subspace_leq(a: Subspace, b: Subspace, tol: float = 1e-8) -> bool:
 def orthocomplement(sub: Subspace) -> Subspace:
     """Orthogonal complement within the full ambient matrix space."""
     if sub.dim == 0:
-        comp = np.eye(int(np.prod(sub.shape)) * (2 if sub.complex_field else 1))
+        comp = np.eye(sub.stack.shape[0])
     else:
         comp = np.linalg.svd(sub.stack, full_matrices=True)[0][:, sub.dim:].copy()
-    return Subspace(mats=tuple(unrealify_stack(comp, sub.shape, sub.complex_field)),
-                    shape=sub.shape, complex_field=sub.complex_field, tol=sub.tol, stack=comp)
+    return Subspace(comp, sub.shape, sub.complex_field, sub.tol)
 
 
 @dataclass(frozen=True)
@@ -127,12 +124,7 @@ class ConditionReport:
 
 def check_conditions(sys: ControlSystem, tol: float = 1e-9) -> ConditionReport:
     """Evaluate conditions (H), (WH) and (A) for a control system."""
-    if sys.rep == "r3":
-        target_k, target_s = 3, 9
-    elif sys.rep == "qubit":
-        target_k, target_s = 3, 9
-    else:
-        target_k, target_s = 15, 225
+    target_k, target_s = (15, 225) if sys.rep == "two_qubit" else (3, 9)
     ctrl = [np.asarray(c) for c in control_directions(sys)]
     ham = np.asarray(ham_drift_direction(sys))
     kc = lie_closure(ctrl, tol=tol)

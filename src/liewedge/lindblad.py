@@ -206,6 +206,8 @@ class ControlSystem:
         if drift.shape != (n, n):
             raise ValueError(f"drift must be {n}x{n} for rep {self.rep!r}")
         controls = tuple(_frozen(c, dtype, "control") for c in self.controls)
+        if any(c.shape != (n, n) for c in controls):
+            raise ValueError(f"control must be {n}x{n} for rep {self.rep!r}")
         ops = tuple((_frozen(v, dtype, "noise operator"), float(g))
                     for v, g in self.lindblad_ops)
         for _, g in ops:
@@ -216,6 +218,8 @@ class ControlSystem:
             for c in controls:
                 _check_skew(c, "control")
             for v, g in ops:
+                if v.shape != (3, 3):
+                    raise ValueError("relaxation generator must be 3x3")
                 if fro(v - v.T) > 1e-12 * max(1.0, fro(v)):
                     raise ValueError("relaxation generator must be symmetric")
                 if np.linalg.eigvalsh((v + v.T) / 2).min() < -1e-12 * max(1.0, fro(v)):

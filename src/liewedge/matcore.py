@@ -6,13 +6,16 @@ Everything in this package is phrased over the *real* trace inner product
 
 so complex matrices are handled as elements of a real vector space of twice
 the complex dimension ("realification").  A `Subspace` is an orthonormally
-spanned real subspace of matrices under that inner product; rank decisions
-use a relative tolerance of 1e-9 against the largest singular value.
+spanned real subspace of matrices under that inner product, stored once as
+the realified column stack of its basis; its basis matrices are derived
+from that stack.  Rank decisions use a relative tolerance of 1e-9 against
+the largest singular value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm as _expm
@@ -116,37 +119,32 @@ def unrealify_stack(cols: np.ndarray, shape: tuple, complex_field: bool) -> np.n
 class Subspace:
     """A real subspace of matrices with an orthonormal basis.
 
-    `mats` are the basis matrices (orthonormal under Re tr(a^dag b)); `stack`
-    holds their realified coordinates as columns for fast projection.
+    `stack` is the only stored form: the realified basis coordinates as
+    orthonormal columns, one per basis matrix.  `mats`, the basis matrices
+    (orthonormal under Re tr(a^dag b)), are derived from it on first use.
     """
 
-    mats: tuple
+    stack: np.ndarray = field(repr=False)
     shape: tuple
     complex_field: bool
     tol: float = RANK_TOL
-    stack: np.ndarray = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.stack is None:
-            self.stack = realify_stack(self.mats, self.shape, self.complex_field)
+    @cached_property
+    def mats(self) -> tuple:
+        return tuple(unrealify_stack(self.stack, self.shape, self.complex_field))
 
     @property
     def dim(self) -> int:
-        return len(self.mats)
+        return self.stack.shape[1]
 
     def project(self, a: np.ndarray) -> np.ndarray:
         """Orthogonal projection of `a` onto the subspace."""
-        v = realify(a, self.complex_field)
-        if self.stack.shape[1] == 0:
-            return unrealify(np.zeros_like(v), self.shape, self.complex_field)
-        p = self.stack @ (self.stack.T @ v)
+        p = self.stack @ (self.stack.T @ realify(a, self.complex_field))
         return unrealify(p, self.shape, self.complex_field)
 
     def residual(self, a: np.ndarray) -> float:
         """Norm of the component of `a` orthogonal to the subspace."""
         v = realify(a, self.complex_field)
-        if self.stack.shape[1] == 0:
-            return float(np.linalg.norm(v))
         return float(np.linalg.norm(v - self.stack @ (self.stack.T @ v)))
 
     def contains(self, a: np.ndarray, tol: float = None) -> bool:
@@ -154,12 +152,18 @@ class Subspace:
         return self.residual(a) <= tol * max(1.0, fro(a))
 
 
+def _span_columns(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the columns of `m`: rank-revealing SVD,
+    discarding directions whose singular value falls below `tol` times the
+    largest one."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, s > tol * s.max(initial=0.0)].copy()
+
+
 def orthonormal_span(gens, tol: float = RANK_TOL, shape: tuple = None,
                      complex_field: bool = None) -> Subspace:
-    """Orthonormal basis of the real span of `gens`.
+    """Orthonormal basis of the real span of `gens` (see `_span_columns`).
 
-    Rank-revealing SVD of the realified generator stack; directions whose
-    singular value falls below `tol` times the largest one are discarded.
     For an empty generator list, `shape` (and optionally `complex_field`)
     fix the ambient space.
     """
@@ -174,15 +178,6 @@ def orthonormal_span(gens, tol: float = RANK_TOL, shape: tuple = None,
         if shape is None:
             raise ValueError("empty generator list needs an explicit shape")
         complex_field = bool(complex_field)
-    if not gens:
-        return Subspace(mats=(), shape=tuple(shape), complex_field=complex_field, tol=tol)
-
-    m = realify_stack(gens, shape, complex_field)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return Subspace(mats=(), shape=tuple(shape), complex_field=complex_field, tol=tol)
-    keep = s > tol * s[0]
-    cols = u[:, keep]
-    mats = tuple(unrealify_stack(cols, shape, complex_field))
-    return Subspace(mats=mats, shape=tuple(shape), complex_field=complex_field,
-                    tol=tol, stack=cols.copy())
+    shape = tuple(shape)
+    cols = _span_columns(realify_stack(gens, shape, complex_field), tol)
+    return Subspace(cols, shape, complex_field, tol)

@@ -17,8 +17,8 @@ from scipy.optimize import nnls
 
 from .channels import H_X, H_Y, H_Z, P_X, P_Y, P_Z
 from .liealg import orthocomplement, subspace_equal
-from .matcore import (Subspace, comm, eig_sym, fro, inner, orthonormal_span,
-                      realify_stack, unrealify)
+from .matcore import (Subspace, comm, eig_sym, fro, inner, orthonormal_span, realify,
+                      unrealify)
 from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, wedge_contains
 
 BCH_MAX_ORDER = 4
@@ -252,10 +252,8 @@ def _dual_face_project(w: Wedge, a_mat: np.ndarray,
     spanned by the generator columns and the signed equality columns.
     """
     cone = w.cone
-    blocks = [cone.stack] if cone.stack.shape[1] else []
-    eq = realify_stack([*w.edge.mats, np.asarray(a_mat)], cone.shape, cone.complex_field)
-    eq_mat = np.concatenate([eq, -eq], axis=1)
-    cmat = np.concatenate(blocks + [eq_mat], axis=1)
+    eq = np.concatenate([w.edge.stack, realify(a_mat, cone.complex_field)[:, None]], axis=1)
+    cmat = np.concatenate([cone.stack, eq, -eq], axis=1)
     y = rng.standard_normal(cmat.shape[0])
     coef, _ = nnls(cmat, -y)
     phi = y + cmat @ coef

@@ -6,7 +6,9 @@ spanned by conjugated drift generators (so the physical wedge consists of
 the edge plus the negatives of the cone elements).  Cones carry finitely
 many unit-norm sampled generators plus, where available, an analytic
 conjugation family; every membership oracle is an inner approximation and
-is documented as such.
+is documented as such.  Edge and cone are each stored once, as a realified
+column stack (see `matcore`); their matrices are views derived from it,
+and `saturate` works on the cone's stack directly.
 
 The saturation loop follows the inner-approximation procedure: grow the
 edge by the cone's lineality and Lie-close it, conjugate the cone by
@@ -25,8 +27,8 @@ from scipy.optimize import minimize, minimize_scalar, nnls
 from .liealg import lie_closure
 from .lindblad import (ControlSystem, ad_hat, coherence_rep, control_directions,
                        drift_direction, pauli_basis, superop_from_coherence)
-from .matcore import (Subspace, eig_sym, expm, fro, inner, orthonormal_span, realify,
-                      realify_stack, unrealify, unrealify_stack)
+from .matcore import (Subspace, _span_columns, eig_sym, expm, fro, inner, orthonormal_span,
+                      realify, realify_stack, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
 
@@ -219,32 +221,27 @@ class ConjugationFamily:
         return self.element(params), v_best
 
     def _support_aligned(self, direction):
-        """Closed-form support for full-rotation orbits of a symmetric base."""
-        if self.rep == "r3" and self.edge.dim == 3:
-            base_sym = (self.base + self.base.T) / 2
-            if fro(base_sym - self.base) > 1e-10 * max(1.0, fro(self.base)):
-                return None
-            d_sym = (direction + direction.T) / 2
-            w_b, _ = eig_sym(base_sym)
-            w_d, v_d = eig_sym(d_sym)
-            g = v_d @ np.diag(w_b) @ v_d.T
-            return g, float(np.dot(w_b, w_d))
-        if self.rep == "qubit" and self.edge.dim == 3:
+        """Closed-form support for full-rotation orbits of a symmetric base
+        on the 3x3 block: the r3 carrier itself, or a qubit superoperator's
+        coherence representation, mapped there and back."""
+        if self.rep not in ("r3", "qubit") or self.edge.dim != 3:
+            return None
+        base = self.base
+        if self.rep == "qubit":
             try:
-                 cr_b = coherence_rep(self.base, rep="qubit")
-                 cr_d = coherence_rep(direction, rep="qubit")
+                base = coherence_rep(base, rep="qubit")
+                direction = coherence_rep(direction, rep="qubit")
             except ValueError:
                 return None
-            cr_bs = (cr_b + cr_b.T) / 2
-            if fro(cr_bs - cr_b) > 1e-10 * max(1.0, fro(cr_b)):
-                return None
-            d_sym = (cr_d + cr_d.T) / 2
-            w_b, _ = eig_sym(cr_bs)
-            w_d, v_d = eig_sym(d_sym)
-            g_cr = v_d @ np.diag(w_b) @ v_d.T
-            g = superop_from_coherence(g_cr, rep="qubit").matrix
-            return g, float(np.dot(w_b, w_d))
-        return None
+        base_sym = (base + base.T) / 2
+        if fro(base_sym - base) > 1e-10 * max(1.0, fro(base)):
+            return None
+        w_b, _ = eig_sym(base_sym)
+        w_d, v_d = eig_sym((direction + direction.T) / 2)
+        g = v_d @ np.diag(w_b) @ v_d.T
+        if self.rep == "qubit":
+            g = superop_from_coherence(g, rep="qubit").matrix
+        return g, float(np.dot(w_b, w_d))
 
     def _support_random(self, direction, rng):
         rng = np.random.default_rng(0) if rng is None else rng
@@ -264,41 +261,44 @@ class ConjugationFamily:
 # cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cone:
     """Finitely sampled convex cone with optional analytic parameterization.
 
-    Generators are normalized to unit norm under the trace inner product.
-    `pointed` is None until established (by certificate or lineality run).
+    `stack` is the only stored form: the realified generators as columns of
+    unit norm under the trace inner product.  Built from `generators`, the
+    cone normalizes them in one batch and drops zero matrices; built from
+    `stack`, it takes the columns as they are.  `generators`, the matrices,
+    are derived from the stack on first use.  `pointed` is None until
+    established (by certificate or lineality run).
     """
 
-    generators: tuple
+    stack: np.ndarray = field(repr=False)
     shape: tuple
     complex_field: bool
     analytic: ConjugationFamily = None
     pointed: bool = None
     tol: float = 1e-8
-    stack: np.ndarray = field(default=None, repr=False)
 
-    def __post_init__(self):
-        gens = []
-        for g in self.generators:
-            g = np.asarray(g)
-            n = fro(g)
-            if n > 0:
-                gens.append(g / n)
-        object.__setattr__(self, "generators", tuple(gens))
-        if self.stack is None:
-            object.__setattr__(self, "stack", realify_stack(self.generators, self.shape,
-                                                            self.complex_field))
+    def __init__(self, generators=(), *, shape, complex_field, analytic=None,
+                 pointed=None, tol=1e-8, stack=None):
+        if stack is None:
+            stack = realify_stack(generators, shape, complex_field)
+            norms = np.linalg.norm(stack, axis=0)
+            stack = stack[:, norms > 0] / norms[norms > 0]
+        self.__dict__.update(stack=stack, shape=shape, complex_field=complex_field,
+                             analytic=analytic, pointed=pointed, tol=tol)
+
+    @cached_property
+    def generators(self) -> tuple:
+        return tuple(unrealify_stack(self.stack, self.shape, self.complex_field))
 
     @property
     def n_generators(self) -> int:
-        return len(self.generators)
+        return self.stack.shape[1]
 
     def span(self) -> Subspace:
-        return orthonormal_span(list(self.generators), shape=self.shape,
-                                complex_field=self.complex_field)
+        return Subspace(_span_columns(self.stack), self.shape, self.complex_field)
 
 
 def _cone_fit(c: Cone, x: np.ndarray, max_new: int = _CG_MAX_NEW,
@@ -408,10 +408,8 @@ class Wedge:
     @property
     def dim(self) -> int:
         """Linear dimension of edge plus cone span (edge-orthogonal part)."""
-        perp = [g - self.edge.project(g) for g in self.cone.generators]
-        extra = orthonormal_span(perp, shape=self.cone.shape,
-                                 complex_field=self.cone.complex_field)
-        return self.edge.dim + extra.dim
+        e, c = self.edge.stack, self.cone.stack
+        return self.edge.dim + _span_columns(c - e @ (e.T @ c)).shape[1]
 
 
 def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None,
@@ -451,6 +449,14 @@ def _novel_columns(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return cur[:, s:j]
 
 
+def _edge_orthogonal_units(edge: Subspace, cols: np.ndarray) -> np.ndarray:
+    """Columns minus their edge projection, normalized; columns whose
+    remainder has norm <= 1e-12 are dropped."""
+    p = cols - edge.stack @ (edge.stack.T @ cols)
+    n = np.linalg.norm(p, axis=0)
+    return p[:, n > 1e-12] / n[n > 1e-12]
+
+
 def _build_family(edge: Subspace, base: np.ndarray, rep: str) -> ConjugationFamily:
     if edge.dim == 0 or fro(base) == 0.0:
         return None
@@ -470,11 +476,14 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
              tol: float = 1e-8, seed: int = 0) -> Wedge:
     """Inner-approximation loop: close the edge, conjugate, update the hull.
 
+    The cone's generators are held throughout as one realified column stack.
     Each round: (a) absorb the cone's lineality into the edge and Lie-close
-    it; (b) re-project stored generators orthogonal to the (possibly grown)
-    edge; (c) sweep conjugations of the drift base and of sampled stored
-    generators by exponentials of edge elements; (d) append member-novel
-    candidates.  Terminates when a round after a stable edge adds nothing:
+    it; (b) project the stored columns orthogonal to the (possibly grown)
+    edge and renormalize them; then, after an edge change, (c) sweep
+    conjugations of the drift base and of sampled stored generators by
+    exponentials of edge elements, or on a stable edge (d) keep the members
+    of a freshly offset sweep that fall outside the cone; novel candidates
+    are appended.  Terminates when a round after a stable edge adds nothing:
     exhaustively for small candidate sets, else by a membership spot-check
     of a freshly offset sweep (the family group property guarantees swept
     candidates stay in the analytic cone).  If max_rounds is exhausted the
@@ -484,7 +493,7 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
     shape = w.cone.shape
     complex_field = w.cone.complex_field
     edge = w.edge
-    gens = [np.asarray(g) for g in w.cone.generators]
+    cols = w.cone.stack
     drift = w.drift if w.drift is not None else np.zeros(shape)
     report = {"rounds": 0, "converged": False, "termination": None,
               "edge_dims": [], "novel_counts": [], "tol": tol,
@@ -505,14 +514,9 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
 
         # (b) re-project generators orthogonal to the edge
         base = drift - edge.project(drift)
-        projected = []
-        for g in gens:
-            p = g - edge.project(g)
-            if fro(p) > 1e-12:
-                projected.append(p / fro(p))
-        gens = projected
+        cols = _edge_orthogonal_units(edge, cols)
         family = _build_family(edge, base, w.rep)
-        cone = Cone(generators=tuple(gens), shape=shape, complex_field=complex_field,
+        cone = Cone(stack=cols, shape=shape, complex_field=complex_field,
                     analytic=family, tol=tol)
         if family is None:
             if fro(base) > 1e-12:
@@ -525,56 +529,42 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
 
         # (c) conjugation sweep: fresh base sweep + conjugated stored samples
         if edge_changed:
-            swept = [g for _, g in family.sweep(orbit_samples, rng)]
-            extra = []
-            if gens:
-                picks = rng.choice(len(gens), size=min(8, len(gens)), replace=False)
+            cands = realify_stack([g for _, g in family.sweep(orbit_samples, rng)],
+                                  shape, complex_field)
+            if cols.shape[1]:
+                picks = rng.choice(cols.shape[1], size=min(8, cols.shape[1]), replace=False)
                 params = rng.normal(scale=np.pi / np.sqrt(family.n_params),
                                     size=(4 * len(picks), family.n_params))
-                extra = list(family.elements(params, np.stack([gens[i] for i in picks
-                                                               for _ in range(4)])))
-            cands = []
-            for g in swept + extra:
-                p = g - edge.project(g)
-                n = fro(p)
-                if n > 1e-12:
-                    cands.append(p / n)
-            kept = _novel_columns(cone.stack, realify_stack(cands, shape, complex_field))
-            gens = gens + list(unrealify_stack(kept, shape, complex_field))
-            cone = Cone(generators=tuple(gens), shape=shape,
-                        complex_field=complex_field, analytic=family, tol=tol)
-            report["novel_counts"].append(kept.shape[1])
-            continue
-
-        # (d) stable edge: novelty by membership of a freshly offset sweep
-        n_spot = min(32, max(8, orbit_samples // 32))
-        if family.kind == "orbit":
-            spot = [g for _, g in family.sweep(n_spot, rng)]
+                bases = unrealify_stack(np.repeat(cols[:, picks], 4, axis=1), shape,
+                                        complex_field)
+                extra = realify_stack(family.elements(params, bases), shape, complex_field)
+                cands = np.concatenate([cands, extra], axis=1)
+            novel = _edge_orthogonal_units(edge, cands)
         else:
-            spot = family.elements(np.stack([rng.uniform(0, p, size=n_spot)
-                                             for p in family.periods], axis=1))
-        novel = []
-        for g in spot:
-            p = g - edge.project(g)
-            n = fro(p)
-            if n <= 1e-12:
-                continue
-            p = p / n
-            if not cone_contains(cone, p, tol, rng):
-                novel.append(p)
-        if novel:
-            kept = _novel_columns(cone.stack, realify_stack(novel, shape, complex_field))
-            gens = gens + list(unrealify_stack(kept, shape, complex_field))
-            cone = Cone(generators=tuple(gens), shape=shape,
-                        complex_field=complex_field, analytic=family, tol=tol)
-            report["novel_counts"].append(kept.shape[1])
-            continue
-        report["novel_counts"].append(0)
-        report["converged"] = True
-        report["termination"] = ("membership-spot-check"
-                                 if family.kind == "orbit" or cone.n_generators > 64
-                                 else "membership")
-        break
+            # (d) stable edge: novelty by membership of a freshly offset sweep
+            n_spot = min(32, max(8, orbit_samples // 32))
+            if family.kind == "orbit":
+                spot = [g for _, g in family.sweep(n_spot, rng)]
+            else:
+                spot = family.elements(np.stack([rng.uniform(0, p, size=n_spot)
+                                                 for p in family.periods], axis=1))
+            spot = _edge_orthogonal_units(edge, realify_stack(spot, shape, complex_field))
+            outside = np.array([not cone_contains(cone, p, tol, rng)
+                                for p in unrealify_stack(spot, shape, complex_field)],
+                               dtype=bool)
+            if not outside.any():
+                report["novel_counts"].append(0)
+                report["converged"] = True
+                report["termination"] = ("membership-spot-check"
+                                         if family.kind == "orbit" or cone.n_generators > 64
+                                         else "membership")
+                break
+            novel = spot[:, outside]
+        kept = _novel_columns(cols, novel)
+        cols = np.concatenate([cols, kept], axis=1)
+        cone = Cone(stack=cols, shape=shape, complex_field=complex_field,
+                    analytic=family, tol=tol)
+        report["novel_counts"].append(kept.shape[1])
 
     pointed = lineality(cone, tol).dim == 0 if cone.n_generators else None
     cone = replace(cone, pointed=pointed)

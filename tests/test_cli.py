@@ -259,15 +259,41 @@ def test_system_files_with_non_finite_numbers_are_rejected(tmp_path, text, messa
     _expect_usage_error([command, "--system", str(path)], message, capsys)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("rep qubit\ndrift z\ncontrol [[1,0,0],[0,1,0],[0,0,1]]\n",
+     "invalid system: control must be 2x2 for rep 'qubit'"),
+    ("rep r3\ndrift z\ncontrol [[0,1],[-1,0]]\n",
+     "invalid system: control must be 3x3 for rep 'r3'"),
+    ("rep r3\ndrift z\ncontrol y\nlindblad diag:1,2 1.0\n",
+     "invalid system: relaxation generator must be 3x3"),
+], ids=["qubit-control-3x3", "r3-control-2x2", "r3-relaxation-2x2"])
+@pytest.mark.parametrize("command", ["wedge", "conditions"])
+def test_system_files_with_misshaped_matrices_are_rejected(tmp_path, text, message,
+                                                           command, capsys):
+    path = tmp_path / "bad.sys"
+    path.write_text(text)
+    _expect_usage_error([command, "--system", str(path)], message, capsys)
+
+
 @pytest.mark.parametrize("flags, message", [
     (["example1", "--gamma", "nan", "1", "1"], "rates must be finite, got (nan, 1.0, 1.0)"),
     (["depolarizing", "--gamma", "1", "nan", "1"], "rates must be finite, got (1.0, nan, 1.0)"),
     (["phase_flip", "--gamma", "inf"], "rates must be finite, got (inf,)"),
     (["phase_flip", "--t", "nan"], "time must be nonnegative and finite, got nan"),
     (["phase_flip", "--t", "inf"], "time must be nonnegative and finite, got inf"),
-], ids=["example1-gamma-nan", "depolarizing-gamma-nan", "gamma-inf", "t-nan", "t-inf"])
+    (["example1", "--t", "nan"], "time must be nonnegative and finite, got nan"),
+    (["example1", "--t", "inf"], "time must be nonnegative and finite, got inf"),
+    (["example1", "--t", "-1"], "time must be nonnegative and finite, got -1.0"),
+], ids=["example1-gamma-nan", "depolarizing-gamma-nan", "gamma-inf", "t-nan", "t-inf",
+        "r3-t-nan", "r3-t-inf", "r3-t-negative"])
 def test_channel_rejects_non_finite_input(flags, message, capsys):
     _expect_usage_error(["channel", *flags], message, capsys)
+
+
+@pytest.mark.parametrize("name", ["example1", "phase_flip"])
+def test_channel_accepts_time_zero(name, capsys):
+    assert main(["channel", name, "--t", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"]["t"] == 0.0
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -191,3 +191,21 @@ def test_propagator_rejects_bad_times(t):
     sys = ControlSystem(rep="qubit", drift_H=z, controls=())
     with pytest.raises(ValueError, match="time must be nonnegative and finite"):
         propagator(lindbladian(sys), t)
+
+
+@pytest.mark.parametrize("rep, n, control", [
+    ("qubit", 2, np.eye(3)),
+    ("two_qubit", 4, np.eye(2)),
+    ("r3", 3, np.array([[0.0, 1.0], [-1.0, 0.0]])),
+])
+def test_control_system_rejects_misshaped_controls(rep, n, control):
+    drift = np.zeros((n, n))
+    with pytest.raises(ValueError, match=f"control must be {n}x{n} for rep '{rep}'"):
+        ControlSystem(rep=rep, drift_H=drift, controls=(np.zeros((n, n)), control))
+
+
+@pytest.mark.parametrize("v", [np.diag([1.0, 2.0]), np.ones((3, 1)), np.eye(4)])
+def test_control_system_rejects_misshaped_relaxation_generators(v):
+    skew = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="relaxation generator must be 3x3"):
+        ControlSystem(rep="r3", drift_H=skew, controls=(), lindblad_ops=((v, 1.0),))

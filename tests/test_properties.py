@@ -1,8 +1,9 @@
 """Property tests of the cached generators, the one-product coherence map,
 the incremental contraction audit, the stacked realification, the batched
-conjugation kernel, the right-nested Lie closure and the one-pass report
-writer against loop, expm, full-pairwise or two-pass references kept
-here."""
+conjugation kernel, the right-nested Lie closure, the one-array cones and
+subspaces, the merged aligned orbit support and the one-pass report writer
+against loop, expm, full-pairwise, per-generator, two-branch or two-pass
+references kept here."""
 
 from __future__ import annotations
 
@@ -14,16 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from liewedge.channels import ChannelSpec, build_system, sigma2
+from liewedge.channels import ChannelSpec, build_system, sigma, sigma2
 from liewedge.cli import _dumps
 from liewedge.liealg import lie_closure
 from liewedge.lindblad import (ControlSystem, Superop, ad_hat, coherence_rep,
                                control_directions, drift_direction, gks_dissipator,
-                               lindbladian, pauli_basis, unvec, vec)
-from liewedge.matcore import (expm, fro, inner, orthonormal_span, realify, realify_stack,
-                              unrealify, unrealify_stack)
+                               lindbladian, pauli_basis, superop_from_coherence, unvec, vec)
+from liewedge.matcore import (eig_sym, expm, fro, inner, orthonormal_span, realify,
+                              realify_stack, unrealify, unrealify_stack)
 from liewedge.reachable import Schedule, contraction_audit
-from liewedge.wedge import ConjugationFamily
+from liewedge.wedge import Cone, ConjugationFamily, Wedge, initial_wedge, saturate
 
 REPS = ("r3", "qubit", "two_qubit")
 HILBERT_DIM = {"qubit": 2, "two_qubit": 4}
@@ -423,6 +424,171 @@ def test_two_qubit_c_closure_is_closed_under_brackets():
     rng = np.random.default_rng(225)
     for i, j in rng.integers(s.dim, size=(200, 2)):
         assert _bracket_residual(s, s.mats[i], s.mats[j]) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# one stored array per subspace and per cone
+# ---------------------------------------------------------------------------
+
+def _carrier(rep: str) -> tuple:
+    """(shape, complex_field) of a rep's generators."""
+    if rep == "r3":
+        return (3, 3), False
+    n = HILBERT_DIM[rep] ** 2
+    return (n, n), True
+
+
+def _matrices(rng, rep: str, m: int) -> list:
+    shape, complex_field = _carrier(rep)
+    return [10.0 ** rng.uniform(-3, 3)
+            * (rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_field else 0))
+            for _ in range(m)]
+
+
+@SETTINGS
+@given(st.sampled_from(REPS), st.integers(0, 2**32 - 1), st.integers(0, 5),
+       st.integers(0, 3))
+def test_cone_stores_unit_columns_and_derives_its_generators(rep, seed, m, zeros):
+    rng = np.random.default_rng(seed)
+    shape, complex_field = _carrier(rep)
+    mats = _matrices(rng, rep, m) + [np.zeros(shape)] * zeros
+    mats = [mats[i] for i in rng.permutation(len(mats))]
+    c = Cone(generators=tuple(mats), shape=shape, complex_field=complex_field)
+    nonzero = [a for a in mats if fro(a) > 0]
+    assert c.stack.shape == (realify(mats[0] if mats else np.zeros(shape),
+                                     complex_field).size, len(nonzero))
+    assert c.n_generators == len(c.generators) == len(nonzero)
+    assert np.max(np.abs(np.linalg.norm(c.stack, axis=0) - 1.0), initial=0.0) <= 1e-14
+    for k, (g, a) in enumerate(zip(c.generators, nonzero)):
+        assert g.tobytes() == unrealify(c.stack[:, k], shape, complex_field).tobytes()
+        assert np.max(np.abs(g - a / fro(a))) <= 1e-14
+    assert Cone(stack=c.stack, shape=shape, complex_field=complex_field).stack is c.stack
+
+
+@SETTINGS
+@given(st.sampled_from(REPS), st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_orthonormal_span_derives_its_matrices_from_its_stack(rep, seed, m):
+    rng = np.random.default_rng(seed)
+    shape, complex_field = _carrier(rep)
+    gens = _matrices(rng, rep, m)
+    if m:
+        gens.append(gens[0] - 2.0 * gens[-1])  # a dependent generator
+    sub = orthonormal_span(gens, shape=shape, complex_field=complex_field)
+    assert sub.dim == sub.stack.shape[1] == len(sub.mats) == min(m, sub.stack.shape[0])
+    assert np.allclose(sub.stack.T @ sub.stack, np.eye(sub.dim), atol=1e-12)
+    for got, want in zip(sub.mats, unrealify_stack(sub.stack, shape, complex_field)):
+        assert got.tobytes() == want.tobytes()
+    a = _matrices(rng, rep, 1)[0]
+    for empty in (orthonormal_span([], shape=shape, complex_field=complex_field),
+                  orthonormal_span([np.zeros(shape)], complex_field=complex_field)):
+        assert empty.dim == 0 and empty.mats == ()
+        assert empty.project(a).shape == shape and not np.any(empty.project(a))
+        assert empty.residual(a) == np.linalg.norm(realify(a, complex_field))
+
+
+def _reference_wedge_dim(w: Wedge) -> int:
+    """Edge dimension plus the rank of the generators' edge-orthogonal parts,
+    projected one generator at a time."""
+    perp = [g - w.edge.project(g) for g in w.cone.generators]
+    extra = orthonormal_span(perp, shape=w.cone.shape, complex_field=w.cone.complex_field)
+    return w.edge.dim + extra.dim
+
+
+@SETTINGS
+@given(st.sampled_from(REPS), st.integers(0, 2**32 - 1), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 3))
+def test_wedge_dim_matches_the_per_generator_projection(rep, seed, k, in_edge, outside):
+    """Cone generators inside the edge, off it, and sums of the two."""
+    rng = np.random.default_rng(seed)
+    shape, complex_field = _carrier(rep)
+    edge = orthonormal_span(_matrices(rng, rep, k), shape=shape, complex_field=complex_field)
+    mixed = [sum(c * m for c, m in zip(rng.normal(size=k), edge.mats))
+             for _ in range(in_edge)] if k else []
+    off = _matrices(rng, rep, outside)
+    gens = mixed + off + [a + b for a, b in zip(mixed, off)]
+    w = Wedge(edge=edge, cone=Cone(generators=tuple(gens), shape=shape,
+                                   complex_field=complex_field), rep=rep)
+    assert w.dim == _reference_wedge_dim(w)
+    if off:
+        assert w.dim == k + len(off)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("r3", "qubit")), st.integers(0, 2**32 - 1), st.integers(0, 2),
+       st.integers(0, 2), st.integers(24, 48))
+def test_saturated_cones_hold_unit_columns_orthogonal_to_the_edge(rep, seed, n_controls,
+                                                                 n_ops, samples):
+    start = initial_wedge(_random_system(rep, seed, n_controls, n_ops))
+    assert start.dim == _reference_wedge_dim(start)  # the drift is not edge-orthogonal
+    w = saturate(start, orbit_samples=samples, seed=seed % 100)
+    c, e = w.cone.stack, w.edge.stack
+    assert np.max(np.abs(np.linalg.norm(c, axis=0) - 1.0), initial=0.0) <= 1e-12
+    assert np.max(np.abs(e.T @ c), initial=0.0) <= 1e-12
+    assert w.dim == _reference_wedge_dim(w)
+
+
+def _reference_support_aligned(fam: ConjugationFamily, direction):
+    """The r3 and qubit branches of the closed-form orbit support, kept apart."""
+    if fam.rep == "r3" and fam.edge.dim == 3:
+        base_sym = (fam.base + fam.base.T) / 2
+        if fro(base_sym - fam.base) > 1e-10 * max(1.0, fro(fam.base)):
+            return None
+        d_sym = (direction + direction.T) / 2
+        w_b, _ = eig_sym(base_sym)
+        w_d, v_d = eig_sym(d_sym)
+        g = v_d @ np.diag(w_b) @ v_d.T
+        return g, float(np.dot(w_b, w_d))
+    if fam.rep == "qubit" and fam.edge.dim == 3:
+        try:
+            cr_b = coherence_rep(fam.base, rep="qubit")
+            cr_d = coherence_rep(direction, rep="qubit")
+        except ValueError:
+            return None
+        cr_bs = (cr_b + cr_b.T) / 2
+        if fro(cr_bs - cr_b) > 1e-10 * max(1.0, fro(cr_b)):
+            return None
+        d_sym = (cr_d + cr_d.T) / 2
+        w_b, _ = eig_sym(cr_bs)
+        w_d, v_d = eig_sym(d_sym)
+        g_cr = v_d @ np.diag(w_b) @ v_d.T
+        g = superop_from_coherence(g_cr, rep="qubit").matrix
+        return g, float(np.dot(w_b, w_d))
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(("r3", "qubit")), st.integers(0, 2**32 - 1), st.sampled_from((2, 3)),
+       st.sampled_from(("symmetric", "general", "non-unital")),
+       st.sampled_from(("coherent", "non-unital")))
+def test_aligned_support_matches_the_two_branch_routine(rep, seed, n_seeds, base_kind,
+                                                        direction_kind):
+    """Symmetric and general bases, and (qubit) bases or directions that
+    `coherence_rep` rejects, on orbit families with 2- and 3-dim edges."""
+    rng = np.random.default_rng(seed)
+
+    def block(kind):
+        a = rng.normal(size=(3, 3))
+        a = (a + a.T) / 2 if kind == "symmetric" else a
+        if rep == "r3":
+            return a
+        if kind == "non-unital":
+            return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        return superop_from_coherence(a, rep="qubit").matrix
+
+    if rep == "r3":
+        seeds = [_skew(rng) for _ in range(n_seeds)]
+    else:
+        seeds = [1j * ad_hat(sigma(axis) / 2.0).matrix for axis in "xyz"[:n_seeds]]
+    seeds = tuple(s / fro(s) for s in seeds)
+    fam = ConjugationFamily(kind="orbit", seeds=seeds, base=block(base_kind),
+                            edge=orthonormal_span(list(seeds)), rep=rep)
+    assert fam.edge.dim == n_seeds
+    direction = block(direction_kind)
+    got, want = fam._support_aligned(direction), _reference_support_aligned(fam, direction)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
 
 
 # ---------------------------------------------------------------------------
