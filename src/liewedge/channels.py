@@ -17,12 +17,12 @@ numeric conjugation in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import SIGMA, ControlSystem, Superop, ad_hat, choi_matrix, gks_term
-from .matcore import expm, fro
+from .lindblad import SIGMA, ControlSystem, Superop, ad_hat, choi_matrix
+from .matcore import fro
 
 # ---------------------------------------------------------------------------
 # real 3x3 carrier

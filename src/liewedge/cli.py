@@ -22,7 +22,7 @@ from .channels import (ChannelSpec, H_AXIS, H_X, H_Y, H_Z, P_Y, build_system,
                        example3_delta, kraus_family, kraus_rank, kraus_superop,
                        sigma, sigma2)
 from .liealg import check_conditions
-from .lindblad import ControlSystem, Superop, cptp_audit, lindbladian, propagator
+from .lindblad import ControlSystem, cptp_audit, lindbladian, propagator
 from .matcore import expm, inner
 from .reachable import contraction_audit, random_schedule, sample_reachable
 from .semialgebra import semialgebra_probe

@@ -127,9 +127,12 @@ def check_conditions(sys: ControlSystem, tol: float = 1e-9) -> ConditionReport:
     target_k, target_s = (15, 225) if sys.rep == "two_qubit" else (3, 9)
     ctrl = [np.asarray(c) for c in control_directions(sys)]
     ham = np.asarray(ham_drift_direction(sys))
-    kc = lie_closure(ctrl, tol=tol)
+    drift = np.asarray(drift_direction(sys))
+    # without controls, kc is the zero subspace of the drift's space
+    kc = (lie_closure(ctrl, tol=tol) if ctrl else
+          orthonormal_span([], shape=drift.shape, complex_field=np.iscomplexobj(drift)))
     kd = lie_closure(ctrl + [ham], tol=tol)
-    s = lie_closure(ctrl + [np.asarray(drift_direction(sys))], tol=tol)
+    s = lie_closure(ctrl + [drift], tol=tol)
     holds_h = kc.dim == target_k
     return ConditionReport(
         dim_kc=kc.dim, dim_kd=kd.dim, dim_s=s.dim,

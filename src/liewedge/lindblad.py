@@ -359,19 +359,15 @@ def coherence_rep(L, rep: str = None, tol: float = 1e-12) -> np.ndarray:
 
 
 def superop_from_coherence(s: np.ndarray, rep: str) -> Superop:
-    """Right inverse of `coherence_rep` on the traceless sector."""
+    """Right inverse of `coherence_rep` on the traceless sector: the one
+    product ``V S^T V^H`` with ``V = [vec(B_1), ...]`` over `pauli_basis`,
+    so that ``L(B_i) = sum_j S[i, j] B_j``."""
     s = np.asarray(s, dtype=float)
-    n = _HILBERT_DIM[rep]
-    basis = pauli_basis(n)
-    if s.shape != (len(basis), len(basis)):
-        raise ValueError(f"expected a {len(basis)}x{len(basis)} matrix for rep {rep!r}")
-    m = np.zeros((n * n, n * n), dtype=complex)
-    vecs = [vec(b) for b in basis]
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if s[i, j] != 0.0:
-                m += s[i, j] * np.outer(vecs[j], vecs[i].conj())
-    return Superop(matrix=m, rep=rep)
+    v = _pauli_vecs(_HILBERT_DIM[rep])
+    k = v.shape[1]
+    if s.shape != (k, k):
+        raise ValueError(f"expected a {k}x{k} matrix for rep {rep!r}")
+    return Superop(matrix=v @ s.T @ v.conj().T, rep=rep)
 
 
 # ---------------------------------------------------------------------------

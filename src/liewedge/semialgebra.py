@@ -311,13 +311,11 @@ def orbit_wedge(rates, hull_samples: int = 192, seed: int = 0,
     fam = None
     gens = []
     if fro(gamma) > 0:
-        fam = ConjugationFamily(kind="orbit", seeds=seeds, base=gamma,
-                                edge=edge, rep="r3")
+        fam = ConjugationFamily(seeds, gamma)
         gens = [gamma] + [g for _, g in fam.sweep(hull_samples, rng)]
     cone = Cone(generators=tuple(gens), shape=(3, 3), complex_field=False,
                 analytic=fam, pointed=bool(fro(gamma) > 0) or None, tol=tol)
-    return Wedge(edge=edge, cone=cone, rep="r3", edge_seeds=tuple(seeds),
-                 drift=gamma)
+    return Wedge(edge=edge, cone=cone, rep="r3", drift=gamma)
 
 
 def _case_setup(case_id: str, params: dict) -> tuple:

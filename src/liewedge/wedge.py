@@ -5,10 +5,12 @@ as an orthonormal `Subspace`, and the cone is the *positive* convex cone
 spanned by conjugated drift generators (so the physical wedge consists of
 the edge plus the negatives of the cone elements).  Cones carry finitely
 many unit-norm sampled generators plus, where available, an analytic
-conjugation family; every membership oracle is an inner approximation and
-is documented as such.  Edge and cone are each stored once, as a realified
-column stack (see `matcore`); their matrices are views derived from it,
-and `saturate` works on the cone's stack directly.
+conjugation family: the edge's orthonormal basis as skew seeds and the
+drift's edge-orthogonal part as base, from which the family derives its
+kind, periods and support search.  Every membership oracle is an inner
+approximation and is documented as such.  Edge and cone are each stored
+once, as a realified column stack (see `matcore`); their matrices are
+views derived from it, and `saturate` works on the cone's stack directly.
 
 The saturation loop follows the inner-approximation procedure: grow the
 edge by the cone's lineality and Lie-close it, conjugate the cone by
@@ -27,10 +29,12 @@ from scipy.optimize import minimize, minimize_scalar, nnls
 from .liealg import lie_closure
 from .lindblad import (ControlSystem, ad_hat, coherence_rep, control_directions,
                        drift_direction, pauli_basis, superop_from_coherence)
-from .matcore import (Subspace, _span_columns, eig_sym, expm, fro, inner, orthonormal_span,
-                      realify, realify_stack, unrealify, unrealify_stack)
+from .matcore import (Subspace, _span_columns, eig_sym, fro, orthonormal_span, realify,
+                      realify_stack, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
+# candidate parameter rows per support call, by family kind
+_SUPPORT_CANDIDATES = {"grid1": 2048, "grid2": 64 * 64, "orbit": 128}
 
 
 # ---------------------------------------------------------------------------
@@ -48,29 +52,25 @@ def _period(seed: np.ndarray) -> float:
 class ConjugationFamily:
     """Parameterized family theta -> Ad_{expm(sum theta_i seed_i)}(base).
 
-    ``kind`` selects the sampling/support strategy: 'grid1' (periodic
-    one-parameter sweep), 'grid2' (commuting two-parameter torus), or
-    'orbit' (random exponentials of the whole edge).  The base is stored
-    orthogonal to the edge; since edge conjugation is an isometry fixing
-    the edge, every family element stays orthogonal to it.  Every element
-    comes from the batched kernel `elements`.  ``periods`` defaults to each
-    seed's rotation period; seeds that are not skew/anti-Hermitian have
-    none and must be given explicit periods.
+    A family is its seeds, which must be skew (r3) or anti-Hermitian
+    (superoperators), and its base; the constructor rejects any other seed.
+    Everything else derives from them.  ``kind`` selects the sampling and
+    support strategy: 'grid1' for one seed (periodic one-parameter sweep),
+    'grid2' for two commuting seeds (torus), 'orbit' otherwise (random
+    exponentials of the seeds' span).  ``periods`` holds each seed's
+    rotation period.  Callers pass a base orthogonal to the edge the seeds
+    span; since edge conjugation is an isometry fixing the edge, every
+    family element stays orthogonal to it.  Every element comes from the
+    batched kernel `elements`.
     """
 
-    kind: str
     seeds: tuple
     base: np.ndarray
-    edge: Subspace
-    rep: str
-    periods: tuple = None
 
     def __post_init__(self):
-        if self.periods is None:
-            if not self._skew:
-                raise ValueError("seeds that are not skew/anti-Hermitian have no period; "
-                                 "pass explicit periods")
-            object.__setattr__(self, "periods", tuple(_period(s) for s in self.seeds))
+        if len(self.seeds) == 0 or any(fro(s + s.conj().T) > 1e-10 * max(1.0, fro(s))
+                                       for s in self._seed_stack):
+            raise ValueError("a family needs one or more skew/anti-Hermitian seeds")
 
     @property
     def n_params(self) -> int:
@@ -81,21 +81,27 @@ class ConjugationFamily:
         return np.stack([np.asarray(s) for s in self.seeds])
 
     @cached_property
-    def _skew(self) -> bool:
-        """Whether every seed is skew/anti-Hermitian, i.e. exponentiates to a
-        unitary that `eigh` diagonalises."""
-        return all(fro(s + s.conj().T) <= 1e-10 * max(1.0, fro(s)) for s in self._seed_stack)
+    def kind(self) -> str:
+        if self.n_params == 1:
+            return "grid1"
+        if self.n_params == 2:
+            e1, e2 = self._seed_stack
+            if fro(e1 @ e2 - e2 @ e1) <= 1e-10:
+                return "grid2"
+        return "orbit"
+
+    @cached_property
+    def periods(self) -> tuple:
+        return tuple(_period(s) for s in self._seed_stack)
 
     @cached_property
     def _phases(self):
         """Co-diagonalization of the (commuting, anti-Hermitian) seeds.
 
-        Lets grid support functions evaluate f(theta) = <element(theta), D>
-        as a short exponential sum instead of conjugating every grid point.
-        None when a seed is not anti-Hermitian or the seeds do not commute.
+        Lets `_objective` evaluate f(theta) = <element(theta), D> as a short
+        exponential sum instead of conjugating every parameter vector.
+        None when the seeds do not commute.
         """
-        if not self._skew:
-            return None
         hs = [1j * np.asarray(s, dtype=complex) for s in self.seeds]
         if len(hs) == 1:
             w0, q = np.linalg.eigh(hs[0])
@@ -116,18 +122,14 @@ class ConjugationFamily:
         """Ad_{expm(sum_i theta_i seed_i)}(g) for every row of `thetas`.
 
         `thetas` is a (k, n_params) stack; `g` (default: the base) is one
-        matrix or a stack of k.  For skew/anti-Hermitian seeds one stacked
-        eigh of i*A = V diag(w) V^dag gives expm(A) = V diag(e) V^dag with
-        e = exp(-i w), so Ad(g) = V ((V^dag g V) * e e^dag) V^dag; real seeds
-        and a real g give a real result.  Other seeds fall back to
-        expm(A) g expm(-A) per row.
+        matrix or a stack of k.  One stacked eigh of i*A = V diag(w) V^dag
+        gives expm(A) = V diag(e) V^dag with e = exp(-i w), so
+        Ad(g) = V ((V^dag g V) * e e^dag) V^dag; real seeds and a real g
+        give a real result.
         """
         g = self.base if g is None else np.asarray(g)
         thetas = np.asarray(thetas, dtype=float).reshape(-1, self.n_params)
         a = np.tensordot(thetas, self._seed_stack, axes=1)
-        if not self._skew:
-            gs = np.broadcast_to(g, a.shape)
-            return np.array([expm(ak) @ gk @ expm(-ak) for ak, gk in zip(a, gs)])
         w, v = np.linalg.eigh(1j * a)
         e = np.exp(-1j * w)
         vh = np.conj(np.swapaxes(v, -1, -2))
@@ -142,9 +144,15 @@ class ConjugationFamily:
     def element(self, params) -> np.ndarray:
         return self.elements([params])[0]
 
-    def _grid(self, n: int) -> np.ndarray:
-        """n uniform points per period and parameter, one row per grid
-        point; grid2 rows run over (t1[i], t2[j]) with j fastest."""
+    def _params(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Parameter rows of a sweep: n uniform points per period and
+        parameter for grid kinds (grid1 n = count, grid2 n = ceil(sqrt(count))
+        with the second parameter fastest), `count` seeded normal draws for
+        orbits."""
+        if self.kind == "orbit":
+            return rng.normal(scale=np.pi / np.sqrt(self.n_params),
+                              size=(count, self.n_params))
+        n = count if self.kind == "grid1" else max(2, int(np.ceil(np.sqrt(count))))
         axes = np.meshgrid(*(np.arange(n) * (p / n) for p in self.periods), indexing="ij")
         return np.stack([t.ravel() for t in axes], axis=1)
 
@@ -152,82 +160,73 @@ class ConjugationFamily:
         """Deterministic grid (grid kinds) or random exponentials (orbit)."""
         if count < 1:
             return []
-        if self.kind == "grid1":
-            thetas = self._grid(count)
-        elif self.kind == "grid2":
-            thetas = self._grid(max(2, int(np.ceil(np.sqrt(count)))))
-        else:
-            thetas = rng.normal(scale=np.pi / np.sqrt(self.n_params),
-                                size=(count, self.n_params))
+        thetas = self._params(count, rng)
         return list(zip(thetas, self.elements(thetas)))
 
     # -- support function -------------------------------------------------
 
-    def _values(self, thetas, direction: np.ndarray) -> np.ndarray:
-        """f(theta) = <element(theta), direction> on a batch of parameter
-        vectors: an eigenphase sum where the seeds co-diagonalise."""
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    def _objective(self, direction: np.ndarray):
+        """theta stack -> <element(theta), direction>, one value per row: an
+        eigenphase sum whose coefficients are computed here once, where the
+        seeds co-diagonalise, else inner products of `elements`."""
         if self._phases is None:
-            return np.real(np.sum(np.conj(self.elements(thetas)) * direction, axis=(1, 2)))
+            return lambda thetas: np.real(np.sum(np.conj(self.elements(thetas)) * direction,
+                                                 axis=(1, 2)))
         q, m, deltas = self._phases
-        nmat = q.conj().T @ np.asarray(direction, dtype=complex) @ q
-        coeff = (np.conj(m) * nmat).ravel()
-        phase = sum(np.multiply.outer(thetas[:, i], d.ravel())
-                    for i, d in enumerate(deltas))
-        return np.real(np.exp(1j * phase) @ coeff)
+        coeff = (np.conj(m) * (q.conj().T @ np.asarray(direction, dtype=complex) @ q)).ravel()
+
+        def values(thetas):
+            thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+            phase = sum(np.multiply.outer(thetas[:, i], d.ravel())
+                        for i, d in enumerate(deltas))
+            return np.real(np.exp(1j * phase) @ coeff)
+
+        return values
 
     def support(self, direction: np.ndarray, rng: np.random.Generator = None):
-        """Family element maximizing the inner product against `direction`.
+        """Family element maximizing the inner product against `direction`,
+        and that maximum.
 
         Exact by eigenvector alignment for full-rotation orbits on the
-        3-dimensional carrier (real or via the coherence representation);
-        dense-grid plus local refinement otherwise, which can only
+        3-dimensional carrier (real or via the coherence representation).
+        Otherwise the best of a candidate set (a 2048-point grid1 sweep, a
+        64x64 grid2 torus, or 128 orbit draws from `rng`, default seed 0),
+        refined once from there: bounded Brent over one grid step either
+        side for one parameter, Nelder-Mead otherwise.  The refinement is
+        kept when it scores at least as well, so the result can only
         under-estimate the true support (inner approximation).
         """
-        if self.kind == "orbit":
-            exact = self._support_aligned(direction)
-            if exact is not None:
-                return exact
-            return self._support_random(direction, rng)
-        if self.kind == "grid1":
-            return self._support_grid1(direction)
-        return self._support_grid2(direction)
-
-    def _support_grid1(self, direction):
-        period = self.periods[0]
-        n = 2048
-        thetas = self._grid(n)[:, 0]
-        vals = self._values(thetas[:, None], direction)
-        f = lambda t: -float(self._values([[t]], direction)[0])
+        exact = self._support_aligned(direction)
+        if exact is not None:
+            return exact
+        rng = np.random.default_rng(0) if rng is None else rng
+        thetas = self._params(_SUPPORT_CANDIDATES[self.kind], rng)
+        f = self._objective(direction)
+        vals = f(thetas)
         k = int(np.argmax(vals))
-        res = minimize_scalar(f, bounds=(thetas[k] - period / n,
-                                         thetas[k] + period / n),
-                              method="bounded", options={"xatol": 1e-12})
-        t_best, v_best = float(res.x), float(-res.fun)
-        if v_best < vals[k]:
-            t_best, v_best = float(thetas[k]), float(vals[k])
-        return self.element([t_best]), v_best
-
-    def _support_grid2(self, direction):
-        grid = self._grid(64)
-        vals = self._values(grid, direction)
-        f = lambda p: -float(self._values([p], direction)[0])
-        k = int(np.argmax(vals))
-        res = minimize(f, x0=grid[k], method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
-        params, v_best = np.asarray(res.x), float(-res.fun)
-        if v_best < vals[k]:
-            params, v_best = grid[k], float(vals[k])
-        return self.element(params), v_best
+        if self.n_params == 1:
+            step = self.periods[0] / _SUPPORT_CANDIDATES["grid1"]
+            res = minimize_scalar(lambda t: -float(f([[t]])[0]),
+                                  bounds=(thetas[k, 0] - step, thetas[k, 0] + step),
+                                  method="bounded", options={"xatol": 1e-12})
+        else:
+            res = minimize(lambda p: -float(f(p)[0]), x0=thetas[k], method="Nelder-Mead",
+                           options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
+        params, value = np.atleast_1d(res.x), float(-res.fun)
+        if value < vals[k]:
+            params, value = thetas[k], float(vals[k])
+        return self.element(params), value
 
     def _support_aligned(self, direction):
         """Closed-form support for full-rotation orbits of a symmetric base
-        on the 3x3 block: the r3 carrier itself, or a qubit superoperator's
-        coherence representation, mapped there and back."""
-        if self.rep not in ("r3", "qubit") or self.edge.dim != 3:
+        on the 3x3 block: three seeds with a 3x3 base (the r3 carrier
+        itself) or a 4x4 base (a qubit superoperator, mapped to its
+        coherence representation and back)."""
+        if self.n_params != 3 or self.base.shape not in ((3, 3), (4, 4)):
             return None
         base = self.base
-        if self.rep == "qubit":
+        qubit = base.shape == (4, 4)
+        if qubit:
             try:
                 base = coherence_rep(base, rep="qubit")
                 direction = coherence_rep(direction, rep="qubit")
@@ -239,22 +238,9 @@ class ConjugationFamily:
         w_b, _ = eig_sym(base_sym)
         w_d, v_d = eig_sym((direction + direction.T) / 2)
         g = v_d @ np.diag(w_b) @ v_d.T
-        if self.rep == "qubit":
+        if qubit:
             g = superop_from_coherence(g, rep="qubit").matrix
         return g, float(np.dot(w_b, w_d))
-
-    def _support_random(self, direction, rng):
-        rng = np.random.default_rng(0) if rng is None else rng
-        best, best_params = -np.inf, np.zeros(self.n_params)
-        for p, g in self.sweep(128, rng):
-            v = inner(g, direction)
-            if v > best:
-                best, best_params = v, p
-        res = minimize(lambda p: -inner(self.element(p), direction), x0=best_params,
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 300})
-        params = res.x if -res.fun > best else best_params
-        return self.element(params), max(float(-res.fun), best)
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +387,15 @@ class Wedge:
     edge: Subspace
     cone: Cone
     rep: str
-    edge_seeds: tuple = ()
     drift: np.ndarray = None
     saturation: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
-        """Linear dimension of edge plus cone span (edge-orthogonal part)."""
-        e, c = self.edge.stack, self.cone.stack
-        return self.edge.dim + _span_columns(c - e @ (e.T @ c)).shape[1]
+        """Linear dimension of edge plus cone span: the cone's edge-orthogonal
+        parts, with remainders of norm <= 1e-12 dropped as `saturate` does."""
+        units = _edge_orthogonal_units(self.edge, self.cone.stack)
+        return self.edge.dim + _span_columns(units).shape[1]
 
 
 def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None,
@@ -424,14 +410,13 @@ def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None,
 
 def initial_wedge(sys: ControlSystem) -> Wedge:
     """Step one of the inner approximation: control span plus the drift ray."""
-    seeds = tuple(np.asarray(d) for d in control_directions(sys))
     drift = np.asarray(drift_direction(sys))
     shape = drift.shape
     complex_field = sys.rep != "r3"
-    edge = orthonormal_span(list(seeds), shape=shape, complex_field=complex_field)
+    edge = orthonormal_span(control_directions(sys), shape=shape, complex_field=complex_field)
     gens = (drift,) if fro(drift) > 1e-12 else ()
     cone = Cone(generators=gens, shape=shape, complex_field=complex_field)
-    return Wedge(edge=edge, cone=cone, rep=sys.rep, edge_seeds=seeds, drift=drift)
+    return Wedge(edge=edge, cone=cone, rep=sys.rep, drift=drift)
 
 
 def _novel_columns(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -455,21 +440,6 @@ def _edge_orthogonal_units(edge: Subspace, cols: np.ndarray) -> np.ndarray:
     p = cols - edge.stack @ (edge.stack.T @ cols)
     n = np.linalg.norm(p, axis=0)
     return p[:, n > 1e-12] / n[n > 1e-12]
-
-
-def _build_family(edge: Subspace, base: np.ndarray, rep: str) -> ConjugationFamily:
-    if edge.dim == 0 or fro(base) == 0.0:
-        return None
-    seeds = tuple(np.asarray(m) for m in edge.mats)
-    if edge.dim == 1:
-        kind = "grid1"
-    elif edge.dim == 2:
-        e1, e2 = seeds
-        commuting = fro(e1 @ e2 - e2 @ e1) <= 1e-10
-        kind = "grid2" if commuting else "orbit"
-    else:
-        kind = "orbit"
-    return ConjugationFamily(kind=kind, seeds=seeds, base=base, edge=edge, rep=rep)
 
 
 def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
@@ -515,7 +485,8 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
         # (b) re-project generators orthogonal to the edge
         base = drift - edge.project(drift)
         cols = _edge_orthogonal_units(edge, cols)
-        family = _build_family(edge, base, w.rep)
+        family = (ConjugationFamily(edge.mats, base)
+                  if edge.dim and fro(base) > 0.0 else None)
         cone = Cone(stack=cols, shape=shape, complex_field=complex_field,
                     analytic=family, tol=tol)
         if family is None:
@@ -568,8 +539,7 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
 
     pointed = lineality(cone, tol).dim == 0 if cone.n_generators else None
     cone = replace(cone, pointed=pointed)
-    return Wedge(edge=edge, cone=cone, rep=w.rep, edge_seeds=w.edge_seeds,
-                 drift=drift, saturation=report)
+    return Wedge(edge=edge, cone=cone, rep=w.rep, drift=drift, saturation=report)
 
 
 # ---------------------------------------------------------------------------

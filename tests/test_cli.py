@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from liewedge.channels import ChannelSpec, build_system
 from liewedge.cli import (SystemFileError, format_system_file, main,
                           parse_system_file)
 from liewedge.lindblad import ControlSystem
@@ -146,6 +147,17 @@ def test_conditions_subcommand(r3_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["conditions"]["dim_kc"] == 1
     assert report["conditions"]["holds_WH"] is True
+
+
+def test_conditions_without_controls(tmp_path, capsys):
+    """A system with no controls has kc = {0}: the run reports it instead
+    of failing to close an empty generator list."""
+    p = tmp_path / "free.sys"
+    p.write_text(format_system_file(build_system(ChannelSpec("phase_flip"))))
+    assert main(["conditions", "--system", str(p)]) == 0
+    report = json.loads(capsys.readouterr().out)["conditions"]
+    assert (report["dim_kc"], report["dim_kd"], report["dim_s"]) == (0, 0, 1)
+    assert not any(report[k] for k in ("holds_H", "holds_WH", "holds_A"))
 
 
 def test_semialgebra_subcommand(r3_path, capsys):

@@ -105,6 +105,13 @@ def test_condition_report_reference_values():
         assert got == expected, f"{name}: {got} != {expected}"
 
 
+def test_conditions_of_a_system_without_controls():
+    rep = check_conditions(build_system(ChannelSpec(name="phase_flip")))
+    assert rep.kc.dim == 0 and rep.kc.shape == rep.s.shape == (4, 4)
+    assert (rep.dim_kc, rep.dim_kd, rep.dim_s) == (0, 0, 1)
+    assert not (rep.holds_H or rep.holds_WH or rep.holds_A)
+
+
 def test_condition_hierarchy_h_implies_wh_never_strict():
     """holds_H demands the control-only closure already fills the target,
     in which case the drift adds nothing and WH is reported as the weaker

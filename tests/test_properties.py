@@ -1,9 +1,10 @@
-"""Property tests of the cached generators, the one-product coherence map,
+"""Property tests of the cached generators, the one-product coherence maps,
 the incremental contraction audit, the stacked realification, the batched
-conjugation kernel, the right-nested Lie closure, the one-array cones and
-subspaces, the merged aligned orbit support and the one-pass report writer
-against loop, expm, full-pairwise, per-generator, two-branch or two-pass
-references kept here."""
+conjugation kernel, the derived family kind, the right-nested Lie closure,
+the one-array cones and subspaces, the merged aligned orbit support, the
+one-search support function and the one-pass report writer against loop,
+expm, edge-rule, full-pairwise, per-generator, two-branch, three-routine or
+two-pass references kept here."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import minimize, minimize_scalar
 
 from liewedge.channels import ChannelSpec, build_system, sigma, sigma2
 from liewedge.cli import _dumps
@@ -24,7 +26,7 @@ from liewedge.lindblad import (ControlSystem, Superop, ad_hat, coherence_rep,
 from liewedge.matcore import (eig_sym, expm, fro, inner, orthonormal_span, realify,
                               realify_stack, unrealify, unrealify_stack)
 from liewedge.reachable import Schedule, contraction_audit
-from liewedge.wedge import Cone, ConjugationFamily, Wedge, initial_wedge, saturate
+from liewedge.wedge import Cone, ConjugationFamily, Wedge, _period, initial_wedge, saturate
 
 REPS = ("r3", "qubit", "two_qubit")
 HILBERT_DIM = {"qubit": 2, "two_qubit": 4}
@@ -113,6 +115,17 @@ def _reference_coherence_rep(m: np.ndarray, n: int, tol: float = 1e-12) -> np.nd
     return cr
 
 
+def _reference_superop_from_coherence(s: np.ndarray, n: int) -> np.ndarray:
+    """Double loop over the Pauli basis: sum_ij S[i, j] vec(B_j) vec(B_i)^H."""
+    vecs = [vec(b) for b in pauli_basis(n)]
+    m = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(len(vecs)):
+        for j in range(len(vecs)):
+            if s[i, j] != 0.0:
+                m += s[i, j] * np.outer(vecs[j], vecs[i].conj())
+    return m
+
+
 def _reference_audit_s(sys: ControlSystem, sched: Schedule, grid: int) -> list:
     """s(t) by re-propagating from t = 0 at every grid point."""
     gens = [np.asarray(lindbladian(sys, u).matrix) for _, u in sched.segments]
@@ -172,6 +185,27 @@ def test_coherence_rep_rejects_non_unital_generators(rep, seed, gamma):
                lambda: _reference_coherence_rep(m, n)):
         with pytest.raises(ValueError, match="not unital"):
             fn()
+
+
+@SETTINGS
+@given(st.sampled_from(("qubit", "two_qubit")), st.integers(0, 2**32 - 1),
+       st.floats(-3.0, 3.0), st.booleans())
+def test_superop_from_coherence_matches_the_loop(rep, seed, log_scale, sparse):
+    """The one product V S^T V^H against the double loop, on dense and
+    sparse S, and the round trip through `coherence_rep`."""
+    rng = np.random.default_rng(seed)
+    n = HILBERT_DIM[rep]
+    k = n * n - 1
+    s = 10.0 ** log_scale * rng.normal(size=(k, k))
+    if sparse:
+        s[rng.uniform(size=(k, k)) < 0.7] = 0.0
+    got = superop_from_coherence(s, rep)
+    assert got.matrix.shape == (n * n, n * n)
+    scale = max(1.0, fro(s))
+    assert np.max(np.abs(got.matrix - _reference_superop_from_coherence(s, n))) <= 1e-15 * scale
+    assert np.max(np.abs(coherence_rep(got) - s)) <= 1e-14 * scale
+    with pytest.raises(ValueError, match=f"expected a {k}x{k} matrix"):
+        superop_from_coherence(s[:-1], rep)
 
 
 @SETTINGS
@@ -241,7 +275,8 @@ KINDS = ("grid1", "grid2", "orbit")
 
 def _family(rep: str, kind: str, seed: int, skew: bool = True) -> ConjugationFamily:
     """Unit-norm seeds: skew 3x3 (r3) or i*ad_hat(H) (quantum), commuting
-    for grid2; a real (r3) or complex base; non-normal seeds unless `skew`."""
+    for grid2; a real (r3) or complex base; a perturbed, non-normal first
+    seed unless `skew`, which the constructor rejects."""
     rng = np.random.default_rng(seed)
     n_params = {"grid1": 1, "grid2": 2, "orbit": 3}[kind]
     if rep == "r3":
@@ -261,11 +296,9 @@ def _family(rep: str, kind: str, seed: int, skew: bool = True) -> ConjugationFam
         if not skew:
             seeds[0] = seeds[0] + rng.normal(size=seeds[0].shape)
         base = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
-    seeds = tuple(s / fro(s) for s in seeds)
-    # non-normal seeds have no period; unit ones keep grid exponentials finite
-    periods = None if skew else (1.0,) * n_params
-    return ConjugationFamily(kind=kind, seeds=seeds, base=base,
-                             edge=orthonormal_span(list(seeds)), rep=rep, periods=periods)
+    fam = ConjugationFamily(tuple(s / fro(s) for s in seeds), base)
+    assert fam.kind == kind
+    return fam
 
 
 def _reference(fam: ConjugationFamily, g: np.ndarray, params) -> np.ndarray:
@@ -274,18 +307,16 @@ def _reference(fam: ConjugationFamily, g: np.ndarray, params) -> np.ndarray:
 
 
 def _close(got: np.ndarray, want: np.ndarray, g: np.ndarray) -> bool:
-    """Within 1e-12 max(1, ||g||); unitary conjugation keeps ||want|| = ||g||,
-    the expm fallback on non-normal seeds may grow it."""
-    return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, fro(g), fro(want))
+    """Within 1e-12 max(1, ||g||); unitary conjugation keeps ||want|| = ||g||."""
+    return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, fro(g))
 
 
 @SETTINGS
 @given(st.sampled_from(REPS), st.sampled_from(KINDS), st.integers(0, 2**32 - 1),
-       st.booleans(), st.integers(1, 40))
-def test_conjugation_kernel_matches_expm(rep, kind, seed, skew, count):
-    """Skew/anti-Hermitian seeds take the stacked-eigh kernel, the others
-    the expm fallback; both agree with expm(a) g expm(-a)."""
-    fam = _family(rep, kind, seed, skew)
+       st.integers(1, 40))
+def test_conjugation_kernel_matches_expm(rep, kind, seed, count):
+    """The stacked-eigh kernel agrees with expm(a) g expm(-a)."""
+    fam = _family(rep, kind, seed)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=fam.base.shape) + (0 if rep == "r3" else 1j * rng.normal(size=fam.base.shape))
     params = rng.normal(scale=np.pi, size=fam.n_params)
@@ -303,6 +334,131 @@ def test_conjugation_kernel_matches_expm(rep, kind, seed, skew, count):
     thetas = rng.normal(size=(3, fam.n_params))
     for got, gi, p in zip(fam.elements(thetas, stack), stack, thetas):
         assert _close(got, _reference(fam, gi, p), gi)
+
+
+@SETTINGS
+@given(st.sampled_from(REPS), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+def test_non_skew_seeds_are_rejected(rep, kind, seed):
+    """A seed that is not skew/anti-Hermitian exponentiates to no rotation,
+    so it has no period and no eigh kernel: the family refuses it."""
+    with pytest.raises(ValueError, match="skew/anti-Hermitian seeds"):
+        _family(rep, kind, seed, skew=False)
+
+
+def _reference_kind(edge) -> str:
+    """The rule `saturate` applied to its edge before families derived it."""
+    if edge.dim == 1:
+        return "grid1"
+    if edge.dim == 2:
+        e1, e2 = edge.mats
+        return "grid2" if fro(e1 @ e2 - e2 @ e1) <= 1e-10 else "orbit"
+    return "orbit"
+
+
+@SETTINGS
+@given(st.sampled_from(REPS), st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_derived_kind_matches_the_edge_rule(rep, seed, count, commuting):
+    """Edges of 1-3 random (or commuting) rotation generators: the family
+    on the edge's basis derives the edge rule's kind and each seed's
+    period, and neither can be set."""
+    rng = np.random.default_rng(seed)
+    if rep == "r3":
+        first = _skew(rng)
+        gens = [(rng.normal() * first if commuting else _skew(rng)) for _ in range(count)]
+    else:
+        n = HILBERT_DIM[rep]
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        hs = [q @ np.diag(rng.normal(size=n)) @ q.conj().T if commuting
+              else _hermitian(rng, n) for _ in range(count)]
+        gens = [1j * ad_hat(h).matrix for h in hs]
+    edge = orthonormal_span(gens)
+    fam = ConjugationFamily(edge.mats, rng.normal(size=edge.shape))
+    assert fam.kind == _reference_kind(edge)
+    assert fam.periods == tuple(_period(m) for m in edge.mats)
+    for name in ("kind", "periods"):
+        with pytest.raises(AttributeError):
+            setattr(fam, name, getattr(fam, name))
+
+
+def _grid(fam: ConjugationFamily, n: int) -> np.ndarray:
+    axes = np.meshgrid(*(np.arange(n) * (p / n) for p in fam.periods), indexing="ij")
+    return np.stack([t.ravel() for t in axes], axis=1)
+
+
+def _reference_values(fam: ConjugationFamily, thetas, direction) -> np.ndarray:
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if fam._phases is None:
+        return np.real(np.sum(np.conj(fam.elements(thetas)) * direction, axis=(1, 2)))
+    q, m, deltas = fam._phases
+    coeff = (np.conj(m) * (q.conj().T @ np.asarray(direction, dtype=complex) @ q)).ravel()
+    phase = sum(np.multiply.outer(thetas[:, i], d.ravel()) for i, d in enumerate(deltas))
+    return np.real(np.exp(1j * phase) @ coeff)
+
+
+def _reference_support_grid1(fam: ConjugationFamily, direction):
+    """2048-point grid, then bounded Brent over one grid step either side."""
+    period, n = fam.periods[0], 2048
+    thetas = _grid(fam, n)[:, 0]
+    vals = _reference_values(fam, thetas[:, None], direction)
+    k = int(np.argmax(vals))
+    res = minimize_scalar(lambda t: -float(_reference_values(fam, [[t]], direction)[0]),
+                          bounds=(thetas[k] - period / n, thetas[k] + period / n),
+                          method="bounded", options={"xatol": 1e-12})
+    t_best, v_best = float(res.x), float(-res.fun)
+    if v_best < vals[k]:
+        t_best, v_best = float(thetas[k]), float(vals[k])
+    return [t_best], v_best
+
+
+def _reference_support_grid2(fam: ConjugationFamily, direction):
+    """64x64 torus, then Nelder-Mead from its best point."""
+    grid = _grid(fam, 64)
+    vals = _reference_values(fam, grid, direction)
+    k = int(np.argmax(vals))
+    res = minimize(lambda p: -float(_reference_values(fam, [p], direction)[0]), x0=grid[k],
+                   method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
+    params, v_best = np.asarray(res.x), float(-res.fun)
+    if v_best < vals[k]:
+        params, v_best = grid[k], float(vals[k])
+    return params, v_best
+
+
+def _reference_support_random(fam: ConjugationFamily, direction, rng):
+    """Best of a 128-element sweep, then Nelder-Mead with looser options."""
+    best, best_params = -np.inf, np.zeros(fam.n_params)
+    for p, g in fam.sweep(128, rng):
+        v = inner(g, direction)
+        if v > best:
+            best, best_params = v, p
+    res = minimize(lambda p: -inner(fam.element(p), direction), x0=best_params,
+                   method="Nelder-Mead", options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 300})
+    params = res.x if -res.fun > best else best_params
+    return params, max(float(-res.fun), best)
+
+
+@SETTINGS
+@given(st.sampled_from(REPS), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+def test_merged_support_matches_the_three_routines(rep, kind, seed):
+    """Grid1, grid2 and (non-aligned) orbit families against the per-kind
+    routines the one search replaced.  The grid kinds share the candidate
+    set and refiner, so they return the same element; the orbit search now
+    refines with the grid2 options, so there only the values agree and the
+    returned element scores the returned value."""
+    fam = _family(rep, kind, seed)
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=fam.base.shape) + (
+        0 if rep == "r3" else 1j * rng.normal(size=fam.base.shape))
+    tol = 1e-12 * max(1.0, fro(direction))
+    assert fam._support_aligned(direction) is None
+    g, val = fam.support(direction, np.random.default_rng(seed))
+    if kind == "orbit":
+        params, want = _reference_support_random(fam, direction, np.random.default_rng(seed))
+        assert abs(inner(g, direction) - val) <= tol
+    else:
+        ref = _reference_support_grid1 if kind == "grid1" else _reference_support_grid2
+        params, want = ref(fam, direction)
+        assert g.tobytes() == fam.element(params).tobytes()
+    assert abs(val - want) <= tol
 
 
 def test_grid2_sweep_runs_over_the_torus_row_major():
@@ -488,8 +644,10 @@ def test_orthonormal_span_derives_its_matrices_from_its_stack(rep, seed, m):
 
 def _reference_wedge_dim(w: Wedge) -> int:
     """Edge dimension plus the rank of the generators' edge-orthogonal parts,
-    projected one generator at a time."""
+    projected one generator at a time; (unit) generators whose part has norm
+    <= 1e-12 are rounding noise inside the edge and dropped, as in `saturate`."""
     perp = [g - w.edge.project(g) for g in w.cone.generators]
+    perp = [p / fro(p) for p in perp if fro(p) > 1e-12]
     extra = orthonormal_span(perp, shape=w.cone.shape, complex_field=w.cone.complex_field)
     return w.edge.dim + extra.dim
 
@@ -509,8 +667,7 @@ def test_wedge_dim_matches_the_per_generator_projection(rep, seed, k, in_edge, o
     w = Wedge(edge=edge, cone=Cone(generators=tuple(gens), shape=shape,
                                    complex_field=complex_field), rep=rep)
     assert w.dim == _reference_wedge_dim(w)
-    if off:
-        assert w.dim == k + len(off)
+    assert w.dim == k + len(off)
 
 
 @settings(max_examples=20, deadline=None)
@@ -527,9 +684,9 @@ def test_saturated_cones_hold_unit_columns_orthogonal_to_the_edge(rep, seed, n_c
     assert w.dim == _reference_wedge_dim(w)
 
 
-def _reference_support_aligned(fam: ConjugationFamily, direction):
+def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
     """The r3 and qubit branches of the closed-form orbit support, kept apart."""
-    if fam.rep == "r3" and fam.edge.dim == 3:
+    if rep == "r3" and fam.n_params == 3:
         base_sym = (fam.base + fam.base.T) / 2
         if fro(base_sym - fam.base) > 1e-10 * max(1.0, fro(fam.base)):
             return None
@@ -538,7 +695,7 @@ def _reference_support_aligned(fam: ConjugationFamily, direction):
         w_d, v_d = eig_sym(d_sym)
         g = v_d @ np.diag(w_b) @ v_d.T
         return g, float(np.dot(w_b, w_d))
-    if fam.rep == "qubit" and fam.edge.dim == 3:
+    if rep == "qubit" and fam.n_params == 3:
         try:
             cr_b = coherence_rep(fam.base, rep="qubit")
             cr_d = coherence_rep(direction, rep="qubit")
@@ -580,11 +737,10 @@ def test_aligned_support_matches_the_two_branch_routine(rep, seed, n_seeds, base
     else:
         seeds = [1j * ad_hat(sigma(axis) / 2.0).matrix for axis in "xyz"[:n_seeds]]
     seeds = tuple(s / fro(s) for s in seeds)
-    fam = ConjugationFamily(kind="orbit", seeds=seeds, base=block(base_kind),
-                            edge=orthonormal_span(list(seeds)), rep=rep)
-    assert fam.edge.dim == n_seeds
+    fam = ConjugationFamily(seeds, block(base_kind))
+    assert orthonormal_span(list(seeds)).dim == n_seeds
     direction = block(direction_kind)
-    got, want = fam._support_aligned(direction), _reference_support_aligned(fam, direction)
+    got, want = fam._support_aligned(direction), _reference_support_aligned(fam, direction, rep)
     assert (got is None) == (want is None)
     if want is not None:
         assert got[0].tobytes() == want[0].tobytes()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from liewedge.channels import (H_X, H_Y, H_Z, P_Y, example1, example2,
-                               example3, example3_delta)
+                               example3, example3_delta, sigma)
+from liewedge.lindblad import ControlSystem
 from liewedge.matcore import Subspace, expm, fro, inner, orthonormal_span
 from liewedge.wedge import (Cone, ConjugationFamily, Wedge, cone_contains,
                             cone_residual, dual_cone_contains,
@@ -65,10 +66,8 @@ def test_initial_wedge_of_example2():
 
 
 def test_grid1_support_matches_brute_force():
-    edge = orthonormal_span([H_Y], shape=(3, 3), complex_field=False)
-    base = H_Z + GAMMA2
-    fam = ConjugationFamily(kind="grid1", seeds=(H_Y,), base=base,
-                            edge=edge, rep="r3")
+    fam = ConjugationFamily((H_Y,), H_Z + GAMMA2)
+    assert fam.kind == "grid1"
     for direction in (H_X, H_Z + 0.2 * H_X, GAMMA2 + H_X):
         _, val = fam.support(direction)
         grid = max(inner(fam.element([t]), direction)
@@ -76,16 +75,23 @@ def test_grid1_support_matches_brute_force():
         assert val >= grid - 1e-9
 
 
-def test_non_skew_seeds_need_explicit_periods():
-    """A seed that is not skew has no rotation period: the family refuses
-    to guess one, and takes explicit periods."""
+def test_non_skew_seeds_are_rejected():
+    """A seed that is not skew has no rotation period and no unitary
+    exponential: the family refuses it, alone or beside a skew one, and
+    refuses an empty seed set."""
     seed = H_Y + 0.5 * GAMMA2
-    edge = orthonormal_span([seed], shape=(3, 3), complex_field=False)
-    with pytest.raises(ValueError, match="explicit periods"):
-        ConjugationFamily(kind="grid1", seeds=(seed,), base=H_Z, edge=edge, rep="r3")
-    fam = ConjugationFamily(kind="grid1", seeds=(seed,), base=H_Z, edge=edge,
-                            rep="r3", periods=(1.0,))
-    assert fam.periods == (1.0,)
+    for seeds in ((seed,), (H_X, seed), ()):
+        with pytest.raises(ValueError, match="skew/anti-Hermitian"):
+            ConjugationFamily(seeds, H_Z)
+
+
+def test_wedge_dim_ignores_noise_inside_the_edge():
+    """A drift parallel to the only control leaves a rounding-noise
+    remainder off the edge; it is no extra dimension."""
+    sys = ControlSystem(rep="qubit", drift_H=sigma("x"), controls=(sigma("x") / 2,))
+    w = initial_wedge(sys)
+    assert w.edge.dim == 1 and w.cone.n_generators == 1
+    assert w.dim == 1
 
 
 def test_saturate_example2_reference_geometry():
