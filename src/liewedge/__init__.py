@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .matcore import (RANK_TOL, Subspace, comm, expm, fro, inner,
                       orthonormal_span)
-from .lindblad import (ControlSystem, Superop, ad_hat, choi_matrix,
+from .lindblad import (ControlSystem, ad_hat, choi_matrix,
                        coherence_rep, cptp_audit, gks_dissipator, gks_term,
                        is_trace_preserving, is_unital, lindbladian,
                        pauli_basis, propagator, superop_from_coherence, unvec,
@@ -37,7 +37,7 @@ __all__ = [
     "__version__",
     "RANK_TOL", "Subspace", "comm", "expm", "fro", "inner",
     "orthonormal_span",
-    "ControlSystem", "Superop", "ad_hat", "choi_matrix", "coherence_rep",
+    "ControlSystem", "ad_hat", "choi_matrix", "coherence_rep",
     "cptp_audit", "gks_dissipator", "gks_term", "is_trace_preserving",
     "is_unital", "lindbladian", "pauli_basis", "propagator",
     "superop_from_coherence", "unvec", "vec",

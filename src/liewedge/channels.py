@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import SIGMA, ControlSystem, Superop, ad_hat, choi_matrix
+from .lindblad import SIGMA, ControlSystem, ad_hat, choi_matrix
 from .matcore import fro
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def sigma(axis: str) -> np.ndarray:
 
 def sigma_hat(axis: str) -> np.ndarray:
     """Spin-1/2 adjoint generator: the commutator superoperator of sigma/2."""
-    return ad_hat(sigma(axis) / 2.0).matrix
+    return ad_hat(sigma(axis) / 2.0)
 
 
 def sigma2(pair: str) -> np.ndarray:
@@ -90,7 +90,7 @@ def sigma2(pair: str) -> np.ndarray:
 
 def sigma_hat2(pair: str) -> np.ndarray:
     """Two-qubit adjoint generator: commutator superoperator of sigma2/2."""
-    return ad_hat(sigma2(pair) / 2.0).matrix
+    return ad_hat(sigma2(pair) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +347,18 @@ def kraus_family(spec: ChannelSpec, t: float) -> KrausSet:
     return KrausSet(operators=tuple(ops), time=float(t))
 
 
-def kraus_superop(ks: KrausSet) -> Superop:
-    """Superoperator sum of conj(E) otimes E over the Kraus operators."""
+def kraus_superop(ks: KrausSet) -> np.ndarray:
+    """Sum of conj(E) otimes E over the Kraus operators: the channel matrix."""
     n = ks.operators[0].shape[0]
     total = np.zeros((n * n, n * n), dtype=complex)
     for e in ks.operators:
         total += np.kron(e.conj(), e)
-    rep = "qubit" if n == 2 else "two_qubit"
-    return Superop(matrix=total, rep=rep)
+    return total
 
 
 def kraus_rank(t, tol: float = 1e-8) -> int:
     """Rank of the Choi matrix (minimal Kraus operator count)."""
-    choi = choi_matrix(np.asarray(t))
+    choi = choi_matrix(t)
     w = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
     top = float(w.max())
     if top <= 0 or w.min() < -tol * max(1.0, top):

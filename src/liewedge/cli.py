@@ -139,16 +139,16 @@ def _parse_operator(rep: str, token: str, lineno: int,
             raise SystemFileError(f"line {lineno}: r3 noise must be "
                                   f"'diag:a,b,c' or a matrix literal")
         if token in H_AXIS:
-            return np.asarray(H_AXIS[token])
+            return H_AXIS[token]
         raise SystemFileError(f"line {lineno}: unknown r3 axis {token!r}")
     if rep == "qubit":
         if token in _QUBIT_TOKENS:
-            return np.asarray(sigma(token)) / 2.0
+            return sigma(token) / 2.0
         raise SystemFileError(f"line {lineno}: unknown qubit axis {token!r}")
     try:
         total = np.zeros((4, 4), dtype=complex)
         for part in token.split("+"):
-            total += np.asarray(sigma2(part)) / 2.0
+            total += sigma2(part) / 2.0
         return total
     except (ValueError, KeyError):
         raise SystemFileError(f"line {lineno}: unknown two-qubit axis "
@@ -366,7 +366,7 @@ def cmd_channel(args) -> int:
         kraus = {
             "t": t,
             "operators": ks.operators,
-            "rank": kraus_rank(kraus_superop(ks).matrix),
+            "rank": kraus_rank(kraus_superop(ks)),
         }
     except ValueError as exc:
         body["kraus_unavailable"] = str(exc)
@@ -438,7 +438,7 @@ def cmd_reachable(args) -> int:
         summary["all_cptp"] = all(a["is_tp"] and a["is_cp"] for a in audits)
     else:
         summary["max_spectral_norm"] = max(
-            float(np.linalg.norm(np.asarray(s.matrix), 2)) for s in samples)
+            float(np.linalg.norm(s, 2)) for s in samples)
     # the audit's schedule draws from the stream after the samples' streams
     audit_seed = np.random.SeedSequence(args.seed).spawn(args.count + 1)[-1]
     sched = random_schedule(system.n_controls, args.switches, horizon, audit_seed)

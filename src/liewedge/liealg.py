@@ -30,7 +30,6 @@ def lie_closure(gens, tol: float = 1e-9) -> Subspace:
     productive round adds at least one orthonormal column, so there are at
     most as many rounds as the real dimension of the ambient matrix space.
     """
-    gens = [np.asarray(g) for g in gens]
     basis = orthonormal_span(gens, tol=tol)
     if basis.dim == 0:
         return basis
@@ -125,9 +124,9 @@ class ConditionReport:
 def check_conditions(sys: ControlSystem, tol: float = 1e-9) -> ConditionReport:
     """Evaluate conditions (H), (WH) and (A) for a control system."""
     target_k, target_s = (15, 225) if sys.rep == "two_qubit" else (3, 9)
-    ctrl = [np.asarray(c) for c in control_directions(sys)]
-    ham = np.asarray(ham_drift_direction(sys))
-    drift = np.asarray(drift_direction(sys))
+    ctrl = list(control_directions(sys))
+    ham = ham_drift_direction(sys)
+    drift = drift_direction(sys)
     # without controls, kc is the zero subspace of the drift's space
     kc = (lie_closure(ctrl, tol=tol) if ctrl else
           orthonormal_span([], shape=drift.shape, complex_field=np.iscomplexobj(drift)))

@@ -1,8 +1,8 @@
-"""Controlled Markovian generators and their superoperator representations.
+"""Controlled Markovian generators and their superoperator matrices.
 
 A `ControlSystem` bundles a drift Hamiltonian, a list of control
-Hamiltonians, and a list of weighted noise operators.  Three carrier
-representations are supported:
+Hamiltonians, and a list of weighted noise operators.  Three carriers are
+supported:
 
 ``r3``
     Classical three-level carrier: generators are real 3x3 matrices acting
@@ -12,6 +12,10 @@ representations are supported:
     Quantum carriers on C^2 / C^4: generators are (N^2 x N^2) matrices
     acting on column-stacked density operators, built from commutator
     superoperators and GKS dissipators.
+
+Every generator and channel is a plain numpy array, and its carrier is
+its shape: 3x3 for r3, 4x4 for a qubit, 16x16 for two qubits.  Functions
+that need the carrier read it from the shape.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -80,44 +84,7 @@ def unvec(v: np.ndarray, n: int = None) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-@dataclass(frozen=True)
-class Superop:
-    """A generator or channel in its matrix representation.
-
-    For quantum reps the matrix acts on vec'd density operators and has
-    shape (N^2, N^2); for ``r3`` it acts on coherence vectors directly.
-    """
-
-    matrix: np.ndarray
-    rep: str
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.matrix
-        return self.matrix.astype(dtype)
-
-    @property
-    def hilbert_dim(self):
-        return _HILBERT_DIM.get(self.rep)
-
-
-def _as_matrix(op) -> np.ndarray:
-    return op.matrix if isinstance(op, Superop) else np.asarray(op)
-
-
-def _rep_of(op, rep: str = None) -> str:
-    if rep is not None:
-        return rep
-    if isinstance(op, Superop):
-        return op.rep
-    n2 = np.asarray(op).shape[0]
-    for name, n in _HILBERT_DIM.items():
-        if n * n == n2:
-            return name
-    raise ValueError("cannot infer representation; pass rep= explicitly")
-
-
-def ad_hat(h: np.ndarray, tol: float = 1e-12) -> Superop:
+def ad_hat(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Commutator superoperator X -> [h, X] for a Hermitian h."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -126,8 +93,7 @@ def ad_hat(h: np.ndarray, tol: float = 1e-12) -> Superop:
         raise ValueError("Hamiltonian must be Hermitian")
     n = h.shape[0]
     eye = np.eye(n)
-    m = np.kron(eye, h) - np.kron(h.T, eye)
-    return Superop(matrix=m, rep=_rep_of(m))
+    return np.kron(eye, h) - np.kron(h.T, eye)
 
 
 def gks_term(v: np.ndarray, gamma: float) -> np.ndarray:
@@ -139,7 +105,7 @@ def gks_term(v: np.ndarray, gamma: float) -> np.ndarray:
     return gamma * (0.5 * (np.kron(eye, vdv) + np.kron(vdv.T, eye)) - np.kron(v.conj(), v))
 
 
-def gks_dissipator(ops) -> Superop:
+def gks_dissipator(ops) -> np.ndarray:
     """Sum of weighted single-operator dissipators."""
     ops = list(ops)
     if not ops:
@@ -150,7 +116,7 @@ def gks_dissipator(ops) -> Superop:
         if gamma < 0:
             raise ValueError(f"negative damping rate {gamma}")
         total += gks_term(v, gamma)
-    return Superop(matrix=total, rep=_rep_of(total))
+    return total
 
 
 def _check_skew(m: np.ndarray, what: str, tol: float = 1e-12):
@@ -244,24 +210,24 @@ class ControlSystem:
         return len(self.controls)
 
 
-def ham_drift_direction(sys: ControlSystem) -> Superop:
+def ham_drift_direction(sys: ControlSystem) -> np.ndarray:
     """Hamiltonian part of the drift as a semigroup generator."""
     if sys.rep == "r3":
-        return Superop(matrix=sys.drift_H.copy(), rep="r3")
-    return Superop(matrix=1j * ad_hat(sys.drift_H).matrix, rep=sys.rep)
+        return sys.drift_H.copy()
+    return 1j * ad_hat(sys.drift_H)
 
 
-def dissipator_direction(sys: ControlSystem) -> Superop:
+def dissipator_direction(sys: ControlSystem) -> np.ndarray:
     """Dissipative part of the drift."""
     if sys.rep == "r3":
         total = np.zeros((3, 3))
         for v, g in sys.lindblad_ops:
             total += g * v
-        return Superop(matrix=total, rep="r3")
+        return total
     n = _HILBERT_DIM[sys.rep]
     if not sys.lindblad_ops:
-        return Superop(matrix=np.zeros((n * n, n * n), dtype=complex), rep=sys.rep)
-    return Superop(matrix=gks_dissipator(sys.lindblad_ops).matrix, rep=sys.rep)
+        return np.zeros((n * n, n * n), dtype=complex)
+    return gks_dissipator(sys.lindblad_ops)
 
 
 def _directions_of(sys: ControlSystem) -> tuple:
@@ -271,11 +237,11 @@ def _directions_of(sys: ControlSystem) -> tuple:
     handed out by this module is read from here.
     """
     if sys._directions is None:
-        drift = ham_drift_direction(sys).matrix + dissipator_direction(sys).matrix
+        drift = ham_drift_direction(sys) + dissipator_direction(sys)
         if sys.rep == "r3":
             controls = sys.controls
         else:
-            controls = tuple(1j * ad_hat(c).matrix for c in sys.controls)
+            controls = tuple(1j * ad_hat(c) for c in sys.controls)
         for m in (drift, *controls):
             m.setflags(write=False)
         object.__setattr__(sys, "_directions", (drift, controls))
@@ -284,15 +250,15 @@ def _directions_of(sys: ControlSystem) -> tuple:
 
 def control_directions(sys: ControlSystem) -> tuple:
     """Generators multiplying the control amplitudes (read-only matrices)."""
-    return tuple(Superop(matrix=c, rep=sys.rep) for c in _directions_of(sys)[1])
+    return _directions_of(sys)[1]
 
 
-def drift_direction(sys: ControlSystem) -> Superop:
+def drift_direction(sys: ControlSystem) -> np.ndarray:
     """Full drift generator, Hamiltonian plus dissipative part (read-only)."""
-    return Superop(matrix=_directions_of(sys)[0], rep=sys.rep)
+    return _directions_of(sys)[0]
 
 
-def lindbladian(sys: ControlSystem, u=None) -> Superop:
+def lindbladian(sys: ControlSystem, u=None) -> np.ndarray:
     """Generator at control amplitudes u, propagated as expm(-t * L)."""
     if u is None:
         u = np.zeros(sys.n_controls)
@@ -303,20 +269,25 @@ def lindbladian(sys: ControlSystem, u=None) -> Superop:
     m = drift.copy()
     for uj, cj in zip(u, controls):
         m = m + uj * cj
-    return Superop(matrix=m, rep=sys.rep)
+    return m
 
 
-def propagator(L, t: float) -> Superop:
-    """Semigroup element expm(-t * L)."""
+def propagator(L, t: float) -> np.ndarray:
+    """Semigroup element expm(-t * L) of a square generator on any carrier."""
     if not 0 <= t < np.inf:
         raise ValueError(f"time must be nonnegative and finite, got {t}")
-    rep = _rep_of(L) if isinstance(L, Superop) else _rep_of(L)
-    return Superop(matrix=expm(-t * _as_matrix(L)), rep=rep)
+    return expm(-t * np.asarray(L))
 
 
 # ---------------------------------------------------------------------------
 # coherence representation (traceless Hermitian sector)
 # ---------------------------------------------------------------------------
+
+# Hilbert dimension n of the carrier, by superoperator shape (n^2 x n^2) and
+# by coherence-matrix size (n^2 - 1).
+_SUPEROP_CARRIER = {(4, 4): 2, (16, 16): 4}
+_COHERENCE_CARRIER = {3: 2, 15: 4}
+
 
 @lru_cache(maxsize=None)
 def _pauli_vecs(n: int) -> np.ndarray:
@@ -326,17 +297,21 @@ def _pauli_vecs(n: int) -> np.ndarray:
     return v
 
 
-def coherence_rep(L, rep: str = None, tol: float = 1e-12) -> np.ndarray:
+def coherence_rep(L, tol: float = 1e-12) -> np.ndarray:
     """Real matrix of a unital superoperator on the traceless sector.
 
+    The carrier is read from the shape: a 4x4 ``L`` acts on a qubit, a
+    16x16 one on two qubits, and any other shape raises ValueError.
     Entries are ``M[i, j] = <B_j, L(B_i)>`` over `pauli_basis`, computed as
     one product ``Re(V^H L V)^T`` with ``V = [vec(B_1), ...]``; raises
     ValueError if ``L`` mixes the identity with the traceless sector or
     produces non-real overlaps beyond ``tol``.
     """
-    rep = _rep_of(L, rep)
-    m = _as_matrix(L)
-    n = _HILBERT_DIM[rep]
+    m = np.asarray(L)
+    n = _SUPEROP_CARRIER.get(m.shape)
+    if n is None:
+        raise ValueError(f"no qubit or two-qubit superoperator has shape {m.shape}; "
+                         f"expected 4x4 or 16x16")
     v = _pauli_vecs(n)
     bound = tol * max(1.0, fro(m)) * 10
     eye_v = vec(np.eye(n)) / np.sqrt(n)
@@ -358,16 +333,25 @@ def coherence_rep(L, rep: str = None, tol: float = 1e-12) -> np.ndarray:
     return gram.real.T.copy()
 
 
-def superop_from_coherence(s: np.ndarray, rep: str) -> Superop:
+def superop_from_coherence(s: np.ndarray) -> np.ndarray:
     """Right inverse of `coherence_rep` on the traceless sector: the one
     product ``V S^T V^H`` with ``V = [vec(B_1), ...]`` over `pauli_basis`,
-    so that ``L(B_i) = sum_j S[i, j] B_j``."""
+    so that ``L(B_i) = sum_j S[i, j] B_j``.
+
+    The carrier is read from the column count: 3 columns for a qubit, 15
+    for two qubits; any other count, or a matrix that is not square,
+    raises ValueError.
+    """
     s = np.asarray(s, dtype=float)
-    v = _pauli_vecs(_HILBERT_DIM[rep])
+    n = _COHERENCE_CARRIER.get(s.shape[-1] if s.ndim == 2 else None)
+    if n is None:
+        raise ValueError(f"no qubit or two-qubit coherence matrix has shape {s.shape}; "
+                         f"expected 3x3 or 15x15")
+    v = _pauli_vecs(n)
     k = v.shape[1]
     if s.shape != (k, k):
-        raise ValueError(f"expected a {k}x{k} matrix for rep {rep!r}")
-    return Superop(matrix=v @ s.T @ v.conj().T, rep=rep)
+        raise ValueError(f"expected a {k}x{k} matrix, got shape {s.shape}")
+    return v @ s.T @ v.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +360,7 @@ def superop_from_coherence(s: np.ndarray, rep: str) -> Superop:
 
 def choi_matrix(t) -> np.ndarray:
     """Choi matrix by the reshuffling T.reshape(n,n,n,n).transpose(0,2,1,3)."""
-    m = _as_matrix(t)
+    m = np.asarray(t)
     n = isqrt(m.shape[0])
     if n * n != m.shape[0] or m.shape[0] != m.shape[1]:
         raise ValueError(f"not a superoperator matrix: shape {m.shape}")
@@ -384,14 +368,14 @@ def choi_matrix(t) -> np.ndarray:
 
 
 def is_trace_preserving(t, tol: float = 1e-10) -> bool:
-    m = _as_matrix(t)
+    m = np.asarray(t)
     n = isqrt(m.shape[0])
     iv = vec(np.eye(n))
     return bool(np.linalg.norm(iv.conj() @ m - iv.conj()) <= tol * max(1.0, fro(m)))
 
 
 def is_unital(t, tol: float = 1e-10) -> bool:
-    m = _as_matrix(t)
+    m = np.asarray(t)
     n = isqrt(m.shape[0])
     iv = vec(np.eye(n))
     return bool(np.linalg.norm(m @ iv - iv) <= tol * max(1.0, fro(m)))
@@ -403,7 +387,7 @@ def cptp_audit(t, tol: float = 1e-10) -> dict:
     Returns a dict with the trace-preservation defect, the Choi matrix
     Hermiticity defect and minimum eigenvalue, and boolean verdicts.
     """
-    m = _as_matrix(t)
+    m = np.asarray(t)
     n = isqrt(m.shape[0])
     iv = vec(np.eye(n))
     tp_defect = float(np.linalg.norm(iv.conj() @ m - iv.conj()))

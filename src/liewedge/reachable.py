@@ -10,12 +10,12 @@ a derivative-free heuristic over a fixed number of switches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .lindblad import (ControlSystem, Superop, coherence_rep, drift_direction,
-                       lindbladian, vec)
+from .lindblad import ControlSystem, coherence_rep, drift_direction, lindbladian, vec
 from .matcore import expm, fro
 
 U_MAX = 5.0
@@ -51,17 +51,17 @@ def _segment_generators(sys: ControlSystem, sched: Schedule) -> list:
         if len(u) != sys.n_controls:
             raise ValueError(f"segment has {len(u)} amplitudes for "
                              f"{sys.n_controls} controls")
-        gens.append(np.asarray(lindbladian(sys, u).matrix))
+        gens.append(lindbladian(sys, u))
     return gens
 
 
 def _identity(sys: ControlSystem) -> np.ndarray:
     """Identity channel on the carrier of `sys`."""
-    dim = drift_direction(sys).matrix.shape[0]
-    return np.eye(dim, dtype=complex if sys.rep != "r3" else float)
+    drift = drift_direction(sys)
+    return np.eye(drift.shape[0], dtype=drift.dtype)
 
 
-def propagate(sys: ControlSystem, sched: Schedule) -> Superop:
+def propagate(sys: ControlSystem, sched: Schedule) -> np.ndarray:
     """Time-ordered product of segment propagators.
 
     Earlier segments act first, so their exponentials sit on the right of
@@ -71,7 +71,7 @@ def propagate(sys: ControlSystem, sched: Schedule) -> Superop:
     out = _identity(sys)
     for (dur, _), gen in zip(sched.segments, gens):
         out = expm(-dur * gen) @ out
-    return Superop(matrix=out, rep=sys.rep)
+    return out
 
 
 def random_schedule(n_controls: int, depth: int, horizon: float, seed,
@@ -106,13 +106,6 @@ def sample_reachable(sys: ControlSystem, n: int, depth: int,
             for child in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _coherence_matrix(t: Superop) -> np.ndarray:
-    """Coherence-sector matrix of a channel (identity map for r3 carriers)."""
-    if t.rep == "r3":
-        return np.asarray(t.matrix, dtype=float)
-    return coherence_rep(t)
-
-
 def contraction_audit(sys: ControlSystem, sched: Schedule,
                       grid: int = 50, tol: float = 1e-9) -> dict:
     """Contraction witness s(t) = ||X(t)||_F^2 along a schedule.
@@ -125,9 +118,8 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
     """
     if sys.rep != "r3":
         drift = drift_direction(sys)
-        n = drift.hilbert_dim
-        defect = np.linalg.norm(np.asarray(drift.matrix) @ vec(np.eye(n)))
-        if defect > 1e-10 * max(1.0, float(np.linalg.norm(drift.matrix))):
+        defect = np.linalg.norm(drift @ vec(np.eye(isqrt(drift.shape[0]))))
+        if defect > 1e-10 * max(1.0, float(np.linalg.norm(drift))):
             raise ValueError("contraction audit requires unital dynamics")
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
@@ -147,8 +139,8 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
             x = prefix[k]
         else:
             x = expm(-(t - bounds[k - 1]) * gens[k - 1]) @ prefix[k - 1]
-        s = float(np.linalg.norm(_coherence_matrix(Superop(matrix=x, rep=sys.rep)),
-                                 "fro") ** 2)
+        cr = x if sys.rep == "r3" else coherence_rep(x)
+        s = float(np.linalg.norm(cr, "fro") ** 2)
         vals.append(s)
     diffs = np.diff(vals)
     return {
@@ -171,19 +163,23 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
     durations plus raw amplitudes) using derivative-free simplex descent
     from `budget` seeded random restarts.  Best-so-far bookkeeping makes
     the returned distance monotone in the evaluation history.  This is a
-    heuristic: no optimality claim is made.
+    heuristic: no optimality claim is made.  `target` must have the shape
+    of the system's generators, `switches` must be nonnegative and
+    `budget` at least 1; ValueError otherwise, before any propagation.
     """
-    if isinstance(target, Superop) and target.rep != sys.rep:
-        raise ValueError(f"target representation {target.rep!r} does not "
-                         f"match system {sys.rep!r}")
-    tmat = np.asarray(target.matrix if isinstance(target, Superop) else target)
+    tmat = np.asarray(target)
+    shape = drift_direction(sys).shape
+    if tmat.shape != shape:
+        raise ValueError(f"target has shape {tmat.shape}, but the system's "
+                         f"generators have shape {shape}")
     if switches < 0:
         raise ValueError(f"switches must be nonnegative, got {switches}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     m = sys.n_controls
-    dim = tmat.shape[0]
     if switches == 0:
         sched = Schedule(())
-        return sched, float(fro(np.eye(dim) - tmat))
+        return sched, float(fro(np.eye(shape[0]) - tmat))
     width = 1 + m
     best = {"val": np.inf, "params": None}
 
@@ -195,7 +191,7 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
         return Schedule(tuple(segs))
 
     def objective(p):
-        d = float(fro(np.asarray(propagate(sys, unpack(p)).matrix) - tmat))
+        d = float(fro(propagate(sys, unpack(p)) - tmat))
         if d < best["val"]:
             best["val"] = d
             best["params"] = np.array(p, dtype=float)

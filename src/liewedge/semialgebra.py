@@ -217,7 +217,7 @@ def _face_block_sample(g: np.ndarray, groups: list,
 def _orbit_face_sampler(w: Wedge, a_mat: np.ndarray, tol: float):
     """Spectral dual-face sampler for full-rotation orbit cones, or None."""
     fam = w.cone.analytic
-    if w.rep != "r3" or fam is None or fam.kind != "orbit" or w.edge.dim != 3:
+    if fam is None or fam.kind != "orbit" or fam.base.shape != (3, 3) or w.edge.dim != 3:
         return None
     base = np.asarray(fam.base, dtype=float)
     base_sym = (base + base.T) / 2.0
@@ -315,7 +315,7 @@ def orbit_wedge(rates, hull_samples: int = 192, seed: int = 0,
         gens = [gamma] + [g for _, g in fam.sweep(hull_samples, rng)]
     cone = Cone(generators=tuple(gens), shape=(3, 3), complex_field=False,
                 analytic=fam, pointed=bool(fro(gamma) > 0) or None, tol=tol)
-    return Wedge(edge=edge, cone=cone, rep="r3", drift=gamma)
+    return Wedge(edge=edge, cone=cone, drift=gamma)
 
 
 def _case_setup(case_id: str, params: dict) -> tuple:

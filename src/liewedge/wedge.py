@@ -78,7 +78,7 @@ class ConjugationFamily:
 
     @cached_property
     def _seed_stack(self) -> np.ndarray:
-        return np.stack([np.asarray(s) for s in self.seeds])
+        return np.stack(self.seeds)
 
     @cached_property
     def kind(self) -> str:
@@ -228,8 +228,8 @@ class ConjugationFamily:
         qubit = base.shape == (4, 4)
         if qubit:
             try:
-                base = coherence_rep(base, rep="qubit")
-                direction = coherence_rep(direction, rep="qubit")
+                base = coherence_rep(base)
+                direction = coherence_rep(direction)
             except ValueError:
                 return None
         base_sym = (base + base.T) / 2
@@ -239,7 +239,7 @@ class ConjugationFamily:
         w_d, v_d = eig_sym((direction + direction.T) / 2)
         g = v_d @ np.diag(w_b) @ v_d.T
         if qubit:
-            g = superop_from_coherence(g, rep="qubit").matrix
+            g = superop_from_coherence(g)
         return g, float(np.dot(w_b, w_d))
 
 
@@ -287,17 +287,16 @@ class Cone:
         return Subspace(_span_columns(self.stack), self.shape, self.complex_field)
 
 
-def _cone_fit(c: Cone, x: np.ndarray, max_new: int = _CG_MAX_NEW,
-              rng: np.random.Generator = None,
+def _cone_fit(c: Cone, x: np.ndarray, rng: np.random.Generator = None,
               target: float = None) -> tuple:
     """Nonnegative fit of x by the cone; returns (residual norm, fit).
 
     Solves nonnegative least squares over the stored generators; while the
     residual stays above `target` (default: cone tolerance, relative) and
     an analytic family is attached, support elements of the family are
-    appended (to a working copy only) and the problem re-solved.  The
-    residual can only over-estimate the true distance (inner
-    approximation); the fit is always a genuine cone member.
+    appended (to a working copy only, at most `_CG_MAX_NEW` of them) and
+    the problem re-solved.  The residual can only over-estimate the true
+    distance (inner approximation); the fit is always a genuine cone member.
     """
     b = realify(x, c.complex_field)
     nb = np.linalg.norm(b)
@@ -324,7 +323,7 @@ def _cone_fit(c: Cone, x: np.ndarray, max_new: int = _CG_MAX_NEW,
                                axis=1)
             coef, rnorm = nnls(a, b)
             added += 1
-    while rnorm > target and added < max_new:
+    while rnorm > target and added < _CG_MAX_NEW:
         r = b - (a @ coef if a.shape[1] else 0.0)
         direction = unrealify(r, c.shape, c.complex_field)
         g, _val = c.analytic.support(direction, rng)
@@ -346,10 +345,9 @@ def _cone_fit(c: Cone, x: np.ndarray, max_new: int = _CG_MAX_NEW,
     return float(rnorm), unrealify(fit, c.shape, c.complex_field)
 
 
-def cone_residual(c: Cone, x: np.ndarray, max_new: int = _CG_MAX_NEW,
-                  rng: np.random.Generator = None) -> float:
+def cone_residual(c: Cone, x: np.ndarray, rng: np.random.Generator = None) -> float:
     """Distance from x to the sampled cone (see `_cone_fit`)."""
-    return _cone_fit(c, x, max_new, rng)[0]
+    return _cone_fit(c, x, rng)[0]
 
 
 def cone_contains(c: Cone, x: np.ndarray, tol: float = None,
@@ -386,7 +384,6 @@ class Wedge:
 
     edge: Subspace
     cone: Cone
-    rep: str
     drift: np.ndarray = None
     saturation: dict = field(default_factory=dict)
 
@@ -410,13 +407,13 @@ def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None,
 
 def initial_wedge(sys: ControlSystem) -> Wedge:
     """Step one of the inner approximation: control span plus the drift ray."""
-    drift = np.asarray(drift_direction(sys))
+    drift = drift_direction(sys)
     shape = drift.shape
     complex_field = sys.rep != "r3"
     edge = orthonormal_span(control_directions(sys), shape=shape, complex_field=complex_field)
     gens = (drift,) if fro(drift) > 1e-12 else ()
     cone = Cone(generators=gens, shape=shape, complex_field=complex_field)
-    return Wedge(edge=edge, cone=cone, rep=sys.rep, drift=drift)
+    return Wedge(edge=edge, cone=cone, drift=drift)
 
 
 def _novel_columns(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -539,7 +536,7 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
 
     pointed = lineality(cone, tol).dim == 0 if cone.n_generators else None
     cone = replace(cone, pointed=pointed)
-    return Wedge(edge=edge, cone=cone, rep=w.rep, drift=drift, saturation=report)
+    return Wedge(edge=edge, cone=cone, drift=drift, saturation=report)
 
 
 # ---------------------------------------------------------------------------
@@ -601,12 +598,12 @@ def outer_wedge_check(c: Cone, n: int, samples: int = 100, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     basis = pauli_basis(n)
-    adsu = orthonormal_span([np.asarray(1j * ad_hat(b).matrix) for b in basis])
+    adsu = orthonormal_span([1j * ad_hat(b) for b in basis])
     span = c.span()
     gens = c.generators
     report = {"samples": samples, "tol": tol}
     report["dissipator_in_cone"] = (
-        None if gamma_l is None else cone_contains(c, np.asarray(gamma_l), tol, rng))
+        None if gamma_l is None else cone_contains(c, gamma_l, tol, rng))
     worst2 = worst3 = worst4 = 0.0
     if gens:
         for _ in range(samples):

@@ -216,7 +216,7 @@ def test_criterion_06_dissipator_and_conjugation_closed_forms():
                 assert np.max(np.abs(direct - p_component(c, ks, theta))) <= 1e-10
 
         spec = ChannelSpec(name="two_qubit_C")
-        g0 = np.asarray(drift_direction(build_system(spec)).matrix)
+        g0 = drift_direction(build_system(spec))
         for _ in range(100):
             th, thp = rng.uniform(-np.pi, np.pi, size=2)
             u = (expm(-1j * th * np.asarray(sigma_hat2("y1")))
@@ -242,21 +242,16 @@ def test_criterion_07_kraus_families():
                 total = sum(np.conj(e.T) @ e for e in ks.operators)
                 assert np.max(np.abs(total - np.eye(2))) <= 1e-10
                 if name in flips:
-                    direct = np.asarray(
-                        propagator(lindbladian(build_system(spec)),
-                                   float(t)).matrix)
-                    got = np.asarray(kraus_superop(ks).matrix)
+                    direct = propagator(lindbladian(build_system(spec)), float(t))
+                    got = kraus_superop(ks)
                     assert np.max(np.abs(got - direct)) <= 1e-10
         for name in flips:
-            channel = np.asarray(kraus_superop(
-                kraus_family(ChannelSpec(name=name), 0.8)).matrix)
+            channel = kraus_superop(kraus_family(ChannelSpec(name=name), 0.8))
             assert kraus_rank(channel) == 2
-        depol = np.asarray(kraus_superop(
-            kraus_family(ChannelSpec(name="depolarizing"), 0.8)).matrix)
+        depol = kraus_superop(kraus_family(ChannelSpec(name="depolarizing"), 0.8))
         assert kraus_rank(depol) == 4
         for name in flips + ("depolarizing",):
-            channel = np.asarray(kraus_superop(
-                kraus_family(ChannelSpec(name=name), 0.0)).matrix)
+            channel = kraus_superop(kraus_family(ChannelSpec(name=name), 0.0))
             assert kraus_rank(channel) == 1
 
 
@@ -359,7 +354,7 @@ def test_criterion_11_steering_and_trotter():
         _, dist = steer(sys, target, 1, budget=8, seed=3)
         assert dist < 1e-6
 
-        target2 = np.asarray(expm(-2.0 * np.asarray(lindbladian(sys).matrix)))
+        target2 = expm(-2.0 * lindbladian(sys))
         counts = (4, 8, 16, 32)
         defects = []
         for n in counts:
@@ -370,7 +365,7 @@ def test_criterion_11_steering_and_trotter():
                 if k < n - 1:
                     segs.append((dt, (1.0,)))
             segs.append((dt / 2.0, (1.0,)))
-            total = np.asarray(propagate(sys, Schedule(tuple(segs))).matrix)
+            total = propagate(sys, Schedule(tuple(segs)))
             defects.append(np.max(np.abs(total - target2)))
         slope = np.polyfit(np.log(1.0 / np.asarray(counts)),
                            np.log(defects), 1)[0]

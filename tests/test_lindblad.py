@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from liewedge.lindblad import (ControlSystem, Superop, ad_hat, choi_matrix,
+from liewedge.lindblad import (ControlSystem, ad_hat, choi_matrix,
                                coherence_rep, control_directions, cptp_audit,
                                drift_direction, gks_dissipator,
                                gks_term, is_trace_preserving, is_unital,
                                lindbladian, pauli_basis, propagator,
                                superop_from_coherence, unvec, vec)
-from liewedge.channels import sigma, sigma_hat
+from liewedge.channels import H_Z, sigma, sigma_hat
 from liewedge.matcore import expm, fro
 
 RNG = np.random.default_rng(4251)
@@ -37,7 +39,7 @@ def test_vec_is_column_stacking():
 def test_ad_hat_acts_as_commutator():
     h = _random_hermitian(4)
     rho = _random_density(4)
-    lhs = unvec(np.asarray(ad_hat(h).matrix) @ vec(rho), 4)
+    lhs = unvec(ad_hat(h) @ vec(rho), 4)
     assert np.allclose(lhs, h @ rho - rho @ h, atol=1e-12)
 
 
@@ -63,9 +65,9 @@ def test_lindbladian_combines_drift_controls_noise():
     sys = ControlSystem(rep="qubit", drift_H=sigma("z") / 2.0,
                         controls=(sigma("x") / 2.0,),
                         lindblad_ops=((sigma("z") / 2.0, 0.4),))
-    l0 = np.asarray(lindbladian(sys).matrix)
-    l1 = np.asarray(lindbladian(sys, (2.0,)).matrix)
-    control = np.asarray(1j * np.asarray(ad_hat(sigma("x") / 2.0).matrix))
+    l0 = lindbladian(sys)
+    l1 = lindbladian(sys, (2.0,))
+    control = 1j * ad_hat(sigma("x") / 2.0)
     assert np.allclose(l1 - l0, 2.0 * control, atol=1e-12)
 
 
@@ -80,7 +82,7 @@ def test_propagator_is_cptp_and_unital():
 
 
 def test_choi_of_identity_is_maximally_entangled():
-    ident = Superop(matrix=np.eye(4, dtype=complex), rep="qubit")
+    ident = np.eye(4, dtype=complex)
     c = choi_matrix(ident)
     w, _ = np.linalg.eigh(np.asarray(c))
     assert np.allclose(np.sort(w), [0.0, 0.0, 0.0, 2.0], atol=1e-12)
@@ -91,16 +93,42 @@ def test_coherence_rep_round_trip():
                         controls=(), lindblad_ops=((sigma("z") / 2.0, 0.2),))
     l = lindbladian(sys)
     small = coherence_rep(l)
-    back = superop_from_coherence(small, "qubit")
-    assert np.max(np.abs(np.asarray(back.matrix) - np.asarray(l.matrix))) < 1e-10
+    back = superop_from_coherence(small)
+    assert np.max(np.abs(back - l)) < 1e-10
 
 
 def test_coherence_rep_of_hamiltonian_is_antisymmetric():
     h = _random_hermitian(2)
-    l = Superop(matrix=np.asarray((1j * np.asarray(ad_hat(h).matrix))),
-                rep="qubit")
+    l = 1j * ad_hat(h)
     m = coherence_rep(l)
     assert np.max(np.abs(m + m.T)) < 1e-10
+
+
+def test_propagator_reads_the_carrier_from_the_shape():
+    """An r3 generator is a bare 3x3 array; the propagator needs no tag."""
+    assert np.array_equal(propagator(H_Z, 0.5), expm(-0.5 * H_Z))
+    sys = ControlSystem(rep="two_qubit", drift_H=np.diag([1.0, -1.0, 0.5, -0.5]),
+                        controls=())
+    l = lindbladian(sys)
+    assert np.array_equal(propagator(l, 0.5), expm(-0.5 * l))
+
+
+def test_coherence_maps_read_the_carrier_from_the_shape():
+    for n2, k in ((4, 3), (16, 15)):
+        assert np.max(np.abs(coherence_rep(np.eye(n2)) - np.eye(k))) < 1e-14
+        assert superop_from_coherence(np.zeros((k, k))).shape == (n2, n2)
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (3, 3), (15, 15), (4, 16)])
+def test_coherence_rep_rejects_a_shape_of_no_carrier(shape):
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        coherence_rep(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (4, 4), (16, 16)])
+def test_superop_from_coherence_rejects_a_shape_of_no_carrier(shape):
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        superop_from_coherence(np.zeros(shape))
 
 
 def test_pauli_basis_orthogonality():
@@ -135,7 +163,7 @@ def test_control_system_validates_hermiticity():
 def test_closed_system_preserves_purity():
     h = _random_hermitian(2)
     sys = ControlSystem(rep="qubit", drift_H=h, controls=(), lindblad_ops=())
-    t = np.asarray(propagator(lindbladian(sys), 1.3).matrix)
+    t = propagator(lindbladian(sys), 1.3)
     rho = _random_density(2)
     out = unvec(t @ vec(rho), 2)
     assert abs(np.trace(out @ out) - np.trace(rho @ rho)) < 1e-10
@@ -149,18 +177,17 @@ def test_control_system_stores_read_only_copies(rep):
         h = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         c, v = h.T.copy(), np.diag([1.0, 0.0, 1.0])
     sys = ControlSystem(rep=rep, drift_H=h, controls=(c,), lindblad_ops=((v, 0.4),))
-    before = np.array(lindbladian(sys, (0.3,)).matrix)
+    before = np.array(lindbladian(sys, (0.3,)))
     for theirs, ours in ((h, sys.drift_H), (c, sys.controls[0]),
                          (v, sys.lindblad_ops[0][0])):
         assert not np.shares_memory(theirs, ours)
         assert not ours.flags.writeable
     h[0, 1] = c[0, 1] = v[0, 0] = 7.0
-    assert np.array_equal(np.asarray(lindbladian(sys, (0.3,)).matrix), before)
-    for cached in (sys.drift_H, drift_direction(sys).matrix,
-                   control_directions(sys)[0].matrix):
+    assert np.array_equal(lindbladian(sys, (0.3,)), before)
+    for cached in (sys.drift_H, drift_direction(sys), control_directions(sys)[0]):
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
-    assert lindbladian(sys, (0.3,)).matrix.flags.writeable
+    assert lindbladian(sys, (0.3,)).flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

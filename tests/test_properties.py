@@ -20,7 +20,7 @@ from scipy.optimize import minimize, minimize_scalar
 from liewedge.channels import ChannelSpec, build_system, sigma, sigma2
 from liewedge.cli import _dumps
 from liewedge.liealg import lie_closure
-from liewedge.lindblad import (ControlSystem, Superop, ad_hat, coherence_rep,
+from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
                                control_directions, drift_direction, gks_dissipator,
                                lindbladian, pauli_basis, superop_from_coherence, unvec, vec)
 from liewedge.matcore import (eig_sym, expm, fro, inner, orthonormal_span, realify,
@@ -82,11 +82,11 @@ def _reference_lindbladian(sys: ControlSystem, u) -> np.ndarray:
     else:
         n = sys.drift_H.shape[0]
         if sys.lindblad_ops:
-            diss = gks_dissipator(sys.lindblad_ops).matrix
+            diss = gks_dissipator(sys.lindblad_ops)
         else:
             diss = np.zeros((n * n, n * n), dtype=complex)
-        drift = 1j * ad_hat(sys.drift_H).matrix + diss
-        controls = [1j * ad_hat(c).matrix for c in sys.controls]
+        drift = 1j * ad_hat(sys.drift_H) + diss
+        controls = [1j * ad_hat(c) for c in sys.controls]
     m = drift.copy()
     for uj, cj in zip(np.asarray(u, dtype=float), controls):
         m = m + uj * cj
@@ -128,10 +128,10 @@ def _reference_superop_from_coherence(s: np.ndarray, n: int) -> np.ndarray:
 
 def _reference_audit_s(sys: ControlSystem, sched: Schedule, grid: int) -> list:
     """s(t) by re-propagating from t = 0 at every grid point."""
-    gens = [np.asarray(lindbladian(sys, u).matrix) for _, u in sched.segments]
+    gens = [lindbladian(sys, u) for _, u in sched.segments]
     times = np.linspace(0.0, sched.total_duration, grid)
     bounds = np.cumsum([0.0] + [d for d, _ in sched.segments])
-    dim = np.asarray(lindbladian(sys).matrix).shape[0]
+    dim = lindbladian(sys).shape[0]
     vals = []
     for t in times:
         x = np.eye(dim, dtype=complex if sys.rep != "r3" else float)
@@ -140,7 +140,7 @@ def _reference_audit_s(sys: ControlSystem, sched: Schedule, grid: int) -> list:
             if t <= lo:
                 break
             x = expm(-(min(t, hi) - lo) * gen) @ x
-        cr = x if sys.rep == "r3" else coherence_rep(Superop(matrix=x, rep=sys.rep))
+        cr = x if sys.rep == "r3" else coherence_rep(x)
         vals.append(float(np.linalg.norm(cr, "fro") ** 2))
     return vals
 
@@ -150,7 +150,7 @@ def _reference_audit_s(sys: ControlSystem, sched: Schedule, grid: int) -> list:
 def test_lindbladian_is_bitwise_a_fresh_assembly(sys, seed):
     rng = np.random.default_rng(seed)
     for u in (np.zeros(sys.n_controls), rng.uniform(-5.0, 5.0, size=sys.n_controls)):
-        got = np.asarray(lindbladian(sys, u).matrix)
+        got = lindbladian(sys, u)
         want = _reference_lindbladian(sys, u)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -162,10 +162,10 @@ def test_lindbladian_is_bitwise_a_fresh_assembly(sys, seed):
 def test_coherence_rep_matches_the_loop(rep, seed, n_controls, n_ops, t):
     sys = _random_system(rep, seed, n_controls, n_ops)
     u = np.random.default_rng(seed).uniform(-5.0, 5.0, size=n_controls)
-    gen = np.asarray(lindbladian(sys, u).matrix)
+    gen = lindbladian(sys, u)
     n = HILBERT_DIM[rep]
     for m in (gen, expm(-t * gen)):
-        got = coherence_rep(Superop(matrix=m, rep=rep))
+        got = coherence_rep(m)
         want = _reference_coherence_rep(m, n)
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, fro(m))
 
@@ -180,8 +180,8 @@ def test_coherence_rep_rejects_non_unital_generators(rep, seed, gamma):
     rng = np.random.default_rng(seed)
     sys = ControlSystem(rep=rep, drift_H=_hermitian(rng, n), controls=(),
                         lindblad_ops=((lower, gamma),))
-    m = np.asarray(lindbladian(sys).matrix)
-    for fn in (lambda: coherence_rep(Superop(matrix=m, rep=rep)),
+    m = lindbladian(sys)
+    for fn in (lambda: coherence_rep(m),
                lambda: _reference_coherence_rep(m, n)):
         with pytest.raises(ValueError, match="not unital"):
             fn()
@@ -199,13 +199,13 @@ def test_superop_from_coherence_matches_the_loop(rep, seed, log_scale, sparse):
     s = 10.0 ** log_scale * rng.normal(size=(k, k))
     if sparse:
         s[rng.uniform(size=(k, k)) < 0.7] = 0.0
-    got = superop_from_coherence(s, rep)
-    assert got.matrix.shape == (n * n, n * n)
+    got = superop_from_coherence(s)
+    assert got.shape == (n * n, n * n)
     scale = max(1.0, fro(s))
-    assert np.max(np.abs(got.matrix - _reference_superop_from_coherence(s, n))) <= 1e-15 * scale
+    assert np.max(np.abs(got - _reference_superop_from_coherence(s, n))) <= 1e-15 * scale
     assert np.max(np.abs(coherence_rep(got) - s)) <= 1e-14 * scale
     with pytest.raises(ValueError, match=f"expected a {k}x{k} matrix"):
-        superop_from_coherence(s[:-1], rep)
+        superop_from_coherence(s[:-1])
 
 
 @SETTINGS
@@ -225,9 +225,9 @@ def test_coherence_rep_raises_as_the_loop_does(rep, seed):
         want = _reference_coherence_rep(m, n)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            coherence_rep(Superop(matrix=m, rep=rep))
+            coherence_rep(m)
     else:
-        got = coherence_rep(Superop(matrix=m, rep=rep))
+        got = coherence_rep(m)
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, fro(m))
 
 
@@ -292,7 +292,7 @@ def _family(rep: str, kind: str, seed: int, skew: bool = True) -> ConjugationFam
         if kind == "grid2":
             q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
             hs = [q @ np.diag(rng.normal(size=n)) @ q.conj().T for _ in range(2)]
-        seeds = [1j * ad_hat(h).matrix for h in hs]
+        seeds = [1j * ad_hat(h) for h in hs]
         if not skew:
             seeds[0] = seeds[0] + rng.normal(size=seeds[0].shape)
         base = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
@@ -370,7 +370,7 @@ def test_derived_kind_matches_the_edge_rule(rep, seed, count, commuting):
         q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
         hs = [q @ np.diag(rng.normal(size=n)) @ q.conj().T if commuting
               else _hermitian(rng, n) for _ in range(count)]
-        gens = [1j * ad_hat(h).matrix for h in hs]
+        gens = [1j * ad_hat(h) for h in hs]
     edge = orthonormal_span(gens)
     fam = ConjugationFamily(edge.mats, rng.normal(size=edge.shape))
     assert fam.kind == _reference_kind(edge)
@@ -665,7 +665,7 @@ def test_wedge_dim_matches_the_per_generator_projection(rep, seed, k, in_edge, o
     off = _matrices(rng, rep, outside)
     gens = mixed + off + [a + b for a, b in zip(mixed, off)]
     w = Wedge(edge=edge, cone=Cone(generators=tuple(gens), shape=shape,
-                                   complex_field=complex_field), rep=rep)
+                                   complex_field=complex_field))
     assert w.dim == _reference_wedge_dim(w)
     assert w.dim == k + len(off)
 
@@ -697,8 +697,8 @@ def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
         return g, float(np.dot(w_b, w_d))
     if rep == "qubit" and fam.n_params == 3:
         try:
-            cr_b = coherence_rep(fam.base, rep="qubit")
-            cr_d = coherence_rep(direction, rep="qubit")
+            cr_b = coherence_rep(fam.base)
+            cr_d = coherence_rep(direction)
         except ValueError:
             return None
         cr_bs = (cr_b + cr_b.T) / 2
@@ -708,7 +708,7 @@ def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
         w_b, _ = eig_sym(cr_bs)
         w_d, v_d = eig_sym(d_sym)
         g_cr = v_d @ np.diag(w_b) @ v_d.T
-        g = superop_from_coherence(g_cr, rep="qubit").matrix
+        g = superop_from_coherence(g_cr)
         return g, float(np.dot(w_b, w_d))
     return None
 
@@ -730,12 +730,12 @@ def test_aligned_support_matches_the_two_branch_routine(rep, seed, n_seeds, base
             return a
         if kind == "non-unital":
             return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        return superop_from_coherence(a, rep="qubit").matrix
+        return superop_from_coherence(a)
 
     if rep == "r3":
         seeds = [_skew(rng) for _ in range(n_seeds)]
     else:
-        seeds = [1j * ad_hat(sigma(axis) / 2.0).matrix for axis in "xyz"[:n_seeds]]
+        seeds = [1j * ad_hat(sigma(axis) / 2.0) for axis in "xyz"[:n_seeds]]
     seeds = tuple(s / fro(s) for s in seeds)
     fam = ConjugationFamily(seeds, block(base_kind))
     assert orthonormal_span(list(seeds)).dim == n_seeds

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from liewedge.channels import ChannelSpec, build_system, example2, sigma
-from liewedge.lindblad import ControlSystem, Superop, cptp_audit, lindbladian
+from liewedge.lindblad import ControlSystem, cptp_audit, lindbladian
 from liewedge.matcore import expm, fro
 from liewedge.reachable import (U_MAX, Schedule, contraction_audit, propagate,
                                 random_schedule, sample_reachable, steer)
@@ -31,9 +31,9 @@ def test_schedule_validation_and_totals():
 def test_propagate_matches_manual_product():
     sys = _qubit_system()
     sched = Schedule(((0.3, (0.7,)), (0.2, (-1.1,))))
-    t = np.asarray(propagate(sys, sched).matrix)
-    l1 = np.asarray(lindbladian(sys, (0.7,)).matrix)
-    l2 = np.asarray(lindbladian(sys, (-1.1,)).matrix)
+    t = propagate(sys, sched)
+    l1 = lindbladian(sys, (0.7,))
+    l2 = lindbladian(sys, (-1.1,))
     manual = expm(-0.2 * l2) @ expm(-0.3 * l1)
     assert np.max(np.abs(t - manual)) < 1e-12
 
@@ -49,9 +49,9 @@ def test_sample_reachable_reproducible_and_cptp():
     a = sample_reachable(sys, 6, 3, seed=5)
     b = sample_reachable(sys, 6, 3, seed=5)
     for s, t in zip(a, b):
-        assert np.array_equal(np.asarray(s.matrix), np.asarray(t.matrix))
+        assert np.array_equal(s, t)
     c = sample_reachable(sys, 6, 3, seed=6)
-    assert not np.array_equal(np.asarray(a[0].matrix), np.asarray(c[0].matrix))
+    assert not np.array_equal(a[0], c[0])
     for s in a:
         audit = cptp_audit(s)
         assert audit["is_tp"] and audit["is_cp"]
@@ -61,9 +61,8 @@ def test_sample_reachable_r3_shapes_and_contraction():
     sys = example2()
     samples = sample_reachable(sys, 5, 4, seed=2)
     for s in samples:
-        m = np.asarray(s.matrix)
-        assert m.shape == (3, 3)
-        assert np.linalg.norm(m, 2) <= 1.0 + 1e-10
+        assert s.shape == (3, 3)
+        assert np.linalg.norm(s, 2) <= 1.0 + 1e-10
 
 
 def test_sample_reachable_validates_depth():
@@ -112,11 +111,11 @@ def test_trotter_defect_scales_second_order():
     the averaged (drift-only) generator at second order in the step size."""
     sys = _qubit_system()
     # each symmetrized step covers 2*dt, so n steps of dt = 1/n cover t = 2
-    target = np.asarray(expm(-2.0 * np.asarray(lindbladian(sys).matrix)))
+    target = expm(-2.0 * lindbladian(sys))
     counts = (4, 8, 16, 32)
     defects = []
     for n in counts:
-        total = np.asarray(propagate(sys, _strang_schedule(n, 1.0 / n)).matrix)
+        total = propagate(sys, _strang_schedule(n, 1.0 / n))
         defects.append(np.max(np.abs(total - target)))
     slopes = np.diff(np.log(defects)) / np.diff(np.log(1.0 / np.asarray(counts)))
     assert abs(np.mean(slopes) - 2.0) < 0.2
@@ -129,8 +128,7 @@ def test_sampled_products_stay_in_the_channel_semigroup():
     samples = sample_reachable(sys, 4, 2, seed=9)
     for s in samples:
         for t in samples:
-            product = np.asarray(s.matrix) @ np.asarray(t.matrix)
-            audit = cptp_audit(Superop(matrix=product, rep="qubit"))
+            audit = cptp_audit(s @ t)
             assert audit["is_tp"] and audit["is_cp"]
 
 
@@ -139,7 +137,7 @@ def test_steer_zero_switches_reports_identity_distance():
     target = propagate(sys, Schedule(((0.5, (0.3,)),)))
     sched, dist = steer(sys, target, 0)
     assert sched.n_segments == 0
-    diff = np.asarray(target.matrix) - np.eye(4)
+    diff = target - np.eye(4)
     assert np.isclose(dist, np.linalg.norm(diff))
 
 
@@ -157,9 +155,25 @@ def test_steer_validates_inputs():
     target = propagate(sys, Schedule(((0.1, (0.0,)),)))
     with pytest.raises(ValueError):
         steer(sys, target, -1)
-    bad = Superop(matrix=np.eye(3), rep="r3")
-    with pytest.raises(ValueError):
-        steer(sys, bad, 1)
+    with pytest.raises(ValueError, match=r"target has shape \(3, 3\)"):
+        steer(sys, np.eye(3), 1)
+
+
+@pytest.mark.parametrize("switches", [0, 2])
+def test_steer_rejects_a_target_from_another_carrier(switches):
+    """A 3x3 target cannot be a qubit channel; it is refused before any
+    propagation, however many switches are asked for."""
+    with pytest.raises(ValueError, match=r"target has shape \(3, 3\), but the "
+                                         r"system's generators have shape \(4, 4\)"):
+        steer(_qubit_system(), np.eye(3), switches)
+
+
+@pytest.mark.parametrize("budget", [0, -2])
+def test_steer_rejects_a_budget_below_one(budget):
+    sys = _qubit_system()
+    target = propagate(sys, Schedule(((0.1, (0.0,)),)))
+    with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+        steer(sys, target, 1, budget=budget)
 
 
 @pytest.mark.parametrize("name,value", [("phase_flip", 3.0), ("two_qubit_C", 15.0),
@@ -184,4 +198,4 @@ def test_random_schedule_bounds_and_sampling_stream():
     child = np.random.SeedSequence(8).spawn(3)[1]
     sample = sample_reachable(sys, 3, 2, seed=8)[1]
     direct = propagate(sys, random_schedule(1, 2, 1.0, child))
-    assert np.array_equal(np.asarray(sample.matrix), np.asarray(direct.matrix))
+    assert np.array_equal(sample, direct)

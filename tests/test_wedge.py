@@ -51,7 +51,7 @@ def test_lineality_detects_two_sided_directions():
 def test_wedge_contains_ignores_edge_component():
     edge = orthonormal_span([H_Y], shape=(3, 3), complex_field=False)
     c = Cone(generators=(GAMMA2,), shape=(3, 3), complex_field=False)
-    w = Wedge(edge=edge, cone=c, rep="r3")
+    w = Wedge(edge=edge, cone=c)
     assert wedge_contains(w, 5.0 * H_Y + 0.3 * GAMMA2)
     assert not wedge_contains(w, -GAMMA2)
 
@@ -202,7 +202,7 @@ def test_outer_wedge_hypotheses_on_qubit_system():
     w = saturate(initial_wedge(sys), orbit_samples=240)
     assert w.saturation["converged"]
     assert w.edge.dim == 3
-    gamma_hat = np.asarray(dissipator_direction(sys).matrix)
+    gamma_hat = dissipator_direction(sys)
     report = outer_wedge_check(w.cone, 2, samples=40, gamma_l=gamma_hat)
     assert report["dissipator_in_cone"]
     assert report["bracket_in_unitary_algebra"] <= 1e-8
