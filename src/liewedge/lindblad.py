@@ -358,26 +358,31 @@ def superop_from_coherence(s: np.ndarray) -> np.ndarray:
 # channel audits
 # ---------------------------------------------------------------------------
 
+def _superop_side(m: np.ndarray) -> int:
+    """Hilbert dimension n of an n^2 x n^2 superoperator matrix; any other
+    shape raises ValueError."""
+    n = isqrt(m.shape[0]) if m.ndim == 2 else 0
+    if n == 0 or n * n != m.shape[0] or m.shape[0] != m.shape[1]:
+        raise ValueError(f"not a superoperator matrix: shape {m.shape}")
+    return n
+
+
 def choi_matrix(t) -> np.ndarray:
     """Choi matrix by the reshuffling T.reshape(n,n,n,n).transpose(0,2,1,3)."""
     m = np.asarray(t)
-    n = isqrt(m.shape[0])
-    if n * n != m.shape[0] or m.shape[0] != m.shape[1]:
-        raise ValueError(f"not a superoperator matrix: shape {m.shape}")
+    n = _superop_side(m)
     return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def is_trace_preserving(t, tol: float = 1e-10) -> bool:
     m = np.asarray(t)
-    n = isqrt(m.shape[0])
-    iv = vec(np.eye(n))
+    iv = vec(np.eye(_superop_side(m)))
     return bool(np.linalg.norm(iv.conj() @ m - iv.conj()) <= tol * max(1.0, fro(m)))
 
 
 def is_unital(t, tol: float = 1e-10) -> bool:
     m = np.asarray(t)
-    n = isqrt(m.shape[0])
-    iv = vec(np.eye(n))
+    iv = vec(np.eye(_superop_side(m)))
     return bool(np.linalg.norm(m @ iv - iv) <= tol * max(1.0, fro(m)))
 
 
@@ -388,8 +393,7 @@ def cptp_audit(t, tol: float = 1e-10) -> dict:
     Hermiticity defect and minimum eigenvalue, and boolean verdicts.
     """
     m = np.asarray(t)
-    n = isqrt(m.shape[0])
-    iv = vec(np.eye(n))
+    iv = vec(np.eye(_superop_side(m)))
     tp_defect = float(np.linalg.norm(iv.conj() @ m - iv.conj()))
     choi = choi_matrix(m)
     herm_defect = fro(choi - choi.conj().T)

@@ -96,11 +96,16 @@ class ConjugationFamily:
 
     @cached_property
     def _phases(self):
-        """Co-diagonalization of the (commuting, anti-Hermitian) seeds.
+        """Co-diagonalization of the (commuting, anti-Hermitian) seeds and
+        the merged frequency table of f(theta) = <element(theta), D>.
 
-        Lets `_objective` evaluate f(theta) = <element(theta), D> as a short
-        exponential sum instead of conjugating every parameter vector.
-        None when the seeds do not commute.
+        Returns (q, m, freqs, index): the joint eigenbasis q, the base m in
+        it, the distinct rows of the (n^2, n_params) eigenphase-difference
+        array (rows within 1e-12 * max(1, max|delta|) of an earlier row count
+        as equal; first occurrences, in order) and, for each matrix entry,
+        the row of its difference.  Lets `_objective` evaluate f as one
+        exponential per distinct frequency instead of conjugating every
+        parameter vector.  None when the seeds do not commute.
         """
         hs = [1j * np.asarray(s, dtype=complex) for s in self.seeds]
         if len(hs) == 1:
@@ -115,8 +120,12 @@ class ConjugationFamily:
                        for h, w in zip(hs, ws)):
                 return None
         m = q.conj().T @ np.asarray(self.base, dtype=complex) @ q
-        deltas = [w[:, None] - w[None, :] for w in ws]
-        return q, m, deltas
+        deltas = np.stack([(w[:, None] - w[None, :]).ravel() for w in ws], axis=1)
+        tol = 1e-12 * max(1.0, float(np.abs(deltas).max()))
+        same = np.all(np.abs(deltas[:, None, :] - deltas[None, :, :]) <= tol, axis=2)
+        first = np.argmax(same, axis=1)
+        rows, index = np.unique(first, return_inverse=True)
+        return q, m, deltas[rows], index
 
     def elements(self, thetas, g: np.ndarray = None) -> np.ndarray:
         """Ad_{expm(sum_i theta_i seed_i)}(g) for every row of `thetas`.
@@ -166,22 +175,43 @@ class ConjugationFamily:
     # -- support function -------------------------------------------------
 
     def _objective(self, direction: np.ndarray):
-        """theta stack -> <element(theta), direction>, one value per row: an
-        eigenphase sum whose coefficients are computed here once, where the
-        seeds co-diagonalise, else inner products of `elements`."""
+        """theta stack -> <element(theta), direction>, one value per row.
+
+        Where the seeds co-diagonalise, f is a trigonometric polynomial:
+        the per-entry coefficients are computed here once and summed per
+        distinct frequency with `bincount`, so `values(thetas, waves=None)`
+        is Re(exp(i theta . freqs^T) c), one exponential per frequency;
+        `waves` passes those plane waves when the caller has them.
+        Otherwise it takes inner products of `elements`."""
         if self._phases is None:
             return lambda thetas: np.real(np.sum(np.conj(self.elements(thetas)) * direction,
                                                  axis=(1, 2)))
-        q, m, deltas = self._phases
+        q, m, freqs, index = self._phases
         coeff = (np.conj(m) * (q.conj().T @ np.asarray(direction, dtype=complex) @ q)).ravel()
+        c = (np.bincount(index, coeff.real, len(freqs))
+             + 1j * np.bincount(index, coeff.imag, len(freqs)))
 
-        def values(thetas):
-            thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-            phase = sum(np.multiply.outer(thetas[:, i], d.ravel())
-                        for i, d in enumerate(deltas))
-            return np.real(np.exp(1j * phase) @ coeff)
+        def values(thetas, waves=None):
+            if waves is None:
+                waves = self._waves(thetas)
+            return np.real(waves @ c)
 
         return values
+
+    def _waves(self, thetas) -> np.ndarray:
+        """Plane waves exp(i theta . freqs^T) of a theta stack, one row per
+        theta and one column per merged frequency."""
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        freqs = self._phases[2]
+        return np.exp(1j * sum(np.multiply.outer(thetas[:, i], freqs[:, i])
+                               for i in range(self.n_params)))
+
+    @cached_property
+    def _support_grid(self):
+        """The grid kinds' support candidates (the `_params` grid) and, where
+        the seeds co-diagonalise, their plane waves; built on first use."""
+        thetas = self._params(_SUPPORT_CANDIDATES[self.kind], None)
+        return thetas, None if self._phases is None else self._waves(thetas)
 
     def support(self, direction: np.ndarray, rng: np.random.Generator = None):
         """Family element maximizing the inner product against `direction`,
@@ -192,17 +222,24 @@ class ConjugationFamily:
         Otherwise the best of a candidate set (a 2048-point grid1 sweep, a
         64x64 grid2 torus, or 128 orbit draws from `rng`, default seed 0),
         refined once from there: bounded Brent over one grid step either
-        side for one parameter, Nelder-Mead otherwise.  The refinement is
-        kept when it scores at least as well, so the result can only
-        under-estimate the true support (inner approximation).
+        side for one parameter, Nelder-Mead otherwise.  Where the seeds
+        commute, each candidate costs one exponential per distinct
+        frequency (see `_objective`); the grid
+        kinds build their candidates and plane waves once per family and
+        score them as one product with the direction's coefficients.  The
+        refinement is kept when it scores at least as well, so the result
+        can only under-estimate the true support (inner approximation).
         """
         exact = self._support_aligned(direction)
         if exact is not None:
             return exact
-        rng = np.random.default_rng(0) if rng is None else rng
-        thetas = self._params(_SUPPORT_CANDIDATES[self.kind], rng)
         f = self._objective(direction)
-        vals = f(thetas)
+        if self.kind == "orbit":
+            rng = np.random.default_rng(0) if rng is None else rng
+            thetas, waves = self._params(_SUPPORT_CANDIDATES["orbit"], rng), None
+        else:
+            thetas, waves = self._support_grid
+        vals = f(thetas) if waves is None else f(thetas, waves)
         k = int(np.argmax(vals))
         if self.n_params == 1:
             step = self.periods[0] / _SUPPORT_CANDIDATES["grid1"]

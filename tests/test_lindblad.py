@@ -81,6 +81,22 @@ def test_propagator_is_cptp_and_unital():
     assert is_unital(t)
 
 
+@pytest.mark.parametrize("audit", [choi_matrix, is_trace_preserving, is_unital, cptp_audit])
+@pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4, 16), (16, 4)])
+def test_channel_audits_reject_a_non_superoperator_shape(audit, shape):
+    """Every audit checks the shape before it multiplies by vec(I)."""
+    with pytest.raises(ValueError, match=re.escape(f"not a superoperator matrix: shape {shape}")):
+        audit(np.eye(*shape))
+
+
+def test_channel_audits_accept_a_qutrit_superoperator():
+    ident = np.eye(9, dtype=complex)
+    audit = cptp_audit(ident)
+    assert audit["is_tp"] and audit["is_cp"]
+    assert is_trace_preserving(ident) and is_unital(ident)
+    assert choi_matrix(ident).shape == (9, 9)
+
+
 def test_choi_of_identity_is_maximally_entangled():
     ident = np.eye(4, dtype=complex)
     c = choi_matrix(ident)

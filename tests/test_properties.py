@@ -2,9 +2,9 @@
 the incremental contraction audit, the stacked realification, the batched
 conjugation kernel, the derived family kind, the right-nested Lie closure,
 the one-array cones and subspaces, the merged aligned orbit support, the
-one-search support function and the one-pass report writer against loop,
-expm, edge-rule, full-pairwise, per-generator, two-branch, three-routine or
-two-pass references kept here."""
+one-search support function, the merged frequency table and the one-pass
+report writer against loop, expm, edge-rule, full-pairwise, per-generator,
+two-branch, three-routine, per-entry or two-pass references kept here."""
 
 from __future__ import annotations
 
@@ -385,23 +385,52 @@ def _grid(fam: ConjugationFamily, n: int) -> np.ndarray:
     return np.stack([t.ravel() for t in axes], axis=1)
 
 
+def _reference_phases(fam: ConjugationFamily):
+    """The unmerged co-diagonalization: (q, m, one eigenphase-difference
+    matrix per seed), or None when the seeds do not commute."""
+    hs = [1j * np.asarray(s, dtype=complex) for s in fam.seeds]
+    if len(hs) == 1:
+        w0, q = np.linalg.eigh(hs[0])
+        ws = [w0]
+    else:
+        _, q = np.linalg.eigh(hs[0] + np.sqrt(2.0) * hs[1])
+        ws = [np.real(np.diag(q.conj().T @ h @ q)) for h in hs]
+        if not all(np.linalg.norm(q.conj().T @ h @ q - np.diag(w)) < 1e-8
+                   for h, w in zip(hs, ws)):
+            return None
+    m = q.conj().T @ np.asarray(fam.base, dtype=complex) @ q
+    return q, m, [w[:, None] - w[None, :] for w in ws]
+
+
+def _reference_coeff(fam: ConjugationFamily, direction) -> np.ndarray:
+    q, m, _ = _reference_phases(fam)
+    return (np.conj(m) * (q.conj().T @ np.asarray(direction, dtype=complex) @ q)).ravel()
+
+
 def _reference_values(fam: ConjugationFamily, thetas, direction) -> np.ndarray:
+    """One exponential per matrix entry."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if fam._phases is None:
+    phases = _reference_phases(fam)
+    if phases is None:
         return np.real(np.sum(np.conj(fam.elements(thetas)) * direction, axis=(1, 2)))
-    q, m, deltas = fam._phases
-    coeff = (np.conj(m) * (q.conj().T @ np.asarray(direction, dtype=complex) @ q)).ravel()
+    _, _, deltas = phases
     phase = sum(np.multiply.outer(thetas[:, i], d.ravel()) for i, d in enumerate(deltas))
-    return np.real(np.exp(1j * phase) @ coeff)
+    return np.real(np.exp(1j * phase) @ _reference_coeff(fam, direction))
 
 
-def _reference_support_grid1(fam: ConjugationFamily, direction):
-    """2048-point grid, then bounded Brent over one grid step either side."""
+def _unmerged(fam: ConjugationFamily, direction):
+    return lambda thetas: _reference_values(fam, thetas, direction)
+
+
+def _reference_support_grid1(fam: ConjugationFamily, direction, f=None):
+    """2048-point grid, then bounded Brent over one grid step either side,
+    scored by `f` (default: the unmerged `_reference_values`)."""
+    f = _unmerged(fam, direction) if f is None else f
     period, n = fam.periods[0], 2048
     thetas = _grid(fam, n)[:, 0]
-    vals = _reference_values(fam, thetas[:, None], direction)
+    vals = f(thetas[:, None])
     k = int(np.argmax(vals))
-    res = minimize_scalar(lambda t: -float(_reference_values(fam, [[t]], direction)[0]),
+    res = minimize_scalar(lambda t: -float(f([[t]])[0]),
                           bounds=(thetas[k] - period / n, thetas[k] + period / n),
                           method="bounded", options={"xatol": 1e-12})
     t_best, v_best = float(res.x), float(-res.fun)
@@ -410,12 +439,14 @@ def _reference_support_grid1(fam: ConjugationFamily, direction):
     return [t_best], v_best
 
 
-def _reference_support_grid2(fam: ConjugationFamily, direction):
-    """64x64 torus, then Nelder-Mead from its best point."""
+def _reference_support_grid2(fam: ConjugationFamily, direction, f=None):
+    """64x64 torus, then Nelder-Mead from its best point, scored by `f`
+    (default: the unmerged `_reference_values`)."""
+    f = _unmerged(fam, direction) if f is None else f
     grid = _grid(fam, 64)
-    vals = _reference_values(fam, grid, direction)
+    vals = f(grid)
     k = int(np.argmax(vals))
-    res = minimize(lambda p: -float(_reference_values(fam, [p], direction)[0]), x0=grid[k],
+    res = minimize(lambda p: -float(f([p])[0]), x0=grid[k],
                    method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
     params, v_best = np.asarray(res.x), float(-res.fun)
     if v_best < vals[k]:
@@ -455,10 +486,90 @@ def test_merged_support_matches_the_three_routines(rep, kind, seed):
         params, want = _reference_support_random(fam, direction, np.random.default_rng(seed))
         assert abs(inner(g, direction) - val) <= tol
     else:
+        # the element pins the candidate set and the refinement on the
+        # family's own objective; the value is checked against the
+        # unmerged per-entry sum
         ref = _reference_support_grid1 if kind == "grid1" else _reference_support_grid2
-        params, want = ref(fam, direction)
+        params, _ = ref(fam, direction, f=fam._objective(direction))
         assert g.tobytes() == fam.element(params).tobytes()
+        _, want = ref(fam, direction)
     assert abs(val - want) <= tol
+
+
+def _commuting_family(rep: str, kind: str, seed: int) -> ConjugationFamily:
+    """`_family` for the grid kinds; for 'orbit', three commuting unit-norm
+    seeds (multiples of one skew matrix on r3, i*ad_hat of jointly
+    diagonal H otherwise), so the seeds co-diagonalise."""
+    if kind != "orbit":
+        return _family(rep, kind, seed)
+    rng = np.random.default_rng(seed)
+    if rep == "r3":
+        first = _skew(rng)
+        seeds = [c * first for c in (1.0, -2.0, 0.5)]
+        base = rng.normal(size=(3, 3))
+    else:
+        n = HILBERT_DIM[rep]
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        seeds = [1j * ad_hat(q @ np.diag(rng.normal(size=n)) @ q.conj().T) for _ in range(3)]
+        base = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+    fam = ConjugationFamily(tuple(s / fro(s) for s in seeds), base)
+    assert fam.kind == "orbit" and fam._phases is not None
+    return fam
+
+
+def _direction(fam: ConjugationFamily, rng) -> np.ndarray:
+    shape = fam.base.shape
+    return rng.normal(size=shape) + (0 if shape == (3, 3) else 1j * rng.normal(size=shape))
+
+
+@SETTINGS
+@given(st.sampled_from(REPS), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+def test_merged_objective_matches_the_per_entry_sum(rep, kind, seed):
+    """One exponential per distinct eigenphase difference gives the sum of
+    one exponential per matrix entry, on grid1, grid2 and commuting orbit
+    families; every entry's difference lies within the merge tolerance of
+    its table row, and the table's rows are distinct."""
+    fam = _commuting_family(rep, kind, seed)
+    rng = np.random.default_rng(seed)
+    direction = _direction(fam, rng)
+    thetas = rng.normal(scale=np.pi, size=(16, fam.n_params))
+    got = fam._objective(direction)(thetas)
+    want = _reference_values(fam, thetas, direction)
+    scale = max(1.0, float(np.abs(_reference_coeff(fam, direction)).sum()))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    _, _, freqs, index = fam._phases
+    deltas = np.stack([d.ravel() for d in _reference_phases(fam)[2]], axis=1)
+    tol = 1e-12 * max(1.0, float(np.abs(deltas).max()))
+    assert np.abs(freqs[index] - deltas).max() <= tol
+    gaps = np.abs(freqs[:, None, :] - freqs[None, :, :]).max(axis=2)
+    assert (gaps[~np.eye(len(freqs), dtype=bool)] > tol).all()
+
+
+@SETTINGS
+@given(st.sampled_from(REPS), st.sampled_from(("grid1", "grid2")), st.integers(0, 2**32 - 1))
+def test_cached_grid_waves_score_like_values(rep, kind, seed):
+    """The grid kinds build their support candidates once per family, and
+    scoring them through the cached plane waves is bitwise `values`."""
+    fam = _family(rep, kind, seed)
+    thetas, waves = fam._support_grid
+    assert fam._support_grid[1] is waves
+    assert np.array_equal(thetas, _grid(fam, 2048 if kind == "grid1" else 64))
+    f = fam._objective(_direction(fam, np.random.default_rng(seed)))
+    assert f(thetas, waves).tobytes() == f(thetas).tobytes()
+
+
+@pytest.mark.parametrize("name, rows", [("example2", 5), ("example3", 5), ("phase_flip", 5),
+                                        ("bit_flip", 5), ("depolarizing", 5),
+                                        ("two_qubit_C", 25)])
+def test_frequency_tables_of_the_built_in_families(name, rows):
+    """A qubit or r3 rotation has eigenphase differences {0, +-w, +-2w};
+    two_qubit_C's torus has 5 x 5 pairs, where its 256 entries had one each."""
+    axes = {} if name.startswith(("example", "two_qubit")) else {
+        "control_axes": ("x",), "drift_axis": "z"}
+    fam = saturate(initial_wedge(build_system(ChannelSpec(name=name, **axes))),
+                   orbit_samples=24).cone.analytic
+    assert fam.kind == ("grid2" if name == "two_qubit_C" else "grid1")
+    assert fam._phases[2].shape == (rows, fam.n_params)
 
 
 def test_grid2_sweep_runs_over_the_torus_row_major():

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from liewedge.channels import (H_X, H_Y, H_Z, P_Y, example1, example2,
-                               example3, example3_delta, sigma)
+from liewedge.channels import (H_X, H_Y, H_Z, P_Y, ChannelSpec, build_system,
+                               example1, example2, example3, example3_delta, sigma)
 from liewedge.lindblad import ControlSystem
 from liewedge.matcore import Subspace, expm, fro, inner, orthonormal_span
 from liewedge.wedge import (Cone, ConjugationFamily, Wedge, cone_contains,
@@ -73,6 +73,25 @@ def test_grid1_support_matches_brute_force():
         grid = max(inner(fam.element([t]), direction)
                    for t in np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
         assert val >= grid - 1e-9
+
+
+def test_grid2_support_matches_brute_force():
+    """two_qubit_C's torus family against a 96x96 torus of its elements."""
+    w = saturate(initial_wedge(build_system(ChannelSpec(name="two_qubit_C"))),
+                 orbit_samples=24)
+    fam = w.cone.analytic
+    assert fam.kind == "grid2"
+    n = 96
+    axes = np.meshgrid(*(np.arange(n) * (p / n) for p in fam.periods), indexing="ij")
+    thetas = np.stack([t.ravel() for t in axes], axis=1)
+    rng = np.random.default_rng(29)
+    shape = fam.base.shape
+    for direction in (w.drift, rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+        g, val = fam.support(direction)
+        torus = max(np.real(np.sum(np.conj(fam.elements(chunk)) * direction, axis=(1, 2))).max()
+                    for chunk in np.array_split(thetas, 36))
+        assert val >= torus - 1e-9
+        assert abs(inner(g, direction) - val) <= 1e-12 * max(1.0, fro(direction))
 
 
 def test_non_skew_seeds_are_rejected():
