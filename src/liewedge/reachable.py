@@ -3,8 +3,9 @@
 Propagates piecewise-constant control schedules as time-ordered products
 of segment exponentials, samples the semigroup of reachable channels,
 audits the contraction witness s(t) = sum_k ||X(t)B_k||^2 along
-trajectories of unital dynamics, and steers toward target channels with
-a derivative-free heuristic over a fixed number of switches.
+trajectories of unital dynamics, and steers toward target channels by
+bounded least squares on the exact derivatives of the propagated channel,
+over a fixed number of switches.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
-from .lindblad import ControlSystem, coherence_rep, drift_direction, lindbladian, vec
+from .lindblad import (ControlSystem, coherence_rep, control_directions, drift_direction,
+                       lindbladian, vec)
 from .matcore import expm, fro
 
 U_MAX = 5.0
@@ -23,17 +25,26 @@ U_MAX = 5.0
 
 @dataclass(frozen=True)
 class Schedule:
-    """Piecewise-constant control schedule: (duration, amplitudes) segments."""
+    """Piecewise-constant control schedule: (duration, amplitudes) segments.
+
+    Durations must be finite and nonnegative and amplitudes finite;
+    ValueError naming the segment otherwise.
+    """
 
     segments: tuple
 
     def __post_init__(self):
         segs = []
-        for dur, u in self.segments:
+        for k, (dur, u) in enumerate(self.segments):
             dur = float(dur)
+            u = tuple(float(v) for v in np.atleast_1d(u))
+            if not np.isfinite(dur):
+                raise ValueError(f"segment {k} has a non-finite duration {dur}")
             if dur < 0:
                 raise ValueError(f"segment duration must be nonnegative, got {dur}")
-            segs.append((dur, tuple(float(v) for v in np.atleast_1d(u))))
+            if not np.isfinite(u).all():
+                raise ValueError(f"segment {k} has non-finite amplitudes {u}")
+            segs.append((dur, u))
         object.__setattr__(self, "segments", tuple(segs))
 
     @property
@@ -72,6 +83,43 @@ def propagate(sys: ControlSystem, sched: Schedule) -> np.ndarray:
     for (dur, _), gen in zip(sched.segments, gens):
         out = expm(-dur * gen) @ out
     return out
+
+
+def _jacobian(sys: ControlSystem, sched: Schedule) -> np.ndarray:
+    """Exact derivatives of ``propagate(sys, sched)`` by the schedule's
+    parameters, stacked as an array of shape (n_params, n, n).
+
+    The parameters run segment by segment, each segment's duration first
+    and then its amplitudes.  For a segment with ``A = -d L(u)`` one
+    exponential of the block-triangular ``[[A, B_1 ... B_m], [0, I (x) A]]``
+    with ``B_k = -d C_k`` gives ``e^A`` and the Frechet derivatives of the
+    exponential along every ``B_k`` in its top block row; the duration
+    derivative is ``-L(u) e^A``.  Prefix and suffix products place each
+    segment's derivatives in the time-ordered product.
+    """
+    controls = control_directions(sys)
+    m = len(controls)
+    exps, derivs = [], []
+    for dur, u in sched.segments:
+        gen = lindbladian(sys, u)
+        n = gen.shape[0]
+        big = np.kron(np.eye(m + 1), -dur * gen)
+        for k, c in enumerate(controls, 1):
+            big[:n, k * n:(k + 1) * n] = -dur * c
+        top = expm(big)[:n]
+        e = top[:, :n]
+        exps.append(e)
+        frechet = top[:, n:].reshape(n, m, n).transpose(1, 0, 2)
+        derivs.append(np.concatenate([(-gen @ e)[None], frechet]))
+    prefix = [_identity(sys)]
+    for e in exps:
+        prefix.append(e @ prefix[-1])
+    out = []
+    suffix = prefix[0]
+    for j in reversed(range(len(exps))):
+        out.append(suffix @ derivs[j] @ prefix[j])
+        suffix = suffix @ exps[j]
+    return np.concatenate(out[::-1])
 
 
 def random_schedule(n_controls: int, depth: int, horizon: float, seed,
@@ -158,52 +206,67 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
           seed: int = 0, u_max: float = U_MAX) -> tuple:
     """Heuristic schedule search toward a target channel.
 
-    Minimizes the Frobenius distance between the propagated channel and
-    the target over switches*(1 + n_controls) parameters (square-root
-    durations plus raw amplitudes) using derivative-free simplex descent
-    from `budget` seeded random restarts.  Best-so-far bookkeeping makes
-    the returned distance monotone in the evaluation history.  This is a
-    heuristic: no optimality claim is made.  `target` must have the shape
-    of the system's generators, `switches` must be nonnegative and
-    `budget` at least 1; ValueError otherwise, before any propagation.
+    Minimizes the entrywise residual between the propagated channel and
+    the target, real and imaginary parts stacked, over
+    switches*(1 + n_controls) parameters: each segment's duration, bounded
+    below by 0, and its amplitudes, held within [-u_max, u_max].  A
+    bounded trust-region least-squares solver runs on the exact Jacobian
+    of the propagated channel from each of `budget` seeded random starts
+    inside that box.  Best-so-far bookkeeping makes the returned Frobenius
+    distance monotone in the evaluation history, and the returned schedule
+    lies in the box.  This is a heuristic: no optimality claim is made.
+    `target` must be finite and have the shape of the system's generators,
+    `switches` must be nonnegative, `budget` at least 1 and `u_max`
+    positive and finite; ValueError otherwise, before any propagation.
     """
     tmat = np.asarray(target)
-    shape = drift_direction(sys).shape
-    if tmat.shape != shape:
+    drift = drift_direction(sys)
+    if tmat.shape != drift.shape:
         raise ValueError(f"target has shape {tmat.shape}, but the system's "
-                         f"generators have shape {shape}")
+                         f"generators have shape {drift.shape}")
+    if not np.isfinite(tmat).all():
+        raise ValueError("target has non-finite entries")
     if switches < 0:
         raise ValueError(f"switches must be nonnegative, got {switches}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    if not 0 < u_max < np.inf:
+        raise ValueError(f"u_max must be positive and finite, got {u_max}")
     m = sys.n_controls
     if switches == 0:
         sched = Schedule(())
-        return sched, float(fro(np.eye(shape[0]) - tmat))
+        return sched, float(fro(_identity(sys) - tmat))
     width = 1 + m
+    cplx = np.iscomplexobj(drift) or np.iscomplexobj(tmat)
+    lower = np.tile(np.r_[0.0, np.full(m, -u_max)], switches)
+    upper = np.tile(np.r_[np.inf, np.full(m, u_max)], switches)
     best = {"val": np.inf, "params": None}
 
     def unpack(p):
-        segs = []
-        for j in range(switches):
-            block = p[j * width:(j + 1) * width]
-            segs.append((block[0] ** 2, block[1:]))
-        return Schedule(tuple(segs))
+        return Schedule(tuple((p[j * width], p[j * width + 1:(j + 1) * width])
+                              for j in range(switches)))
 
-    def objective(p):
-        d = float(fro(propagate(sys, unpack(p)) - tmat))
+    def realified(z):
+        z = z.reshape(*z.shape[:-2], -1)
+        return np.concatenate([z.real, z.imag], axis=-1) if cplx else z
+
+    def residual(p):
+        diff = propagate(sys, unpack(p)) - tmat
+        d = float(fro(diff))
         if d < best["val"]:
             best["val"] = d
             best["params"] = np.array(p, dtype=float)
-        return d
+        return realified(diff)
+
+    def jacobian(p):
+        return realified(_jacobian(sys, unpack(p))).T
 
     for child in np.random.SeedSequence(seed).spawn(budget):
         rng = np.random.default_rng(child)
         x0 = np.empty(switches * width)
         for j in range(switches):
-            x0[j * width] = np.sqrt(rng.uniform(0.05, 1.0))
+            x0[j * width] = rng.uniform(0.05, 1.0)
             x0[j * width + 1:(j + 1) * width] = rng.uniform(-u_max, u_max, size=m)
-        minimize(objective, x0, method="Nelder-Mead",
-                 options={"maxiter": 400 * switches * width,
-                          "xatol": 1e-10, "fatol": 1e-13})
+        least_squares(residual, x0, jac=jacobian, bounds=(lower, upper),
+                      method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
     return unpack(best["params"]), float(best["val"])

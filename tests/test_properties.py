@@ -2,9 +2,10 @@
 the incremental contraction audit, the stacked realification, the batched
 conjugation kernel, the derived family kind, the right-nested Lie closure,
 the one-array cones and subspaces, the merged aligned orbit support, the
-one-search support function, the merged frequency table and the one-pass
-report writer against loop, expm, edge-rule, full-pairwise, per-generator,
-two-branch, three-routine, per-entry or two-pass references kept here."""
+one-search support function, the merged frequency table, the one-pass
+report writer and the exact steering Jacobian against loop, expm,
+edge-rule, full-pairwise, per-generator, two-branch, three-routine,
+per-entry, two-pass or central-difference references kept here."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
                                lindbladian, pauli_basis, superop_from_coherence, unvec, vec)
 from liewedge.matcore import (eig_sym, expm, fro, inner, orthonormal_span, realify,
                               realify_stack, unrealify, unrealify_stack)
-from liewedge.reachable import Schedule, contraction_audit
+from liewedge.reachable import Schedule, _jacobian, contraction_audit, propagate, steer
 from liewedge.wedge import Cone, ConjugationFamily, Wedge, _period, initial_wedge, saturate
 
 REPS = ("r3", "qubit", "two_qubit")
@@ -249,6 +250,68 @@ def test_contraction_audit_is_bitwise_naive_repropagation(rep, seed, n_controls,
     for sched, g in ((on_grid, max(2, sum(quarters) + 1)), (off_grid, grid)):
         audit = contraction_audit(sys, sched, grid=g)
         assert audit["s"] == _reference_audit_s(sys, sched, g)
+
+
+# Steering systems: r3 with two controls, a qubit with one, two qubits with two.
+STEER_SYSTEMS = {
+    "example1": build_system(ChannelSpec(name="example1")),
+    "bit_flip": build_system(ChannelSpec(name="bit_flip", control_axes=("x",),
+                                         drift_axis="z")),
+    "two_qubit_C": build_system(ChannelSpec(name="two_qubit_C")),
+}
+
+
+def _schedule(params, width: int) -> Schedule:
+    """Segments of `width` parameters each: a duration, then amplitudes."""
+    return Schedule(tuple((params[j], params[j + 1:j + width])
+                          for j in range(0, len(params), width)))
+
+
+def _central_difference_jacobian(sys: ControlSystem, params, width: int,
+                                 h: float = 1e-6) -> np.ndarray:
+    """d propagate / d params by central differences, one parameter at a time."""
+    cols = []
+    for step in h * np.eye(len(params)):
+        cols.append((propagate(sys, _schedule(params + step, width))
+                     - propagate(sys, _schedule(params - step, width))) / (2.0 * h))
+    return np.stack(cols)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(STEER_SYSTEMS)), st.integers(0, 2**32 - 1),
+       st.integers(1, 3))
+def test_jacobian_matches_central_differences(name, seed, segments):
+    """Durations stay at least 0.05 from zero so every central step is a
+    legal schedule."""
+    sys = STEER_SYSTEMS[name]
+    width = 1 + sys.n_controls
+    rng = np.random.default_rng(seed)
+    params = np.concatenate([np.r_[rng.uniform(0.05, 1.0),
+                                   rng.uniform(-3.0, 3.0, size=sys.n_controls)]
+                             for _ in range(segments)])
+    got = _jacobian(sys, _schedule(params, width))
+    want = _central_difference_jacobian(sys, params, width)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(("example1", "bit_flip")), st.integers(0, 2**32 - 1),
+       st.integers(1, 2), st.floats(0.1, 2.0))
+def test_steered_schedules_stay_in_the_box(name, seed, switches, u_max):
+    """Targets come from amplitudes up to 3*u_max, so the amplitude bound is
+    often active at the solution."""
+    sys = STEER_SYSTEMS[name]
+    rng = np.random.default_rng(seed)
+    truth = Schedule(tuple((rng.uniform(0.0, 1.0),
+                            rng.uniform(-3.0 * u_max, 3.0 * u_max, size=sys.n_controls))
+                           for _ in range(switches)))
+    sched, dist = steer(sys, propagate(sys, truth), switches, budget=2, seed=seed,
+                        u_max=u_max)
+    assert sched.n_segments == switches
+    assert all(d >= 0.0 for d, _ in sched.segments)
+    assert all(abs(v) <= u_max for _, u in sched.segments for v in u)
+    assert dist == pytest.approx(fro(propagate(sys, sched) - propagate(sys, truth)))
 
 
 @SETTINGS

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from liewedge import reachable
 from liewedge.channels import ChannelSpec, build_system, example2, sigma
 from liewedge.lindblad import ControlSystem, cptp_audit, lindbladian
 from liewedge.matcore import expm, fro
@@ -26,6 +27,17 @@ def test_schedule_validation_and_totals():
     assert np.isclose(s.total_duration, 0.75)
     with pytest.raises(ValueError):
         Schedule(((-0.1, (1.0,)),))
+
+
+@pytest.mark.parametrize("segments,message", [
+    (((np.nan, (0.0,)),), "segment 0 has a non-finite duration nan"),
+    (((0.1, (0.0,)), (np.inf, (1.0,))), "segment 1 has a non-finite duration inf"),
+    (((0.1, (0.0,)), (0.2, (1.0, np.nan))), r"segment 1 has non-finite amplitudes \(1.0, nan\)"),
+    (((0.1, -np.inf),), r"segment 0 has non-finite amplitudes \(-inf,\)"),
+])
+def test_schedule_rejects_non_finite_entries(segments, message):
+    with pytest.raises(ValueError, match=message):
+        Schedule(segments)
 
 
 def test_propagate_matches_manual_product():
@@ -146,7 +158,7 @@ def test_steer_recovers_single_switch_target():
     truth = Schedule(((0.37, (0.8,)),))
     target = propagate(sys, truth)
     sched, dist = steer(sys, target, 1, budget=8, seed=3)
-    assert dist < 1e-6
+    assert dist <= 1e-12
     assert sched.n_segments == 1
 
 
@@ -174,6 +186,51 @@ def test_steer_rejects_a_budget_below_one(budget):
     target = propagate(sys, Schedule(((0.1, (0.0,)),)))
     with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
         steer(sys, target, 1, budget=budget)
+
+
+def _forbid_propagation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("propagate was called")
+
+    monkeypatch.setattr(reachable, "propagate", refuse)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("switches", [0, 2])
+def test_steer_rejects_a_non_finite_target_before_propagating(monkeypatch, bad, switches):
+    sys = _qubit_system()
+    target = propagate(sys, Schedule(((0.1, (0.0,)),)))
+    target[1, 2] = bad
+    _forbid_propagation(monkeypatch)
+    with pytest.raises(ValueError, match="target has non-finite entries"):
+        steer(sys, target, switches)
+
+
+@pytest.mark.parametrize("u_max", [0.0, -1.0, np.inf, np.nan])
+def test_steer_rejects_a_bad_amplitude_bound(monkeypatch, u_max):
+    sys = _qubit_system()
+    target = propagate(sys, Schedule(((0.1, (0.0,)),)))
+    _forbid_propagation(monkeypatch)
+    with pytest.raises(ValueError, match="u_max must be positive and finite"):
+        steer(sys, target, 1, u_max=u_max)
+
+
+def test_steer_recovers_the_depolarizing_benchmark_target():
+    depol = build_system(ChannelSpec(name="depolarizing", rates=(0.2, 0.2, 0.2),
+                                     control_axes=("x",), drift_axis="z"))
+    truth = Schedule(((0.3, (1.2,)), (0.25, (-0.7,))))
+    sched, dist = steer(depol, propagate(depol, truth), 2, budget=5, seed=0)
+    assert sched.n_segments == 2
+    assert dist <= 1e-12
+
+
+def test_steer_recovers_a_three_switch_example2_target():
+    """The first four of the default 20 seeded restarts reach the target."""
+    sys = example2()
+    target = propagate(sys, random_schedule(1, 3, 1.0, 8, u_max=2.0))
+    sched, dist = steer(sys, target, 3, budget=4, seed=0)
+    assert sched.n_segments == 3
+    assert dist < 1e-10
 
 
 @pytest.mark.parametrize("name,value", [("phase_flip", 3.0), ("two_qubit_C", 15.0),
