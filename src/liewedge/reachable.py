@@ -212,9 +212,11 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
     below by 0, and its amplitudes, held within [-u_max, u_max].  A
     bounded trust-region least-squares solver runs on the exact Jacobian
     of the propagated channel from each of `budget` seeded random starts
-    inside that box.  Best-so-far bookkeeping makes the returned Frobenius
-    distance monotone in the evaluation history, and the returned schedule
-    lies in the box.  This is a heuristic: no optimality claim is made.
+    inside that box, and stops after the first restart that brings the
+    distance to at most 1e-12 * max(1, ||target||).  Best-so-far bookkeeping
+    makes the returned Frobenius distance monotone in the evaluation
+    history, and the returned schedule lies in the box.  This is a
+    heuristic: no optimality claim is made.
     `target` must be finite and have the shape of the system's generators,
     `switches` must be nonnegative, `budget` at least 1 and `u_max`
     positive and finite; ValueError otherwise, before any propagation.
@@ -261,6 +263,7 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
     def jacobian(p):
         return realified(_jacobian(sys, unpack(p))).T
 
+    converged = 1e-12 * max(1.0, float(fro(tmat)))
     for child in np.random.SeedSequence(seed).spawn(budget):
         rng = np.random.default_rng(child)
         x0 = np.empty(switches * width)
@@ -269,4 +272,6 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
             x0[j * width + 1:(j + 1) * width] = rng.uniform(-u_max, u_max, size=m)
         least_squares(residual, x0, jac=jacobian, bounds=(lower, upper),
                       method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        if best["val"] <= converged:
+            break
     return unpack(best["params"]), float(best["val"])

@@ -3,9 +3,10 @@
 A wedge is BCH-closed (a Lie semialgebra) when small products
 expm(tA)expm(tB) generate no direction outside it.  This module provides
 the order-4 truncated product, a randomized probe that hunts for
-counterexample pairs, tangent spaces T_A w = (A^perp ∩ w*)^perp sampled
-through the dual wedge, and the closed-form rotation-orbit case analysis
-(isotropic, rank-one, degenerate-pair, and generic relaxation rates).
+counterexample pairs, tangent spaces T_A w = (A^perp ∩ w*)^perp (in closed
+form where the cone's family offers one, else sampled through the dual
+wedge), and the rotation-orbit case analysis (isotropic, rank-one,
+degenerate-pair, and generic relaxation rates).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy.optimize import nnls
 
 from .channels import H_X, H_Y, H_Z, P_X, P_Y, P_Z
 from .liealg import orthocomplement, subspace_equal
-from .matcore import (Subspace, comm, eig_sym, fro, inner, orthonormal_span, realify,
+from .matcore import (Subspace, comm, fro, inner, orthonormal_span, realify, realify_stack,
                       unrealify)
 from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, wedge_contains
 
@@ -146,102 +147,6 @@ def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
 # tangent spaces via the dual wedge
 # ---------------------------------------------------------------------------
 
-def _eig_groups(vals: np.ndarray, tol: float = 1e-8) -> list:
-    """Multiplicity pattern of a descending eigenvalue triple."""
-    sizes = [1]
-    for k in range(1, len(vals)):
-        if vals[k - 1] - vals[k] <= tol:
-            sizes[-1] += 1
-        else:
-            sizes.append(1)
-    return sizes
-
-
-def _face_block_sample(g: np.ndarray, groups: list,
-                       rng: np.random.Generator):
-    """Dual-face element (aligned basis) for the rotation-orbit cone.
-
-    The dual cone is c*l1 + b*l2 + a*l3 >= 0 on descending eigenvalues
-    l of the symmetric part, for rates g = (a >= b >= c >= 0); the face at
-    the base requires equality attained in the aligned basis, which pins
-    the eigenvalue pairing per multiplicity pattern of g.
-    """
-    a, b, c = (float(v) for v in g)
-    if groups == [3]:
-        s = rng.standard_normal((3, 3))
-        s = (s + s.T) / 2.0
-        return s - (np.trace(s) / 3.0) * np.eye(3)
-    if groups == [1, 2]:
-        # largest rate isolated: smallest functional eigenvalue sits on its
-        # axis, the 2x2 block is free above it
-        bmat = rng.standard_normal((2, 2))
-        bmat = (bmat + bmat.T) / 2.0
-        lam_min = float(np.linalg.eigvalsh(bmat)[0])
-        mu = max(0.0, (-(b / a) * np.trace(bmat) - lam_min) / (1.0 + 2.0 * b / a))
-        bmat = bmat + (mu + rng.exponential(0.3)) * np.eye(2)
-        out = np.zeros((3, 3))
-        out[0, 0] = -b * np.trace(bmat) / a
-        out[1:, 1:] = bmat
-        return out
-    if groups == [2, 1]:
-        bmat = rng.standard_normal((2, 2))
-        bmat = (bmat + bmat.T) / 2.0
-        if c <= 1e-12:
-            bmat = bmat - (np.trace(bmat) / 2.0) * np.eye(2)
-            s3 = float(np.linalg.eigvalsh(bmat)[1]) + rng.exponential(0.5)
-        else:
-            lam_max = float(np.linalg.eigvalsh(bmat)[1])
-            s3 = -a * np.trace(bmat) / c
-            mu = max(0.0, (lam_max - s3) / (1.0 + 2.0 * a / c))
-            bmat = bmat - (mu + rng.exponential(0.3)) * np.eye(2)
-            s3 = -a * np.trace(bmat) / c
-        out = np.zeros((3, 3))
-        out[:2, :2] = bmat
-        out[2, 2] = s3
-        return out
-    # distinct rates: diagonal functionals with ascending entries on the
-    # null plane of the rates vector (alternating projections)
-    gv = np.array([a, b, c])
-    gv = gv / np.linalg.norm(gv)
-    d = rng.standard_normal(3)
-    for _ in range(200):
-        d = np.sort(d)
-        d = d - np.dot(d, gv) * gv
-        if np.all(np.diff(d) >= -1e-12) and abs(np.dot(d, gv)) < 1e-12:
-            break
-    if np.linalg.norm(d) < 1e-8 or np.any(np.diff(d) < -1e-12):
-        return None
-    return np.diag(d)
-
-
-def _orbit_face_sampler(w: Wedge, a_mat: np.ndarray, tol: float):
-    """Spectral dual-face sampler for full-rotation orbit cones, or None."""
-    fam = w.cone.analytic
-    if fam is None or fam.kind != "orbit" or fam.base.shape != (3, 3) or w.edge.dim != 3:
-        return None
-    base = np.asarray(fam.base, dtype=float)
-    base_sym = (base + base.T) / 2.0
-    nb = fro(base_sym)
-    if nb <= tol or fro(base - base_sym) > 1e-10 * max(1.0, fro(base)):
-        return None
-    a_sym = (np.asarray(a_mat, dtype=float) + np.asarray(a_mat, dtype=float).T) / 2.0
-    na = fro(a_sym)
-    if na <= tol * max(1.0, fro(a_mat)):
-        return None
-    w_b, _ = eig_sym(base_sym)
-    w_a, v_a = eig_sym(a_sym)
-    if np.linalg.norm(w_b / nb - w_a / na) > 1e-6:
-        return None  # cone part of A is not on the orbit through the base
-    g = w_b / nb
-    groups = _eig_groups(g)
-
-    def sampler(rng):
-        d = _face_block_sample(g, groups, rng)
-        return None if d is None else v_a @ d @ v_a.T
-
-    return sampler
-
-
 def _dual_face_project(w: Wedge, a_mat: np.ndarray,
                        rng: np.random.Generator):
     """Random functional projected onto the dual face by one NNLS solve.
@@ -262,27 +167,31 @@ def _dual_face_project(w: Wedge, a_mat: np.ndarray,
 
 def tangent_space(w: Wedge, a_mat: np.ndarray, face_samples: int = 192,
                   seed: int = 0, tol: float = 1e-8) -> Subspace:
-    """Tangent space T_A w: orthocomplement of the sampled dual face at A.
+    """Tangent space T_A w = (A^perp ∩ w*)^perp at a wedge member A.
 
-    The dual face (functionals nonnegative on the wedge and vanishing on
-    A) is sampled constructively: through the dual-cone eigenvalue
-    characterization for rotation-orbit cones, and through Moreau/NNLS
-    projection onto the generator inequalities otherwise.  Samples with
-    |<phi, A>| above a guard band are discarded.  Since the face can only
-    be under-sampled, the returned tangent space can only over-estimate.
+    Where the cone's family has a closed form (`ConjugationFamily.exact`)
+    that covers A's edge-orthogonal part x, T_A is the edge plus
+    span{x, [s_i, x]} over the family's seeds s_i.  Otherwise the dual face
+    (functionals nonnegative on the wedge and vanishing on A) is sampled by
+    Moreau/NNLS projection onto the stored generators' inequalities, and
+    samples with |<phi, A>| above a guard band are discarded.  The stored
+    generators only approximate the cone, so that sampled face, and the
+    tangent space returned from it, is bounded in neither direction: on a
+    curved cone it is over-sampled, and T_A comes out too small.
     """
     a_mat = np.asarray(a_mat)
     if not wedge_contains(w, a_mat):
         raise ValueError("tangent_space requires a wedge member")
+    exact = None if w.cone.analytic is None else w.cone.analytic.exact
+    orbit = None if exact is None else exact.tangent(a_mat - w.edge.project(a_mat))
+    if orbit is not None:
+        return orthonormal_span([*w.edge.mats, *orbit], shape=w.cone.shape,
+                                complex_field=w.cone.complex_field)
     rng = np.random.default_rng(seed)
-    sampler = _orbit_face_sampler(w, a_mat, tol)
     na = max(1.0, fro(a_mat))
     phis = []
     for _ in range(face_samples):
-        phi = sampler(rng) if sampler is not None else \
-            _dual_face_project(w, a_mat, rng)
-        if phi is None:
-            continue
+        phi = _dual_face_project(w, a_mat, rng)
         n = fro(phi)
         if n <= tol:
             continue
@@ -365,8 +274,11 @@ def semialgebra_case(case_id: str, params: dict = None) -> dict:
     Cases select the relaxation-rate pattern: 'i' isotropic (the wedge is
     a Lie semialgebra), 'ii' rank-one, 'iii' degenerate pair, 'iv' generic
     distinct rates (all three fail, each with a commutator witness
-    [A, B] outside T_A).  Returns a report with the sampled tangent space,
-    the verdict, and the witness data.
+    [A, B] outside T_A).  Returns a report with the tangent space, the
+    verdict, and the witness data.  The verdict reads the invariance
+    residual sigma_max((I - P_T) M) / sigma_max(M), where M stacks [A, t_k]
+    over an orthonormal basis t_k of T_A (0 when M = 0); a change of basis
+    rotates M's columns only, so the residual depends on T_A alone.
     """
     if case_id not in _CASE_IDS:
         raise ValueError(f"case_id must be one of {_CASE_IDS}, got {case_id!r}")
@@ -378,12 +290,10 @@ def semialgebra_case(case_id: str, params: dict = None) -> dict:
                         face_samples=int(params.get("face_samples", 192)),
                         seed=int(params.get("seed", 0)))
     expected = expected_tangent(case_id, rates)
-    inv = 0.0
-    for m in t_a.mats:
-        br = comm(a_mat, np.asarray(m))
-        nb = fro(br)
-        if nb > 1e-12:
-            inv = max(inv, t_a.residual(br) / nb)
+    brackets = realify_stack([comm(a_mat, m) for m in t_a.mats], t_a.shape, t_a.complex_field)
+    top = np.linalg.norm(brackets, 2)
+    off = brackets - t_a.stack @ (t_a.stack.T @ brackets)
+    inv = np.linalg.norm(off, 2) / top if top > 0.0 else 0.0
     report = {
         "case": case_id,
         "rates": rates,

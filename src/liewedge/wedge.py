@@ -7,10 +7,11 @@ the edge plus the negatives of the cone elements).  Cones carry finitely
 many unit-norm sampled generators plus, where available, an analytic
 conjugation family: the edge's orthonormal basis as skew seeds and the
 drift's edge-orthogonal part as base, from which the family derives its
-kind, periods and support search.  Every membership oracle is an inner
-approximation and is documented as such.  Edge and cone are each stored
-once, as a realified column stack (see `matcore`); their matrices are
-views derived from it, and `saturate` works on the cone's stack directly.
+kind, periods, support search and closed forms (`exact`).  Every
+membership oracle is an inner approximation and is documented as such.
+Edge and cone are each stored once, as a realified column stack (see
+`matcore`); their matrices are views derived from it, and `saturate` works
+on the cone's stack directly.
 
 The saturation loop follows the inner-approximation procedure: grow the
 edge by the cone's lineality and Lie-close it, conjugate the cone by
@@ -29,8 +30,8 @@ from scipy.optimize import minimize, minimize_scalar, nnls
 from .liealg import lie_closure
 from .lindblad import (ControlSystem, ad_hat, coherence_rep, control_directions,
                        drift_direction, pauli_basis, superop_from_coherence)
-from .matcore import (Subspace, _span_columns, eig_sym, fro, orthonormal_span, realify,
-                      realify_stack, unrealify, unrealify_stack)
+from .matcore import (Subspace, _span_columns, comm, eig_sym, fro, orthonormal_span,
+                      realify, realify_stack, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
 # candidate parameter rows per support call, by family kind
@@ -46,6 +47,57 @@ def _period(seed: np.ndarray) -> float:
     w = np.linalg.eigvals(np.asarray(seed, dtype=complex))
     omega = float(np.abs(np.imag(w)).max()) if w.size else 0.0
     return 2.0 * np.pi / omega if omega > 1e-9 else 2.0 * np.pi
+
+
+@dataclass(frozen=True)
+class RotationOrbit:
+    """Closed-form geometry of a full-rotation orbit {R b R^T : R in SO(3)}
+    of a symmetric 3x3 block b: the r3 carrier itself, or a qubit
+    superoperator's coherence representation (`qubit`).
+
+    Built only by `ConjugationFamily.exact`.  `seeds` are the family's seeds
+    on its own carrier; `rates` are the eigenvalues of b, descending.
+    """
+
+    seeds: tuple
+    rates: np.ndarray
+    qubit: bool
+
+    def support(self, direction: np.ndarray):
+        """Orbit element maximizing the inner product against `direction`,
+        and that maximum: b's eigenvalues placed on the direction's
+        eigenvectors in the same order.  None for a qubit direction that
+        `coherence_rep` rejects."""
+        if self.qubit:
+            try:
+                direction = coherence_rep(direction)
+            except ValueError:
+                return None
+        w_d, v_d = eig_sym((direction + direction.T) / 2)
+        g = v_d @ np.diag(self.rates) @ v_d.T
+        if self.qubit:
+            g = superop_from_coherence(g)
+        return g, float(np.dot(self.rates, w_d))
+
+    def tangent(self, x: np.ndarray):
+        """Matrices x and [s_i, x], which span the tangent space of the
+        orbit's cone at x.
+
+        The closed form holds when b is positive semidefinite and x lies on
+        an orbit ray, x = t R b R^T with t > 0 (to 1e-6 relative): the curves
+        t Ad_{expm(theta s_i)}(R b R^T) run through x along +-[s_i, x], and
+        scaling runs along +-x.  None otherwise.
+        """
+        if not self.rates[0] > 0.0 or self.rates[-1] < -1e-10 * self.rates[0]:
+            return None
+        aligned = self.support(x)
+        if aligned is None:
+            return None
+        g, val = aligned
+        t = val / float(np.dot(self.rates, self.rates))
+        if t <= 0.0 or fro(x - t * g) > 1e-6 * fro(x):
+            return None
+        return [x] + [comm(s, x) for s in self.seeds]
 
 
 @dataclass(frozen=True)
@@ -217,22 +269,23 @@ class ConjugationFamily:
         """Family element maximizing the inner product against `direction`,
         and that maximum.
 
-        Exact by eigenvector alignment for full-rotation orbits on the
-        3-dimensional carrier (real or via the coherence representation).
-        Otherwise the best of a candidate set (a 2048-point grid1 sweep, a
-        64x64 grid2 torus, or 128 orbit draws from `rng`, default seed 0),
-        refined once from there: bounded Brent over one grid step either
-        side for one parameter, Nelder-Mead otherwise.  Where the seeds
-        commute, each candidate costs one exponential per distinct
-        frequency (see `_objective`); the grid
-        kinds build their candidates and plane waves once per family and
-        score them as one product with the direction's coefficients.  The
-        refinement is kept when it scores at least as well, so the result
-        can only under-estimate the true support (inner approximation).
+        Exact where `exact` holds a closed form that maps the direction
+        (eigenvector alignment for full-rotation orbits, see
+        `RotationOrbit.support`).  Otherwise the best of a candidate set (a
+        2048-point grid1 sweep, a 64x64 grid2 torus, or 128 orbit draws from
+        `rng`, default seed 0), refined once from there: bounded Brent over
+        one grid step either side for one parameter, Nelder-Mead otherwise.
+        Where the seeds commute, each candidate costs one exponential per
+        distinct frequency (see `_objective`); the grid kinds build their
+        candidates and plane waves once per family and score them as one
+        product with the direction's coefficients.  The refinement is kept
+        when it scores at least as well, so the sampled result can only
+        under-estimate the true support (inner approximation).
         """
-        exact = self._support_aligned(direction)
-        if exact is not None:
-            return exact
+        if self.exact is not None:
+            aligned = self.exact.support(direction)
+            if aligned is not None:
+                return aligned
         f = self._objective(direction)
         if self.kind == "orbit":
             rng = np.random.default_rng(0) if rng is None else rng
@@ -254,30 +307,29 @@ class ConjugationFamily:
             params, value = thetas[k], float(vals[k])
         return self.element(params), value
 
-    def _support_aligned(self, direction):
-        """Closed-form support for full-rotation orbits of a symmetric base
-        on the 3x3 block: three seeds with a 3x3 base (the r3 carrier
-        itself) or a 4x4 base (a qubit superoperator, mapped to its
-        coherence representation and back)."""
+    @cached_property
+    def exact(self):
+        """The family's closed-form geometry, or None.
+
+        A `RotationOrbit` when three seeds generate every rotation of the
+        3x3 block (the r3 carrier itself, or a qubit superoperator through
+        `coherence_rep`) and the base is symmetric there; every caller that
+        can use a closed form asks here first and samples otherwise.
+        """
         if self.n_params != 3 or self.base.shape not in ((3, 3), (4, 4)):
             return None
-        base = self.base
-        qubit = base.shape == (4, 4)
-        if qubit:
-            try:
-                base = coherence_rep(base)
-                direction = coherence_rep(direction)
-            except ValueError:
-                return None
+        qubit = self.base.shape == (4, 4)
+        try:
+            base = coherence_rep(self.base) if qubit else self.base
+            seeds = [coherence_rep(s) for s in self.seeds] if qubit else self.seeds
+        except ValueError:
+            return None
         base_sym = (base + base.T) / 2
         if fro(base_sym - base) > 1e-10 * max(1.0, fro(base)):
             return None
-        w_b, _ = eig_sym(base_sym)
-        w_d, v_d = eig_sym((direction + direction.T) / 2)
-        g = v_d @ np.diag(w_b) @ v_d.T
-        if qubit:
-            g = superop_from_coherence(g)
-        return g, float(np.dot(w_b, w_d))
+        if _span_columns(realify_stack(seeds, (3, 3), False)).shape[1] != 3:
+            return None  # the seeds generate a proper subgroup of the rotations
+        return RotationOrbit(self.seeds, eig_sym(base_sym)[0], qubit)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,37 @@ def test_steer_recovers_a_three_switch_example2_target():
     assert dist < 1e-10
 
 
+def _count_restarts(monkeypatch) -> list:
+    calls = []
+    solve = reachable.least_squares
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(reachable, "least_squares", counted)
+    return calls
+
+
+def test_steer_stops_after_the_restart_that_converges(monkeypatch):
+    """Criterion 11's target is reached by the first of 8 restarts; no
+    other restart runs."""
+    calls = _count_restarts(monkeypatch)
+    sys = _qubit_system()
+    target = propagate(sys, Schedule(((0.37, (0.8,)),)))
+    _, dist = steer(sys, target, 1, budget=8, seed=3)
+    assert dist <= 1e-12
+    assert len(calls) == 1
+
+
+def test_steer_runs_every_restart_short_of_the_target(monkeypatch):
+    """Half the identity is no channel of the system: all restarts run."""
+    calls = _count_restarts(monkeypatch)
+    _, dist = steer(_qubit_system(), 0.5 * np.eye(4), 1, budget=3, seed=0)
+    assert dist > 1e-12
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("name,value", [("phase_flip", 3.0), ("two_qubit_C", 15.0),
                                         ("example2", 3.0)])
 def test_contraction_audit_empty_schedule_is_constant(name, value):

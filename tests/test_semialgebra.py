@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import logm
+
+from liewedge import semialgebra
 
 from liewedge.channels import (H_X, H_Y, H_Z, P_X, P_Y, P_Z, example2,
                                example3)
-from liewedge.liealg import subspace_leq
-from liewedge.matcore import comm, expm, fro, inner, orthonormal_span
-from liewedge.semialgebra import (bch, bch_witness, expected_tangent,
+from liewedge.liealg import orthocomplement, subspace_equal, subspace_leq
+from liewedge.matcore import (Subspace, comm, eig_sym, expm, fro, inner,
+                              orthonormal_span)
+from liewedge.semialgebra import (_FACE_GUARD, bch, bch_witness, expected_tangent,
                                   orbit_wedge, semialgebra_case,
                                   semialgebra_probe, tangent_space)
-from liewedge.wedge import initial_wedge, saturate
+from liewedge.wedge import (Cone, ConjugationFamily, Wedge, dual_cone_margin,
+                            initial_wedge, saturate)
 
 RNG = np.random.default_rng(2718)
 
@@ -156,6 +162,156 @@ def test_general_rate_patterns_give_six_dim_tangents():
         w = orbit_wedge(rates, hull_samples=192, seed=0)
         a = np.diag(sorted(rates, reverse=True)) + np.asarray(H_Z)
         assert tangent_space(w, a).dim == 6
+
+
+def _eig_groups(vals: np.ndarray, tol: float = 1e-8) -> list:
+    """Multiplicity pattern of a descending eigenvalue triple."""
+    sizes = [1]
+    for k in range(1, len(vals)):
+        if vals[k - 1] - vals[k] <= tol:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return sizes
+
+
+def _face_block_sample(g: np.ndarray, groups: list,
+                       rng: np.random.Generator):
+    """Dual-face element (aligned basis) for the rotation-orbit cone.
+
+    The dual cone is c*l1 + b*l2 + a*l3 >= 0 on descending eigenvalues
+    l of the symmetric part, for rates g = (a >= b >= c >= 0); the face at
+    the base requires equality attained in the aligned basis, which pins
+    the eigenvalue pairing per multiplicity pattern of g.
+    """
+    a, b, c = (float(v) for v in g)
+    if groups == [3]:
+        s = rng.standard_normal((3, 3))
+        s = (s + s.T) / 2.0
+        return s - (np.trace(s) / 3.0) * np.eye(3)
+    if groups == [1, 2]:
+        # largest rate isolated: smallest functional eigenvalue sits on its
+        # axis, the 2x2 block is free above it
+        bmat = rng.standard_normal((2, 2))
+        bmat = (bmat + bmat.T) / 2.0
+        lam_min = float(np.linalg.eigvalsh(bmat)[0])
+        mu = max(0.0, (-(b / a) * np.trace(bmat) - lam_min) / (1.0 + 2.0 * b / a))
+        bmat = bmat + (mu + rng.exponential(0.3)) * np.eye(2)
+        out = np.zeros((3, 3))
+        out[0, 0] = -b * np.trace(bmat) / a
+        out[1:, 1:] = bmat
+        return out
+    if groups == [2, 1]:
+        bmat = rng.standard_normal((2, 2))
+        bmat = (bmat + bmat.T) / 2.0
+        if c <= 1e-12:
+            bmat = bmat - (np.trace(bmat) / 2.0) * np.eye(2)
+            s3 = float(np.linalg.eigvalsh(bmat)[1]) + rng.exponential(0.5)
+        else:
+            lam_max = float(np.linalg.eigvalsh(bmat)[1])
+            s3 = -a * np.trace(bmat) / c
+            mu = max(0.0, (lam_max - s3) / (1.0 + 2.0 * a / c))
+            bmat = bmat - (mu + rng.exponential(0.3)) * np.eye(2)
+            s3 = -a * np.trace(bmat) / c
+        out = np.zeros((3, 3))
+        out[:2, :2] = bmat
+        out[2, 2] = s3
+        return out
+    # distinct rates: diagonal functionals with ascending entries on the
+    # null plane of the rates vector (alternating projections)
+    gv = np.array([a, b, c])
+    gv = gv / np.linalg.norm(gv)
+    d = rng.standard_normal(3)
+    for _ in range(200):
+        d = np.sort(d)
+        d = d - np.dot(d, gv) * gv
+        if np.all(np.diff(d) >= -1e-12) and abs(np.dot(d, gv)) < 1e-12:
+            break
+    if np.linalg.norm(d) < 1e-8 or np.any(np.diff(d) < -1e-12):
+        return None
+    return np.diag(d)
+
+
+def _rotation(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(0, 4)] * 3).filter(any), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 20.0), st.floats(0.0, 5.0))
+def test_closed_form_tangent_matches_the_spectral_dual_face(rates, seed, scale, offset):
+    """The spectral dual-face sampler that rotation-orbit wedges used before
+    the closed form, as its reference: at A = scale R diag(rates) R^T plus an
+    edge offset, every sampled functional lies in the dual cone and vanishes
+    on A, and the orthocomplement of the sampled face is the closed form."""
+    rng = np.random.default_rng(seed)
+    w = orbit_wedge(rates, hull_samples=48, seed=0)
+    gamma = np.sort(np.asarray(rates, dtype=float))[::-1]
+    q = _rotation(rng)
+    skew = rng.normal(size=(3, 3))
+    a_mat = scale * q @ np.diag(gamma) @ q.T + offset * (skew - skew.T)
+    x = a_mat - w.edge.project(a_mat)
+    assert w.cone.analytic.exact.tangent(x) is not None
+
+    g = gamma / np.linalg.norm(gamma)
+    groups = _eig_groups(g)
+    _, v_a = eig_sym((a_mat + a_mat.T) / 2.0)
+    phis = []
+    for _ in range(96):
+        d = _face_block_sample(g, groups, rng)
+        if d is None:
+            continue
+        phi = v_a @ d @ v_a.T
+        phi = phi / fro(phi)
+        assert dual_cone_margin(g, phi) >= -1e-9
+        assert abs(inner(phi, a_mat)) <= _FACE_GUARD * max(1.0, fro(a_mat))
+        phis.append(phi)
+    sampled = orthocomplement(orthonormal_span(phis, shape=(3, 3), complex_field=False))
+    closed = tangent_space(w, a_mat)
+    assert subspace_equal(sampled, closed) and subspace_equal(closed, sampled)
+
+
+def test_indefinite_base_takes_the_sampled_face(monkeypatch):
+    """An indefinite base has a closed-form support but no closed-form
+    tangent space: `tangent_space` projects onto the dual face by NNLS."""
+    base = np.diag([1.0, 0.0, -1.0])
+    seeds = tuple(np.asarray(h) / fro(h) for h in (H_X, H_Y, H_Z))
+    fam = ConjugationFamily(seeds, base)
+    gens = [base] + [g for _, g in fam.sweep(48, np.random.default_rng(0))]
+    w = Wedge(edge=orthonormal_span(list(seeds)),
+              cone=Cone(generators=tuple(gens), shape=(3, 3), complex_field=False,
+                        analytic=fam))
+    assert fam.exact is not None and fam.exact.tangent(base) is None
+    calls = []
+    project = semialgebra._dual_face_project
+
+    def counted(*args):
+        calls.append(1)
+        return project(*args)
+
+    monkeypatch.setattr(semialgebra, "_dual_face_project", counted)
+    tangent_space(w, base + np.asarray(H_Z), face_samples=8)
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("case_id", ["ii", "iii", "iv"])
+def test_invariance_residual_ignores_the_tangent_basis(monkeypatch, case_id):
+    """The same tangent space under a rotated orthonormal basis gives the
+    same invariance residual."""
+    want = semialgebra_case(case_id)["invariance_residual"]
+    closed = semialgebra.tangent_space
+    rng = np.random.default_rng(5)
+
+    def rotated(*args, **kwargs):
+        t = closed(*args, **kwargs)
+        q = np.linalg.qr(rng.normal(size=(t.dim, t.dim)))[0]
+        return Subspace(t.stack @ q, t.shape, t.complex_field, t.tol)
+
+    monkeypatch.setattr(semialgebra, "tangent_space", rotated)
+    got = semialgebra_case(case_id)["invariance_residual"]
+    assert abs(got - want) <= 1e-12
 
 
 def test_orbit_wedge_validates_rates():

@@ -7,7 +7,7 @@ import pytest
 
 from liewedge.channels import (H_X, H_Y, H_Z, P_Y, ChannelSpec, build_system,
                                example1, example2, example3, example3_delta, sigma)
-from liewedge.lindblad import ControlSystem
+from liewedge.lindblad import ControlSystem, ad_hat, superop_from_coherence
 from liewedge.matcore import Subspace, expm, fro, inner, orthonormal_span
 from liewedge.wedge import (Cone, ConjugationFamily, Wedge, cone_contains,
                             cone_residual, dual_cone_contains,
@@ -92,6 +92,34 @@ def test_grid2_support_matches_brute_force():
                     for chunk in np.array_split(thetas, 36))
         assert val >= torus - 1e-9
         assert abs(inner(g, direction) - val) <= 1e-12 * max(1.0, fro(direction))
+
+
+@pytest.mark.parametrize("rep", ["r3", "qubit"])
+def test_seeds_that_miss_a_rotation_get_no_closed_form(rep):
+    """Three seeds that are multiples of one generator, around a symmetric
+    base, sweep a one-parameter orbit, not every rotation: the family has no
+    closed form, and its support never exceeds a dense scan of that orbit
+    over a full period (the aligned closed form overshot it by 3.8 on r3 and
+    3.4 on a qubit)."""
+    rng = np.random.default_rng(11)
+    block = np.diag([3.0, 2.0, 1.0])
+    if rep == "r3":
+        s = np.asarray(H_X + 0.6 * H_Y - 0.3 * H_Z)
+        seeds, base = (s, -s, s), block
+    else:
+        s = 1j * ad_hat(np.diag([0.5, -0.5]))
+        seeds, base = (s, 2.0 * s, -0.5 * s), superop_from_coherence(block)
+    fam = ConjugationFamily(seeds, base)
+    assert fam.exact is None
+    thetas = np.zeros((2 ** 15, 3))
+    thetas[:, 0] = np.linspace(0.0, fam.periods[0], len(thetas), endpoint=False)
+    orbit = fam.elements(thetas)
+    for _ in range(6):
+        d = rng.normal(size=(3, 3))
+        d = d + d.T if rep == "r3" else superop_from_coherence(d + d.T)
+        _, val = fam.support(d)
+        scan = np.real(np.sum(np.conj(orbit) * d, axis=(1, 2))).max()
+        assert val <= scan + 1e-6 * max(1.0, abs(scan))
 
 
 def test_non_skew_seeds_are_rejected():
