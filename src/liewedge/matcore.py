@@ -38,10 +38,11 @@ def fro(a: np.ndarray) -> float:
 
 
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Commutator [a, b] = ab - ba."""
+    """Commutator [a, b] = ab - ba, of two matrices or slice by slice of two
+    equal-shape (..., n, n) stacks."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"commutator needs equal square shapes, got {a.shape}, {b.shape}")
     return a @ b - b @ a
 

@@ -24,6 +24,10 @@ from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, wedge_contains
 
 BCH_MAX_ORDER = 4
 _FACE_GUARD = 1e-8
+_SCREEN = 0.05  # half of bch_witness's fit target, in units of tol * t**2 * scale
+# Relative to ||tail|| + t**2 * scale: far above the d * eps by which the
+# probe's stacked products and projection may round apart from one pair's.
+_ROUNDING = 1e-12
 
 _CASE_IDS = ("i", "ii", "iii", "iv")
 
@@ -33,11 +37,17 @@ _CASE_IDS = ("i", "ii", "iii", "iv")
 # ---------------------------------------------------------------------------
 
 def bch(a: np.ndarray, b: np.ndarray, order: int = 4) -> np.ndarray:
-    """Truncated product log a*b = a + b + [a,b]/2 + ... up to `order`."""
+    """Truncated product log a*b = a + b + [a,b]/2 + ... up to `order`.
+
+    `a` and `b` are two square matrices, or two equal-shape (..., n, n)
+    stacks of them; a stack gives the product of each pair of slices, by the
+    same elementwise steps as a single pair.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise ValueError("bch needs two square matrices of the same shape")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape != b.shape:
+        raise ValueError("bch needs two square matrices (or (..., n, n) stacks "
+                         "of them) of the same shape")
     if not 1 <= int(order) <= BCH_MAX_ORDER:
         raise ValueError(f"bch truncation order must be 1..{BCH_MAX_ORDER}, "
                          f"got {order}")
@@ -82,12 +92,24 @@ def _wedge_fit(w: Wedge, x: np.ndarray, rng: np.random.Generator = None,
     return rnorm, e + cfit
 
 
+def _checked_grid(t_grid, tol: float) -> tuple:
+    """The t grid as floats, after rejecting an empty grid and a t or tol
+    that is not positive and finite, any of which makes the probe vacuous."""
+    ts = tuple(float(t) for t in t_grid)
+    if not ts:
+        raise ValueError("t_grid must hold at least one t, got ()")
+    for name, v in [("t", t) for t in ts] + [("tol", tol)]:
+        if not 0 < v < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+    return ts
+
+
 def bch_witness(w: Wedge, a: np.ndarray, b: np.ndarray, t_grid=(1e-2,),
                 tol: float = 1e-8, rng: np.random.Generator = None):
     """Tail test for a single ordered pair; see `semialgebra_probe`."""
+    ts = _checked_grid(t_grid, tol)
     scale = max(1.0, fro(a) * fro(b))
-    for t in t_grid:
-        t = float(t)
+    for t in ts:
         prod = bch(t * np.asarray(a), t * np.asarray(b), order=4)
         tail = prod - t * (np.asarray(a) + np.asarray(b))
         threshold = tol * t * t * scale
@@ -99,27 +121,47 @@ def bch_witness(w: Wedge, a: np.ndarray, b: np.ndarray, t_grid=(1e-2,),
     return None
 
 
-def _wedge_samples(w: Wedge, count: int, rng: np.random.Generator) -> list:
-    """Unit-norm wedge members: generators, conic mixes, and edge offsets."""
+def _wedge_samples(w: Wedge, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-norm wedge members: generators, conic mixes, and edge offsets.
+
+    Returns a (m, *shape) stack, m <= count: draws of norm <= 1e-12 are
+    dropped.  The loop only draws from `rng` and records each sample's
+    generator indices, weights and edge coefficients; the stack is then
+    summed term by term, each masked add in the order one sample adds its
+    terms (a lone generator is added with weight 1.0, which is exact), so
+    every sample is bitwise what building it alone gives.
+    """
     gens = w.cone.generators
-    dtype = complex if w.cone.complex_field else float
-    out = []
+    n_gens, dim = len(gens), w.edge.dim
+    picks = np.zeros((count, 3), dtype=int)
+    weights = np.zeros((count, 3))  # 0 marks an absent term
+    coefs = np.zeros((count, dim))
+    offset = np.zeros(count, dtype=bool)
     for k in range(count):
-        x = np.zeros(w.cone.shape, dtype=dtype)
-        if gens:
+        if n_gens:
             if k % 3 == 0:
-                x = x + gens[rng.integers(len(gens))]
+                picks[k, 0], weights[k, 0] = rng.integers(n_gens), 1.0
             else:
-                idx = rng.integers(len(gens), size=int(rng.integers(1, 4)))
-                for i, lam in zip(idx, rng.uniform(0.2, 1.0, size=len(idx))):
-                    x = x + lam * gens[i]
-        if w.edge.dim and (k % 3 == 2 or not gens):
-            coefs = rng.normal(size=w.edge.dim)
-            x = x + sum(cf * np.asarray(m) for cf, m in zip(coefs, w.edge.mats))
-        n = fro(x)
-        if n > 1e-12:
-            out.append(x / n)
-    return out
+                m = int(rng.integers(1, 4))
+                picks[k, :m] = rng.integers(n_gens, size=m)
+                weights[k, :m] = rng.uniform(0.2, 1.0, size=m)
+        if dim and (k % 3 == 2 or not n_gens):
+            coefs[k] = rng.normal(size=dim)
+            offset[k] = True
+    x = np.zeros((count, *w.cone.shape), dtype=complex if w.cone.complex_field else float)
+    if n_gens:
+        g = np.asarray(gens)
+        for j in range(3):
+            on = weights[:, j] > 0
+            x[on] = x[on] + weights[on, j, None, None] * g[picks[on, j]]
+    if offset.any():
+        e = 0
+        for cf, mat in zip(coefs[offset].T, w.edge.mats):
+            e = e + cf[:, None, None] * mat
+        x[offset] = x[offset] + e
+    norms = np.array([fro(v) for v in x])  # one sample's summation order, not a batched one
+    keep = norms > 1e-12
+    return x[keep] / norms[keep, None, None]
 
 
 def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
@@ -132,11 +174,37 @@ def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
     first `BchWitness` whose tail misfit exceeds tol*t**2, else None.
     None means "no counterexample found at this sampling budget" on an
     inner-approximated membership oracle -- never a proof.
+
+    One batched pass: all samples are drawn first, every tail for each t
+    comes from one stacked `bch` call, and one matmul projects all tails off
+    the edge.  Zero lies in the cone, so a tail's fit residual is at most
+    the norm of its edge-orthogonal part.  A tail whose edge-orthogonal norm,
+    plus a 1e-12 allowance for the rounding by which this pass and the
+    single-pair fit may differ, is at most half of `bch_witness`'s fit
+    target 0.1*tol*t**2*scale can therefore neither meet the witness
+    threshold nor ask the cone's family for a support element, which is the
+    fit's only use of `rng`; it is skipped.  The remaining (pair, t) tails
+    go, pair by pair in sample order, to `bch_witness`, so the draws and
+    the first witness are those of fitting every pair in turn.
     """
+    if pair_samples < 1:
+        raise ValueError(f"pairs must be at least 1, got {pair_samples}")
+    ts = _checked_grid(t_grid, tol)
     rng = np.random.default_rng(seed)
     elems = _wedge_samples(w, 2 * pair_samples, rng)
-    for k in range(len(elems) // 2):
-        wit = bch_witness(w, elems[2 * k], elems[2 * k + 1], t_grid,
+    n_pairs = len(elems) // 2
+    a, b = elems[:2 * n_pairs:2], elems[1:2 * n_pairs:2]
+    scale = np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)))
+    tails = np.stack([bch(t * a, t * b) - t * (a + b) for t in ts])
+    cols = realify_stack(tails.reshape(-1, *w.cone.shape), w.cone.shape,
+                         w.cone.complex_field)
+    q = w.edge.stack
+    off_edge = np.linalg.norm(cols - q @ (q.T @ cols), axis=0)
+    t2s = (np.square(ts)[:, None] * scale).ravel()
+    allowance = _ROUNDING * (np.linalg.norm(cols, axis=0) + t2s)
+    leaves = (off_edge + allowance > _SCREEN * tol * t2s).reshape(len(ts), n_pairs)
+    for k in np.flatnonzero(leaves.any(axis=0)):
+        wit = bch_witness(w, a[k], b[k], [t for t, out in zip(ts, leaves[:, k]) if out],
                           tol=tol, rng=rng)
         if wit is not None:
             return wit

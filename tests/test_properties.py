@@ -27,7 +27,8 @@ from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
 from liewedge.matcore import (eig_sym, expm, fro, inner, orthonormal_span, realify,
                               realify_stack, unrealify, unrealify_stack)
 from liewedge.reachable import Schedule, _jacobian, contraction_audit, propagate, steer
-from liewedge.wedge import Cone, ConjugationFamily, Wedge, _period, initial_wedge, saturate
+from liewedge.wedge import (Cone, ConjugationFamily, Wedge, _cone_fit, _period, initial_wedge,
+                            saturate)
 
 REPS = ("r3", "qubit", "two_qubit")
 HILBERT_DIM = {"qubit": 2, "two_qubit": 4}
@@ -406,6 +407,31 @@ def test_non_skew_seeds_are_rejected(rep, kind, seed):
     so it has no period and no eigh kernel: the family refuses it."""
     with pytest.raises(ValueError, match="skew/anti-Hermitian seeds"):
         _family(rep, kind, seed, skew=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(REPS), st.sampled_from(("grid1", "grid2")), st.integers(0, 2**32 - 1),
+       st.integers(0, 6), st.booleans(), st.floats(0.0, 2.0), st.floats(-4.0, 4.0))
+def test_cone_fit_residual_never_exceeds_the_norm(rep, kind, seed, count, analytic,
+                                                  noise, log_scale):
+    """Zero lies in every cone, so a fit's residual is at most ||x||: the
+    invariant the BCH-closure probe's edge screen rests on.  Stored
+    generators from the family's sweep, with or without the family for
+    column generation (grid kinds: the random orbit search costs seconds per
+    fit); x a signed mix of them plus noise, at any scale."""
+    fam = _family(rep, kind, seed)
+    rng = np.random.default_rng(seed)
+    gens = [g for _, g in fam.sweep(count, rng)]
+    cone = Cone(generators=tuple(gens), shape=fam.base.shape,
+                complex_field=np.iscomplexobj(fam.base),
+                analytic=fam if analytic else None)
+    x = noise * rng.normal(size=fam.base.shape)
+    if cone.complex_field:
+        x = x + 1j * noise * rng.normal(size=fam.base.shape)
+    for g in gens:
+        x = x + rng.normal() * g
+    x = 10.0 ** log_scale * x
+    assert _cone_fit(cone, x, rng=rng)[0] <= fro(x) * (1 + 1e-12)
 
 
 def _reference_kind(edge) -> str:

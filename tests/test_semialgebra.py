@@ -10,8 +10,8 @@ from scipy.linalg import logm
 
 from liewedge import semialgebra
 
-from liewedge.channels import (H_X, H_Y, H_Z, P_X, P_Y, P_Z, example2,
-                               example3)
+from liewedge.channels import (H_X, H_Y, H_Z, P_X, P_Y, P_Z, ChannelSpec, build_system,
+                               example2, example3)
 from liewedge.liealg import orthocomplement, subspace_equal, subspace_leq
 from liewedge.matcore import (Subspace, comm, eig_sym, expm, fro, inner,
                               orthonormal_span)
@@ -317,3 +317,174 @@ def test_invariance_residual_ignores_the_tangent_basis(monkeypatch, case_id):
 def test_orbit_wedge_validates_rates():
     with pytest.raises(ValueError):
         orbit_wedge((1.0, -2.0, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# the batched probe against the per-pair loop
+# ---------------------------------------------------------------------------
+
+def _reference_samples(w, count: int, rng) -> list:
+    """The sample loop the batched `_wedge_samples` replaced: one matrix at
+    a time, in the same draws."""
+    gens = w.cone.generators
+    dtype = complex if w.cone.complex_field else float
+    out = []
+    for k in range(count):
+        x = np.zeros(w.cone.shape, dtype=dtype)
+        if gens:
+            if k % 3 == 0:
+                x = x + gens[rng.integers(len(gens))]
+            else:
+                idx = rng.integers(len(gens), size=int(rng.integers(1, 4)))
+                for i, lam in zip(idx, rng.uniform(0.2, 1.0, size=len(idx))):
+                    x = x + lam * gens[i]
+        if w.edge.dim and (k % 3 == 2 or not gens):
+            coefs = rng.normal(size=w.edge.dim)
+            x = x + sum(cf * np.asarray(m) for cf, m in zip(coefs, w.edge.mats))
+        n = fro(x)
+        if n > 1e-12:
+            out.append(x / n)
+    return out
+
+
+def _reference_probe(w, pair_samples, t_grid, tol, seed):
+    """The per-pair loop the batched probe replaced: every pair goes to
+    `bch_witness` in turn.  Returns (first witness or None, calls made)."""
+    rng = np.random.default_rng(seed)
+    elems = _reference_samples(w, 2 * pair_samples, rng)
+    for k in range(len(elems) // 2):
+        wit = bch_witness(w, elems[2 * k], elems[2 * k + 1], t_grid, tol=tol, rng=rng)
+        if wit is not None:
+            return wit, k + 1
+    return None, len(elems) // 2
+
+
+@pytest.fixture(scope="module")
+def probe_wedges():
+    def sat(system):
+        return saturate(initial_wedge(system), orbit_samples=360)
+
+    return {
+        "isotropic": orbit_wedge((1.0, 1.0, 1.0), hull_samples=96, seed=0),
+        "rates100": orbit_wedge((1.0, 0.0, 0.0), hull_samples=96, seed=0),
+        "rates321": orbit_wedge((3.0, 2.0, 1.0), hull_samples=96, seed=0),
+        "example2": sat(example2()),
+        "example3": sat(example3()),
+        "phase_flip": sat(build_system(ChannelSpec(name="phase_flip", control_axes=("x",),
+                                                   drift_axis="z"))),
+    }
+
+
+def _same_witness(got, want) -> bool:
+    if got is None or want is None:
+        return got is None and want is None
+    fields = ("A", "B", "product", "offending_component", "t", "residual")
+    return all(np.asarray(getattr(got, f)).tobytes() == np.asarray(getattr(want, f)).tobytes()
+               for f in fields)
+
+
+@pytest.mark.parametrize("t_grid", [(1e-2,), (1e-2, 1e-3)])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("name", ["isotropic", "rates100", "rates321", "example2",
+                                  "example3", "phase_flip"])
+def test_batched_probe_matches_the_per_pair_loop(probe_wedges, name, seed, t_grid):
+    """Same samples, bitwise, and the same first witness, every field
+    bitwise, or None on both sides."""
+    w = probe_wedges[name]
+    got = semialgebra._wedge_samples(w, 240, np.random.default_rng(seed))
+    want = _reference_samples(w, 240, np.random.default_rng(seed))
+    assert got.shape == (len(want), *w.cone.shape)
+    assert all(g.tobytes() == x.tobytes() for g, x in zip(got, want))
+    wit = semialgebra_probe(w, pair_samples=120, t_grid=t_grid, seed=seed)
+    ref, _ = _reference_probe(w, 120, t_grid, 1e-8, seed)
+    assert (wit is None) == (name == "isotropic")
+    assert _same_witness(wit, ref)
+
+
+def test_probe_fits_pair_by_pair_not_t_by_t(probe_wedges):
+    """On the (3,2,1) wedge the first pair's tail misfit grows like t**3
+    and the second pair's like t**2, so at tol 1e-3 the first pair is a
+    witness only at t = 0.3 and the second already at t = 1e-2: pair-major
+    order returns the first pair, t-major order would return the second."""
+    w = probe_wedges["rates321"]
+    t_grid = (1e-2, 0.3)
+    elems = _reference_samples(w, 4, np.random.default_rng(0))
+    assert bch_witness(w, elems[0], elems[1], (1e-2,), tol=1e-3) is None
+    assert bch_witness(w, elems[2], elems[3], (1e-2,), tol=1e-3) is not None
+    wit = semialgebra_probe(w, pair_samples=20, t_grid=t_grid, tol=1e-3, seed=0)
+    ref, calls = _reference_probe(w, 20, t_grid, 1e-3, 0)
+    assert (calls, ref.t) == (1, 0.3)
+    assert _same_witness(wit, ref)
+
+
+def _counted_bch_witness(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return bch_witness(*args, **kwargs)
+
+    monkeypatch.setattr(semialgebra, "bch_witness", counted)
+    return calls
+
+
+def test_isotropic_probe_fits_no_pair(monkeypatch, probe_wedges):
+    """Every tail on the isotropic wedge lies in the edge so(3), so the
+    screen leaves no pair for a fit (the per-pair loop fits all 1000)."""
+    calls = _counted_bch_witness(monkeypatch)
+    assert semialgebra_probe(probe_wedges["isotropic"], pair_samples=1000, seed=4) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_probe_fits_every_pair_the_loop_fits(monkeypatch, probe_wedges, seed):
+    w = probe_wedges["rates321"]
+    want, want_calls = _reference_probe(w, 200, (1e-2,), 1e-8, seed)
+    calls = _counted_bch_witness(monkeypatch)
+    assert _same_witness(semialgebra_probe(w, pair_samples=200, seed=seed), want)
+    assert len(calls) == want_calls
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"pair_samples": 0}, "pairs must be at least 1, got 0"),
+    ({"pair_samples": -5}, "pairs must be at least 1, got -5"),
+    ({"t_grid": ()}, r"t_grid must hold at least one t, got \(\)"),
+    ({"t_grid": (0.0,)}, "t must be positive and finite, got 0.0"),
+    ({"t_grid": (1e-2, -1e-3)}, "t must be positive and finite, got -0.001"),
+    ({"t_grid": (float("nan"),)}, "t must be positive and finite, got nan"),
+    ({"t_grid": (float("inf"),)}, "t must be positive and finite, got inf"),
+    ({"tol": float("inf")}, "tol must be positive and finite, got inf"),
+    ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+    ({"tol": float("nan")}, "tol must be positive and finite, got nan"),
+])
+def test_vacuous_probe_settings_are_rejected(probe_wedges, kwargs, message):
+    """Each of these made the probe report "no counterexample" on a wedge
+    that is not a semialgebra, or leaked an error from scipy."""
+    w = probe_wedges["rates321"]
+    with pytest.raises(ValueError, match=message):
+        semialgebra_probe(w, **kwargs)
+    if "pair_samples" not in kwargs:
+        with pytest.raises(ValueError, match=message):
+            bch_witness(w, GAMMA2 + H_Z, GAMMA2 + H_X, **kwargs)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape, complex_field", [((5, 3, 3), False), ((2, 3, 4, 4), True)])
+def test_stacked_bch_matches_each_pair(order, shape, complex_field):
+    rng = np.random.default_rng(order)
+    a, b = rng.normal(size=(2, *shape))
+    if complex_field:
+        a, b = a + 1j * rng.normal(size=shape), b + 1j * rng.normal(size=shape)
+    got = bch(a, b, order=order)
+    assert got.shape == shape
+    for idx in np.ndindex(*shape[:-2]):
+        want = bch(a[idx], b[idx], order=order)
+        assert fro(got[idx] - want) <= 1e-15 * fro(want)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((3, 3), (4, 4)), ((2, 3, 3), (3, 3, 3)),
+                                              ((2, 3, 3), (3, 3)), ((2, 3, 4), (2, 3, 4)),
+                                              ((3,), (3,))])
+def test_bch_rejects_mismatched_or_non_square_shapes(a_shape, b_shape):
+    with pytest.raises(ValueError, match="bch needs two square matrices"):
+        bch(np.ones(a_shape), np.ones(b_shape))
