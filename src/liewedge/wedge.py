@@ -7,8 +7,11 @@ the edge plus the negatives of the cone elements).  Cones carry finitely
 many unit-norm sampled generators plus, where available, an analytic
 conjugation family: the edge's orthonormal basis as skew seeds and the
 drift's edge-orthogonal part as base, from which the family derives its
-kind, periods, support search and closed forms (`exact`).  Every
-membership oracle is an inner approximation and is documented as such.
+kind, periods, support search and closed forms (`exact`).  Membership is
+exact where the family has a closed form that the cone certifies
+(`Cone.exact`: Schur-Horn bounds for full-rotation orbits); elsewhere it
+comes from a nonnegative fit over sampled generators, an inner
+approximation that can only err towards "not a member".
 Edge and cone are each stored once, as a realified column stack (see
 `matcore`); their matrices are views derived from it, and `saturate` works
 on the cone's stack directly.
@@ -28,12 +31,16 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar, nnls
 
 from .liealg import lie_closure
-from .lindblad import (ControlSystem, ad_hat, coherence_rep, control_directions,
-                       drift_direction, pauli_basis, superop_from_coherence)
+from .lindblad import (ControlSystem, _pauli_vecs, ad_hat, coherence_rep,
+                       control_directions, drift_direction, pauli_basis,
+                       superop_from_coherence)
 from .matcore import (Subspace, _span_columns, comm, eig_sym, fro, orthonormal_span,
                       realify, realify_stack, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
+# largest distance from a stored unit generator to the family's cone at
+# which `Cone.exact` still lets the closed form decide membership
+_CERTIFIED = 1e-12
 # candidate parameter rows per support call, by family kind
 _SUPPORT_CANDIDATES = {"grid1": 2048, "grid2": 64 * 64, "orbit": 128}
 
@@ -56,7 +63,10 @@ class RotationOrbit:
     superoperator's coherence representation (`qubit`).
 
     Built only by `ConjugationFamily.exact`.  `seeds` are the family's seeds
-    on its own carrier; `rates` are the eigenvalues of b, descending.
+    on its own carrier; `rates` are the eigenvalues of b, descending.  The
+    closed forms: the support function (`support`), the tangent space at an
+    orbit ray (`tangent`), and distance bounds to the orbit's cone that
+    decide membership (`contains`).
     """
 
     seeds: tuple
@@ -98,6 +108,57 @@ class RotationOrbit:
         if t <= 0.0 or fro(x - t * g) > 1e-6 * fro(x):
             return None
         return [x] + [comm(s, x) for s in self.seeds]
+
+    def contains(self, xs: np.ndarray):
+        """Rigorous (lower, upper) bounds on the distance from each matrix of
+        the stack `xs` to K, the cone over the orbit; None when the rates sum
+        to <= 0, where K is no longer cut out by Schur-Horn.
+
+        Each x splits orthogonally into a symmetric 3x3 block S (on a qubit,
+        of x's projection onto the coherence image) and a remainder "off"
+        that K never reaches, so dist^2 = off^2 + dist(S, K)^2.  With lam
+        the eigenvalues of S and mu the rates, both descending, K holds S
+        exactly when tr S >= 0 and lam is majorized by t mu, t = tr S / sum mu
+        (Schur-Horn).  Write v_k = sum_{i<=k} (lam_i - t mu_i) and
+        g_k = t sum_{i<=k} mu_i - k tr S / 3 for k = 1, 2.
+          lower: K lies in tr >= 0, which S misses by -tr S / sqrt(3); and by
+            Ky Fan plus |tr E| <= sqrt(3)|E| for E = S - Y, every Y in K is at
+            least v_k / (sqrt(k) + sqrt(3) sum_{i<=k} mu_i / sum mu) from S.
+          upper: for tr S >= 0 the centroid (tr S / 3) I lies in K, and the
+            mix of S toward it by s = max_k v_k+ / (v_k+ + g_k) is majorized,
+            so dist(S, K) <= s |S - (tr S / 3) I|; for tr S < 0, the apex 0
+            gives dist(S, K) <= |S|.
+        One stacked `eigvalsh` serves the whole stack.
+        """
+        total = float(np.sum(self.rates))
+        if not total > 0.0:
+            return None
+        xs = np.asarray(xs)
+        if self.qubit:
+            v = _pauli_vecs(2)
+            m = np.real(v.conj().T @ xs @ v)
+            off = np.linalg.norm(xs - v @ m @ v.conj().T, axis=(1, 2))
+        else:
+            m = np.real(xs)
+            off = np.linalg.norm(np.imag(xs), axis=(1, 2))
+        s = (m + np.swapaxes(m, 1, 2)) / 2
+        off = np.hypot(off, np.linalg.norm(m - s, axis=(1, 2)))
+        lam = np.linalg.eigvalsh(s)[:, ::-1]
+        tr = lam.sum(axis=1)
+        t = tr / total
+        mu_k = np.cumsum(self.rates)[:2]
+        k = np.arange(1, 3)
+        v_k = np.cumsum(lam, axis=1)[:, :2] - t[:, None] * mu_k
+        g_k = np.maximum(t[:, None] * mu_k - k * tr[:, None] / 3, 0.0)
+        apart = np.maximum(np.maximum(-tr, 0.0) / np.sqrt(3.0),
+                           (v_k / (np.sqrt(k) + np.sqrt(3.0) * mu_k / total)).max(axis=1))
+        lower = np.hypot(off, np.maximum(apart, 0.0))
+        vp = np.maximum(v_k, 0.0)
+        mix = np.divide(vp, vp + g_k, out=np.zeros_like(vp), where=vp > 0.0).max(axis=1)
+        centred = np.linalg.norm(s - (tr / 3)[:, None, None] * np.eye(3), axis=(1, 2))
+        upper = np.hypot(off, np.where(tr >= 0.0, mix * centred,
+                                       np.linalg.norm(s, axis=(1, 2))))
+        return lower, upper
 
 
 @dataclass(frozen=True)
@@ -375,6 +436,24 @@ class Cone:
     def span(self) -> Subspace:
         return Subspace(_span_columns(self.stack), self.shape, self.complex_field)
 
+    @cached_property
+    def exact(self):
+        """The family's closed form (`ConjugationFamily.exact`) when it decides
+        this cone, else None.
+
+        It does when every stored generator lies within `_CERTIFIED` of the
+        family's cone, so that the stack adds nothing to what the family
+        spans; one batched `contains` call checks them all.  A generator off
+        the orbit (for example one kept after the edge grew) withholds it.
+        """
+        exact = None if self.analytic is None else self.analytic.exact
+        if exact is None:
+            return None
+        bounds = exact.contains(unrealify_stack(self.stack, self.shape, self.complex_field))
+        if bounds is None or np.any(bounds[1] > _CERTIFIED):
+            return None
+        return exact
+
 
 def _cone_fit(c: Cone, x: np.ndarray, rng: np.random.Generator = None,
               target: float = None) -> tuple:
@@ -439,11 +518,44 @@ def cone_residual(c: Cone, x: np.ndarray, rng: np.random.Generator = None) -> fl
     return _cone_fit(c, x, rng)[0]
 
 
+def _checked_query(x, shape: tuple, tol) -> tuple:
+    """x as an array and tol as a float, after rejecting an x that is not of
+    the carrier's shape or not finite and a tol that is not positive and
+    finite, any of which makes a membership verdict meaningless."""
+    x = np.asarray(x)
+    if x.shape != tuple(shape):
+        raise ValueError(f"x must have the carrier's shape {tuple(shape)}, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite, got a non-finite entry")
+    tol = float(tol)
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return x, tol
+
+
 def cone_contains(c: Cone, x: np.ndarray, tol: float = None,
                   rng: np.random.Generator = None) -> bool:
-    """Inner-approximate membership test (see `cone_residual`)."""
-    tol = c.tol if tol is None else tol
-    return cone_residual(c, x, rng=rng) <= tol * max(1.0, fro(x))
+    """Whether x lies within tol * max(1, |x|) of the cone.
+
+    Where the cone has a certified closed form (`Cone.exact`), its distance
+    bounds decide first: a lower bound above the threshold is a non-member,
+    an upper bound at or below it a member.  Otherwise, and for x whose
+    bounds straddle the threshold, the `_cone_fit` residual decides; the fit
+    is a cone member, so that path errs only towards "not a member".  On a
+    real carrier, an imaginary part of x counts in the distance.
+    """
+    x, tol = _checked_query(x, c.shape, c.tol if tol is None else tol)
+    bound = tol * max(1.0, fro(x))
+    if c.exact is not None:
+        lower, upper = c.exact.contains(x[None])
+        if lower[0] > bound:
+            return False
+        if upper[0] <= bound:
+            return True
+    residual = cone_residual(c, x, rng=rng)
+    if not c.complex_field:
+        residual = float(np.hypot(residual, fro(np.imag(x))))
+    return residual <= bound
 
 
 def lineality(c: Cone, tol: float = None) -> Subspace:
@@ -487,9 +599,11 @@ class Wedge:
 def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None,
                    rng: np.random.Generator = None) -> bool:
     """Membership of x in edge + cone (positive picture): the edge component
-    is unconstrained, the edge-orthogonal part must lie in the cone."""
+    is unconstrained, the edge-orthogonal part must lie in the cone, decided
+    by `cone_contains` with the same tol and inputs checked the same way."""
+    x, tol = _checked_query(x, w.cone.shape, w.cone.tol if tol is None else tol)
     perp = x - w.edge.project(x)
-    if fro(perp) <= (w.cone.tol if tol is None else tol) * max(1.0, fro(x)):
+    if fro(perp) <= tol * max(1.0, fro(x)):
         return True
     return cone_contains(w.cone, perp, tol, rng)
 

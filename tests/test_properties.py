@@ -5,7 +5,8 @@ the one-array cones and subspaces, the merged aligned orbit support, the
 one-search support function, the merged frequency table, the one-pass
 report writer and the exact steering Jacobian against loop, expm,
 edge-rule, full-pairwise, per-generator, two-branch, three-routine,
-per-entry, two-pass or central-difference references kept here."""
+per-entry, two-pass or central-difference references kept here, and the
+Schur-Horn distance bounds against a dense-sample NNLS fit."""
 
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize, minimize_scalar, nnls
 
-from liewedge.channels import ChannelSpec, build_system, sigma, sigma2
+from liewedge.channels import H_X, H_Y, H_Z, ChannelSpec, build_system, sigma, sigma2
 from liewedge.cli import _dumps
 from liewedge.liealg import lie_closure
 from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
@@ -1047,3 +1048,81 @@ def test_writer_rejects_unsupported_objects(bad):
         _dumps(bad)
     with pytest.raises(TypeError):
         _reference_dumps(bad)
+
+
+# ---------------------------------------------------------------------------
+# Schur-Horn distance bounds of full-rotation orbit cones
+# ---------------------------------------------------------------------------
+
+def _rotation_orbit(rep: str, rates) -> tuple:
+    """The closed form of a full-rotation family on r3 or a qubit, and the
+    map from a symmetric 3x3 block onto its carrier."""
+    if rep == "r3":
+        seeds = tuple(np.asarray(h) for h in (H_X, H_Y, H_Z))
+        lift = np.asarray
+    else:
+        seeds = tuple(1j * ad_hat(sigma(a) / 2.0) for a in "xyz")
+        lift = superop_from_coherence
+    exact = ConjugationFamily(tuple(s / fro(s) for s in seeds), lift(np.diag(rates))).exact
+    assert exact is not None and exact.qubit == (rep == "qubit")
+    return exact, lift
+
+
+def _rotations(rng, n: int) -> np.ndarray:
+    return np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("r3", "qubit")),
+       st.lists(st.floats(-1.0, 3.0), min_size=3, max_size=3).filter(lambda r: sum(r) > 0.3),
+       st.sampled_from(("random", "orbit", "mix", "ray", "face1", "face2")),
+       st.floats(-7.0, -2.0), st.sampled_from((-1.0, 1.0)), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_schur_horn_bounds_bracket_the_sampled_distance(rep, rates, kind, log_push, side,
+                                                        noisy, seed):
+    """For random symmetric blocks, scaled orbit points, conic mixes, and
+    points on the extreme ray or on a face of K pushed in or out by 1e-2 to
+    1e-7 relative along the face normal (plus, if `noisy`, a part off the
+    symmetric image): lower <= upper, and lower <= the residual of an NNLS
+    fit over 4000 orbit points, which is at least the true distance.
+    Orbit points and mixes are certified members; outward pushes get a
+    positive lower bound."""
+    rates = np.sort(np.asarray(rates, dtype=float))[::-1]
+    exact, lift = _rotation_orbit(rep, rates)
+    rng = np.random.default_rng(seed)
+    total = rates.sum()
+    scale = rng.uniform(0.1, 10.0)
+    if kind == "random":
+        s = rng.normal(size=(3, 3))
+        s = scale * (s + s.T) / 2.0
+    elif kind in ("orbit", "mix"):
+        qs = _rotations(rng, 1 if kind == "orbit" else 3)
+        s = np.einsum("k,kij,j,klj->il", rng.uniform(0.2, 1.0, len(qs)) * scale,
+                      qs, rates, qs)
+    else:
+        lam, normal = {
+            "ray": (rates, [2.0, -1.0, -1.0]),
+            "face1": ([rates[0], (total - rates[0]) / 2, (total - rates[0]) / 2],
+                      [2.0, -1.0, -1.0]),
+            "face2": ([(rates[0] + rates[1]) / 2] * 2 + [rates[2]], [1.0, 1.0, -2.0]),
+        }[kind]
+        lam = scale * np.asarray(lam)
+        lam = lam + side * 10.0 ** log_push * np.linalg.norm(lam) * np.asarray(normal) / np.sqrt(6.0)
+        q = _rotations(rng, 1)[0]
+        s = q @ np.diag(lam) @ q.T
+    x = lift(s)
+    if noisy:
+        x = x + 1e-3 * scale * rng.normal(size=x.shape)
+    (lower,), (upper,) = exact.contains(x[None])
+    qs = _rotations(np.random.default_rng(0), 4000)
+    orbit = np.einsum("kij,j,klj->kil", qs, rates, qs)
+    complex_field = rep == "qubit"
+    a = realify_stack([lift(g) for g in orbit], x.shape, complex_field)
+    sampled = nnls(a, realify(x, complex_field))[1]
+    slack = 1e-12 * fro(x)
+    assert lower <= upper + slack
+    assert lower <= sampled + slack
+    if not noisy and kind in ("orbit", "mix"):
+        assert upper <= slack
+    if not noisy and kind in ("ray", "face1", "face2") and side > 0:
+        assert lower > 0.0

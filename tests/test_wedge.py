@@ -1,14 +1,21 @@
-"""Cones, conjugation families, wedge saturation, dual-cone criteria."""
+"""Cones, conjugation families, wedge saturation, dual-cone criteria, and
+Schur-Horn membership on full-rotation orbit cones."""
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from liewedge import wedge as wedge_module
 from liewedge.channels import (H_X, H_Y, H_Z, P_Y, ChannelSpec, build_system,
                                example1, example2, example3, example3_delta, sigma)
-from liewedge.lindblad import ControlSystem, ad_hat, superop_from_coherence
+from liewedge.lindblad import ControlSystem, ad_hat, coherence_rep, superop_from_coherence
 from liewedge.matcore import Subspace, expm, fro, inner, orthonormal_span
+from liewedge.semialgebra import orbit_wedge
 from liewedge.wedge import (Cone, ConjugationFamily, Wedge, cone_contains,
                             cone_residual, dual_cone_contains,
                             dual_cone_margin, initial_wedge, lineality,
@@ -256,3 +263,157 @@ def test_outer_wedge_hypotheses_on_qubit_system():
     assert report["bracket_span_residual"] <= 1e-8
     assert report["ad_invariance_residual"] <= 1e-8
     assert all(report["holds"].values())
+
+
+# ---------------------------------------------------------------------------
+# the Schur-Horn membership oracle behind Cone.exact
+# ---------------------------------------------------------------------------
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def _rotation(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, [0, 1]] = q[:, [1, 0]]
+    return q
+
+
+def _schur_horn(s: np.ndarray, rates) -> bool:
+    rates = np.asarray(rates, dtype=float)
+    tr = float(np.trace(s))
+    return tr > 1e-9 and majorized(s, tr / rates.sum() * rates)
+
+
+def _counting_fits(monkeypatch) -> list:
+    """Count `_cone_fit` calls made through the module attribute."""
+    calls = []
+    fit = wedge_module._cone_fit
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(wedge_module, "_cone_fit", counted)
+    return calls
+
+
+def test_real_wedge_rejects_an_imaginary_part():
+    """A real carrier holds no imaginary part: it counts in the distance on
+    the closed-form path (the orbit wedge) and on the fitted path (a cone
+    without a family), while a complex dtype with zero imaginary part stays
+    a member."""
+    w = orbit_wedge((3.0, 2.0, 1.0))
+    x = np.diag([3.0, 2.0, 1.0])
+    assert not wedge_contains(w, x + 1j * np.eye(3))
+    assert not cone_contains(w.cone, x + 1e-3j * np.eye(3))
+    assert wedge_contains(w, x.astype(complex))
+    c = _orthant_cone()
+    assert not cone_contains(c, x + 1j * np.eye(3))
+    assert cone_contains(c, x.astype(complex))
+    assert w.cone.exact is not None and c.exact is None
+
+
+@pytest.mark.parametrize("oracle", ["cone", "wedge"])
+@pytest.mark.parametrize("x, tol, message", [
+    (np.eye(4), None, r"x must have the carrier's shape \(3, 3\), got \(4, 4\)"),
+    (np.ones(9), None, r"x must have the carrier's shape \(3, 3\), got \(9,\)"),
+    (np.diag([3.0, np.nan, 1.0]), None, "x must be finite"),
+    (np.diag([3.0, np.inf, 1.0]), None, "x must be finite"),
+    (-np.diag([3.0, 2.0, 1.0]), np.inf, "tol must be positive and finite, got inf"),
+    (np.diag([3.0, 2.0, 1.0]), np.nan, "tol must be positive and finite, got nan"),
+    (np.diag([3.0, 2.0, 1.0]), -1.0, "tol must be positive and finite, got -1.0"),
+    (np.diag([3.0, 2.0, 1.0]), 0.0, "tol must be positive and finite, got 0.0"),
+])
+def test_membership_rejects_bad_inputs(oracle, x, tol, message):
+    w = orbit_wedge((3.0, 2.0, 1.0))
+    with pytest.raises(ValueError, match=message):
+        if oracle == "cone":
+            cone_contains(w.cone, x, tol)
+        else:
+            wedge_contains(w, x, tol)
+
+
+def test_schur_horn_oracle_matches_majorization_on_criterion_3_draws():
+    """The 1000 draws of acceptance criterion 3 (same wedge, seed and order):
+    members, extreme rays and generic symmetric matrices, with no
+    disagreement against Schur-Horn where that criterion allows one."""
+    wedge_ex1 = saturate(initial_wedge(example1()), orbit_samples=240)
+    rng = np.random.default_rng(20260825)
+    rates = np.array([3.0, 2.0, 1.0])
+    disagreements = 0
+    for k in range(1000):
+        if k % 3 == 0:
+            s = sum(rng.uniform(0.2, 1.0) * (q := _rotation(rng)) @ np.diag(rates) @ q.T
+                    for _ in range(rng.integers(1, 4)))
+        elif k % 3 == 1:
+            q = _rotation(rng)
+            s = rng.uniform(0.3, 2.0) * q @ np.diag(rates) @ q.T
+        else:
+            s = rng.normal(size=(3, 3))
+            s = (s + s.T) / 2.0
+        disagreements += int(cone_contains(wedge_ex1.cone, s) != _schur_horn(s, rates))
+    assert disagreements == 0
+
+
+def test_qubit_orbit_verdicts_match_majorization():
+    """phase_flip with x and y controls: the edge is every rotation of the
+    coherence vector and the cone an orbit cone of rates (2, 2, 0).  Verdicts
+    on superoperators (plus an edge part for the wedge) agree with
+    Schur-Horn on their coherence representation."""
+    sys = build_system(ChannelSpec(name="phase_flip", control_axes=("x", "y")))
+    w = saturate(initial_wedge(sys), orbit_samples=360)
+    exact = w.cone.exact
+    assert exact is not None and exact.qubit
+    rates = exact.rates
+    rng = np.random.default_rng(3)
+    for k in range(90):
+        if k % 3 == 0:
+            s = sum(rng.uniform(0.2, 1.0) * (q := _rotation(rng)) @ np.diag(rates) @ q.T
+                    for _ in range(rng.integers(1, 4)))
+        elif k % 3 == 1:
+            q = _rotation(rng)
+            s = rng.uniform(0.3, 2.0) * q @ np.diag(rates) @ q.T
+        else:
+            s = rng.normal(size=(3, 3))
+            s = (s + s.T) / 2.0
+        x = superop_from_coherence(s)
+        truth = _schur_horn(coherence_rep(x), rates)
+        edge_part = sum(c * m for c, m in zip(rng.normal(size=w.edge.dim), w.edge.mats))
+        assert cone_contains(w.cone, x) == truth
+        assert wedge_contains(w, x + edge_part) == truth
+
+
+def test_example1_probe_set_makes_no_fit(monkeypatch):
+    """The benchmark's 24-probe `contains example1` set, drawn as the query
+    workload draws it at seed 61: every verdict comes from the Schur-Horn
+    bounds, with no `_cone_fit` call."""
+    spec = importlib.util.spec_from_file_location("liewedge_bench_workloads", BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    w = saturate(initial_wedge(example1()), orbit_samples=360)
+    probes = workloads._ex1_probes(np.random.default_rng([61, 2]), 24)
+    calls = _counting_fits(monkeypatch)
+    assert [wedge_contains(w, x) for x, _ in probes] == [t for _, t in probes]
+    assert calls == []
+
+
+def test_generator_off_the_orbit_withholds_the_closed_form(monkeypatch):
+    """A stored generator outside the family's orbit cone makes the cone
+    larger than that orbit cone, so the cone gets no certificate and fits:
+    diag(1, 0, 0) is a stored generator, a member, and no Schur-Horn
+    member of cone{R diag(3, 2, 1) R^T}."""
+    seeds = tuple(np.asarray(h) / fro(h) for h in (H_X, H_Y, H_Z))
+    base = np.diag([3.0, 2.0, 1.0])
+    fam = ConjugationFamily(seeds, base)
+    on_orbit = Cone(generators=(base,), shape=(3, 3), complex_field=False, analytic=fam)
+    assert on_orbit.exact is fam.exact
+    off = np.diag([1.0, 0.0, 0.0])
+    c = Cone(generators=(base, off), shape=(3, 3), complex_field=False, analytic=fam)
+    assert c.exact is None
+    calls = _counting_fits(monkeypatch)
+    assert cone_contains(c, off)
+    assert not _schur_horn(off, (3.0, 2.0, 1.0))
+    assert len(calls) == 1
