@@ -9,9 +9,11 @@ conjugation family: the edge's orthonormal basis as skew seeds and the
 drift's edge-orthogonal part as base, from which the family derives its
 kind, periods, support search and closed forms (`exact`).  Membership is
 exact where the family has a closed form that the cone certifies
-(`Cone.exact`: Schur-Horn bounds for full-rotation orbits); elsewhere it
-comes from a nonnegative fit over sampled generators, an inner
-approximation that can only err towards "not a member".
+(`Cone.exact`: Schur-Horn bounds for full-rotation orbits,
+Caratheodory-Toeplitz bounds for one-parameter orbits with commensurate
+frequencies); elsewhere it comes from a nonnegative fit over sampled
+generators, an inner approximation that can only err towards "not a
+member".
 Edge and cone are each stored once, as a realified column stack (see
 `matcore`); their matrices are views derived from it, and `saturate` works
 on the cone's stack directly.
@@ -34,8 +36,8 @@ from .liealg import lie_closure
 from .lindblad import (ControlSystem, _pauli_vecs, ad_hat, coherence_rep,
                        control_directions, drift_direction, pauli_basis,
                        superop_from_coherence)
-from .matcore import (Subspace, _span_columns, comm, eig_sym, fro, orthonormal_span,
-                      realify, realify_stack, unrealify, unrealify_stack)
+from .matcore import (RANK_TOL, Subspace, _span_columns, comm, eig_sym, fro,
+                      orthonormal_span, realify, realify_stack, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
 # largest distance from a stored unit generator to the family's cone at
@@ -76,13 +78,12 @@ class RotationOrbit:
     def support(self, direction: np.ndarray):
         """Orbit element maximizing the inner product against `direction`,
         and that maximum: b's eigenvalues placed on the direction's
-        eigenvectors in the same order.  None for a qubit direction that
-        `coherence_rep` rejects."""
+        eigenvectors in the same order.  On a qubit the direction is first
+        projected onto the coherence image, which holds every orbit element
+        (`coherence_rep`'s product Re(V^H D V)^T, without its checks)."""
         if self.qubit:
-            try:
-                direction = coherence_rep(direction)
-            except ValueError:
-                return None
+            v = _pauli_vecs(2)
+            direction = np.real(v.conj().T @ (direction @ v)).T
         w_d, v_d = eig_sym((direction + direction.T) / 2)
         g = v_d @ np.diag(self.rates) @ v_d.T
         if self.qubit:
@@ -159,6 +160,109 @@ class RotationOrbit:
         upper = np.hypot(off, np.where(tr >= 0.0, mix * centred,
                                        np.linalg.norm(s, axis=(1, 2))))
         return lower, upper
+
+
+@dataclass(frozen=True)
+class MomentCurve:
+    """Closed-form geometry of a one-parameter orbit whose eigenphase
+    differences are the integer multiples k of one unit with |k| <= d:
+    theta -> sum_k e^{-ik phi} M_k, phi = unit * theta.
+
+    Built only by `ConjugationFamily.exact`.  A conic combination of orbit
+    points, the integral of the orbit against a nonnegative measure, is
+    sum_k tau_k M_k for the measure's trigonometric moments tau_k =
+    conj(tau_-k); by the Caratheodory-Toeplitz theorem, those are the
+    moments of a nonnegative measure exactly when the (d+1)x(d+1) Hermitian
+    Toeplitz matrix T(tau)_jl = tau_{j-l} is positive semidefinite.  The
+    real-linear moment map (tau_0, Re tau_k, Im tau_k) -> sum_k tau_k M_k is
+    injective; `basis` holds orthonormal columns spanning its image,
+    realified with (Re, Im) on every carrier, and `toeplitz` the Toeplitz
+    matrix of each column, so a point x of the span has T = sum_i <basis_i,
+    x> toeplitz_i.  `m0_norm` is |M_0|.  Only `contains` has a closed form so
+    far; `support` and `tangent` return None.
+    """
+
+    basis: np.ndarray = field(repr=False)
+    toeplitz: np.ndarray = field(repr=False)
+    m0_norm: float
+
+    @property
+    def degree(self) -> int:
+        return self.toeplitz.shape[1] - 1
+
+    def support(self, direction: np.ndarray):
+        return None
+
+    def tangent(self, x: np.ndarray):
+        return None
+
+    def contains(self, xs: np.ndarray):
+        """Rigorous (lower, upper) bounds on the distance from each matrix of
+        the stack `xs` to K, the cone over the orbit.
+
+        Each x splits orthogonally into its projection Px onto the moment
+        span, which holds K, and a remainder "off", so dist^2 = off^2 +
+        dist(Px, K)^2.  T(Px) has least eigenvalue lam, with unit
+        eigenvector v.
+          upper: adding -lam to tau_0 adds -lam I to T, so for lam < 0 the
+            point Px - lam M_0 lies in K, at -lam |M_0| from Px.
+          lower: the functional y -> v^H T(y) v equals
+            int |sum_j v_j e^{ij phi}|^2 dmu >= 0 on K (Fejer-Riesz) and lam
+            at Px; written <Y_v, y>, with Y_v = sum_i (v^H toeplitz_i v)
+            basis_i, it puts every point of K at least -lam / |Y_v| from Px.
+        One stacked `eigh` of the Toeplitz matrices serves the whole stack.
+        """
+        xs = np.asarray(xs)
+        flat = xs.reshape(len(xs), -1)
+        flat = np.concatenate([np.real(flat), np.imag(flat)], axis=1)
+        c = flat @ self.basis
+        off = np.linalg.norm(flat - c @ self.basis.T, axis=1)
+        m, n, _ = self.toeplitz.shape
+        toeplitz = self.toeplitz.reshape(m, n * n)
+        lam, vecs = np.linalg.eigh((c @ toeplitz).reshape(-1, n, n))
+        gap = np.maximum(-lam[:, 0], 0.0)
+        v = vecs[:, :, 0]
+        normal = np.real((np.conj(v)[:, :, None] * v[:, None, :]).reshape(-1, n * n)
+                         @ toeplitz.T)
+        lower = np.hypot(off, gap / np.linalg.norm(normal, axis=1))
+        upper = np.hypot(off, gap * self.m0_norm)
+        return lower, upper
+
+
+def _moment_curve(q, m, freqs, index):
+    """The `MomentCurve` of a one-parameter family from its `_phases`, or
+    None unless the frequencies carrying a part of norm > 1e-12 |m| are the
+    integer multiples k of one unit (within 1e-9 relative) for every k in
+    -d..d, and the moment map is injective (singular values above
+    `RANK_TOL` of the largest)."""
+    part = np.sqrt(np.bincount(index, np.abs(m.ravel()) ** 2, len(freqs)))
+    live = part > 1e-12 * fro(m)
+    f = freqs[:, 0]
+    nonzero = np.abs(f[live & (f != 0.0)])
+    unit = nonzero.min() if nonzero.size else 1.0
+    k = np.rint(f / unit)
+    if np.any(np.abs(f - k * unit)[live] > 1e-9 * np.abs(f[live])):
+        return None
+    d = int(k[live].max(initial=0))
+    if not np.array_equal(np.unique(k[live]), np.arange(-d, d + 1)):
+        return None
+    ks = np.where(live, k, np.inf)[index].reshape(m.shape)
+    parts = {j: q @ (m * (ks == j)) @ q.conj().T for j in range(-d, d + 1)}
+    cols = [parts[0]]
+    for j in range(1, d + 1):
+        cols += [parts[j] + parts[-j], 1j * (parts[j] - parts[-j])]
+    moment_map = realify_stack(cols, m.shape, True)
+    s = np.linalg.svd(moment_map, compute_uv=False)
+    if s[-1] <= RANK_TOL * s[0]:
+        return None
+    basis, r = np.linalg.qr(moment_map)
+    # coordinates (tau_0, Re tau_k, Im tau_k) of each basis column, and the
+    # Toeplitz matrix T_jl = tau_{j-l} of each
+    p = np.linalg.inv(r).T
+    tau = p[:, 1::2] + 1j * p[:, 2::2]
+    lags = np.concatenate([np.conj(tau[:, ::-1]), p[:, :1], tau], axis=1)
+    toeplitz = lags[:, np.subtract.outer(np.arange(d + 1), np.arange(d + 1)) + d]
+    return MomentCurve(basis, toeplitz, fro(parts[0]))
 
 
 @dataclass(frozen=True)
@@ -374,9 +478,16 @@ class ConjugationFamily:
 
         A `RotationOrbit` when three seeds generate every rotation of the
         3x3 block (the r3 carrier itself, or a qubit superoperator through
-        `coherence_rep`) and the base is symmetric there; every caller that
-        can use a closed form asks here first and samples otherwise.
+        `coherence_rep`) and the base is symmetric there.  A `MomentCurve`
+        for one seed whose eigenphase differences, where the base has a
+        part, are the multiples -d..d of one unit with none missing, and
+        whose moment map is injective (see `_moment_curve`); one-parameter
+        cone membership is then exact where `Cone.exact` certifies it.  Every
+        caller that can use a closed form asks here first and samples
+        otherwise.
         """
+        if self.kind == "grid1":
+            return _moment_curve(*self._phases)
         if self.n_params != 3 or self.base.shape not in ((3, 3), (4, 4)):
             return None
         qubit = self.base.shape == (4, 4)
@@ -443,8 +554,12 @@ class Cone:
 
         It does when every stored generator lies within `_CERTIFIED` of the
         family's cone, so that the stack adds nothing to what the family
-        spans; one batched `contains` call checks them all.  A generator off
-        the orbit (for example one kept after the edge grew) withholds it.
+        spans; one batched `contains` call checks them all.  That holds for
+        the Schur-Horn bounds of a full-rotation orbit (`RotationOrbit`) and
+        the Caratheodory-Toeplitz bounds of a one-parameter orbit
+        (`MomentCurve`).  A generator off the orbit (for example one kept
+        after the edge grew) withholds it, and membership stays an inner
+        approximation.
         """
         exact = None if self.analytic is None else self.analytic.exact
         if exact is None:
@@ -463,8 +578,9 @@ def _cone_fit(c: Cone, x: np.ndarray, rng: np.random.Generator = None,
     residual stays above `target` (default: cone tolerance, relative) and
     an analytic family is attached, support elements of the family are
     appended (to a working copy only, at most `_CG_MAX_NEW` of them) and
-    the problem re-solved.  The residual can only over-estimate the true
-    distance (inner approximation); the fit is always a genuine cone member.
+    the problem re-solved.  The fit is always a genuine cone member (inner
+    approximation); the residual is the one NNLS reports, which can fall a
+    few percent below |x - fit| (see `cone_residual`).
     """
     b = realify(x, c.complex_field)
     nb = np.linalg.norm(b)
@@ -514,8 +630,11 @@ def _cone_fit(c: Cone, x: np.ndarray, rng: np.random.Generator = None,
 
 
 def cone_residual(c: Cone, x: np.ndarray, rng: np.random.Generator = None) -> float:
-    """Distance from x to the sampled cone (see `_cone_fit`)."""
-    return _cone_fit(c, x, rng)[0]
+    """Distance from x to its `_cone_fit` fit, a cone member, so at least the
+    distance to the cone.  Measured as |x - fit|: the residual NNLS reports
+    can fall below it (by up to 7% on a phase_flip orbit cone), and on a real
+    carrier this counts an imaginary part of x."""
+    return fro(np.asarray(x) - _cone_fit(c, x, rng)[1])
 
 
 def _checked_query(x, shape: tuple, tol) -> tuple:
@@ -537,12 +656,14 @@ def cone_contains(c: Cone, x: np.ndarray, tol: float = None,
                   rng: np.random.Generator = None) -> bool:
     """Whether x lies within tol * max(1, |x|) of the cone.
 
-    Where the cone has a certified closed form (`Cone.exact`), its distance
-    bounds decide first: a lower bound above the threshold is a non-member,
-    an upper bound at or below it a member.  Otherwise, and for x whose
-    bounds straddle the threshold, the `_cone_fit` residual decides; the fit
-    is a cone member, so that path errs only towards "not a member".  On a
-    real carrier, an imaginary part of x counts in the distance.
+    Where the cone has a certified closed form (`Cone.exact`: Schur-Horn on
+    full-rotation orbits, Caratheodory-Toeplitz on one-parameter orbits),
+    its distance bounds decide first: a lower bound above the threshold is a
+    non-member, an upper bound at or below it a member, so the verdict is
+    exact.  Otherwise, and for x whose bounds straddle the threshold, the
+    distance to the `_cone_fit` fit decides (`cone_residual`); the fit is a
+    cone member, so that path errs only towards "not a member".  On a real
+    carrier, an imaginary part of x counts in the distance.
     """
     x, tol = _checked_query(x, c.shape, c.tol if tol is None else tol)
     bound = tol * max(1.0, fro(x))
@@ -552,10 +673,7 @@ def cone_contains(c: Cone, x: np.ndarray, tol: float = None,
             return False
         if upper[0] <= bound:
             return True
-    residual = cone_residual(c, x, rng=rng)
-    if not c.complex_field:
-        residual = float(np.hypot(residual, fro(np.imag(x))))
-    return residual <= bound
+    return cone_residual(c, x, rng=rng) <= bound
 
 
 def lineality(c: Cone, tol: float = None) -> Subspace:

@@ -6,7 +6,8 @@ one-search support function, the merged frequency table, the one-pass
 report writer and the exact steering Jacobian against loop, expm,
 edge-rule, full-pairwise, per-generator, two-branch, three-routine,
 per-entry, two-pass or central-difference references kept here, and the
-Schur-Horn distance bounds against a dense-sample NNLS fit."""
+Schur-Horn and Caratheodory-Toeplitz distance bounds against a dense-sample
+NNLS fit."""
 
 from __future__ import annotations
 
@@ -570,7 +571,7 @@ def test_merged_support_matches_the_three_routines(rep, kind, seed):
     direction = rng.normal(size=fam.base.shape) + (
         0 if rep == "r3" else 1j * rng.normal(size=fam.base.shape))
     tol = 1e-12 * max(1.0, fro(direction))
-    assert fam.exact is None
+    assert fam.exact is None or fam.exact.support(direction) is None
     g, val = fam.support(direction, np.random.default_rng(seed))
     if kind == "orbit":
         params, want = _reference_support_random(fam, direction, np.random.default_rng(seed))
@@ -886,7 +887,9 @@ def test_saturated_cones_hold_unit_columns_orthogonal_to_the_edge(rep, seed, n_c
 
 
 def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
-    """The r3 and qubit branches of the closed-form orbit support, kept apart."""
+    """The r3 and qubit branches of the closed-form orbit support, kept apart.
+    A qubit direction off the coherence image is projected onto it, through
+    the image's orthonormal basis superop_from_coherence(E_ij)."""
     if rep == "r3" and fam.n_params == 3:
         base_sym = (fam.base + fam.base.T) / 2
         if fro(base_sym - fam.base) > 1e-10 * max(1.0, fro(fam.base)):
@@ -899,9 +902,14 @@ def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
     if rep == "qubit" and fam.n_params == 3:
         try:
             cr_b = coherence_rep(fam.base)
-            cr_d = coherence_rep(direction)
         except ValueError:
             return None
+        try:
+            cr_d = coherence_rep(direction)
+        except ValueError:
+            units = np.eye(3)
+            cr_d = np.array([[inner(superop_from_coherence(np.outer(e_i, e_j)), direction)
+                              for e_j in units] for e_i in units])
         cr_bs = (cr_b + cr_b.T) / 2
         if fro(cr_bs - cr_b) > 1e-10 * max(1.0, fro(cr_b)):
             return None
@@ -921,7 +929,10 @@ def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
 def test_aligned_support_matches_the_two_branch_routine(rep, seed, n_seeds, base_kind,
                                                         direction_kind):
     """Symmetric and general bases, and (qubit) bases or directions that
-    `coherence_rep` rejects, on orbit families with 2- and 3-dim edges."""
+    `coherence_rep` rejects, on orbit families with 2- and 3-dim edges.  A
+    qubit direction off the coherence image gets the support of its
+    projection, which the reference forms by another product, so there the
+    values agree to 1e-12 and the element is an orbit point scoring it."""
     rng = np.random.default_rng(seed)
 
     def block(kind):
@@ -944,7 +955,15 @@ def test_aligned_support_matches_the_two_branch_routine(rep, seed, n_seeds, base
     got = None if fam.exact is None else fam.exact.support(direction)
     want = _reference_support_aligned(fam, direction, rep)
     assert (got is None) == (want is None)
-    if want is not None:
+    if want is not None and rep == "qubit" and direction_kind == "non-unital":
+        # the value is well conditioned; the element is any orbit point
+        # that scores it
+        tol = 1e-12 * max(1.0, fro(fam.base)) * max(1.0, fro(direction))
+        assert abs(got[1] - want[1]) <= tol
+        assert abs(inner(got[0], direction) - got[1]) <= tol
+        assert np.allclose(eig_sym(coherence_rep(got[0]))[0], fam.exact.rates,
+                           rtol=0.0, atol=1e-12 * max(1.0, fro(fam.base)))
+    elif want is not None:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1] == want[1]
 
@@ -1125,4 +1144,64 @@ def test_schur_horn_bounds_bracket_the_sampled_distance(rep, rates, kind, log_pu
     if not noisy and kind in ("orbit", "mix"):
         assert upper <= slack
     if not noisy and kind in ("ray", "face1", "face2") and side > 0:
+        assert lower > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Caratheodory-Toeplitz distance bounds of one-parameter orbit cones
+# ---------------------------------------------------------------------------
+
+def _orbit_grid(fam: ConjugationFamily, n: int) -> np.ndarray:
+    return fam.elements(np.arange(n)[:, None] * (fam.periods[0] / n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REPS),
+       st.sampled_from(("random", "orbit", "mix", "pushed")),
+       st.floats(-7.0, -2.0), st.sampled_from((-1.0, 1.0)), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_toeplitz_bounds_bracket_the_sampled_distance(rep, kind, log_push, side, noisy, seed):
+    """On `_family`'s grid1 families: random points, scaled orbit points,
+    conic mixes, and mixes of 1..d orbit points (a singular Toeplitz matrix)
+    moved along M_0, the orbit mean, by 1e-2 to 1e-7 relative, outward
+    (side 1: T - eps I) or inward (T + eps I); plus, if `noisy`, a random
+    part mostly off the moment span.  lower <= upper, and lower <= the
+    distance to an NNLS fit over 4096 orbit points, which is at least the
+    true distance (measured, since the residual NNLS reports can fall below
+    it).  Orbit points, mixes and inward moves are certified members;
+    outward moves get a positive lower bound.  Random two-qubit frequencies
+    are incommensurate, and those families get no closed form."""
+    fam = _family(rep, "grid1", seed)
+    exact = fam.exact
+    if rep == "two_qubit":
+        assert exact is None
+        return
+    assert exact is not None and exact.degree >= 1
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.1, 10.0)
+    period = fam.periods[0]
+    atoms = {"orbit": 1, "mix": int(rng.integers(2, 5)),
+             "pushed": int(rng.integers(1, exact.degree + 1))}.get(kind, 0)
+    thetas = rng.uniform(0.0, period, size=(atoms, 1))
+    x = np.tensordot(scale * rng.uniform(0.2, 1.0, atoms), fam.elements(thetas), axes=1)
+    if kind == "random":
+        x = scale * _direction(fam, rng)
+    orbit = _orbit_grid(fam, 4096)
+    if kind == "pushed":
+        mean = orbit.mean(axis=0)
+        x = x - side * 10.0 ** log_push * fro(x) * mean / fro(mean)
+    if noisy:
+        x = x + 1e-3 * scale * _direction(fam, rng)
+    (lower,), (upper,) = exact.contains(x[None])
+    complex_field = rep != "r3"
+    a = realify_stack(orbit, x.shape, complex_field)
+    b = realify(x, complex_field)
+    coef, _ = nnls(a, b)
+    sampled = np.linalg.norm(a @ coef - b)
+    slack = 1e-12 * max(1.0, fro(x))
+    assert lower <= upper + slack
+    assert lower <= sampled + slack
+    if not noisy and (kind in ("orbit", "mix") or (kind == "pushed" and side < 0)):
+        assert upper <= slack
+    if not noisy and kind == "pushed" and side > 0:
         assert lower > 0.0
