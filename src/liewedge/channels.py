@@ -118,12 +118,6 @@ _DEFAULTS = {
     "two_qubit_C": ((1.0, 1.0), ("y1", "1y"), "z1+1z+zz"),
 }
 
-_N_RATES = {
-    "bit_flip": 1, "phase_flip": 1, "bit_phase_flip": 1, "depolarizing": 3,
-    "example1": 3, "example2": 1, "example3": 1,
-    "two_qubit_A": 0, "two_qubit_B": 0, "two_qubit_C": 2,
-}
-
 
 def _check_axis(name: str, axis: str):
     if name in _TWO_QUBIT:
@@ -154,9 +148,9 @@ class ChannelSpec:
         rates = d_rates if self.rates is None else tuple(float(r) for r in self.rates)
         ctrl = d_ctrl if self.control_axes is None else tuple(self.control_axes)
         drift = d_drift if self.drift_axis is None else self.drift_axis
-        if len(rates) != _N_RATES[self.name]:
+        if len(rates) != len(d_rates):
             raise ValueError(
-                f"{self.name} takes {_N_RATES[self.name]} rate(s), got {len(rates)}")
+                f"{self.name} takes {len(d_rates)} rate(s), got {len(rates)}")
         if not np.isfinite(rates).all():
             raise ValueError(f"rates must be finite, got {rates}")
         if any(r < 0 for r in rates):
@@ -178,7 +172,9 @@ class ChannelSpec:
         return "qubit"
 
 
-def _two_qubit_drift(token: str) -> np.ndarray:
+def two_qubit_operator(token: str) -> np.ndarray:
+    """Sum of sigma2(pair)/2 over the '+'-separated pairs of `token`, such
+    as 'z1+1z+zz'; raises ValueError on an invalid pair."""
     total = np.zeros((4, 4), dtype=complex)
     for part in token.split("+"):
         total += sigma2(part) / 2.0
@@ -209,7 +205,7 @@ def build_system(spec: ChannelSpec) -> ControlSystem:
         return ControlSystem(rep="qubit", drift_H=drift, controls=controls,
                              lindblad_ops=ops)
     # two-qubit systems
-    drift = _two_qubit_drift(spec.drift_axis) if spec.drift_axis else np.zeros((4, 4))
+    drift = two_qubit_operator(spec.drift_axis) if spec.drift_axis else np.zeros((4, 4))
     controls = tuple(sigma2(a) / 2.0 for a in spec.control_axes)
     ops = ()
     if name == "two_qubit_C":

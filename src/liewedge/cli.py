@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .channels import (ChannelSpec, H_AXIS, H_X, H_Y, H_Z, P_Y, build_system,
                        example3_delta, kraus_family, kraus_rank, kraus_superop,
-                       sigma, sigma2)
+                       sigma, two_qubit_operator)
 from .liealg import check_conditions
 from .lindblad import ControlSystem, cptp_audit, lindbladian, propagator
 from .matcore import expm, inner
@@ -146,11 +146,8 @@ def _parse_operator(rep: str, token: str, lineno: int,
             return sigma(token) / 2.0
         raise SystemFileError(f"line {lineno}: unknown qubit axis {token!r}")
     try:
-        total = np.zeros((4, 4), dtype=complex)
-        for part in token.split("+"):
-            total += sigma2(part) / 2.0
-        return total
-    except (ValueError, KeyError):
+        return two_qubit_operator(token)
+    except ValueError:
         raise SystemFileError(f"line {lineno}: unknown two-qubit axis "
                               f"token {token!r}")
 
@@ -468,13 +465,11 @@ def cmd_figdata(args) -> int:
     gamma = args.gamma
     steps = args.theta_steps
     _checked({"gamma": gamma, "theta-steps": steps})
-    if which == "example2":
-        gamma0 = gamma * np.diag([1.0, 0.0, 1.0])
-    else:
-        gamma0 = gamma * np.diag([1.0, 1.0, 2.0])
+    system = build_system(ChannelSpec(which, rates=(gamma,)))
+    gamma0 = system.lindblad_ops[0][0]
     named = {"gamma0": gamma0, "delta": example3_delta()}
     mats = [named.get(b, b) if isinstance(b, str) else b for b in basis]
-    drift = H_Z + gamma0
+    drift = system.drift_H + gamma0
     print(header)
     for k in range(steps):
         theta = 2.0 * np.pi * k / steps

@@ -43,7 +43,7 @@ _CG_MAX_NEW = 60
 # largest distance from a stored unit generator to the family's cone at
 # which `Cone.exact` still lets the closed form decide membership
 _CERTIFIED = 1e-12
-# candidate parameter rows per support call, by family kind
+# support candidates (`ConjugationFamily._support_grid`) per family, by kind
 _SUPPORT_CANDIDATES = {"grid1": 2048, "grid2": 64 * 64, "orbit": 128}
 
 
@@ -425,38 +425,36 @@ class ConjugationFamily:
 
     @cached_property
     def _support_grid(self):
-        """The grid kinds' support candidates (the `_params` grid) and, where
-        the seeds co-diagonalise, their plane waves; built on first use."""
-        thetas = self._params(_SUPPORT_CANDIDATES[self.kind], None)
+        """Support candidates, built on first use: the `_params` rows of a
+        `_SUPPORT_CANDIDATES` sweep (orbit draws seeded with 0) and, where
+        the seeds co-diagonalise, their plane waves."""
+        thetas = self._params(_SUPPORT_CANDIDATES[self.kind], np.random.default_rng(0))
         return thetas, None if self._phases is None else self._waves(thetas)
 
-    def support(self, direction: np.ndarray, rng: np.random.Generator = None):
+    def support(self, direction: np.ndarray):
         """Family element maximizing the inner product against `direction`,
         and that maximum.
 
         Exact where `exact` holds a closed form that maps the direction
         (eigenvector alignment for full-rotation orbits, see
-        `RotationOrbit.support`).  Otherwise the best of a candidate set (a
-        2048-point grid1 sweep, a 64x64 grid2 torus, or 128 orbit draws from
-        `rng`, default seed 0), refined once from there: bounded Brent over
-        one grid step either side for one parameter, Nelder-Mead otherwise.
-        Where the seeds commute, each candidate costs one exponential per
-        distinct frequency (see `_objective`); the grid kinds build their
-        candidates and plane waves once per family and score them as one
-        product with the direction's coefficients.  The refinement is kept
-        when it scores at least as well, so the sampled result can only
-        under-estimate the true support (inner approximation).
+        `RotationOrbit.support`).  Otherwise the best of the family's fixed
+        candidates `_support_grid` (a 2048-point grid1 sweep, a 64x64 grid2
+        torus, or 128 orbit draws seeded with 0), refined once from there:
+        bounded Brent over one grid step either side for one parameter,
+        Nelder-Mead otherwise; so the result depends on the family and the
+        direction alone.  Where the seeds commute, the candidates' plane
+        waves are built once per family (one exponential per distinct
+        frequency, see `_objective`) and scored as one product with the
+        direction's coefficients.  The refinement is kept when it scores at
+        least as well, so the sampled result can only under-estimate the
+        true support (inner approximation).
         """
         if self.exact is not None:
             aligned = self.exact.support(direction)
             if aligned is not None:
                 return aligned
         f = self._objective(direction)
-        if self.kind == "orbit":
-            rng = np.random.default_rng(0) if rng is None else rng
-            thetas, waves = self._params(_SUPPORT_CANDIDATES["orbit"], rng), None
-        else:
-            thetas, waves = self._support_grid
+        thetas, waves = self._support_grid
         vals = f(thetas) if waves is None else f(thetas, waves)
         k = int(np.argmax(vals))
         if self.n_params == 1:
@@ -570,8 +568,7 @@ class Cone:
         return exact
 
 
-def _cone_fit(c: Cone, x: np.ndarray, rng: np.random.Generator = None,
-              target: float = None) -> tuple:
+def _cone_fit(c: Cone, x: np.ndarray, target: float = None) -> tuple:
     """Nonnegative fit of x by the cone; returns (residual norm, fit).
 
     Solves nonnegative least squares over the stored generators; while the
@@ -580,7 +577,9 @@ def _cone_fit(c: Cone, x: np.ndarray, rng: np.random.Generator = None,
     appended (to a working copy only, at most `_CG_MAX_NEW` of them) and
     the problem re-solved.  The fit is always a genuine cone member (inner
     approximation); the residual is the one NNLS reports, which can fall a
-    few percent below |x - fit| (see `cone_residual`).
+    few percent below |x - fit| (see `cone_residual`).  Support elements
+    come from the family's fixed candidates, so the fit is deterministic in
+    (cone, x, target).
     """
     b = realify(x, c.complex_field)
     nb = np.linalg.norm(b)
@@ -600,7 +599,7 @@ def _cone_fit(c: Cone, x: np.ndarray, rng: np.random.Generator = None,
     # stalls; aligning the family against x itself certifies such points
     # with a single extra column.
     if rnorm > target:
-        g, _val = c.analytic.support(x, rng)
+        g, _val = c.analytic.support(x)
         ng = fro(g)
         if ng > 0.0:
             a = np.concatenate([a, realify(g / ng, c.complex_field)[:, None]],
@@ -610,7 +609,7 @@ def _cone_fit(c: Cone, x: np.ndarray, rng: np.random.Generator = None,
     while rnorm > target and added < _CG_MAX_NEW:
         r = b - (a @ coef if a.shape[1] else 0.0)
         direction = unrealify(r, c.shape, c.complex_field)
-        g, _val = c.analytic.support(direction, rng)
+        g, _val = c.analytic.support(direction)
         ng = fro(g)
         if ng == 0.0:
             break
@@ -629,12 +628,12 @@ def _cone_fit(c: Cone, x: np.ndarray, rng: np.random.Generator = None,
     return float(rnorm), unrealify(fit, c.shape, c.complex_field)
 
 
-def cone_residual(c: Cone, x: np.ndarray, rng: np.random.Generator = None) -> float:
+def cone_residual(c: Cone, x: np.ndarray) -> float:
     """Distance from x to its `_cone_fit` fit, a cone member, so at least the
     distance to the cone.  Measured as |x - fit|: the residual NNLS reports
     can fall below it (by up to 7% on a phase_flip orbit cone), and on a real
     carrier this counts an imaginary part of x."""
-    return fro(np.asarray(x) - _cone_fit(c, x, rng)[1])
+    return fro(np.asarray(x) - _cone_fit(c, x)[1])
 
 
 def _checked_query(x, shape: tuple, tol) -> tuple:
@@ -652,8 +651,7 @@ def _checked_query(x, shape: tuple, tol) -> tuple:
     return x, tol
 
 
-def cone_contains(c: Cone, x: np.ndarray, tol: float = None,
-                  rng: np.random.Generator = None) -> bool:
+def cone_contains(c: Cone, x: np.ndarray, tol: float = None) -> bool:
     """Whether x lies within tol * max(1, |x|) of the cone.
 
     Where the cone has a certified closed form (`Cone.exact`: Schur-Horn on
@@ -662,8 +660,9 @@ def cone_contains(c: Cone, x: np.ndarray, tol: float = None,
     non-member, an upper bound at or below it a member, so the verdict is
     exact.  Otherwise, and for x whose bounds straddle the threshold, the
     distance to the `_cone_fit` fit decides (`cone_residual`); the fit is a
-    cone member, so that path errs only towards "not a member".  On a real
-    carrier, an imaginary part of x counts in the distance.
+    cone member, so that path errs only towards "not a member".  Either way
+    the verdict is deterministic in (cone, x, tol).  On a real carrier, an
+    imaginary part of x counts in the distance.
     """
     x, tol = _checked_query(x, c.shape, c.tol if tol is None else tol)
     bound = tol * max(1.0, fro(x))
@@ -673,7 +672,7 @@ def cone_contains(c: Cone, x: np.ndarray, tol: float = None,
             return False
         if upper[0] <= bound:
             return True
-    return cone_residual(c, x, rng=rng) <= bound
+    return cone_residual(c, x) <= bound
 
 
 def lineality(c: Cone, tol: float = None) -> Subspace:
@@ -714,8 +713,7 @@ class Wedge:
         return self.edge.dim + _span_columns(units).shape[1]
 
 
-def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None,
-                   rng: np.random.Generator = None) -> bool:
+def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None) -> bool:
     """Membership of x in edge + cone (positive picture): the edge component
     is unconstrained, the edge-orthogonal part must lie in the cone, decided
     by `cone_contains` with the same tol and inputs checked the same way."""
@@ -723,7 +721,7 @@ def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None,
     perp = x - w.edge.project(x)
     if fro(perp) <= tol * max(1.0, fro(x)):
         return True
-    return cone_contains(w.cone, perp, tol, rng)
+    return cone_contains(w.cone, perp, tol)
 
 
 def initial_wedge(sys: ControlSystem) -> Wedge:
@@ -838,7 +836,7 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
                 spot = family.elements(np.stack([rng.uniform(0, p, size=n_spot)
                                                  for p in family.periods], axis=1))
             spot = _edge_orthogonal_units(edge, realify_stack(spot, shape, complex_field))
-            outside = np.array([not cone_contains(cone, p, tol, rng)
+            outside = np.array([not cone_contains(cone, p, tol)
                                 for p in unrealify_stack(spot, shape, complex_field)],
                                dtype=bool)
             if not outside.any():
@@ -924,7 +922,7 @@ def outer_wedge_check(c: Cone, n: int, samples: int = 100, seed: int = 0,
     gens = c.generators
     report = {"samples": samples, "tol": tol}
     report["dissipator_in_cone"] = (
-        None if gamma_l is None else cone_contains(c, gamma_l, tol, rng))
+        None if gamma_l is None else cone_contains(c, gamma_l, tol))
     worst2 = worst3 = worst4 = 0.0
     if gens:
         for _ in range(samples):
@@ -945,7 +943,7 @@ def outer_wedge_check(c: Cone, n: int, samples: int = 100, seed: int = 0,
             uhat = np.kron(u.conj(), u)
             i = rng.integers(0, len(gens))
             g = uhat @ gens[i] @ uhat.conj().T
-            worst4 = max(worst4, cone_residual(c, g, rng=rng) / max(1.0, fro(g)))
+            worst4 = max(worst4, cone_residual(c, g) / max(1.0, fro(g)))
     report["bracket_in_unitary_algebra"] = worst2
     report["bracket_span_residual"] = worst3
     report["ad_invariance_residual"] = worst4

@@ -433,7 +433,7 @@ def test_cone_fit_residual_never_exceeds_the_norm(rep, kind, seed, count, analyt
     for g in gens:
         x = x + rng.normal() * g
     x = 10.0 ** log_scale * x
-    assert _cone_fit(cone, x, rng=rng)[0] <= fro(x) * (1 + 1e-12)
+    assert _cone_fit(cone, x)[0] <= fro(x) * (1 + 1e-12)
 
 
 def _reference_kind(edge) -> str:
@@ -572,9 +572,9 @@ def test_merged_support_matches_the_three_routines(rep, kind, seed):
         0 if rep == "r3" else 1j * rng.normal(size=fam.base.shape))
     tol = 1e-12 * max(1.0, fro(direction))
     assert fam.exact is None or fam.exact.support(direction) is None
-    g, val = fam.support(direction, np.random.default_rng(seed))
+    g, val = fam.support(direction)
     if kind == "orbit":
-        params, want = _reference_support_random(fam, direction, np.random.default_rng(seed))
+        params, want = _reference_support_random(fam, direction, np.random.default_rng(0))
         assert abs(inner(g, direction) - val) <= tol
     else:
         # the element pins the candidate set and the refinement on the

@@ -296,6 +296,46 @@ def test_indefinite_base_takes_the_sampled_face(monkeypatch):
     assert len(calls) == 8
 
 
+def test_generator_off_the_orbit_takes_the_sampled_face(monkeypatch):
+    """A stored generator outside the family's orbit cone (diag(1, 0, 0) next
+    to the orbit of diag(3, 2, 1)) withholds the certified closed form, so
+    `tangent_space` samples the dual face even at an orbit point, where the
+    family alone would give a closed-form tangent."""
+    seeds = tuple(np.asarray(h) / fro(h) for h in (H_X, H_Y, H_Z))
+    base = np.diag([3.0, 2.0, 1.0])
+    fam = ConjugationFamily(seeds, base)
+    cone = Cone(generators=(base, np.diag([1.0, 0.0, 0.0])), shape=(3, 3),
+                complex_field=False, analytic=fam)
+    w = Wedge(edge=orthonormal_span(list(seeds)), cone=cone)
+    assert cone.exact is None and fam.exact.tangent(base) is not None
+    calls = []
+    project = semialgebra._dual_face_project
+
+    def counted(*args):
+        calls.append(1)
+        return project(*args)
+
+    monkeypatch.setattr(semialgebra, "_dual_face_project", counted)
+    tangent_space(w, base + np.asarray(H_Z), face_samples=8)
+    assert len(calls) == 8
+
+
+def test_cases_need_no_sampled_hull(monkeypatch):
+    """The four case reports, built on the base generator and its family
+    alone, equal those built on a 192-sample orbit hull."""
+    got = {cid: semialgebra_case(cid) for cid in ("i", "ii", "iii", "iv")}
+    plain = semialgebra.orbit_wedge
+    monkeypatch.setattr(semialgebra, "orbit_wedge",
+                        lambda rates, **_: plain(rates, hull_samples=192, seed=0))
+    for cid, report in got.items():
+        want = semialgebra_case(cid)
+        assert list(report) == list(want)
+        assert report["tangent"].stack.tobytes() == want["tangent"].stack.tobytes()
+        for key in report:
+            if key != "tangent":
+                assert np.array_equal(report[key], want[key]), (cid, key)
+
+
 @pytest.mark.parametrize("case_id", ["ii", "iii", "iv"])
 def test_invariance_residual_ignores_the_tangent_basis(monkeypatch, case_id):
     """The same tangent space under a rotated orthonormal basis gives the
@@ -353,7 +393,7 @@ def _reference_probe(w, pair_samples, t_grid, tol, seed):
     rng = np.random.default_rng(seed)
     elems = _reference_samples(w, 2 * pair_samples, rng)
     for k in range(len(elems) // 2):
-        wit = bch_witness(w, elems[2 * k], elems[2 * k + 1], t_grid, tol=tol, rng=rng)
+        wit = bch_witness(w, elems[2 * k], elems[2 * k + 1], t_grid, tol=tol)
         if wit is not None:
             return wit, k + 1
     return None, len(elems) // 2
