@@ -12,6 +12,7 @@ significant digits, so output is byte-identical for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -494,7 +495,10 @@ def _add_saturation_flags(p):
     p.add_argument("--seed", type=int, default=None, help="random seed")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused;
+    parsing leaves it unchanged, so every call of `main` shares it."""
     parser = argparse.ArgumentParser(
         prog="liewedge",
         description="Lie wedges of controlled Lindblad channel semigroups")

@@ -301,36 +301,44 @@ def coherence_rep(L, tol: float = 1e-12) -> np.ndarray:
     """Real matrix of a unital superoperator on the traceless sector.
 
     The carrier is read from the shape: a 4x4 ``L`` acts on a qubit, a
-    16x16 one on two qubits, and any other shape raises ValueError.
+    16x16 one on two qubits, and any other shape raises ValueError.  A
+    ``(..., 4, 4)`` or ``(..., 16, 16)`` stack is mapped slice by slice,
+    each slice exactly as if it were passed alone.
     Entries are ``M[i, j] = <B_j, L(B_i)>`` over `pauli_basis`, computed as
     one product ``Re(V^H L V)^T`` with ``V = [vec(B_1), ...]``; raises
     ValueError if ``L`` mixes the identity with the traceless sector or
-    produces non-real overlaps beyond ``tol``.
+    produces non-real overlaps beyond ``10 * tol * max(1, ||L||_F)``, each
+    slice of a stack against its own norm.  In a stack the first failing
+    slice decides the error.
     """
     m = np.asarray(L)
-    n = _SUPEROP_CARRIER.get(m.shape)
+    n = _SUPEROP_CARRIER.get(m.shape[-2:])
     if n is None:
         raise ValueError(f"no qubit or two-qubit superoperator has shape {m.shape}; "
-                         f"expected 4x4 or 16x16")
+                         f"expected 4x4 or 16x16, or a stack of them")
     v = _pauli_vecs(n)
-    bound = tol * max(1.0, fro(m)) * 10
+    k = v.shape[1]
+    bound = tol * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1))) * 10
     eye_v = vec(np.eye(n)) / np.sqrt(n)
     out_id = m @ eye_v
-    leak = out_id - eye_v * np.vdot(eye_v, out_id)
-    if np.linalg.norm(leak) > bound:
-        raise ValueError("superoperator is not unital: identity leaks into the traceless sector")
+    leak = out_id - eye_v * (out_id @ eye_v.conj())[..., None]
     out = m @ v
     gram = v.conj().T @ out
-    # The first basis element L(B_i) that fails decides the error, and its
-    # trace is checked before its overlaps.
-    bad_trace = np.abs(vec(np.eye(n)) @ out) > bound
-    bad_imag = np.any(np.abs(gram.imag) > bound, axis=0)
-    bad = bad_trace | bad_imag
-    if bad.any():
-        if bad_trace[np.argmax(bad)]:
+    trace = np.abs(vec(np.eye(n)) @ out)
+    worst = np.maximum(trace, np.abs(gram.imag).max(axis=-2))
+    not_unital = (np.linalg.norm(leak, axis=-1) > bound).reshape(-1)
+    bad = (worst > bound[..., None]).reshape(-1, k)
+    if not_unital.any() or bad.any():
+        # The first failing slice decides the error; within it the first
+        # basis element L(B_i) that fails does, its trace checked before its
+        # overlaps.
+        first = np.argmax(not_unital | bad.any(axis=1))
+        if not_unital[first]:
+            raise ValueError("superoperator is not unital: identity leaks into the traceless sector")
+        if trace.reshape(-1, k)[first, np.argmax(bad[first])] > bound.reshape(-1)[first]:
             raise ValueError("superoperator does not preserve tracelessness")
         raise ValueError("coherence representation has non-real entries")
-    return gram.real.T.copy()
+    return gram.real.swapaxes(-1, -2).copy()
 
 
 def superop_from_coherence(s: np.ndarray) -> np.ndarray:

@@ -48,7 +48,11 @@ def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
+    """Matrix exponential (scaling-and-squaring Pade, via scipy).
+
+    A ``(..., n, n)`` stack is exponentiated slice by slice with the same
+    code as a single matrix, so each slice equals its own call bit for bit.
+    """
     return _expm(np.asarray(a))
 
 

@@ -56,9 +56,9 @@ class Schedule:
         return float(sum(d for d, _ in self.segments))
 
 
-def _segment_generators(sys: ControlSystem, sched: Schedule) -> list:
+def _segment_generators(sys: ControlSystem, segments) -> list:
     gens = []
-    for _, u in sched.segments:
+    for _, u in segments:
         if len(u) != sys.n_controls:
             raise ValueError(f"segment has {len(u)} amplitudes for "
                              f"{sys.n_controls} controls")
@@ -72,16 +72,26 @@ def _identity(sys: ControlSystem) -> np.ndarray:
     return np.eye(drift.shape[0], dtype=drift.dtype)
 
 
+def _exponentials(durations, gens):
+    """Stack of ``expm(-d * gen)`` over the pairs, from one stacked `expm`
+    call, or () without a call for no pairs; scipy's `expm` runs the same
+    Pade code on each slice as on a single matrix, so every slice equals
+    its own call bit for bit."""
+    if not gens:
+        return ()
+    return expm(np.stack([-d * gen for d, gen in zip(durations, gens)]))
+
+
 def propagate(sys: ControlSystem, sched: Schedule) -> np.ndarray:
     """Time-ordered product of segment propagators.
 
     Earlier segments act first, so their exponentials sit on the right of
     the matrix product; an empty schedule gives the identity channel.
     """
-    gens = _segment_generators(sys, sched)
+    gens = _segment_generators(sys, sched.segments)
     out = _identity(sys)
-    for (dur, _), gen in zip(sched.segments, gens):
-        out = expm(-dur * gen) @ out
+    for e in _exponentials([d for d, _ in sched.segments], gens):
+        out = e @ out
     return out
 
 
@@ -94,24 +104,30 @@ def _jacobian(sys: ControlSystem, sched: Schedule) -> np.ndarray:
     exponential of the block-triangular ``[[A, B_1 ... B_m], [0, I (x) A]]``
     with ``B_k = -d C_k`` gives ``e^A`` and the Frechet derivatives of the
     exponential along every ``B_k`` in its top block row; the duration
-    derivative is ``-L(u) e^A``.  Prefix and suffix products place each
+    derivative is ``-L(u) e^A``.  The block matrices of all segments go
+    through one stacked `expm` call.  Prefix and suffix products place each
     segment's derivatives in the time-ordered product.
     """
     controls = control_directions(sys)
     m = len(controls)
-    exps, derivs = [], []
-    for dur, u in sched.segments:
-        gen = lindbladian(sys, u)
-        n = gen.shape[0]
+    gens = _segment_generators(sys, sched.segments)
+    ident = _identity(sys)
+    if not gens:
+        return np.empty((0, *ident.shape), dtype=ident.dtype)
+    n = ident.shape[0]
+    bigs = []
+    for (dur, _), gen in zip(sched.segments, gens):
         big = np.kron(np.eye(m + 1), -dur * gen)
         for k, c in enumerate(controls, 1):
             big[:n, k * n:(k + 1) * n] = -dur * c
-        top = expm(big)[:n]
+        bigs.append(big)
+    exps, derivs = [], []
+    for gen, top in zip(gens, expm(np.stack(bigs))[:, :n]):
         e = top[:, :n]
         exps.append(e)
         frechet = top[:, n:].reshape(n, m, n).transpose(1, 0, 2)
         derivs.append(np.concatenate([(-gen @ e)[None], frechet]))
-    prefix = [_identity(sys)]
+    prefix = [ident]
     for e in exps:
         prefix.append(e @ prefix[-1])
     out = []
@@ -144,14 +160,22 @@ def sample_reachable(sys: ControlSystem, n: int, depth: int,
 
     Each sample propagates a `random_schedule` drawn from its own child
     stream spawned from `seed`, so results are reproducible regardless of
-    evaluation order.
+    evaluation order.  All n*depth segment exponentials come from one
+    stacked `expm` call, and each sample is multiplied in `propagate`'s
+    order.
     """
     if n < 1:
         raise ValueError(f"count must be at least 1, got {n}")
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    return [propagate(sys, random_schedule(sys.n_controls, depth, horizon, child, u_max))
-            for child in np.random.SeedSequence(seed).spawn(n)]
+    segs = [seg for child in np.random.SeedSequence(seed).spawn(n)
+            for seg in random_schedule(sys.n_controls, depth, horizon, child, u_max).segments]
+    gens = _segment_generators(sys, segs)
+    exps = _exponentials([d for d, _ in segs], gens).reshape(n, depth, *gens[0].shape)
+    out = _identity(sys)
+    for k in range(depth):
+        out = exps[:, k] @ out
+    return list(out)
 
 
 def contraction_audit(sys: ControlSystem, sched: Schedule,
@@ -162,7 +186,9 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
     s(t) = sum_k ||X(t)B_k||^2 over the orthonormal traceless basis; for
     unital dissipative dynamics it never increases, and for closed
     systems it is constant.  Reports the values on a uniform time grid
-    and the largest positive increment.
+    and the largest positive increment.  The exponentials of every segment
+    and of every grid point inside a segment come from one stacked `expm`
+    call, and the coherence matrices from one stacked `coherence_rep`.
     """
     if sys.rep != "r3":
         drift = drift_direction(sys)
@@ -171,25 +197,25 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
             raise ValueError("contraction audit requires unital dynamics")
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
-    gens = _segment_generators(sys, sched)
-    total = sched.total_duration
-    times = np.linspace(0.0, total, int(grid))
+    gens = _segment_generators(sys, sched.segments)
+    times = np.linspace(0.0, sched.total_duration, int(grid))
     bounds = np.cumsum([0.0] + [d for d, _ in sched.segments])
-    # prefix[k] is the channel after the first k whole segments, so each grid
-    # point costs at most one exponential, of the segment it falls inside.
+    # prefix[k] is the channel after the first k whole segments; a grid point
+    # inside segment k-1 adds that segment's exponential for t - bounds[k-1].
+    ks = np.searchsorted(bounds[:-1], times)  # segments that start before t
+    inside = np.flatnonzero(times < bounds[ks])
+    starts = ks[inside] - 1
+    exps = _exponentials([*np.diff(bounds), *(times[inside] - bounds[starts])],
+                         gens + [gens[k] for k in starts])
     prefix = [_identity(sys)]
-    for k, gen in enumerate(gens):
-        prefix.append(expm(-(bounds[k + 1] - bounds[k]) * gen) @ prefix[k])
-    vals = []
-    for t in times:
-        k = int(np.searchsorted(bounds[:-1], t))  # segments that start before t
-        if t >= bounds[k]:
-            x = prefix[k]
-        else:
-            x = expm(-(t - bounds[k - 1]) * gens[k - 1]) @ prefix[k - 1]
-        cr = x if sys.rep == "r3" else coherence_rep(x)
-        s = float(np.linalg.norm(cr, "fro") ** 2)
-        vals.append(s)
+    for e in exps[:len(gens)]:
+        prefix.append(e @ prefix[-1])
+    prefix = np.stack(prefix)
+    x = prefix[ks]
+    if inside.size:
+        x[inside] = exps[len(gens):] @ prefix[starts]
+    cr = x if sys.rep == "r3" else coherence_rep(x)
+    vals = [float(np.linalg.norm(c, "fro") ** 2) for c in cr]
     diffs = np.diff(vals)
     return {
         "times": [float(t) for t in times],

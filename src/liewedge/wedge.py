@@ -913,8 +913,12 @@ def outer_wedge_check(c: Cone, n: int, samples: int = 100, seed: int = 0,
     dissipator lies in the cone, (2) commutators of cone elements fall in
     the unitary adjoint algebra, (3) commutators with that algebra fall in
     the cone's linear span, and (4) the cone is invariant under unitary
-    conjugation in the superoperator picture.
+    conjugation in the superoperator picture.  The cone's carrier must be
+    the (n^2, n^2) superoperator shape of n; ValueError otherwise.
     """
+    if tuple(c.shape) != (n * n, n * n):
+        raise ValueError(f"cone carrier has shape {tuple(c.shape)}, but n={n} "
+                         f"needs shape {(n * n, n * n)}")
     rng = np.random.default_rng(seed)
     basis = pauli_basis(n)
     adsu = orthonormal_span([1j * ad_hat(b) for b in basis])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from liewedge.channels import ChannelSpec, build_system
-from liewedge.cli import (SystemFileError, format_system_file, main,
+from liewedge.cli import (SystemFileError, _build_parser, format_system_file, main,
                           parse_system_file)
 from liewedge.lindblad import ControlSystem
 
@@ -174,6 +174,35 @@ def test_reachable_subcommand(qubit_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["samples"]["all_cptp"] is True
     assert report["contraction_audit"]["monotone"] is True
+
+
+def _run(argv, capsys):
+    """Exit code (SystemExit's too) and captured (stdout, stderr) of main."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
+def test_one_parser_serves_consecutive_calls(qubit_path, capsys):
+    """Back-to-back calls on the cached parser, across two subcommands and
+    after an argv that makes argparse exit, print what calls on a freshly
+    built parser print."""
+    runs = (["channel", "phase_flip"],
+            ["reachable", "--system", qubit_path, "--switches", "2", "--count", "3"],
+            ["reachable", "--system", qubit_path, "--switches", "2"],
+            ["channel", "phase_flip"])
+    fresh = []
+    for argv in runs:
+        _build_parser.cache_clear()
+        fresh.append(_run(argv, capsys))
+    assert fresh[2][0] == 2 and "--count" in fresh[2][1].err
+    parser = _build_parser()
+    shared = [_run(argv, capsys) for argv in runs]
+    assert _build_parser() is parser
+    assert shared == fresh
 
 
 def test_reachable_rejects_a_zero_count(qubit_path, capsys):

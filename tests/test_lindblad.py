@@ -141,6 +141,51 @@ def test_coherence_rep_rejects_a_shape_of_no_carrier(shape):
         coherence_rep(np.zeros(shape))
 
 
+@pytest.mark.parametrize("shape", [(2, 9, 9), (3, 4, 16), (16,)])
+def test_coherence_rep_rejects_a_stack_of_no_carrier(shape):
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        coherence_rep(np.zeros(shape))
+
+
+def _failing_superops(n: int) -> dict:
+    """A superoperator that fails each check of `coherence_rep`, keyed by
+    the message it raises."""
+    v = np.stack([vec(b) for b in pauli_basis(n)], axis=1)
+    eye_v = vec(np.eye(n)) / np.sqrt(n)
+    lower = np.zeros((n, n), dtype=complex)
+    lower[n - 1, 0] = 1.0
+    amplitude = ControlSystem(rep="qubit" if n == 2 else "two_qubit",
+                              drift_H=np.zeros((n, n)), controls=(),
+                              lindblad_ops=((lower, 0.5),))
+    non_real = np.eye(v.shape[1], dtype=complex)
+    non_real[0, 1] = 0.5j
+    return {
+        "not unital": lindbladian(amplitude),
+        "does not preserve tracelessness": np.eye(n * n) + np.outer(eye_v, v[:, 1].conj()),
+        "non-real entries": v @ non_real @ v.conj().T,
+    }
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("second, fourth", [("not unital", "non-real entries"),
+                                            ("non-real entries", "not unital"),
+                                            ("does not preserve tracelessness", "not unital"),
+                                            ("non-real entries",
+                                             "does not preserve tracelessness")])
+def test_stacked_coherence_rep_raises_for_the_first_failing_slice(n, second, fourth):
+    failing = _failing_superops(n)
+    for msg, m in failing.items():
+        with pytest.raises(ValueError, match=msg):
+            coherence_rep(m)
+    stack = np.stack([expm(-0.1 * k * 1j * ad_hat(_random_hermitian(n))) for k in range(6)])
+    coherence_rep(stack)
+    stack[2], stack[4] = failing[second], failing[fourth]
+    with pytest.raises(ValueError, match=second):
+        coherence_rep(stack)
+    with pytest.raises(ValueError, match=second):
+        coherence_rep(stack.reshape(2, 3, n * n, n * n))
+
+
 @pytest.mark.parametrize("shape", [(8, 8), (4, 4), (16, 16)])
 def test_superop_from_coherence_rejects_a_shape_of_no_carrier(shape):
     with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):

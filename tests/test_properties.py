@@ -3,7 +3,9 @@ the incremental contraction audit, the stacked realification, the batched
 conjugation kernel, the derived family kind, the right-nested Lie closure,
 the one-array cones and subspaces, the merged aligned orbit support, the
 one-search support function, the merged frequency table, the one-pass
-report writer and the exact steering Jacobian against loop, expm,
+report writer, the exact steering Jacobian and the stacked reachable
+kernels (one `expm` call per audit, sample set, propagation or Jacobian,
+one `coherence_rep` per audit) against loop, expm,
 edge-rule, full-pairwise, per-generator, two-branch, three-routine,
 per-entry, two-pass or central-difference references kept here, and the
 Schur-Horn and Caratheodory-Toeplitz distance bounds against a dense-sample
@@ -28,7 +30,9 @@ from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
                                lindbladian, pauli_basis, superop_from_coherence, unvec, vec)
 from liewedge.matcore import (eig_sym, expm, fro, inner, orthonormal_span, realify,
                               realify_stack, unrealify, unrealify_stack)
-from liewedge.reachable import Schedule, _jacobian, contraction_audit, propagate, steer
+from liewedge import reachable
+from liewedge.reachable import (Schedule, _jacobian, contraction_audit, propagate,
+                                random_schedule, sample_reachable, steer)
 from liewedge.wedge import (Cone, ConjugationFamily, Wedge, _cone_fit, _period, initial_wedge,
                             saturate)
 
@@ -253,6 +257,175 @@ def test_contraction_audit_is_bitwise_naive_repropagation(rep, seed, n_controls,
     for sched, g in ((on_grid, max(2, sum(quarters) + 1)), (off_grid, grid)):
         audit = contraction_audit(sys, sched, grid=g)
         assert audit["s"] == _reference_audit_s(sys, sched, g)
+
+
+def _identity_channel(sys: ControlSystem) -> np.ndarray:
+    drift = drift_direction(sys)
+    return np.eye(*drift.shape, dtype=drift.dtype)
+
+
+def _reference_propagate(sys: ControlSystem, sched: Schedule) -> np.ndarray:
+    """One `expm` call per segment, multiplied onto the identity in turn."""
+    out = _identity_channel(sys)
+    for dur, u in sched.segments:
+        out = expm(-dur * lindbladian(sys, u)) @ out
+    return out
+
+
+def _reference_sample_reachable(sys: ControlSystem, n: int, depth: int,
+                                seed: int) -> list:
+    """One `propagate` per sample, each on its own child stream."""
+    return [_reference_propagate(sys, random_schedule(sys.n_controls, depth, 1.0, child))
+            for child in np.random.SeedSequence(seed).spawn(n)]
+
+
+def _reference_audit_loop(sys: ControlSystem, sched: Schedule, grid: int) -> list:
+    """s(t) point by point: one `expm` and one `coherence_rep` per grid point
+    inside a segment, whole segments taken from the prefix products."""
+    gens = [lindbladian(sys, u) for _, u in sched.segments]
+    times = np.linspace(0.0, sched.total_duration, grid)
+    bounds = np.cumsum([0.0] + [d for d, _ in sched.segments])
+    prefix = [_identity_channel(sys)]
+    for k, gen in enumerate(gens):
+        prefix.append(expm(-(bounds[k + 1] - bounds[k]) * gen) @ prefix[k])
+    vals = []
+    for t in times:
+        k = int(np.searchsorted(bounds[:-1], t))
+        if t >= bounds[k]:
+            x = prefix[k]
+        else:
+            x = expm(-(t - bounds[k - 1]) * gens[k - 1]) @ prefix[k - 1]
+        cr = x if sys.rep == "r3" else coherence_rep(x)
+        vals.append(float(np.linalg.norm(cr, "fro") ** 2))
+    return vals
+
+
+def _reference_jacobian(sys: ControlSystem, sched: Schedule) -> np.ndarray:
+    """The block-triangular exponential of each segment by its own call."""
+    controls = control_directions(sys)
+    m = len(controls)
+    exps, derivs = [], []
+    for dur, u in sched.segments:
+        gen = lindbladian(sys, u)
+        n = gen.shape[0]
+        big = np.kron(np.eye(m + 1), -dur * gen)
+        for k, c in enumerate(controls, 1):
+            big[:n, k * n:(k + 1) * n] = -dur * c
+        top = expm(big)[:n]
+        e = top[:, :n]
+        exps.append(e)
+        frechet = top[:, n:].reshape(n, m, n).transpose(1, 0, 2)
+        derivs.append(np.concatenate([(-gen @ e)[None], frechet]))
+    prefix = [_identity_channel(sys)]
+    for e in exps:
+        prefix.append(e @ prefix[-1])
+    out = []
+    suffix = prefix[0]
+    for j in reversed(range(len(exps))):
+        out.append(suffix @ derivs[j] @ prefix[j])
+        suffix = suffix @ exps[j]
+    return np.concatenate(out[::-1])
+
+
+schedule_quarters = st.lists(st.integers(0, 3), min_size=0, max_size=5)
+
+
+def _reachable_schedules(sys: ControlSystem, quarters, seed: int) -> list:
+    """(schedule, grid) pairs: durations in quarters on a grid that lands on
+    every segment boundary, arbitrary durations on an arbitrary grid, and the
+    one-segment and empty schedules."""
+    rng = np.random.default_rng(seed)
+    amps = [rng.uniform(-5.0, 5.0, size=sys.n_controls) for _ in quarters]
+    on_grid = Schedule(tuple((q / 4.0, a) for q, a in zip(quarters, amps)))
+    off_grid = Schedule(tuple((q * rng.uniform(0.1, 0.4), a)
+                              for q, a in zip(quarters, amps)))
+    grid = int(rng.integers(2, 60))
+    return [(on_grid, max(2, sum(quarters) + 1)), (off_grid, grid),
+            (Schedule(off_grid.segments[:1]), grid), (Schedule(()), grid)]
+
+
+@SETTINGS
+@given(systems, schedule_quarters, st.integers(0, 2**32 - 1))
+def test_stacked_audit_is_bitwise_the_per_point_loop(sys, quarters, seed):
+    """Zero-duration segments, grid points on segment boundaries, one
+    segment and no segment; non-unital quantum systems are refused."""
+    unital = sys.rep == "r3" or all(np.allclose(v, v.conj().T) for v, _ in sys.lindblad_ops)
+    for sched, grid in _reachable_schedules(sys, quarters, seed):
+        if not unital:
+            with pytest.raises(ValueError, match="unital"):
+                contraction_audit(sys, sched, grid=grid)
+            continue
+        got = np.array(contraction_audit(sys, sched, grid=grid)["s"])
+        assert got.tobytes() == np.array(_reference_audit_loop(sys, sched, grid)).tobytes()
+
+
+@SETTINGS
+@given(systems, schedule_quarters, st.integers(0, 2**32 - 1))
+def test_stacked_propagate_and_jacobian_are_bitwise_the_segment_loop(sys, quarters, seed):
+    for sched, _ in _reachable_schedules(sys, quarters, seed):
+        got = propagate(sys, sched)
+        want = _reference_propagate(sys, sched)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        jac = _jacobian(sys, sched)
+        if not sched.segments:
+            assert jac.shape == (0, *want.shape)
+            continue
+        ref = _reference_jacobian(sys, sched)
+        assert jac.shape == ref.shape and jac.tobytes() == ref.tobytes()
+
+
+@SETTINGS
+@given(systems, st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_stacked_sampler_is_bitwise_the_per_sample_loop(sys, count, depth, seed):
+    got = sample_reachable(sys, count, depth, seed=seed)
+    want = _reference_sample_reachable(sys, count, depth, seed)
+    assert len(got) == count
+    assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_reachable_runs_make_one_expm_call_each(monkeypatch):
+    """One stacked `expm` call per `sample_reachable`, `propagate`,
+    `_jacobian` and `contraction_audit` call, and none for an empty
+    schedule."""
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return expm(a)
+
+    monkeypatch.setattr(reachable, "expm", counting)
+    sys = build_system(ChannelSpec(name="two_qubit_C"))
+    sched = random_schedule(sys.n_controls, 3, 1.0, 4)
+    for run, stack in ((lambda: sample_reachable(sys, 5, 3), 15),
+                       (lambda: propagate(sys, sched), 3),
+                       (lambda: _jacobian(sys, sched), 3),
+                       (lambda: contraction_audit(sys, sched, grid=50), None)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+        assert stack is None or calls[0][0] == stack
+    calls.clear()
+    propagate(sys, Schedule(()))
+    _jacobian(sys, Schedule(()))
+    contraction_audit(sys, Schedule(()), grid=5)
+    assert calls == []
+
+
+@SETTINGS
+@given(st.sampled_from(("qubit", "two_qubit")), st.integers(0, 2**32 - 1),
+       st.integers(0, 2), st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+       st.booleans())
+def test_stacked_coherence_rep_is_bitwise_per_slice(rep, seed, n_controls, ts, generators):
+    """A (2, k/2 or k, n, n) stack of channels or generators maps slice by
+    slice to exactly what each slice gives alone."""
+    sys = _random_system(rep, seed, n_controls, 2)
+    gen = lindbladian(sys, np.random.default_rng(seed).uniform(-5.0, 5.0, size=n_controls))
+    mats = np.stack([t * gen if generators else expm(-t * gen) for t in ts * 2])
+    stack = mats.reshape(2, len(ts), *gen.shape)
+    got = coherence_rep(stack)
+    assert got.shape == (2, len(ts), *coherence_rep(gen).shape)
+    for g, m in zip(got.reshape(-1, *got.shape[2:]), mats):
+        assert g.tobytes() == coherence_rep(m).tobytes()
 
 
 # Steering systems: r3 with two controls, a qubit with one, two qubits with two.

@@ -266,6 +266,12 @@ def test_outer_wedge_hypotheses_on_qubit_system():
     assert all(report["holds"].values())
 
 
+def test_outer_wedge_check_refuses_a_carrier_that_does_not_match_n():
+    cone = initial_wedge(build_system(ChannelSpec(name="two_qubit_C"))).cone
+    with pytest.raises(ValueError, match=r"shape \(16, 16\).*shape \(4, 4\)"):
+        outer_wedge_check(cone, 2, samples=4)
+
+
 # ---------------------------------------------------------------------------
 # the Schur-Horn membership oracle behind Cone.exact
 # ---------------------------------------------------------------------------
