@@ -46,14 +46,46 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+@functools.lru_cache(maxsize=256)
+def _template(shape: tuple, leaf: str, sep: str) -> str:
+    """%-template that writes an array of `shape` as nested lists, each
+    entry as `leaf` and the items of every list joined by `sep`."""
+    t = leaf
+    for d in reversed(shape):
+        t = "[" + sep.join([t] * d) + "]"
+    return t
+
+
+def _format_array(a: np.ndarray, leaf: str, sep: str) -> str:
+    """A non-empty array of at least one dimension through its shape's
+    cached template.  A leaf with two fields takes the real and imaginary
+    parts of a complex entry; a leaf with one takes a float."""
+    if leaf.count("%") == 2:
+        flat = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    else:
+        flat = np.asarray(a, dtype=np.float64)
+    return _template(a.shape, leaf, sep) % tuple(flat.ravel().tolist())
+
+
+# the dtypes whose arrays `_dumps` writes through a template, and their leaf
+_REPORT_LEAF = {np.float16: "%.17g", np.float32: "%.17g", np.float64: "%.17g",
+                np.complex64: "[%.17g, %.17g]", np.complex128: "[%.17g, %.17g]"}
+
+
 def _dumps(v, level: int = 0) -> str:
     """JSON writer with %.17g floats and stable key order.
 
-    numpy arrays and scalars are written through `.tolist()`; a complex
-    number is written as ``[re, im]``.
+    A non-empty float or complex array is written in one step through the
+    cached template of its shape; other numpy arrays and scalars are
+    written through `.tolist()`.  A complex number is written as
+    ``[re, im]``.
     """
     if isinstance(v, float):
         return _fmt(v)
+    if isinstance(v, np.ndarray) and v.ndim and v.size:
+        leaf = _REPORT_LEAF.get(v.dtype.type)
+        if leaf is not None:
+            return _format_array(v, leaf, ", ")
     if isinstance(v, (np.ndarray, np.generic)):
         return _dumps(v.tolist(), level)
     if v is None:
@@ -217,30 +249,18 @@ def parse_system_file(text: str):
     return system, options
 
 
-def _format_entry(v, complex_field: bool) -> str:
-    if complex_field:
-        c = complex(v)
-        return json.dumps("%.17g%+.17gj" % (c.real, c.imag))
-    return _fmt(float(v))
-
-
-def _format_matrix(m, complex_field: bool) -> str:
-    rows = []
-    for row in np.asarray(m):
-        rows.append("[" + ",".join(_format_entry(v, complex_field)
-                                   for v in row) + "]")
-    return "[" + ",".join(rows) + "]"
-
-
 def format_system_file(system: ControlSystem, options: dict = None) -> str:
-    """Emit a system as the flat key/value format (17-digit round-trip)."""
-    cf = system.rep != "r3"
+    """Emit a system as the flat key/value format (17-digit round-trip).
+
+    Matrix entries are written without spaces: floats on r3, quoted
+    ``"re+imj"`` strings on the quantum representations."""
+    leaf = '"%.17g%+.17gj"' if system.rep != "r3" else "%.17g"
     lines = [f"rep {system.rep}",
-             f"drift {_format_matrix(system.drift_H, cf)}"]
+             f"drift {_format_array(system.drift_H, leaf, ',')}"]
     for c in system.controls:
-        lines.append(f"control {_format_matrix(c, cf)}")
+        lines.append(f"control {_format_array(c, leaf, ',')}")
     for v, g in system.lindblad_ops:
-        lines.append(f"lindblad {_format_matrix(v, cf)} {_fmt(g)}")
+        lines.append(f"lindblad {_format_array(v, leaf, ',')} {_fmt(g)}")
     for k, v in (options or {}).items():
         lines.append(f"{k} {_fmt(v) if isinstance(v, float) else v}")
     return "\n".join(lines) + "\n"
@@ -255,16 +275,19 @@ def _load_system(args):
     return parse_system_file(text)
 
 
-_AT_LEAST_ONE = ("samples", "rounds", "pairs", "theta-steps")
+_AT_LEAST_ONE = ("samples", "rounds", "pairs", "theta-steps", "count", "switches")
 _POSITIVE = ("tol", "t", "horizon", "gamma")
 
 
 def _checked(values: dict) -> dict:
-    """Reject counts below 1 and non-positive or non-finite tolerances,
-    times and rates, from flags and system files alike, before any work."""
+    """Reject counts below 1, negative seeds and non-positive or non-finite
+    tolerances, times and rates, from flags and system files alike, before
+    any work."""
     for k, v in values.items():
         if k in _AT_LEAST_ONE and v < 1:
             raise ValueError(f"{k} must be at least 1, got {v}")
+        if k == "seed" and v < 0:
+            raise ValueError(f"seed must be non-negative, got {v}")
         if k in _POSITIVE and not 0 < v < np.inf:
             raise ValueError(f"{k} must be positive and finite, got {v}")
     return values
@@ -424,7 +447,8 @@ def cmd_semialgebra(args) -> int:
 def cmd_reachable(args) -> int:
     system, file_options = _load_system(args)
     horizon = file_options.get("horizon", 1.0)
-    _checked({"horizon": horizon})
+    _checked({"horizon": horizon, "count": args.count,
+              "switches": args.switches, "seed": args.seed})
     samples = sample_reachable(system, args.count, args.switches,
                                horizon=horizon, seed=args.seed)
     summary = {"count": args.count, "switches": args.switches,

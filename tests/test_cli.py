@@ -347,8 +347,16 @@ def test_channel_accepts_time_zero(name, capsys):
     (["semialgebra", "--t", "-1"], "t must be positive and finite, got -1.0"),
     (["semialgebra", "--t", "inf"], "t must be positive and finite, got inf"),
     (["semialgebra", "--rounds", "0"], "rounds must be at least 1, got 0"),
+    (["wedge", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["semialgebra", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["reachable", "--switches", "-1", "--count", "2"], "switches must be at least 1, got -1"),
+    (["reachable", "--switches", "0", "--count", "2"], "switches must be at least 1, got 0"),
+    (["reachable", "--switches", "2", "--count", "2", "--seed", "-1"],
+     "seed must be non-negative, got -1"),
 ], ids=["samples-zero", "samples-negative", "rounds-zero", "tol-negative", "tol-nan",
-        "pairs-zero", "t-negative", "t-inf", "semialgebra-rounds-zero"])
+        "pairs-zero", "t-negative", "t-inf", "semialgebra-rounds-zero", "wedge-seed-negative",
+        "semialgebra-seed-negative", "switches-negative", "switches-zero",
+        "reachable-seed-negative"])
 def test_saturation_and_probe_flags_are_range_checked(qubit_path, argv, message, capsys):
     _expect_usage_error([argv[0], "--system", qubit_path, *argv[1:]], message, capsys)
 
@@ -371,3 +379,15 @@ def test_system_file_options_are_range_checked(tmp_path, argv, line, message, ca
 def test_example_rejects_zero_rounds(capsys):
     _expect_usage_error(["example", "1", "--rounds", "0"],
                         "rounds must be at least 1, got 0", capsys)
+
+
+def test_example_rejects_a_negative_seed(capsys):
+    _expect_usage_error(["example", "1", "--seed", "-1"],
+                        "seed must be non-negative, got -1", capsys)
+
+
+def test_system_file_seed_is_range_checked(tmp_path, capsys):
+    path = tmp_path / "seed.sys"
+    path.write_text(QUBIT_FILE + "seed -3\n")
+    _expect_usage_error(["wedge", "--system", str(path)],
+                        "seed must be non-negative, got -3", capsys)

@@ -2,11 +2,11 @@
 the incremental contraction audit, the stacked realification, the batched
 conjugation kernel, the derived family kind, the right-nested Lie closure,
 the one-array cones and subspaces, the merged aligned orbit support, the
-one-search support function, the merged frequency table, the one-pass
-report writer, the exact steering Jacobian and the stacked reachable
-kernels (one `expm` call per audit, sample set, propagation or Jacobian,
-one `coherence_rep` per audit) against loop, expm,
-edge-rule, full-pairwise, per-generator, two-branch, three-routine,
+one-search support function, the merged frequency table, the per-shape
+template report writer and system-file formatter, the exact steering
+Jacobian and the stacked reachable kernels (one `expm` call per audit,
+sample set, propagation or Jacobian, one `coherence_rep` per audit)
+against loop, expm, edge-rule, full-pairwise, per-generator, two-branch, three-routine,
 per-entry, two-pass or central-difference references kept here, and the
 Schur-Horn and Caratheodory-Toeplitz distance bounds against a dense-sample
 NNLS fit."""
@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize, minimize_scalar, nnls
 
-from liewedge.channels import H_X, H_Y, H_Z, ChannelSpec, build_system, sigma, sigma2
-from liewedge.cli import _dumps
+from liewedge.channels import NAMES, H_X, H_Y, H_Z, ChannelSpec, build_system, sigma, sigma2
+from liewedge.cli import _dumps, format_system_file
 from liewedge.liealg import lie_closure
 from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
                                control_directions, drift_direction, gks_dissipator,
@@ -1200,11 +1200,19 @@ def _reference_dumps(v) -> str:
     return _reference_write(_reference_jsonable(v))
 
 
-REPORT_DTYPES = ("float64", "float32", "complex128", "int64", "bool")
+REPORT_DTYPES = ("float64", "float32", "float16", "complex128", "complex64", ">f8", ">c16",
+                 "int64", "bool")
+# views whose memory order differs from the C order the writer reads in
+ARRAY_VIEWS = (lambda a: a, lambda a: a.T, np.asfortranarray,
+               lambda a: a[::-1] if a.ndim else a,
+               lambda a: a[..., ::-2] if a.ndim else a,
+               lambda a: np.moveaxis(a, 0, -1)[::-1] if a.ndim else a)
 
-numpy_arrays = st.sampled_from(REPORT_DTYPES).flatmap(
-    lambda dt: hnp.arrays(dt, hnp.array_shapes(min_dims=0, max_dims=3,
-                                                min_side=0, max_side=3)))
+numpy_arrays = st.tuples(
+    st.sampled_from(REPORT_DTYPES).flatmap(
+        lambda dt: hnp.arrays(dt, hnp.array_shapes(min_dims=0, max_dims=4,
+                                                    min_side=0, max_side=3))),
+    st.sampled_from(ARRAY_VIEWS)).map(lambda av: av[1](av[0]))
 numpy_scalars = st.sampled_from(REPORT_DTYPES).flatmap(
     lambda dt: hnp.arrays(dt, ())).map(lambda a: a[()])
 report_text = st.text() | st.sampled_from(['say "hi"', "back\\slash", "Lie–wedge ⊂ 𝔤", "tab\t"])
@@ -1234,12 +1242,80 @@ def test_writer_shapes_and_empty_arrays():
     assert '"empty": [[], []]' in _dumps(report)
 
 
+def test_writer_matches_the_reference_on_generator_sized_stacks():
+    """The large stacks `example` and `wedge` reports carry, with every
+    special float, as whole arrays and as tuples of matrices."""
+    rng = np.random.default_rng(5)
+    real = rng.normal(size=(900, 15, 15)) * np.exp(rng.normal(scale=20.0, size=(900, 15, 15)))
+    real.flat[:6] = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324]
+    cplx = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
+    cplx.flat[:4] = [complex(-0.0, np.nan), complex(np.inf, -0.0), -1j, 1e300 - 1e-300j]
+    report = {"real": real, "complex": cplx, "generators": tuple(real[:50]),
+              "complex_generators": tuple(cplx[:50]),
+              "views": [real[:20].T, real[::-7, 3:, ::-2], np.asfortranarray(real[:9]),
+                        real[:40].astype(">f8"), cplx.T, cplx[::-5, :, ::-1],
+                        cplx[:40].astype(">c16"), real[1:41].clip(-1e30, 1e30).astype(np.float32),
+                        cplx[1:41].astype(np.complex64)]}
+    assert _dumps(report) == _reference_dumps(report)
+
+
 @pytest.mark.parametrize("bad", [{1, 2}, {"nested": [frozenset()]}])
 def test_writer_rejects_unsupported_objects(bad):
     with pytest.raises(TypeError):
         _dumps(bad)
     with pytest.raises(TypeError):
         _reference_dumps(bad)
+
+
+def _reference_format_entry(v, complex_field: bool) -> str:
+    if complex_field:
+        c = complex(v)
+        return json.dumps("%.17g%+.17gj" % (c.real, c.imag))
+    return "%.17g" % float(v)
+
+
+def _reference_format_matrix(m, complex_field: bool) -> str:
+    rows = []
+    for row in np.asarray(m):
+        rows.append("[" + ",".join(_reference_format_entry(v, complex_field)
+                                   for v in row) + "]")
+    return "[" + ",".join(rows) + "]"
+
+
+def _reference_format_system_file(system: ControlSystem, options: dict = None) -> str:
+    """The per-entry system-file formatter."""
+    cf = system.rep != "r3"
+    lines = [f"rep {system.rep}",
+             f"drift {_reference_format_matrix(system.drift_H, cf)}"]
+    for c in system.controls:
+        lines.append(f"control {_reference_format_matrix(c, cf)}")
+    for v, g in system.lindblad_ops:
+        lines.append(f"lindblad {_reference_format_matrix(v, cf)} {'%.17g' % float(g)}")
+    for k, v in (options or {}).items():
+        lines.append(f"{k} {'%.17g' % v if isinstance(v, float) else v}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_system_files_match_the_per_entry_formatter(name):
+    system = build_system(ChannelSpec(name))
+    options = {"samples": 240, "tol": 1e-9, "horizon": 0.7}
+    assert format_system_file(system) == _reference_format_system_file(system)
+    assert format_system_file(system, options) == _reference_format_system_file(system, options)
+
+
+@SETTINGS
+@given(st.sampled_from(("r3", "qubit", "two_qubit")), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_random_system_files_match_the_per_entry_formatter(rep, seed, real_drift):
+    """Random systems, with a real-valued drift array on a quantum carrier
+    and signed zeros among the entries."""
+    system = _random_system(rep, seed, n_controls=2, n_ops=2)
+    drift = np.asarray(system.drift_H)
+    drift = np.where(np.abs(drift) < 0.3, -0.0, drift.real if real_drift else drift)
+    system = ControlSystem(rep=rep, drift_H=drift, controls=system.controls,
+                           lindblad_ops=system.lindblad_ops)
+    assert format_system_file(system) == _reference_format_system_file(system)
 
 
 # ---------------------------------------------------------------------------
