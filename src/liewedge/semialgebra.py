@@ -12,6 +12,7 @@ degenerate-pair, and generic relaxation rates).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.optimize import nnls
@@ -124,43 +125,77 @@ def _wedge_samples(w: Wedge, count: int, rng: np.random.Generator) -> np.ndarray
     """Unit-norm wedge members: generators, conic mixes, and edge offsets.
 
     Returns a (m, *shape) stack, m <= count: draws of norm <= 1e-12 are
-    dropped.  The loop only draws from `rng` and records each sample's
-    generator indices, weights and edge coefficients; the stack is then
-    summed term by term, each masked add in the order one sample adds its
-    terms (a lone generator is added with weight 1.0, which is exact), so
-    every sample is bitwise what building it alone gives.
+    dropped.  Samples k = 0, 3, 6, ... take one generator; the others mix
+    1-3 generators with weights in [0.2, 1); every third sample, and every
+    sample of a wedge without generators, adds a Gaussian edge offset.
+
+    The loop only draws from `rng`, into Python lists, with the cheapest
+    call that gives the draws of one sample built alone:
+
+    - `rng.integers(n)` once per generator index, which is bitwise
+      `rng.integers(n, size=m)` and leaves the same generator state (both
+      run one bounded draw on `next_uint32` per index);
+    - `rng.uniform(0.2, 1.0, m)` for the weights.  `0.2 + 0.8 *
+      rng.random(m)` gives the same floats only where the compiler does not
+      fuse numpy's `lower + range * u` into one multiply-add, so it stays;
+    - `rng.standard_normal(dim)` for the edge coefficients, which is
+      bitwise `rng.normal(size=dim)` (numpy's normal is `0 + 1 * z`).
+
+    The lists are scattered into index arrays once, and the stack is summed
+    term by term, each masked add in the order one sample adds its terms (a
+    lone generator is added with weight 1.0, which is exact).  Each norm is
+    one stacked `p @ p^T` over the flattened sample (over its real and its
+    imaginary part, added, on a complex carrier): the same BLAS dot
+    `np.linalg.norm` runs on one matrix.  So every sample is bitwise what
+    building it alone gives.
     """
     gens = w.cone.generators
     n_gens, dim = len(gens), w.edge.dim
-    picks = np.zeros((count, 3), dtype=int)
-    weights = np.zeros((count, 3))  # 0 marks an absent term
-    coefs = np.zeros((count, dim))
-    offset = np.zeros(count, dtype=bool)
+    rows, slots, picks, weights = [], [], [], []  # one entry per generator term
+    coefs, offset = [], []
     for k in range(count):
         if n_gens:
             if k % 3 == 0:
-                picks[k, 0], weights[k, 0] = rng.integers(n_gens), 1.0
+                rows.append(k)
+                slots.append(0)
+                picks.append(rng.integers(n_gens))
+                weights.append(1.0)
             else:
                 m = int(rng.integers(1, 4))
-                picks[k, :m] = rng.integers(n_gens, size=m)
-                weights[k, :m] = rng.uniform(0.2, 1.0, size=m)
+                rows += [k] * m
+                slots += range(m)
+                picks += [rng.integers(n_gens) for _ in range(m)]
+                weights += rng.uniform(0.2, 1.0, m).tolist()
         if dim and (k % 3 == 2 or not n_gens):
-            coefs[k] = rng.normal(size=dim)
-            offset[k] = True
+            coefs.append(rng.standard_normal(dim))
+            offset.append(k)
     x = np.zeros((count, *w.cone.shape), dtype=complex if w.cone.complex_field else float)
     if n_gens:
+        pick = np.zeros((count, 3), dtype=int)
+        weight = np.zeros((count, 3))  # 0 marks an absent term
+        pick[rows, slots] = picks
+        weight[rows, slots] = weights
         g = np.asarray(gens)
         for j in range(3):
-            on = weights[:, j] > 0
-            x[on] = x[on] + weights[on, j, None, None] * g[picks[on, j]]
-    if offset.any():
+            on = weight[:, j] > 0
+            x[on] = x[on] + weight[on, j, None, None] * g[pick[on, j]]
+    if offset:
         e = 0
-        for cf, mat in zip(coefs[offset].T, w.edge.mats):
+        for cf, mat in zip(np.array(coefs).T, w.edge.mats):
             e = e + cf[:, None, None] * mat
         x[offset] = x[offset] + e
-    norms = np.array([fro(v) for v in x])  # one sample's summation order, not a batched one
+    norms = _stacked_norms(x)
     keep = norms > 1e-12
     return x[keep] / norms[keep, None, None]
+
+
+def _stacked_norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each slice of an (m, ...) stack, by the dot
+    `np.linalg.norm` takes of one flattened slice (of its real and its
+    imaginary part, added, when complex), so each is bitwise `fro`."""
+    p = x.reshape(len(x), 1, int(np.prod(x.shape[1:])))
+    parts = (p.real, p.imag) if np.iscomplexobj(p) else (p,)
+    return np.sqrt(sum(q @ q.swapaxes(1, 2) for q in parts).reshape(len(x)))
 
 
 def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
@@ -186,6 +221,8 @@ def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
     tol), so the first witness is that of fitting every pair in turn.  Only
     the sample draws use `seed`.
     """
+    if isinstance(pair_samples, bool) or not isinstance(pair_samples, Integral):
+        raise ValueError(f"pairs must be an integer, got {pair_samples!r}")
     if pair_samples < 1:
         raise ValueError(f"pairs must be at least 1, got {pair_samples}")
     ts = _checked_grid(t_grid, tol)

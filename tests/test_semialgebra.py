@@ -441,6 +441,70 @@ def test_batched_probe_matches_the_per_pair_loop(probe_wedges, name, seed, t_gri
     assert _same_witness(wit, ref)
 
 
+@pytest.fixture(scope="module")
+def branch_wedges(probe_wedges):
+    two_qubit = build_system(ChannelSpec(name="two_qubit_C"))
+    return {
+        "edge_only": orbit_wedge((0.0, 0.0, 0.0), hull_samples=96, seed=0),
+        "cone_only": Wedge(edge=orthonormal_span([], shape=(3, 3), complex_field=False),
+                           cone=probe_wedges["rates321"].cone),
+        "two_qubit_C": saturate(initial_wedge(two_qubit), orbit_samples=24),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("name", ["edge_only", "cone_only", "two_qubit_C"])
+def test_samples_match_the_loop_on_every_branch_and_carrier(branch_wedges, name, seed):
+    """The edge-only wedge draws a normal for every sample, the cone-only
+    one draws none, and two_qubit_C's samples are complex 16x16: each stack
+    is bitwise the loop's, and leaves the generator in the loop's state."""
+    w = branch_wedges[name]
+    assert (len(w.cone.generators) > 0, w.edge.dim > 0) == {
+        "edge_only": (False, True), "cone_only": (True, False)}.get(name, (True, True))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = semialgebra._wedge_samples(w, 240, rng)
+    want = _reference_samples(w, 240, ref_rng)
+    assert got.shape == (len(want), *w.cone.shape)
+    assert all(g.tobytes() == x.tobytes() for g, x in zip(got, want))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 3, 29, 724])
+def test_sized_integers_equal_scalar_integers(n):
+    """The sampler's identity `rng.integers(n, size=m)` == m scalar
+    `rng.integers(n)` calls, with the same generator state afterwards
+    (both run one bounded draw on the buffered next_uint32 per index)."""
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    for m in (1, 2, 3, 1, 3, 2, 7):
+        assert a.integers(n, size=m).tolist() == [int(b.integers(n)) for _ in range(m)]
+        assert a.uniform(0.2, 1.0, m).tobytes() == b.uniform(0.2, 1.0, m).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 15])
+def test_normal_equals_standard_normal(dim):
+    """The sampler's identity `rng.normal(size=d)` == `rng.standard_normal(d)`
+    (numpy's normal is 0 + 1 * z), with the same generator state afterwards."""
+    a, b = np.random.default_rng(dim), np.random.default_rng(dim)
+    for _ in range(50):
+        assert a.normal(size=dim).tobytes() == b.standard_normal(dim).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 16])
+def test_stacked_norms_equal_fro(n, complex_field):
+    """The sampler's identity: the stacked `p @ p^T` norms are bitwise `fro`
+    of each slice, over entries spread across six decades."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(3000, n, n))
+    if complex_field:
+        x = x + 1j * rng.normal(size=x.shape)
+    x = x * 10.0 ** rng.uniform(-3, 3, size=(len(x), 1, 1))
+    got = semialgebra._stacked_norms(x)
+    assert got.tobytes() == np.array([fro(v) for v in x]).tobytes()
+
+
 def test_probe_fits_pair_by_pair_not_t_by_t(probe_wedges):
     """On the (3,2,1) wedge the first pair's tail misfit grows like t**3
     and the second pair's like t**2, so at tol 1e-3 the first pair is a
@@ -488,6 +552,8 @@ def test_probe_fits_every_pair_the_loop_fits(monkeypatch, probe_wedges, seed):
 @pytest.mark.parametrize("kwargs, message", [
     ({"pair_samples": 0}, "pairs must be at least 1, got 0"),
     ({"pair_samples": -5}, "pairs must be at least 1, got -5"),
+    ({"pair_samples": 2.0}, "pairs must be an integer, got 2.0"),
+    ({"pair_samples": True}, "pairs must be an integer, got True"),
     ({"t_grid": ()}, r"t_grid must hold at least one t, got \(\)"),
     ({"t_grid": (0.0,)}, "t must be positive and finite, got 0.0"),
     ({"t_grid": (1e-2, -1e-3)}, "t must be positive and finite, got -0.001"),
@@ -499,13 +565,20 @@ def test_probe_fits_every_pair_the_loop_fits(monkeypatch, probe_wedges, seed):
 ])
 def test_vacuous_probe_settings_are_rejected(probe_wedges, kwargs, message):
     """Each of these made the probe report "no counterexample" on a wedge
-    that is not a semialgebra, or leaked an error from scipy."""
+    that is not a semialgebra, leaked an error from scipy or numpy, or
+    ran a bool as one pair."""
     w = probe_wedges["rates321"]
     with pytest.raises(ValueError, match=message):
         semialgebra_probe(w, **kwargs)
     if "pair_samples" not in kwargs:
         with pytest.raises(ValueError, match=message):
             bch_witness(w, GAMMA2 + H_Z, GAMMA2 + H_X, **kwargs)
+
+
+def test_probe_takes_a_numpy_integer_pair_count(probe_wedges):
+    w = probe_wedges["rates321"]
+    assert _same_witness(semialgebra_probe(w, pair_samples=np.int64(20)),
+                         semialgebra_probe(w, pair_samples=20))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
