@@ -165,6 +165,13 @@ def _span_columns(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     return u[:, s > tol * s.max(initial=0.0)].copy()
 
 
+def _rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
+    """`_span_columns(m, tol).shape[1]`, counted from the singular values
+    alone, without forming the left singular vectors."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(s > tol * s.max(initial=0.0)))
+
+
 def orthonormal_span(gens, tol: float = RANK_TOL, shape: tuple = None,
                      complex_field: bool = None) -> Subspace:
     """Orthonormal basis of the real span of `gens` (see `_span_columns`).

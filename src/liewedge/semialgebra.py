@@ -21,7 +21,7 @@ from .channels import H_X, H_Y, H_Z, P_X, P_Y, P_Z
 from .liealg import orthocomplement, subspace_equal
 from .matcore import (Subspace, comm, fro, inner, orthonormal_span, realify, realify_stack,
                       unrealify)
-from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, wedge_contains
+from .wedge import Cone, ConjugationFamily, Wedge, _checked_count, _cone_fit, wedge_contains
 
 BCH_MAX_ORDER = 4
 _FACE_GUARD = 1e-8
@@ -219,14 +219,14 @@ def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
     it is skipped.  The remaining (pair, t) tails go, pair by pair in sample
     order, to `bch_witness`, whose fits are deterministic in (wedge, tail,
     tol), so the first witness is that of fitting every pair in turn.  Only
-    the sample draws use `seed`.
+    the sample draws use `seed`, which must be an integer >= 0.
     """
     if isinstance(pair_samples, bool) or not isinstance(pair_samples, Integral):
         raise ValueError(f"pairs must be an integer, got {pair_samples!r}")
     if pair_samples < 1:
         raise ValueError(f"pairs must be at least 1, got {pair_samples}")
     ts = _checked_grid(t_grid, tol)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_count("seed", seed))
     elems = _wedge_samples(w, 2 * pair_samples, rng)
     n_pairs = len(elems) // 2
     a, b = elems[:2 * n_pairs:2], elems[1:2 * n_pairs:2]
@@ -281,8 +281,10 @@ def tangent_space(w: Wedge, a_mat: np.ndarray, face_samples: int = 192,
     samples with |<phi, A>| above a guard band are discarded.  The stored
     generators only approximate the cone, so that sampled face, and the
     tangent space returned from it, is bounded in neither direction: on a
-    curved cone it is over-sampled, and T_A comes out too small.
+    curved cone it is over-sampled, and T_A comes out too small.  `seed`,
+    which draws the sampled functionals, must be an integer >= 0.
     """
+    seed = _checked_count("seed", seed)
     a_mat = np.asarray(a_mat)
     if not wedge_contains(w, a_mat):
         raise ValueError("tangent_space requires a wedge member")
@@ -313,14 +315,18 @@ def tangent_space(w: Wedge, a_mat: np.ndarray, face_samples: int = 192,
 
 def orbit_wedge(rates, hull_samples: int = 192, seed: int = 0,
                 tol: float = 1e-8) -> Wedge:
-    """Wedge so(3) + cone{R diag(rates) R^T} with its analytic orbit family."""
+    """Wedge so(3) + cone{R diag(rates) R^T} with its analytic orbit family.
+
+    `rates` must be three nonnegative finite reals, and `hull_samples` and
+    `seed` integers >= 0; anything else raises ValueError."""
     rates = tuple(float(v) for v in rates)
-    if len(rates) != 3 or min(rates) < 0:
-        raise ValueError(f"rates must be three nonnegative reals, got {rates}")
+    if len(rates) != 3 or not all(0 <= v < np.inf for v in rates):
+        raise ValueError(f"rates must be three nonnegative finite reals, got {rates}")
+    hull_samples = _checked_count("hull_samples", hull_samples)
+    rng = np.random.default_rng(_checked_count("seed", seed))
     gamma = np.diag(np.sort(rates)[::-1])
     seeds = tuple(h / fro(h) for h in (H_X, H_Y, H_Z))
     edge = orthonormal_span([H_X, H_Y, H_Z], shape=(3, 3), complex_field=False)
-    rng = np.random.default_rng(seed)
     fam = None
     gens = []
     if fro(gamma) > 0:

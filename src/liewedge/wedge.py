@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar, nnls
@@ -36,7 +37,7 @@ from .liealg import lie_closure
 from .lindblad import (ControlSystem, _pauli_vecs, ad_hat, coherence_rep,
                        control_directions, drift_direction, pauli_basis,
                        superop_from_coherence)
-from .matcore import (RANK_TOL, Subspace, _span_columns, comm, eig_sym, fro,
+from .matcore import (RANK_TOL, Subspace, _rank, _span_columns, comm, eig_sym, fro, inner,
                       orthonormal_span, realify, realify_stack, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
@@ -45,6 +46,12 @@ _CG_MAX_NEW = 60
 _CERTIFIED = 1e-12
 # support candidates (`ConjugationFamily._support_grid`) per family, by kind
 _SUPPORT_CANDIDATES = {"grid1": 2048, "grid2": 64 * 64, "orbit": 128}
+# Newton ascent of the support on commuting seeds (`ConjugationFamily._ascend`):
+# most steps, halvings per step, and the Hessian eigenvalue floor relative to
+# sum_k |c_k| |freqs_k|^2
+_NEWTON_STEPS = 32
+_BACKTRACKS = 40
+_NEWTON_FLOOR = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +410,7 @@ class ConjugationFamily:
         if self._phases is None:
             return lambda thetas: np.real(np.sum(np.conj(self.elements(thetas)) * direction,
                                                  axis=(1, 2)))
-        q, m, freqs, index = self._phases
-        coeff = (np.conj(m) * (q.conj().T @ np.asarray(direction, dtype=complex) @ q)).ravel()
-        c = (np.bincount(index, coeff.real, len(freqs))
-             + 1j * np.bincount(index, coeff.imag, len(freqs)))
+        c = self._coefficients(direction)
 
         def values(thetas, waves=None):
             if waves is None:
@@ -414,6 +418,55 @@ class ConjugationFamily:
             return np.real(waves @ c)
 
         return values
+
+    def _coefficients(self, direction: np.ndarray) -> np.ndarray:
+        """Coefficients c of f(theta) = Re sum_k c_k exp(i theta . freqs_k),
+        one per merged frequency of `_phases`."""
+        q, m, freqs, index = self._phases
+        coeff = (np.conj(m) * (q.conj().T @ np.asarray(direction, dtype=complex) @ q)).ravel()
+        return (np.bincount(index, coeff.real, len(freqs))
+                + 1j * np.bincount(index, coeff.imag, len(freqs)))
+
+    def _ascend(self, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Safeguarded Newton ascent on f(theta) = Re sum_k c_k exp(i theta .
+        freqs_k) from `theta`.
+
+        With w_k = c_k exp(i theta . freqs_k), the gradient is -Im sum_k
+        freqs_k w_k and the Hessian -Re sum_k w_k freqs_k freqs_k^T, both
+        from one exponential per merged frequency.  Each Hessian eigenvalue
+        is replaced by its absolute value, floored at `_NEWTON_FLOOR` times
+        sum_k |c_k| |freqs_k|^2 (a bound on the Hessian's norm), so the step
+        always ascends and a degenerate torus, whose Hessian is singular
+        along the directions that do not move the element, takes a scaled
+        gradient step there.  A step is halved until f is no lower than
+        before, up to f's rounding; the ascent stops once the gradient is at
+        rounding level, no step is accepted, or after `_NEWTON_STEPS`
+        steps."""
+        freqs = self._phases[2]
+        size = np.abs(c)
+        gtol = 1e-13 * float(size @ np.linalg.norm(freqs, axis=1))
+        floor = _NEWTON_FLOOR * float(size @ np.einsum("ij,ij->i", freqs, freqs))
+        slack = 8.0 * np.finfo(float).eps * float(size.sum())
+        theta = np.array(theta, dtype=float)
+        w = c * np.exp(1j * (freqs @ theta))
+        current = float(w.real.sum())
+        for _ in range(_NEWTON_STEPS):
+            grad = -(freqs.T @ w.imag)
+            if np.linalg.norm(grad) <= gtol:
+                break
+            lam, vec = np.linalg.eigh(-(freqs.T * w.real) @ freqs)
+            step = vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor))
+            for _ in range(_BACKTRACKS):
+                trial = theta + step
+                w_trial = c * np.exp(1j * (freqs @ trial))
+                score = float(w_trial.real.sum())
+                if score >= current - slack:
+                    break
+                step = step / 2.0
+            else:
+                break
+            theta, w, current = trial, w_trial, score
+        return theta
 
     def _waves(self, thetas) -> np.ndarray:
         """Plane waves exp(i theta . freqs^T) of a theta stack, one row per
@@ -440,14 +493,17 @@ class ConjugationFamily:
         `RotationOrbit.support`).  Otherwise the best of the family's fixed
         candidates `_support_grid` (a 2048-point grid1 sweep, a 64x64 grid2
         torus, or 128 orbit draws seeded with 0), refined once from there:
-        bounded Brent over one grid step either side for one parameter,
-        Nelder-Mead otherwise; so the result depends on the family and the
-        direction alone.  Where the seeds commute, the candidates' plane
-        waves are built once per family (one exponential per distinct
-        frequency, see `_objective`) and scored as one product with the
-        direction's coefficients.  The refinement is kept when it scores at
-        least as well, so the sampled result can only under-estimate the
-        true support (inner approximation).
+        bounded Brent over one grid step either side for one parameter; a
+        safeguarded Newton ascent on the trigonometric polynomial
+        (`_ascend`) for two or more seeds that co-diagonalise (grid2, and
+        orbits of commuting seeds); Nelder-Mead for seeds that do not
+        commute.  So the result depends on the family and the direction
+        alone.  Where the seeds commute, the candidates' plane waves are
+        built once per family (one exponential per distinct frequency, see
+        `_objective`) and scored as one product with the direction's
+        coefficients.  The refinement is kept when it scores at least as
+        well, so the sampled result can only under-estimate the true support
+        (inner approximation).
         """
         if self.exact is not None:
             aligned = self.exact.support(direction)
@@ -462,10 +518,14 @@ class ConjugationFamily:
             res = minimize_scalar(lambda t: -float(f([[t]])[0]),
                                   bounds=(thetas[k, 0] - step, thetas[k, 0] + step),
                                   method="bounded", options={"xatol": 1e-12})
+            params, value = np.atleast_1d(res.x), float(-res.fun)
+        elif self._phases is not None:
+            params = self._ascend(self._coefficients(direction), thetas[k])
+            value = float(f(params)[0])
         else:
             res = minimize(lambda p: -float(f(p)[0]), x0=thetas[k], method="Nelder-Mead",
                            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
-        params, value = np.atleast_1d(res.x), float(-res.fun)
+            params, value = res.x, float(-res.fun)
         if value < vals[k]:
             params, value = thetas[k], float(vals[k])
         return self.element(params), value
@@ -645,10 +705,23 @@ def _checked_query(x, shape: tuple, tol) -> tuple:
         raise ValueError(f"x must have the carrier's shape {tuple(shape)}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite, got a non-finite entry")
+    return x, _checked_tol(tol)
+
+
+def _checked_tol(tol) -> float:
+    """tol as a float, after rejecting one that is not positive and finite."""
     tol = float(tol)
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    return x, tol
+    return tol
+
+
+def _checked_count(name: str, value, least: int = 0) -> int:
+    """`value` as an int, after rejecting a bool, a non-integer or a value
+    below `least`; seeds (`least` 0) and sample or round counts use it."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def cone_contains(c: Cone, x: np.ndarray, tol: float = None) -> bool:
@@ -708,9 +781,9 @@ class Wedge:
     @property
     def dim(self) -> int:
         """Linear dimension of edge plus cone span: the cone's edge-orthogonal
-        parts, with remainders of norm <= 1e-12 dropped as `saturate` does."""
-        units = _edge_orthogonal_units(self.edge, self.cone.stack)
-        return self.edge.dim + _span_columns(units).shape[1]
+        parts, with remainders of norm <= 1e-12 dropped as `saturate` does,
+        counted from their singular values alone (`_rank`)."""
+        return self.edge.dim + _rank(_edge_orthogonal_units(self.edge, self.cone.stack))
 
 
 def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None) -> bool:
@@ -737,17 +810,22 @@ def initial_wedge(sys: ControlSystem) -> Wedge:
 
 def _novel_columns(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Columns of `cols` whose cosine with every column of `stack` and with
-    every earlier kept column stays below 1 - 1e-12."""
-    s = stack.shape[1]
-    cur = np.empty((stack.shape[0], s + cols.shape[1]))
-    cur[:, :s] = stack
-    j = s
-    for col in cols.T:
-        if j and (cur[:, :j].T @ col).max() > 1.0 - 1e-12:
-            continue
-        cur[:, j] = col
-        j += 1
-    return cur[:, s:j]
+    every earlier kept column stays at or below 1 - 1e-12, as a C-contiguous
+    array.
+
+    Every cosine comes from one Gram product of `cols` against `stack` and
+    itself; the greedy pass then only reads it, in column order, so of two
+    near-parallel candidates the first one wins."""
+    limit = 1.0 - 1e-12
+    cos = cols.T @ np.concatenate([stack, cols], axis=1)
+    blocked = cos[:, :stack.shape[1]].max(axis=1, initial=-np.inf) > limit
+    near = cos[:, stack.shape[1]:] > limit
+    keep = []
+    for j in range(cols.shape[1]):
+        if not blocked[j]:
+            keep.append(j)
+            blocked |= near[j]
+    return np.ascontiguousarray(cols[:, keep])
 
 
 def _edge_orthogonal_units(edge: Subspace, cols: np.ndarray) -> np.ndarray:
@@ -756,6 +834,42 @@ def _edge_orthogonal_units(edge: Subspace, cols: np.ndarray) -> np.ndarray:
     p = cols - edge.stack @ (edge.stack.T @ cols)
     n = np.linalg.norm(p, axis=0)
     return p[:, n > 1e-12] / n[n > 1e-12]
+
+
+def _spot_members(cone: Cone, points: np.ndarray, tol: float) -> np.ndarray:
+    """`cone_contains(cone, p, tol)` for every matrix p of the stack
+    `points`, which lie on the orbit of the cone's family, decided in one
+    pass.
+
+    On a certified cone (`Cone.exact`) one stacked `contains` call bounds
+    every point's distance, with the thresholds `cone_contains` uses.  A
+    point still undecided gets a one-column certificate: with g the unit
+    support element `support(p) / |support(p)|`, p is a member when
+    |p - max(<g, p>, 0) g| <= tol * max(1, |p|), since max(<g, p>, 0) g lies
+    in the cone.  For an orbit point, g is p's own direction up to the
+    support search's precision.  Only a point that fails the certificate
+    goes to `cone_contains`, whose fit appends this same deterministic g in
+    its boundary shortcut, so the fit can only match or beat the
+    certificate; an "outside" verdict therefore still comes from the full
+    fit alone."""
+    bounds = np.array([tol * max(1.0, fro(p)) for p in points])
+    member = np.zeros(len(points), dtype=bool)
+    undecided = np.ones(len(points), dtype=bool)
+    if cone.exact is not None:
+        lower, upper = cone.exact.contains(points)
+        outside = lower > bounds
+        member = ~outside & (upper <= bounds)
+        undecided = ~outside & ~member
+    for i in np.flatnonzero(undecided):
+        g, _val = cone.analytic.support(points[i])
+        ng = fro(g)
+        if ng > 0.0:
+            g = g / ng
+            if fro(points[i] - max(inner(g, points[i]), 0.0) * g) <= bounds[i]:
+                member[i] = True
+                continue
+        member[i] = cone_contains(cone, points[i], tol)
+    return member
 
 
 def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
@@ -768,14 +882,22 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
     edge and renormalize them; then, after an edge change, (c) sweep
     conjugations of the drift base and of sampled stored generators by
     exponentials of edge elements, or on a stable edge (d) keep the members
-    of a freshly offset sweep that fall outside the cone; novel candidates
-    are appended.  Terminates when a round after a stable edge adds nothing:
-    exhaustively for small candidate sets, else by a membership spot-check
-    of a freshly offset sweep (the family group property guarantees swept
-    candidates stay in the analytic cone).  If max_rounds is exhausted the
-    partial result is returned with ``converged: False`` in the report.
+    of a freshly offset sweep that fall outside the cone, all decided in one
+    pass (`_spot_members`: stacked exact bounds on a certified cone, then a
+    one-column support certificate, then a full fit only for the points
+    still undecided); novel candidates are appended.  Terminates when a
+    round after a stable edge adds nothing: exhaustively for small candidate
+    sets, else by a membership spot-check of a freshly offset sweep (the
+    family group property guarantees swept candidates stay in the analytic
+    cone).  If max_rounds is exhausted the partial result is returned with
+    ``converged: False`` in the report.  `orbit_samples` and `max_rounds`
+    must be integers >= 1, `seed` an integer >= 0 and `tol` positive and
+    finite; anything else raises ValueError before the first round.
     """
-    rng = np.random.default_rng(seed)
+    orbit_samples = _checked_count("orbit_samples", orbit_samples, 1)
+    max_rounds = _checked_count("max_rounds", max_rounds, 1)
+    tol = _checked_tol(tol)
+    rng = np.random.default_rng(_checked_count("seed", seed))
     shape = w.cone.shape
     complex_field = w.cone.complex_field
     edge = w.edge
@@ -836,9 +958,7 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
                 spot = family.elements(np.stack([rng.uniform(0, p, size=n_spot)
                                                  for p in family.periods], axis=1))
             spot = _edge_orthogonal_units(edge, realify_stack(spot, shape, complex_field))
-            outside = np.array([not cone_contains(cone, p, tol)
-                                for p in unrealify_stack(spot, shape, complex_field)],
-                               dtype=bool)
+            outside = ~_spot_members(cone, unrealify_stack(spot, shape, complex_field), tol)
             if not outside.any():
                 report["novel_counts"].append(0)
                 report["converged"] = True

@@ -601,3 +601,42 @@ def test_stacked_bch_matches_each_pair(order, shape, complex_field):
 def test_bch_rejects_mismatched_or_non_square_shapes(a_shape, b_shape):
     with pytest.raises(ValueError, match="bch needs two square matrices"):
         bch(np.ones(a_shape), np.ones(b_shape))
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, "0"])
+def test_seeds_are_checked_before_any_work(probe_wedges, seed):
+    """The probe leaked numpy's TypeError for 1.5 and ran True as seed 1,
+    and `tangent_space` ran seed -1; every seeded entry point now refuses a
+    seed that is not a non-negative integer, naming it."""
+    w = probe_wedges["rates321"]
+    message = f"seed must be an integer >= 0, got {seed!r}".replace(".", r"\.")
+    calls = (lambda: semialgebra_probe(w, pair_samples=5, seed=seed),
+             lambda: tangent_space(w, w.cone.generators[0], seed=seed),
+             lambda: orbit_wedge((3.0, 2.0, 1.0), seed=seed))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"rates": (np.inf, 1.0, 1.0)}, r"rates must be three nonnegative finite reals, got \(inf"),
+    ({"rates": (1.0, np.nan, 1.0)}, "rates must be three nonnegative finite reals"),
+    ({"rates": (1.0, -1.0, 1.0)}, "rates must be three nonnegative finite reals"),
+    ({"rates": (1.0, 1.0)}, "rates must be three nonnegative finite reals"),
+    ({"hull_samples": -3}, "hull_samples must be an integer >= 0, got -3"),
+    ({"hull_samples": 2.5}, r"hull_samples must be an integer >= 0, got 2\.5"),
+    ({"hull_samples": True}, "hull_samples must be an integer >= 0, got True"),
+])
+def test_orbit_wedge_rejects_bad_settings(kwargs, message):
+    """A non-finite rate built a cone with a non-finite stack (and numpy
+    RuntimeWarnings), -3 hull samples ran as 0 and 2.5 leaked a TypeError."""
+    kwargs = {"rates": (3.0, 2.0, 1.0), **kwargs}
+    with pytest.raises(ValueError, match=message):
+        orbit_wedge(**kwargs)
+
+
+def test_orbit_wedge_takes_zero_and_numpy_integer_hull_samples():
+    assert orbit_wedge((3.0, 2.0, 1.0), hull_samples=0).cone.n_generators == 1
+    got = orbit_wedge((3.0, 2.0, 1.0), hull_samples=np.int64(12), seed=np.int64(4))
+    want = orbit_wedge((3.0, 2.0, 1.0), hull_samples=12, seed=4)
+    assert got.cone.stack.tobytes() == want.cone.stack.tobytes()

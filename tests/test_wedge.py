@@ -587,3 +587,37 @@ def test_grid1_generator_off_the_orbit_withholds_the_closed_form(monkeypatch):
     calls = _counting_fits(monkeypatch)
     assert cone_contains(c, off)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"orbit_samples": -5}, "orbit_samples must be an integer >= 1, got -5"),
+    ({"orbit_samples": 0}, "orbit_samples must be an integer >= 1, got 0"),
+    ({"orbit_samples": 2.5}, r"orbit_samples must be an integer >= 1, got 2\.5"),
+    ({"max_rounds": 0}, "max_rounds must be an integer >= 1, got 0"),
+    ({"max_rounds": 2.5}, r"max_rounds must be an integer >= 1, got 2\.5"),
+    ({"max_rounds": True}, "max_rounds must be an integer >= 1, got True"),
+    ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+    ({"tol": -1e-8}, "tol must be positive and finite, got -1e-08"),
+    ({"tol": np.inf}, "tol must be positive and finite, got inf"),
+    ({"tol": np.nan}, "tol must be positive and finite, got nan"),
+])
+def test_saturate_rejects_bad_settings_before_any_work(monkeypatch, kwargs, message):
+    """Each of these ran silently (a negative or fractional sample count, a
+    bool seed), leaked numpy's TypeError (a fractional seed) or failed only
+    inside the spot check (tol 0); now none reaches the first round."""
+    rounds = []
+    monkeypatch.setattr(wedge_module, "lineality", lambda *a, **k: rounds.append(1))
+    with pytest.raises(ValueError, match=message):
+        saturate(initial_wedge(example2()), **kwargs)
+    assert rounds == []
+
+
+def test_saturate_takes_numpy_integer_settings():
+    start = initial_wedge(example2())
+    got = saturate(start, orbit_samples=np.int64(24), max_rounds=np.int32(4), seed=np.uint8(3))
+    want = saturate(start, orbit_samples=24, max_rounds=4, seed=3)
+    assert got.cone.stack.tobytes() == want.cone.stack.tobytes()
+    assert got.saturation == want.saturation
