@@ -157,19 +157,23 @@ class Subspace:
         return self.residual(a) <= tol * max(1.0, fro(a))
 
 
+def _kept(s: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the singular values `s` that count towards the rank: those
+    above `tol` times the largest one."""
+    return s > tol * s.max(initial=0.0)
+
+
 def _span_columns(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal columns spanning the columns of `m`: rank-revealing SVD,
-    discarding directions whose singular value falls below `tol` times the
-    largest one."""
+    discarding directions whose singular value is not kept by `_kept`."""
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, s > tol * s.max(initial=0.0)].copy()
+    return u[:, _kept(s, tol)].copy()
 
 
 def _rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
     """`_span_columns(m, tol).shape[1]`, counted from the singular values
     alone, without forming the left singular vectors."""
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > tol * s.max(initial=0.0)))
+    return int(np.count_nonzero(_kept(np.linalg.svd(m, compute_uv=False), tol)))
 
 
 def orthonormal_span(gens, tol: float = RANK_TOL, shape: tuple = None,

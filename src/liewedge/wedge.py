@@ -739,13 +739,24 @@ def cone_contains(c: Cone, x: np.ndarray, tol: float = None) -> bool:
     """
     x, tol = _checked_query(x, c.shape, c.tol if tol is None else tol)
     bound = tol * max(1.0, fro(x))
-    if c.exact is not None:
-        lower, upper = c.exact.contains(x[None])
-        if lower[0] > bound:
-            return False
-        if upper[0] <= bound:
-            return True
+    (decided,), (member,) = _exact_verdicts(c, x[None], np.array([bound]))
+    if decided:
+        return bool(member)
     return cone_residual(c, x) <= bound
+
+
+def _exact_verdicts(c: Cone, xs: np.ndarray, bounds: np.ndarray) -> tuple:
+    """(decided, member) masks over the stack `xs` from the distance bounds
+    of `Cone.exact`, in one call: a lower bound above the point's entry of
+    `bounds` decides "outside", an upper bound at or below it "member";
+    nothing is decided where the bounds straddle it or the cone has no
+    certified closed form."""
+    if c.exact is None:
+        return np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=bool)
+    lower, upper = c.exact.contains(xs)
+    outside = lower > bounds
+    member = ~outside & (upper <= bounds)
+    return outside | member, member
 
 
 def lineality(c: Cone, tol: float = None) -> Subspace:
@@ -837,30 +848,26 @@ def _edge_orthogonal_units(edge: Subspace, cols: np.ndarray) -> np.ndarray:
 
 
 def _spot_members(cone: Cone, points: np.ndarray, tol: float) -> np.ndarray:
-    """`cone_contains(cone, p, tol)` for every matrix p of the stack
-    `points`, which lie on the orbit of the cone's family, decided in one
-    pass.
+    """Whether each matrix p of the stack `points`, which lie on the orbit
+    of the cone's family, is within tol * max(1, |p|) of the cone.
 
-    On a certified cone (`Cone.exact`) one stacked `contains` call bounds
-    every point's distance, with the thresholds `cone_contains` uses.  A
-    point still undecided gets a one-column certificate: with g the unit
-    support element `support(p) / |support(p)|`, p is a member when
+    On a certified cone, `_exact_verdicts` decides every point it can in
+    one stacked call, by the rule `cone_contains` applies first.  A point
+    still undecided gets a one-column certificate: with g the unit support
+    element `support(p) / |support(p)|`, p is a member when
     |p - max(<g, p>, 0) g| <= tol * max(1, |p|), since max(<g, p>, 0) g lies
     in the cone.  For an orbit point, g is p's own direction up to the
     support search's precision.  Only a point that fails the certificate
     goes to `cone_contains`, whose fit appends this same deterministic g in
-    its boundary shortcut, so the fit can only match or beat the
-    certificate; an "outside" verdict therefore still comes from the full
-    fit alone."""
+    its boundary shortcut, so an "outside" verdict is always
+    `cone_contains`'s.  A "member" verdict is backed by an explicit cone
+    element within the bound, and can accept a point that `cone_contains`
+    rejects: where the stack-only NNLS reports a residual within the bound,
+    `_cone_fit` stops there and `cone_contains` judges |p - fit|, which can
+    be a few percent larger (see `cone_residual`)."""
     bounds = np.array([tol * max(1.0, fro(p)) for p in points])
-    member = np.zeros(len(points), dtype=bool)
-    undecided = np.ones(len(points), dtype=bool)
-    if cone.exact is not None:
-        lower, upper = cone.exact.contains(points)
-        outside = lower > bounds
-        member = ~outside & (upper <= bounds)
-        undecided = ~outside & ~member
-    for i in np.flatnonzero(undecided):
+    decided, member = _exact_verdicts(cone, points, bounds)
+    for i in np.flatnonzero(~decided):
         g, _val = cone.analytic.support(points[i])
         ng = fro(g)
         if ng > 0.0:
