@@ -3,7 +3,9 @@
 The closure routine works in the realified coordinate space of `matcore`.
 It builds Lie(S) from right-nested brackets [s1, [s2, [..., sk]]] of the
 generators: each round brackets only the directions the previous round
-added against an orthonormal basis of span(S), in batched matmuls.
+added against an orthonormal basis of span(S), in batched matmuls.  The
+same loop, given another bracket set, closes a subspace under its
+brackets; `wedge.lineality` gets the linear span of an orbit that way.
 """
 
 from __future__ import annotations
@@ -18,26 +20,35 @@ from .matcore import Subspace, orthonormal_span, realify_stack, unrealify_stack
 _CHUNK = 24
 
 
-def lie_closure(gens, tol: float = 1e-9) -> Subspace:
-    """Smallest real Lie algebra containing `gens`, as a `Subspace`.
+def lie_closure(gens, tol: float = 1e-9, by=None) -> Subspace:
+    """Smallest real Lie algebra containing `gens`, as a `Subspace`; given a
+    bracket set `by`, the smallest subspace containing `gens` that is closed
+    under [s, .] for every s in `by`.
 
     By the Jacobi identity Lie(S) is spanned by the right-nested brackets
     of the generators, so it is the smallest subspace containing S that is
-    invariant under ad_s for every s in S.  Each round therefore brackets
-    only the previous round's new directions (the frontier) against an
-    orthonormal basis of span(S), keeps components orthogonal to the
-    current basis, and stops when a round yields nothing new.  Every
-    productive round adds at least one orthonormal column, so there are at
-    most as many rounds as the real dimension of the ambient matrix space.
+    invariant under ad_s for every s in S; `by=None` therefore brackets with
+    an orthonormal basis of span(S).  Either way, each round brackets only
+    the previous round's new directions (the frontier) against the bracket
+    set, keeps components orthogonal to the current basis, and stops when a
+    round yields nothing new.  Every productive round adds at least one
+    orthonormal column, so there are at most as many rounds as the real
+    dimension of the ambient matrix space.  The span is complex when any
+    matrix of `gens` or `by` is.
     """
-    basis = orthonormal_span(gens, tol=tol)
+    if by is None:
+        basis = orthonormal_span(gens, tol=tol)
+    else:
+        by = np.asarray(by)
+        basis = orthonormal_span(gens, tol=tol, complex_field=any(
+            np.iscomplexobj(m) for m in (*gens, by)))
     if basis.dim == 0:
         return basis
     shape = basis.shape
     complex_field = basis.complex_field
     stack = basis.stack
-    seeds = unrealify_stack(stack, shape, complex_field)
-    frontier = seeds
+    frontier = unrealify_stack(stack, shape, complex_field)
+    seeds = frontier if by is None else by.reshape(-1, *shape)
 
     while stack.shape[1] < stack.shape[0]:
         new_cols = []

@@ -21,7 +21,11 @@ on the cone's stack directly.
 The saturation loop follows the inner-approximation procedure: grow the
 edge by the cone's lineality and Lie-close it, conjugate the cone by
 exponentials of edge elements, append member-novel generators, and stop
-once a full round adds nothing while the edge dimension is stable.
+once a full round adds nothing while the edge dimension is stable.  The
+lineality of a cone with a family is exact and needs no fit: the orbit's
+Haar centroid, the base's projection onto the fixed space of the edge's
+brackets, is either nonzero, and the cone is pointed, or zero, and the cone
+is the orbit's linear span (`lineality`).
 """
 
 from __future__ import annotations
@@ -575,7 +579,8 @@ class Cone:
     cone normalizes them in one batch and drops zero matrices; built from
     `stack`, it takes the columns as they are.  `generators`, the matrices,
     are derived from the stack on first use.  `pointed` is None until
-    established (by certificate or lineality run).
+    `saturate` sets it from `lineality`: exact from the family's orbit
+    centroid where the cone has a family, from plain fits otherwise.
     """
 
     stack: np.ndarray = field(repr=False)
@@ -760,18 +765,42 @@ def _exact_verdicts(c: Cone, xs: np.ndarray, bounds: np.ndarray) -> tuple:
 
 
 def lineality(c: Cone, tol: float = None) -> Subspace:
-    """Directions g with both g and -g in the cone.
+    """Directions g with both g and -g in the cone, with `tol` (default: the
+    cone's) positive and finite; anything else raises ValueError.
 
-    A strictly positive mean functional certifies pointedness cheaply;
-    otherwise each generator's negative is tested for membership.
+    With a family, the cone is taken to be cone(K b), over the orbit of the
+    family's base b under the group K its seeds s_i generate (`saturate`
+    keeps every stored generator on it).  The answer is exact, from the Haar
+    centroid c of the orbit, the projection of b onto the fixed space
+    {x : [s_i, x] = 0}.  Every orbit point g has <c, g> = |c|^2, so c != 0
+    makes the cone pointed, with margin |c| / |b| on every unit generator;
+    c = 0 puts the centroid at the apex, so the cone is the orbit's linear
+    span V, the smallest subspace that contains b and is closed under every
+    [s_i, .] (`lie_closure` with the seeds as its bracket set).  Conjugation
+    fixes the identity, so |Re tr b| / sqrt(N) <= |c| on an N x N carrier,
+    and a trace margin above `tol` decides "pointed" without V.  Otherwise
+    c is b minus its projection onto the brackets [s_i, V], which span V's
+    part off the fixed space, and the cone is pointed when |c| > tol |b|,
+    else its lineality is V.  No fit is made.
+    Without a family, an empty or one-generator cone is pointed, and a
+    larger one keeps the generators whose negatives `cone_contains` finds
+    in the cone, by a plain nonnegative fit.
     """
-    tol = c.tol if tol is None else tol
-    if c.n_generators == 0:
-        return orthonormal_span([], shape=c.shape, complex_field=c.complex_field)
-    h = c.stack.mean(axis=1)
-    nh = np.linalg.norm(h)
-    if nh > 0 and (c.stack.T @ (h / nh)).min() > 10 * tol:
-        return orthonormal_span([], shape=c.shape, complex_field=c.complex_field)
+    tol = _checked_tol(c.tol if tol is None else tol)
+    pointed = orthonormal_span([], shape=c.shape, complex_field=c.complex_field)
+    if c.analytic is not None and c.n_generators:
+        seeds, b = c.analytic.seeds, c.analytic.base
+        margin = tol * fro(b)
+        if abs(np.trace(b).real) > margin * np.sqrt(b.shape[0]):
+            return pointed
+        span = lie_closure([b], by=seeds)
+        brackets = realify_stack([comm(s, v) for s in seeds for v in span.mats], c.shape,
+                                 span.complex_field)
+        off = _span_columns(brackets)
+        rb = realify(b, span.complex_field)
+        return pointed if np.linalg.norm(rb - off @ (off.T @ rb)) > margin else span
+    if c.n_generators <= 1:
+        return pointed
     two_sided = [g for g in c.generators if cone_contains(c, -g, tol)]
     return orthonormal_span(two_sided, shape=c.shape, complex_field=c.complex_field)
 
@@ -885,8 +914,10 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
 
     The cone's generators are held throughout as one realified column stack.
     Each round: (a) absorb the cone's lineality into the edge and Lie-close
-    it; (b) project the stored columns orthogonal to the (possibly grown)
-    edge and renormalize them; then, after an edge change, (c) sweep
+    it (exact on a cone with a family: none when the orbit's centroid is
+    nonzero, else the orbit's linear span, see `lineality`); (b) project
+    the stored columns orthogonal to the (possibly grown) edge and
+    renormalize them; then, after an edge change, (c) sweep
     conjugations of the drift base and of sampled stored generators by
     exponentials of edge elements, or on a stable edge (d) keep the members
     of a freshly offset sweep that fall outside the cone, all decided in one

@@ -29,14 +29,15 @@ from liewedge.liealg import lie_closure
 from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
                                control_directions, drift_direction, gks_dissipator,
                                lindbladian, pauli_basis, superop_from_coherence, unvec, vec)
-from liewedge.matcore import (comm, eig_sym, expm, fro, inner, orthonormal_span, realify,
-                              realify_stack, unrealify, unrealify_stack)
+from liewedge.matcore import (Subspace, _rank, comm, eig_sym, expm, fro, inner,
+                              orthonormal_span, realify, realify_stack, unrealify,
+                              unrealify_stack)
 from liewedge import reachable
 from liewedge import wedge as wedge_module
 from liewedge.reachable import (Schedule, _jacobian, contraction_audit, propagate,
                                 random_schedule, sample_reachable, steer)
 from liewedge.wedge import (Cone, ConjugationFamily, Wedge, _cone_fit, _period, cone_contains,
-                            cone_residual, initial_wedge, saturate)
+                            cone_residual, initial_wedge, lineality, saturate)
 
 REPS = ("r3", "qubit", "two_qubit")
 HILBERT_DIM = {"qubit": 2, "two_qubit": 4}
@@ -721,14 +722,15 @@ def _reference_support_grid2(fam: ConjugationFamily, direction, f=None):
 
 
 def _reference_support_random(fam: ConjugationFamily, direction, rng):
-    """Best of a 128-element sweep, then Nelder-Mead with looser options."""
+    """Best of a 128-element sweep, then Nelder-Mead with the family's own
+    options (xatol 1e-10, fatol 1e-14, at most 400 iterations)."""
     best, best_params = -np.inf, np.zeros(fam.n_params)
     for p, g in fam.sweep(128, rng):
         v = inner(g, direction)
         if v > best:
             best, best_params = v, p
     res = minimize(lambda p: -inner(fam.element(p), direction), x0=best_params,
-                   method="Nelder-Mead", options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 300})
+                   method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
     params = res.x if -res.fun > best else best_params
     return params, max(float(-res.fun), best)
 
@@ -738,9 +740,10 @@ def _reference_support_random(fam: ConjugationFamily, direction, rng):
 def test_merged_support_matches_the_three_routines(rep, kind, seed):
     """Grid1, grid2 and (non-aligned) orbit families against the per-kind
     routines the one search replaced.  Grid1 shares the candidate set and
-    refiner, so it returns the same element.  The orbit search refines with
-    the grid2 options, so there the values agree and the returned element
-    scores the returned value.  Grid2 refines by Newton ascent where the
+    refiner, so it returns the same element.  The orbit search and its
+    reference refine with the same Nelder-Mead options, so there the values
+    agree and the returned element scores the returned value.  Grid2
+    refines by Newton ascent where the
     reference ran Nelder-Mead: the returned element scores the returned
     value (to the rounding of `_scoring_tol`), it is stationary (<[s_i, g], D>, the derivative along each seed,
     vanishes), and the value agrees with the reference's where f is
@@ -1554,19 +1557,128 @@ def test_spot_points_whose_exact_bounds_straddle_match_per_point_membership(name
     assert wedge_module._spot_members(cone, points, cone.tol).tolist() == want
 
 
-def test_two_qubit_spot_check_makes_no_fit(monkeypatch):
+@pytest.mark.parametrize("name, samples, edge_dim", [("two_qubit_C", 48, 2),
+                                                     ("two_qubit_B", 120, 15)])
+def test_two_qubit_spot_check_makes_no_fit(monkeypatch, name, samples, edge_dim):
     """Every point of two_qubit_C's stable-edge spot check lies on the
-    family's orbit, and the one-column certificate decides it: saturating
-    makes no `_cone_fit` call and still stops on the spot check."""
+    family's orbit, and the one-column certificate decides it; two_qubit_B's
+    orbit cone is a subspace, which `lineality` reads off the orbit centroid
+    (where it once fitted each of 125 stored generators' negatives), so the
+    edge grows to all 15 dimensions.  Neither saturation makes a
+    `_cone_fit` call, and both still stop on the spot check."""
     calls = []
     fit = wedge_module._cone_fit
     monkeypatch.setattr(wedge_module, "_cone_fit",
                         lambda *a, **k: calls.append(1) or fit(*a, **k))
-    w = saturate(initial_wedge(build_system(ChannelSpec(name="two_qubit_C"))),
-                 orbit_samples=48)
+    w = saturate(initial_wedge(build_system(ChannelSpec(name=name))), orbit_samples=samples)
+    assert w.edge.dim == edge_dim
     assert w.saturation["termination"] in ("membership", "membership-spot-check")
     assert w.saturation["novel_counts"][-1] == 0
     assert calls == []
+
+
+def _reference_lineality(c: Cone, tol: float) -> Subspace:
+    """The fitted rule `lineality` applied to every cone before the orbit
+    centroid decided cones with a family: a mean functional above 10 tol on
+    every unit generator certifies pointedness, otherwise the generators
+    whose negatives `cone_contains` fits span the lineality."""
+    h = c.stack.mean(axis=1)
+    nh = np.linalg.norm(h)
+    if nh > 0 and (c.stack.T @ (h / nh)).min() > 10 * tol:
+        two_sided = []
+    else:
+        two_sided = [g for g in c.generators if cone_contains(c, -g, tol)]
+    return orthonormal_span(two_sided, shape=c.shape, complex_field=c.complex_field)
+
+
+def _reference_centroid(fam: ConjugationFamily) -> np.ndarray:
+    """Projection of the base onto the common kernel of the maps [s_i, .],
+    each written out as a dense real-linear map of the whole carrier."""
+    shape = fam.base.shape
+    complex_field = np.iscomplexobj(fam.base) or np.iscomplexobj(fam._seed_stack)
+    dim = int(np.prod(shape)) * (2 if complex_field else 1)
+    units = unrealify_stack(np.eye(dim), shape, complex_field)
+    ad = np.concatenate([realify_stack(comm(np.broadcast_to(s, units.shape), units), shape,
+                                       complex_field) for s in fam.seeds])
+    _, sv, vt = np.linalg.svd(ad)
+    kernel = vt[np.count_nonzero(sv > 1e-9 * sv[0]):]
+    b = realify(fam.base, complex_field)
+    return unrealify(kernel.T @ (kernel @ b), shape, complex_field)
+
+
+def _dichotomy_family(rep: str, kind: str, seed: int, case: str) -> ConjugationFamily:
+    """`_family`'s seeds on a base with a trace margin of at least 0.27
+    ('traced'), on its traceless part ('traceless'), or on that minus its
+    centroid ('centred')."""
+    fam = _family(rep, kind, seed)
+    b = fam.base
+    n = b.shape[0]
+    if case == "traced":
+        return ConjugationFamily(fam.seeds, b + fro(b) * np.eye(n))
+    b = b - np.trace(b) / n * np.eye(n)
+    if case == "centred":
+        b = b - _reference_centroid(ConjugationFamily(fam.seeds, b))
+    return ConjugationFamily(fam.seeds, b)
+
+
+@SETTINGS
+@given(st.sampled_from(("r3", "qubit")), st.sampled_from(KINDS), st.integers(0, 2**32 - 1),
+       st.sampled_from(("traced", "traceless", "centred")))
+def test_lineality_of_an_orbit_cone_is_the_centroid_dichotomy(rep, kind, seed, case):
+    """A cone with a family: 24 swept generators on the orbit of a base with
+    a trace margin, of a traceless base, or of a base with zero centroid.
+    `lineality` makes no fit.  A trace margin decides "pointed" without the
+    orbit's span; a traceless base takes the span, and the cone is pointed
+    exactly when the centroid (the projection onto the dense common kernel)
+    is nonzero.  Otherwise the lineality is the orbit's span: it holds the
+    base and 64 random orbit points with their negatives, is closed under
+    every [s_i, .], and has the rank of those points.  On grid1 families the
+    fitted rule agrees."""
+    fam = _dichotomy_family(rep, kind, seed, case)
+    b = fam.base
+    rng = np.random.default_rng(seed)
+    cone = Cone(generators=tuple(g for _, g in fam.sweep(24, rng)), shape=b.shape,
+                complex_field=rep != "r3", analytic=fam)
+    calls = []
+    closure = wedge_module.lie_closure
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_cone_fit", "cone_contains"):
+            mp.setattr(wedge_module, name, lambda *a, _name=name, **k: calls.append(_name))
+        mp.setattr(wedge_module, "lie_closure",
+                   lambda *a, **k: calls.append("lie_closure") or closure(*a, **k))
+        got = lineality(cone)
+    assert calls == ([] if case == "traced" else ["lie_closure"])
+    if case == "traced" or fro(_reference_centroid(fam)) > 1e-6 * fro(b):
+        assert case != "centred"
+        assert got.dim == 0
+    else:
+        assert got.contains(b)
+        for s in fam.seeds:
+            for v in got.mats:
+                assert got.residual(comm(s, v)) <= 1e-8
+        points = fam.elements(rng.normal(scale=np.pi, size=(64, fam.n_params)))
+        for g in points:
+            assert got.contains(g) and got.contains(-g)
+        assert got.dim == _rank(realify_stack(points, b.shape, cone.complex_field))
+    if kind == "grid1":
+        want = _reference_lineality(cone, cone.tol)
+        assert got.dim == want.dim
+        assert all(got.contains(m) for m in want.mats)
+
+
+@pytest.mark.parametrize("base, dim", [(np.diag([1.0, 1.0, -2.0]), 0),
+                                       (np.diag([1.0, -1.0, 0.0]), 2)])
+def test_lineality_of_z_rotation_orbits(base, dim):
+    """Traceless bases under rotations about z: diag(1, 1, -2) is its own
+    centroid, a pointed ray; diag(1, -1, 0) turns on a circle around the
+    apex, whose cone is a plane.  The fitted rule agrees."""
+    fam = ConjugationFamily((H_Z,), base)
+    cone = Cone(generators=tuple(g for _, g in fam.sweep(24, np.random.default_rng(0))),
+                shape=(3, 3), complex_field=False, analytic=fam)
+    got = lineality(cone)
+    want = _reference_lineality(cone, cone.tol)
+    assert got.dim == want.dim == dim
+    assert all(got.contains(m) for m in want.mats)
 
 
 def _reference_novel_columns(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -56,6 +56,20 @@ def test_lineality_detects_two_sided_directions():
     assert lin.contains(np.diag([2.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("gens", [
+    tuple(np.diag(e) for e in np.eye(3)),
+    (np.diag([1.0, 0.0, 0.0]), np.diag([-1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])),
+], ids=["pointed", "two-sided"])
+@pytest.mark.parametrize("tol", [-1.0, 0.0])
+def test_lineality_rejects_a_bad_tol_on_every_cone(gens, tol):
+    """A tol of -1 once returned {0} on both cones and a tol of 0 on the
+    pointed one, while 0 on the +-e1 cone failed only inside the fit; now
+    every cone refuses a bad tol up front."""
+    c = Cone(generators=gens, shape=(3, 3), complex_field=False)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        lineality(c, tol)
+
+
 def test_wedge_contains_ignores_edge_component():
     edge = orthonormal_span([H_Y], shape=(3, 3), complex_field=False)
     c = Cone(generators=(GAMMA2,), shape=(3, 3), complex_field=False)
