@@ -39,11 +39,23 @@ def fro(a: np.ndarray) -> float:
 
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Commutator [a, b] = ab - ba, of two matrices or slice by slice of two
-    equal-shape (..., n, n) stacks."""
+    (..., n, n) stacks whose leading axes broadcast against each other.
+
+    A broadcast call runs as one BLAS matmul over all its slices, and each
+    slice equals the commutator of its own pair of matrices bit for bit:
+    ``comm(xs[:, None], ys[None])`` is the (len(xs), len(ys)) table of
+    brackets [x_i, y_j].
+    """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"commutator needs equal square shapes, got {a.shape}, {b.shape}")
+    ok = a.ndim >= 2 and a.shape[-1] == a.shape[-2] and b.shape[-2:] == a.shape[-2:]
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError("commutator needs broadcastable stacks of equal square matrices, "
+                         f"got {a.shape}, {b.shape}")
     return a @ b - b @ a
 
 
@@ -157,6 +169,14 @@ class Subspace:
         return self.residual(a) <= tol * max(1.0, fro(a))
 
 
+def _checked_tol(tol) -> float:
+    """tol as a float, after rejecting one that is not positive and finite."""
+    tol = float(tol)
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 def _kept(s: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the singular values `s` that count towards the rank: those
     above `tol` times the largest one."""
@@ -181,8 +201,10 @@ def orthonormal_span(gens, tol: float = RANK_TOL, shape: tuple = None,
     """Orthonormal basis of the real span of `gens` (see `_span_columns`).
 
     For an empty generator list, `shape` (and optionally `complex_field`)
-    fix the ambient space.
+    fix the ambient space.  `tol` must be positive and finite; anything else
+    raises ValueError.
     """
+    tol = _checked_tol(tol)
     gens = [np.asarray(g) for g in gens]
     if gens:
         shape = gens[0].shape

@@ -41,8 +41,9 @@ from .liealg import lie_closure
 from .lindblad import (ControlSystem, _pauli_vecs, ad_hat, coherence_rep,
                        control_directions, drift_direction, pauli_basis,
                        superop_from_coherence)
-from .matcore import (RANK_TOL, Subspace, _rank, _span_columns, comm, eig_sym, fro, inner,
-                      orthonormal_span, realify, realify_stack, unrealify, unrealify_stack)
+from .matcore import (RANK_TOL, Subspace, _checked_tol, _rank, _span_columns, comm, eig_sym,
+                      fro, inner, orthonormal_span, realify, realify_stack, unrealify,
+                      unrealify_stack)
 
 _CG_MAX_NEW = 60
 # largest distance from a stored unit generator to the family's cone at
@@ -713,14 +714,6 @@ def _checked_query(x, shape: tuple, tol) -> tuple:
     return x, _checked_tol(tol)
 
 
-def _checked_tol(tol) -> float:
-    """tol as a float, after rejecting one that is not positive and finite."""
-    tol = float(tol)
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    return tol
-
-
 def _checked_count(name: str, value, least: int = 0) -> int:
     """`value` as an int, after rejecting a bool, a non-integer or a value
     below `least`; seeds (`least` 0) and sample or round counts use it."""
@@ -794,9 +787,9 @@ def lineality(c: Cone, tol: float = None) -> Subspace:
         if abs(np.trace(b).real) > margin * np.sqrt(b.shape[0]):
             return pointed
         span = lie_closure([b], by=seeds)
-        brackets = realify_stack([comm(s, v) for s in seeds for v in span.mats], c.shape,
-                                 span.complex_field)
-        off = _span_columns(brackets)
+        brackets = comm(np.asarray(seeds)[:, None], np.reshape(span.mats, (1, -1, *c.shape)))
+        off = _span_columns(realify_stack(brackets.reshape(-1, *c.shape), c.shape,
+                                          span.complex_field))
         rb = realify(b, span.complex_field)
         return pointed if np.linalg.norm(rb - off @ (off.T @ rb)) > margin else span
     if c.n_generators <= 1:

@@ -60,6 +60,36 @@ def test_closure_rejects_empty_and_mismatched():
         lie_closure([np.eye(2), np.eye(3)])
 
 
+BAD_TOLS = [(float("nan"), "nan"), (float("inf"), "inf"), (0.0, "0.0"), (-1.0, "-1.0")]
+TOL_ENTRY_POINTS = {
+    "orthonormal_span": lambda tol: orthonormal_span([H_X, H_Y], tol=tol),
+    "lie_closure": lambda tol: lie_closure([H_X, H_Y], tol=tol),
+    "lie_closure_by": lambda tol: lie_closure([H_X], tol=tol, by=[H_Y]),
+    "check_conditions": lambda tol: check_conditions(
+        build_system(ChannelSpec("phase_flip", control_axes=("x",), drift_axis="z")), tol=tol),
+    "check_conditions_without_controls": lambda tol: check_conditions(
+        build_system(ChannelSpec(name="phase_flip")), tol=tol),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+@pytest.mark.parametrize("tol, shown", BAD_TOLS)
+def test_closures_reject_a_tol_that_is_not_positive_and_finite(entry, tol, shown):
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {shown}$"):
+        TOL_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize("by", [[np.eye(2)], np.eye(9), np.zeros((2, 9)), [np.eye(3)[:2]]])
+def test_closure_rejects_a_bracket_set_of_another_shape(by):
+    with pytest.raises(ValueError, match=r"^by must hold matrices of the generators' shape"):
+        lie_closure([H_X, H_Y], by=by)
+
+
+def test_closure_with_an_empty_bracket_set_is_the_span():
+    assert lie_closure([H_X, H_Y], by=np.zeros((0, 3, 3))).dim == 2
+    assert lie_closure([H_X], by=[]).dim == 1
+
+
 def test_cartan_split_reconstructs():
     a = RNG.normal(size=(4, 4))
     k, p = cartan_split(a)

@@ -25,6 +25,34 @@ def test_comm_antisymmetry_and_jacobi():
     assert np.max(np.abs(jac)) < 1e-12
 
 
+@pytest.mark.parametrize("shape, complex_field", [((3, 3), False), ((4, 4), True),
+                                                   ((16, 16), True)])
+def test_comm_broadcasts_to_the_per_pair_loop_bitwise(shape, complex_field):
+    def draw(k):
+        m = RNG.normal(size=(k, *shape))
+        return m + 1j * RNG.normal(size=(k, *shape)) if complex_field else m
+
+    xs, ys = draw(4), draw(3)
+    got = comm(xs[:, None], ys[None])
+    want = np.array([[x @ y - y @ x for y in ys] for x in xs])
+    assert got.shape == (4, 3, *shape)
+    assert got.tobytes() == want.tobytes()
+    assert comm(xs, ys[0]).tobytes() == np.array([x @ ys[0] - ys[0] @ x for x in xs]).tobytes()
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.zeros((2, 3)), np.zeros((2, 3))),
+    (np.zeros((1, 2, 3)), np.zeros((2, 2, 3))),
+    (np.zeros((3, 3)), np.zeros((2, 2))),
+    (np.zeros(3), np.zeros(3)),
+    (np.zeros((3, 3)), np.zeros(3)),
+    (np.zeros((2, 3, 3)), np.zeros((4, 3, 3))),
+])
+def test_comm_rejects_non_square_or_non_broadcastable_shapes(a, b):
+    with pytest.raises(ValueError, match="commutator needs broadcastable stacks"):
+        comm(a, b)
+
+
 def test_expm_matches_series_on_nilpotent():
     n = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     exact = np.eye(3) + n + n @ n / 2.0

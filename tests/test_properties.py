@@ -891,8 +891,8 @@ def test_real_seeds_and_base_give_real_elements(kind):
 
 def _reference_closure(gens, tol: float = 1e-9):
     """The full pairwise closure: each round brackets the newest directions
-    against the whole current basis.  Returns the realified basis stack and
-    the number of rounds that added directions."""
+    against the whole current basis, in one broadcast matmul.  Returns the
+    realified basis stack and the number of rounds that added directions."""
     basis = orthonormal_span(gens, tol=tol)
     shape, complex_field = basis.shape, basis.complex_field
     ambient = int(np.prod(shape)) * (2 if complex_field else 1)
@@ -901,18 +901,13 @@ def _reference_closure(gens, tol: float = 1e-9):
     frontier = mats
     productive = 0
     while stack.shape[1] < ambient:
-        new_cols = []
-        for lo in range(0, frontier.shape[0], 24):
-            f = frontier[lo:lo + 24]
-            br = np.einsum("aij,bjk->abik", f, mats) - np.einsum("bij,ajk->abik", mats, f)
-            cols = realify_stack(br.reshape(-1, *shape), shape, complex_field)
-            res = cols - stack @ (stack.T @ cols)
-            sel = np.linalg.norm(res, axis=0) > tol * np.maximum(1.0, np.linalg.norm(cols, axis=0))
-            if np.any(sel):
-                new_cols.append(res[:, sel])
-        if not new_cols:
+        br = frontier[:, None] @ mats[None] - mats[None] @ frontier[:, None]
+        cols = realify_stack(br.reshape(-1, *shape), shape, complex_field)
+        res = cols - stack @ (stack.T @ cols)
+        sel = np.linalg.norm(res, axis=0) > tol * np.maximum(1.0, np.linalg.norm(cols, axis=0))
+        if not np.any(sel):
             break
-        u, s, _ = np.linalg.svd(np.concatenate(new_cols, axis=1), full_matrices=False)
+        u, s, _ = np.linalg.svd(res[:, sel], full_matrices=False)
         add = u[:, s > tol * s[0]]
         add = add - stack @ (stack.T @ add)
         add = add[:, np.linalg.norm(add, axis=0) > 0.5]
@@ -968,6 +963,47 @@ def test_lie_closure_matches_the_full_pairwise_closure(carrier, seed, n):
             assert _bracket_residual(got, a, b) <= 1e-8
     if productive <= 1:
         assert got.stack.tobytes() == want.tobytes()
+
+
+def _reference_closure_by(gens, by, tol: float = 1e-9) -> np.ndarray:
+    """The closure of span(gens) under [s, .] for s in `by`: each round
+    brackets the whole current basis with `by`, pair by pair, until a round
+    adds nothing.  Returns the realified basis stack."""
+    complex_field = any(np.iscomplexobj(m) for m in (*gens, *by))
+    basis = orthonormal_span(gens, tol=tol, complex_field=complex_field)
+    shape, stack = basis.shape, basis.stack
+    while True:
+        mats = unrealify_stack(stack, shape, complex_field)
+        cols = realify_stack([s @ m - m @ s for m in mats for s in by], shape, complex_field)
+        res = cols - stack @ (stack.T @ cols)
+        sel = np.linalg.norm(res, axis=0) > tol * np.maximum(1.0, np.linalg.norm(cols, axis=0))
+        if not np.any(sel):
+            return stack
+        u, s, _ = np.linalg.svd(res[:, sel], full_matrices=False)
+        add = u[:, s > tol * s[0]]
+        add = add - stack @ (stack.T @ add)
+        add = add[:, np.linalg.norm(add, axis=0) > 0.5]
+        if add.shape[1] == 0:
+            return stack
+        stack = np.concatenate([stack, add / np.linalg.norm(add, axis=0)], axis=1)
+
+
+@SETTINGS
+@given(st.sampled_from(CARRIERS), st.integers(0, 2**32 - 1), st.integers(1, 3),
+       st.integers(1, 3))
+def test_closure_under_a_bracket_set_matches_the_whole_basis_reference(carrier, seed, n, k):
+    gens = _closure_gens(carrier, seed, n)
+    by = _closure_gens(carrier, seed + 1, k)
+    got = lie_closure(gens, by=by)
+    want = _reference_closure_by(gens, by)
+    assert got.dim == want.shape[1]
+    assert np.max(np.abs(want - got.stack @ (got.stack.T @ want)), initial=0.0) <= 1e-8
+    assert np.max(np.abs(got.stack - want @ (want.T @ got.stack)), initial=0.0) <= 1e-8
+    for g in gens:
+        assert got.contains(g, 1e-8)
+    for s in by:
+        for m in got.mats:
+            assert _bracket_residual(got, s, m) <= 1e-8
 
 
 def test_two_qubit_c_closure_is_closed_under_brackets():
