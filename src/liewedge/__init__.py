@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .matcore import (RANK_TOL, Subspace, comm, expm, fro, inner,
                       orthonormal_span)
 from .lindblad import (ControlSystem, ad_hat, choi_matrix,
-                       coherence_rep, cptp_audit, gks_dissipator, gks_term,
+                       coherence_rep, cptp_audit, gks_dissipator, gks_margin, gks_term,
                        is_trace_preserving, is_unital, lindbladian,
                        pauli_basis, propagator, superop_from_coherence, unvec,
                        vec)
@@ -25,7 +25,7 @@ from .channels import (ChannelSpec, KrausSet, build_system, example1, example2,
                        kraus_rank, kraus_superop, p_component, sigma, sigma2)
 from .wedge import (Cone, ConjugationFamily, Wedge, cone_contains,
                     cone_residual, dual_cone_contains, dual_cone_margin,
-                    initial_wedge, lineality, majorized, outer_wedge_check,
+                    initial_wedge, lineality, majorized, outer_contains,
                     saturate, wedge_contains)
 from .semialgebra import (BchWitness, bch, bch_witness, expected_tangent,
                           orbit_wedge, semialgebra_case, semialgebra_probe,
@@ -38,7 +38,7 @@ __all__ = [
     "RANK_TOL", "Subspace", "comm", "expm", "fro", "inner",
     "orthonormal_span",
     "ControlSystem", "ad_hat", "choi_matrix", "coherence_rep",
-    "cptp_audit", "gks_dissipator", "gks_term", "is_trace_preserving",
+    "cptp_audit", "gks_dissipator", "gks_margin", "gks_term", "is_trace_preserving",
     "is_unital", "lindbladian", "pauli_basis", "propagator",
     "superop_from_coherence", "unvec", "vec",
     "ConditionReport", "cartan_split", "check_conditions", "lie_closure",
@@ -48,7 +48,7 @@ __all__ = [
     "kraus_superop", "p_component", "sigma", "sigma2",
     "Cone", "ConjugationFamily", "Wedge", "cone_contains", "cone_residual",
     "dual_cone_contains", "dual_cone_margin", "initial_wedge", "lineality",
-    "majorized", "outer_wedge_check", "saturate", "wedge_contains",
+    "majorized", "outer_contains", "saturate", "wedge_contains",
     "BchWitness", "bch", "bch_witness", "expected_tangent", "orbit_wedge",
     "semialgebra_case", "semialgebra_probe", "tangent_space",
     "Schedule", "contraction_audit", "propagate", "random_schedule",

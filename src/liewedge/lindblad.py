@@ -26,6 +26,9 @@ Conventions fixed here and relied on everywhere else:
   Hermitian sector with entries ``M[i, j] = <B_j, L(B_i)>`` over the
   orthonormal Pauli basis, which maps ``i * ad(sigma_z / 2)`` to the
   rotation generator about the z axis with the usual orientation.
+
+`gks_margin` tests the Lindblad-Kossakowski wedge, the ``L`` for which
+``expm(-t * L)`` is a channel for every t >= 0 (Wolf and Cirac, CMP 2008).
 """
 
 from __future__ import annotations
@@ -380,6 +383,36 @@ def choi_matrix(t) -> np.ndarray:
     m = np.asarray(t)
     n = _superop_side(m)
     return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def gks_margin(x) -> float:
+    """Margin of x in the Lindblad-Kossakowski wedge, relative to
+    max(1, |x|); it is >= 0, up to rounding, when expm(-t x) is a channel
+    for every t >= 0.  The carrier is read from the shape.
+
+    On an N^2 x N^2 x it is the least of: the least eigenvalue of Q C(-x) Q
+    on the range of Q, C the `choi_matrix` and Q the projector off vec(I)
+    (conditional complete positivity); minus the Hermiticity defect of
+    C(-x); and minus the trace defect |vec(I)^dag x|.  On a 3x3 (r3) x it is
+    min(r_j + r_k - r_i) over the eigenvalues r of x's symmetric part, or
+    minus the norm of x's imaginary part where that is less.  Any other
+    shape, or a non-finite entry, raises ValueError."""
+    m = np.asarray(x)
+    if m.ndim == 2 and not np.isfinite(m).all():
+        raise ValueError("x must be finite, got a non-finite entry")
+    scale = max(1.0, fro(m))
+    if m.shape == (3, 3):
+        r = np.linalg.eigvalsh(np.real(m + m.T) / 2)
+        imag = fro(np.imag(m))
+        return (min(r[0] + r[1] - r[2], -imag) if imag else r[0] + r[1] - r[2]) / scale
+    n = _superop_side(m)
+    choi = choi_matrix(-m)
+    iv = vec(np.eye(n))
+    q = np.eye(n * n) - np.outer(iv, iv) / n
+    # Q C Q vanishes on vec(I) and both defects are >= 0, so the least
+    # eigenvalue over the whole space gives the same minimum
+    least = np.linalg.eigvalsh(q @ (choi + choi.conj().T) @ q / 2)[0]
+    return float(min(least, -fro(choi - choi.conj().T), -fro(iv @ m))) / scale
 
 
 def is_trace_preserving(t, tol: float = 1e-10) -> bool:

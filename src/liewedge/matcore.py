@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import expm as _expm
@@ -175,6 +176,15 @@ def _checked_tol(tol) -> float:
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     return tol
+
+
+def _checked_count(name: str, value, least: int = 0) -> int:
+    """`value` as an int, after rejecting a bool, a non-integer or a value
+    below `least`; seeds (`least` 0) and sample, round or segment counts use
+    it."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _kept(s: np.ndarray, tol: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from scipy.optimize import least_squares
 
 from .lindblad import (ControlSystem, coherence_rep, control_directions, drift_direction,
                        lindbladian, vec)
-from .matcore import expm, fro
+from .matcore import _checked_count, _checked_tol, expm, fro
 
 U_MAX = 5.0
 
@@ -144,7 +144,12 @@ def random_schedule(n_controls: int, depth: int, horizon: float, seed,
 
     Durations are uniform on (0, horizon/depth], amplitudes uniform on
     [-u_max, u_max]; `seed` is anything `np.random.default_rng` accepts.
+    `depth` must be an integer >= 1 and `u_max` nonnegative and finite;
+    ValueError otherwise.
     """
+    depth = _checked_count("depth", depth, 1)
+    if not 0 <= u_max < np.inf:
+        raise ValueError(f"u_max must be nonnegative and finite, got {u_max}")
     rng = np.random.default_rng(seed)
     segs = []
     for _ in range(depth):
@@ -162,12 +167,10 @@ def sample_reachable(sys: ControlSystem, n: int, depth: int,
     stream spawned from `seed`, so results are reproducible regardless of
     evaluation order.  All n*depth segment exponentials come from one
     stacked `expm` call, and each sample is multiplied in `propagate`'s
-    order.
+    order.  `n` must be an integer >= 1, and `random_schedule` checks
+    `depth` and `u_max`; ValueError otherwise, before any draw.
     """
-    if n < 1:
-        raise ValueError(f"count must be at least 1, got {n}")
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
+    n = _checked_count("count", n, 1)
     segs = [seg for child in np.random.SeedSequence(seed).spawn(n)
             for seg in random_schedule(sys.n_controls, depth, horizon, child, u_max).segments]
     gens = _segment_generators(sys, segs)
@@ -189,16 +192,18 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
     and the largest positive increment.  The exponentials of every segment
     and of every grid point inside a segment come from one stacked `expm`
     call, and the coherence matrices from one stacked `coherence_rep`.
+    `grid` must be an integer >= 2 and `tol` positive and finite;
+    ValueError otherwise.
     """
+    grid = _checked_count("grid", grid, 2)
+    tol = _checked_tol(tol)
     if sys.rep != "r3":
         drift = drift_direction(sys)
         defect = np.linalg.norm(drift @ vec(np.eye(isqrt(drift.shape[0]))))
         if defect > 1e-10 * max(1.0, float(np.linalg.norm(drift))):
             raise ValueError("contraction audit requires unital dynamics")
-    if grid < 2:
-        raise ValueError(f"grid must have at least 2 points, got {grid}")
     gens = _segment_generators(sys, sched.segments)
-    times = np.linspace(0.0, sched.total_duration, int(grid))
+    times = np.linspace(0.0, sched.total_duration, grid)
     bounds = np.cumsum([0.0] + [d for d, _ in sched.segments])
     # prefix[k] is the channel after the first k whole segments; a grid point
     # inside segment k-1 adds that segment's exponential for t - bounds[k-1].
@@ -244,7 +249,7 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
     history, and the returned schedule lies in the box.  This is a
     heuristic: no optimality claim is made.
     `target` must be finite and have the shape of the system's generators,
-    `switches` must be nonnegative, `budget` at least 1 and `u_max`
+    `switches` an integer >= 0, `budget` an integer >= 1 and `u_max`
     positive and finite; ValueError otherwise, before any propagation.
     """
     tmat = np.asarray(target)
@@ -254,10 +259,8 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
                          f"generators have shape {drift.shape}")
     if not np.isfinite(tmat).all():
         raise ValueError("target has non-finite entries")
-    if switches < 0:
-        raise ValueError(f"switches must be nonnegative, got {switches}")
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
+    switches = _checked_count("switches", switches)
+    budget = _checked_count("budget", budget, 1)
     if not 0 < u_max < np.inf:
         raise ValueError(f"u_max must be positive and finite, got {u_max}")
     m = sys.n_controls

@@ -12,16 +12,15 @@ degenerate-pair, and generic relaxation rates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .channels import H_X, H_Y, H_Z, P_X, P_Y, P_Z
 from .liealg import orthocomplement, subspace_equal
-from .matcore import (Subspace, comm, fro, inner, orthonormal_span, realify, realify_stack,
-                      unrealify)
-from .wedge import Cone, ConjugationFamily, Wedge, _checked_count, _cone_fit, wedge_contains
+from .matcore import (Subspace, _checked_count, comm, fro, inner, orthonormal_span, realify,
+                      realify_stack, unrealify)
+from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, wedge_contains
 
 BCH_MAX_ORDER = 4
 _FACE_GUARD = 1e-8
@@ -219,12 +218,10 @@ def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
     it is skipped.  The remaining (pair, t) tails go, pair by pair in sample
     order, to `bch_witness`, whose fits are deterministic in (wedge, tail,
     tol), so the first witness is that of fitting every pair in turn.  Only
-    the sample draws use `seed`, which must be an integer >= 0.
+    the sample draws use `seed`, which must be an integer >= 0, and
+    `pair_samples`, which must be an integer >= 1.
     """
-    if isinstance(pair_samples, bool) or not isinstance(pair_samples, Integral):
-        raise ValueError(f"pairs must be an integer, got {pair_samples!r}")
-    if pair_samples < 1:
-        raise ValueError(f"pairs must be at least 1, got {pair_samples}")
+    pair_samples = _checked_count("pairs", pair_samples, 1)
     ts = _checked_grid(t_grid, tol)
     rng = np.random.default_rng(_checked_count("seed", seed))
     elems = _wedge_samples(w, 2 * pair_samples, rng)
@@ -282,9 +279,11 @@ def tangent_space(w: Wedge, a_mat: np.ndarray, face_samples: int = 192,
     generators only approximate the cone, so that sampled face, and the
     tangent space returned from it, is bounded in neither direction: on a
     curved cone it is over-sampled, and T_A comes out too small.  `seed`,
-    which draws the sampled functionals, must be an integer >= 0.
+    which draws the sampled functionals, must be an integer >= 0, and
+    `face_samples` an integer >= 1; ValueError otherwise.
     """
     seed = _checked_count("seed", seed)
+    face_samples = _checked_count("face_samples", face_samples, 1)
     a_mat = np.asarray(a_mat)
     if not wedge_contains(w, a_mat):
         raise ValueError("tangent_space requires a wedge member")
@@ -333,7 +332,7 @@ def orbit_wedge(rates, hull_samples: int = 192, seed: int = 0,
         fam = ConjugationFamily(seeds, gamma)
         gens = [gamma] + [g for _, g in fam.sweep(hull_samples, rng)]
     cone = Cone(generators=tuple(gens), shape=(3, 3), complex_field=False,
-                analytic=fam, pointed=bool(fro(gamma) > 0) or None, tol=tol)
+                analytic=fam, tol=tol)
     return Wedge(edge=edge, cone=cone, drift=gamma)
 
 
@@ -392,14 +391,14 @@ def semialgebra_case(case_id: str, params: dict = None) -> dict:
     case wedge holds the base generator and its orbit family only: T_A
     comes from the family's closed form, which needs no sampled hull.
     `params` may set the case's rates ('lam', 'omega', 'gamma', 'rates')
-    and the `seed` of `tangent_space`.
+    and the `seed` of `tangent_space`, an integer >= 0.
     """
     if case_id not in _CASE_IDS:
         raise ValueError(f"case_id must be one of {_CASE_IDS}, got {case_id!r}")
     params = {} if params is None else dict(params)
     rates, a_mat, b_dir = _case_setup(case_id, params)
     w = orbit_wedge(rates, hull_samples=0)
-    t_a = tangent_space(w, a_mat, seed=int(params.get("seed", 0)))
+    t_a = tangent_space(w, a_mat, seed=params.get("seed", 0))
     expected = expected_tangent(case_id, rates)
     brackets = realify_stack([comm(a_mat, m) for m in t_a.mats], t_a.shape, t_a.complex_field)
     top = np.linalg.norm(brackets, 2)

@@ -25,25 +25,26 @@ once a full round adds nothing while the edge dimension is stable.  The
 lineality of a cone with a family is exact and needs no fit: the orbit's
 Haar centroid, the base's projection onto the fixed space of the edge's
 brackets, is either nonzero, and the cone is pointed, or zero, and the cone
-is the orbit's linear span (`lineality`).
+is the orbit's linear span (`lineality`); `Cone.pointed` is derived from it.
+Every wedge lies in its system's outer wedge, the x of the system's Lie
+algebra (`Wedge.algebra`) with `lindblad.gks_margin(x) >= 0`, which
+`outer_contains` tests exactly, so its "outside" holds for every wedge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar, nnls
 
 from .liealg import lie_closure
-from .lindblad import (ControlSystem, _pauli_vecs, ad_hat, coherence_rep,
-                       control_directions, drift_direction, pauli_basis,
-                       superop_from_coherence)
-from .matcore import (RANK_TOL, Subspace, _checked_tol, _rank, _span_columns, comm, eig_sym,
-                      fro, inner, orthonormal_span, realify, realify_stack, unrealify,
-                      unrealify_stack)
+from .lindblad import (ControlSystem, _pauli_vecs, coherence_rep, control_directions,
+                       drift_direction, gks_margin, superop_from_coherence)
+from .matcore import (RANK_TOL, Subspace, _checked_count, _checked_tol, _rank, _span_columns,
+                      comm, eig_sym, fro, inner, orthonormal_span, realify, realify_stack,
+                      unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
 # largest distance from a stored unit generator to the family's cone at
@@ -579,30 +580,33 @@ class Cone:
     unit norm under the trace inner product.  Built from `generators`, the
     cone normalizes them in one batch and drops zero matrices; built from
     `stack`, it takes the columns as they are.  `generators`, the matrices,
-    are derived from the stack on first use.  `pointed` is None until
-    `saturate` sets it from `lineality`: exact from the family's orbit
-    centroid where the cone has a family, from plain fits otherwise.
+    are derived from the stack on first use, and `pointed` from `lineality`.
     """
 
     stack: np.ndarray = field(repr=False)
     shape: tuple
     complex_field: bool
     analytic: ConjugationFamily = None
-    pointed: bool = None
     tol: float = 1e-8
 
     def __init__(self, generators=(), *, shape, complex_field, analytic=None,
-                 pointed=None, tol=1e-8, stack=None):
+                 tol=1e-8, stack=None):
         if stack is None:
             stack = realify_stack(generators, shape, complex_field)
             norms = np.linalg.norm(stack, axis=0)
             stack = stack[:, norms > 0] / norms[norms > 0]
         self.__dict__.update(stack=stack, shape=shape, complex_field=complex_field,
-                             analytic=analytic, pointed=pointed, tol=tol)
+                             analytic=analytic, tol=tol)
 
     @cached_property
     def generators(self) -> tuple:
         return tuple(unrealify_stack(self.stack, self.shape, self.complex_field))
+
+    @cached_property
+    def pointed(self):
+        """Whether `lineality` at the cone's tol is {0}; None for a cone
+        without generators."""
+        return lineality(self).dim == 0 if self.n_generators else None
 
     @property
     def n_generators(self) -> int:
@@ -714,14 +718,6 @@ def _checked_query(x, shape: tuple, tol) -> tuple:
     return x, _checked_tol(tol)
 
 
-def _checked_count(name: str, value, least: int = 0) -> int:
-    """`value` as an int, after rejecting a bool, a non-integer or a value
-    below `least`; seeds (`least` 0) and sample or round counts use it."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def cone_contains(c: Cone, x: np.ndarray, tol: float = None) -> bool:
     """Whether x lies within tol * max(1, |x|) of the cone.
 
@@ -818,6 +814,14 @@ class Wedge:
         counted from their singular values alone (`_rank`)."""
         return self.edge.dim + _rank(_edge_orthogonal_units(self.edge, self.cone.stack))
 
+    @cached_property
+    def algebra(self) -> Subspace:
+        """The system's Lie algebra, `lie_closure` of the edge and the drift,
+        which holds every wedge of the system; a wedge without a drift
+        closes its edge with its cone's span instead."""
+        extra = (self.drift,) if self.drift is not None else self.cone.span().mats
+        return lie_closure([*self.edge.mats, *extra])
+
 
 def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None) -> bool:
     """Membership of x in edge + cone (positive picture): the edge component
@@ -828,6 +832,16 @@ def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None) -> bool:
     if fro(perp) <= tol * max(1.0, fro(x)):
         return True
     return cone_contains(w.cone, perp, tol)
+
+
+def outer_contains(w: Wedge, x: np.ndarray, tol: float = None) -> bool:
+    """Whether x lies within tol * max(1, |x|) of the system's Lie algebra
+    (`Wedge.algebra`) and has `gks_margin(x) >= -tol`, inputs checked and
+    tol defaulting as in `wedge_contains`.  Every wedge `saturate` builds
+    for the system lies in this outer wedge, so False certifies that x is
+    in none of them; the test is exact and draws no random numbers."""
+    x, tol = _checked_query(x, w.cone.shape, w.cone.tol if tol is None else tol)
+    return bool(w.algebra.residual(x) <= tol * max(1.0, fro(x)) and gks_margin(x) >= -tol)
 
 
 def initial_wedge(sys: ControlSystem) -> Wedge:
@@ -1004,8 +1018,6 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
                     analytic=family, tol=tol)
         report["novel_counts"].append(kept.shape[1])
 
-    pointed = lineality(cone, tol).dim == 0 if cone.n_generators else None
-    cone = replace(cone, pointed=pointed)
     return Wedge(edge=edge, cone=cone, drift=drift, saturation=report)
 
 
@@ -1044,68 +1056,3 @@ def majorized(s: np.ndarray, gamma, tol: float = 1e-9) -> bool:
     if np.any(cw[:-1] - cg[:-1] > tol * scale):
         return False
     return bool(abs(cw[-1] - cg[-1]) <= tol * scale)
-
-
-# ---------------------------------------------------------------------------
-# outer-approximation hypotheses
-# ---------------------------------------------------------------------------
-
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def outer_wedge_check(c: Cone, n: int, samples: int = 100, seed: int = 0,
-                      gamma_l: np.ndarray = None, tol: float = 1e-8) -> dict:
-    """Numeric residuals for the global outer-approximation hypotheses.
-
-    On sampled generator pairs and random unitaries, checks that (1) the
-    dissipator lies in the cone, (2) commutators of cone elements fall in
-    the unitary adjoint algebra, (3) commutators with that algebra fall in
-    the cone's linear span, and (4) the cone is invariant under unitary
-    conjugation in the superoperator picture.  The cone's carrier must be
-    the (n^2, n^2) superoperator shape of n; ValueError otherwise.
-    """
-    if tuple(c.shape) != (n * n, n * n):
-        raise ValueError(f"cone carrier has shape {tuple(c.shape)}, but n={n} "
-                         f"needs shape {(n * n, n * n)}")
-    rng = np.random.default_rng(seed)
-    basis = pauli_basis(n)
-    adsu = orthonormal_span([1j * ad_hat(b) for b in basis])
-    span = c.span()
-    gens = c.generators
-    report = {"samples": samples, "tol": tol}
-    report["dissipator_in_cone"] = (
-        None if gamma_l is None else cone_contains(c, gamma_l, tol))
-    worst2 = worst3 = worst4 = 0.0
-    if gens:
-        for _ in range(samples):
-            i, j = rng.integers(0, len(gens), size=2)
-            br = gens[i] @ gens[j] - gens[j] @ gens[i]
-            nb = fro(br)
-            if nb > 1e-12:
-                worst2 = max(worst2, adsu.residual(br) / nb)
-        for _ in range(samples):
-            i = rng.integers(0, len(gens))
-            k = rng.integers(0, adsu.dim)
-            br = gens[i] @ adsu.mats[k] - adsu.mats[k] @ gens[i]
-            nb = fro(br)
-            if nb > 1e-12:
-                worst3 = max(worst3, span.residual(br) / nb)
-        for _ in range(samples):
-            u = _haar_unitary(n, rng)
-            uhat = np.kron(u.conj(), u)
-            i = rng.integers(0, len(gens))
-            g = uhat @ gens[i] @ uhat.conj().T
-            worst4 = max(worst4, cone_residual(c, g) / max(1.0, fro(g)))
-    report["bracket_in_unitary_algebra"] = worst2
-    report["bracket_span_residual"] = worst3
-    report["ad_invariance_residual"] = worst4
-    report["holds"] = {
-        "cond1": report["dissipator_in_cone"],
-        "cond2": worst2 <= tol,
-        "cond3": worst3 <= tol,
-        "cond4": worst4 <= tol,
-    }
-    return report

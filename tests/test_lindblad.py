@@ -1,4 +1,5 @@
-"""Lindblad generators, superoperator conventions, channel audits."""
+"""Lindblad generators, superoperator conventions, channel audits and the
+Lindblad-Kossakowski margin."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import pytest
 from liewedge.lindblad import (ControlSystem, ad_hat, choi_matrix,
                                coherence_rep, control_directions, cptp_audit,
                                drift_direction, gks_dissipator,
-                               gks_term, is_trace_preserving, is_unital,
+                               gks_margin, gks_term, is_trace_preserving, is_unital,
                                lindbladian, pauli_basis, propagator,
                                superop_from_coherence, unvec, vec)
 from liewedge.channels import H_Z, sigma, sigma_hat
@@ -297,3 +298,25 @@ def test_control_system_rejects_misshaped_relaxation_generators(v):
     skew = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="relaxation generator must be 3x3"):
         ControlSystem(rep="r3", drift_H=skew, controls=(), lindblad_ops=((v, 1.0),))
+
+
+@pytest.mark.parametrize("x, want", [
+    (np.diag([1.0, 1.0, 2.0]), 0.0),
+    (np.diag([1.0, 1.0, 3.0]), -1.0 / np.sqrt(11.0)),
+    (H_Z + np.eye(3), 1.0 / np.sqrt(5.0)),
+    (np.eye(3) + 0.5j * np.diag([1.0, 0.0, 0.0]), -0.5 / np.sqrt(3.25)),
+])
+def test_gks_margin_on_the_r3_carrier(x, want):
+    """min(r_j + r_k - r_i) over the rates r of the symmetric part, or minus
+    the norm of an imaginary part, over max(1, |x|); the rotation H_Z
+    moves nothing."""
+    assert abs(gks_margin(x) - want) <= 1e-15
+
+
+def test_gks_margin_of_dephasing_and_its_negative():
+    """Dephasing at rate 1 (V = sigma_z / sqrt(2)) puts |vec V|^2 = 1 on the
+    Choi matrix off vec(I) and nothing else, so the margin is 0 with a
+    Hamiltonian added and -1 / |x| for the negated generator."""
+    x = gks_term(sigma("z") / np.sqrt(2.0), 1.0) + 1j * ad_hat(sigma("x"))
+    assert abs(gks_margin(x)) <= 1e-15
+    assert abs(gks_margin(-x) + 1.0 / fro(x)) <= 1e-15

@@ -84,7 +84,7 @@ def test_sample_reachable_validates_depth():
 
 def test_sample_reachable_validates_count():
     for n in (0, -1):
-        with pytest.raises(ValueError, match=f"count must be at least 1, got {n}"):
+        with pytest.raises(ValueError, match=f"count must be an integer >= 1, got {n}"):
             sample_reachable(_qubit_system(), n, 3)
 
 
@@ -184,7 +184,7 @@ def test_steer_rejects_a_target_from_another_carrier(switches):
 def test_steer_rejects_a_budget_below_one(budget):
     sys = _qubit_system()
     target = propagate(sys, Schedule(((0.1, (0.0,)),)))
-    with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+    with pytest.raises(ValueError, match=f"budget must be an integer >= 1, got {budget}"):
         steer(sys, target, 1, budget=budget)
 
 
@@ -287,3 +287,68 @@ def test_random_schedule_bounds_and_sampling_stream():
     sample = sample_reachable(sys, 3, 2, seed=8)[1]
     direct = propagate(sys, random_schedule(1, 2, 1.0, child))
     assert np.array_equal(sample, direct)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"switches": 1.5}, r"switches must be an integer >= 0, got 1\.5"),
+    ({"switches": True}, "switches must be an integer >= 0, got True"),
+    ({"budget": 2.5}, r"budget must be an integer >= 1, got 2\.5"),
+    ({"budget": True}, "budget must be an integer >= 1, got True"),
+])
+def test_steer_rejects_a_count_that_is_not_an_integer(monkeypatch, kwargs, message):
+    """A fractional switch count or budget leaked a TypeError, and a bool
+    switch count ran as one switch; now each is refused by name before any
+    propagation."""
+    sys = _qubit_system()
+    target = propagate(sys, Schedule(((0.1, (0.0,)),)))
+    _forbid_propagation(monkeypatch)
+    kwargs = {"switches": 1, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        steer(sys, target, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": 2.5}, r"count must be an integer >= 1, got 2\.5"),
+    ({"n": True}, "count must be an integer >= 1, got True"),
+    ({"depth": 1.5}, r"depth must be an integer >= 1, got 1\.5"),
+    ({"u_max": -1.0}, r"u_max must be nonnegative and finite, got -1\.0"),
+    ({"u_max": np.inf}, "u_max must be nonnegative and finite, got inf"),
+    ({"u_max": np.nan}, "u_max must be nonnegative and finite, got nan"),
+])
+def test_sample_reachable_rejects_bad_settings_by_name(kwargs, message):
+    """A fractional count leaked a TypeError and a negative amplitude bound
+    numpy's "high - low < 0"; each is now refused by name."""
+    kwargs = {"n": 2, "depth": 2, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        sample_reachable(_qubit_system(), **kwargs)
+
+
+@pytest.mark.parametrize("depth, message", [
+    (-2, "depth must be an integer >= 1, got -2"),
+    (0, "depth must be an integer >= 1, got 0"),
+    (2.0, r"depth must be an integer >= 1, got 2\.0"),
+])
+def test_random_schedule_rejects_a_depth_below_one(depth, message):
+    """A negative depth returned an empty schedule."""
+    with pytest.raises(ValueError, match=message):
+        random_schedule(1, depth, 1.0, 0)
+
+
+def test_random_schedule_takes_a_zero_amplitude_bound():
+    sched = random_schedule(2, 3, 1.0, 0, u_max=0.0)
+    assert all(u == (0.0, 0.0) for _, u in sched.segments)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"grid": 2.5}, r"grid must be an integer >= 2, got 2\.5"),
+    ({"grid": 1}, "grid must be an integer >= 2, got 1"),
+    ({"grid": True}, "grid must be an integer >= 2, got True"),
+    ({"tol": -1.0}, r"tol must be positive and finite, got -1\.0"),
+    ({"tol": np.nan}, "tol must be positive and finite, got nan"),
+])
+def test_contraction_audit_rejects_bad_settings_by_name(kwargs, message):
+    """A fractional grid ran with its integer part and a negative tol was
+    accepted; each is now refused by name."""
+    with pytest.raises(ValueError, match=message):
+        contraction_audit(_qubit_system(), Schedule(((0.4, (0.9,)),)), **kwargs)
+

@@ -550,10 +550,10 @@ def test_probe_fits_every_pair_the_loop_fits(monkeypatch, probe_wedges, seed):
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"pair_samples": 0}, "pairs must be at least 1, got 0"),
-    ({"pair_samples": -5}, "pairs must be at least 1, got -5"),
-    ({"pair_samples": 2.0}, "pairs must be an integer, got 2.0"),
-    ({"pair_samples": True}, "pairs must be an integer, got True"),
+    ({"pair_samples": 0}, "pairs must be an integer >= 1, got 0"),
+    ({"pair_samples": -5}, "pairs must be an integer >= 1, got -5"),
+    ({"pair_samples": 2.0}, r"pairs must be an integer >= 1, got 2\.0"),
+    ({"pair_samples": True}, "pairs must be an integer >= 1, got True"),
     ({"t_grid": ()}, r"t_grid must hold at least one t, got \(\)"),
     ({"t_grid": (0.0,)}, "t must be positive and finite, got 0.0"),
     ({"t_grid": (1e-2, -1e-3)}, "t must be positive and finite, got -0.001"),
@@ -633,6 +633,23 @@ def test_orbit_wedge_rejects_bad_settings(kwargs, message):
     kwargs = {"rates": (3.0, 2.0, 1.0), **kwargs}
     with pytest.raises(ValueError, match=message):
         orbit_wedge(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_semialgebra_case_refuses_a_seed_that_is_not_a_count(seed):
+    """A fractional seed was truncated (1.5 ran as seed 1)."""
+    message = f"seed must be an integer >= 0, got {seed!r}".replace(".", r"\.")
+    with pytest.raises(ValueError, match=message):
+        semialgebra_case("iv", {"seed": seed})
+
+
+@pytest.mark.parametrize("face_samples", [-3, 0, 2.5, True])
+def test_tangent_space_refuses_a_bad_face_sample_count(probe_wedges, face_samples):
+    """-3 face samples were accepted and sampled no functional."""
+    w = probe_wedges["rates321"]
+    message = f"face_samples must be an integer >= 1, got {face_samples!r}".replace(".", r"\.")
+    with pytest.raises(ValueError, match=message):
+        tangent_space(w, w.cone.generators[0], face_samples=face_samples)
 
 
 def test_orbit_wedge_takes_zero_and_numpy_integer_hull_samples():

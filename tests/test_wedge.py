@@ -1,6 +1,6 @@
 """Cones, conjugation families, wedge saturation, dual-cone criteria,
-Schur-Horn membership on full-rotation orbit cones, and Caratheodory-Toeplitz
-membership on one-parameter orbit cones."""
+Schur-Horn membership on full-rotation orbit cones, Caratheodory-Toeplitz
+membership on one-parameter orbit cones, and the exact outer wedge."""
 
 from __future__ import annotations
 
@@ -14,13 +14,16 @@ import pytest
 from liewedge import wedge as wedge_module
 from liewedge.channels import (H_X, H_Y, H_Z, P_Y, ChannelSpec, build_system,
                                example1, example2, example3, example3_delta, sigma)
-from liewedge.lindblad import ControlSystem, ad_hat, coherence_rep, superop_from_coherence
-from liewedge.matcore import Subspace, expm, fro, inner, orthonormal_span, unrealify_stack
+from liewedge.liealg import subspace_leq
+from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep, gks_margin, pauli_basis,
+                               superop_from_coherence)
+from liewedge.matcore import (Subspace, comm, expm, fro, inner, orthonormal_span, realify_stack,
+                              unrealify_stack)
 from liewedge.semialgebra import bch, orbit_wedge
 from liewedge.wedge import (Cone, ConjugationFamily, Wedge, cone_contains,
                             cone_residual, dual_cone_contains,
                             dual_cone_margin, initial_wedge, lineality,
-                            majorized, outer_wedge_check, saturate,
+                            majorized, outer_contains, saturate,
                             wedge_contains)
 
 RNG = np.random.default_rng(73)
@@ -56,6 +59,20 @@ def test_lineality_detects_two_sided_directions():
     assert lin.contains(np.diag([2.0, 0.0, 0.0]))
 
 
+def test_pointed_is_derived_from_the_lineality():
+    """`Cone.pointed` is read from `lineality` at the cone's tol on first
+    use: None without generators, True on the orthant, False with +-e1; a
+    saturated wedge's cone reads it as the saturation loop's last round
+    would."""
+    assert Cone(shape=(3, 3), complex_field=False).pointed is None
+    assert _orthant_cone().pointed is True
+    gens = (np.diag([1.0, 0.0, 0.0]), np.diag([-1.0, 0.0, 0.0]))
+    assert Cone(generators=gens, shape=(3, 3), complex_field=False).pointed is False
+    w = saturate(initial_wedge(example2()), orbit_samples=48)
+    assert w.cone.pointed is (lineality(w.cone, w.saturation["tol"]).dim == 0)
+    assert w.cone.pointed is True
+
+
 @pytest.mark.parametrize("gens", [
     tuple(np.diag(e) for e in np.eye(3)),
     (np.diag([1.0, 0.0, 0.0]), np.diag([-1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])),
@@ -76,6 +93,9 @@ def test_wedge_contains_ignores_edge_component():
     w = Wedge(edge=edge, cone=c)
     assert wedge_contains(w, 5.0 * H_Y + 0.3 * GAMMA2)
     assert not wedge_contains(w, -GAMMA2)
+    # without a drift, the outer wedge's algebra closes the edge with the cone's span
+    assert outer_contains(w, 5.0 * H_Y + 0.3 * GAMMA2)
+    assert not outer_contains(w, -GAMMA2)
 
 
 def test_initial_wedge_of_example2():
@@ -260,30 +280,92 @@ def test_majorized_basics():
         majorized(np.diag([1.0, 1.0]), (3.0, 2.0, 1.0))
 
 
+def _worst_residual(sub: Subspace, brackets: np.ndarray) -> float:
+    """Largest residual of a bracket stack off `sub`, each relative to its
+    own norm; brackets of norm <= 1e-12 are skipped."""
+    cols = realify_stack(brackets, sub.shape, sub.complex_field)
+    res = np.linalg.norm(cols - sub.stack @ (sub.stack.T @ cols), axis=0)
+    norms = np.linalg.norm(cols, axis=0)
+    return float(np.max(res[norms > 1e-12] / norms[norms > 1e-12], initial=0.0))
+
+
 def test_outer_wedge_hypotheses_on_qubit_system():
-    # the hypotheses target a pure-dissipator orbit cone whose edge carries
-    # the whole unitary algebra, so use full local control and no drift H
-    from liewedge.channels import sigma
-    from liewedge.lindblad import ControlSystem, dissipator_direction
+    """The four global outer-approximation hypotheses, each decided by one
+    exact call on a pure-dissipator orbit cone whose edge carries the whole
+    unitary algebra (full local control, no drift Hamiltonian): the
+    dissipator lies in the cone; [span, span] lies in ad(su(2)) and
+    [span, ad(su(2))] in the span, each over the whole basis in one
+    broadcast `comm`; and the cone is invariant under unitary conjugation,
+    since saturation conjugates by the edge and the edge holds ad(su(2))."""
+    from liewedge.lindblad import dissipator_direction
     sys = ControlSystem(rep="qubit", drift_H=np.zeros((2, 2), dtype=complex),
                         controls=(sigma("x") / 2.0, sigma("y") / 2.0),
                         lindblad_ops=((sigma("z") / 2.0, 0.5),))
     w = saturate(initial_wedge(sys), orbit_samples=240)
     assert w.saturation["converged"]
     assert w.edge.dim == 3
-    gamma_hat = dissipator_direction(sys)
-    report = outer_wedge_check(w.cone, 2, samples=40, gamma_l=gamma_hat)
-    assert report["dissipator_in_cone"]
-    assert report["bracket_in_unitary_algebra"] <= 1e-8
-    assert report["bracket_span_residual"] <= 1e-8
-    assert report["ad_invariance_residual"] <= 1e-8
-    assert all(report["holds"].values())
+    adsu = orthonormal_span([1j * ad_hat(b) for b in pauli_basis(2)])
+    span = np.stack(w.cone.span().mats)
+    assert cone_contains(w.cone, dissipator_direction(sys))
+    assert _worst_residual(adsu, comm(span[:, None], span[None]).reshape(-1, 4, 4)) <= 1e-8
+    assert _worst_residual(w.cone.span(), comm(span[:, None], np.stack(adsu.mats)[None])
+                           .reshape(-1, 4, 4)) <= 1e-8
+    assert subspace_leq(adsu, w.edge)
 
 
-def test_outer_wedge_check_refuses_a_carrier_that_does_not_match_n():
-    cone = initial_wedge(build_system(ChannelSpec(name="two_qubit_C"))).cone
-    with pytest.raises(ValueError, match=r"shape \(16, 16\).*shape \(4, 4\)"):
-        outer_wedge_check(cone, 2, samples=4)
+@pytest.mark.parametrize("x, message", [
+    (np.zeros((5, 5)), r"not a superoperator matrix: shape \(5, 5\)"),
+    (np.zeros((4, 3)), r"not a superoperator matrix: shape \(4, 3\)"),
+    (np.zeros(16), r"not a superoperator matrix: shape \(16,\)"),
+    (np.zeros((2, 4, 4)), r"not a superoperator matrix: shape \(2, 4, 4\)"),
+    (np.full((4, 4), np.nan), "x must be finite"),
+    (np.diag([1.0, np.inf, 0.0]), "x must be finite"),
+])
+def test_gks_margin_refuses_a_shape_of_no_carrier(x, message):
+    """gks_margin reads its carrier from the shape: 3x3 (r3) or N^2 x N^2;
+    anything else, or a non-finite entry, has no margin."""
+    with pytest.raises(ValueError, match=message):
+        gks_margin(x)
+
+
+def test_outer_contains_refuses_an_x_of_another_carrier():
+    w = initial_wedge(build_system(ChannelSpec(name="two_qubit_C")))
+    with pytest.raises(ValueError, match=r"carrier's shape \(16, 16\), got \(4, 4\)"):
+        outer_contains(w, np.eye(4))
+    with pytest.raises(ValueError, match="x must be finite"):
+        outer_contains(w, np.full((16, 16), np.nan))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        outer_contains(w, np.eye(16), tol=0.0)
+
+
+@pytest.fixture(scope="module")
+def named_wedges() -> dict:
+    """The nine named wedges, saturated at 360 samples: examples 1-3, the
+    three qubit files with control x and drift z, and two_qubit_A/B/C."""
+    specs = {name: ChannelSpec(name=name) for name in
+             ("example1", "example2", "example3", "two_qubit_A", "two_qubit_B", "two_qubit_C")}
+    for name in ("phase_flip", "bit_flip", "depolarizing"):
+        specs[name] = ChannelSpec(name=name, control_axes=("x",), drift_axis="z")
+    return {name: saturate(initial_wedge(build_system(spec)), orbit_samples=360)
+            for name, spec in specs.items()}
+
+
+def test_named_wedges_lie_inside_their_outer_wedge(named_wedges):
+    """Every stored generator and both signs of every edge basis element
+    pass the outer test, and no negated generator does: each pointed cone
+    has margin <= -0.28 at -g, so -g lies outside every wedge of its
+    system.  The system algebra has the dimension of its Lie closure."""
+    dims = {name: w.algebra.dim for name, w in named_wedges.items()}
+    assert dims == {"example1": 9, "example2": 9, "example3": 9, "phase_flip": 9,
+                    "bit_flip": 9, "depolarizing": 4, "two_qubit_A": 15, "two_qubit_B": 15,
+                    "two_qubit_C": 225}
+    for name, w in named_wedges.items():
+        for e in w.edge.mats:
+            assert outer_contains(w, e) and outer_contains(w, -e), name
+        for g in w.cone.generators:
+            assert outer_contains(w, g), name
+            assert gks_margin(-g) <= -0.28, name
+            assert not outer_contains(w, -g), name
 
 
 # ---------------------------------------------------------------------------
