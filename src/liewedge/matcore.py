@@ -200,6 +200,12 @@ def _span_columns(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     return u[:, _kept(s, tol)].copy()
 
 
+def _null_rows(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal rows spanning the null space of `m` (see `_kept`)."""
+    _, s, vh = np.linalg.svd(m)
+    return vh[np.count_nonzero(_kept(s, tol)):]
+
+
 def _rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
     """`_span_columns(m, tol).shape[1]`, counted from the singular values
     alone, without forming the left singular vectors."""

@@ -144,10 +144,12 @@ def random_schedule(n_controls: int, depth: int, horizon: float, seed,
 
     Durations are uniform on (0, horizon/depth], amplitudes uniform on
     [-u_max, u_max]; `seed` is anything `np.random.default_rng` accepts.
-    `depth` must be an integer >= 1 and `u_max` nonnegative and finite;
-    ValueError otherwise.
+    `depth` must be an integer >= 1, and `horizon` and `u_max` nonnegative
+    and finite; ValueError otherwise.
     """
     depth = _checked_count("depth", depth, 1)
+    if not 0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
     if not 0 <= u_max < np.inf:
         raise ValueError(f"u_max must be nonnegative and finite, got {u_max}")
     rng = np.random.default_rng(seed)
@@ -168,7 +170,7 @@ def sample_reachable(sys: ControlSystem, n: int, depth: int,
     evaluation order.  All n*depth segment exponentials come from one
     stacked `expm` call, and each sample is multiplied in `propagate`'s
     order.  `n` must be an integer >= 1, and `random_schedule` checks
-    `depth` and `u_max`; ValueError otherwise, before any draw.
+    `depth`, `horizon` and `u_max`; ValueError otherwise, before any draw.
     """
     n = _checked_count("count", n, 1)
     segs = [seg for child in np.random.SeedSequence(seed).spawn(n)

@@ -3,9 +3,9 @@
 A wedge is BCH-closed (a Lie semialgebra) when small products
 expm(tA)expm(tB) generate no direction outside it.  This module provides
 the order-4 truncated product, a randomized probe that hunts for
-counterexample pairs, tangent spaces T_A w = (A^perp ∩ w*)^perp (in closed
-form where the cone's family offers one, else sampled through the dual
-wedge), and the rotation-orbit case analysis (isotropic, rank-one,
+counterexample pairs, tangent spaces T_A w = (A^perp ∩ w*)^perp (exact,
+from the closed form a cone certifies, and None where none decides), and
+the rotation-orbit case analysis (isotropic, rank-one,
 degenerate-pair, and generic relaxation rates).
 """
 
@@ -14,16 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
+import scipy.optimize
 
 from .channels import H_X, H_Y, H_Z, P_X, P_Y, P_Z
-from .liealg import orthocomplement, subspace_equal
-from .matcore import (Subspace, _checked_count, comm, fro, inner, orthonormal_span, realify,
-                      realify_stack, unrealify)
+from .liealg import subspace_equal
+from .matcore import (Subspace, _checked_count, _checked_tol, comm, fro, orthonormal_span,
+                      realify_stack)
 from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, wedge_contains
 
 BCH_MAX_ORDER = 4
-_FACE_GUARD = 1e-8
+# bench/tracing.py wraps `semialgebra.nnls` by name; nothing here calls it
+nnls = scipy.optimize.nnls
 _SCREEN = 0.05  # half of bch_witness's fit target, in units of tol * t**2 * scale
 # Relative to ||tail|| + t**2 * scale: far above the d * eps by which the
 # probe's stacked products and projection may round apart from one pair's.
@@ -245,67 +246,34 @@ def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
 
 
 # ---------------------------------------------------------------------------
-# tangent spaces via the dual wedge
+# tangent spaces
 # ---------------------------------------------------------------------------
 
-def _dual_face_project(w: Wedge, a_mat: np.ndarray,
-                       rng: np.random.Generator):
-    """Random functional projected onto the dual face by one NNLS solve.
+def tangent_space(w: Wedge, a_mat: np.ndarray, seed: int = 0):
+    """Tangent space T_A w = (A^perp ∩ w*)^perp at a wedge member A, or None
+    (undecided) where no closed form decides it.
 
-    The dual face is polyhedral in the sampled generators: {phi with
-    <g,phi> >= 0 for all generators, phi orthogonal to the edge and to A}.
-    Its projector follows from the Moreau decomposition against the cone
-    spanned by the generator columns and the signed equality columns.
+    With x = A minus its edge part, T_A is the edge plus `exact.tangent(x,
+    tol)` on a cone that certifies its closed form (`Cone.exact`), or plus x
+    (if |x| > tol) on a cone of at most one generator and no family, tol
+    being the cone's; other cones, which their generators only approximate,
+    give None.  No number is drawn, but `seed` must be an integer >= 0;
+    ValueError otherwise, or when A is not a member.
     """
-    cone = w.cone
-    eq = np.concatenate([w.edge.stack, realify(a_mat, cone.complex_field)[:, None]], axis=1)
-    cmat = np.concatenate([cone.stack, eq, -eq], axis=1)
-    y = rng.standard_normal(cmat.shape[0])
-    coef, _ = nnls(cmat, -y)
-    phi = y + cmat @ coef
-    return unrealify(phi, cone.shape, cone.complex_field)
-
-
-def tangent_space(w: Wedge, a_mat: np.ndarray, face_samples: int = 192,
-                  seed: int = 0, tol: float = 1e-8) -> Subspace:
-    """Tangent space T_A w = (A^perp ∩ w*)^perp at a wedge member A.
-
-    Where the cone certifies its family's closed form (`Cone.exact`) and
-    that form covers A's edge-orthogonal part x, T_A is the edge plus
-    span{x, [s_i, x]} over the family's seeds s_i.  Otherwise the dual face
-    (functionals nonnegative on the wedge and vanishing on A) is sampled by
-    Moreau/NNLS projection onto the stored generators' inequalities, and
-    samples with |<phi, A>| above a guard band are discarded.  The stored
-    generators only approximate the cone, so that sampled face, and the
-    tangent space returned from it, is bounded in neither direction: on a
-    curved cone it is over-sampled, and T_A comes out too small.  `seed`,
-    which draws the sampled functionals, must be an integer >= 0, and
-    `face_samples` an integer >= 1; ValueError otherwise.
-    """
-    seed = _checked_count("seed", seed)
-    face_samples = _checked_count("face_samples", face_samples, 1)
+    _checked_count("seed", seed)
     a_mat = np.asarray(a_mat)
     if not wedge_contains(w, a_mat):
         raise ValueError("tangent_space requires a wedge member")
-    exact = w.cone.exact
-    orbit = None if exact is None else exact.tangent(a_mat - w.edge.project(a_mat))
-    if orbit is not None:
-        return orthonormal_span([*w.edge.mats, *orbit], shape=w.cone.shape,
-                                complex_field=w.cone.complex_field)
-    rng = np.random.default_rng(seed)
-    na = max(1.0, fro(a_mat))
-    phis = []
-    for _ in range(face_samples):
-        phi = _dual_face_project(w, a_mat, rng)
-        n = fro(phi)
-        if n <= tol:
-            continue
-        phi = phi / n
-        if abs(inner(phi, a_mat)) <= _FACE_GUARD * na:
-            phis.append(phi)
-    face = orthonormal_span(phis, shape=w.cone.shape,
-                            complex_field=w.cone.complex_field)
-    return orthocomplement(face)
+    cone, exact = w.cone, w.cone.exact
+    x = a_mat - w.edge.project(a_mat)
+    if exact is not None:
+        rays = exact.tangent(x, cone.tol)
+    elif cone.analytic is None and cone.n_generators <= 1:
+        rays = [x] if fro(x) > cone.tol else []
+    else:
+        return None
+    return orthonormal_span([*w.edge.mats, *rays], shape=cone.shape,
+                            complex_field=cone.complex_field)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +284,9 @@ def orbit_wedge(rates, hull_samples: int = 192, seed: int = 0,
                 tol: float = 1e-8) -> Wedge:
     """Wedge so(3) + cone{R diag(rates) R^T} with its analytic orbit family.
 
-    `rates` must be three nonnegative finite reals, and `hull_samples` and
-    `seed` integers >= 0; anything else raises ValueError."""
+    `rates` must be three nonnegative finite reals, `hull_samples` and
+    `seed` integers >= 0 and `tol` positive and finite; else ValueError."""
+    tol = _checked_tol(tol)
     rates = tuple(float(v) for v in rates)
     if len(rates) != 3 or not all(0 <= v < np.inf for v in rates):
         raise ValueError(f"rates must be three nonnegative finite reals, got {rates}")
@@ -326,11 +295,8 @@ def orbit_wedge(rates, hull_samples: int = 192, seed: int = 0,
     gamma = np.diag(np.sort(rates)[::-1])
     seeds = tuple(h / fro(h) for h in (H_X, H_Y, H_Z))
     edge = orthonormal_span([H_X, H_Y, H_Z], shape=(3, 3), complex_field=False)
-    fam = None
-    gens = []
-    if fro(gamma) > 0:
-        fam = ConjugationFamily(seeds, gamma)
-        gens = [gamma] + [g for _, g in fam.sweep(hull_samples, rng)]
+    fam = ConjugationFamily(seeds, gamma) if fro(gamma) > 0 else None
+    gens = [] if fam is None else [gamma] + [g for _, g in fam.sweep(hull_samples, rng)]
     cone = Cone(generators=tuple(gens), shape=(3, 3), complex_field=False,
                 analytic=fam, tol=tol)
     return Wedge(edge=edge, cone=cone, drift=gamma)
@@ -344,30 +310,30 @@ def _case_setup(case_id: str, params: dict) -> tuple:
             raise ValueError(f"case i needs lam >= 0, got {lam}")
         omega = np.asarray(params.get("omega", H_Z), dtype=float)
         return (lam, lam, lam), lam * np.eye(3) + omega, None
-    if case_id == "ii":
+    if case_id in ("ii", "iii"):
         g = float(params.get("gamma", 1.0))
         if g <= 0:
-            raise ValueError(f"case ii needs gamma > 0, got {g}")
-        return (g, 0.0, 0.0), np.diag([g, 0.0, 0.0]) + H_Z, P_Z
-    if case_id == "iii":
-        g = float(params.get("gamma", 1.0))
-        if g <= 0:
-            raise ValueError(f"case iii needs gamma > 0, got {g}")
-        return (g, g, 0.0), np.diag([g, g, 0.0]) + H_Y, P_Y
+            raise ValueError(f"case {case_id} needs gamma > 0, got {g}")
+        rates, h, b = ((g, 0.0, 0.0), H_Z, P_Z) if case_id == "ii" else ((g, g, 0.0), H_Y, P_Y)
+        return rates, np.diag(rates) + h, b
     rates = tuple(float(v) for v in params.get("rates", (3.0, 2.0, 1.0)))
     if not (rates[0] > rates[1] > rates[2] >= 0):
         raise ValueError(f"case iv needs rates a > b > c >= 0, got {rates}")
     return rates, np.diag(rates) + H_Z, P_Z
 
 
+def _checked_case(case_id: str):
+    if case_id not in _CASE_IDS:
+        raise ValueError(f"case_id must be one of {_CASE_IDS}, got {case_id!r}")
+
+
 def expected_tangent(case_id: str, rates) -> Subspace:
-    """Closed-form tangent space for the four rate patterns."""
+    """Closed-form tangent space for the four rate patterns (else ValueError)."""
+    _checked_case(case_id)
     gamma = np.diag(np.sort([float(v) for v in rates])[::-1])
     mats = [H_X, H_Y, H_Z]
     if case_id == "i":
-        lam = float(rates[0])
-        if lam > 0:
-            mats.append(np.eye(3))
+        mats += [np.eye(3)] if float(rates[0]) > 0 else []
     elif case_id == "ii":
         mats += [gamma, P_Y, P_Z]
     elif case_id == "iii":
@@ -389,12 +355,12 @@ def semialgebra_case(case_id: str, params: dict = None) -> dict:
     over an orthonormal basis t_k of T_A (0 when M = 0); a change of basis
     rotates M's columns only, so the residual depends on T_A alone.  The
     case wedge holds the base generator and its orbit family only: T_A
-    comes from the family's closed form, which needs no sampled hull.
-    `params` may set the case's rates ('lam', 'omega', 'gamma', 'rates')
-    and the `seed` of `tangent_space`, an integer >= 0.
+    comes from the family's closed form, which needs no sampled hull (case i
+    at lam 0 has no cone, and T_A is the edge).  `params` may set the case's
+    rates ('lam', 'omega', 'gamma', 'rates') and the `seed` of
+    `tangent_space`, an integer >= 0.
     """
-    if case_id not in _CASE_IDS:
-        raise ValueError(f"case_id must be one of {_CASE_IDS}, got {case_id!r}")
+    _checked_case(case_id)
     params = {} if params is None else dict(params)
     rates, a_mat, b_dir = _case_setup(case_id, params)
     w = orbit_wedge(rates, hull_samples=0)

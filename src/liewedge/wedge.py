@@ -42,9 +42,9 @@ from scipy.optimize import minimize, minimize_scalar, nnls
 from .liealg import lie_closure
 from .lindblad import (ControlSystem, _pauli_vecs, coherence_rep, control_directions,
                        drift_direction, gks_margin, superop_from_coherence)
-from .matcore import (RANK_TOL, Subspace, _checked_count, _checked_tol, _rank, _span_columns,
-                      comm, eig_sym, fro, inner, orthonormal_span, realify, realify_stack,
-                      unrealify, unrealify_stack)
+from .matcore import (RANK_TOL, Subspace, _checked_count, _checked_tol, _null_rows, _rank,
+                      _span_columns, comm, eig_sym, fro, inner, orthonormal_span, realify,
+                      realify_stack, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
 # largest distance from a stored unit generator to the family's cone at
@@ -58,6 +58,9 @@ _SUPPORT_CANDIDATES = {"grid1": 2048, "grid2": 64 * 64, "orbit": 128}
 _NEWTON_STEPS = 32
 _BACKTRACKS = 40
 _NEWTON_FLOOR = 1e-9
+# the Schur-Horn index sets of `RotationOrbit.tangent`: 3 of size 1, then 3 of 2;
+# rows 2 and 5 hold the largest one and two of an ascending lam
+_SUBSETS = np.vstack([np.eye(3), 1.0 - np.eye(3)[::-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +82,8 @@ class RotationOrbit:
 
     Built only by `ConjugationFamily.exact`.  `seeds` are the family's seeds
     on its own carrier; `rates` are the eigenvalues of b, descending.  The
-    closed forms: the support function (`support`), the tangent space at an
-    orbit ray (`tangent`), and distance bounds to the orbit's cone that
+    closed forms: the support function (`support`), the tangent space at a
+    member (`tangent`), and distance bounds to the orbit's cone that
     decide membership (`contains`).
     """
 
@@ -103,25 +106,33 @@ class RotationOrbit:
             g = superop_from_coherence(g)
         return g, float(np.dot(self.rates, w_d))
 
-    def tangent(self, x: np.ndarray):
-        """Matrices x and [s_i, x], which span the tangent space of the
-        orbit's cone at x.
-
-        The closed form holds when b is positive semidefinite and x lies on
-        an orbit ray, x = t R b R^T with t > 0 (to 1e-6 relative): the curves
-        t Ad_{expm(theta s_i)}(R b R^T) run through x along +-[s_i, x], and
-        scaling runs along +-x.  None otherwise.
-        """
-        if not self.rates[0] > 0.0 or self.rates[-1] < -1e-10 * self.rates[0]:
-            return None
-        aligned = self.support(x)
-        if aligned is None:
-            return None
-        g, val = aligned
-        t = val / float(np.dot(self.rates, self.rates))
-        if t <= 0.0 or fro(x - t * g) > 1e-6 * fro(x):
-            return None
-        return [x] + [comm(s, x) for s in self.seeds]
+    def tangent(self, x: np.ndarray, tol: float) -> list:
+        """Matrices spanning the tangent space of K, the orbit's cone, at a
+        member x.  With S = U diag(lam) U^T x's symmetric block, eps = tol
+        max(1, |S|) and c_k = (mu_1 + ... + mu_k) / sum mu, the sets I with
+        sum_I lam within eps of c_|I| tr S span the face F = null{1_I - c_|I|
+        1}.  The list is x and the [s_i, x]; off an orbit ray (the largest one
+        and two lam at c_k tr S) it adds U diag(d) U^T over F and U (e_i e_j^T
+        + e_j e_i^T) U^T per tie lam_i ~ lam_j that no such I splits, on a
+        qubit via `superop_from_coherence`.  [] at the apex, tr S <= eps."""
+        m = np.real(_pauli_vecs(2).conj().T @ x @ _pauli_vecs(2)) if self.qubit else np.real(x)
+        lam, u = np.linalg.eigh((m + m.T) / 2)
+        tr, eps = lam.sum(), tol * max(1.0, float(np.sqrt(lam @ lam)))
+        if tr <= eps:
+            return []
+        mu = self.rates.tolist()
+        c = np.array([mu[0]] * 3 + [mu[0] + mu[1]] * 3) / sum(mu)
+        active = _SUBSETS @ lam >= c * tr - eps
+        extras = []
+        if not (active[2] and active[5]):  # off an orbit ray
+            face = _null_rows(_SUBSETS[active] - c[active, None], tol)
+            sides = _SUBSETS[active]
+            ties = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2))
+                    if abs(lam[i] - lam[j]) <= eps and np.array_equal(sides[:, i], sides[:, j])]
+            extras = [(u * d) @ u.T for d in face] + [
+                np.outer(u[:, i], u[:, j]) + np.outer(u[:, j], u[:, i]) for i, j in ties]
+            extras = [superop_from_coherence(e) for e in extras] if self.qubit else extras
+        return [x] + [comm(s, x) for s in self.seeds] + extras
 
     def contains(self, xs: np.ndarray):
         """Rigorous (lower, upper) bounds on the distance from each matrix of
@@ -191,8 +202,8 @@ class MomentCurve:
     injective; `basis` holds orthonormal columns spanning its image,
     realified with (Re, Im) on every carrier, and `toeplitz` the Toeplitz
     matrix of each column, so a point x of the span has T = sum_i <basis_i,
-    x> toeplitz_i.  `m0_norm` is |M_0|.  Only `contains` has a closed form so
-    far; `support` and `tangent` return None.
+    x> toeplitz_i.  `m0_norm` is |M_0|.  `contains` and `tangent` have
+    closed forms; `support` returns None.
     """
 
     basis: np.ndarray = field(repr=False)
@@ -206,8 +217,21 @@ class MomentCurve:
     def support(self, direction: np.ndarray):
         return None
 
-    def tangent(self, x: np.ndarray):
-        return None
+    def tangent(self, x: np.ndarray, tol: float) -> list:
+        """Matrices spanning the tangent space of K, the orbit's cone, at a
+        member x: the moment span's y with V^H T(y) V = 0, V the eigenvectors
+        of T(x) whose eigenvalue is <= tol max(1, largest one), from one SVD.
+        The moment map carries the positive semidefinite Toeplitz matrices
+        onto K, so that is the whole span inside K, span{gamma(theta_j),
+        gamma'(theta_j)} over x's atoms on a face, and nothing at the apex."""
+        x = np.asarray(x)
+        c = np.concatenate([x.real.ravel(), x.imag.ravel()]) @ self.basis
+        lam, vecs = np.linalg.eigh(np.tensordot(c, self.toeplitz, 1))
+        v = vecs[:, lam <= tol * max(1.0, lam[-1])]
+        faces = (v.conj().T @ self.toeplitz @ v).reshape(len(c), -1)
+        null = _null_rows(np.concatenate([faces.real, faces.imag], axis=1).T, tol)
+        ys = unrealify_stack(self.basis @ null.T, x.shape, True)
+        return list(ys if np.iscomplexobj(x) else ys.real)
 
     def contains(self, xs: np.ndarray):
         """Rigorous (lower, upper) bounds on the distance from each matrix of

@@ -1527,6 +1527,100 @@ def test_toeplitz_bounds_bracket_the_sampled_distance(rep, kind, log_push, side,
 
 
 # ---------------------------------------------------------------------------
+# exact tangent spaces of both closed forms, audited by certified differences
+# ---------------------------------------------------------------------------
+
+def _audit_tangent(exact, x: np.ndarray, span: Subspace):
+    """At the unit member x of the closed form's cone K, whose linear span is
+    `span`: along every direction y of `exact.tangent`'s span, the upper
+    distance bound of x +- eps y to K falls as eps^2; along every direction z
+    of span that is orthogonal to it, the lower bound of x + eps z or of
+    x - eps z grows as eps.  Both bounds are rigorous (`exact.contains`), so
+    a missing tangent direction fails the second check and a spurious one
+    the first, at eps = 1e-3 and 1e-4."""
+    x = x / fro(x)
+    tangent = orthonormal_span(exact.tangent(x, 1e-8), shape=span.shape,
+                               complex_field=span.complex_field)
+    q = span.stack - tangent.stack @ (tangent.stack.T @ span.stack)
+    assert np.linalg.norm(tangent.stack - span.stack @ (span.stack.T @ tangent.stack)) < 1e-9
+    u, sv, _ = np.linalg.svd(q, full_matrices=False)
+    normal = u[:, sv > 0.5]  # q projects an orthonormal basis: each sv is 0 or 1
+    for eps in (1e-3, 1e-4):
+        for cols, along in ((tangent.stack, True), (normal, False)):
+            if cols.shape[1] == 0:
+                continue
+            ys = unrealify_stack(cols, span.shape, span.complex_field)
+            lower, upper = exact.contains(np.concatenate([x + eps * ys, x - eps * ys]))
+            if along:
+                assert upper.max() <= 200.0 * eps ** 2, (eps, upper.max())
+            else:
+                apart = np.maximum(lower[:len(ys)], lower[len(ys):])
+                assert apart.min() >= 0.02 * eps, (eps, apart.min())
+    return tangent
+
+
+_SYMMETRIC = tuple(np.eye(3)[:, [i]] @ np.eye(3)[[j]] + np.eye(3)[:, [j]] @ np.eye(3)[[i]]
+                   for i in range(3) for j in range(i, 3))
+_PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 0, 1), (1, 2, 0), (2, 1, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("r3", "qubit")),
+       st.sampled_from(((3, 2, 1), (2, 2, 1), (2, 1, 1), (1, 1, 1), (1, 0, 0), (1, 1, 0),
+                        (4, 1, 0), (3, 1, -1), (2, 0, -1))),
+       st.dictionaries(st.integers(0, 5), st.integers(1, 4), min_size=1),
+       st.integers(0, 2**32 - 1))
+def test_rotation_orbit_tangent_is_certified_by_differences(rep, rates, weights, seed):
+    """Members U diag(lam) U^T with lam a conic mix, by integer weights, of
+    permutations of the rates: a ray (one permutation), points on faces and
+    interior points, with ties and zeros and an indefinite base.  Integer
+    weights keep every draw on its face or a margin away from a lower one."""
+    exact, lift = _rotation_orbit(rep, np.asarray(rates, dtype=float))
+    lam = sum(w * np.asarray(rates, dtype=float)[list(_PERMUTATIONS[k])]
+              for k, w in weights.items())
+    q = _rotations(np.random.default_rng(seed), 1)[0]
+    x = lift(q @ np.diag(lam) @ q.T)
+    span = orthonormal_span([lift(m) for m in _SYMMETRIC], shape=x.shape,
+                            complex_field=rep == "qubit")
+    tangent = _audit_tangent(exact, x, span)
+    if len(weights) == 1:  # an orbit ray: x and its brackets, no more
+        ray = orthonormal_span([x, *comm(np.asarray(exact.seeds), x)], shape=x.shape,
+                               complex_field=rep == "qubit")
+        assert tangent.dim == ray.dim
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_family(source: str) -> ConjugationFamily:
+    """The grid1 family of a saturated example 2, example 3 or phase_flip
+    (control x) wedge, or `_family`'s random r3 or qubit one."""
+    if source in ("r3", "qubit"):
+        return _family(source, "grid1", 3)
+    spec = ChannelSpec(name=source, control_axes=("x",), drift_axis="z") \
+        if source == "phase_flip" else ChannelSpec(name=source)
+    return saturate(initial_wedge(build_system(spec)), orbit_samples=24).cone.analytic
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("example2", "example3", "phase_flip", "r3", "qubit")),
+       st.dictionaries(st.integers(0, 11), st.integers(1, 4), min_size=1, max_size=5))
+def test_moment_curve_tangent_is_certified_by_differences(source, weights):
+    """Conic mixes, by integer weights, of 1 to 5 orbit points at multiples of
+    a twelfth of the period: a single atom, faces of up to d atoms, and
+    interior points.  Separated atoms and integer weights keep every draw a
+    margin away from a lower face."""
+    fam = _moment_family(source)
+    exact = fam.exact
+    atoms = fam.elements(np.array(sorted(weights))[:, None] * (fam.periods[0] / 12))
+    x = np.tensordot([weights[k] for k in sorted(weights)], atoms, axes=1)
+    complex_field = np.iscomplexobj(fam.base)
+    span = orthonormal_span(list(unrealify_stack(exact.basis, x.shape, True)),
+                            shape=x.shape, complex_field=complex_field)
+    tangent = _audit_tangent(exact, x, span)
+    if len(weights) == 1:  # one atom: the ray and the orbit's direction
+        assert tangent.dim == 2
+
+
+# ---------------------------------------------------------------------------
 # saturate's stable-edge spot check, the Gram-product novelty filter, the
 # singular-value wedge dimension and the Newton support ascent
 # ---------------------------------------------------------------------------

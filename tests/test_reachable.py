@@ -334,6 +334,25 @@ def test_random_schedule_rejects_a_depth_below_one(depth, message):
         random_schedule(1, depth, 1.0, 0)
 
 
+@pytest.mark.parametrize("horizon, message", [
+    (-1.0, r"horizon must be nonnegative and finite, got -1\.0"),
+    (np.inf, "horizon must be nonnegative and finite, got inf"),
+    (np.nan, "horizon must be nonnegative and finite, got nan"),
+])
+def test_a_horizon_that_is_not_nonnegative_and_finite_is_refused_by_name(horizon, message):
+    """A negative horizon surfaced as a negative segment duration and an
+    infinite one as a non-finite segment, neither naming the horizon."""
+    with pytest.raises(ValueError, match=message):
+        random_schedule(1, 2, horizon, 0)
+    with pytest.raises(ValueError, match=message):
+        sample_reachable(_qubit_system(), 2, 2, horizon=horizon)
+
+
+def test_a_zero_horizon_gives_zero_durations():
+    assert all(d == 0.0 for d, _ in random_schedule(2, 3, 0.0, 0).segments)
+    assert len(sample_reachable(_qubit_system(), 2, 2, horizon=0)) == 2
+
+
 def test_random_schedule_takes_a_zero_amplitude_bound():
     sched = random_schedule(2, 3, 1.0, 0, u_max=0.0)
     assert all(u == (0.0, 0.0) for _, u in sched.segments)

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from scipy.linalg import logm
 
 from liewedge import semialgebra
+from liewedge import wedge as wedge_module
 
 from liewedge.channels import (H_X, H_Y, H_Z, P_X, P_Y, P_Z, ChannelSpec, build_system,
                                example2, example3)
 from liewedge.liealg import orthocomplement, subspace_equal, subspace_leq
 from liewedge.matcore import (Subspace, comm, eig_sym, expm, fro, inner,
                               orthonormal_span)
-from liewedge.semialgebra import (_FACE_GUARD, bch, bch_witness, expected_tangent,
+from liewedge.semialgebra import (bch, bch_witness, expected_tangent,
                                   orbit_wedge, semialgebra_case,
                                   semialgebra_probe, tangent_space)
 from liewedge.wedge import (Cone, ConjugationFamily, Wedge, dual_cone_margin,
@@ -151,6 +152,14 @@ def test_tangent_contains_edge_and_generator_line():
         assert subspace_leq(need, t)
 
 
+def test_expected_tangent_refuses_an_unknown_case():
+    """"v" returned case iv's 7-dimensional space."""
+    message = r"case_id must be one of \('i', 'ii', 'iii', 'iv'\), got 'v'"
+    for call in (expected_tangent, semialgebra_case):
+        with pytest.raises(ValueError, match=message):
+            call("v", (3.0, 2.0, 1.0))
+
+
 def test_expected_tangent_matches_case_dims():
     for cid, (dim, _) in CASE_TABLE.items():
         rates = semialgebra_case(cid)["rates"]
@@ -253,7 +262,7 @@ def test_closed_form_tangent_matches_the_spectral_dual_face(rates, seed, scale, 
     skew = rng.normal(size=(3, 3))
     a_mat = scale * q @ np.diag(gamma) @ q.T + offset * (skew - skew.T)
     x = a_mat - w.edge.project(a_mat)
-    assert w.cone.analytic.exact.tangent(x) is not None
+    assert len(w.cone.analytic.exact.tangent(x, w.cone.tol)) == 4  # x and its [s_i, x]
 
     g = gamma / np.linalg.norm(gamma)
     groups = _eig_groups(g)
@@ -266,16 +275,17 @@ def test_closed_form_tangent_matches_the_spectral_dual_face(rates, seed, scale, 
         phi = v_a @ d @ v_a.T
         phi = phi / fro(phi)
         assert dual_cone_margin(g, phi) >= -1e-9
-        assert abs(inner(phi, a_mat)) <= _FACE_GUARD * max(1.0, fro(a_mat))
+        assert abs(inner(phi, a_mat)) <= 1e-8 * max(1.0, fro(a_mat))
         phis.append(phi)
     sampled = orthocomplement(orthonormal_span(phis, shape=(3, 3), complex_field=False))
     closed = tangent_space(w, a_mat)
     assert subspace_equal(sampled, closed) and subspace_equal(closed, sampled)
 
 
-def test_indefinite_base_takes_the_sampled_face(monkeypatch):
-    """An indefinite base has a closed-form support but no closed-form
-    tangent space: `tangent_space` projects onto the dual face by NNLS."""
+def test_indefinite_base_of_zero_trace_is_undecided():
+    """An indefinite base whose rates sum to 0 has a closed-form support but
+    no Schur-Horn bounds, so the cone certifies no closed form and
+    `tangent_space` leaves the tangent space undecided."""
     base = np.diag([1.0, 0.0, -1.0])
     seeds = tuple(np.asarray(h) / fro(h) for h in (H_X, H_Y, H_Z))
     fam = ConjugationFamily(seeds, base)
@@ -283,41 +293,96 @@ def test_indefinite_base_takes_the_sampled_face(monkeypatch):
     w = Wedge(edge=orthonormal_span(list(seeds)),
               cone=Cone(generators=tuple(gens), shape=(3, 3), complex_field=False,
                         analytic=fam))
-    assert fam.exact is not None and fam.exact.tangent(base) is None
-    calls = []
-    project = semialgebra._dual_face_project
-
-    def counted(*args):
-        calls.append(1)
-        return project(*args)
-
-    monkeypatch.setattr(semialgebra, "_dual_face_project", counted)
-    tangent_space(w, base + np.asarray(H_Z), face_samples=8)
-    assert len(calls) == 8
+    assert fam.exact is not None and w.cone.exact is None
+    assert tangent_space(w, base + np.asarray(H_Z)) is None
 
 
-def test_generator_off_the_orbit_takes_the_sampled_face(monkeypatch):
+def test_generator_off_the_orbit_is_undecided():
     """A stored generator outside the family's orbit cone (diag(1, 0, 0) next
     to the orbit of diag(3, 2, 1)) withholds the certified closed form, so
-    `tangent_space` samples the dual face even at an orbit point, where the
-    family alone would give a closed-form tangent."""
+    `tangent_space` returns None even at an orbit point, where the family
+    alone would decide the tangent space."""
     seeds = tuple(np.asarray(h) / fro(h) for h in (H_X, H_Y, H_Z))
     base = np.diag([3.0, 2.0, 1.0])
     fam = ConjugationFamily(seeds, base)
     cone = Cone(generators=(base, np.diag([1.0, 0.0, 0.0])), shape=(3, 3),
                 complex_field=False, analytic=fam)
     w = Wedge(edge=orthonormal_span(list(seeds)), cone=cone)
-    assert cone.exact is None and fam.exact.tangent(base) is not None
-    calls = []
-    project = semialgebra._dual_face_project
+    assert cone.exact is None and len(fam.exact.tangent(base, cone.tol)) == 4
+    assert tangent_space(w, base + np.asarray(H_Z)) is None
 
-    def counted(*args):
-        calls.append(1)
-        return project(*args)
 
-    monkeypatch.setattr(semialgebra, "_dual_face_project", counted)
-    tangent_space(w, base + np.asarray(H_Z), face_samples=8)
-    assert len(calls) == 8
+@pytest.mark.parametrize("name", ["example2", "example3", "phase_flip"])
+def test_grid1_orbit_points_have_a_three_dimensional_tangent(probe_wedges, name):
+    """At A = 2 gamma(theta) plus an edge part, T_A is the edge plus
+    span{x, [s, x]} both ways: dimension 3 (the sampled dual face gave 2)."""
+    w = probe_wedges[name]
+    fam = w.cone.analytic
+    for theta in np.random.default_rng(7).uniform(0.0, fam.periods[0], 5):
+        x = 2.0 * fam.element([theta])
+        t = tangent_space(w, x + 0.7 * w.edge.mats[0])
+        want = orthonormal_span([*w.edge.mats, x, *comm(np.asarray(fam.seeds), x)])
+        assert t.dim == want.dim == 3
+        assert subspace_equal(t, want) and subspace_equal(want, t)
+
+
+def test_example3_two_atom_face_has_a_five_dimensional_tangent(probe_wedges):
+    """Two atoms of the degree-2 moment curve span a face of the cone: T_A is
+    the edge plus span{gamma(theta_j), [s, gamma(theta_j)]}, dimension 5."""
+    w = probe_wedges["example3"]
+    fam = w.cone.analytic
+    atoms = fam.elements(np.array([[0.4], [2.1]]))
+    t = tangent_space(w, atoms[0] + 2.0 * atoms[1])
+    want = orthonormal_span([*w.edge.mats, *atoms, *comm(np.asarray(fam.seeds), atoms)])
+    assert t.dim == want.dim == 5
+    assert subspace_equal(t, want) and subspace_equal(want, t)
+
+
+@pytest.mark.parametrize("name", ["example2", "example3", "phase_flip", "rates321"])
+def test_tangent_is_everything_inside_and_the_edge_at_the_apex(probe_wedges, name):
+    """Inside the cone T_A is the edge plus the cone's whole span (the moment
+    span, or the symmetric matrices); at an A in the edge it is the edge."""
+    w = probe_wedges[name]
+    fam = w.cone.analytic
+    if name == "rates321":
+        inside, cone_dim = np.diag([3.0, 2.5, 2.0]), 6
+    else:
+        thetas = np.linspace(0.0, fam.periods[0], 7, endpoint=False)[:, None]
+        inside, cone_dim = fam.elements(thetas).sum(0), fam.exact.basis.shape[1]
+    assert tangent_space(w, inside + w.edge.mats[0]).dim == w.edge.dim + cone_dim
+    apex = tangent_space(w, 3.0 * w.edge.mats[0])
+    assert subspace_equal(apex, w.edge) and subspace_equal(w.edge, apex)
+
+
+def test_two_qubit_c_tangent_is_undecided(branch_wedges):
+    """two_qubit_C's torus family has no closed form: None, where the
+    sampled dual face gave dimension 320 in a wedge that spans 15."""
+    w = branch_wedges["two_qubit_C"]
+    assert w.cone.exact is None
+    assert tangent_space(w, w.cone.generators[0]) is None
+
+
+def test_isotropic_case_at_lam_zero_has_the_edge_as_tangent():
+    """lam 0 leaves the case wedge without a cone: T_A is so(3)."""
+    r = semialgebra_case("i", {"lam": 0})
+    assert (r["tangent_dim"], r["expected_dim"], r["verdict"]) == (3, 3, "semialgebra")
+    assert r["tangent_matches_closed_form"]
+
+
+def test_tangent_space_draws_nothing_and_fits_nothing(monkeypatch, probe_wedges):
+    """Every decided tangent space comes from a closed form: no random draw,
+    no NNLS solve, and the same bytes for every seed."""
+    points = {name: probe_wedges[name].cone.generators[5] for name in probe_wedges}
+    want = {name: tangent_space(probe_wedges[name], a).stack.tobytes()
+            for name, a in points.items()}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tangent_space drew a random number or made a fit")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(wedge_module, "nnls", forbidden)
+    for name, a in points.items():
+        assert tangent_space(probe_wedges[name], a, seed=9).stack.tobytes() == want[name]
 
 
 def test_cases_need_no_sampled_hull(monkeypatch):
@@ -626,10 +691,16 @@ def test_seeds_are_checked_before_any_work(probe_wedges, seed):
     ({"hull_samples": -3}, "hull_samples must be an integer >= 0, got -3"),
     ({"hull_samples": 2.5}, r"hull_samples must be an integer >= 0, got 2\.5"),
     ({"hull_samples": True}, "hull_samples must be an integer >= 0, got True"),
+    ({"tol": -1.0}, r"tol must be positive and finite, got -1\.0"),
+    ({"tol": 0}, r"tol must be positive and finite, got 0\.0"),
+    ({"tol": np.nan}, "tol must be positive and finite, got nan"),
+    ({"tol": np.inf}, "tol must be positive and finite, got inf"),
 ])
 def test_orbit_wedge_rejects_bad_settings(kwargs, message):
     """A non-finite rate built a cone with a non-finite stack (and numpy
-    RuntimeWarnings), -3 hull samples ran as 0 and 2.5 leaked a TypeError."""
+    RuntimeWarnings), -3 hull samples ran as 0 and 2.5 leaked a TypeError,
+    and a tol that is not positive and finite was stored and failed only at
+    the first query."""
     kwargs = {"rates": (3.0, 2.0, 1.0), **kwargs}
     with pytest.raises(ValueError, match=message):
         orbit_wedge(**kwargs)
@@ -641,15 +712,6 @@ def test_semialgebra_case_refuses_a_seed_that_is_not_a_count(seed):
     message = f"seed must be an integer >= 0, got {seed!r}".replace(".", r"\.")
     with pytest.raises(ValueError, match=message):
         semialgebra_case("iv", {"seed": seed})
-
-
-@pytest.mark.parametrize("face_samples", [-3, 0, 2.5, True])
-def test_tangent_space_refuses_a_bad_face_sample_count(probe_wedges, face_samples):
-    """-3 face samples were accepted and sampled no functional."""
-    w = probe_wedges["rates321"]
-    message = f"face_samples must be an integer >= 1, got {face_samples!r}".replace(".", r"\.")
-    with pytest.raises(ValueError, match=message):
-        tangent_space(w, w.cone.generators[0], face_samples=face_samples)
 
 
 def test_orbit_wedge_takes_zero_and_numpy_integer_hull_samples():
