@@ -302,23 +302,43 @@ def orbit_wedge(rates, hull_samples: int = 192, seed: int = 0,
     return Wedge(edge=edge, cone=cone, drift=gamma)
 
 
+def _checked_rates(case_id: str, rates) -> tuple:
+    """`rates` as three floats, after checking that they fit the case's
+    pattern: i (lam, lam, lam) with lam >= 0, ii (gamma, 0, 0) and iii
+    (gamma, gamma, 0) with gamma > 0, iv a > b > c >= 0; else ValueError."""
+    rates = tuple(float(v) for v in rates)
+    if len(rates) != 3:
+        raise ValueError(f"case {case_id} needs three rates, got {rates}")
+    a, b, c = rates
+    if case_id == "i":
+        if a < 0:
+            raise ValueError(f"case i needs lam >= 0, got {a}")
+        if not a == b == c:
+            raise ValueError(f"case i needs rates (lam, lam, lam), got {rates}")
+    elif case_id in ("ii", "iii"):
+        if a <= 0:
+            raise ValueError(f"case {case_id} needs gamma > 0, got {a}")
+        if rates != ((a, 0.0, 0.0) if case_id == "ii" else (a, a, 0.0)):
+            pattern = "(gamma, 0, 0)" if case_id == "ii" else "(gamma, gamma, 0)"
+            raise ValueError(f"case {case_id} needs rates {pattern}, got {rates}")
+    elif not a > b > c >= 0:
+        raise ValueError(f"case iv needs rates a > b > c >= 0, got {rates}")
+    return rates
+
+
 def _case_setup(case_id: str, params: dict) -> tuple:
     """(rates, A, witness direction B or None) for the four rate patterns."""
     if case_id == "i":
         lam = float(params.get("lam", 1.0))
-        if lam < 0:
-            raise ValueError(f"case i needs lam >= 0, got {lam}")
+        rates = _checked_rates("i", (lam, lam, lam))
         omega = np.asarray(params.get("omega", H_Z), dtype=float)
-        return (lam, lam, lam), lam * np.eye(3) + omega, None
+        return rates, lam * np.eye(3) + omega, None
     if case_id in ("ii", "iii"):
         g = float(params.get("gamma", 1.0))
-        if g <= 0:
-            raise ValueError(f"case {case_id} needs gamma > 0, got {g}")
-        rates, h, b = ((g, 0.0, 0.0), H_Z, P_Z) if case_id == "ii" else ((g, g, 0.0), H_Y, P_Y)
+        rates = _checked_rates(case_id, (g, 0.0, 0.0) if case_id == "ii" else (g, g, 0.0))
+        h, b = (H_Z, P_Z) if case_id == "ii" else (H_Y, P_Y)
         return rates, np.diag(rates) + h, b
-    rates = tuple(float(v) for v in params.get("rates", (3.0, 2.0, 1.0)))
-    if not (rates[0] > rates[1] > rates[2] >= 0):
-        raise ValueError(f"case iv needs rates a > b > c >= 0, got {rates}")
+    rates = _checked_rates("iv", params.get("rates", (3.0, 2.0, 1.0)))
     return rates, np.diag(rates) + H_Z, P_Z
 
 
@@ -328,12 +348,14 @@ def _checked_case(case_id: str):
 
 
 def expected_tangent(case_id: str, rates) -> Subspace:
-    """Closed-form tangent space for the four rate patterns (else ValueError)."""
+    """Closed-form tangent space for the four rate patterns; a case_id or
+    rates that do not fit one (`_checked_rates`) raise ValueError."""
     _checked_case(case_id)
-    gamma = np.diag(np.sort([float(v) for v in rates])[::-1])
+    rates = _checked_rates(case_id, rates)
+    gamma = np.diag(rates)
     mats = [H_X, H_Y, H_Z]
     if case_id == "i":
-        mats += [np.eye(3)] if float(rates[0]) > 0 else []
+        mats += [np.eye(3)] if rates[0] > 0 else []
     elif case_id == "ii":
         mats += [gamma, P_Y, P_Z]
     elif case_id == "iii":

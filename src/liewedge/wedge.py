@@ -7,7 +7,9 @@ the edge plus the negatives of the cone elements).  Cones carry finitely
 many unit-norm sampled generators plus, where available, an analytic
 conjugation family: the edge's orthonormal basis as skew seeds and the
 drift's edge-orthogonal part as base, from which the family derives its
-kind, periods, support search and closed forms (`exact`).  Membership is
+kind (a torus where the seeds co-diagonalise, whose one frequency table
+gives its box, sweep and support search; an orbit otherwise) and closed
+forms (`exact`).  Membership is
 exact where the family has a closed form that the cone certifies
 (`Cone.exact`: Schur-Horn bounds for full-rotation orbits,
 Caratheodory-Toeplitz bounds for one-parameter orbits with commensurate
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar, nnls
+from scipy.optimize import minimize, nnls
 
 from .liealg import lie_closure
 from .lindblad import (ControlSystem, _pauli_vecs, coherence_rep, control_directions,
@@ -50,9 +52,10 @@ _CG_MAX_NEW = 60
 # largest distance from a stored unit generator to the family's cone at
 # which `Cone.exact` still lets the closed form decide membership
 _CERTIFIED = 1e-12
-# support candidates (`ConjugationFamily._support_grid`) per family, by kind
-_SUPPORT_CANDIDATES = {"grid1": 2048, "grid2": 64 * 64, "orbit": 128}
-# Newton ascent of the support on commuting seeds (`ConjugationFamily._ascend`):
+# support candidates (`ConjugationFamily._support_grid`): torus grids of 2048
+# points on one parameter and 4096 (64x64, 16^3) on more; orbit draws
+_TORUS_CANDIDATES, _ORBIT_CANDIDATES = (2048, 4096), 128
+# Newton ascent of the support on a torus (`ConjugationFamily._ascend`):
 # most steps, halvings per step, and the Hessian eigenvalue floor relative to
 # sum_k |c_k| |freqs_k|^2
 _NEWTON_STEPS = 32
@@ -66,13 +69,6 @@ _SUBSETS = np.vstack([np.eye(3), 1.0 - np.eye(3)[::-1]])
 # ---------------------------------------------------------------------------
 # analytic conjugation families
 # ---------------------------------------------------------------------------
-
-def _period(seed: np.ndarray) -> float:
-    """Period of theta -> expm(theta*seed) for a skew/anti-Hermitian seed."""
-    w = np.linalg.eigvals(np.asarray(seed, dtype=complex))
-    omega = float(np.abs(np.imag(w)).max()) if w.size else 0.0
-    return 2.0 * np.pi / omega if omega > 1e-9 else 2.0 * np.pi
-
 
 @dataclass(frozen=True)
 class RotationOrbit:
@@ -266,24 +262,38 @@ class MomentCurve:
         return lower, upper
 
 
+def _frequency_units(m, freqs, index):
+    """The unit rule of a torus from its `_phases` (m, freqs, index): the
+    mask of frequencies carrying the base (a part > 1e-12 |m|); per axis,
+    over the live ones (carrying, and above the merge tolerance 1e-12 max(1,
+    max|freqs|) there, below which a component is noise), their least
+    magnitude u_i (1 if none), multiples rint(freq / u_i) (else 0), and
+    whether each is within 1e-9 relative of its multiple (near-resonant
+    counts as resonant), so that 2 pi / u_i is a period."""
+    part = np.sqrt(np.bincount(index, np.abs(m.ravel()) ** 2, len(freqs)))
+    carried = part > 1e-12 * fro(m)
+    live = carried[:, None] & (np.abs(freqs) > 1e-12 * max(1.0, float(np.abs(freqs).max())))
+    size = np.where(live, np.abs(freqs), np.inf).min(axis=0)
+    units = np.where(np.isfinite(size), size, 1.0)
+    steps = np.where(live, np.rint(freqs / units), 0.0)
+    integral = ~np.any(live & (np.abs(freqs - steps * units) > 1e-9 * np.abs(freqs)), axis=0)
+    return carried, units, steps, integral
+
+
 def _moment_curve(q, m, freqs, index):
     """The `MomentCurve` of a one-parameter family from its `_phases`, or
-    None unless the frequencies carrying a part of norm > 1e-12 |m| are the
-    integer multiples k of one unit (within 1e-9 relative) for every k in
-    -d..d, and the moment map is injective (singular values above
+    None unless, by the unit rule of `_frequency_units`, the frequencies
+    carrying the base are the integer multiples k of one unit for every k
+    in -d..d, and the moment map is injective (singular values above
     `RANK_TOL` of the largest)."""
-    part = np.sqrt(np.bincount(index, np.abs(m.ravel()) ** 2, len(freqs)))
-    live = part > 1e-12 * fro(m)
-    f = freqs[:, 0]
-    nonzero = np.abs(f[live & (f != 0.0)])
-    unit = nonzero.min() if nonzero.size else 1.0
-    k = np.rint(f / unit)
-    if np.any(np.abs(f - k * unit)[live] > 1e-9 * np.abs(f[live])):
+    carried, _, steps, integral = _frequency_units(m, freqs, index)
+    if not integral[0]:
         return None
-    d = int(k[live].max(initial=0))
-    if not np.array_equal(np.unique(k[live]), np.arange(-d, d + 1)):
+    k = steps[:, 0]
+    d = int(k[carried].max(initial=0))
+    if not np.array_equal(np.unique(k[carried]), np.arange(-d, d + 1)):
         return None
-    ks = np.where(live, k, np.inf)[index].reshape(m.shape)
+    ks = np.where(carried, k, np.inf)[index].reshape(m.shape)
     parts = {j: q @ (m * (ks == j)) @ q.conj().T for j in range(-d, d + 1)}
     cols = [parts[0]]
     for j in range(1, d + 1):
@@ -308,14 +318,14 @@ class ConjugationFamily:
 
     A family is its seeds, which must be skew (r3) or anti-Hermitian
     (superoperators), and its base; the constructor rejects any other seed.
-    Everything else derives from them.  ``kind`` selects the sampling and
-    support strategy: 'grid1' for one seed (periodic one-parameter sweep),
-    'grid2' for two commuting seeds (torus), 'orbit' otherwise (random
-    exponentials of the seeds' span).  ``periods`` holds each seed's
-    rotation period.  Callers pass a base orthogonal to the edge the seeds
-    span; since edge conjugation is an isometry fixing the edge, every
-    family element stays orthogonal to it.  Every element comes from the
-    batched kernel `elements`.
+    Everything else derives from them.  ``kind`` is 'torus' when the seeds
+    co-diagonalise (`_phases`): one frequency table gives the box
+    ``periods`` (2 pi / u_i by `_frequency_units`), sweep, support search
+    and closed forms, and ``periodic`` says if the box is a true period.
+    Otherwise it is 'orbit' (random exponentials of the seeds' span).
+    Callers pass a base orthogonal to the edge the seeds span; since edge
+    conjugation is an isometry fixing the edge, every family element stays
+    orthogonal to it.  Every element comes from the kernel `elements`.
     """
 
     seeds: tuple
@@ -334,19 +344,20 @@ class ConjugationFamily:
     def _seed_stack(self) -> np.ndarray:
         return np.stack(self.seeds)
 
-    @cached_property
+    @property
     def kind(self) -> str:
-        if self.n_params == 1:
-            return "grid1"
-        if self.n_params == 2:
-            e1, e2 = self._seed_stack
-            if fro(e1 @ e2 - e2 @ e1) <= 1e-10:
-                return "grid2"
-        return "orbit"
+        return "orbit" if self._phases is None else "torus"
 
     @cached_property
-    def periods(self) -> tuple:
-        return tuple(_period(s) for s in self._seed_stack)
+    def periods(self):
+        """The torus box, 2 pi / u_i per parameter; None on an orbit."""
+        units = None if self.kind == "orbit" else _frequency_units(*self._phases[1:])[1]
+        return None if units is None else tuple((2.0 * np.pi / units).tolist())
+
+    @property
+    def periodic(self) -> bool:
+        """Whether the family is a torus whose box is a true period."""
+        return self.kind == "torus" and bool(_frequency_units(*self._phases[1:])[3].all())
 
     @cached_property
     def _phases(self):
@@ -367,8 +378,9 @@ class ConjugationFamily:
             ws = [w0]
         else:
             # commuting seeds: a generic combination separates the joint
-            # eigenbasis, then each seed is diagonal in it
-            _, q = np.linalg.eigh(hs[0] + np.sqrt(2.0) * hs[1])
+            # eigenbasis; its weights, powers of 1 / pi, are independent over
+            # the algebraic numbers, so no relation of the spectra cancels
+            _, q = np.linalg.eigh(sum((h / np.pi ** k for k, h in enumerate(hs[1:], 1)), hs[0]))
             ws = [np.real(np.diag(q.conj().T @ h @ q)) for h in hs]
             if not all(np.linalg.norm(q.conj().T @ h @ q - np.diag(w)) < 1e-8
                        for h, w in zip(hs, ws)):
@@ -408,19 +420,19 @@ class ConjugationFamily:
         return self.elements([params])[0]
 
     def _params(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Parameter rows of a sweep: n uniform points per period and
-        parameter for grid kinds (grid1 n = count, grid2 n = ceil(sqrt(count))
-        with the second parameter fastest), `count` seeded normal draws for
-        orbits."""
+        """Parameter rows of a sweep: n uniform points per parameter over a
+        torus's box (n = count for one parameter, else the least n >= 2 with
+        n^p >= count, the last fastest), `count` seeded normal draws on an
+        orbit."""
+        p = self.n_params
         if self.kind == "orbit":
-            return rng.normal(scale=np.pi / np.sqrt(self.n_params),
-                              size=(count, self.n_params))
-        n = count if self.kind == "grid1" else max(2, int(np.ceil(np.sqrt(count))))
-        axes = np.meshgrid(*(np.arange(n) * (p / n) for p in self.periods), indexing="ij")
+            return rng.normal(scale=np.pi / np.sqrt(p), size=(count, p))
+        n = count if p == 1 else max(2, next(n for n in range(1, count + 1) if n ** p >= count))
+        axes = np.meshgrid(*(np.arange(n) * (box / n) for box in self.periods), indexing="ij")
         return np.stack([t.ravel() for t in axes], axis=1)
 
     def sweep(self, count: int, rng: np.random.Generator):
-        """Deterministic grid (grid kinds) or random exponentials (orbit)."""
+        """Deterministic grid (torus) or random exponentials (orbit)."""
         if count < 1:
             return []
         thetas = self._params(count, rng)
@@ -431,23 +443,17 @@ class ConjugationFamily:
     def _objective(self, direction: np.ndarray):
         """theta stack -> <element(theta), direction>, one value per row.
 
-        Where the seeds co-diagonalise, f is a trigonometric polynomial:
-        the per-entry coefficients are computed here once and summed per
-        distinct frequency with `bincount`, so `values(thetas, waves=None)`
-        is Re(exp(i theta . freqs^T) c), one exponential per frequency;
-        `waves` passes those plane waves when the caller has them.
-        Otherwise it takes inner products of `elements`."""
-        if self._phases is None:
+        On a torus, f is a trigonometric polynomial: the per-entry
+        coefficients are summed once per distinct frequency with `bincount`,
+        so `f(thetas, waves=None)` is Re(exp(i theta . freqs^T) c), one
+        exponential per frequency, or `waves` when the caller has them.  On
+        an orbit it takes inner products of `elements`."""
+        if self.kind == "orbit":
             return lambda thetas: np.real(np.sum(np.conj(self.elements(thetas)) * direction,
                                                  axis=(1, 2)))
         c = self._coefficients(direction)
-
-        def values(thetas, waves=None):
-            if waves is None:
-                waves = self._waves(thetas)
-            return np.real(waves @ c)
-
-        return values
+        return lambda thetas, waves=None: np.real(
+            (self._waves(thetas) if waves is None else waves) @ c)
 
     def _coefficients(self, direction: np.ndarray) -> np.ndarray:
         """Coefficients c of f(theta) = Re sum_k c_k exp(i theta . freqs_k),
@@ -458,20 +464,16 @@ class ConjugationFamily:
                 + 1j * np.bincount(index, coeff.imag, len(freqs)))
 
     def _ascend(self, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Safeguarded Newton ascent on f(theta) = Re sum_k c_k exp(i theta .
-        freqs_k) from `theta`.
-
-        With w_k = c_k exp(i theta . freqs_k), the gradient is -Im sum_k
-        freqs_k w_k and the Hessian -Re sum_k w_k freqs_k freqs_k^T, both
-        from one exponential per merged frequency.  Each Hessian eigenvalue
-        is replaced by its absolute value, floored at `_NEWTON_FLOOR` times
-        sum_k |c_k| |freqs_k|^2 (a bound on the Hessian's norm), so the step
-        always ascends and a degenerate torus, whose Hessian is singular
-        along the directions that do not move the element, takes a scaled
-        gradient step there.  A step is halved until f is no lower than
-        before, up to f's rounding; the ascent stops once the gradient is at
-        rounding level, no step is accepted, or after `_NEWTON_STEPS`
-        steps."""
+        """Safeguarded Newton ascent on a torus's f(theta) = Re sum_k c_k
+        exp(i theta . freqs_k) from `theta`.  With w_k = c_k exp(i theta .
+        freqs_k), the gradient is -Im sum_k freqs_k w_k and the Hessian -Re
+        sum_k w_k freqs_k freqs_k^T.  Each Hessian eigenvalue is replaced by
+        its absolute value, floored at `_NEWTON_FLOOR` sum_k |c_k|
+        |freqs_k|^2 (a bound on the Hessian's norm), so every step ascends,
+        a scaled gradient step where a degenerate torus's Hessian is
+        singular.  A step is halved until f is no lower, up to its rounding;
+        the ascent stops at a rounding-level gradient, a rejected step, or
+        after `_NEWTON_STEPS` steps."""
         freqs = self._phases[2]
         size = np.abs(c)
         gtol = 1e-13 * float(size @ np.linalg.norm(freqs, axis=1))
@@ -509,10 +511,12 @@ class ConjugationFamily:
     @cached_property
     def _support_grid(self):
         """Support candidates, built on first use: the `_params` rows of a
-        `_SUPPORT_CANDIDATES` sweep (orbit draws seeded with 0) and, where
-        the seeds co-diagonalise, their plane waves."""
-        thetas = self._params(_SUPPORT_CANDIDATES[self.kind], np.random.default_rng(0))
-        return thetas, None if self._phases is None else self._waves(thetas)
+        sweep, on a torus the grid of `_TORUS_CANDIDATES` points with their
+        plane waves, on an orbit `_ORBIT_CANDIDATES` draws seeded with 0."""
+        orbit = self.kind == "orbit"
+        count = _ORBIT_CANDIDATES if orbit else _TORUS_CANDIDATES[self.n_params > 1]
+        thetas = self._params(count, np.random.default_rng(0))
+        return thetas, None if orbit else self._waves(thetas)
 
     def support(self, direction: np.ndarray):
         """Family element maximizing the inner product against `direction`,
@@ -521,19 +525,16 @@ class ConjugationFamily:
         Exact where `exact` holds a closed form that maps the direction
         (eigenvector alignment for full-rotation orbits, see
         `RotationOrbit.support`).  Otherwise the best of the family's fixed
-        candidates `_support_grid` (a 2048-point grid1 sweep, a 64x64 grid2
-        torus, or 128 orbit draws seeded with 0), refined once from there:
-        bounded Brent over one grid step either side for one parameter; a
-        safeguarded Newton ascent on the trigonometric polynomial
-        (`_ascend`) for two or more seeds that co-diagonalise (grid2, and
-        orbits of commuting seeds); Nelder-Mead for seeds that do not
-        commute.  So the result depends on the family and the direction
-        alone.  Where the seeds commute, the candidates' plane waves are
-        built once per family (one exponential per distinct frequency, see
-        `_objective`) and scored as one product with the direction's
-        coefficients.  The refinement is kept when it scores at least as
-        well, so the sampled result can only under-estimate the true support
-        (inner approximation).
+        candidates `_support_grid` (on a torus a grid over its box, 2048
+        points on one parameter, 64x64 on two, 16 per axis on three; on an
+        orbit 128 draws seeded with 0), refined once from there: on a torus
+        by a safeguarded Newton ascent on the trigonometric polynomial
+        (`_ascend`), on an orbit by Nelder-Mead.  So the result depends on
+        the family and the direction alone.  A torus builds the candidates'
+        plane waves once (see `_objective`) and scores them as one product
+        with the direction's coefficients.  The refinement is kept when it
+        scores at least as well, so the sampled result can only
+        under-estimate the true support (inner approximation).
         """
         if self.exact is not None:
             aligned = self.exact.support(direction)
@@ -543,13 +544,7 @@ class ConjugationFamily:
         thetas, waves = self._support_grid
         vals = f(thetas) if waves is None else f(thetas, waves)
         k = int(np.argmax(vals))
-        if self.n_params == 1:
-            step = self.periods[0] / _SUPPORT_CANDIDATES["grid1"]
-            res = minimize_scalar(lambda t: -float(f([[t]])[0]),
-                                  bounds=(thetas[k, 0] - step, thetas[k, 0] + step),
-                                  method="bounded", options={"xatol": 1e-12})
-            params, value = np.atleast_1d(res.x), float(-res.fun)
-        elif self._phases is not None:
+        if self.kind == "torus":
             params = self._ascend(self._coefficients(direction), thetas[k])
             value = float(f(params)[0])
         else:
@@ -574,7 +569,7 @@ class ConjugationFamily:
         caller that can use a closed form asks here first and samples
         otherwise.
         """
-        if self.kind == "grid1":
+        if self.n_params == 1:
             return _moment_curve(*self._phases)
         if self.n_params != 3 or self.base.shape not in ((3, 3), (4, 4)):
             return None
@@ -958,10 +953,12 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
     round after a stable edge adds nothing: exhaustively for small candidate
     sets, else by a membership spot-check of a freshly offset sweep (the
     family group property guarantees swept candidates stay in the analytic
-    cone).  If max_rounds is exhausted the partial result is returned with
-    ``converged: False`` in the report.  `orbit_samples` and `max_rounds`
-    must be integers >= 1, `seed` an integer >= 0 and `tol` positive and
-    finite; anything else raises ValueError before the first round.
+    cone), or at once without a family (a base of norm <= 1e-12).  The
+    partial result is returned with ``converged: False`` when max_rounds is
+    exhausted or a stable edge meets a torus that is not `periodic`, where
+    no box is a period (termination "aperiodic-torus").  `orbit_samples` and
+    `max_rounds` must be integers >= 1, `seed` an integer >= 0 and `tol`
+    positive and finite; anything else raises ValueError before round one.
     """
     orbit_samples = _checked_count("orbit_samples", orbit_samples, 1)
     max_rounds = _checked_count("max_rounds", max_rounds, 1)
@@ -992,17 +989,16 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
         # (b) re-project generators orthogonal to the edge
         base = drift - edge.project(drift)
         cols = _edge_orthogonal_units(edge, cols)
-        family = (ConjugationFamily(edge.mats, base)
-                  if edge.dim and fro(base) > 0.0 else None)
+        moving = fro(base) > 1e-12
+        family = ConjugationFamily(edge.mats, base) if edge.dim and moving else None
         cone = Cone(stack=cols, shape=shape, complex_field=complex_field,
                     analytic=family, tol=tol)
         if family is None:
-            if fro(base) > 1e-12:
+            if moving:
                 cone = Cone(generators=(base,), shape=shape,
                             complex_field=complex_field, tol=tol)
             report["novel_counts"].append(0)
-            report["converged"] = True
-            report["termination"] = "no-family"
+            report.update(converged=True, termination="no-family")
             break
 
         # (c) conjugation sweep: fresh base sweep + conjugated stored samples
@@ -1020,6 +1016,10 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
             novel = _edge_orthogonal_units(edge, cands)
         else:
             # (d) stable edge: novelty by membership of a freshly offset sweep
+            if family.kind == "torus" and not family.periodic:
+                report["novel_counts"].append(0)
+                report["termination"] = "aperiodic-torus"
+                break
             n_spot = min(32, max(8, orbit_samples // 32))
             if family.kind == "orbit":
                 spot = [g for _, g in family.sweep(n_spot, rng)]
@@ -1030,10 +1030,9 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
             outside = ~_spot_members(cone, unrealify_stack(spot, shape, complex_field), tol)
             if not outside.any():
                 report["novel_counts"].append(0)
-                report["converged"] = True
-                report["termination"] = ("membership-spot-check"
-                                         if family.kind == "orbit" or cone.n_generators > 64
-                                         else "membership")
+                report.update(converged=True, termination=(
+                    "membership-spot-check" if family.kind == "orbit" or cone.n_generators > 64
+                    else "membership"))
                 break
             novel = spot[:, outside]
         kept = _novel_columns(cols, novel)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from liewedge.channels import ChannelSpec, build_system
+from liewedge.channels import ChannelSpec, build_system, two_qubit_operator
 from liewedge.cli import (SystemFileError, _build_parser, format_system_file, main,
                           parse_system_file)
 from liewedge.lindblad import ControlSystem
@@ -140,6 +140,21 @@ def test_wedge_subcommand(qubit_path, capsys):
     assert report["edge_dim"] == 1
     assert report["saturation"]["orbit_samples"] == 240  # file option wins
     assert report["wedge_dim"] == 6
+
+
+def test_wedge_on_an_aperiodic_torus_exits_one(tmp_path, capsys):
+    """One control (z1 + sqrt(2) 1z) / 2 orbits densely on a two-torus that
+    no box of its one parameter covers: the report says unconverged, and the
+    command exits 1 as for any saturation that does not converge."""
+    control = (two_qubit_operator("z1") + np.sqrt(2.0) * two_qubit_operator("1z")) / 2.0
+    system = ControlSystem(rep="two_qubit", drift_H=np.zeros((4, 4)), controls=(control,),
+                           lindblad_ops=((two_qubit_operator("x1"), 1.0),
+                                         (two_qubit_operator("1x"), 0.5)))
+    path = tmp_path / "z_sqrt2.sys"
+    path.write_text(format_system_file(system, {"samples": 90}))
+    assert main(["wedge", "--system", str(path)]) == 1
+    saturation = json.loads(capsys.readouterr().out)["saturation"]
+    assert (saturation["converged"], saturation["termination"]) == (False, "aperiodic-torus")
 
 
 def test_conditions_subcommand(r3_path, capsys):

@@ -39,7 +39,7 @@ from liewedge import reachable
 from liewedge import wedge as wedge_module
 from liewedge.reachable import (Schedule, _jacobian, contraction_audit, propagate,
                                 random_schedule, sample_reachable, steer)
-from liewedge.wedge import (Cone, ConjugationFamily, Wedge, _cone_fit, _period, cone_contains,
+from liewedge.wedge import (Cone, ConjugationFamily, Wedge, _cone_fit, cone_contains,
                             cone_residual, initial_wedge, lineality, outer_contains, saturate,
                             wedge_contains)
 
@@ -516,18 +516,21 @@ def test_realify_stack_is_per_matrix_realify(rep, seed, m):
         assert np.array_equal(back[i], a)
 
 
-KINDS = ("grid1", "grid2", "orbit")
+# family shapes of `_family`: one seed, two commuting seeds (both tori) and
+# three random seeds (an orbit); `_commuting_family` adds three commuting ones
+KINDS = ("torus1", "torus2", "orbit")
+TORI = ("torus1", "torus2", "torus3")
 
 
 def _family(rep: str, kind: str, seed: int, skew: bool = True) -> ConjugationFamily:
     """Unit-norm seeds: skew 3x3 (r3) or i*ad_hat(H) (quantum), commuting
-    for grid2; a real (r3) or complex base; a perturbed, non-normal first
+    for torus2; a real (r3) or complex base; a perturbed, non-normal first
     seed unless `skew`, which the constructor rejects."""
     rng = np.random.default_rng(seed)
-    n_params = {"grid1": 1, "grid2": 2, "orbit": 3}[kind]
+    n_params = {"torus1": 1, "torus2": 2, "orbit": 3}[kind]
     if rep == "r3":
         first = _skew(rng)
-        seeds = ([first, 2.0 * first] if kind == "grid2"
+        seeds = ([first, 2.0 * first] if kind == "torus2"
                  else [_skew(rng) for _ in range(n_params)])
         if not skew:
             seeds[0] = seeds[0] + rng.normal(size=(3, 3))
@@ -535,7 +538,7 @@ def _family(rep: str, kind: str, seed: int, skew: bool = True) -> ConjugationFam
     else:
         n = HILBERT_DIM[rep]
         hs = [_hermitian(rng, n) for _ in range(n_params)]
-        if kind == "grid2":
+        if kind == "torus2":
             q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
             hs = [q @ np.diag(rng.normal(size=n)) @ q.conj().T for _ in range(2)]
         seeds = [1j * ad_hat(h) for h in hs]
@@ -543,7 +546,7 @@ def _family(rep: str, kind: str, seed: int, skew: bool = True) -> ConjugationFam
             seeds[0] = seeds[0] + rng.normal(size=seeds[0].shape)
         base = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
     fam = ConjugationFamily(tuple(s / fro(s) for s in seeds), base)
-    assert fam.kind == kind
+    assert fam.kind == ("orbit" if kind == "orbit" else "torus")
     return fam
 
 
@@ -569,9 +572,9 @@ def test_conjugation_kernel_matches_expm(rep, kind, seed, count):
     assert _close(fam.conjugate(g, params), _reference(fam, g, params), g)
     assert _close(fam.element(params), _reference(fam, fam.base, params), fam.base)
     swept = fam.sweep(count, rng)
-    if kind == "grid1":
+    if kind == "torus1":
         assert len(swept) == count
-    elif kind == "grid2":
+    elif kind == "torus2":
         assert len(swept) == max(2, int(np.ceil(np.sqrt(count)))) ** 2
     for p, elem in swept:
         assert p.shape == (fam.n_params,)
@@ -592,14 +595,14 @@ def test_non_skew_seeds_are_rejected(rep, kind, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(REPS), st.sampled_from(("grid1", "grid2")), st.integers(0, 2**32 - 1),
+@given(st.sampled_from(REPS), st.sampled_from(("torus1", "torus2")), st.integers(0, 2**32 - 1),
        st.integers(0, 6), st.booleans(), st.floats(0.0, 2.0), st.floats(-4.0, 4.0))
 def test_cone_fit_residual_never_exceeds_the_norm(rep, kind, seed, count, analytic,
                                                   noise, log_scale):
     """Zero lies in every cone, so a fit's residual is at most ||x||: the
     invariant the BCH-closure probe's edge screen rests on.  Stored
     generators from the family's sweep, with or without the family for
-    column generation (grid kinds: the random orbit search costs seconds per
+    column generation (tori: the random orbit search costs seconds per
     fit); x a signed mix of them plus noise, at any scale."""
     fam = _family(rep, kind, seed)
     rng = np.random.default_rng(seed)
@@ -616,22 +619,25 @@ def test_cone_fit_residual_never_exceeds_the_norm(rep, kind, seed, count, analyt
     assert _cone_fit(cone, x)[0] <= fro(x) * (1 + 1e-12)
 
 
-def _reference_kind(edge) -> str:
-    """The rule `saturate` applied to its edge before families derived it."""
-    if edge.dim == 1:
-        return "grid1"
-    if edge.dim == 2:
-        e1, e2 = edge.mats
-        return "grid2" if fro(e1 @ e2 - e2 @ e1) <= 1e-10 else "orbit"
-    return "orbit"
+def _reference_periods(fam: ConjugationFamily):
+    """None unless the seeds commute pairwise; else 2 pi / u_i per seed, u_i
+    the seed's least eigenphase difference above the merge tolerance (under
+    a dense base every difference is live)."""
+    if any(fro(a @ b - b @ a) > 1e-10 for a in fam.seeds for b in fam.seeds):
+        return None
+    deltas = [np.abs(np.subtract.outer(w, w))
+              for w in (np.linalg.eigvalsh(1j * np.asarray(s, dtype=complex)) for s in fam.seeds)]
+    floor = 1e-12 * max(1.0, max(d.max() for d in deltas))
+    return tuple(2.0 * np.pi / d[d > floor].min() for d in deltas)
 
 
 @SETTINGS
 @given(st.sampled_from(REPS), st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
 def test_derived_kind_matches_the_edge_rule(rep, seed, count, commuting):
     """Edges of 1-3 random (or commuting) rotation generators: the family
-    on the edge's basis derives the edge rule's kind and each seed's
-    period, and neither can be set."""
+    on the edge's basis is a torus exactly when its seeds commute, its box
+    holds 2 pi over each seed's least eigenphase difference, an orbit has
+    no box, and neither kind, box nor `periodic` can be set."""
     rng = np.random.default_rng(seed)
     if rep == "r3":
         first = _skew(rng)
@@ -644,11 +650,58 @@ def test_derived_kind_matches_the_edge_rule(rep, seed, count, commuting):
         gens = [1j * ad_hat(h) for h in hs]
     edge = orthonormal_span(gens)
     fam = ConjugationFamily(edge.mats, rng.normal(size=edge.shape))
-    assert fam.kind == _reference_kind(edge)
-    assert fam.periods == tuple(_period(m) for m in edge.mats)
-    for name in ("kind", "periods"):
+    want = _reference_periods(fam)
+    assert fam.kind == ("orbit" if want is None else "torus")
+    if want is None:
+        assert fam.periods is None and fam.periodic is False
+    else:
+        np.testing.assert_allclose(fam.periods, want, rtol=1e-9)
+    for name in ("kind", "periods", "periodic"):
         with pytest.raises(AttributeError):
             setattr(fam, name, getattr(fam, name))
+
+
+def _integer_torus(rep: str, p: int, seed: int, integral: bool) -> ConjugationFamily:
+    """p commuting unit-norm seeds around a dense base: integer multiples of
+    one skew matrix on r3, i*ad_hat(H_i) of jointly diagonal, non-scalar H_i
+    otherwise, whose spectra are integers (drawn from -3..3) when
+    `integral`, else normal draws."""
+    rng = np.random.default_rng(seed)
+    if rep == "r3":
+        first = _skew(rng)
+        seeds = [k * first for k in rng.choice([-3, -2, -1, 1, 2, 3], size=p)]
+        base = rng.normal(size=(3, 3))
+    else:
+        n = HILBERT_DIM[rep]
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        spectra = rng.integers(-3, 4, size=(p, n)).astype(float) if integral \
+            else rng.normal(size=(p, n))
+        spectra[:, 0] = spectra[:, 1] + 1.0  # no scalar H, whose seed is zero
+        seeds = [1j * ad_hat(q @ np.diag(w) @ q.conj().T) for w in spectra]
+        base = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+    return ConjugationFamily(tuple(s / fro(s) for s in seeds), base)
+
+
+@SETTINGS
+@given(st.sampled_from(REPS), st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_integer_spectra_make_the_box_a_period(rep, p, seed, integral):
+    """Commuting seeds of integer spectra (on r3 and a qubit, any rates) put
+    every frequency on an axis at an integer multiple of the axis's unit:
+    the torus is `periodic`, and shifting any parameter by its box returns
+    the element to within 1e-12 max(1, |base|).  Generic two-qubit spectra
+    have incommensurate frequencies, and the torus is not `periodic`."""
+    fam = _integer_torus(rep, p, seed, integral)
+    assert fam.kind == "torus"
+    if rep == "two_qubit" and not integral:
+        assert fam.periodic is False
+        return
+    assert fam.periodic is True
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 1.0, size=p) * np.array(fam.periods)
+    at = fam.element(theta)
+    for i, box in enumerate(fam.periods):
+        shifted = theta + box * np.eye(p)[i]
+        assert fro(fam.element(shifted) - at) <= 1e-12 * max(1.0, fro(fam.base))
 
 
 def _grid(fam: ConjugationFamily, n: int) -> np.ndarray:
@@ -664,7 +717,7 @@ def _reference_phases(fam: ConjugationFamily):
         w0, q = np.linalg.eigh(hs[0])
         ws = [w0]
     else:
-        _, q = np.linalg.eigh(hs[0] + np.sqrt(2.0) * hs[1])
+        _, q = np.linalg.eigh(sum((h / np.pi ** k for k, h in enumerate(hs[1:], 1)), hs[0]))
         ws = [np.real(np.diag(q.conj().T @ h @ q)) for h in hs]
         if not all(np.linalg.norm(q.conj().T @ h @ q - np.diag(w)) < 1e-8
                    for h, w in zip(hs, ws)):
@@ -693,10 +746,10 @@ def _unmerged(fam: ConjugationFamily, direction):
     return lambda thetas: _reference_values(fam, thetas, direction)
 
 
-def _reference_support_grid1(fam: ConjugationFamily, direction, f=None):
+def _reference_support_brent(fam: ConjugationFamily, direction):
     """2048-point grid, then bounded Brent over one grid step either side,
-    scored by `f` (default: the unmerged `_reference_values`)."""
-    f = _unmerged(fam, direction) if f is None else f
+    scored by the unmerged `_reference_values`."""
+    f = _unmerged(fam, direction)
     period, n = fam.periods[0], 2048
     thetas = _grid(fam, n)[:, 0]
     vals = f(thetas[:, None])
@@ -710,10 +763,10 @@ def _reference_support_grid1(fam: ConjugationFamily, direction, f=None):
     return [t_best], v_best
 
 
-def _reference_support_grid2(fam: ConjugationFamily, direction, f=None):
-    """64x64 torus, then Nelder-Mead from its best point, scored by `f`
-    (default: the unmerged `_reference_values`)."""
-    f = _unmerged(fam, direction) if f is None else f
+def _reference_support_nelder_mead(fam: ConjugationFamily, direction):
+    """64x64 torus, then Nelder-Mead from its best point, scored by the
+    unmerged `_reference_values`."""
+    f = _unmerged(fam, direction)
     grid = _grid(fam, 64)
     vals = f(grid)
     k = int(np.argmax(vals))
@@ -742,23 +795,23 @@ def _reference_support_random(fam: ConjugationFamily, direction, rng):
 @SETTINGS
 @given(st.sampled_from(REPS), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
 def test_merged_support_matches_the_three_routines(rep, kind, seed):
-    """Grid1, grid2 and (non-aligned) orbit families against the per-kind
-    routines the one search replaced.  Grid1 shares the candidate set and
-    refiner, so it returns the same element.  The orbit search and its
-    reference refine with the same Nelder-Mead options, so there the values
-    agree and the returned element scores the returned value.  Grid2
-    refines by Newton ascent where the
-    reference ran Nelder-Mead: the returned element scores the returned
-    value (to the rounding of `_scoring_tol`), it is stationary (<[s_i, g], D>, the derivative along each seed,
-    vanishes), and the value agrees with the reference's where f is
-    periodic on the candidate box.  That holds for the r3 and qubit seeds,
-    whose eigenphase differences are multiples of one unit.  A random
-    two-qubit torus has incommensurate frequencies, so the box spans no
-    period and the two ascents can end on different local peaks from the
-    same candidate (in a 400-seed scan Newton ended 0.11-0.34 |D| above the
-    reference on 3 seeds, on two of them where Nelder-Mead stopped at its
-    iteration cap, and never below it); there the value is held to at least
-    the reference's, one-sided."""
+    """One- and two-parameter tori and (non-aligned) orbit families against
+    the per-shape routines the one search replaced.  The orbit search and
+    its reference refine with the same Nelder-Mead options, so there the
+    values agree and the returned element scores the returned value.  A
+    torus refines by Newton ascent where the references ran bounded Brent
+    (one parameter) or Nelder-Mead (two): the returned element scores the
+    returned value (to the rounding of `_scoring_tol`), it is stationary
+    (<[s_i, g], D>, the derivative along each seed, vanishes), and the value
+    agrees with the reference's where f is periodic on the candidate box.
+    That holds for the r3 and qubit seeds, whose eigenphase differences are
+    multiples of one unit.  A random two-qubit torus has incommensurate
+    frequencies, so the box spans no period and the ascents can end on
+    different local peaks from the same candidate (in a 400-seed scan of
+    two parameters Newton ended 0.11-0.34 |D| above Nelder-Mead on 3 seeds,
+    on two of them where Nelder-Mead stopped at its iteration cap, and never
+    below it); there the value is held to at least the reference's,
+    one-sided."""
     fam = _family(rep, kind, seed)
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=fam.base.shape) + (
@@ -769,18 +822,12 @@ def test_merged_support_matches_the_three_routines(rep, kind, seed):
     if kind == "orbit":
         params, want = _reference_support_random(fam, direction, np.random.default_rng(0))
         assert abs(inner(g, direction) - val) <= tol
-    elif kind == "grid1":
-        # the element pins the candidate set and the refinement on the
-        # family's own objective; the value is checked against the
-        # unmerged per-entry sum
-        params, _ = _reference_support_grid1(fam, direction, f=fam._objective(direction))
-        assert g.tobytes() == fam.element(params).tobytes()
-        _, want = _reference_support_grid1(fam, direction)
     else:
         assert abs(inner(g, direction) - val) <= _scoring_tol(fam, direction)
         slope = max(abs(inner(comm(s, g), direction)) for s in fam.seeds)
         assert slope <= _scoring_tol(fam, direction)
-        _, want = _reference_support_grid2(fam, direction)
+        reference = _reference_support_brent if kind == "torus1" else _reference_support_nelder_mead
+        _, want = reference(fam, direction)
         if rep == "two_qubit":
             assert val >= want - tol
             return
@@ -788,10 +835,10 @@ def test_merged_support_matches_the_three_routines(rep, kind, seed):
 
 
 def _commuting_family(rep: str, kind: str, seed: int) -> ConjugationFamily:
-    """`_family` for the grid kinds; for 'orbit', three commuting unit-norm
-    seeds (multiples of one skew matrix on r3, i*ad_hat of jointly
+    """`_family` for one and two parameters; for 'torus3', three commuting
+    unit-norm seeds (multiples of one skew matrix on r3, i*ad_hat of jointly
     diagonal H otherwise), so the seeds co-diagonalise."""
-    if kind != "orbit":
+    if kind != "torus3":
         return _family(rep, kind, seed)
     rng = np.random.default_rng(seed)
     if rep == "r3":
@@ -804,7 +851,7 @@ def _commuting_family(rep: str, kind: str, seed: int) -> ConjugationFamily:
         seeds = [1j * ad_hat(q @ np.diag(rng.normal(size=n)) @ q.conj().T) for _ in range(3)]
         base = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
     fam = ConjugationFamily(tuple(s / fro(s) for s in seeds), base)
-    assert fam.kind == "orbit" and fam._phases is not None
+    assert fam.kind == "torus" and fam._phases is not None
     return fam
 
 
@@ -814,11 +861,10 @@ def _direction(fam: ConjugationFamily, rng) -> np.ndarray:
 
 
 @SETTINGS
-@given(st.sampled_from(REPS), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+@given(st.sampled_from(REPS), st.sampled_from(TORI), st.integers(0, 2**32 - 1))
 def test_merged_objective_matches_the_per_entry_sum(rep, kind, seed):
     """One exponential per distinct eigenphase difference gives the sum of
-    one exponential per matrix entry, on grid1, grid2 and commuting orbit
-    families; every entry's difference lies within the merge tolerance of
+    one exponential per matrix entry, on tori of one to three parameters; every entry's difference lies within the merge tolerance of
     its table row, and the table's rows are distinct."""
     fam = _commuting_family(rep, kind, seed)
     rng = np.random.default_rng(seed)
@@ -837,14 +883,16 @@ def test_merged_objective_matches_the_per_entry_sum(rep, kind, seed):
 
 
 @SETTINGS
-@given(st.sampled_from(REPS), st.sampled_from(("grid1", "grid2")), st.integers(0, 2**32 - 1))
+@given(st.sampled_from(REPS), st.sampled_from(TORI), st.integers(0, 2**32 - 1))
 def test_cached_grid_waves_score_like_values(rep, kind, seed):
-    """The grid kinds build their support candidates once per family, and
-    scoring them through the cached plane waves is bitwise `values`."""
-    fam = _family(rep, kind, seed)
+    """A torus builds its support candidates once per family, a grid over
+    its box of 2048 points on one parameter, 64 x 64 on two and 16 per axis
+    on three, and scoring them through the cached plane waves is bitwise
+    `values`."""
+    fam = _commuting_family(rep, kind, seed)
     thetas, waves = fam._support_grid
     assert fam._support_grid[1] is waves
-    assert np.array_equal(thetas, _grid(fam, 2048 if kind == "grid1" else 64))
+    assert np.array_equal(thetas, _grid(fam, {1: 2048, 2: 64, 3: 16}[fam.n_params]))
     f = fam._objective(_direction(fam, np.random.default_rng(seed)))
     assert f(thetas, waves).tobytes() == f(thetas).tobytes()
 
@@ -859,12 +907,13 @@ def test_frequency_tables_of_the_built_in_families(name, rows):
         "control_axes": ("x",), "drift_axis": "z"}
     fam = saturate(initial_wedge(build_system(ChannelSpec(name=name, **axes))),
                    orbit_samples=24).cone.analytic
-    assert fam.kind == ("grid2" if name == "two_qubit_C" else "grid1")
+    assert (fam.kind, fam.n_params) == ("torus", 2 if name == "two_qubit_C" else 1)
+    assert fam.periodic
     assert fam._phases[2].shape == (rows, fam.n_params)
 
 
 def test_grid2_sweep_runs_over_the_torus_row_major():
-    fam = _family("qubit", "grid2", 5)
+    fam = _family("qubit", "torus2", 5)
     n = 3
     t1 = np.arange(n) * (fam.periods[0] / n)
     t2 = np.arange(n) * (fam.periods[1] / n)
@@ -1480,7 +1529,7 @@ def _orbit_grid(fam: ConjugationFamily, n: int) -> np.ndarray:
        st.floats(-7.0, -2.0), st.sampled_from((-1.0, 1.0)), st.booleans(),
        st.integers(0, 2**32 - 1))
 def test_toeplitz_bounds_bracket_the_sampled_distance(rep, kind, log_push, side, noisy, seed):
-    """On `_family`'s grid1 families: random points, scaled orbit points,
+    """On `_family`'s one-parameter tori: random points, scaled orbit points,
     conic mixes, and mixes of 1..d orbit points (a singular Toeplitz matrix)
     moved along M_0, the orbit mean, by 1e-2 to 1e-7 relative, outward
     (side 1: T - eps I) or inward (T + eps I); plus, if `noisy`, a random
@@ -1490,7 +1539,7 @@ def test_toeplitz_bounds_bracket_the_sampled_distance(rep, kind, log_push, side,
     it).  Orbit points, mixes and inward moves are certified members;
     outward moves get a positive lower bound.  Random two-qubit frequencies
     are incommensurate, and those families get no closed form."""
-    fam = _family(rep, "grid1", seed)
+    fam = _family(rep, "torus1", seed)
     exact = fam.exact
     if rep == "two_qubit":
         assert exact is None
@@ -1591,10 +1640,10 @@ def test_rotation_orbit_tangent_is_certified_by_differences(rep, rates, weights,
 
 @functools.lru_cache(maxsize=None)
 def _moment_family(source: str) -> ConjugationFamily:
-    """The grid1 family of a saturated example 2, example 3 or phase_flip
+    """The one-parameter torus of a saturated example 2, example 3 or phase_flip
     (control x) wedge, or `_family`'s random r3 or qubit one."""
     if source in ("r3", "qubit"):
-        return _family(source, "grid1", 3)
+        return _family(source, "torus1", 3)
     spec = ChannelSpec(name=source, control_axes=("x",), drift_axis="z") \
         if source == "phase_flip" else ChannelSpec(name=source)
     return saturate(initial_wedge(build_system(spec)), orbit_samples=24).cone.analytic
@@ -1629,9 +1678,9 @@ def test_moment_curve_tangent_is_certified_by_differences(source, weights):
 def _spot_cone(name: str) -> Cone:
     """Cones whose family orbits the spot check samples: the saturated
     example 1 (r3 full-rotation orbit, Schur-Horn), phase_flip with control
-    x (qubit grid1, Caratheodory-Toeplitz) and two_qubit_C (two-qubit grid2,
-    no closed form), and 64-sample sweeps of an r3 grid2 family (a
-    degenerate torus) and a qubit grid2 family."""
+    x (qubit one-parameter torus, Caratheodory-Toeplitz) and two_qubit_C
+    (two-qubit two-parameter torus, no closed form), and 64-sample sweeps of
+    an r3 two-parameter torus (a degenerate one) and a qubit one."""
     systems = {"example1": (ChannelSpec(name="example1"), 48),
                "phase_flip": (ChannelSpec(name="phase_flip", control_axes=("x",),
                                           drift_axis="z"), 48),
@@ -1640,20 +1689,23 @@ def _spot_cone(name: str) -> Cone:
         spec, samples = systems[name]
         return saturate(initial_wedge(build_system(spec)), orbit_samples=samples).cone
     rep = name.split()[0]
-    fam = _family(rep, "grid2", 5)
+    fam = _family(rep, "torus2", 5)
     gens = [g for _, g in fam.sweep(64, np.random.default_rng(0))]
     shape, complex_field = _carrier(rep)
     return Cone(generators=gens, shape=shape, complex_field=complex_field, analytic=fam)
 
 
-SPOT_CONES = ("example1", "phase_flip", "two_qubit_C", "r3 grid2", "qubit grid2")
+SPOT_CONES = ("example1", "phase_flip", "two_qubit_C", "r3 torus2", "qubit torus2")
 
 
 def _orbit_points(cone: Cone, rng, pushes) -> np.ndarray:
     """Unit orbit points of the cone's family, each moved by 10**push along
-    a random unit direction of the carrier (not moved where push is None)."""
+    a random unit direction of the carrier (not moved where push is None);
+    uniform over a torus's box, normal draws on an orbit, which has none."""
     fam = cone.analytic
-    thetas = rng.uniform(0.0, 1.0, size=(len(pushes), fam.n_params)) * np.array(fam.periods)
+    size = (len(pushes), fam.n_params)
+    thetas = (rng.normal(scale=np.pi, size=size) if fam.kind == "orbit"
+              else rng.uniform(0.0, 1.0, size=size) * np.array(fam.periods))
     points = fam.elements(thetas)
     points = points / np.linalg.norm(points, axis=(1, 2))[:, None, None]
     for p, push in zip(points, pushes):
@@ -1698,23 +1750,26 @@ def test_spot_points_whose_exact_bounds_straddle_match_per_point_membership(name
     assert wedge_module._spot_members(cone, points, cone.tol).tolist() == want
 
 
-@pytest.mark.parametrize("name, samples, edge_dim", [("two_qubit_C", 48, 2),
-                                                     ("two_qubit_B", 120, 15)])
-def test_two_qubit_spot_check_makes_no_fit(monkeypatch, name, samples, edge_dim):
+@pytest.mark.parametrize("name, samples, report", [
+    ("two_qubit_C", 48, {"rounds": 2, "converged": True, "termination": "membership",
+                         "edge_dims": [2, 2], "novel_counts": [52, 0]}),
+    ("two_qubit_B", 120, {"rounds": 2, "converged": True, "termination": "no-family",
+                          "edge_dims": [6, 15], "novel_counts": [124, 0]})])
+def test_two_qubit_spot_check_makes_no_fit(monkeypatch, name, samples, report):
     """Every point of two_qubit_C's stable-edge spot check lies on the
     family's orbit, and the one-column certificate decides it; two_qubit_B's
     orbit cone is a subspace, which `lineality` reads off the orbit centroid
     (where it once fitted each of 125 stored generators' negatives), so the
-    edge grows to all 15 dimensions.  Neither saturation makes a
-    `_cone_fit` call, and both still stop on the spot check."""
+    edge grows to all 15 dimensions, and the drift's part off it, of norm
+    below 1e-12, builds no family (where a rounding-level base once took a
+    third round to a spot check).  Neither saturation makes a `_cone_fit`
+    call."""
     calls = []
     fit = wedge_module._cone_fit
     monkeypatch.setattr(wedge_module, "_cone_fit",
                         lambda *a, **k: calls.append(1) or fit(*a, **k))
     w = saturate(initial_wedge(build_system(ChannelSpec(name=name))), orbit_samples=samples)
-    assert w.edge.dim == edge_dim
-    assert w.saturation["termination"] in ("membership", "membership-spot-check")
-    assert w.saturation["novel_counts"][-1] == 0
+    assert w.saturation == {**report, "tol": 1e-8, "orbit_samples": samples}
     assert calls == []
 
 
@@ -1773,7 +1828,7 @@ def test_lineality_of_an_orbit_cone_is_the_centroid_dichotomy(rep, kind, seed, c
     exactly when the centroid (the projection onto the dense common kernel)
     is nonzero.  Otherwise the lineality is the orbit's span: it holds the
     base and 64 random orbit points with their negatives, is closed under
-    every [s_i, .], and has the rank of those points.  On grid1 families the
+    every [s_i, .], and has the rank of those points.  On one-parameter tori the
     fitted rule agrees."""
     fam = _dichotomy_family(rep, kind, seed, case)
     b = fam.base
@@ -1801,7 +1856,7 @@ def test_lineality_of_an_orbit_cone_is_the_centroid_dichotomy(rep, kind, seed, c
         for g in points:
             assert got.contains(g) and got.contains(-g)
         assert got.dim == _rank(realify_stack(points, b.shape, cone.complex_field))
-    if kind == "grid1":
+    if kind == "torus1":
         want = _reference_lineality(cone, cone.tol)
         assert got.dim == want.dim
         assert all(got.contains(m) for m in want.mats)
@@ -1897,15 +1952,14 @@ def test_wedge_dim_is_the_span_columns_count(rep, seed, k, rank, extra, noise):
 
 
 @SETTINGS
-@given(st.sampled_from(REPS), st.sampled_from(("grid2", "orbit")), st.integers(0, 2**32 - 1))
+@given(st.sampled_from(REPS), st.sampled_from(TORI), st.integers(0, 2**32 - 1))
 def test_newton_support_beats_its_grid_candidate(rep, kind, seed):
-    """On co-diagonalising seeds (grid2, commuting orbits) the Newton ascent
-    starts from the best support candidate and keeps its result only when
-    it scores at least as well, and the returned element scores the
-    returned value.  The element comes from a stacked eigh and the value
-    from the merged polynomial, so they agree to rounding on the scale
-    |D| |base| that bounds both (3.1e-13 of it at worst over 300 qubit
-    grid2 seeds)."""
+    """On every torus the Newton ascent starts from the best support
+    candidate and keeps its result only when it scores at least as well,
+    and the returned element scores the returned value.  The element comes
+    from a stacked eigh and the value from the merged polynomial, so they
+    agree to rounding on the scale |D| |base| that bounds both (3.1e-13 of
+    it at worst over 300 qubit two-parameter seeds)."""
     fam = _commuting_family(rep, kind, seed)
     direction = _direction(fam, np.random.default_rng(seed))
     g, val = fam.support(direction)

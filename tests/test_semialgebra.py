@@ -160,6 +160,18 @@ def test_expected_tangent_refuses_an_unknown_case():
             call("v", (3.0, 2.0, 1.0))
 
 
+@pytest.mark.parametrize("case_id, rates, message", [
+    ("iv", (1.0, 1.0, 1.0), r"case iv needs rates a > b > c >= 0, got \(1\.0, 1\.0, 1\.0\)"),
+    ("ii", (1.0, 1.0, 1.0), r"case ii needs rates \(gamma, 0, 0\), got \(1\.0, 1\.0, 1\.0\)"),
+    ("i", (3.0, 2.0, 1.0), r"case i needs rates \(lam, lam, lam\), got \(3\.0, 2\.0, 1\.0\)"),
+])
+def test_expected_tangent_refuses_rates_off_the_case(case_id, rates, message):
+    """Rates that do not fit the case's pattern once gave a space anyway:
+    7, 6 and 4 dimensions for these three."""
+    with pytest.raises(ValueError, match=message):
+        expected_tangent(case_id, rates)
+
+
 def test_expected_tangent_matches_case_dims():
     for cid, (dim, _) in CASE_TABLE.items():
         rates = semialgebra_case(cid)["rates"]

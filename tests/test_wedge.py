@@ -13,7 +13,8 @@ import pytest
 
 from liewedge import wedge as wedge_module
 from liewedge.channels import (H_X, H_Y, H_Z, P_Y, ChannelSpec, build_system,
-                               example1, example2, example3, example3_delta, sigma)
+                               example1, example2, example3, example3_delta, sigma,
+                               two_qubit_operator)
 from liewedge.liealg import subspace_leq
 from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep, gks_margin, pauli_basis,
                                superop_from_coherence)
@@ -109,7 +110,7 @@ def test_initial_wedge_of_example2():
 
 def test_grid1_support_matches_brute_force():
     fam = ConjugationFamily((H_Y,), H_Z + GAMMA2)
-    assert fam.kind == "grid1"
+    assert (fam.kind, fam.n_params) == ("torus", 1)
     for direction in (H_X, H_Z + 0.2 * H_X, GAMMA2 + H_X):
         _, val = fam.support(direction)
         grid = max(inner(fam.element([t]), direction)
@@ -122,7 +123,7 @@ def test_grid2_support_matches_brute_force():
     w = saturate(initial_wedge(build_system(ChannelSpec(name="two_qubit_C"))),
                  orbit_samples=24)
     fam = w.cone.analytic
-    assert fam.kind == "grid2"
+    assert (fam.kind, fam.n_params) == ("torus", 2)
     n = 96
     axes = np.meshgrid(*(np.arange(n) * (p / n) for p in fam.periods), indexing="ij")
     thetas = np.stack([t.ravel() for t in axes], axis=1)
@@ -608,7 +609,7 @@ def test_grid1_closed_form_needs_a_gapless_commensurate_base():
                 ConjugationFamily((np.asarray(H_Y),), np.diag([1.0, 0.0, -1.0]) + xy),
                 ConjugationFamily((incommensurate / fro(incommensurate),),
                                   np.ones((9, 9), dtype=complex))):
-        assert fam.kind == "grid1" and fam.exact is None
+        assert fam.kind == "torus" and fam.exact is None
         d = np.eye(fam.base.shape[0])
         g, val = fam.support(d)
         assert abs(inner(g, d) - val) <= 1e-12
@@ -717,3 +718,36 @@ def test_saturate_takes_numpy_integer_settings():
     want = saturate(start, orbit_samples=24, max_rounds=4, seed=3)
     assert got.cone.stack.tobytes() == want.cone.stack.tobytes()
     assert got.saturation == want.saturation
+
+
+def _z_pair_system(ratio: float) -> ControlSystem:
+    """Two qubits without drift, one control (z1 + ratio 1z) / 2, and
+    lindblad x1 at rate 1.0 and 1x at rate 0.5."""
+    control = (two_qubit_operator("z1") + ratio * two_qubit_operator("1z")) / 2.0
+    return ControlSystem(rep="two_qubit", drift_H=np.zeros((4, 4)), controls=(control,),
+                         lindblad_ops=((two_qubit_operator("x1"), 1.0),
+                                       (two_qubit_operator("1x"), 0.5)))
+
+
+def test_commensurate_torus_wedge_holds_its_whole_orbit():
+    """(z1 + 3 1z) / 2 has commensurate frequencies but its largest
+    eigenphase, the box of the per-seed rule, gave half the true period
+    (14.05 of 28.10): the wedge "converged" while rejecting about half of
+    its own orbit points over [0, 50 P).  The box from the frequency table
+    is a period, and every orbit point is a member."""
+    w = saturate(initial_wedge(_z_pair_system(3.0)), orbit_samples=180)
+    fam = w.cone.analytic
+    thetas = np.random.default_rng(1).uniform(0.0, 50.0 * fam.periods[0], 200)
+    assert sum(wedge_contains(w, fam.element([t])) for t in thetas) == 200
+    assert w.saturation["converged"] and fam.periodic
+    assert fro(fam.element(fam.periods) - fam.base) <= 1e-12 * max(1.0, fro(fam.base))
+
+
+def test_aperiodic_torus_is_left_undecided():
+    """(z1 + sqrt(2) 1z) / 2 has rationally independent frequencies, so no
+    box is a period and no sweep of one decides the orbit's closure: the
+    first stable-edge round ends the saturation unconverged."""
+    w = saturate(initial_wedge(_z_pair_system(np.sqrt(2.0))), orbit_samples=180)
+    assert (w.saturation["converged"], w.saturation["termination"]) == (False, "aperiodic-torus")
+    assert w.saturation["edge_dims"] == [1, 1] and w.saturation["novel_counts"][-1] == 0
+    assert w.cone.analytic.kind == "torus" and not w.cone.analytic.periodic
