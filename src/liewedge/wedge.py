@@ -61,6 +61,8 @@ _TORUS_CANDIDATES, _ORBIT_CANDIDATES = (2048, 4096), 128
 _NEWTON_STEPS = 32
 _BACKTRACKS = 40
 _NEWTON_FLOOR = 1e-9
+# 2 pi to extended precision, for reducing plane-wave phases (`_waves`)
+_TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
 # the Schur-Horn index sets of `RotationOrbit.tangent`: 3 of size 1, then 3 of 2;
 # rows 2 and 5 hold the largest one and two of an ascending lam
 _SUBSETS = np.vstack([np.eye(3), 1.0 - np.eye(3)[::-1]])
@@ -473,14 +475,15 @@ class ConjugationFamily:
         a scaled gradient step where a degenerate torus's Hessian is
         singular.  A step is halved until f is no lower, up to its rounding;
         the ascent stops at a rounding-level gradient, a rejected step, or
-        after `_NEWTON_STEPS` steps."""
+        after `_NEWTON_STEPS` steps.  It steps from `theta`, with c shifted
+        there, so on a box of thousands the phases it compares stay small."""
         freqs = self._phases[2]
         size = np.abs(c)
         gtol = 1e-13 * float(size @ np.linalg.norm(freqs, axis=1))
         floor = _NEWTON_FLOOR * float(size @ np.einsum("ij,ij->i", freqs, freqs))
         slack = 8.0 * np.finfo(float).eps * float(size.sum())
-        theta = np.array(theta, dtype=float)
-        w = c * np.exp(1j * (freqs @ theta))
+        c = c * np.exp(1j * (freqs @ theta))
+        start, theta, w = np.array(theta, dtype=float), np.zeros(len(theta)), c
         current = float(w.real.sum())
         for _ in range(_NEWTON_STEPS):
             grad = -(freqs.T @ w.imag)
@@ -498,15 +501,16 @@ class ConjugationFamily:
             else:
                 break
             theta, w, current = trial, w_trial, score
-        return theta
+        return start + theta
 
     def _waves(self, thetas) -> np.ndarray:
         """Plane waves exp(i theta . freqs^T) of a theta stack, one row per
-        theta and one column per merged frequency."""
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        freqs = self._phases[2]
-        return np.exp(1j * sum(np.multiply.outer(thetas[:, i], freqs[:, i])
-                               for i in range(self.n_params)))
+        theta and one column per merged frequency, the phases reduced mod 2
+        pi in `np.longdouble`: doubles round by 1e-12 on a box of thousands."""
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float)).astype(np.longdouble)
+        freqs = self._phases[2].astype(np.longdouble)
+        phase = sum(np.multiply.outer(thetas[:, i], freqs[:, i]) for i in range(self.n_params))
+        return np.exp(1j * np.remainder(phase, _TWO_PI).astype(float))
 
     @cached_property
     def _support_grid(self):

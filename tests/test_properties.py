@@ -746,10 +746,10 @@ def _unmerged(fam: ConjugationFamily, direction):
     return lambda thetas: _reference_values(fam, thetas, direction)
 
 
-def _reference_support_brent(fam: ConjugationFamily, direction):
+def _reference_support_brent(fam: ConjugationFamily, direction, f=None):
     """2048-point grid, then bounded Brent over one grid step either side,
-    scored by the unmerged `_reference_values`."""
-    f = _unmerged(fam, direction)
+    scored by `f` (default: the unmerged `_reference_values`)."""
+    f = _unmerged(fam, direction) if f is None else f
     period, n = fam.periods[0], 2048
     thetas = _grid(fam, n)[:, 0]
     vals = f(thetas[:, None])
@@ -763,16 +763,19 @@ def _reference_support_brent(fam: ConjugationFamily, direction):
     return [t_best], v_best
 
 
-def _reference_support_nelder_mead(fam: ConjugationFamily, direction):
-    """64x64 torus, then Nelder-Mead from its best point, scored by the
-    unmerged `_reference_values`."""
-    f = _unmerged(fam, direction)
+def _reference_support_nelder_mead(fam: ConjugationFamily, direction, f=None):
+    """64x64 torus, then Nelder-Mead from its best point, scored by `f`
+    (default: the unmerged `_reference_values`).  Nelder-Mead runs on the
+    offset from that point: its default first simplex is 5% of each nonzero
+    coordinate, which on a box of thousands spans many wavelengths and
+    makes a wider search of it, not a refinement of the point."""
+    f = _unmerged(fam, direction) if f is None else f
     grid = _grid(fam, 64)
     vals = f(grid)
     k = int(np.argmax(vals))
-    res = minimize(lambda p: -float(f([p])[0]), x0=grid[k],
+    res = minimize(lambda p: -float(f([grid[k] + p])[0]), x0=np.zeros(2),
                    method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
-    params, v_best = np.asarray(res.x), float(-res.fun)
+    params, v_best = grid[k] + res.x, float(-res.fun)
     if v_best < vals[k]:
         params, v_best = grid[k], float(vals[k])
     return params, v_best
@@ -811,7 +814,11 @@ def test_merged_support_matches_the_three_routines(rep, kind, seed):
     two parameters Newton ended 0.11-0.34 |D| above Nelder-Mead on 3 seeds,
     on two of them where Nelder-Mead stopped at its iteration cap, and never
     below it); there the value is held to at least the reference's,
-    one-sided."""
+    one-sided.  That box, 2 pi over the least frequency, can span
+    thousands, and at such theta the per-entry sum parts from the merged
+    one by 1e-11 (entries merged into one frequency differ by rounding,
+    which theta multiplies), so there the reference scores by the family's
+    merged objective."""
     fam = _family(rep, kind, seed)
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=fam.base.shape) + (
@@ -827,10 +834,11 @@ def test_merged_support_matches_the_three_routines(rep, kind, seed):
         slope = max(abs(inner(comm(s, g), direction)) for s in fam.seeds)
         assert slope <= _scoring_tol(fam, direction)
         reference = _reference_support_brent if kind == "torus1" else _reference_support_nelder_mead
-        _, want = reference(fam, direction)
         if rep == "two_qubit":
+            _, want = reference(fam, direction, f=fam._objective(direction))
             assert val >= want - tol
             return
+        _, want = reference(fam, direction)
     assert abs(val - want) <= tol
 
 
@@ -1651,15 +1659,18 @@ def _moment_family(source: str) -> ConjugationFamily:
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("example2", "example3", "phase_flip", "r3", "qubit")),
-       st.dictionaries(st.integers(0, 11), st.integers(1, 4), min_size=1, max_size=5))
+       st.dictionaries(st.integers(0, 5), st.integers(1, 4), min_size=1, max_size=5))
 def test_moment_curve_tangent_is_certified_by_differences(source, weights):
     """Conic mixes, by integer weights, of 1 to 5 orbit points at multiples of
-    a twelfth of the period: a single atom, faces of up to d atoms, and
+    a sixth of the period: a single atom, faces of up to d atoms, and
     interior points.  Separated atoms and integer weights keep every draw a
-    margin away from a lower face."""
+    margin away from a lower face.  Twelfths are too close: three adjacent
+    ones on a degree-2 curve (example 3, weights 1, 1, 4) give an interior
+    point whose Toeplitz matrix has least eigenvalue 6e-4, so the eps = 1e-3
+    differences leave the cone along tangent directions."""
     fam = _moment_family(source)
     exact = fam.exact
-    atoms = fam.elements(np.array(sorted(weights))[:, None] * (fam.periods[0] / 12))
+    atoms = fam.elements(np.array(sorted(weights))[:, None] * (fam.periods[0] / 6))
     x = np.tensordot([weights[k] for k in sorted(weights)], atoms, axes=1)
     complex_field = np.iscomplexobj(fam.base)
     span = orthonormal_span(list(unrealify_stack(exact.basis, x.shape, True)),
