@@ -7,6 +7,15 @@ Subcommands: `example` (saturate the three rotation-carrier systems),
 numerical failure (a saturation that did not converge, or a linear-algebra
 error), 2 usage or parse error.  All floats are printed with 17
 significant digits, so output is byte-identical for fixed inputs and seed.
+
+A saturated wedge (`example`, `wedge`, `semialgebra`) is reported by the
+data that fixes it, not by the cone's sampled generators: its dimensions,
+the cone's generator count, pointedness and tol, the `base` (the drift
+minus its edge projection) and the conjugation `family` whose orbit of the
+base generates the cone (`kind`, `closed_form`, `periods`, `periodic` and
+`seeds`, the edge's orthonormal basis), or null when the cone is the ray of
+the base.  The sampled generators are not printed; with the echoed input
+they are `saturate(initial_wedge(system), ...).cone.generators`.
 """
 
 from __future__ import annotations
@@ -27,9 +36,9 @@ from .lindblad import ControlSystem, cptp_audit, lindbladian, propagator
 from .matcore import expm, inner
 from .reachable import contraction_audit, random_schedule, sample_reachable
 from .semialgebra import semialgebra_probe
-from .wedge import initial_wedge, saturate
+from .wedge import MomentCurve, RotationOrbit, initial_wedge, saturate
 
-SCHEMA = "liewedge-report/1"
+SCHEMA = "liewedge-report/2"
 
 _SATURATION_DEFAULTS = {"samples": 360, "rounds": 10, "tol": 1e-8, "seed": 0}
 
@@ -144,11 +153,11 @@ def _parse_matrix(rep: str, literal: str, lineno: int) -> np.ndarray:
 
     try:
         m = np.array([[entry(v) for v in row] for row in data])
-    except (TypeError, SystemFileError) as exc:
-        if isinstance(exc, SystemFileError):
-            raise
+    except SystemFileError:
+        raise
+    except (TypeError, ValueError):
         raise SystemFileError(f"line {lineno}: matrix literal must be a "
-                              f"list of rows")
+                              f"list of rows of equal length")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SystemFileError(f"line {lineno}: matrix must be square, "
                               f"got shape {m.shape}")
@@ -332,7 +341,15 @@ def _conditions_report(system: ControlSystem) -> dict:
     }
 
 
+_CLOSED_FORMS = {RotationOrbit: "rotation-orbit", MomentCurve: "moment-curve"}
+
+
 def _wedge_report(w) -> dict:
+    """The wedge by the data that fixes it: the edge, and the cone over the
+    orbit of `base` under the edge's group (`family`), or over its ray when
+    there is no family.  `closed_form` names the certified closed form
+    (`Cone.exact`) that decides membership, if any."""
+    family = w.cone.analytic
     return {
         "edge_dim": w.edge.dim,
         "wedge_dim": w.dim,
@@ -340,6 +357,14 @@ def _wedge_report(w) -> dict:
             "n_generators": w.cone.n_generators,
             "pointed": w.cone.pointed,
             "tol": w.cone.tol,
+        },
+        "base": w.drift - w.edge.project(w.drift),
+        "family": None if family is None else {
+            "kind": family.kind,
+            "closed_form": _CLOSED_FORMS.get(type(w.cone.exact)),
+            "periods": family.periods,
+            "periodic": family.periodic,
+            "seeds": family.seeds,
         },
         "saturation": dict(w.saturation),
     }
@@ -368,7 +393,6 @@ def cmd_example(args) -> int:
         "system": _system_report(system),
         "conditions": _conditions_report(system),
         **_wedge_report(w),
-        "cone_samples": w.cone.generators,
     })
     return _exit_code(w)
 
@@ -407,7 +431,6 @@ def cmd_wedge(args) -> int:
     _emit("wedge", {"system": args.system, **opts}, {
         "system": _system_report(system),
         **_wedge_report(w),
-        "generators": w.cone.generators,
     })
     return _exit_code(w)
 

@@ -11,6 +11,9 @@ from liewedge.channels import ChannelSpec, build_system, two_qubit_operator
 from liewedge.cli import (SystemFileError, _build_parser, format_system_file, main,
                           parse_system_file)
 from liewedge.lindblad import ControlSystem
+from liewedge.matcore import unrealify_stack
+from liewedge.wedge import (_CERTIFIED, ConjugationFamily, MomentCurve, RotationOrbit,
+                            initial_wedge, saturate)
 
 QUBIT_FILE = """\
 # phase damping with one transverse control
@@ -46,12 +49,91 @@ def r3_path(tmp_path):
 def test_example_two_report(capsys):
     assert main(["example", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == "liewedge-report/1"
+    assert report["schema"] == "liewedge-report/2"
     assert report["edge_dim"] == 1
     assert report["wedge_dim"] == 4
     assert report["saturation"]["converged"] is True
     assert report["conditions"]["holds_WH"] is True
-    assert len(report["cone_samples"]) == report["cone"]["n_generators"]
+
+
+_CLOSED_FORMS = {"rotation-orbit": RotationOrbit, "moment-curve": MomentCurve, None: type(None)}
+
+
+def _report_matrices(value, complex_field: bool):
+    """A parsed report matrix or stack of matrices as an array; a complex
+    entry is written as its [re, im] pair."""
+    a = np.array(value, dtype=float)
+    return a[..., 0] + 1j * a[..., 1] if complex_field else a
+
+
+def _matrix_lists(node, shape: tuple, complex_field: bool):
+    """Lengths of the lists anywhere in a parsed report that are stacks of
+    matrices of the carrier's shape."""
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _matrix_lists(v, shape, complex_field)
+    elif isinstance(node, list) and node:
+        try:
+            a = np.array(node, dtype=float)
+        except (TypeError, ValueError):
+            a = None
+        if a is not None and a.shape[1:] == shape + ((2,) if complex_field else ()):
+            yield len(node)
+        for v in node:
+            yield from _matrix_lists(v, shape, complex_field)
+
+
+_ROUND_TRIP = {
+    "example1": ChannelSpec("example1"),
+    "example2": ChannelSpec("example2"),
+    "example3": ChannelSpec("example3"),
+    "phase_flip": ChannelSpec("phase_flip", control_axes=("x",), drift_axis="z"),
+    "bit_flip": ChannelSpec("bit_flip", control_axes=("x",), drift_axis="z"),
+    "depolarizing": ChannelSpec("depolarizing", control_axes=("x",), drift_axis="z"),
+    "two_qubit_C": ChannelSpec("two_qubit_C"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_TRIP))
+def test_wedge_report_round_trips_to_the_library_family(name, tmp_path, capsys):
+    """A report names the cone by its base and family instead of listing
+    samples.  The family rebuilt from the printed seeds and base has the
+    library wedge's kind, box and closed form, bit for bit; a certified
+    closed form holds every library generator; no key lists generators."""
+    if name.startswith("example"):
+        system = build_system(_ROUND_TRIP[name])
+        argv = ["example", name[-1]]
+    else:
+        path = tmp_path / f"{name}.sys"
+        path.write_text(format_system_file(build_system(_ROUND_TRIP[name])))
+        system = parse_system_file(path.read_text())[0]
+        argv = ["wedge", "--system", str(path)]
+    assert main(argv + ["--samples", "24"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    w = saturate(initial_wedge(system), orbit_samples=24)
+    cone, family = w.cone, w.cone.analytic
+    assert report["schema"] == "liewedge-report/2"
+    assert report["cone"]["n_generators"] == cone.n_generators
+
+    base = _report_matrices(report["base"], cone.complex_field)
+    seeds = _report_matrices(report["family"]["seeds"], cone.complex_field)
+    assert np.array_equal(base, family.base)
+    assert np.array_equal(seeds, np.stack(family.seeds))
+    rebuilt = ConjugationFamily(tuple(seeds), base)
+    printed = report["family"]
+    assert (rebuilt.kind, rebuilt.periods, rebuilt.periodic) == \
+        (family.kind, family.periods, family.periodic)
+    assert (printed["kind"], printed["periodic"]) == (family.kind, family.periodic)
+    assert printed["periods"] == (None if family.periods is None else list(family.periods))
+    assert type(rebuilt.exact) is type(family.exact)
+    assert _CLOSED_FORMS[printed["closed_form"]] is type(cone.exact)
+    if cone.exact is not None:
+        gens = unrealify_stack(cone.stack, cone.shape, cone.complex_field)
+        assert np.all(rebuilt.exact.contains(gens)[1] <= _CERTIFIED)
+
+    assert "cone_samples" not in report and "generators" not in report
+    assert max(_matrix_lists(report, cone.shape, cone.complex_field), default=0) \
+        < cone.n_generators
 
 
 def test_example_output_is_deterministic(capsys):
@@ -322,7 +404,9 @@ def test_system_files_with_non_finite_numbers_are_rejected(tmp_path, text, messa
      "invalid system: control must be 3x3 for rep 'r3'"),
     ("rep r3\ndrift z\ncontrol y\nlindblad diag:1,2 1.0\n",
      "invalid system: relaxation generator must be 3x3"),
-], ids=["qubit-control-3x3", "r3-control-2x2", "r3-relaxation-2x2"])
+    ("rep qubit\ndrift [[1,0],[0]]\n",
+     "line 2: matrix literal must be a list of rows of equal length"),
+], ids=["qubit-control-3x3", "r3-control-2x2", "r3-relaxation-2x2", "ragged-drift"])
 @pytest.mark.parametrize("command", ["wedge", "conditions"])
 def test_system_files_with_misshaped_matrices_are_rejected(tmp_path, text, message,
                                                            command, capsys):
