@@ -115,12 +115,12 @@ def test_wedge_report_round_trips_to_the_library_family(name, tmp_path, capsys):
     assert report["schema"] == "liewedge-report/2"
     assert report["cone"]["n_generators"] == cone.n_generators
 
+    printed = report["family"]
     base = _report_matrices(report["base"], cone.complex_field)
-    seeds = _report_matrices(report["family"]["seeds"], cone.complex_field)
+    seeds = _report_matrices(printed["seeds"], cone.complex_field)
     assert np.array_equal(base, family.base)
     assert np.array_equal(seeds, np.stack(family.seeds))
     rebuilt = ConjugationFamily(tuple(seeds), base)
-    printed = report["family"]
     assert (rebuilt.kind, rebuilt.periods, rebuilt.periodic) == \
         (family.kind, family.periods, family.periodic)
     assert (printed["kind"], printed["periodic"]) == (family.kind, family.periodic)
