@@ -145,7 +145,7 @@ def _parse_matrix(rep: str, literal: str, lineno: int) -> np.ndarray:
     complex_field = rep != "r3"
 
     def entry(v):
-        if isinstance(v, (int, float)):
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
             return complex(v) if complex_field else float(v)
         if isinstance(v, str) and complex_field:
             return complex(v.replace(" ", ""))
@@ -534,7 +534,7 @@ def cmd_figdata(args) -> int:
 
 def _add_saturation_flags(p):
     p.add_argument("--samples", type=int, default=None,
-                   help="conjugation samples per saturation round")
+                   help="sampled cone generators, one sweep of the orbit")
     p.add_argument("--rounds", type=int, default=None,
                    help="maximum saturation rounds")
     p.add_argument("--tol", type=float, default=None,

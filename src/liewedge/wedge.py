@@ -1,4 +1,4 @@
-"""Lie wedges of controlled semigroups and their inner-approximation loop.
+"""Lie wedges of controlled semigroups and their saturation.
 
 A wedge is stored as ``edge + (-cone)``: the edge is a Lie subalgebra kept
 as an orthonormal `Subspace`, and the cone is the *positive* convex cone
@@ -17,17 +17,17 @@ frequencies); elsewhere it comes from a nonnegative fit over sampled
 generators, an inner approximation that can only err towards "not a
 member".
 Edge and cone are each stored once, as a realified column stack (see
-`matcore`); their matrices are views derived from it, and `saturate` works
-on the cone's stack directly.
+`matcore`); their matrices are views derived from it.
 
-The saturation loop follows the inner-approximation procedure: grow the
-edge by the cone's lineality and Lie-close it, conjugate the cone by
-exponentials of edge elements, append member-novel generators, and stop
-once a full round adds nothing while the edge dimension is stable.  The
-lineality of a cone with a family is exact and needs no fit: the orbit's
-Haar centroid, the base's projection onto the fixed space of the edge's
-brackets, is either nonzero, and the cone is pointed, or zero, and the cone
-is the orbit's linear span (`lineality`); `Cone.pointed` is derived from it.
+`saturate` fixes the wedge by algebra alone: it Lie-closes the edge and
+grows it by the cone's lineality until it stops growing, and the cone is
+the orbit of the base under the edge's group, so no sample adds to either;
+one sweep of the orbit then gives the sampled generators that fits read.
+The lineality of a cone with a family is exact and needs no fit: the
+orbit's Haar centroid, the base's projection onto the fixed space of the
+edge's brackets, is either nonzero, and the cone is pointed, or zero, and
+the cone is the orbit's linear span (`lineality`, `Cone.span`);
+`Cone.pointed` is derived from it, and `Wedge.dim` from the span.
 Every wedge lies in its system's outer wedge, the x of the system's Lie
 algebra (`Wedge.algebra`) with `lindblad.gks_margin(x) >= 0`, which
 `outer_contains` tests exactly, so its "outside" holds for every wedge.
@@ -45,7 +45,7 @@ from .liealg import lie_closure
 from .lindblad import (ControlSystem, _pauli_vecs, coherence_rep, control_directions,
                        drift_direction, gks_margin, superop_from_coherence)
 from .matcore import (RANK_TOL, Subspace, _checked_count, _checked_tol, _null_rows, _rank,
-                      _span_columns, comm, eig_sym, fro, inner, orthonormal_span, realify,
+                      _span_columns, comm, eig_sym, fro, orthonormal_span, realify,
                       realify_stack, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
@@ -603,7 +603,8 @@ class Cone:
     unit norm under the trace inner product.  Built from `generators`, the
     cone normalizes them in one batch and drops zero matrices; built from
     `stack`, it takes the columns as they are.  `generators`, the matrices,
-    are derived from the stack on first use, and `pointed` from `lineality`.
+    are derived from the stack on first use, `span` once on first call, and
+    `pointed` from `lineality`.
     """
 
     stack: np.ndarray = field(repr=False)
@@ -636,6 +637,17 @@ class Cone:
         return self.stack.shape[1]
 
     def span(self) -> Subspace:
+        """The cone's linear span, computed once.  With a family it is the
+        orbit's, exact and independent of the stored generators: the
+        smallest subspace that holds the base and is closed under every
+        [seed, .] (`lie_closure` with the seeds as its bracket set).
+        Otherwise it is the stored generators' span."""
+        return self._span
+
+    @cached_property
+    def _span(self) -> Subspace:
+        if self.analytic is not None:
+            return lie_closure([self.analytic.base], by=self.analytic.seeds)
         return Subspace(_span_columns(self.stack), self.shape, self.complex_field)
 
     @cached_property
@@ -648,9 +660,10 @@ class Cone:
         spans; one batched `contains` call checks them all.  That holds for
         the Schur-Horn bounds of a full-rotation orbit (`RotationOrbit`) and
         the Caratheodory-Toeplitz bounds of a one-parameter orbit
-        (`MomentCurve`).  A generator off the orbit (for example one kept
-        after the edge grew) withholds it, and membership stays an inner
-        approximation.
+        (`MomentCurve`), on every cone `saturate` builds, whose generators
+        are the base and a sweep of its orbit.  A generator off the orbit
+        (one added to such a stack by hand) withholds it, and membership
+        stays an inner approximation.
         """
         exact = None if self.analytic is None else self.analytic.exact
         if exact is None:
@@ -781,14 +794,15 @@ def lineality(c: Cone, tol: float = None) -> Subspace:
     cone's) positive and finite; anything else raises ValueError.
 
     With a family, the cone is taken to be cone(K b), over the orbit of the
-    family's base b under the group K its seeds s_i generate (`saturate`
-    keeps every stored generator on it).  The answer is exact, from the Haar
+    family's base b under the group K its seeds s_i generate (every stored
+    generator of a cone `saturate` builds lies on it), so the stored
+    generators do not enter.  The answer is exact, from the Haar
     centroid c of the orbit, the projection of b onto the fixed space
     {x : [s_i, x] = 0}.  Every orbit point g has <c, g> = |c|^2, so c != 0
     makes the cone pointed, with margin |c| / |b| on every unit generator;
     c = 0 puts the centroid at the apex, so the cone is the orbit's linear
     span V, the smallest subspace that contains b and is closed under every
-    [s_i, .] (`lie_closure` with the seeds as its bracket set).  Conjugation
+    [s_i, .] (`Cone.span`, computed once per cone).  Conjugation
     fixes the identity, so |Re tr b| / sqrt(N) <= |c| on an N x N carrier,
     and a trace margin above `tol` decides "pointed" without V.  Otherwise
     c is b minus its projection onto the brackets [s_i, V], which span V's
@@ -805,7 +819,7 @@ def lineality(c: Cone, tol: float = None) -> Subspace:
         margin = tol * fro(b)
         if abs(np.trace(b).real) > margin * np.sqrt(b.shape[0]):
             return pointed
-        span = lie_closure([b], by=seeds)
+        span = c.span()
         brackets = comm(np.asarray(seeds)[:, None], np.reshape(span.mats, (1, -1, *c.shape)))
         off = _span_columns(realify_stack(brackets.reshape(-1, *c.shape), c.shape,
                                           span.complex_field))
@@ -823,7 +837,7 @@ def lineality(c: Cone, tol: float = None) -> Subspace:
 
 @dataclass(frozen=True)
 class Wedge:
-    """edge + (-cone) with bookkeeping from the saturation loop."""
+    """edge + (-cone) with the report of the saturation that built it."""
 
     edge: Subspace
     cone: Cone
@@ -832,10 +846,11 @@ class Wedge:
 
     @property
     def dim(self) -> int:
-        """Linear dimension of edge plus cone span: the cone's edge-orthogonal
-        parts, with remainders of norm <= 1e-12 dropped as `saturate` does,
-        counted from their singular values alone (`_rank`)."""
-        return self.edge.dim + _rank(_edge_orthogonal_units(self.edge, self.cone.stack))
+        """Linear dimension of edge plus cone span (`Cone.span`, exact with a
+        family): the span's edge-orthogonal parts, with remainders of norm
+        <= 1e-12 dropped as `saturate` does, counted from their singular
+        values alone (`_rank`)."""
+        return self.edge.dim + _rank(_edge_orthogonal_units(self.edge, self.cone.span().stack))
 
     @cached_property
     def algebra(self) -> Subspace:
@@ -878,26 +893,6 @@ def initial_wedge(sys: ControlSystem) -> Wedge:
     return Wedge(edge=edge, cone=cone, drift=drift)
 
 
-def _novel_columns(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Columns of `cols` whose cosine with every column of `stack` and with
-    every earlier kept column stays at or below 1 - 1e-12, as a C-contiguous
-    array.
-
-    Every cosine comes from one Gram product of `cols` against `stack` and
-    itself; the greedy pass then only reads it, in column order, so of two
-    near-parallel candidates the first one wins."""
-    limit = 1.0 - 1e-12
-    cos = cols.T @ np.concatenate([stack, cols], axis=1)
-    blocked = cos[:, :stack.shape[1]].max(axis=1, initial=-np.inf) > limit
-    near = cos[:, stack.shape[1]:] > limit
-    keep = []
-    for j in range(cols.shape[1]):
-        if not blocked[j]:
-            keep.append(j)
-            blocked |= near[j]
-    return np.ascontiguousarray(cols[:, keep])
-
-
 def _edge_orthogonal_units(edge: Subspace, cols: np.ndarray) -> np.ndarray:
     """Columns minus their edge projection, normalized; columns whose
     remainder has norm <= 1e-12 are dropped."""
@@ -906,145 +901,63 @@ def _edge_orthogonal_units(edge: Subspace, cols: np.ndarray) -> np.ndarray:
     return p[:, n > 1e-12] / n[n > 1e-12]
 
 
-def _spot_members(cone: Cone, points: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each matrix p of the stack `points`, which lie on the orbit
-    of the cone's family, is within tol * max(1, |p|) of the cone.
-
-    On a certified cone, `_exact_verdicts` decides every point it can in
-    one stacked call, by the rule `cone_contains` applies first.  A point
-    still undecided gets a one-column certificate: with g the unit support
-    element `support(p) / |support(p)|`, p is a member when
-    |p - max(<g, p>, 0) g| <= tol * max(1, |p|), since max(<g, p>, 0) g lies
-    in the cone.  For an orbit point, g is p's own direction up to the
-    support search's precision.  Only a point that fails the certificate
-    goes to `cone_contains`, whose fit appends this same deterministic g in
-    its boundary shortcut, so an "outside" verdict is always
-    `cone_contains`'s.  A "member" verdict is backed by an explicit cone
-    element within the bound, and can accept a point that `cone_contains`
-    rejects: where the stack-only NNLS reports a residual within the bound,
-    `_cone_fit` stops there and `cone_contains` judges |p - fit|, which can
-    be a few percent larger (see `cone_residual`)."""
-    bounds = np.array([tol * max(1.0, fro(p)) for p in points])
-    decided, member = _exact_verdicts(cone, points, bounds)
-    for i in np.flatnonzero(~decided):
-        g, _val = cone.analytic.support(points[i])
-        ng = fro(g)
-        if ng > 0.0:
-            g = g / ng
-            if fro(points[i] - max(inner(g, points[i]), 0.0) * g) <= bounds[i]:
-                member[i] = True
-                continue
-        member[i] = cone_contains(cone, points[i], tol)
-    return member
-
-
 def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
              tol: float = 1e-8, seed: int = 0) -> Wedge:
-    """Inner-approximation loop: close the edge, conjugate, update the hull.
+    """The wedge's (edge, base) fixed point, then one sweep of its cone.
 
-    The cone's generators are held throughout as one realified column stack.
-    Each round: (a) absorb the cone's lineality into the edge and Lie-close
-    it (exact on a cone with a family: none when the orbit's centroid is
-    nonzero, else the orbit's linear span, see `lineality`); (b) project
-    the stored columns orthogonal to the (possibly grown) edge and
-    renormalize them; then, after an edge change, (c) sweep
-    conjugations of the drift base and of sampled stored generators by
-    exponentials of edge elements, or on a stable edge (d) keep the members
-    of a freshly offset sweep that fall outside the cone, all decided in one
-    pass (`_spot_members`: stacked exact bounds on a certified cone, then a
-    one-column support certificate, then a full fit only for the points
-    still undecided); novel candidates are appended.  Terminates when a
-    round after a stable edge adds nothing: exhaustively for small candidate
-    sets, else by a membership spot-check of a freshly offset sweep (the
-    family group property guarantees swept candidates stay in the analytic
-    cone), or at once without a family (a base of norm <= 1e-12).  The
-    partial result is returned with ``converged: False`` when max_rounds is
-    exhausted or a stable edge meets a torus that is not `periodic`, where
-    no box is a period (termination "aperiodic-torus").  `orbit_samples` and
+    Each round Lie-closes the edge (round one: the controls' span; later
+    rounds: the edge plus the last round's lineality) and takes the base b,
+    the drift minus its edge projection.  It stops without a family
+    ("no-family") when the edge is 0 or |b| <= 1e-12.  Otherwise the cone is
+    cone(K b), the orbit of b under the edge's group K.  When the last round
+    found no lineality, the edge did not grow and the round stops at the
+    fixed point ("fixed-point"), or unconverged at "aperiodic-torus" when
+    the family is a torus that is not `periodic`, where no box is a period.
+    Else `lineality` reads the cone's lineality exactly off the orbit
+    centroid, for the next round.  After `max_rounds` rounds the wedge is
+    returned with ``converged: False``.  Only then is the cone's stack built,
+    from b and one `sweep` of `orbit_samples` orbit points (orbit draws
+    seeded with `seed`), which fits and `semialgebra_probe` read; the edge,
+    the base and `Wedge.dim` do not depend on it.  `orbit_samples` and
     `max_rounds` must be integers >= 1, `seed` an integer >= 0 and `tol`
     positive and finite; anything else raises ValueError before round one.
+    The report keeps one 0 per round in ``novel_counts``: no round adds a
+    sampled generator.
     """
     orbit_samples = _checked_count("orbit_samples", orbit_samples, 1)
     max_rounds = _checked_count("max_rounds", max_rounds, 1)
     tol = _checked_tol(tol)
     rng = np.random.default_rng(_checked_count("seed", seed))
-    shape = w.cone.shape
-    complex_field = w.cone.complex_field
-    edge = w.edge
-    cols = w.cone.stack
+    shape, complex_field = w.cone.shape, w.cone.complex_field
     drift = w.drift if w.drift is not None else np.zeros(shape)
     report = {"rounds": 0, "converged": False, "termination": None,
               "edge_dims": [], "novel_counts": [], "tol": tol,
               "orbit_samples": orbit_samples}
-    family = None
-    cone = w.cone
-
+    edge, lin, family = w.edge, (), None
     for rnd in range(1, max_rounds + 1):
-        report["rounds"] = rnd
-        # (a) lineality into edge, Lie closure
-        lin = lineality(cone, tol)
-        closure_gens = list(edge.mats) + list(lin.mats)
-        prev_edge_dim = edge.dim
-        if closure_gens:
-            edge = lie_closure(closure_gens, tol=1e-9)
-        edge_changed = edge.dim != prev_edge_dim or rnd == 1
-        report["edge_dims"].append(edge.dim)
-
-        # (b) re-project generators orthogonal to the edge
+        gens = [*edge.mats, *lin]
+        if gens:
+            edge = lie_closure(gens, tol=1e-9)
         base = drift - edge.project(drift)
-        cols = _edge_orthogonal_units(edge, cols)
-        moving = fro(base) > 1e-12
-        family = ConjugationFamily(edge.mats, base) if edge.dim and moving else None
-        cone = Cone(stack=cols, shape=shape, complex_field=complex_field,
-                    analytic=family, tol=tol)
-        if family is None:
-            if moving:
-                cone = Cone(generators=(base,), shape=shape,
-                            complex_field=complex_field, tol=tol)
-            report["novel_counts"].append(0)
+        report["rounds"] = rnd
+        report["edge_dims"].append(edge.dim)
+        report["novel_counts"].append(0)
+        if not edge.dim or fro(base) <= 1e-12:
+            family = None
             report.update(converged=True, termination="no-family")
             break
-
-        # (c) conjugation sweep: fresh base sweep + conjugated stored samples
-        if edge_changed:
-            cands = realify_stack([g for _, g in family.sweep(orbit_samples, rng)],
-                                  shape, complex_field)
-            if cols.shape[1]:
-                picks = rng.choice(cols.shape[1], size=min(8, cols.shape[1]), replace=False)
-                params = rng.normal(scale=np.pi / np.sqrt(family.n_params),
-                                    size=(4 * len(picks), family.n_params))
-                bases = unrealify_stack(np.repeat(cols[:, picks], 4, axis=1), shape,
-                                        complex_field)
-                extra = realify_stack(family.elements(params, bases), shape, complex_field)
-                cands = np.concatenate([cands, extra], axis=1)
-            novel = _edge_orthogonal_units(edge, cands)
-        else:
-            # (d) stable edge: novelty by membership of a freshly offset sweep
-            if family.kind == "torus" and not family.periodic:
-                report["novel_counts"].append(0)
-                report["termination"] = "aperiodic-torus"
-                break
-            n_spot = min(32, max(8, orbit_samples // 32))
-            if family.kind == "orbit":
-                spot = [g for _, g in family.sweep(n_spot, rng)]
-            else:
-                spot = family.elements(np.stack([rng.uniform(0, p, size=n_spot)
-                                                 for p in family.periods], axis=1))
-            spot = _edge_orthogonal_units(edge, realify_stack(spot, shape, complex_field))
-            outside = ~_spot_members(cone, unrealify_stack(spot, shape, complex_field), tol)
-            if not outside.any():
-                report["novel_counts"].append(0)
-                report.update(converged=True, termination=(
-                    "membership-spot-check" if family.kind == "orbit" or cone.n_generators > 64
-                    else "membership"))
-                break
-            novel = spot[:, outside]
-        kept = _novel_columns(cols, novel)
-        cols = np.concatenate([cols, kept], axis=1)
-        cone = Cone(stack=cols, shape=shape, complex_field=complex_field,
-                    analytic=family, tol=tol)
-        report["novel_counts"].append(kept.shape[1])
-
+        family = ConjugationFamily(edge.mats, base)
+        if rnd > 1 and not lin:  # this closure of an unchanged edge is the fixed point
+            aperiodic = family.kind == "torus" and not family.periodic
+            report.update(converged=not aperiodic,
+                          termination="aperiodic-torus" if aperiodic else "fixed-point")
+            break
+        lin = lineality(Cone((base,), shape=shape, complex_field=complex_field,
+                             analytic=family, tol=tol), tol).mats
+    swept = family.sweep(orbit_samples, rng) if family is not None else []
+    points = [base, *(g for _, g in swept)]
+    cols = _edge_orthogonal_units(edge, realify_stack(points, shape, complex_field))
+    cone = Cone(stack=cols, shape=shape, complex_field=complex_field, analytic=family, tol=tol)
     return Wedge(edge=edge, cone=cone, drift=drift, saturation=report)
 
 

@@ -239,6 +239,15 @@ def test_wedge_on_an_aperiodic_torus_exits_one(tmp_path, capsys):
     assert (saturation["converged"], saturation["termination"]) == (False, "aperiodic-torus")
 
 
+def test_wedge_dimension_does_not_depend_on_the_sample_count(tmp_path, capsys):
+    """two_qubit_C's wedge once read dimension 10 from 4 samples."""
+    path = tmp_path / "two_qubit_C.sys"
+    path.write_text(format_system_file(build_system(ChannelSpec("two_qubit_C"))))
+    assert main(["wedge", "--system", str(path), "--samples", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["edge_dim"], report["wedge_dim"]) == (2, 15)
+
+
 def test_conditions_subcommand(r3_path, capsys):
     assert main(["conditions", "--system", r3_path]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -406,7 +415,9 @@ def test_system_files_with_non_finite_numbers_are_rejected(tmp_path, text, messa
      "invalid system: relaxation generator must be 3x3"),
     ("rep qubit\ndrift [[1,0],[0]]\n",
      "line 2: matrix literal must be a list of rows of equal length"),
-], ids=["qubit-control-3x3", "r3-control-2x2", "r3-relaxation-2x2", "ragged-drift"])
+    ("rep qubit\ndrift [[true,0],[0,false]]\n", "line 2: bad matrix entry True"),
+], ids=["qubit-control-3x3", "r3-control-2x2", "r3-relaxation-2x2", "ragged-drift",
+        "bool-drift"])
 @pytest.mark.parametrize("command", ["wedge", "conditions"])
 def test_system_files_with_misshaped_matrices_are_rejected(tmp_path, text, message,
                                                            command, capsys):

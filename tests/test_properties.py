@@ -1186,6 +1186,30 @@ def test_saturated_cones_hold_unit_columns_orthogonal_to_the_edge(rep, seed, n_c
     assert w.dim == _reference_wedge_dim(w)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(REPS), st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(0, 2))
+def test_saturation_ends_at_the_edge_base_fixed_point(rep, seed, n_controls, n_ops):
+    """The saturated edge is a Lie algebra that holds every control, and the
+    base is orthogonal to it; a converged wedge with a family has no
+    lineality left to absorb, and where the family has a closed form every
+    stored column lies within `_CERTIFIED` of its cone."""
+    system = _random_system(rep, seed, n_controls, n_ops)
+    w = saturate(initial_wedge(system), orbit_samples=24, seed=seed % 100)
+    edge, family = w.edge, w.cone.analytic
+    base = w.drift - edge.project(w.drift)
+    assert edge.dim == 0 or lie_closure(edge.mats).dim == edge.dim
+    assert all(edge.residual(c) <= 1e-9 * max(1.0, fro(c)) for c in control_directions(system))
+    assert all(abs(inner(m, base)) <= 1e-12 * max(1.0, fro(base)) for m in edge.mats)
+    if family is None:
+        return
+    assert np.array_equal(family.base, base)
+    if w.saturation["converged"]:
+        assert lineality(w.cone).dim == 0
+    bounds = None if family.exact is None else family.exact.contains(np.stack(w.cone.generators))
+    if bounds is not None:
+        assert bounds[1].max() <= wedge_module._CERTIFIED
+
+
 def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
     """The r3 and qubit branches of the closed-form orbit support, kept apart.
     A qubit direction off the coherence image is projected onto it, through
@@ -1681,32 +1705,19 @@ def test_moment_curve_tangent_is_certified_by_differences(source, weights):
 
 
 # ---------------------------------------------------------------------------
-# saturate's stable-edge spot check, the Gram-product novelty filter, the
-# singular-value wedge dimension and the Newton support ascent
+# membership at straddling exact bounds, the saturated wedge's bookkeeping,
+# the singular-value wedge dimension and the Newton support ascent
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _spot_cone(name: str) -> Cone:
-    """Cones whose family orbits the spot check samples: the saturated
-    example 1 (r3 full-rotation orbit, Schur-Horn), phase_flip with control
-    x (qubit one-parameter torus, Caratheodory-Toeplitz) and two_qubit_C
-    (two-qubit two-parameter torus, no closed form), and 64-sample sweeps of
-    an r3 two-parameter torus (a degenerate one) and a qubit one."""
-    systems = {"example1": (ChannelSpec(name="example1"), 48),
-               "phase_flip": (ChannelSpec(name="phase_flip", control_axes=("x",),
-                                          drift_axis="z"), 48),
-               "two_qubit_C": (ChannelSpec(name="two_qubit_C"), 24)}
-    if name in systems:
-        spec, samples = systems[name]
-        return saturate(initial_wedge(build_system(spec)), orbit_samples=samples).cone
-    rep = name.split()[0]
-    fam = _family(rep, "torus2", 5)
-    gens = [g for _, g in fam.sweep(64, np.random.default_rng(0))]
-    shape, complex_field = _carrier(rep)
-    return Cone(generators=gens, shape=shape, complex_field=complex_field, analytic=fam)
-
-
-SPOT_CONES = ("example1", "phase_flip", "two_qubit_C", "r3 torus2", "qubit torus2")
+def _certified_cone(name: str) -> Cone:
+    """The saturated cone of example 1 (r3 full-rotation orbit, Schur-Horn)
+    or of phase_flip with control x (qubit one-parameter torus,
+    Caratheodory-Toeplitz), at 48 samples."""
+    spec = {"example1": ChannelSpec(name="example1"),
+            "phase_flip": ChannelSpec(name="phase_flip", control_axes=("x",),
+                                      drift_axis="z")}[name]
+    return saturate(initial_wedge(build_system(spec)), orbit_samples=48).cone
 
 
 def _orbit_points(cone: Cone, rng, pushes) -> np.ndarray:
@@ -1726,29 +1737,13 @@ def _orbit_points(cone: Cone, rng, pushes) -> np.ndarray:
     return points
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(SPOT_CONES), st.integers(0, 2**32 - 1),
-       st.lists(st.one_of(st.none(), st.floats(-9.0, -3.0)), min_size=1, max_size=4))
-def test_batched_spot_verdicts_match_per_point_membership(name, seed, pushes):
-    """The spot check gives `cone_contains`'s verdict on points on the orbit
-    and moved 1e-9 to 1e-3 off it: the stacked exact bounds, the
-    one-column certificate and the `cone_contains` fallback all run.  (The certificate could accept a point in the gap where the
-    stack-only NNLS residual is under the bound and |p - fit| over it; these
-    draws hit none.)"""
-    cone = _spot_cone(name)
-    points = _orbit_points(cone, np.random.default_rng(seed), pushes)
-    got = wedge_module._spot_members(cone, points, cone.tol)
-    assert got.tolist() == [cone_contains(cone, p, cone.tol) for p in points]
-
-
 @pytest.mark.parametrize("name", ["example1", "phase_flip"])
 def test_spot_points_whose_exact_bounds_straddle_match_per_point_membership(name):
     """Points 10^-8.3 to 10^-7.7 off the orbit of a certified cone, where the
     Schur-Horn or Toeplitz bounds can straddle the threshold: there
     `cone_contains` leaves the verdict to the distance from the fit, of
-    which some points are members, and the spot check gives the same
-    verdicts from the certificate or the fit."""
-    cone = _spot_cone(name)
+    which some points are members."""
+    cone = _certified_cone(name)
     rng = np.random.default_rng(7)
     points = _orbit_points(cone, rng, rng.uniform(-8.3, -7.7, size=400))
     lower, upper = cone.exact.contains(points)
@@ -1758,17 +1753,16 @@ def test_spot_points_whose_exact_bounds_straddle_match_per_point_membership(name
     want = [cone_contains(cone, p, cone.tol) for p in points]
     assert want == [cone_residual(cone, p) <= b for p, b in zip(points, bounds)]
     assert any(want) and len(want) >= 2
-    assert wedge_module._spot_members(cone, points, cone.tol).tolist() == want
 
 
 @pytest.mark.parametrize("name, samples, report", [
-    ("two_qubit_C", 48, {"rounds": 2, "converged": True, "termination": "membership",
-                         "edge_dims": [2, 2], "novel_counts": [52, 0]}),
+    ("two_qubit_C", 48, {"rounds": 2, "converged": True, "termination": "fixed-point",
+                         "edge_dims": [2, 2], "novel_counts": [0, 0]}),
     ("two_qubit_B", 120, {"rounds": 2, "converged": True, "termination": "no-family",
-                          "edge_dims": [6, 15], "novel_counts": [124, 0]})])
+                          "edge_dims": [6, 15], "novel_counts": [0, 0]})])
 def test_two_qubit_spot_check_makes_no_fit(monkeypatch, name, samples, report):
-    """Every point of two_qubit_C's stable-edge spot check lies on the
-    family's orbit, and the one-column certificate decides it; two_qubit_B's
+    """two_qubit_C's edge stops growing after round one, where its orbit
+    centroid is nonzero, and round two ends at the fixed point; two_qubit_B's
     orbit cone is a subspace, which `lineality` reads off the orbit centroid
     (where it once fitted each of 125 stored generators' negatives), so the
     edge grows to all 15 dimensions, and the drift's part off it, of norm
@@ -1886,57 +1880,6 @@ def test_lineality_of_z_rotation_orbits(base, dim):
     want = _reference_lineality(cone, cone.tol)
     assert got.dim == want.dim == dim
     assert all(got.contains(m) for m in want.mats)
-
-
-def _reference_novel_columns(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """One cosine product per candidate against the stack and every column
-    kept so far."""
-    s = stack.shape[1]
-    cur = np.empty((stack.shape[0], s + cols.shape[1]))
-    cur[:, :s] = stack
-    j = s
-    for col in cols.T:
-        if j and (cur[:, :j].T @ col).max() > 1.0 - 1e-12:
-            continue
-        cur[:, j] = col
-        j += 1
-    return cur[:, s:j]
-
-
-@SETTINGS
-@given(st.sampled_from(REPS), st.integers(0, 2**32 - 1), st.integers(0, 6),
-       st.integers(0, 8), st.integers(0, 6), st.integers(0, 4), st.booleans())
-def test_novel_columns_match_the_sequential_reference(rep, seed, s, m, copies, from_stack,
-                                                      fortran):
-    """Candidates with duplicate chains (a copy of a copy), near-duplicates
-    inside and outside the 1e-12 cosine band, and copies of stack columns:
-    the one Gram product keeps bitwise the columns of the sequential filter,
-    as a C-contiguous array, also from Fortran-ordered candidates."""
-    rng = np.random.default_rng(seed)
-    shape, complex_field = _carrier(rep)
-    dim = int(np.prod(shape)) * (2 if complex_field else 1)
-
-    def units(k):
-        a = rng.normal(size=(dim, k))
-        return a / np.linalg.norm(a, axis=0)
-
-    stack, cols = units(s), units(m)
-    for _ in range(copies):
-        if cols.shape[1]:
-            c = cols[:, rng.integers(cols.shape[1])]
-            if rng.random() < 0.5:
-                c = c + rng.choice((1e-14, 1e-5)) * rng.normal(size=c.shape)
-                c = c / np.linalg.norm(c)
-            cols = np.concatenate([cols, c[:, None]], axis=1)
-    for _ in range(from_stack if s else 0):
-        cols = np.concatenate([cols, stack[:, rng.integers(s)][:, None]], axis=1)
-    cols = cols[:, rng.permutation(cols.shape[1])]
-    if fortran:
-        cols = np.asfortranarray(cols)
-    got = wedge_module._novel_columns(stack, cols)
-    want = _reference_novel_columns(stack, cols)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert got.flags.c_contiguous
 
 
 @SETTINGS

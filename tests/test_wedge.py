@@ -720,6 +720,22 @@ def test_saturate_takes_numpy_integer_settings():
     assert got.saturation == want.saturation
 
 
+@pytest.mark.parametrize("name, dims", [("example1", (3, 9)), ("example2", (1, 4)),
+                                        ("example3", (1, 6)), ("two_qubit_C", (2, 15))])
+def test_saturated_wedge_does_not_depend_on_the_sample_count(name, dims):
+    """The edge, the base, the family's seeds and the wedge dimension come
+    from the algebra alone, so 1, 2, 4 or 24 orbit samples give the same
+    ones (two_qubit_C's dimension once read 10, not 15, off a stack of 4 or
+    fewer samples)."""
+    start = initial_wedge(build_system(ChannelSpec(name=name)))
+    ws = [saturate(start, orbit_samples=k) for k in (1, 2, 4, 24)]
+    for w in ws:
+        family = w.cone.analytic
+        assert (w.edge.dim, w.dim) == dims and w.saturation["converged"]
+        assert np.array_equal(family.base, ws[-1].cone.analytic.base)
+        assert np.array_equal(np.stack(family.seeds), np.stack(ws[-1].cone.analytic.seeds))
+
+
 def _z_pair_system(ratio: float) -> ControlSystem:
     """Two qubits without drift, one control (z1 + ratio 1z) / 2, and
     lindblad x1 at rate 1.0 and 1x at rate 0.5."""
@@ -746,7 +762,7 @@ def test_commensurate_torus_wedge_holds_its_whole_orbit():
 def test_aperiodic_torus_is_left_undecided():
     """(z1 + sqrt(2) 1z) / 2 has rationally independent frequencies, so no
     box is a period and no sweep of one decides the orbit's closure: the
-    first stable-edge round ends the saturation unconverged."""
+    saturation ends unconverged at its fixed point."""
     w = saturate(initial_wedge(_z_pair_system(np.sqrt(2.0))), orbit_samples=180)
     assert (w.saturation["converged"], w.saturation["termination"]) == (False, "aperiodic-torus")
     assert w.saturation["edge_dims"] == [1, 1] and w.saturation["novel_counts"][-1] == 0
