@@ -347,7 +347,7 @@ _CLOSED_FORMS = {RotationOrbit: "rotation-orbit", MomentCurve: "moment-curve"}
 def _wedge_report(w) -> dict:
     """The wedge by the data that fixes it: the edge, and the cone over the
     orbit of `base` under the edge's group (`family`), or over its ray when
-    there is no family.  `closed_form` names the certified closed form
+    there is no family.  `closed_form` names the closed form
     (`Cone.exact`) that decides membership, if any."""
     family = w.cone.analytic
     return {

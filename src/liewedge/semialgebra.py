@@ -4,7 +4,7 @@ A wedge is BCH-closed (a Lie semialgebra) when small products
 expm(tA)expm(tB) generate no direction outside it.  This module provides
 the order-4 truncated product, a randomized probe that hunts for
 counterexample pairs, tangent spaces T_A w = (A^perp ∩ w*)^perp (exact,
-from the closed form a cone certifies, and None where none decides), and
+from the closed form that decides a cone, and None where none does), and
 the rotation-orbit case analysis (isotropic, rank-one,
 degenerate-pair, and generic relaxation rates).
 """
@@ -254,7 +254,7 @@ def tangent_space(w: Wedge, a_mat: np.ndarray, seed: int = 0):
     (undecided) where no closed form decides it.
 
     With x = A minus its edge part, T_A is the edge plus `exact.tangent(x,
-    tol)` on a cone that certifies its closed form (`Cone.exact`), or plus x
+    tol)` on a cone whose closed form decides it (`Cone.exact`), or plus x
     (if |x| > tol) on a cone of at most one generator and no family, tol
     being the cone's; other cones, which their generators only approximate,
     give None.  No number is drawn, but `seed` must be an integer >= 0;
@@ -282,7 +282,8 @@ def tangent_space(w: Wedge, a_mat: np.ndarray, seed: int = 0):
 
 def orbit_wedge(rates, hull_samples: int = 192, seed: int = 0,
                 tol: float = 1e-8) -> Wedge:
-    """Wedge so(3) + cone{R diag(rates) R^T} with its analytic orbit family.
+    """Wedge so(3) + cone{R diag(rates) R^T}, the cone held as its orbit
+    family and `hull_samples` sweep rows drawn with `seed`.
 
     `rates` must be three nonnegative finite reals, `hull_samples` and
     `seed` integers >= 0 and `tol` positive and finite; else ValueError."""
@@ -296,9 +297,8 @@ def orbit_wedge(rates, hull_samples: int = 192, seed: int = 0,
     seeds = tuple(h / fro(h) for h in (H_X, H_Y, H_Z))
     edge = orthonormal_span([H_X, H_Y, H_Z], shape=(3, 3), complex_field=False)
     fam = ConjugationFamily(seeds, gamma) if fro(gamma) > 0 else None
-    gens = [] if fam is None else [gamma] + [g for _, g in fam.sweep(hull_samples, rng)]
-    cone = Cone(generators=tuple(gens), shape=(3, 3), complex_field=False,
-                analytic=fam, tol=tol)
+    cone = Cone(shape=(3, 3), complex_field=False, analytic=fam, tol=tol,
+                thetas=None if fam is None else fam.params(hull_samples, rng))
     return Wedge(edge=edge, cone=cone, drift=gamma)
 
 

@@ -3,26 +3,23 @@
 A wedge is stored as ``edge + (-cone)``: the edge is a Lie subalgebra kept
 as an orthonormal `Subspace`, and the cone is the *positive* convex cone
 spanned by conjugated drift generators (so the physical wedge consists of
-the edge plus the negatives of the cone elements).  Cones carry finitely
-many unit-norm sampled generators plus, where available, an analytic
-conjugation family: the edge's orthonormal basis as skew seeds and the
-drift's edge-orthogonal part as base, from which the family derives its
-kind (a torus where the seeds co-diagonalise, whose one frequency table
-gives its box, sweep and support search; an orbit otherwise) and closed
-forms (`exact`).  Membership is
-exact where the family has a closed form that the cone certifies
-(`Cone.exact`: Schur-Horn bounds for full-rotation orbits,
+the edge plus the negatives of the cone elements).  A cone holds unit-norm
+generators, or is an orbit cone: an analytic conjugation family (the
+edge's orthonormal basis as skew seeds and the drift's edge-orthogonal part
+as base, from which the family derives its kind, a torus where the seeds
+co-diagonalise, whose one frequency table gives its box, sweep and support
+search, or an orbit, and closed forms, `exact`) and the rows of one sweep,
+swept on first read.  Membership is exact where the family's closed form
+decides it (`Cone.exact`: Schur-Horn bounds for full-rotation orbits,
 Caratheodory-Toeplitz bounds for one-parameter orbits with commensurate
-frequencies); elsewhere it comes from a nonnegative fit over sampled
-generators, an inner approximation that can only err towards "not a
-member".
-Edge and cone are each stored once, as a realified column stack (see
-`matcore`); their matrices are views derived from it.
+frequencies); elsewhere a nonnegative fit over the generators decides, an
+inner approximation that can only err towards "not a member".  Edges and
+given generators are stored as realified column stacks (see `matcore`).
 
 `saturate` fixes the wedge by algebra alone: it Lie-closes the edge and
 grows it by the cone's lineality until it stops growing, and the cone is
 the orbit of the base under the edge's group, so no sample adds to either;
-one sweep of the orbit then gives the sampled generators that fits read.
+the cone holds the rows of one sweep, swept only when fits or samplers read them.
 The lineality of a cone with a family is exact and needs no fit: the
 orbit's Haar centroid, the base's projection onto the fixed space of the
 edge's brackets, is either nonzero, and the cone is pointed, or zero, and
@@ -49,8 +46,8 @@ from .matcore import (RANK_TOL, Subspace, _checked_count, _checked_tol, _null_ro
                       realify_stack, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
-# largest distance from a stored unit generator to the family's cone at
-# which `Cone.exact` still lets the closed form decide membership
+# largest distance from a swept unit generator of an orbit cone to the
+# family's closed-form cone that rounding may leave
 _CERTIFIED = 1e-12
 # support candidates (`ConjugationFamily._support_grid`): torus grids of 2048
 # points on one parameter and 4096 (64x64, 16^3) on more; orbit draws
@@ -421,12 +418,14 @@ class ConjugationFamily:
     def element(self, params) -> np.ndarray:
         return self.elements([params])[0]
 
-    def _params(self, count: int, rng: np.random.Generator) -> np.ndarray:
+    def params(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Parameter rows of a sweep: n uniform points per parameter over a
         torus's box (n = count for one parameter, else the least n >= 2 with
         n^p >= count, the last fastest), `count` seeded normal draws on an
-        orbit."""
+        orbit; no row for a count below 1."""
         p = self.n_params
+        if count < 1:
+            return np.zeros((0, p))
         if self.kind == "orbit":
             return rng.normal(scale=np.pi / np.sqrt(p), size=(count, p))
         n = count if p == 1 else max(2, next(n for n in range(1, count + 1) if n ** p >= count))
@@ -435,9 +434,7 @@ class ConjugationFamily:
 
     def sweep(self, count: int, rng: np.random.Generator):
         """Deterministic grid (torus) or random exponentials (orbit)."""
-        if count < 1:
-            return []
-        thetas = self._params(count, rng)
+        thetas = self.params(count, rng)
         return list(zip(thetas, self.elements(thetas)))
 
     # -- support function -------------------------------------------------
@@ -514,12 +511,12 @@ class ConjugationFamily:
 
     @cached_property
     def _support_grid(self):
-        """Support candidates, built on first use: the `_params` rows of a
+        """Support candidates, built on first use: the `params` rows of a
         sweep, on a torus the grid of `_TORUS_CANDIDATES` points with their
         plane waves, on an orbit `_ORBIT_CANDIDATES` draws seeded with 0."""
         orbit = self.kind == "orbit"
         count = _ORBIT_CANDIDATES if orbit else _TORUS_CANDIDATES[self.n_params > 1]
-        thetas = self._params(count, np.random.default_rng(0))
+        thetas = self.params(count, np.random.default_rng(0))
         return thetas, None if orbit else self._waves(thetas)
 
     def support(self, direction: np.ndarray):
@@ -569,7 +566,7 @@ class ConjugationFamily:
         for one seed whose eigenphase differences, where the base has a
         part, are the multiples -d..d of one unit with none missing, and
         whose moment map is injective (see `_moment_curve`); one-parameter
-        cone membership is then exact where `Cone.exact` certifies it.  Every
+        cone membership is then exact (`Cone.exact`).  Every
         caller that can use a closed form asks here first and samples
         otherwise.
         """
@@ -595,32 +592,49 @@ class ConjugationFamily:
 # cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Cone:
-    """Finitely sampled convex cone with optional analytic parameterization.
+    """Convex cone, held by its generators or by an orbit family.
 
-    `stack` is the only stored form: the realified generators as columns of
-    unit norm under the trace inner product.  Built from `generators`, the
-    cone normalizes them in one batch and drops zero matrices; built from
-    `stack`, it takes the columns as they are.  `generators`, the matrices,
-    are derived from the stack on first use, `span` once on first call, and
-    `pointed` from `lineality`.
+    Without a family it stores its generators as `stack`, realified unit
+    columns under the trace inner product (zero matrices dropped).  With a
+    family (`analytic`) it is the cone over the base's orbit and holds the
+    family and `thetas`, the rows of one sweep (none by default); `stack` is
+    swept on first read, and `n_generators` is 1 + len(thetas).  Generators
+    with a family, or `thetas` without one, raise ValueError.  `generators`
+    are derived from the stack, `span` once, and `pointed` from `lineality`.
     """
 
-    stack: np.ndarray = field(repr=False)
     shape: tuple
     complex_field: bool
     analytic: ConjugationFamily = None
+    thetas: np.ndarray = field(default=None, repr=False)
     tol: float = 1e-8
 
-    def __init__(self, generators=(), *, shape, complex_field, analytic=None,
-                 tol=1e-8, stack=None):
-        if stack is None:
+    def __init__(self, generators=(), *, shape, complex_field, analytic=None, thetas=None,
+                 tol=1e-8):
+        if len(generators) if analytic is not None else thetas is not None:
+            raise ValueError("a cone holds generators, or a family and its sweep rows (thetas)")
+        if analytic is None:
             stack = realify_stack(generators, shape, complex_field)
             norms = np.linalg.norm(stack, axis=0)
-            stack = stack[:, norms > 0] / norms[norms > 0]
-        self.__dict__.update(stack=stack, shape=shape, complex_field=complex_field,
-                             analytic=analytic, tol=tol)
+            self.__dict__["stack"] = stack[:, norms > 0] / norms[norms > 0]
+        else:
+            thetas = np.reshape(() if thetas is None else thetas, (-1, analytic.n_params))
+        self.__dict__.update(shape=shape, complex_field=complex_field, analytic=analytic,
+                             thetas=thetas, tol=tol)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """A family cone's unit columns, one evaluation of the orbit: the base
+        and `elements(thetas)` off the seeds' span (orthonormal seeds as is)."""
+        fam = self.analytic
+        points = realify_stack([fam.base, *fam.elements(self.thetas)], self.shape,
+                               self.complex_field)
+        seeds = realify_stack(fam.seeds, self.shape, self.complex_field)
+        if not np.allclose(seeds.T @ seeds, np.eye(fam.n_params), rtol=0.0, atol=1e-12):
+            seeds = _span_columns(seeds)
+        return _edge_orthogonal_units(Subspace(seeds, self.shape, self.complex_field), points)
 
     @cached_property
     def generators(self) -> tuple:
@@ -634,14 +648,14 @@ class Cone:
 
     @property
     def n_generators(self) -> int:
-        return self.stack.shape[1]
+        return self.stack.shape[1] if self.analytic is None else 1 + len(self.thetas)
 
     def span(self) -> Subspace:
         """The cone's linear span, computed once.  With a family it is the
-        orbit's, exact and independent of the stored generators: the
-        smallest subspace that holds the base and is closed under every
-        [seed, .] (`lie_closure` with the seeds as its bracket set).
-        Otherwise it is the stored generators' span."""
+        orbit's, exact and independent of the sweep: the smallest subspace
+        that holds the base and is closed under every [seed, .]
+        (`lie_closure` with the seeds as its bracket set).  Otherwise it is
+        the stored generators' span."""
         return self._span
 
     @cached_property
@@ -652,26 +666,12 @@ class Cone:
 
     @cached_property
     def exact(self):
-        """The family's closed form (`ConjugationFamily.exact`) when it decides
-        this cone, else None.
-
-        It does when every stored generator lies within `_CERTIFIED` of the
-        family's cone, so that the stack adds nothing to what the family
-        spans; one batched `contains` call checks them all.  That holds for
-        the Schur-Horn bounds of a full-rotation orbit (`RotationOrbit`) and
-        the Caratheodory-Toeplitz bounds of a one-parameter orbit
-        (`MomentCurve`), on every cone `saturate` builds, whose generators
-        are the base and a sweep of its orbit.  A generator off the orbit
-        (one added to such a stack by hand) withholds it, and membership
-        stays an inner approximation.
-        """
+        """The family's closed form (`ConjugationFamily.exact`) where its
+        bounds decide membership, else None: the cone is the family's orbit
+        cone, so everywhere but on a rotation orbit whose rates sum to <= 0,
+        which Schur-Horn does not cut out (`RotationOrbit.contains`)."""
         exact = None if self.analytic is None else self.analytic.exact
-        if exact is None:
-            return None
-        bounds = exact.contains(unrealify_stack(self.stack, self.shape, self.complex_field))
-        if bounds is None or np.any(bounds[1] > _CERTIFIED):
-            return None
-        return exact
+        return None if isinstance(exact, RotationOrbit) and not exact.rates.sum() > 0.0 else exact
 
 
 def _cone_fit(c: Cone, x: np.ndarray, target: float = None) -> tuple:
@@ -757,7 +757,7 @@ def _checked_query(x, shape: tuple, tol) -> tuple:
 def cone_contains(c: Cone, x: np.ndarray, tol: float = None) -> bool:
     """Whether x lies within tol * max(1, |x|) of the cone.
 
-    Where the cone has a certified closed form (`Cone.exact`: Schur-Horn on
+    Where the cone has a closed form that decides it (`Cone.exact`: Schur-Horn on
     full-rotation orbits, Caratheodory-Toeplitz on one-parameter orbits),
     its distance bounds decide first: a lower bound above the threshold is a
     non-member, an upper bound at or below it a member, so the verdict is
@@ -779,8 +779,8 @@ def _exact_verdicts(c: Cone, xs: np.ndarray, bounds: np.ndarray) -> tuple:
     """(decided, member) masks over the stack `xs` from the distance bounds
     of `Cone.exact`, in one call: a lower bound above the point's entry of
     `bounds` decides "outside", an upper bound at or below it "member";
-    nothing is decided where the bounds straddle it or the cone has no
-    certified closed form."""
+    nothing is decided where the bounds straddle it or no closed form
+    decides the cone."""
     if c.exact is None:
         return np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=bool)
     lower, upper = c.exact.contains(xs)
@@ -793,9 +793,8 @@ def lineality(c: Cone, tol: float = None) -> Subspace:
     """Directions g with both g and -g in the cone, with `tol` (default: the
     cone's) positive and finite; anything else raises ValueError.
 
-    With a family, the cone is taken to be cone(K b), over the orbit of the
-    family's base b under the group K its seeds s_i generate (every stored
-    generator of a cone `saturate` builds lies on it), so the stored
+    With a family, the cone is cone(K b), over the orbit of the family's
+    base b under the group K its seeds s_i generate, so its swept
     generators do not enter.  The answer is exact, from the Haar
     centroid c of the orbit, the projection of b onto the fixed space
     {x : [s_i, x] = 0}.  Every orbit point g has <c, g> = |c|^2, so c != 0
@@ -814,7 +813,7 @@ def lineality(c: Cone, tol: float = None) -> Subspace:
     """
     tol = _checked_tol(c.tol if tol is None else tol)
     pointed = orthonormal_span([], shape=c.shape, complex_field=c.complex_field)
-    if c.analytic is not None and c.n_generators:
+    if c.analytic is not None:
         seeds, b = c.analytic.seeds, c.analytic.base
         margin = tol * fro(b)
         if abs(np.trace(b).real) > margin * np.sqrt(b.shape[0]):
@@ -903,7 +902,7 @@ def _edge_orthogonal_units(edge: Subspace, cols: np.ndarray) -> np.ndarray:
 
 def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
              tol: float = 1e-8, seed: int = 0) -> Wedge:
-    """The wedge's (edge, base) fixed point, then one sweep of its cone.
+    """The wedge's (edge, base) fixed point, its cone's family and sweep rows.
 
     Each round Lie-closes the edge (round one: the controls' span; later
     rounds: the edge plus the last round's lineality) and takes the base b,
@@ -915,10 +914,10 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
     the family is a torus that is not `periodic`, where no box is a period.
     Else `lineality` reads the cone's lineality exactly off the orbit
     centroid, for the next round.  After `max_rounds` rounds the wedge is
-    returned with ``converged: False``.  Only then is the cone's stack built,
-    from b and one `sweep` of `orbit_samples` orbit points (orbit draws
-    seeded with `seed`), which fits and `semialgebra_probe` read; the edge,
-    the base and `Wedge.dim` do not depend on it.  `orbit_samples` and
+    returned with ``converged: False``.  The cone holds the `params` rows of
+    one sweep of `orbit_samples` orbit points (orbit draws seeded with
+    `seed`), swept when fits or `semialgebra_probe` first read them; the
+    edge, the base and `Wedge.dim` do not depend on it.  `orbit_samples` and
     `max_rounds` must be integers >= 1, `seed` an integer >= 0 and `tol`
     positive and finite; anything else raises ValueError before round one.
     The report keeps one 0 per round in ``novel_counts``: no round adds a
@@ -927,13 +926,13 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
     orbit_samples = _checked_count("orbit_samples", orbit_samples, 1)
     max_rounds = _checked_count("max_rounds", max_rounds, 1)
     tol = _checked_tol(tol)
-    rng = np.random.default_rng(_checked_count("seed", seed))
+    seed = _checked_count("seed", seed)
     shape, complex_field = w.cone.shape, w.cone.complex_field
     drift = w.drift if w.drift is not None else np.zeros(shape)
     report = {"rounds": 0, "converged": False, "termination": None,
               "edge_dims": [], "novel_counts": [], "tol": tol,
               "orbit_samples": orbit_samples}
-    edge, lin, family = w.edge, (), None
+    edge, lin = w.edge, ()
     for rnd in range(1, max_rounds + 1):
         gens = [*edge.mats, *lin]
         if gens:
@@ -943,21 +942,19 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
         report["edge_dims"].append(edge.dim)
         report["novel_counts"].append(0)
         if not edge.dim or fro(base) <= 1e-12:
-            family = None
+            cone = Cone((base,) if fro(base) > 1e-12 else (), shape=shape,
+                        complex_field=complex_field, tol=tol)
             report.update(converged=True, termination="no-family")
             break
         family = ConjugationFamily(edge.mats, base)
+        cone = Cone(shape=shape, complex_field=complex_field, analytic=family, tol=tol,
+                    thetas=family.params(orbit_samples, np.random.default_rng(seed)))
         if rnd > 1 and not lin:  # this closure of an unchanged edge is the fixed point
             aperiodic = family.kind == "torus" and not family.periodic
             report.update(converged=not aperiodic,
                           termination="aperiodic-torus" if aperiodic else "fixed-point")
             break
-        lin = lineality(Cone((base,), shape=shape, complex_field=complex_field,
-                             analytic=family, tol=tol), tol).mats
-    swept = family.sweep(orbit_samples, rng) if family is not None else []
-    points = [base, *(g for _, g in swept)]
-    cols = _edge_orthogonal_units(edge, realify_stack(points, shape, complex_field))
-    cone = Cone(stack=cols, shape=shape, complex_field=complex_field, analytic=family, tol=tol)
+        lin = lineality(cone, tol).mats
     return Wedge(edge=edge, cone=cone, drift=drift, saturation=report)
 
 

@@ -600,16 +600,18 @@ def test_non_skew_seeds_are_rejected(rep, kind, seed):
 def test_cone_fit_residual_never_exceeds_the_norm(rep, kind, seed, count, analytic,
                                                   noise, log_scale):
     """Zero lies in every cone, so a fit's residual is at most ||x||: the
-    invariant the BCH-closure probe's edge screen rests on.  Stored
-    generators from the family's sweep, with or without the family for
-    column generation (tori: the random orbit search costs seconds per
-    fit); x a signed mix of them plus noise, at any scale."""
+    invariant the BCH-closure probe's edge screen rests on.  The points of
+    the family's sweep, held as the family's cone (which fits with column
+    generation) or as plain generators (tori: the random orbit search costs
+    seconds per fit); x a signed mix of them plus noise, at any scale."""
     fam = _family(rep, kind, seed)
     rng = np.random.default_rng(seed)
-    gens = [g for _, g in fam.sweep(count, rng)]
-    cone = Cone(generators=tuple(gens), shape=fam.base.shape,
-                complex_field=np.iscomplexobj(fam.base),
-                analytic=fam if analytic else None)
+    thetas = fam.params(count, rng)
+    gens = list(fam.elements(thetas))
+    shape, complex_field = fam.base.shape, np.iscomplexobj(fam.base)
+    cone = (Cone(shape=shape, complex_field=complex_field, analytic=fam, thetas=thetas)
+            if analytic else Cone(generators=tuple(gens), shape=shape,
+                                  complex_field=complex_field))
     x = noise * rng.normal(size=fam.base.shape)
     if cone.complex_field:
         x = x + 1j * noise * rng.normal(size=fam.base.shape)
@@ -1120,7 +1122,6 @@ def test_cone_stores_unit_columns_and_derives_its_generators(rep, seed, m, zeros
     for k, (g, a) in enumerate(zip(c.generators, nonzero)):
         assert g.tobytes() == unrealify(c.stack[:, k], shape, complex_field).tobytes()
         assert np.max(np.abs(g - a / fro(a))) <= 1e-14
-    assert Cone(stack=c.stack, shape=shape, complex_field=complex_field).stack is c.stack
 
 
 @SETTINGS
@@ -1192,7 +1193,7 @@ def test_saturation_ends_at_the_edge_base_fixed_point(rep, seed, n_controls, n_o
     """The saturated edge is a Lie algebra that holds every control, and the
     base is orthogonal to it; a converged wedge with a family has no
     lineality left to absorb, and where the family has a closed form every
-    stored column lies within `_CERTIFIED` of its cone."""
+    swept column lies within `_CERTIFIED` of its cone."""
     system = _random_system(rep, seed, n_controls, n_ops)
     w = saturate(initial_wedge(system), orbit_samples=24, seed=seed % 100)
     edge, family = w.edge, w.cone.analytic
@@ -1826,7 +1827,7 @@ def _dichotomy_family(rep: str, kind: str, seed: int, case: str) -> ConjugationF
 @given(st.sampled_from(("r3", "qubit")), st.sampled_from(KINDS), st.integers(0, 2**32 - 1),
        st.sampled_from(("traced", "traceless", "centred")))
 def test_lineality_of_an_orbit_cone_is_the_centroid_dichotomy(rep, kind, seed, case):
-    """A cone with a family: 24 swept generators on the orbit of a base with
+    """A cone with a family and 24 sweep rows, on the orbit of a base with
     a trace margin, of a traceless base, or of a base with zero centroid.
     `lineality` makes no fit.  A trace margin decides "pointed" without the
     orbit's span; a traceless base takes the span, and the cone is pointed
@@ -1838,8 +1839,8 @@ def test_lineality_of_an_orbit_cone_is_the_centroid_dichotomy(rep, kind, seed, c
     fam = _dichotomy_family(rep, kind, seed, case)
     b = fam.base
     rng = np.random.default_rng(seed)
-    cone = Cone(generators=tuple(g for _, g in fam.sweep(24, rng)), shape=b.shape,
-                complex_field=rep != "r3", analytic=fam)
+    cone = Cone(shape=b.shape, complex_field=rep != "r3", analytic=fam,
+                thetas=fam.params(24, rng))
     calls = []
     closure = wedge_module.lie_closure
     with pytest.MonkeyPatch.context() as mp:
@@ -1874,8 +1875,8 @@ def test_lineality_of_z_rotation_orbits(base, dim):
     centroid, a pointed ray; diag(1, -1, 0) turns on a circle around the
     apex, whose cone is a plane.  The fitted rule agrees."""
     fam = ConjugationFamily((H_Z,), base)
-    cone = Cone(generators=tuple(g for _, g in fam.sweep(24, np.random.default_rng(0))),
-                shape=(3, 3), complex_field=False, analytic=fam)
+    cone = Cone(shape=(3, 3), complex_field=False, analytic=fam,
+                thetas=fam.params(24, np.random.default_rng(0)))
     got = lineality(cone)
     want = _reference_lineality(cone, cone.tol)
     assert got.dim == want.dim == dim

@@ -296,32 +296,32 @@ def test_closed_form_tangent_matches_the_spectral_dual_face(rates, seed, scale, 
 
 def test_indefinite_base_of_zero_trace_is_undecided():
     """An indefinite base whose rates sum to 0 has a closed-form support but
-    no Schur-Horn bounds, so the cone certifies no closed form and
+    no Schur-Horn bounds, so no closed form decides the cone and
     `tangent_space` leaves the tangent space undecided."""
     base = np.diag([1.0, 0.0, -1.0])
     seeds = tuple(np.asarray(h) / fro(h) for h in (H_X, H_Y, H_Z))
     fam = ConjugationFamily(seeds, base)
-    gens = [base] + [g for _, g in fam.sweep(48, np.random.default_rng(0))]
     w = Wedge(edge=orthonormal_span(list(seeds)),
-              cone=Cone(generators=tuple(gens), shape=(3, 3), complex_field=False,
-                        analytic=fam))
+              cone=Cone(shape=(3, 3), complex_field=False, analytic=fam,
+                        thetas=fam.params(48, np.random.default_rng(0))))
     assert fam.exact is not None and w.cone.exact is None
     assert tangent_space(w, base + np.asarray(H_Z)) is None
 
 
-def test_generator_off_the_orbit_is_undecided():
-    """A stored generator outside the family's orbit cone (diag(1, 0, 0) next
-    to the orbit of diag(3, 2, 1)) withholds the certified closed form, so
-    `tangent_space` returns None even at an orbit point, where the family
-    alone would decide the tangent space."""
+def test_generator_off_the_orbit_is_refused():
+    """A generator outside the family's orbit cone (diag(1, 0, 0) next to the
+    orbit of diag(3, 2, 1)) cannot join the family's cone, so the cone keeps
+    its closed form, and `tangent_space` decides at an orbit point."""
     seeds = tuple(np.asarray(h) / fro(h) for h in (H_X, H_Y, H_Z))
     base = np.diag([3.0, 2.0, 1.0])
     fam = ConjugationFamily(seeds, base)
-    cone = Cone(generators=(base, np.diag([1.0, 0.0, 0.0])), shape=(3, 3),
-                complex_field=False, analytic=fam)
+    with pytest.raises(ValueError, match="generators, or a family"):
+        Cone(generators=(base, np.diag([1.0, 0.0, 0.0])), shape=(3, 3),
+             complex_field=False, analytic=fam)
+    cone = Cone(shape=(3, 3), complex_field=False, analytic=fam)
     w = Wedge(edge=orthonormal_span(list(seeds)), cone=cone)
-    assert cone.exact is None and len(fam.exact.tangent(base, cone.tol)) == 4
-    assert tangent_space(w, base + np.asarray(H_Z)) is None
+    assert cone.exact is fam.exact and len(fam.exact.tangent(base, cone.tol)) == 4
+    assert tangent_space(w, base + np.asarray(H_Z)).dim == 7
 
 
 @pytest.mark.parametrize("name", ["example2", "example3", "phase_flip"])

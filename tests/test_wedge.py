@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liewedge import cli
 from liewedge import wedge as wedge_module
-from liewedge.channels import (H_X, H_Y, H_Z, P_Y, ChannelSpec, build_system,
+from liewedge.channels import (H_X, H_Y, H_Z, NAMES, P_Y, ChannelSpec, build_system,
                                example1, example2, example3, example3_delta, sigma,
                                two_qubit_operator)
 from liewedge.liealg import subspace_leq
@@ -21,8 +22,8 @@ from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep, gks_margin,
 from liewedge.matcore import (Subspace, comm, expm, fro, inner, orthonormal_span, realify_stack,
                               unrealify_stack)
 from liewedge.semialgebra import bch, orbit_wedge
-from liewedge.wedge import (Cone, ConjugationFamily, Wedge, cone_contains,
-                            cone_residual, dual_cone_contains,
+from liewedge.wedge import (Cone, ConjugationFamily, MomentCurve, RotationOrbit, Wedge,
+                            cone_contains, cone_residual, dual_cone_contains,
                             dual_cone_margin, initial_wedge, lineality,
                             majorized, outer_contains, saturate,
                             wedge_contains)
@@ -504,23 +505,27 @@ def test_example1_probe_set_makes_no_fit(monkeypatch):
     assert calls == []
 
 
-def test_generator_off_the_orbit_withholds_the_closed_form(monkeypatch):
-    """A stored generator outside the family's orbit cone makes the cone
-    larger than that orbit cone, so the cone gets no certificate and fits:
-    diag(1, 0, 0) is a stored generator, a member, and no Schur-Horn
-    member of cone{R diag(3, 2, 1) R^T}."""
+def test_generator_off_the_orbit_is_refused(monkeypatch):
+    """A family cone is its orbit's cone, so it refuses generators: one off
+    the orbit would make the cone larger than the closed form it answers
+    from.  diag(1, 0, 0) is no Schur-Horn member of cone{R diag(3, 2, 1)
+    R^T}, and the family's cone says so exactly, with no fit.  Sweep rows
+    without a family are refused too."""
     seeds = tuple(np.asarray(h) / fro(h) for h in (H_X, H_Y, H_Z))
     base = np.diag([3.0, 2.0, 1.0])
     fam = ConjugationFamily(seeds, base)
-    on_orbit = Cone(generators=(base,), shape=(3, 3), complex_field=False, analytic=fam)
-    assert on_orbit.exact is fam.exact
+    on_orbit = Cone(shape=(3, 3), complex_field=False, analytic=fam)
+    assert on_orbit.exact is fam.exact and on_orbit.n_generators == 1
     off = np.diag([1.0, 0.0, 0.0])
-    c = Cone(generators=(base, off), shape=(3, 3), complex_field=False, analytic=fam)
-    assert c.exact is None
+    for gens in ((off,), (base, off)):
+        with pytest.raises(ValueError, match="generators, or a family"):
+            Cone(generators=gens, shape=(3, 3), complex_field=False, analytic=fam)
+    with pytest.raises(ValueError, match="generators, or a family"):
+        Cone(generators=(off,), shape=(3, 3), complex_field=False, thetas=np.zeros((1, 3)))
     calls = _counting_fits(monkeypatch)
-    assert cone_contains(c, off)
+    assert not cone_contains(on_orbit, off)
     assert not _schur_horn(off, (3.0, 2.0, 1.0))
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_off_image_qubit_directions_get_the_exact_support():
@@ -666,24 +671,30 @@ def test_grid1_probe_sets_make_no_fit(monkeypatch, grid1_wedges):
     assert calls == []
 
 
-def test_grid1_generator_off_the_orbit_withholds_the_closed_form(monkeypatch):
+def test_grid1_generator_off_the_orbit_is_refused(monkeypatch):
     """Example 2's family, whose orbit cone is a circular cone of degree 1:
-    a stored generator off it (the drift's edge-orthogonal part plus a part
-    off the moment span) withholds `Cone.exact`, and membership fits."""
+    the saturated cone refuses a generator off it (the drift's
+    edge-orthogonal part plus a part off the moment span), and decides it
+    outside with no fit.  Why it must: the swept generators plus that one,
+    as a plain cone, hold it (by a fit) and span a wedge of dimension 5,
+    while the family's orbit span misses it by sqrt(3)/2 and gives 4; a
+    family cone that stored it would answer from both."""
     w = saturate(initial_wedge(example2()), orbit_samples=90)
     fam = w.cone.analytic
-    on_orbit = Cone(generators=w.cone.generators, shape=(3, 3), complex_field=False,
-                    analytic=fam)
-    assert on_orbit.exact is fam.exact
+    assert w.cone.exact is fam.exact
     off = fam.base + 0.5 * fro(fam.base) * np.diag([1.0, -1.0, 0.0]) / np.sqrt(2.0)
     (lower,), _ = fam.exact.contains(off[None])
     assert lower > 0.1
-    c = Cone(generators=(*w.cone.generators, off), shape=(3, 3), complex_field=False,
+    with pytest.raises(ValueError, match="generators, or a family"):
+        Cone(generators=(*w.cone.generators, off), shape=(3, 3), complex_field=False,
              analytic=fam)
-    assert c.exact is None
+    plain = Cone(generators=(*w.cone.generators, off), shape=(3, 3), complex_field=False)
     calls = _counting_fits(monkeypatch)
-    assert cone_contains(c, off)
-    assert len(calls) == 1
+    assert not cone_contains(w.cone, off)
+    assert calls == []
+    assert cone_contains(plain, off)
+    assert abs(w.cone.span().residual(off) - np.sqrt(3.0) / 2.0) <= 1e-12
+    assert (w.dim, Wedge(edge=w.edge, cone=plain).dim) == (4, 5)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -734,6 +745,81 @@ def test_saturated_wedge_does_not_depend_on_the_sample_count(name, dims):
         assert (w.edge.dim, w.dim) == dims and w.saturation["converged"]
         assert np.array_equal(family.base, ws[-1].cone.analytic.base)
         assert np.array_equal(np.stack(family.seeds), np.stack(ws[-1].cone.analytic.seeds))
+
+
+_LAZY_SYSTEMS = {"example1": ChannelSpec("example1"), "example2": ChannelSpec("example2"),
+                 "example3": ChannelSpec("example3"),
+                 "phase_flip": ChannelSpec("phase_flip", control_axes=("x",), drift_axis="z"),
+                 "two_qubit_C": ChannelSpec("two_qubit_C")}
+
+
+@pytest.mark.parametrize("name", sorted(_LAZY_SYSTEMS))
+def test_wedge_report_does_not_sweep_the_orbit(monkeypatch, name):
+    """Saturating a wedge and building its report evaluate no orbit point
+    (neither `elements` nor `sweep`) and no closed form's bounds: the report
+    reads the generator count, `pointed`, the closed form and `Wedge.dim`,
+    none of which needs the sweep.  The first read of the cone's generators
+    evaluates the orbit once, and a second read reuses it."""
+    calls = []
+    for cls, attr in ((ConjugationFamily, "elements"), (ConjugationFamily, "sweep"),
+                      (RotationOrbit, "contains"), (MomentCurve, "contains")):
+        def counted(*args, _f=getattr(cls, attr), _name=f"{cls.__name__}.{attr}", **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(cls, attr, counted)
+    w = saturate(initial_wedge(build_system(_LAZY_SYSTEMS[name])), orbit_samples=24)
+    report = cli._wedge_report(w)
+    assert calls == []
+    assert report["cone"]["n_generators"] == w.cone.n_generators == 1 + len(w.cone.thetas)
+    assert len(w.cone.generators) == len(w.cone.generators) == w.cone.n_generators
+    assert calls == ["ConjugationFamily.elements"]
+
+
+def _reference_swept_stack(w: Wedge, samples: int, seed: int) -> np.ndarray:
+    """The saturated cone's columns as they were built eagerly: the base and
+    one sweep of its family, made orthogonal to the edge and normalized."""
+    family = w.cone.analytic
+    base = w.drift - w.edge.project(w.drift)
+    swept = [] if family is None else family.sweep(samples, np.random.default_rng(seed))
+    points = realify_stack([base, *(g for _, g in swept)], w.cone.shape, w.cone.complex_field)
+    return wedge_module._edge_orthogonal_units(w.edge, points)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("samples, seed", [(360, 0), (24, 5), (1, 0)])
+def test_derived_stack_is_the_eager_sweep_bit_for_bit(name, samples, seed):
+    """A family cone holds its family and sweep rows only; the stack it
+    derives on first read is bitwise the one the base plus one eager sweep
+    gave, and without a family the cone holds the base's ray."""
+    w = saturate(initial_wedge(build_system(ChannelSpec(name))), orbit_samples=samples,
+                 seed=seed)
+    want = _reference_swept_stack(w, samples, seed)
+    assert w.cone.stack.shape == want.shape
+    assert w.cone.stack.tobytes() == want.tobytes()
+    if w.cone.analytic is not None:
+        assert w.cone.n_generators == want.shape[1]
+
+
+def test_elements_agree_with_the_merged_objective_on_qubit_tori():
+    """On the tori of the qubit grid (4 channels, 7 control-axis sets, drift
+    none, x, y or z; 48 of them), the stacked-eigh `elements` and the merged
+    trigonometric polynomial `_objective` give the same <element(theta), D>
+    to 1e-13 |D|, at 5 thetas drawn across each box and a complex D each."""
+    rng = np.random.default_rng(19)
+    families = []
+    for channel in ("bit_flip", "phase_flip", "bit_phase_flip", "depolarizing"):
+        for axes in ("x", "y", "z", "xy", "xz", "yz", "xyz"):
+            for drift in (None, "x", "y", "z"):
+                spec = ChannelSpec(channel, control_axes=tuple(axes), drift_axis=drift)
+                family = saturate(initial_wedge(build_system(spec)), orbit_samples=1).cone.analytic
+                if family is not None and family.kind == "torus":
+                    families.append(family)
+    assert len(families) == 48
+    for family in families:
+        thetas = rng.uniform(size=(5, family.n_params)) * np.asarray(family.periods)
+        d = rng.normal(size=family.base.shape) + 1j * rng.normal(size=family.base.shape)
+        by_elements = np.real(np.sum(np.conj(family.elements(thetas)) * d, axis=(1, 2)))
+        assert np.max(np.abs(by_elements - family._objective(d)(thetas))) <= 1e-13 * fro(d)
 
 
 def _z_pair_system(ratio: float) -> ControlSystem:
