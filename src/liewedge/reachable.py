@@ -191,8 +191,18 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
     s(t) = sum_k ||X(t)B_k||^2 over the orthonormal traceless basis; for
     unital dissipative dynamics it never increases, and for closed
     systems it is constant.  Reports the values on a uniform time grid
-    and the largest positive increment.  The exponentials of every segment
-    and of every grid point inside a segment come from one stacked `expm`
+    and the largest positive increment.
+
+    A grid point on a segment boundary (``initial`` and ``final`` among
+    them) reads the prefix product of the whole segments before it, and
+    the first grid point inside segment k is ``expm(-(t - b_k) L_k) P_k``
+    on the prefix P_k at the segment's start b_k; both are bit for bit
+    what one exponential per point gives.  Every later point inside the
+    segment steps from the one before, ``X(t) = E_k X(t - h)`` with
+    ``E_k = expm(-h L_k)`` and h the grid step, so its s(t) may differ
+    from one exponential per point by rounding, bounded by
+    1e-12 * max(1, s(t)).  The whole segments, first offsets and steps, at
+    most three exponentials per segment, come from one stacked `expm`
     call, and the coherence matrices from one stacked `coherence_rep`.
     `grid` must be an integer >= 2 and `tol` positive and finite;
     ValueError otherwise.
@@ -205,22 +215,29 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
         if defect > 1e-10 * max(1.0, float(np.linalg.norm(drift))):
             raise ValueError("contraction audit requires unital dynamics")
     gens = _segment_generators(sys, sched.segments)
-    times = np.linspace(0.0, sched.total_duration, grid)
+    times, step = np.linspace(0.0, sched.total_duration, grid, retstep=True)
     bounds = np.cumsum([0.0] + [d for d, _ in sched.segments])
-    # prefix[k] is the channel after the first k whole segments; a grid point
-    # inside segment k-1 adds that segment's exponential for t - bounds[k-1].
+    # prefix[k] is the channel after the first k whole segments; the grid
+    # points inside segment k-1 are consecutive, the first adds that
+    # segment's exponential for t - bounds[k-1] and each later one a step.
     ks = np.searchsorted(bounds[:-1], times)  # segments that start before t
     inside = np.flatnonzero(times < bounds[ks])
-    starts = ks[inside] - 1
-    exps = _exponentials([*np.diff(bounds), *(times[inside] - bounds[starts])],
-                         gens + [gens[k] for k in starts])
+    segs = ks[inside] - 1
+    first = np.diff(segs, prepend=-1) != 0
+    heads, stepped = segs[first], np.unique(segs[~first])
+    exps = _exponentials([*np.diff(bounds), *(times[inside[first]] - bounds[heads]),
+                          *np.full(stepped.size, step)],
+                         gens + [gens[k] for k in heads] + [gens[k] for k in stepped])
     prefix = [_identity(sys)]
     for e in exps[:len(gens)]:
         prefix.append(e @ prefix[-1])
     prefix = np.stack(prefix)
     x = prefix[ks]
     if inside.size:
-        x[inside] = exps[len(gens):] @ prefix[starts]
+        x[inside[first]] = exps[len(gens):len(gens) + heads.size] @ prefix[heads]
+        steps = dict(zip(stepped.tolist(), exps[len(gens) + heads.size:]))
+        for i, k in zip(inside[~first].tolist(), segs[~first].tolist()):
+            x[i] = steps[k] @ x[i - 1]
     cr = x if sys.rep == "r3" else coherence_rep(x)
     vals = [float(np.linalg.norm(c, "fro") ** 2) for c in cr]
     diffs = np.diff(vals)

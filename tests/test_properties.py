@@ -246,15 +246,38 @@ def test_coherence_rep_raises_as_the_loop_does(rep, seed):
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, fro(m))
 
 
+def _stepped_points(sched: Schedule, grid: int) -> np.ndarray:
+    """Mask of the grid points that lie inside a segment after its first
+    grid point: the points the audit steps from the point before."""
+    times = np.linspace(0.0, sched.total_duration, grid)
+    bounds = np.cumsum([0.0] + [d for d, _ in sched.segments])
+    seg = [next((k for k in range(len(bounds) - 1) if bounds[k] < t < bounds[k + 1]), None)
+           for t in times]
+    return np.array([k is not None and j > 0 and seg[j - 1] == k for j, k in enumerate(seg)],
+                    dtype=bool)
+
+
+def _assert_audit_matches(got: list, want: list, sched: Schedule, grid: int):
+    """Boundary points and each segment's first interior point bit for bit,
+    stepped points within 1e-12 * max(1, |want|)."""
+    got, want = np.array(got), np.array(want)
+    stepped = _stepped_points(sched, grid)
+    assert got.shape == want.shape
+    assert got[~stepped].tobytes() == want[~stepped].tobytes()
+    gap = np.abs(got - want)[stepped]
+    assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(want[stepped])))
+
+
 @SETTINGS
 @given(st.sampled_from(REPS), st.integers(0, 2**32 - 1), st.integers(0, 2),
        st.integers(0, 2), st.lists(st.integers(0, 3), min_size=0, max_size=5),
-       st.integers(2, 30))
+       st.integers(2, 200))
 def test_contraction_audit_is_bitwise_naive_repropagation(rep, seed, n_controls,
                                                           n_ops, quarters, grid):
     """With durations in multiples of 1/4 (zero allowed) the first grid lands
     exactly on every segment boundary; the second schedule has arbitrary
-    durations on an arbitrary grid."""
+    durations on an arbitrary grid.  Bitwise on boundary points and on each
+    segment's first interior point, within 1e-12 relative on stepped ones."""
     sys = _random_system(rep, seed, n_controls, n_ops)
     rng = np.random.default_rng(seed)
     amps = [rng.uniform(-5.0, 5.0, size=n_controls) for _ in quarters]
@@ -263,7 +286,7 @@ def test_contraction_audit_is_bitwise_naive_repropagation(rep, seed, n_controls,
                               for q, a in zip(quarters, amps)))
     for sched, g in ((on_grid, max(2, sum(quarters) + 1)), (off_grid, grid)):
         audit = contraction_audit(sys, sched, grid=g)
-        assert audit["s"] == _reference_audit_s(sys, sched, g)
+        _assert_audit_matches(audit["s"], _reference_audit_s(sys, sched, g), sched, g)
 
 
 def _identity_channel(sys: ControlSystem) -> np.ndarray:
@@ -346,7 +369,7 @@ def _reachable_schedules(sys: ControlSystem, quarters, seed: int) -> list:
     on_grid = Schedule(tuple((q / 4.0, a) for q, a in zip(quarters, amps)))
     off_grid = Schedule(tuple((q * rng.uniform(0.1, 0.4), a)
                               for q, a in zip(quarters, amps)))
-    grid = int(rng.integers(2, 60))
+    grid = int(rng.integers(2, 201))
     return [(on_grid, max(2, sum(quarters) + 1)), (off_grid, grid),
             (Schedule(off_grid.segments[:1]), grid), (Schedule(()), grid)]
 
@@ -355,15 +378,42 @@ def _reachable_schedules(sys: ControlSystem, quarters, seed: int) -> list:
 @given(systems, schedule_quarters, st.integers(0, 2**32 - 1))
 def test_stacked_audit_is_bitwise_the_per_point_loop(sys, quarters, seed):
     """Zero-duration segments, grid points on segment boundaries, one
-    segment and no segment; non-unital quantum systems are refused."""
+    segment and no segment, on grids up to 200 points; bitwise on boundary
+    points and on each segment's first interior point, within 1e-12
+    relative on stepped ones; non-unital quantum systems are refused."""
     unital = sys.rep == "r3" or all(np.allclose(v, v.conj().T) for v, _ in sys.lindblad_ops)
     for sched, grid in _reachable_schedules(sys, quarters, seed):
         if not unital:
             with pytest.raises(ValueError, match="unital"):
                 contraction_audit(sys, sched, grid=grid)
             continue
-        got = np.array(contraction_audit(sys, sched, grid=grid)["s"])
-        assert got.tobytes() == np.array(_reference_audit_loop(sys, sched, grid)).tobytes()
+        got = contraction_audit(sys, sched, grid=grid)["s"]
+        _assert_audit_matches(got, _reference_audit_loop(sys, sched, grid), sched, grid)
+
+
+@SETTINGS
+@given(st.builds(_random_system, st.sampled_from(REPS), st.integers(0, 2**32 - 1),
+                 st.integers(0, 2), st.integers(0, 2)),
+       schedule_quarters, st.integers(0, 2**32 - 1))
+def test_contraction_audit_keeps_the_coherence_band(sys, quarters, seed):
+    """s(t_j+1) / s(t_j) lies in [exp(-2 l_max D), exp(-2 l_min D)] to 1e-12
+    relative, for D the grid step and l_min, l_max the extreme eigenvalues
+    of the symmetric part of the coherence-sector generator over the
+    schedule's segments: ds/dt = -2 tr(X^T A_sym X) for unital dynamics."""
+    for sched, grid in _reachable_schedules(sys, quarters, seed):
+        audit = contraction_audit(sys, sched, grid=grid)
+        s, times = np.array(audit["s"]), np.array(audit["times"])
+        if not sched.segments:
+            assert np.all(s == s[0])
+            continue
+        lams = []
+        for _, u in sched.segments:
+            gen = lindbladian(sys, u)
+            a = gen if sys.rep == "r3" else coherence_rep(gen)
+            lams.extend(np.linalg.eigvalsh((a + a.T) / 2.0)[[0, -1]])
+        ratio, dt = s[1:] / s[:-1], np.diff(times)
+        assert np.all(ratio >= np.exp(-2.0 * max(lams) * dt) * (1.0 - 1e-12))
+        assert np.all(ratio <= np.exp(-2.0 * min(lams) * dt) * (1.0 + 1e-12))
 
 
 @SETTINGS
@@ -393,7 +443,8 @@ def test_stacked_sampler_is_bitwise_the_per_sample_loop(sys, count, depth, seed)
 def test_reachable_runs_make_one_expm_call_each(monkeypatch):
     """One stacked `expm` call per `sample_reachable`, `propagate`,
     `_jacobian` and `contraction_audit` call, and none for an empty
-    schedule."""
+    schedule; the audit's stack holds at most three slices per segment
+    (whole segment, first offset, step), not one per grid point."""
     calls = []
 
     def counting(a):
@@ -405,12 +456,15 @@ def test_reachable_runs_make_one_expm_call_each(monkeypatch):
     sched = random_schedule(sys.n_controls, 3, 1.0, 4)
     for run, stack in ((lambda: sample_reachable(sys, 5, 3), 15),
                        (lambda: propagate(sys, sched), 3),
-                       (lambda: _jacobian(sys, sched), 3),
-                       (lambda: contraction_audit(sys, sched, grid=50), None)):
+                       (lambda: _jacobian(sys, sched), 3)):
         calls.clear()
         run()
         assert len(calls) == 1
-        assert stack is None or calls[0][0] == stack
+        assert calls[0][0] == stack
+    calls.clear()
+    contraction_audit(sys, sched, grid=50)
+    assert len(calls) == 1
+    assert calls[0][0] <= 3 * sched.n_segments
     calls.clear()
     propagate(sys, Schedule(()))
     _jacobian(sys, Schedule(()))
