@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import SIGMA, ControlSystem, ad_hat, choi_matrix
-from .matcore import fro
+from .matcore import fro, kron
 
 # ---------------------------------------------------------------------------
 # real 3x3 carrier
@@ -85,7 +85,7 @@ def sigma2(pair: str) -> np.ndarray:
     """Two-qubit Pauli product for a pair label like 'x1' or 'zz'."""
     if len(pair) != 2 or any(a not in SIGMA for a in pair):
         raise ValueError(f"invalid Pauli pair {pair!r}")
-    return np.kron(SIGMA[pair[0]], SIGMA[pair[1]])
+    return kron(SIGMA[pair[0]], SIGMA[pair[1]])
 
 
 def sigma_hat2(pair: str) -> np.ndarray:
@@ -348,7 +348,7 @@ def kraus_superop(ks: KrausSet) -> np.ndarray:
     n = ks.operators[0].shape[0]
     total = np.zeros((n * n, n * n), dtype=complex)
     for e in ks.operators:
-        total += np.kron(e.conj(), e)
+        total += kron(e.conj(), e)
     return total
 
 

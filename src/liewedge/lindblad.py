@@ -39,7 +39,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import expm, fro
+from .matcore import expm, fro, kron
 
 SIGMA = {
     "1": np.eye(2, dtype=complex),
@@ -69,7 +69,7 @@ def pauli_basis(n: int) -> tuple:
             for nu in ("1", "x", "y", "z"):
                 if mu == "1" and nu == "1":
                     continue
-                out.append(np.kron(SIGMA[mu], SIGMA[nu]) / 2.0)
+                out.append(kron(SIGMA[mu], SIGMA[nu]) / 2.0)
         return tuple(out)
     raise ValueError(f"no Pauli basis for carrier dimension {n}")
 
@@ -88,7 +88,8 @@ def unvec(v: np.ndarray, n: int = None) -> np.ndarray:
 
 
 def ad_hat(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Commutator superoperator X -> [h, X] for a Hermitian h."""
+    """Commutator superoperator X -> [h, X] for a Hermitian h, assembled
+    as I (x) h - h^T (x) I by `matcore.kron`."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
@@ -96,16 +97,18 @@ def ad_hat(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise ValueError("Hamiltonian must be Hermitian")
     n = h.shape[0]
     eye = np.eye(n)
-    return np.kron(eye, h) - np.kron(h.T, eye)
+    return kron(eye, h) - kron(h.T, eye)
 
 
 def gks_term(v: np.ndarray, gamma: float) -> np.ndarray:
-    """Single-operator dissipator, sign-matched to expm(-t L) propagation."""
+    """Single-operator dissipator, sign-matched to expm(-t L) propagation:
+    gamma ((I (x) V^dag V + (V^dag V)^T (x) I) / 2 - conj(V) (x) V), each
+    product by `matcore.kron`."""
     v = np.asarray(v, dtype=complex)
     n = v.shape[0]
     eye = np.eye(n)
     vdv = v.conj().T @ v
-    return gamma * (0.5 * (np.kron(eye, vdv) + np.kron(vdv.T, eye)) - np.kron(v.conj(), v))
+    return gamma * (0.5 * (kron(eye, vdv) + kron(vdv.T, eye)) - kron(v.conj(), v))
 
 
 def gks_dissipator(ops) -> np.ndarray:

@@ -60,6 +60,18 @@ def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices as one broadcast product.
+
+    It forms the same entrywise products a_ij * b_kl as ``np.kron``, so it
+    equals it bit for bit, without its per-call dimension handling.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring Pade, via scipy).
 

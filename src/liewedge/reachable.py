@@ -18,7 +18,7 @@ from scipy.optimize import least_squares
 
 from .lindblad import (ControlSystem, coherence_rep, control_directions, drift_direction,
                        lindbladian, vec)
-from .matcore import _checked_count, _checked_tol, expm, fro
+from .matcore import _checked_count, _checked_tol, expm, fro, kron
 
 U_MAX = 5.0
 
@@ -117,7 +117,7 @@ def _jacobian(sys: ControlSystem, sched: Schedule) -> np.ndarray:
     n = ident.shape[0]
     bigs = []
     for (dur, _), gen in zip(sched.segments, gens):
-        big = np.kron(np.eye(m + 1), -dur * gen)
+        big = kron(np.eye(m + 1), -dur * gen)
         for k, c in enumerate(controls, 1):
             big[:n, k * n:(k + 1) * n] = -dur * c
         bigs.append(big)

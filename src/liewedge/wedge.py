@@ -19,7 +19,8 @@ given generators are stored as realified column stacks (see `matcore`).
 `saturate` fixes the wedge by algebra alone: it Lie-closes the edge and
 grows it by the cone's lineality until it stops growing, and the cone is
 the orbit of the base under the edge's group, so no sample adds to either;
-the cone holds the rows of one sweep, swept only when fits or samplers read them.
+the cone holds the rows of one sweep, drawn once for the returned family and
+swept only when fits or samplers read them.
 The lineality of a cone with a family is exact and needs no fit: the
 orbit's Haar centroid, the base's projection onto the fixed space of the
 edge's brackets, is either nonzero, and the cone is pointed, or zero, and
@@ -279,13 +280,13 @@ def _frequency_units(m, freqs, index):
     return carried, units, steps, integral
 
 
-def _moment_curve(q, m, freqs, index):
-    """The `MomentCurve` of a one-parameter family from its `_phases`, or
-    None unless, by the unit rule of `_frequency_units`, the frequencies
-    carrying the base are the integer multiples k of one unit for every k
-    in -d..d, and the moment map is injective (singular values above
-    `RANK_TOL` of the largest)."""
-    carried, _, steps, integral = _frequency_units(m, freqs, index)
+def _moment_curve(q, m, index, units):
+    """The `MomentCurve` of a one-parameter family from its `_phases` (q, m,
+    index) and `_frequency_units` tuple, or None unless, by that unit rule,
+    the frequencies carrying the base are the integer multiples k of one
+    unit for every k in -d..d, and the moment map is injective (singular
+    values above `RANK_TOL` of the largest)."""
+    carried, _, steps, integral = units
     if not integral[0]:
         return None
     k = steps[:, 0]
@@ -320,7 +321,9 @@ class ConjugationFamily:
     Everything else derives from them.  ``kind`` is 'torus' when the seeds
     co-diagonalise (`_phases`): one frequency table gives the box
     ``periods`` (2 pi / u_i by `_frequency_units`), sweep, support search
-    and closed forms, and ``periodic`` says if the box is a true period.
+    and closed forms, and ``periodic`` says if the box is a true period;
+    its units (`_units`) are derived once, and the box, `periodic` and the
+    one-parameter closed form all read them.
     Otherwise it is 'orbit' (random exponentials of the seeds' span).
     Callers pass a base orthogonal to the edge the seeds span; since edge
     conjugation is an isometry fixing the edge, every family element stays
@@ -347,16 +350,22 @@ class ConjugationFamily:
     def kind(self) -> str:
         return "orbit" if self._phases is None else "torus"
 
-    @cached_property
+    @property
     def periods(self):
         """The torus box, 2 pi / u_i per parameter; None on an orbit."""
-        units = None if self.kind == "orbit" else _frequency_units(*self._phases[1:])[1]
-        return None if units is None else tuple((2.0 * np.pi / units).tolist())
+        units = self._units
+        return None if units is None else tuple((2.0 * np.pi / units[1]).tolist())
 
     @property
     def periodic(self) -> bool:
         """Whether the family is a torus whose box is a true period."""
-        return self.kind == "torus" and bool(_frequency_units(*self._phases[1:])[3].all())
+        return self._units is not None and bool(self._units[3].all())
+
+    @cached_property
+    def _units(self):
+        """`_frequency_units` of the torus's frequency table, derived once;
+        None on an orbit."""
+        return None if self._phases is None else _frequency_units(*self._phases[1:])
 
     @cached_property
     def _phases(self):
@@ -557,6 +566,12 @@ class ConjugationFamily:
         return self.element(params), value
 
     @cached_property
+    def _orbit_span(self):
+        """The orbit's linear span (`Cone.span`), computed once per family,
+        so every cone over the family shares it."""
+        return lie_closure([self.base], by=self.seeds)
+
+    @cached_property
     def exact(self):
         """The family's closed-form geometry, or None.
 
@@ -571,7 +586,8 @@ class ConjugationFamily:
         otherwise.
         """
         if self.n_params == 1:
-            return _moment_curve(*self._phases)
+            q, m, _, index = self._phases
+            return _moment_curve(q, m, index, self._units)
         if self.n_params != 3 or self.base.shape not in ((3, 3), (4, 4)):
             return None
         qubit = self.base.shape == (4, 4)
@@ -654,14 +670,15 @@ class Cone:
         """The cone's linear span, computed once.  With a family it is the
         orbit's, exact and independent of the sweep: the smallest subspace
         that holds the base and is closed under every [seed, .]
-        (`lie_closure` with the seeds as its bracket set).  Otherwise it is
-        the stored generators' span."""
+        (`lie_closure` with the seeds as its bracket set), computed once per
+        family and shared by every cone over it.  Otherwise it is the stored
+        generators' span."""
         return self._span
 
     @cached_property
     def _span(self) -> Subspace:
         if self.analytic is not None:
-            return lie_closure([self.analytic.base], by=self.analytic.seeds)
+            return self.analytic._orbit_span
         return Subspace(_span_columns(self.stack), self.shape, self.complex_field)
 
     @cached_property
@@ -916,8 +933,10 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
     centroid, for the next round.  After `max_rounds` rounds the wedge is
     returned with ``converged: False``.  The cone holds the `params` rows of
     one sweep of `orbit_samples` orbit points (orbit draws seeded with
-    `seed`), swept when fits or `semialgebra_probe` first read them; the
-    edge, the base and `Wedge.dim` do not depend on it.  `orbit_samples` and
+    `seed`), drawn once after the last round for the returned cone's family
+    (the rounds before it read only its lineality, which needs no rows) and
+    swept when fits or `semialgebra_probe` first read them; the edge, the
+    base and `Wedge.dim` do not depend on it.  `orbit_samples` and
     `max_rounds` must be integers >= 1, `seed` an integer >= 0 and `tol`
     positive and finite; anything else raises ValueError before round one.
     The report keeps one 0 per round in ``novel_counts``: no round adds a
@@ -947,14 +966,16 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
             report.update(converged=True, termination="no-family")
             break
         family = ConjugationFamily(edge.mats, base)
-        cone = Cone(shape=shape, complex_field=complex_field, analytic=family, tol=tol,
-                    thetas=family.params(orbit_samples, np.random.default_rng(seed)))
+        cone = Cone(shape=shape, complex_field=complex_field, analytic=family, tol=tol)
         if rnd > 1 and not lin:  # this closure of an unchanged edge is the fixed point
             aperiodic = family.kind == "torus" and not family.periodic
             report.update(converged=not aperiodic,
                           termination="aperiodic-torus" if aperiodic else "fixed-point")
             break
         lin = lineality(cone, tol).mats
+    if cone.analytic is not None:  # the sweep rows of the returned family only
+        cone = Cone(shape=shape, complex_field=complex_field, analytic=cone.analytic, tol=tol,
+                    thetas=cone.analytic.params(orbit_samples, np.random.default_rng(seed)))
     return Wedge(edge=edge, cone=cone, drift=drift, saturation=report)
 
 

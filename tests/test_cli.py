@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from liewedge import wedge as wedge_module
 from liewedge.channels import ChannelSpec, build_system, two_qubit_operator
 from liewedge.cli import (SystemFileError, _build_parser, format_system_file, main,
                           parse_system_file)
@@ -246,6 +247,29 @@ def test_wedge_dimension_does_not_depend_on_the_sample_count(tmp_path, capsys):
     assert main(["wedge", "--system", str(path), "--samples", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["edge_dim"], report["wedge_dim"]) == (2, 15)
+
+
+def test_wedge_run_derives_frequency_units_once_per_family(tmp_path, capsys, monkeypatch):
+    """The phase_flip file (control x, drift z) saturates in two rounds, one
+    torus family each.  The report's `periods`, `periodic` and closed form,
+    the fixed-point test and the sweep rows all read the returned family's
+    one unit table, and round one's family, which only `lineality` reads,
+    needs none: one derivation where there were five."""
+    units, families = [], []
+    derive = wedge_module._frequency_units
+    monkeypatch.setattr(wedge_module, "_frequency_units",
+                        lambda *a: units.append(1) or derive(*a))
+    post_init = ConjugationFamily.__post_init__
+    monkeypatch.setattr(ConjugationFamily, "__post_init__",
+                        lambda self: families.append(self) or post_init(self))
+    path = tmp_path / "phase_flip.sys"
+    path.write_text(format_system_file(build_system(
+        ChannelSpec("phase_flip", control_axes=("x",), drift_axis="z"))))
+    assert main(["wedge", "--system", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["family"]["periodic"] is True
+    assert report["family"]["closed_form"] == "moment-curve"
+    assert len(families) == 2 and len(units) == 1
 
 
 def test_conditions_subcommand(r3_path, capsys):

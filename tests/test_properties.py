@@ -32,7 +32,7 @@ from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
                                control_directions, drift_direction, gks_dissipator,
                                gks_margin, gks_term, lindbladian, pauli_basis,
                                superop_from_coherence, unvec, vec)
-from liewedge.matcore import (Subspace, _rank, comm, eig_sym, expm, fro, inner,
+from liewedge.matcore import (Subspace, _rank, comm, eig_sym, expm, fro, inner, kron,
                               orthonormal_span, realify, realify_stack, unrealify,
                               unrealify_stack)
 from liewedge import reachable
@@ -2080,3 +2080,108 @@ def test_one_segment_channels_have_generators_in_the_outer_wedge(name, t, seed):
                                             size=system.n_controls)
     x = -logm(propagate(system, Schedule(((t, u),)))) / t
     assert outer_contains(w, x)
+
+
+# ---------------------------------------------------------------------------
+# saturation with one sweep, and the broadcast Kronecker product
+# ---------------------------------------------------------------------------
+
+def _reference_saturate(w: Wedge, orbit_samples: int, max_rounds: int, tol: float,
+                        seed: int) -> Wedge:
+    """The saturation loop as it was while every round drew its family's
+    sweep rows, including the rounds whose cone only `lineality` reads."""
+    shape, complex_field = w.cone.shape, w.cone.complex_field
+    drift = w.drift if w.drift is not None else np.zeros(shape)
+    report = {"rounds": 0, "converged": False, "termination": None,
+              "edge_dims": [], "novel_counts": [], "tol": tol,
+              "orbit_samples": orbit_samples}
+    edge, lin = w.edge, ()
+    for rnd in range(1, max_rounds + 1):
+        gens = [*edge.mats, *lin]
+        if gens:
+            edge = lie_closure(gens, tol=1e-9)
+        base = drift - edge.project(drift)
+        report["rounds"] = rnd
+        report["edge_dims"].append(edge.dim)
+        report["novel_counts"].append(0)
+        if not edge.dim or fro(base) <= 1e-12:
+            cone = Cone((base,) if fro(base) > 1e-12 else (), shape=shape,
+                        complex_field=complex_field, tol=tol)
+            report.update(converged=True, termination="no-family")
+            break
+        family = ConjugationFamily(edge.mats, base)
+        cone = Cone(shape=shape, complex_field=complex_field, analytic=family, tol=tol,
+                    thetas=family.params(orbit_samples, np.random.default_rng(seed)))
+        if rnd > 1 and not lin:
+            aperiodic = family.kind == "torus" and not family.periodic
+            report.update(converged=not aperiodic,
+                          termination="aperiodic-torus" if aperiodic else "fixed-point")
+            break
+        lin = lineality(cone, tol).mats
+    return Wedge(edge=edge, cone=cone, drift=drift, saturation=report)
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _saturation_systems(draw) -> ControlSystem:
+    """One of the 9 named systems, or a qubit channel with any control axes
+    (none included) and any drift axis or none."""
+    name = draw(st.sampled_from(NAMED_WEDGES + ("qubit",)))
+    if name != "qubit":
+        return _named_system(name)
+    channel = draw(st.sampled_from(("bit_flip", "phase_flip", "bit_phase_flip",
+                                    "depolarizing")))
+    axes = draw(st.lists(st.sampled_from("xyz"), unique=True, max_size=3))
+    drift = draw(st.sampled_from((None, "x", "y", "z")))
+    return build_system(ChannelSpec(name=channel, control_axes=tuple(axes), drift_axis=drift))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_saturation_systems(), st.integers(1, 720), st.sampled_from((1, 2, 10)),
+       st.integers(0, 2**32 - 1))
+def test_saturate_matches_the_per_round_sweep_bit_for_bit(system, samples, max_rounds, seed):
+    """Drawing the sweep rows once, for the returned family, changes no
+    byte of the result against the loop that drew them every round: the
+    edge, the family's seeds and base, the rows, the report, `Wedge.dim` and
+    `pointed`, on converged and cut-off saturations alike."""
+    start = initial_wedge(system)
+    got = saturate(start, orbit_samples=samples, max_rounds=max_rounds, seed=seed)
+    want = _reference_saturate(start, samples, max_rounds, 1e-8, seed)
+    assert _same_bytes(got.edge.stack, want.edge.stack)
+    family, reference = got.cone.analytic, want.cone.analytic
+    assert (family is None) == (reference is None)
+    if family is None:
+        assert _same_bytes(got.cone.stack, want.cone.stack)
+    else:
+        assert _same_bytes(np.stack(family.seeds), np.stack(reference.seeds))
+        assert _same_bytes(family.base, reference.base)
+        assert _same_bytes(got.cone.thetas, want.cone.thetas)
+    assert repr(got.saturation) == repr(want.saturation)
+    assert (got.dim, got.cone.pointed) == (want.dim, want.cone.pointed)
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3, 4)), st.sampled_from((2, 3, 4)),
+       st.sampled_from(((float, float), (complex, complex), (float, complex),
+                        (complex, float))),
+       st.integers(0, 2**32 - 1))
+def test_kron_is_np_kron_bit_for_bit(n, m, dtypes, seed):
+    """The broadcast product forms np.kron's entrywise products, so every
+    byte agrees on real, complex and mixed square pairs; so does the
+    block-diagonal eye(k + 1) (x) 16x16 of the reachable Jacobian."""
+    rng = np.random.default_rng(seed)
+
+    def draw(side, dtype):
+        a = rng.normal(size=(side, side))
+        return a + 1j * rng.normal(size=(side, side)) if dtype is complex else a
+
+    a, b = draw(n, dtypes[0]), draw(m, dtypes[1])
+    assert _same_bytes(kron(a, b), np.kron(a, b))
+    assert _same_bytes(kron(a.T, b), np.kron(a.T, b))
+    big = draw(16, dtypes[1])
+    for k in range(4):
+        assert _same_bytes(kron(np.eye(k + 1), big), np.kron(np.eye(k + 1), big))

@@ -731,6 +731,57 @@ def test_saturate_takes_numpy_integer_settings():
     assert got.saturation == want.saturation
 
 
+def _counting_params(monkeypatch) -> list:
+    """Patch `ConjugationFamily.params` to record each call; returns the log."""
+    calls = []
+    params = ConjugationFamily.params
+    monkeypatch.setattr(ConjugationFamily, "params",
+                        lambda self, *a: calls.append(self) or params(self, *a))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "two_qubit_A",
+                                  "two_qubit_B", "two_qubit_C"])
+def test_saturate_draws_sweep_rows_once(monkeypatch, name):
+    """No round before the last reads its family's sweep, so `saturate`
+    draws the rows once, for the family of the cone it returns, and never
+    when it ends without a family (two_qubit_B's edge fills the algebra)."""
+    calls = _counting_params(monkeypatch)
+    w = saturate(initial_wedge(build_system(ChannelSpec(name=name))), orbit_samples=24)
+    family = w.cone.analytic
+    assert calls == ([] if family is None else [family])
+    if family is not None:
+        assert w.saturation["rounds"] >= 2 and len(w.cone.thetas) >= 24
+
+
+def test_unconverged_saturation_keeps_its_sweep_rows(monkeypatch):
+    """Example 2 cut after one round: the one family is drawn once, and its
+    rows are the 24-point grid over the torus box, as when every round drew
+    its own."""
+    calls = _counting_params(monkeypatch)
+    w = saturate(initial_wedge(example2()), orbit_samples=24, max_rounds=1, seed=5)
+    family = w.cone.analytic
+    assert (w.saturation["converged"], w.saturation["termination"]) == (False, None)
+    assert w.saturation["edge_dims"] == [1] and calls == [family]
+    grid = np.arange(24)[:, None] * (family.periods[0] / 24)
+    assert w.cone.thetas.tobytes() == grid.tobytes()
+
+
+def test_unconverged_saturation_reuses_the_orbit_span(monkeypatch):
+    """two_qubit_B cut after one round: `lineality` closes the orbit's span
+    (its base is traceless), and the returned cone, built over the same
+    family with its sweep rows, reads that span for `Wedge.dim`."""
+    closures = []
+    closure = wedge_module.lie_closure
+    monkeypatch.setattr(wedge_module, "lie_closure",
+                        lambda *a, **k: closures.append(k.get("by") is not None)
+                        or closure(*a, **k))
+    w = saturate(initial_wedge(build_system(ChannelSpec("two_qubit_B"))), orbit_samples=24,
+                 max_rounds=1)
+    assert closures == [False, True] and not w.saturation["converged"]
+    assert w.dim == 15 and closures == [False, True]
+
+
 @pytest.mark.parametrize("name, dims", [("example1", (3, 9)), ("example2", (1, 4)),
                                         ("example3", (1, 6)), ("two_qubit_C", (2, 15))])
 def test_saturated_wedge_does_not_depend_on_the_sample_count(name, dims):
