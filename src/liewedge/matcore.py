@@ -34,8 +34,20 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def fro(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm.  A matrix whose norm falls below 1e-150, where the
+    squares of its entries can underflow to 0.0, has its entry magnitudes
+    scaled by a power of two to near 1 first, so a nonzero matrix never
+    reads 0.0."""
+    a = np.asarray(a)
+    norm = float(np.linalg.norm(a))
+    if not norm < 1e-150:
+        return norm
+    mags = np.abs(a)
+    scale = mags.max(initial=0.0)
+    if scale == 0.0:
+        return norm
+    exponent = np.frexp(scale)[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(mags, -exponent)), exponent))
 
 
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -47,6 +47,10 @@ from .matcore import (RANK_TOL, Subspace, _checked_count, _checked_tol, _null_ro
                       realify_stack, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
+# largest eigenphase |w| a row of `ConjugationFamily.elements` takes from the
+# stacked eigh; eigh rounds each phase by about eps |w|, so rows beyond it
+# are re-read in extended precision (`_far_conjugates`)
+_PHASE_LIMIT = 1024.0
 # largest distance from a swept unit generator of an orbit cone to the
 # family's closed-form cone that rounding may leave
 _CERTIFIED = 1e-12
@@ -262,6 +266,43 @@ class MomentCurve:
         return lower, upper
 
 
+def _exp_near_diagonal(b: np.ndarray) -> np.ndarray:
+    """expm(-i b) for a stack of b = diag(d) + f with f small off its
+    diagonal, to first order in f: diag(exp(-i d)) plus f_jk times the
+    divided difference of exp(-i .) at (d_j, d_k), written as
+    -i exp(-i (d_j + d_k) / 2) sinc((d_k - d_j) / 2) so that it stays
+    exact as d_j and d_k meet.  The dropped term is O(|f|^2)."""
+    n = b.shape[-1]
+    d = np.diagonal(b, axis1=-2, axis2=-1)
+    half = (d[:, None, :] - d[:, :, None]) / 2
+    nonzero = np.where(half == 0, 1, half)
+    sinc = np.where(half == 0, 1, np.sin(nonzero) / nonzero)
+    mid = np.exp(-1j * (d[:, :, None] + d[:, None, :]) / 2)
+    off = b * (1 - np.eye(n))
+    return np.exp(-1j * d)[:, :, None] * np.eye(n) - 1j * off * mid * sinc
+
+
+def _far_conjugates(thetas: np.ndarray, seeds: np.ndarray, v: np.ndarray,
+                    g: np.ndarray) -> np.ndarray:
+    """expm(A) g expm(-A), A = sum_i theta_i seed_i, per row of `thetas`,
+    in long double from the double eigenvectors v of i*A.
+
+    v, made unitary by one Newton-Schulz step, brings i*A to b = diag(d) +
+    f with f of order eps |A|; `_exp_near_diagonal` of b and of -b gives
+    the two exponentials, which also carry whatever part of the seeds is not
+    skew.  The error is of order eps_ld |A| (eps_ld = 1.1e-19 on x86-64)
+    where the stacked eigh leaves eps |A|; where long double is double
+    there is no gain."""
+    ld = np.clongdouble
+    n = v.shape[-1]
+    v = v.astype(ld)
+    v = v @ (1.5 * np.eye(n) - 0.5 * (np.conj(np.swapaxes(v, -1, -2)) @ v))
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    b = vh @ (1j * np.tensordot(thetas.astype(np.longdouble), seeds.astype(ld), axes=1)) @ v
+    return (v @ _exp_near_diagonal(b) @ vh @ g.astype(ld)
+            @ v @ _exp_near_diagonal(-b) @ vh).astype(complex)
+
+
 def _frequency_units(m, freqs, index):
     """The unit rule of a torus from its `_phases` (m, freqs, index): the
     mask of frequencies carrying the base (a part > 1e-12 |m|); per axis,
@@ -408,7 +449,9 @@ class ConjugationFamily:
         matrix or a stack of k.  One stacked eigh of i*A = V diag(w) V^dag
         gives expm(A) = V diag(e) V^dag with e = exp(-i w), so
         Ad(g) = V ((V^dag g V) * e e^dag) V^dag; real seeds and a real g
-        give a real result.
+        give a real result.  That rounds each phase by about eps |w|, so a
+        row with a phase beyond `_PHASE_LIMIT` (a torus box far larger than
+        its shortest wavelength) is redone by `_far_conjugates`.
         """
         g = self.base if g is None else np.asarray(g)
         thetas = np.asarray(thetas, dtype=float).reshape(-1, self.n_params)
@@ -417,6 +460,10 @@ class ConjugationFamily:
         e = np.exp(-1j * w)
         vh = np.conj(np.swapaxes(v, -1, -2))
         out = v @ ((vh @ g @ v) * (e[:, :, None] * np.conj(e[:, None, :]))) @ vh
+        far = np.abs(w).max(axis=1) > _PHASE_LIMIT
+        if far.any():
+            out[far] = _far_conjugates(thetas[far], self._seed_stack, v[far],
+                                       g if g.ndim == 2 else g[far])
         if np.iscomplexobj(a) or np.iscomplexobj(g):
             return out
         return np.ascontiguousarray(out.real)
@@ -705,7 +752,7 @@ def _cone_fit(c: Cone, x: np.ndarray, target: float = None) -> tuple:
     (cone, x, target).
     """
     b = realify(x, c.complex_field)
-    nb = np.linalg.norm(b)
+    nb = fro(b)
     zero = np.zeros(c.shape, dtype=complex if c.complex_field else float)
     if c.stack.shape[1] == 0 and c.analytic is None:
         return float(nb), zero

@@ -18,6 +18,21 @@ def test_inner_is_real_trace_pairing():
     assert np.isclose(fro(a) ** 2, inner(a, a))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-184, 1e-160])
+def test_fro_survives_entries_whose_squares_underflow(scale):
+    """Squares of entries below about 1e-154 underflow (to 0.0 below about
+    1e-162); the norm is read at unit scale instead, subnormal entries
+    included."""
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert fro(scale * a) / scale == pytest.approx(fro(a), rel=1e-14)
+    assert fro(np.zeros((3, 3))) == 0.0
+    assert fro(np.zeros((0, 3))) == 0.0
+    assert fro(a) == float(np.linalg.norm(a))
+    tiny = np.full((2, 2), 2.2250738585e-313 + 1e-313j)
+    assert fro(tiny) / abs(tiny[0, 0]) == pytest.approx(2.0, rel=1e-9)
+
+
 def test_comm_antisymmetry_and_jacobi():
     a, b, c = (RNG.normal(size=(3, 3)) for _ in range(3))
     assert np.allclose(comm(a, b), -comm(b, a))

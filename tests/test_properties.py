@@ -609,6 +609,32 @@ def _reference(fam: ConjugationFamily, g: np.ndarray, params) -> np.ndarray:
     return expm(a) @ g @ expm(-a)
 
 
+def _expm_long_double(a: np.ndarray) -> np.ndarray:
+    """expm of a long double matrix: a Taylor sum to degree 20 of a / 2^s,
+    1-norm at most 1/2, squared s times; its error is of order eps_ld |a|."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = int(np.ceil(np.log2(norm))) + 1 if norm > 0.5 else 0
+    x = a / np.longdouble(2.0) ** s
+    out = term = np.eye(len(a), dtype=a.dtype)
+    for k in range(1, 21):
+        term = term @ x / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _reference_long_double(fam: ConjugationFamily, g: np.ndarray, params) -> np.ndarray:
+    """expm(a) g expm(-a) with a = sum_i params_i seed_i, formed and
+    exponentiated in long double.  A torus sweep can reach params of 1e6
+    and more (a box 2 pi / u for a frequency u near 1e-6), where scipy's
+    `expm`, as `_reference` uses it, already drifts by more than the 1e-12
+    that `_close` allows."""
+    a = sum(np.longdouble(p) * s.astype(np.clongdouble) for p, s in zip(params, fam.seeds))
+    want = _expm_long_double(a) @ np.asarray(g).astype(np.clongdouble) @ _expm_long_double(-a)
+    return want.astype(complex)
+
+
 def _close(got: np.ndarray, want: np.ndarray, g: np.ndarray) -> bool:
     """Within 1e-12 max(1, ||g||); unitary conjugation keeps ||want|| = ||g||."""
     return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, fro(g))
@@ -617,8 +643,12 @@ def _close(got: np.ndarray, want: np.ndarray, g: np.ndarray) -> bool:
 @SETTINGS
 @given(st.sampled_from(REPS), st.sampled_from(KINDS), st.integers(0, 2**32 - 1),
        st.integers(1, 40))
+@example(rep="two_qubit", kind="torus2", seed=448, count=5)
+@example(rep="two_qubit", kind="torus2", seed=2684, count=40)
 def test_conjugation_kernel_matches_expm(rep, kind, seed, count):
-    """The stacked-eigh kernel agrees with expm(a) g expm(-a)."""
+    """The stacked-eigh kernel agrees with expm(a) g expm(-a); sweep points,
+    which reach params near 8e6 on the second example's box, are held to
+    the long double reference."""
     fam = _family(rep, kind, seed)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=fam.base.shape) + (0 if rep == "r3" else 1j * rng.normal(size=fam.base.shape))
@@ -632,7 +662,7 @@ def test_conjugation_kernel_matches_expm(rep, kind, seed, count):
         assert len(swept) == max(2, int(np.ceil(np.sqrt(count)))) ** 2
     for p, elem in swept:
         assert p.shape == (fam.n_params,)
-        assert _close(elem, _reference(fam, fam.base, p), fam.base)
+        assert _close(elem, _reference_long_double(fam, fam.base, p), fam.base)
     stack = np.stack([g, fam.base, -g])
     thetas = rng.normal(size=(3, fam.n_params))
     for got, gi, p in zip(fam.elements(thetas, stack), stack, thetas):
@@ -651,6 +681,12 @@ def test_non_skew_seeds_are_rejected(rep, kind, seed):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(REPS), st.sampled_from(("torus1", "torus2")), st.integers(0, 2**32 - 1),
        st.integers(0, 6), st.booleans(), st.floats(0.0, 2.0), st.floats(-4.0, 4.0))
+@example(rep="r3", kind="torus1", seed=0, count=0, analytic=True,
+         noise=7.491114060928873e-184, log_scale=0.0)
+@example(rep="r3", kind="torus1", seed=0, count=0, analytic=False,
+         noise=7.491114060928873e-184, log_scale=0.0)
+@example(rep="qubit", kind="torus1", seed=0, count=0, analytic=False,
+         noise=2.2250738585e-313, log_scale=0.0)
 def test_cone_fit_residual_never_exceeds_the_norm(rep, kind, seed, count, analytic,
                                                   noise, log_scale):
     """Zero lies in every cone, so a fit's residual is at most ||x||: the
