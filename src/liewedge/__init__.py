@@ -15,8 +15,8 @@ from .matcore import (RANK_TOL, Subspace, comm, expm, fro, inner,
 from .lindblad import (ControlSystem, ad_hat, choi_matrix,
                        coherence_rep, cptp_audit, gks_dissipator, gks_margin, gks_term,
                        is_trace_preserving, is_unital, lindbladian,
-                       pauli_basis, propagator, superop_from_coherence, unvec,
-                       vec)
+                       pauli_basis, propagator, ptm_rep, superop_from_coherence,
+                       superop_from_ptm, unvec, vec)
 from .liealg import (ConditionReport, cartan_split, check_conditions,
                      lie_closure, orthocomplement, subspace_equal,
                      subspace_leq)
@@ -39,8 +39,8 @@ __all__ = [
     "orthonormal_span",
     "ControlSystem", "ad_hat", "choi_matrix", "coherence_rep",
     "cptp_audit", "gks_dissipator", "gks_margin", "gks_term", "is_trace_preserving",
-    "is_unital", "lindbladian", "pauli_basis", "propagator",
-    "superop_from_coherence", "unvec", "vec",
+    "is_unital", "lindbladian", "pauli_basis", "propagator", "ptm_rep",
+    "superop_from_coherence", "superop_from_ptm", "unvec", "vec",
     "ConditionReport", "cartan_split", "check_conditions", "lie_closure",
     "orthocomplement", "subspace_equal", "subspace_leq",
     "ChannelSpec", "KrausSet", "build_system", "example1", "example2",

@@ -477,10 +477,10 @@ def cmd_reachable(args) -> int:
     summary = {"count": args.count, "switches": args.switches,
                "seed": args.seed, "horizon": horizon}
     if system.rep != "r3":
-        audits = [cptp_audit(s) for s in samples]
-        summary["max_tp_defect"] = max(a["tp_defect"] for a in audits)
-        summary["min_choi_eig"] = min(a["choi_min_eig"] for a in audits)
-        summary["all_cptp"] = all(a["is_tp"] and a["is_cp"] for a in audits)
+        audit = cptp_audit(np.stack(samples))
+        summary["max_tp_defect"] = float(audit["tp_defect"].max())
+        summary["min_choi_eig"] = float(audit["choi_min_eig"].min())
+        summary["all_cptp"] = bool((audit["is_tp"] & audit["is_cp"]).all())
     else:
         summary["max_spectral_norm"] = max(
             float(np.linalg.norm(s, 2)) for s in samples)

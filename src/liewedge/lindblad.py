@@ -25,7 +25,16 @@ Conventions fixed here and relied on everywhere else:
 * the coherence representation is the matrix of ``L`` on the traceless
   Hermitian sector with entries ``M[i, j] = <B_j, L(B_i)>`` over the
   orthonormal Pauli basis, which maps ``i * ad(sigma_z / 2)`` to the
-  rotation generator about the z axis with the usual orientation.
+  rotation generator about the z axis with the usual orientation;
+* the Pauli transfer matrix (PTM) of a superoperator ``L`` on C^N is
+  ``T = Re(W^H L W)`` with the unitary ``W = [vec(I)/sqrt(N), vec(B_1), ...]``
+  over the same basis, so ``L = W T W^H`` whenever ``L`` preserves
+  Hermiticity (then ``W^H L W`` is real); its traceless block
+  ``T[1:, 1:]`` is the coherence representation transposed, and ``L`` is
+  unital and trace-preserving when ``T[1:, 0]`` and ``T[0, 1:]`` vanish.
+  Both maps run on the unnormalised Pauli products ``P = sqrt(N) W``,
+  whose entries are 0, +-1 and +-i, and scale by 1/N, a power of two, so
+  the identity channel has exactly the identity PTM and back.
 
 `gks_margin` tests the Lindblad-Kossakowski wedge, the ``L`` for which
 ``expm(-t * L)`` is a channel for every t >= 0 (Wolf and Cirac, CMP 2008).
@@ -39,7 +48,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import expm, fro, kron
+from .matcore import expm, fro, kron, stacked_fro
 
 SIGMA = {
     "1": np.eye(2, dtype=complex),
@@ -158,7 +167,8 @@ class ControlSystem:
         positive-semidefinite relaxation generator entering as gamma * V.
 
     All arrays are stored as read-only copies.  The drift and control
-    generators are assembled once, on first use, and kept with the system.
+    generators, and their Pauli transfer matrices, are assembled once, on
+    first use, and kept with the system.
     """
 
     rep: str
@@ -237,21 +247,33 @@ def dissipator_direction(sys: ControlSystem) -> np.ndarray:
 
 
 def _directions_of(sys: ControlSystem) -> tuple:
-    """(drift, controls) generator matrices of `sys`, read-only.
+    """(drift, controls, PTM drift, PTM control stack) of `sys`, read-only.
 
     Assembled on the first call and cached on the system; every generator
-    handed out by this module is read from here.
+    handed out by this module is read from here.  The PTMs of all
+    generators come from one stacked `ptm_rep`; on r3 they are the
+    generators themselves, which are real already.
     """
     if sys._directions is None:
         drift = ham_drift_direction(sys) + dissipator_direction(sys)
         if sys.rep == "r3":
             controls = sys.controls
+            ptm = np.stack([drift, *controls])
         else:
             controls = tuple(1j * ad_hat(c) for c in sys.controls)
-        for m in (drift, *controls):
+            ptm = ptm_rep(np.stack([drift, *controls]))
+        for m in (drift, *controls, ptm):
             m.setflags(write=False)
-        object.__setattr__(sys, "_directions", (drift, controls))
+        object.__setattr__(sys, "_directions", (drift, controls, ptm[0], ptm[1:]))
     return sys._directions
+
+
+def ptm_directions(sys: ControlSystem) -> tuple:
+    """(drift, controls) as real Pauli transfer matrices, read-only: the
+    drift's (N^2, N^2) matrix and the (n_controls, N^2, N^2) stack of the
+    controls'; on r3 the generators themselves, as a 3x3 matrix and a
+    (n_controls, 3, 3) stack."""
+    return _directions_of(sys)[2:]
 
 
 def control_directions(sys: ControlSystem) -> tuple:
@@ -271,7 +293,7 @@ def lindbladian(sys: ControlSystem, u=None) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (sys.n_controls,):
         raise ValueError(f"expected {sys.n_controls} control amplitudes, got shape {u.shape}")
-    drift, controls = _directions_of(sys)
+    drift, controls = _directions_of(sys)[:2]
     m = drift.copy()
     for uj, cj in zip(u, controls):
         m = m + uj * cj
@@ -347,6 +369,56 @@ def coherence_rep(L, tol: float = 1e-12) -> np.ndarray:
     return gram.real.swapaxes(-1, -2).copy()
 
 
+@lru_cache(maxsize=None)
+def _pauli_frame(n: int) -> tuple:
+    """(P, P^H) for the unnormalised Pauli products ``P = sqrt(n) W``: the
+    columns vec(I) and ``sqrt(n) vec(B_k)`` over `pauli_basis(n)`, built
+    from the Pauli matrices directly so that every entry is 0, +-1 or +-i
+    exactly; read-only."""
+    if n == 2:
+        mats = [SIGMA[k] for k in ("1", *_AXES)]
+    else:
+        mats = [kron(SIGMA[mu], SIGMA[nu]) for mu in SIGMA for nu in SIGMA]
+    p = np.stack([vec(b) for b in mats], axis=1)
+    ph = p.conj().T.copy()
+    for m in (p, ph):
+        m.setflags(write=False)
+    return p, ph
+
+
+def ptm_rep(L) -> np.ndarray:
+    """Pauli transfer matrix ``Re(W^H L W)`` of a superoperator, or of each
+    slice of a ``(..., 4, 4)`` or ``(..., 16, 16)`` stack, computed as
+    ``Re(P^H L P) / N`` (see the module docstring).
+
+    The imaginary part, which vanishes up to rounding on a
+    Hermiticity-preserving ``L``, is dropped unchecked.  Any other shape
+    raises ValueError.
+    """
+    m = np.asarray(L)
+    n = _SUPEROP_CARRIER.get(m.shape[-2:])
+    if n is None:
+        raise ValueError(f"no qubit or two-qubit superoperator has shape {m.shape}; "
+                         f"expected 4x4 or 16x16, or a stack of them")
+    p, ph = _pauli_frame(n)
+    return (ph @ m @ p).real / n
+
+
+def superop_from_ptm(t) -> np.ndarray:
+    """Superoperator ``W T W^H`` of a real Pauli transfer matrix, or of each
+    slice of a stack, computed as ``P T P^H / N``; the inverse of
+    `ptm_rep` on Hermiticity-preserving superoperators.  The carrier is
+    read from the shape as in `ptm_rep`; any other shape raises ValueError.
+    """
+    t = np.asarray(t)
+    n = _SUPEROP_CARRIER.get(t.shape[-2:])
+    if n is None:
+        raise ValueError(f"no qubit or two-qubit transfer matrix has shape {t.shape}; "
+                         f"expected 4x4 or 16x16, or a stack of them")
+    p, ph = _pauli_frame(n)
+    return p @ t @ ph / n
+
+
 def superop_from_coherence(s: np.ndarray) -> np.ndarray:
     """Right inverse of `coherence_rep` on the traceless sector: the one
     product ``V S^T V^H`` with ``V = [vec(B_1), ...]`` over `pauli_basis`,
@@ -372,20 +444,27 @@ def superop_from_coherence(s: np.ndarray) -> np.ndarray:
 # channel audits
 # ---------------------------------------------------------------------------
 
-def _superop_side(m: np.ndarray) -> int:
-    """Hilbert dimension n of an n^2 x n^2 superoperator matrix; any other
-    shape raises ValueError."""
-    n = isqrt(m.shape[0]) if m.ndim == 2 else 0
-    if n == 0 or n * n != m.shape[0] or m.shape[0] != m.shape[1]:
-        raise ValueError(f"not a superoperator matrix: shape {m.shape}")
+def _superop_side(m: np.ndarray, stacked: bool = False) -> int:
+    """Hilbert dimension n of an n^2 x n^2 superoperator matrix, or with
+    `stacked` of each matrix of a (k, n^2, n^2) stack; any other shape
+    raises ValueError."""
+    n = isqrt(m.shape[-1]) if m.ndim == 2 + stacked else 0
+    if n == 0 or n * n != m.shape[-1] or m.shape[-2] != m.shape[-1]:
+        what = "stack of superoperator matrices" if stacked else "superoperator matrix"
+        raise ValueError(f"not a {what}: shape {m.shape}")
     return n
+
+
+def _reshuffle(m: np.ndarray, n: int) -> np.ndarray:
+    """Choi reshuffle of an n^2 x n^2 matrix, or of each slice of a stack."""
+    lead = m.shape[:-2]
+    return m.reshape(*lead, n, n, n, n).swapaxes(-3, -2).reshape(*lead, n * n, n * n)
 
 
 def choi_matrix(t) -> np.ndarray:
     """Choi matrix by the reshuffling T.reshape(n,n,n,n).transpose(0,2,1,3)."""
     m = np.asarray(t)
-    n = _superop_side(m)
-    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return _reshuffle(m, _superop_side(m))
 
 
 def gks_margin(x) -> float:
@@ -434,19 +513,29 @@ def cptp_audit(t, tol: float = 1e-10) -> dict:
     """Complete-positivity and trace-preservation report for a channel.
 
     Returns a dict with the trace-preservation defect, the Choi matrix
-    Hermiticity defect and minimum eigenvalue, and boolean verdicts.
+    Hermiticity defect and minimum eigenvalue, and boolean verdicts.  On a
+    (k, N^2, N^2) stack of channels each entry is an array of the k
+    slices' values, from one stacked pass, and each slice's values equal
+    its own single-matrix call bit for bit; a single matrix gives floats
+    and bools.
     """
     m = np.asarray(t)
-    iv = vec(np.eye(_superop_side(m)))
-    tp_defect = float(np.linalg.norm(iv.conj() @ m - iv.conj()))
-    choi = choi_matrix(m)
-    herm_defect = fro(choi - choi.conj().T)
-    w = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
-    scale = max(1.0, float(abs(np.trace(choi))))
-    return {
+    single = m.ndim != 3
+    n = _superop_side(m, stacked=not single)
+    if single:
+        m = m[None]
+    iv = vec(np.eye(n))
+    tp_defect = stacked_fro(iv.conj() @ m - iv.conj())
+    choi = _reshuffle(m, n)
+    herm = choi.conj().swapaxes(-1, -2)
+    herm_defect = stacked_fro(choi - herm)
+    w_min = np.linalg.eigvalsh((choi + herm) / 2).min(axis=-1)
+    scale = np.maximum(1.0, np.abs(np.trace(choi, axis1=-2, axis2=-1)))
+    out = {
         "tp_defect": tp_defect,
-        "is_tp": tp_defect <= tol * max(1.0, fro(m)),
+        "is_tp": tp_defect <= tol * np.maximum(1.0, stacked_fro(m)),
         "choi_herm_defect": herm_defect,
-        "choi_min_eig": float(w.min()),
-        "is_cp": herm_defect <= tol * scale and w.min() >= -tol * scale,
+        "choi_min_eig": w_min,
+        "is_cp": (herm_defect <= tol * scale) & (w_min >= -tol * scale),
     }
+    return {key: v[0].item() for key, v in out.items()} if single else out

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import prod
 from numbers import Integral
 
 import numpy as np
@@ -48,6 +49,22 @@ def fro(a: np.ndarray) -> float:
         return norm
     exponent = np.frexp(scale)[1]
     return float(np.ldexp(np.linalg.norm(np.ldexp(mags, -exponent)), exponent))
+
+
+def stacked_fro(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each slice of an (m, ...) stack, bitwise `fro` of
+    that slice: one stacked dot per slice, the dot `np.linalg.norm` takes of
+    one flattened slice (of its real and its imaginary part, added, when
+    complex), and `fro` itself on a nonzero slice whose norm falls below
+    1e-150."""
+    x = np.asarray(x)
+    p = x.reshape(len(x), 1, prod(x.shape[1:]))
+    parts = (p.real, p.imag) if np.iscomplexobj(p) else (p,)
+    norms = np.sqrt(sum(q @ q.swapaxes(1, 2) for q in parts).reshape(len(x)))
+    small = np.flatnonzero(norms < 1e-150)
+    for i in small[p[small, 0].any(axis=-1)]:
+        norms[i] = fro(x[i])
+    return norms
 
 
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,6 +6,11 @@ audits the contraction witness s(t) = sum_k ||X(t)B_k||^2 along
 trajectories of unital dynamics, and steers toward target channels by
 bounded least squares on the exact derivatives of the propagated channel,
 over a fixed number of switches.
+
+On the quantum carriers every exponential and product runs on real Pauli
+transfer matrices (`lindblad.ptm_directions`), and a channel goes back to
+its superoperator matrix only where it leaves this module; r3 generators
+are real already.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from math import isqrt
 import numpy as np
 from scipy.optimize import least_squares
 
-from .lindblad import (ControlSystem, coherence_rep, control_directions, drift_direction,
-                       lindbladian, vec)
-from .matcore import _checked_count, _checked_tol, expm, fro, kron
+from .lindblad import (ControlSystem, drift_direction, ptm_directions, superop_from_ptm,
+                       vec)
+from .matcore import _checked_count, _checked_tol, expm, fro, stacked_fro
 
 U_MAX = 5.0
 
@@ -41,7 +46,7 @@ class Schedule:
             if not np.isfinite(dur):
                 raise ValueError(f"segment {k} has a non-finite duration {dur}")
             if dur < 0:
-                raise ValueError(f"segment duration must be nonnegative, got {dur}")
+                raise ValueError(f"segment {k} has a negative duration {dur}")
             if not np.isfinite(u).all():
                 raise ValueError(f"segment {k} has non-finite amplitudes {u}")
             segs.append((dur, u))
@@ -56,43 +61,57 @@ class Schedule:
         return float(sum(d for d, _ in self.segments))
 
 
-def _segment_generators(sys: ControlSystem, segments) -> list:
-    gens = []
-    for _, u in segments:
-        if len(u) != sys.n_controls:
-            raise ValueError(f"segment has {len(u)} amplitudes for "
-                             f"{sys.n_controls} controls")
-        gens.append(lindbladian(sys, u))
+def _segment_generators(sys: ControlSystem, segments) -> np.ndarray:
+    """Real transfer-matrix generators L(u) of the segments, as one
+    (n_segments, d, d) stack: the drift plus each control times its
+    amplitude, added control by control, so every slice is what its segment
+    alone gives.  ValueError naming the first segment whose amplitude count
+    is not the system's control count."""
+    drift, controls = ptm_directions(sys)
+    m = sys.n_controls
+    for k, (_, u) in enumerate(segments):
+        if len(u) != m:
+            raise ValueError(f"segment {k} has {len(u)} amplitudes for {m} controls")
+    amps = np.array([u for _, u in segments], dtype=float).reshape(len(segments), m)
+    gens = np.broadcast_to(drift, (len(segments), *drift.shape))
+    for j in range(m):
+        gens = gens + amps[:, j, None, None] * controls[j]
     return gens
 
 
 def _identity(sys: ControlSystem) -> np.ndarray:
-    """Identity channel on the carrier of `sys`."""
-    drift = drift_direction(sys)
-    return np.eye(drift.shape[0], dtype=drift.dtype)
+    """Identity transfer matrix on the carrier of `sys`."""
+    return np.eye(ptm_directions(sys)[0].shape[0])
 
 
-def _exponentials(durations, gens):
+def _superop(sys: ControlSystem, t: np.ndarray) -> np.ndarray:
+    """Superoperator matrix of a transfer matrix or stack on the carrier of
+    `sys` (`lindblad.superop_from_ptm`); r3 matrices as they are."""
+    return t if sys.rep == "r3" else superop_from_ptm(t)
+
+
+def _exponentials(durations, gens: np.ndarray) -> np.ndarray:
     """Stack of ``expm(-d * gen)`` over the pairs, from one stacked `expm`
-    call, or () without a call for no pairs; scipy's `expm` runs the same
-    Pade code on each slice as on a single matrix, so every slice equals
-    its own call bit for bit."""
-    if not gens:
-        return ()
-    return expm(np.stack([-d * gen for d, gen in zip(durations, gens)]))
+    call, or an empty stack without a call for no pairs; scipy's `expm`
+    runs the same Pade code on each slice as on a single matrix, so every
+    slice equals its own call bit for bit."""
+    if not len(gens):
+        return np.empty(gens.shape)
+    return expm(-np.asarray(durations, dtype=float)[:, None, None] * gens)
 
 
 def propagate(sys: ControlSystem, sched: Schedule) -> np.ndarray:
-    """Time-ordered product of segment propagators.
+    """Time-ordered product of segment propagators, as a superoperator.
 
     Earlier segments act first, so their exponentials sit on the right of
-    the matrix product; an empty schedule gives the identity channel.
+    the matrix product; an empty schedule gives the identity channel.  The
+    product runs on transfer matrices.
     """
     gens = _segment_generators(sys, sched.segments)
     out = _identity(sys)
     for e in _exponentials([d for d, _ in sched.segments], gens):
         out = e @ out
-    return out
+    return _superop(sys, out)
 
 
 def _jacobian(sys: ControlSystem, sched: Schedule) -> np.ndarray:
@@ -106,36 +125,34 @@ def _jacobian(sys: ControlSystem, sched: Schedule) -> np.ndarray:
     exponential along every ``B_k`` in its top block row; the duration
     derivative is ``-L(u) e^A``.  The block matrices of all segments go
     through one stacked `expm` call.  Prefix and suffix products place each
-    segment's derivatives in the time-ordered product.
+    segment's derivatives in the time-ordered product.  All of this runs on
+    transfer matrices, and the derivatives become superoperators at the end.
     """
-    controls = control_directions(sys)
+    controls = ptm_directions(sys)[1]
     m = len(controls)
     gens = _segment_generators(sys, sched.segments)
     ident = _identity(sys)
-    if not gens:
-        return np.empty((0, *ident.shape), dtype=ident.dtype)
-    n = ident.shape[0]
-    bigs = []
-    for (dur, _), gen in zip(sched.segments, gens):
-        big = kron(np.eye(m + 1), -dur * gen)
-        for k, c in enumerate(controls, 1):
-            big[:n, k * n:(k + 1) * n] = -dur * c
-        bigs.append(big)
-    exps, derivs = [], []
-    for gen, top in zip(gens, expm(np.stack(bigs))[:, :n]):
-        e = top[:, :n]
-        exps.append(e)
-        frechet = top[:, n:].reshape(n, m, n).transpose(1, 0, 2)
-        derivs.append(np.concatenate([(-gen @ e)[None], frechet]))
+    k, n = len(gens), ident.shape[0]
+    if not k:
+        return _superop(sys, np.empty((0, n, n)))
+    durs = np.array([d for d, _ in sched.segments])[:, None, None]
+    big = np.zeros((k, (m + 1) * n, (m + 1) * n))
+    for j in range(m + 1):
+        big[:, j * n:(j + 1) * n, j * n:(j + 1) * n] = -durs * gens
+    big[:, :n, n:] = (-durs[:, None] * controls).transpose(0, 2, 1, 3).reshape(k, n, m * n)
+    top = expm(big)[:, :n]
+    exps = top[:, :, :n]
+    frechet = top[:, :, n:].reshape(k, n, m, n).transpose(0, 2, 1, 3)
+    derivs = np.concatenate([(-gens @ exps)[:, None], frechet], axis=1)
     prefix = [ident]
     for e in exps:
         prefix.append(e @ prefix[-1])
     out = []
     suffix = prefix[0]
-    for j in reversed(range(len(exps))):
+    for j in reversed(range(k)):
         out.append(suffix @ derivs[j] @ prefix[j])
         suffix = suffix @ exps[j]
-    return np.concatenate(out[::-1])
+    return _superop(sys, np.concatenate(out[::-1]))
 
 
 def random_schedule(n_controls: int, depth: int, horizon: float, seed,
@@ -168,42 +185,67 @@ def sample_reachable(sys: ControlSystem, n: int, depth: int,
     Each sample propagates a `random_schedule` drawn from its own child
     stream spawned from `seed`, so results are reproducible regardless of
     evaluation order.  All n*depth segment exponentials come from one
-    stacked `expm` call, and each sample is multiplied in `propagate`'s
-    order.  `n` must be an integer >= 1, and `random_schedule` checks
-    `depth`, `horizon` and `u_max`; ValueError otherwise, before any draw.
+    stacked `expm` call, and each sample is multiplied, and turned into a
+    superoperator, as `propagate` does, so it equals `propagate` on its
+    schedule bit for bit.  `n` must be an integer >= 1, and
+    `random_schedule` checks `depth`, `horizon` and `u_max`; ValueError
+    otherwise, before any draw.
     """
     n = _checked_count("count", n, 1)
     segs = [seg for child in np.random.SeedSequence(seed).spawn(n)
             for seg in random_schedule(sys.n_controls, depth, horizon, child, u_max).segments]
     gens = _segment_generators(sys, segs)
-    exps = _exponentials([d for d, _ in segs], gens).reshape(n, depth, *gens[0].shape)
+    exps = _exponentials([d for d, _ in segs], gens).reshape(n, depth, *gens.shape[1:])
     out = _identity(sys)
     for k in range(depth):
         out = exps[:, k] @ out
-    return list(out)
+    return list(_superop(sys, out))
+
+
+def _witness(sys: ControlSystem, x: np.ndarray) -> np.ndarray:
+    """s = ||X||_F^2 of each transfer matrix in the stack `x`, X its
+    traceless block ``x[1:, 1:]`` (the coherence representation
+    transposed), or on r3 the whole matrix.
+
+    One stacked test first checks each quantum channel's identity column
+    and trace row off the identity entry, as `lindblad.coherence_rep` does
+    against ``1e-11 * max(1, ||x||_F)``; ValueError at the first failing
+    channel, its leak checked before its trace.
+    """
+    if sys.rep == "r3":
+        return stacked_fro(x) ** 2
+    bound = 1e-11 * np.maximum(1.0, stacked_fro(x))
+    leak = stacked_fro(x[:, 1:, :1]) > bound
+    trace = np.sqrt(isqrt(x.shape[-1])) * np.abs(x[:, 0, 1:]).max(axis=-1) > bound
+    bad = leak | trace
+    if bad.any():
+        if leak[np.argmax(bad)]:
+            raise ValueError("superoperator is not unital: identity leaks into the traceless sector")
+        raise ValueError("superoperator does not preserve tracelessness")
+    return stacked_fro(x[:, 1:, 1:]) ** 2
 
 
 def contraction_audit(sys: ControlSystem, sched: Schedule,
                       grid: int = 50, tol: float = 1e-9) -> dict:
     """Contraction witness s(t) = ||X(t)||_F^2 along a schedule.
 
-    X(t) is the coherence-sector matrix of the propagated channel, so
-    s(t) = sum_k ||X(t)B_k||^2 over the orthonormal traceless basis; for
-    unital dissipative dynamics it never increases, and for closed
-    systems it is constant.  Reports the values on a uniform time grid
-    and the largest positive increment.
+    X(t) is the coherence-sector matrix of the propagated channel, the
+    traceless block of its transfer matrix, so s(t) = sum_k ||X(t)B_k||^2
+    over the orthonormal traceless basis; for unital dissipative dynamics
+    it never increases, and for closed systems it is constant.  Reports the
+    values on a uniform time grid and the largest positive increment.
 
     A grid point on a segment boundary (``initial`` and ``final`` among
     them) reads the prefix product of the whole segments before it, and
     the first grid point inside segment k is ``expm(-(t - b_k) L_k) P_k``
-    on the prefix P_k at the segment's start b_k; both are bit for bit
-    what one exponential per point gives.  Every later point inside the
-    segment steps from the one before, ``X(t) = E_k X(t - h)`` with
-    ``E_k = expm(-h L_k)`` and h the grid step, so its s(t) may differ
-    from one exponential per point by rounding, bounded by
+    on the prefix P_k at the segment's start b_k.  Every later point
+    inside the segment steps from the one before, ``X(t) = E_k X(t - h)``
+    with ``E_k = expm(-h L_k)`` and h the grid step, so its s(t) may
+    differ from one exponential per point by rounding, bounded by
     1e-12 * max(1, s(t)).  The whole segments, first offsets and steps, at
     most three exponentials per segment, come from one stacked `expm`
-    call, and the coherence matrices from one stacked `coherence_rep`.
+    call on transfer matrices, and s(t) from one stacked norm of their
+    traceless blocks (`_witness`).
     `grid` must be an integer >= 2 and `tol` positive and finite;
     ValueError otherwise.
     """
@@ -227,7 +269,7 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
     heads, stepped = segs[first], np.unique(segs[~first])
     exps = _exponentials([*np.diff(bounds), *(times[inside[first]] - bounds[heads]),
                           *np.full(stepped.size, step)],
-                         gens + [gens[k] for k in heads] + [gens[k] for k in stepped])
+                         gens[np.r_[np.arange(len(gens)), heads, stepped]])
     prefix = [_identity(sys)]
     for e in exps[:len(gens)]:
         prefix.append(e @ prefix[-1])
@@ -238,8 +280,7 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
         steps = dict(zip(stepped.tolist(), exps[len(gens) + heads.size:]))
         for i, k in zip(inside[~first].tolist(), segs[~first].tolist()):
             x[i] = steps[k] @ x[i - 1]
-    cr = x if sys.rep == "r3" else coherence_rep(x)
-    vals = [float(np.linalg.norm(c, "fro") ** 2) for c in cr]
+    vals = [float(v) for v in _witness(sys, x)]
     diffs = np.diff(vals)
     return {
         "times": [float(t) for t in times],

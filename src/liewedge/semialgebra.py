@@ -19,7 +19,7 @@ import scipy.optimize
 from .channels import H_X, H_Y, H_Z, P_X, P_Y, P_Z
 from .liealg import subspace_equal
 from .matcore import (Subspace, _checked_count, _checked_tol, comm, fro, orthonormal_span,
-                      realify_stack)
+                      realify_stack, stacked_fro)
 from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, wedge_contains
 
 BCH_MAX_ORDER = 4
@@ -143,11 +143,9 @@ def _wedge_samples(w: Wedge, count: int, rng: np.random.Generator) -> np.ndarray
 
     The lists are scattered into index arrays once, and the stack is summed
     term by term, each masked add in the order one sample adds its terms (a
-    lone generator is added with weight 1.0, which is exact).  Each norm is
-    one stacked `p @ p^T` over the flattened sample (over its real and its
-    imaginary part, added, on a complex carrier): the same BLAS dot
-    `np.linalg.norm` runs on one matrix.  So every sample is bitwise what
-    building it alone gives.
+    lone generator is added with weight 1.0, which is exact).  The norms
+    come from `matcore.stacked_fro`, bitwise `fro` of each sample.  So every
+    sample is bitwise what building it alone gives.
     """
     gens = w.cone.generators
     n_gens, dim = len(gens), w.edge.dim
@@ -184,18 +182,9 @@ def _wedge_samples(w: Wedge, count: int, rng: np.random.Generator) -> np.ndarray
         for cf, mat in zip(np.array(coefs).T, w.edge.mats):
             e = e + cf[:, None, None] * mat
         x[offset] = x[offset] + e
-    norms = _stacked_norms(x)
+    norms = stacked_fro(x)
     keep = norms > 1e-12
     return x[keep] / norms[keep, None, None]
-
-
-def _stacked_norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each slice of an (m, ...) stack, by the dot
-    `np.linalg.norm` takes of one flattened slice (of its real and its
-    imaginary part, added, when complex), so each is bitwise `fro`."""
-    p = x.reshape(len(x), 1, int(np.prod(x.shape[1:])))
-    parts = (p.real, p.imag) if np.iscomplexobj(p) else (p,)
-    return np.sqrt(sum(q @ q.swapaxes(1, 2) for q in parts).reshape(len(x)))
 
 
 def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),

@@ -98,6 +98,41 @@ def test_channel_audits_accept_a_qutrit_superoperator():
     assert choi_matrix(ident).shape == (9, 9)
 
 
+@pytest.mark.parametrize("count", [1, 2, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_cptp_audit_is_bitwise_each_single_call(n, count):
+    """A (k, N^2, N^2) stack gives per-slice arrays whose entries equal the
+    single-matrix call's floats and bools bit for bit, on channels of
+    random generators, perturbed ones and rescaled ones."""
+    rng = np.random.default_rng(10 * n + count)
+    mats = []
+    for j in range(count):
+        v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        gen = 1j * ad_hat(_random_hermitian(n, rng)) + gks_term(v, rng.uniform(0.0, 1.0))
+        ch = expm(-rng.uniform(0.1, 2.0) * gen)
+        if j % 3 == 1:
+            ch = ch + 1e-3 * rng.normal(size=ch.shape)
+        elif j % 3 == 2:
+            ch = ch * 10.0 ** rng.uniform(-3.0, 3.0)
+        mats.append(ch)
+    got = cptp_audit(np.stack(mats))
+    for j, m in enumerate(mats):
+        want = cptp_audit(m)
+        assert list(got) == list(want)
+        for key, value in want.items():
+            assert type(value) is (bool if key.startswith("is_") else float)
+            assert got[key].shape == (count,)
+            assert got[key][j].item() == value
+            assert got[key][j].tobytes() == np.array(value, dtype=got[key].dtype).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 3), (2, 5, 5), (0, 3, 3)])
+def test_stacked_cptp_audit_rejects_a_stack_of_no_carrier(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"not a stack of superoperator matrices: shape {shape}")):
+        cptp_audit(np.zeros(shape))
+
+
 def test_choi_of_identity_is_maximally_entangled():
     ident = np.eye(4, dtype=complex)
     c = choi_matrix(ident)

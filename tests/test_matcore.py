@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from liewedge.matcore import (RANK_TOL, Subspace, comm, eig_sym, expm, fro,
-                              inner, orthonormal_span, realify, unrealify)
+                              inner, orthonormal_span, realify, stacked_fro, unrealify)
 
 RNG = np.random.default_rng(20260825)
 
@@ -31,6 +31,24 @@ def test_fro_survives_entries_whose_squares_underflow(scale):
     assert fro(a) == float(np.linalg.norm(a))
     tiny = np.full((2, 2), 2.2250738585e-313 + 1e-313j)
     assert fro(tiny) / abs(tiny[0, 0]) == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4), (16, 16), (4,), (16,), (2, 15, 1)])
+def test_stacked_norms_equal_fro(shape, complex_field):
+    """`stacked_fro` is bitwise `fro` of each slice, over entries spread
+    across six decades, and over slices scaled into underflow and zero."""
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=(3000, *shape))
+    if complex_field:
+        x = x + 1j * rng.normal(size=x.shape)
+    x = x * 10.0 ** rng.uniform(-3, 3, size=(len(x),) + (1,) * len(shape))
+    x[:3] *= 1e-300
+    x[3] = 0.0
+    got = stacked_fro(x)
+    assert got.tobytes() == np.array([fro(v) for v in x]).tobytes()
+    assert np.all(got[:3] > 0.0) and got[3] == 0.0
+    assert stacked_fro(x[:0]).shape == (0,)
 
 
 def test_comm_antisymmetry_and_jacobi():

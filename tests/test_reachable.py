@@ -34,6 +34,7 @@ def test_schedule_validation_and_totals():
     (((0.1, (0.0,)), (np.inf, (1.0,))), "segment 1 has a non-finite duration inf"),
     (((0.1, (0.0,)), (0.2, (1.0, np.nan))), r"segment 1 has non-finite amplitudes \(1.0, nan\)"),
     (((0.1, -np.inf),), r"segment 0 has non-finite amplitudes \(-inf,\)"),
+    (((0.1, (0.0,)), (-0.2, (1.0,))), r"segment 1 has a negative duration -0\.2"),
 ])
 def test_schedule_rejects_non_finite_entries(segments, message):
     with pytest.raises(ValueError, match=message):
@@ -50,10 +51,14 @@ def test_propagate_matches_manual_product():
     assert np.max(np.abs(t - manual)) < 1e-12
 
 
-def test_propagate_validates_amplitude_count():
+@pytest.mark.parametrize("segments, message", [
+    (((0.1, (1.0, 2.0)),), "segment 0 has 2 amplitudes for 1 controls"),
+    (((0.1, (1.0,)), (0.2, ())), "segment 1 has 0 amplitudes for 1 controls"),
+])
+def test_propagate_validates_amplitude_count(segments, message):
     sys = _qubit_system()
-    with pytest.raises(ValueError):
-        propagate(sys, Schedule(((0.1, (1.0, 2.0)),)))
+    with pytest.raises(ValueError, match=message):
+        propagate(sys, Schedule(segments))
 
 
 def test_sample_reachable_reproducible_and_cptp():

@@ -568,20 +568,6 @@ def test_normal_equals_standard_normal(dim):
     assert a.bit_generator.state == b.bit_generator.state
 
 
-@pytest.mark.parametrize("complex_field", [False, True])
-@pytest.mark.parametrize("n", [3, 4, 16])
-def test_stacked_norms_equal_fro(n, complex_field):
-    """The sampler's identity: the stacked `p @ p^T` norms are bitwise `fro`
-    of each slice, over entries spread across six decades."""
-    rng = np.random.default_rng(n)
-    x = rng.normal(size=(3000, n, n))
-    if complex_field:
-        x = x + 1j * rng.normal(size=x.shape)
-    x = x * 10.0 ** rng.uniform(-3, 3, size=(len(x), 1, 1))
-    got = semialgebra._stacked_norms(x)
-    assert got.tobytes() == np.array([fro(v) for v in x]).tobytes()
-
-
 def test_probe_fits_pair_by_pair_not_t_by_t(probe_wedges):
     """On the (3,2,1) wedge the first pair's tail misfit grows like t**3
     and the second pair's like t**2, so at tol 1e-3 the first pair is a
