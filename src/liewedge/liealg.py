@@ -1,12 +1,15 @@
 """Lie closures of generator sets and controllability condition checks.
 
-The closure routine works in the realified coordinate space of `matcore`.
-It builds Lie(S) from right-nested brackets [s1, [s2, [..., sk]]] of the
-generators: each round brackets only the directions the previous round
-added against an orthonormal basis of span(S), all in one broadcast
-`matcore.comm` call, a single BLAS matmul.  The same loop, given another
-bracket set, closes a subspace under its brackets; `wedge.lineality` gets
-the linear span of an orbit that way.
+The closure routine works in the coordinate space of `matcore`, realified
+only for complex generators; `check_conditions` hands it real Pauli
+transfer matrices, so a system algebra lives in the N^2 x N^2 real
+matrices rather than in the realified superoperators of twice that
+dimension.  The closure builds Lie(S) from right-nested brackets
+[s1, [s2, [..., sk]]] of the generators: each round brackets only the
+directions the previous round added against an orthonormal basis of
+span(S), all in one broadcast `matcore.comm` call, a single BLAS matmul.
+The same loop, given another bracket set, closes a subspace under its
+brackets; `wedge.lineality` gets the linear span of an orbit that way.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import ControlSystem, control_directions, drift_direction, ham_drift_direction
-from .matcore import Subspace, comm, orthonormal_span, realify_stack, unrealify_stack
+from .lindblad import ControlSystem, ham_drift_direction, ptm_directions, ptm_rep
+from .matcore import Subspace, comm, orthonormal_span, realify_stack, svd, unrealify_stack
 
 
 def lie_closure(gens, tol: float = 1e-9, by=None) -> Subspace:
@@ -30,12 +33,14 @@ def lie_closure(gens, tol: float = 1e-9, by=None) -> Subspace:
     an orthonormal basis of span(S).  Either way, each round brackets only
     the previous round's new directions (the frontier) against the bracket
     set, in one broadcast `comm` call, keeps components orthogonal to the
-    current basis, and stops when a round yields nothing new.  A round holds
-    |frontier| * |bracket set| brackets at once, and the frontier is never
-    larger than the real dimension of the ambient matrix space; on the
-    two-qubit systems the largest round is 55 x 3 complex 16 x 16 brackets,
-    0.7 MB per array.  Every productive round adds at least one orthonormal
-    column, so there are at most as many rounds as that real dimension.
+    current basis, and stops when a round yields nothing new; its SVDs fall
+    back to gesvd where gesdd does not converge (`matcore.svd`).  A round
+    holds |frontier| * |bracket set| brackets at once, and the frontier is
+    never larger than the real dimension of the ambient matrix space; on
+    the two-qubit systems the largest round of `check_conditions` is 55 x 3
+    real 16 x 16 brackets, 0.34 MB per array.  Every productive round adds
+    at least one orthonormal column, so there are at most as many rounds as
+    that real dimension.
     The span is complex when any matrix of `gens` or `by` is.  `tol` must be
     positive and finite (`orthonormal_span` checks it) and `by` a stack of
     matrices of the shape of `gens`; anything else raises ValueError.
@@ -67,7 +72,7 @@ def lie_closure(gens, tol: float = 1e-9, by=None) -> Subspace:
         sel = np.linalg.norm(res, axis=0) > tol * np.maximum(1.0, np.linalg.norm(cols, axis=0))
         if not np.any(sel):
             break
-        u, s, _ = np.linalg.svd(res[:, sel], full_matrices=False)
+        u, s, _ = svd(res[:, sel], full_matrices=False)
         add = u[:, s > tol * s[0]]
         # re-orthogonalise against the basis once more for numerical hygiene
         add = add - stack @ (stack.T @ add)
@@ -104,7 +109,7 @@ def orthocomplement(sub: Subspace) -> Subspace:
     if sub.dim == 0:
         comp = np.eye(sub.stack.shape[0])
     else:
-        comp = np.linalg.svd(sub.stack, full_matrices=True)[0][:, sub.dim:].copy()
+        comp = svd(sub.stack, full_matrices=True)[0][:, sub.dim:].copy()
     return Subspace(comp, sub.shape, sub.complex_field, sub.tol)
 
 
@@ -116,6 +121,17 @@ class ConditionReport:
     (WH): controls plus the drift Hamiltonian do, but the controls alone
     do not.  (A): drift plus controls generate the full general linear
     algebra of the traceless sector, i.e. accessibility.
+
+    `kc`, `kd` and `s` are the closures of those generator sets as real
+    subspaces of Pauli transfer matrices (see `lindblad.ptm_rep`), N^2 x N^2
+    on a qubit or two-qubit system, and of the 3 x 3 generators themselves
+    on r3.  The targets are those of unital systems: `dim_target_k` is
+    N^2 - 1, the dimension of su(N) (so(3) on r3), and `dim_target_s` is
+    (N^2 - 1)^2, that of the general linear algebra of the traceless
+    sector.  A non-unital jump adds the identity-to-traceless column of the
+    transfer matrix, which takes the algebra up to N^2 (N^2 - 1)
+    dimensions, so such a system can read `dim_s` above `dim_target_s`:
+    the amplitude-damping qubit reads 12 against 9, and `holds_A` is false.
     """
 
     dim_kc: int
@@ -132,14 +148,24 @@ class ConditionReport:
 
 
 def check_conditions(sys: ControlSystem, tol: float = 1e-9) -> ConditionReport:
-    """Evaluate conditions (H), (WH) and (A) for a control system."""
+    """Evaluate conditions (H), (WH) and (A) for a control system.
+
+    The closures run on the real Pauli transfer matrices of the generators,
+    the cached `ptm_directions` and the transfer matrix of the Hamiltonian
+    drift.  T = W^H L W with W unitary maps superoperator brackets to
+    transfer-matrix brackets and keeps Frobenius norms, so every dimension
+    is that of the closure of the superoperators; see `ConditionReport` for
+    the carrier of `kc`, `kd` and `s`.
+    """
     target_k, target_s = (15, 225) if sys.rep == "two_qubit" else (3, 9)
-    ctrl = list(control_directions(sys))
+    drift, ctrl = ptm_directions(sys)
+    ctrl = list(ctrl)
     ham = ham_drift_direction(sys)
-    drift = drift_direction(sys)
+    if sys.rep != "r3":
+        ham = ptm_rep(ham)
     # without controls, kc is the zero subspace of the drift's space
     kc = (lie_closure(ctrl, tol=tol) if ctrl else
-          orthonormal_span([], shape=drift.shape, complex_field=np.iscomplexobj(drift)))
+          orthonormal_span([], shape=drift.shape, complex_field=False))
     kd = lie_closure(ctrl + [ham], tol=tol)
     s = lie_closure(ctrl + [drift], tol=tol)
     holds_h = kc.dim == target_k

@@ -21,6 +21,7 @@ from numbers import Integral
 
 import numpy as np
 from scipy.linalg import expm as _expm
+from scipy.linalg import svd as _scipy_svd
 
 RANK_TOL = 1e-9
 
@@ -228,6 +229,19 @@ def _checked_count(name: str, value, least: int = 0) -> int:
     return int(value)
 
 
+def svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
+    """`np.linalg.svd`, retried with LAPACK's gesvd driver where its gesdd
+    driver does not converge.  gesdd's divide-and-conquer iteration fails on
+    some finite matrices that gesvd's QR iteration factors; wherever gesdd
+    converges the result is bitwise its own.  A matrix that neither driver
+    factors, such as one holding a NaN or an infinity, raises LinAlgError."""
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        return _scipy_svd(m, full_matrices=full_matrices, compute_uv=compute_uv,
+                          check_finite=False, lapack_driver="gesvd")
+
+
 def _kept(s: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the singular values `s` that count towards the rank: those
     above `tol` times the largest one."""
@@ -237,20 +251,20 @@ def _kept(s: np.ndarray, tol: float) -> np.ndarray:
 def _span_columns(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal columns spanning the columns of `m`: rank-revealing SVD,
     discarding directions whose singular value is not kept by `_kept`."""
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s, _ = svd(m, full_matrices=False)
     return u[:, _kept(s, tol)].copy()
 
 
 def _null_rows(m: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal rows spanning the null space of `m` (see `_kept`)."""
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = svd(m)
     return vh[np.count_nonzero(_kept(s, tol)):]
 
 
 def _rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
     """`_span_columns(m, tol).shape[1]`, counted from the singular values
     alone, without forming the left singular vectors."""
-    return int(np.count_nonzero(_kept(np.linalg.svd(m, compute_uv=False), tol)))
+    return int(np.count_nonzero(_kept(svd(m, compute_uv=False), tol)))
 
 
 def orthonormal_span(gens, tol: float = RANK_TOL, shape: tuple = None,

@@ -9,6 +9,7 @@ from liewedge.channels import (ChannelSpec, H_X, H_Y, H_Z, P_X, P_Y, P_Z,
                                build_system, sigma, sigma2)
 from liewedge.liealg import (cartan_split, check_conditions, lie_closure,
                              orthocomplement, subspace_equal, subspace_leq)
+from liewedge.lindblad import ControlSystem, ptm_directions
 from liewedge.matcore import comm, orthonormal_span
 
 RNG = np.random.default_rng(911)
@@ -151,3 +152,49 @@ def test_condition_hierarchy_h_implies_wh_never_strict():
         assert rep.dim_kc <= rep.dim_kd <= rep.dim_target_k
         if rep.holds_H:
             assert rep.dim_kd == rep.dim_target_k
+
+
+def _random_two_qubit_system(seed: int) -> ControlSystem:
+    """Random Hermitian drift, control and jump operator, drawn in that
+    order with `default_rng(seed)`, and a rate uniform on [0, 1)."""
+    rng = np.random.default_rng(seed)
+
+    def herm():
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        return (a + a.conj().T) / 2
+
+    return ControlSystem("two_qubit", drift_H=herm(), controls=(herm(),),
+                         lindblad_ops=((herm(), rng.uniform(0, 1)),))
+
+
+# the realified complex superoperators read dim_s 512, 512 and 511 here, past
+# the 240 dimensions of all trace-preserving transfer matrices
+@pytest.mark.parametrize("seed", [146, 162, 223])
+def test_random_unital_two_qubit_system_generates_the_225_dim_algebra(seed):
+    rep = check_conditions(_random_two_qubit_system(seed))
+    assert (rep.dim_kc, rep.dim_kd, rep.dim_s, rep.holds_A) == (1, 15, 225, True)
+
+
+# gesdd does not converge in an SVD round of these systems' closures: seed
+# 33's on the transfer matrices, seed 27's on the realified superoperators
+@pytest.mark.parametrize("seed", [27, 33])
+def test_conditions_survive_an_svd_round_that_gesdd_cannot_factor(seed):
+    rep = check_conditions(_random_two_qubit_system(seed))
+    assert (rep.dim_kc, rep.dim_kd, rep.dim_s) == (1, 15, 225)
+
+
+def test_condition_subspaces_hold_real_pauli_transfer_matrices():
+    sys = build_system(ChannelSpec(name="two_qubit_C"))
+    rep = check_conditions(sys)
+    for sub in (rep.kc, rep.kd, rep.s):
+        assert sub.shape == (16, 16) and not sub.complex_field
+    drift, controls = ptm_directions(sys)
+    assert all(rep.s.contains(m) for m in (drift, *controls))
+    assert all(rep.kc.contains(m) for m in controls)
+
+
+def test_amplitude_damping_qubit_exceeds_the_unital_target():
+    amp = ControlSystem(rep="qubit", drift_H=sigma("z") / 2, controls=(sigma("x") / 2,),
+                        lindblad_ops=((np.array([[0.0, 1.0], [0.0, 0.0]]), 0.3),))
+    rep = check_conditions(amp)
+    assert (rep.dim_s, rep.dim_target_s, rep.holds_A) == (12, 9, False)

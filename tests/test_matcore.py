@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from liewedge.matcore import (RANK_TOL, Subspace, comm, eig_sym, expm, fro,
-                              inner, orthonormal_span, realify, stacked_fro, unrealify)
+                              inner, orthonormal_span, realify, stacked_fro, svd, unrealify)
 
 RNG = np.random.default_rng(20260825)
 
@@ -145,3 +146,32 @@ def test_complex_subspace_real_span_distinguishes_i_multiples():
     sub = orthonormal_span([h], shape=(2, 2), complex_field=True)
     assert sub.contains(2.0 * h)
     assert not sub.contains(1j * h)
+
+
+def _svd_bytes(result) -> list:
+    """Bytes of each factor of an SVD, or of its singular values alone."""
+    return [f.tobytes() for f in (result if isinstance(result, tuple) else (result,))]
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"full_matrices": False}, {"compute_uv": False}])
+def test_svd_is_numpys_where_gesdd_converges(kwargs):
+    m = RNG.normal(size=(7, 4))
+    assert _svd_bytes(svd(m, **kwargs)) == _svd_bytes(np.linalg.svd(m, **kwargs))
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"full_matrices": False}, {"compute_uv": False}])
+def test_svd_falls_back_to_gesvd_where_gesdd_fails(monkeypatch, kwargs):
+    def gesdd_fails(*args, **kw):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    m = RNG.normal(size=(7, 4))
+    want = scipy.linalg.svd(m, lapack_driver="gesvd", **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", gesdd_fails)
+    assert _svd_bytes(svd(m, **kwargs)) == _svd_bytes(want)
+
+
+def test_svd_of_a_matrix_with_a_nan_raises_linalgerror():
+    m = np.ones((3, 3))
+    m[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        svd(m)

@@ -9,8 +9,10 @@ audit, sample set, propagation or Jacobian, on Pauli transfer matrices)
 against loop, expm, edge-rule, full-pairwise, per-generator, two-branch, three-routine,
 per-entry, two-pass or central-difference references kept here, and the
 Schur-Horn and Caratheodory-Toeplitz distance bounds against a dense-sample
-NNLS fit, and the exact outer wedge (`gks_margin`, `outer_contains`) on GKS
-generators, saturated wedges and one-segment channels."""
+NNLS fit, the condition dimensions on transfer matrices under unitary
+conjugation and against the superoperator closure, and the exact outer
+wedge (`gks_margin`, `outer_contains`) on GKS generators, saturated wedges
+and one-segment channels."""
 
 from __future__ import annotations
 
@@ -27,12 +29,12 @@ from scipy.optimize import minimize, minimize_scalar, nnls
 
 from liewedge.channels import NAMES, H_X, H_Y, H_Z, ChannelSpec, build_system, sigma, sigma2
 from liewedge.cli import _dumps, format_system_file
-from liewedge.liealg import lie_closure
+from liewedge.liealg import check_conditions, lie_closure
 from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
                                control_directions, drift_direction, gks_dissipator,
-                               gks_margin, gks_term, lindbladian, pauli_basis,
-                               ptm_directions, ptm_rep, superop_from_coherence,
-                               superop_from_ptm, unvec, vec)
+                               gks_margin, gks_term, ham_drift_direction, lindbladian,
+                               pauli_basis, ptm_directions, ptm_rep,
+                               superop_from_coherence, superop_from_ptm, unvec, vec)
 from liewedge.matcore import (Subspace, _rank, comm, eig_sym, expm, fro, inner, kron,
                               orthonormal_span, realify, realify_stack, unrealify,
                               unrealify_stack)
@@ -1205,6 +1207,49 @@ def test_two_qubit_c_closure_is_closed_under_brackets():
     rng = np.random.default_rng(225)
     for i, j in rng.integers(s.dim, size=(200, 2)):
         assert _bracket_residual(s, s.mats[i], s.mats[j]) <= 1e-8
+
+
+def _conjugated(sys: ControlSystem, seed: int) -> ControlSystem:
+    """`sys` with its Hamiltonian, controls and jump operators conjugated
+    by one random unitary."""
+    n = sys.drift_H.shape[0]
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+    def turn(m):
+        return q @ m @ q.conj().T
+
+    return ControlSystem(rep=sys.rep, drift_H=turn(sys.drift_H),
+                         controls=tuple(turn(c) for c in sys.controls),
+                         lindblad_ops=tuple((turn(v), g) for v, g in sys.lindblad_ops))
+
+
+def _superoperator_condition_dims(sys: ControlSystem) -> tuple:
+    """(dim_kc, dim_kd, dim_s) closed on the complex superoperators, in
+    their realified coordinates."""
+    ctrl = [np.asarray(c) for c in control_directions(sys)]
+    kc = lie_closure(ctrl).dim if ctrl else 0
+    kd = lie_closure(ctrl + [ham_drift_direction(sys)]).dim
+    return kc, kd, lie_closure(ctrl + [drift_direction(sys)]).dim
+
+
+@SETTINGS
+@given(st.sampled_from(("qubit", "two_qubit")), st.integers(0, 2**32 - 1), st.integers(0, 2),
+       st.integers(0, 2), st.booleans())
+def test_condition_dims_are_unitarily_invariant_within_the_ptm_ceiling(rep, seed, n_controls,
+                                                                      n_ops, unital):
+    """Hermitian (unital) or general jumps; a trace-preserving generator's
+    transfer matrix has a zero first row, so no algebra exceeds N^2 (N^2 - 1)
+    dimensions; on qubits the realified superoperators give the same dims."""
+    sys = _random_system(rep, seed, n_controls, n_ops, unital)
+    got = check_conditions(sys)
+    dims = (got.dim_kc, got.dim_kd, got.dim_s)
+    turned = check_conditions(_conjugated(sys, seed + 1))
+    assert (turned.dim_kc, turned.dim_kd, turned.dim_s) == dims
+    n2 = HILBERT_DIM[rep] ** 2
+    assert got.dim_s <= n2 * (n2 - 1)
+    if rep == "qubit":
+        assert _superoperator_condition_dims(sys) == dims
 
 
 # ---------------------------------------------------------------------------
