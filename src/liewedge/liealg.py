@@ -125,13 +125,13 @@ class ConditionReport:
     `kc`, `kd` and `s` are the closures of those generator sets as real
     subspaces of Pauli transfer matrices (see `lindblad.ptm_rep`), N^2 x N^2
     on a qubit or two-qubit system, and of the 3 x 3 generators themselves
-    on r3.  The targets are those of unital systems: `dim_target_k` is
-    N^2 - 1, the dimension of su(N) (so(3) on r3), and `dim_target_s` is
-    (N^2 - 1)^2, that of the general linear algebra of the traceless
-    sector.  A non-unital jump adds the identity-to-traceless column of the
-    transfer matrix, which takes the algebra up to N^2 (N^2 - 1)
-    dimensions, so such a system can read `dim_s` above `dim_target_s`:
-    the amplitude-damping qubit reads 12 against 9, and `holds_A` is false.
+    on r3.  `dim_target_k` is N^2 - 1, the dimension of su(N) (so(3) on
+    r3).  `dim_target_s` is (N^2 - 1)^2 on a unital system, that of the
+    general linear algebra of the traceless sector (9 on r3).  A
+    non-unital jump adds the identity-to-traceless column of the transfer
+    matrix, and the target becomes the trace-preserving algebra of
+    N^2 (N^2 - 1) dimensions: the amplitude-damping qubit reads 12 against
+    12, and `holds_A` is true.
     """
 
     dim_kc: int
@@ -155,11 +155,17 @@ def check_conditions(sys: ControlSystem, tol: float = 1e-9) -> ConditionReport:
     drift.  T = W^H L W with W unitary maps superoperator brackets to
     transfer-matrix brackets and keeps Frobenius norms, so every dimension
     is that of the closure of the superoperators; see `ConditionReport` for
-    the carrier of `kc`, `kd` and `s`.
+    the carrier of `kc`, `kd` and `s`.  The system counts as non-unital,
+    with the trace-preserving target, when a drift or control transfer
+    matrix has an identity column below its entry 0 of norm above `tol`
+    times max(1, its norm).
     """
     target_k, target_s = (15, 225) if sys.rep == "two_qubit" else (3, 9)
     drift, ctrl = ptm_directions(sys)
     ctrl = list(ctrl)
+    if sys.rep != "r3" and any(np.linalg.norm(m[1:, 0]) > tol * max(1.0, np.linalg.norm(m))
+                               for m in (drift, *ctrl)):
+        target_s = (target_k + 1) * target_k
     ham = ham_drift_direction(sys)
     if sys.rep != "r3":
         ham = ptm_rep(ham)

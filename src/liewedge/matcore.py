@@ -37,19 +37,20 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def fro(a: np.ndarray) -> float:
     """Frobenius norm.  A matrix whose norm falls below 1e-150, where the
-    squares of its entries can underflow to 0.0, has its entry magnitudes
-    scaled by a power of two to near 1 first, so a nonzero matrix never
-    reads 0.0."""
+    squares of its entries can underflow to 0.0, has its real and imaginary
+    parts scaled by a power of two to near 1 first, so a nonzero matrix
+    never reads 0.0.  The parts are scaled apart: the magnitude of a
+    complex entry is itself rounded to the subnormal grid there."""
     a = np.asarray(a)
     norm = float(np.linalg.norm(a))
     if not norm < 1e-150:
         return norm
-    mags = np.abs(a)
-    scale = mags.max(initial=0.0)
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    scale = max(np.abs(p).max(initial=0.0) for p in parts)
     if scale == 0.0:
         return norm
     exponent = np.frexp(scale)[1]
-    return float(np.ldexp(np.linalg.norm(np.ldexp(mags, -exponent)), exponent))
+    return float(np.ldexp(np.linalg.norm([np.ldexp(p, -exponent) for p in parts]), exponent))
 
 
 def stacked_fro(x: np.ndarray) -> np.ndarray:

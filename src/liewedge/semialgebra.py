@@ -2,11 +2,13 @@
 
 A wedge is BCH-closed (a Lie semialgebra) when small products
 expm(tA)expm(tB) generate no direction outside it.  This module provides
-the order-4 truncated product, a randomized probe that hunts for
-counterexample pairs, tangent spaces T_A w = (A^perp ∩ w*)^perp (exact,
-from the closed form that decides a cone, and None where none does), and
-the rotation-orbit case analysis (isotropic, rank-one,
-degenerate-pair, and generic relaxation rates).
+the order-4 truncated product, a probe that certifies closure where every
+bracket of the wedge's span falls in its edge (`Wedge.abelian_modulo_edge`,
+the isotropic case) and elsewhere hunts for counterexample pairs at
+random, tangent spaces T_A w = (A^perp ∩ w*)^perp (exact, from the closed
+form that decides a cone, and None where none does), and the
+rotation-orbit case analysis (isotropic, rank-one, degenerate-pair, and
+generic relaxation rates).
 """
 
 from __future__ import annotations
@@ -195,17 +197,22 @@ def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
     the tail beyond the first-order part t(A+B) stays inside the wedge
     (the first-order part itself is a member by convexity).  Returns the
     first `BchWitness` whose tail misfit exceeds tol*t**2, else None.
-    None means "no counterexample found at this sampling budget" on an
-    inner-approximated membership oracle -- never a proof.
 
-    One batched pass: all samples are drawn first, every tail for each t
-    comes from one stacked `bch` call, and one matmul projects all tails off
-    the edge.  Zero lies in the cone, so a tail's fit residual is at most
-    the norm of its edge-orthogonal part.  A tail whose edge-orthogonal norm,
-    plus a 1e-12 allowance for the rounding by which this pass and the
-    single-pair fit may differ, is at most half of `bch_witness`'s fit
-    target 0.1*tol*t**2*scale can therefore not meet the witness threshold;
-    it is skipped.  The remaining (pair, t) tails go, pair by pair in sample
+    The settings are checked first.  A wedge whose span is abelian modulo
+    its edge (`Wedge.abelian_modulo_edge`) is a Lie semialgebra: every tail
+    lies in the edge, so None is returned without drawing a sample, and
+    there it is a proof.  On any other wedge None means "no counterexample
+    found at this sampling budget" on an inner-approximated membership
+    oracle -- never a proof.
+
+    Otherwise one batched pass: all samples are drawn first, every tail for
+    each t comes from one stacked `bch` call, and one matmul projects all
+    tails off the edge.  Zero lies in the cone, so a tail's fit residual is
+    at most the norm of its edge-orthogonal part.  A tail whose
+    edge-orthogonal norm, plus a 1e-12 allowance for the rounding by which
+    this pass and the single-pair fit may differ, is at most half of
+    `bch_witness`'s fit target 0.1*tol*t**2*scale can therefore not meet
+    the witness threshold; it is skipped.  The remaining (pair, t) tails go, pair by pair in sample
     order, to `bch_witness`, whose fits are deterministic in (wedge, tail,
     tol), so the first witness is that of fitting every pair in turn.  Only
     the sample draws use `seed`, which must be an integer >= 0, and
@@ -213,7 +220,10 @@ def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
     """
     pair_samples = _checked_count("pairs", pair_samples, 1)
     ts = _checked_grid(t_grid, tol)
-    rng = np.random.default_rng(_checked_count("seed", seed))
+    seed = _checked_count("seed", seed)
+    if w.abelian_modulo_edge:
+        return None
+    rng = np.random.default_rng(seed)
     elems = _wedge_samples(w, 2 * pair_samples, rng)
     n_pairs = len(elems) // 2
     a, b = elems[:2 * n_pairs:2], elems[1:2 * n_pairs:2]

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from liewedge import semialgebra
 from liewedge import wedge as wedge_module
 from liewedge.channels import ChannelSpec, build_system, two_qubit_operator
 from liewedge.cli import (SystemFileError, _build_parser, format_system_file, main,
@@ -296,6 +297,24 @@ def test_semialgebra_subcommand(r3_path, capsys):
     assert report["verdict"] in ("witness-found", "no-counterexample-found")
     if report["verdict"] == "witness-found":
         assert report["witness"]["residual"] > 0
+
+
+def test_semialgebra_on_a_certified_wedge_draws_no_sample(tmp_path, capsys, monkeypatch):
+    """The depolarizing qubit under controls x and y has every bracket of
+    its span in the edge: the report says no counterexample, bytewise the
+    same on a second run, and no sample is drawn."""
+    path = tmp_path / "depolarizing_xy.sys"
+    spec = ChannelSpec("depolarizing", control_axes=("x", "y"), drift_axis="z")
+    path.write_text(format_system_file(build_system(spec)))
+    drawn = []
+    monkeypatch.setattr(semialgebra, "_wedge_samples", lambda *args: drawn.append(args))
+    runs = [_run(["semialgebra", "--system", str(path)], capsys) for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, (out, _) = runs[0]
+    report = json.loads(out)
+    assert (code, report["schema"], report["verdict"], report["witness"]) == (
+        0, "liewedge-report/2", "no-counterexample-found", None)
+    assert drawn == []
 
 
 def test_reachable_subcommand(qubit_path, capsys):

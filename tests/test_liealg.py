@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from liewedge.channels import (ChannelSpec, H_X, H_Y, H_Z, P_X, P_Y, P_Z,
-                               build_system, sigma, sigma2)
+                               build_system, sigma, sigma2, two_qubit_operator)
 from liewedge.liealg import (cartan_split, check_conditions, lie_closure,
                              orthocomplement, subspace_equal, subspace_leq)
 from liewedge.lindblad import ControlSystem, ptm_directions
@@ -193,8 +193,23 @@ def test_condition_subspaces_hold_real_pauli_transfer_matrices():
     assert all(rep.kc.contains(m) for m in controls)
 
 
-def test_amplitude_damping_qubit_exceeds_the_unital_target():
+def test_amplitude_damping_qubit_meets_the_trace_preserving_target():
+    """A non-unital jump puts the identity column into the drift's transfer
+    matrix, so the target is the trace-preserving algebra, N^2 (N^2 - 1) =
+    12 on a qubit, which the system generates; the unital target 9 read it
+    as exceeded and `holds_A` false."""
     amp = ControlSystem(rep="qubit", drift_H=sigma("z") / 2, controls=(sigma("x") / 2,),
                         lindblad_ops=((np.array([[0.0, 1.0], [0.0, 0.0]]), 0.3),))
     rep = check_conditions(amp)
-    assert (rep.dim_s, rep.dim_target_s, rep.holds_A) == (12, 9, False)
+    assert (rep.dim_s, rep.dim_target_s, rep.holds_A) == (12, 12, True)
+
+
+def test_two_qubit_decay_takes_the_trace_preserving_target():
+    """Decay of the first qubit under controls x1 and 1x: target 16 * 15,
+    which these two controls do not reach."""
+    decay = (two_qubit_operator("x1") + 1j * two_qubit_operator("y1")) / 2
+    sys = ControlSystem(rep="two_qubit", drift_H=two_qubit_operator("zz") / 2,
+                        controls=(two_qubit_operator("x1") / 2, two_qubit_operator("1x") / 2),
+                        lindblad_ops=((decay, 0.3),))
+    rep = check_conditions(sys)
+    assert (rep.dim_s, rep.dim_target_s, rep.holds_A) == (119, 240, False)

@@ -32,6 +32,9 @@ def test_fro_survives_entries_whose_squares_underflow(scale):
     assert fro(a) == float(np.linalg.norm(a))
     tiny = np.full((2, 2), 2.2250738585e-313 + 1e-313j)
     assert fro(tiny) / abs(tiny[0, 0]) == pytest.approx(2.0, rel=1e-9)
+    # |5e-324 (1 + i)| rounds to 5e-324 on the subnormal grid; the parts do not
+    least = np.full((2, 2), 5e-324 + 5e-324j)
+    assert fro(least) == fro(np.concatenate([least.real, least.imag])) == 1.5e-323
 
 
 @pytest.mark.parametrize("complex_field", [False, True])

@@ -38,13 +38,15 @@ from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
 from liewedge.matcore import (Subspace, _rank, comm, eig_sym, expm, fro, inner, kron,
                               orthonormal_span, realify, realify_stack, unrealify,
                               unrealify_stack)
-from liewedge import reachable
+from liewedge import reachable, semialgebra
 from liewedge import wedge as wedge_module
 from liewedge.reachable import (Schedule, _jacobian, contraction_audit, propagate,
                                 random_schedule, sample_reachable, steer)
+from liewedge.semialgebra import bch, orbit_wedge
 from liewedge.wedge import (Cone, ConjugationFamily, Wedge, _cone_fit, cone_contains,
                             cone_residual, initial_wedge, lineality, outer_contains, saturate,
                             wedge_contains)
+from test_semialgebra import _reference_probe
 
 REPS = ("r3", "qubit", "two_qubit")
 HILBERT_DIM = {"qubit": 2, "two_qubit": 4}
@@ -720,6 +722,8 @@ def test_non_skew_seeds_are_rejected(rep, kind, seed):
          noise=7.491114060928873e-184, log_scale=0.0)
 @example(rep="qubit", kind="torus1", seed=0, count=0, analytic=False,
          noise=2.2250738585e-313, log_scale=0.0)
+@example(rep="qubit", kind="torus1", seed=0, count=0, analytic=False,
+         noise=5e-324, log_scale=0.0)
 def test_cone_fit_residual_never_exceeds_the_norm(rep, kind, seed, count, analytic,
                                                   noise, log_scale):
     """Zero lies in every cone, so a fit's residual is at most ||x||: the
@@ -2297,3 +2301,78 @@ def test_kron_is_np_kron_bit_for_bit(n, m, dtypes, seed):
     big = draw(16, dtypes[1])
     for k in range(4):
         assert _same_bytes(kron(np.eye(k + 1), big), np.kron(np.eye(k + 1), big))
+
+
+# ---------------------------------------------------------------------------
+# the BCH probe's bracket-table certificate
+# ---------------------------------------------------------------------------
+
+QUBIT_GRID = tuple((channel, axes, drift)
+                   for channel in ("bit_flip", "phase_flip", "bit_phase_flip", "depolarizing")
+                   for axes in ("x", "y", "z", "xy", "xz", "yz", "xyz")
+                   for drift in (None, "x", "y", "z"))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_wedge(channel: str, axes: str, drift) -> Wedge:
+    spec = ChannelSpec(channel, control_axes=tuple(axes), drift_axis=drift)
+    return saturate(initial_wedge(build_system(spec)), orbit_samples=24)
+
+
+@st.composite
+def _probed_wedges(draw) -> Wedge:
+    """One of the 112 qubit (channel, control axes, drift) wedges, an
+    so(3) orbit wedge whose rates may be isotropic, or an r3 wedge whose
+    edge is {0}, span{H_Z} or so(3) and whose one to four generators are
+    diagonal, diagonal with two equal entries (commuting with H_Z), or
+    arbitrary."""
+    kind = draw(st.sampled_from(("qubit", "orbit", "generators")))
+    if kind == "qubit":
+        return _grid_wedge(*draw(st.sampled_from(QUBIT_GRID)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "orbit":
+        lam, a, b = np.sort(rng.uniform(0.1, 2.0, size=3))[::-1]
+        rates = draw(st.sampled_from(((lam, lam, lam), (lam, 0.0, 0.0), (lam, lam, 0.0),
+                                      (lam, a, b))))
+        return orbit_wedge(rates, hull_samples=24, seed=0)
+    edge = orthonormal_span(draw(st.sampled_from(((), (H_Z,), (H_X, H_Y, H_Z)))),
+                            shape=(3, 3), complex_field=False)
+    pattern = draw(st.sampled_from(("diagonal", "z-symmetric", "arbitrary")))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = rng.normal(size=3)
+        if pattern == "z-symmetric":
+            d[1] = d[0]
+        gens.append(np.diag(d) if pattern != "arbitrary" else rng.normal(size=(3, 3)))
+    return Wedge(edge=edge, cone=Cone(gens, shape=(3, 3), complex_field=False))
+
+
+def _span_certificate(w: Wedge) -> bool:
+    """The bracket table over an orthonormal basis of edge + `Cone.span`
+    itself, the orbit's span included."""
+    span = orthonormal_span([*w.edge.mats, *w.cone.span().mats], shape=w.cone.shape,
+                            complex_field=w.cone.complex_field)
+    return all(w.edge.residual(comm(a, b)) <= 1e-12
+               for k, a in enumerate(span.mats) for b in span.mats[k + 1:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_probed_wedges(), st.integers(0, 2**32 - 1))
+def test_bracket_certificate_is_sound(w, seed):
+    """The certificate is that of the table over edge + `Cone.span`.  Where
+    it holds, the order-4 BCH tail of each random pair of unit members, at
+    t = 1e-2 and 0.3, lies within 1e-12 (|tail| + t^2) of the edge; and
+    wherever the per-pair sampled probe finds a witness, it does not."""
+    assert w.abelian_modulo_edge == _span_certificate(w)
+    if w.abelian_modulo_edge:
+        elems = semialgebra._wedge_samples(w, 40, np.random.default_rng(seed))
+        n = len(elems) // 2
+        a, b = elems[:2 * n:2], elems[1:2 * n:2]
+        q = w.edge.stack
+        for t in (1e-2, 0.3):
+            tails = bch(t * a, t * b) - t * (a + b)
+            cols = realify_stack(tails, w.cone.shape, w.cone.complex_field)
+            off = np.linalg.norm(cols - q @ (q.T @ cols), axis=0)
+            assert np.all(off <= 1e-12 * (np.linalg.norm(cols, axis=0) + t * t))
+    witness, _ = _reference_probe(w, 20, (1e-2,), 1e-8, seed)
+    assert witness is None or not w.abelian_modulo_edge

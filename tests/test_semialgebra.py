@@ -12,7 +12,7 @@ from liewedge import semialgebra
 from liewedge import wedge as wedge_module
 
 from liewedge.channels import (H_X, H_Y, H_Z, P_X, P_Y, P_Z, ChannelSpec, build_system,
-                               example2, example3)
+                               example1, example2, example3)
 from liewedge.liealg import orthocomplement, subspace_equal, subspace_leq
 from liewedge.matcore import (Subspace, comm, eig_sym, expm, fro, inner,
                               orthonormal_span)
@@ -584,30 +584,23 @@ def test_probe_fits_pair_by_pair_not_t_by_t(probe_wedges):
     assert _same_witness(wit, ref)
 
 
-def _counted_bch_witness(monkeypatch) -> list:
-    calls = []
+def _counted(monkeypatch, owner, attr) -> list:
+    """Patch owner.attr to record one entry per call; returns the record."""
+    calls, original = [], getattr(owner, attr)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return bch_witness(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(semialgebra, "bch_witness", counted)
+    monkeypatch.setattr(owner, attr, counted)
     return calls
-
-
-def test_isotropic_probe_fits_no_pair(monkeypatch, probe_wedges):
-    """Every tail on the isotropic wedge lies in the edge so(3), so the
-    screen leaves no pair for a fit (the per-pair loop fits all 1000)."""
-    calls = _counted_bch_witness(monkeypatch)
-    assert semialgebra_probe(probe_wedges["isotropic"], pair_samples=1000, seed=4) is None
-    assert calls == []
 
 
 @pytest.mark.parametrize("seed", [0, 9])
 def test_probe_fits_every_pair_the_loop_fits(monkeypatch, probe_wedges, seed):
     w = probe_wedges["rates321"]
     want, want_calls = _reference_probe(w, 200, (1e-2,), 1e-8, seed)
-    calls = _counted_bch_witness(monkeypatch)
+    calls = _counted(monkeypatch, semialgebra, "bch_witness")
     assert _same_witness(semialgebra_probe(w, pair_samples=200, seed=seed), want)
     assert len(calls) == want_calls
 
@@ -626,11 +619,13 @@ def test_probe_fits_every_pair_the_loop_fits(monkeypatch, probe_wedges, seed):
     ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
     ({"tol": float("nan")}, "tol must be positive and finite, got nan"),
 ])
-def test_vacuous_probe_settings_are_rejected(probe_wedges, kwargs, message):
+@pytest.mark.parametrize("name", ["rates321", "isotropic"])
+def test_vacuous_probe_settings_are_rejected(probe_wedges, name, kwargs, message):
     """Each of these made the probe report "no counterexample" on a wedge
     that is not a semialgebra, leaked an error from scipy or numpy, or
-    ran a bool as one pair."""
-    w = probe_wedges["rates321"]
+    ran a bool as one pair; the certified isotropic wedge checks them
+    before its certificate answers."""
+    w = probe_wedges[name]
     with pytest.raises(ValueError, match=message):
         semialgebra_probe(w, **kwargs)
     if "pair_samples" not in kwargs:
@@ -666,12 +661,14 @@ def test_bch_rejects_mismatched_or_non_square_shapes(a_shape, b_shape):
         bch(np.ones(a_shape), np.ones(b_shape))
 
 
+@pytest.mark.parametrize("name", ["rates321", "isotropic"])
 @pytest.mark.parametrize("seed", [1.5, True, -1, "0"])
-def test_seeds_are_checked_before_any_work(probe_wedges, seed):
+def test_seeds_are_checked_before_any_work(probe_wedges, name, seed):
     """The probe leaked numpy's TypeError for 1.5 and ran True as seed 1,
     and `tangent_space` ran seed -1; every seeded entry point now refuses a
-    seed that is not a non-negative integer, naming it."""
-    w = probe_wedges["rates321"]
+    seed that is not a non-negative integer, naming it, also on a wedge
+    whose certificate makes the probe draw nothing."""
+    w = probe_wedges[name]
     message = f"seed must be an integer >= 0, got {seed!r}".replace(".", r"\.")
     calls = (lambda: semialgebra_probe(w, pair_samples=5, seed=seed),
              lambda: tangent_space(w, w.cone.generators[0], seed=seed),
@@ -717,3 +714,57 @@ def test_orbit_wedge_takes_zero_and_numpy_integer_hull_samples():
     got = orbit_wedge((3.0, 2.0, 1.0), hull_samples=np.int64(12), seed=np.int64(4))
     want = orbit_wedge((3.0, 2.0, 1.0), hull_samples=12, seed=4)
     assert got.cone.stack.tobytes() == want.cone.stack.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the bracket-table certificate
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def certificate_wedges(probe_wedges, branch_wedges):
+    def qubit(channel, axes):
+        spec = ChannelSpec(name=channel, control_axes=axes, drift_axis="z")
+        return saturate(initial_wedge(build_system(spec)), orbit_samples=360)
+
+    return {**probe_wedges, **branch_wedges,
+            "rates110": orbit_wedge((1.0, 1.0, 0.0), hull_samples=96, seed=0),
+            "example1": saturate(initial_wedge(example1()), orbit_samples=360),
+            "depolarizing_xy": qubit("depolarizing", ("x", "y")),
+            "depolarizing_x": qubit("depolarizing", ("x",))}
+
+
+CERTIFIED = ("isotropic", "edge_only", "depolarizing_xy")
+
+
+@pytest.mark.parametrize("name", CERTIFIED + (
+    "rates100", "rates110", "rates321", "example1", "example2", "example3", "phase_flip",
+    "depolarizing_x", "two_qubit_C"))
+def test_certificate_holds_where_the_span_is_abelian_modulo_the_edge(certificate_wedges,
+                                                                     name):
+    """Isotropic relaxation under so(3), an edge without a cone, and the
+    depolarizing qubit under controls x and y have every bracket of their
+    span in the edge; the anisotropic orbits, the examples, phase flip,
+    depolarizing under x alone and two_qubit_C do not."""
+    assert certificate_wedges[name].abelian_modulo_edge == (name in CERTIFIED)
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_certified_probe_draws_nothing(monkeypatch, certificate_wedges, name):
+    """No generator, no sample and no fit (the per-pair loop fits all 1000
+    isotropic pairs)."""
+    counts = [_counted(monkeypatch, owner, attr) for owner, attr in (
+        (np.random, "default_rng"), (semialgebra, "_wedge_samples"),
+        (semialgebra, "bch_witness"))]
+    assert semialgebra_probe(certificate_wedges[name], pair_samples=1000, seed=4) is None
+    assert counts == [[], [], []]
+
+
+def test_certified_probe_drops_the_rounding_noise_witness(probe_wedges):
+    """Declared change: at tol 1e-14 the sampled probe's first isotropic
+    pair has a tail misfit of 1.42e-14, rounding noise on a tail that lies
+    in the edge, and was returned as a witness; the certificate returns
+    None, as both do at the default tol 1e-8, the only one the CLI uses."""
+    w = probe_wedges["isotropic"]
+    noise, calls = _reference_probe(w, 1000, (1e-2,), 1e-14, 4)
+    assert calls == 1 and 1.4e-14 < noise.residual < 1.5e-14
+    assert semialgebra_probe(w, pair_samples=1000, tol=1e-14, seed=4) is None
