@@ -937,11 +937,17 @@ class Wedge:
         on U, E + base is closed under every [seed, .], so the orbit, and
         V, lie in U; and where the seeds lie in E, as `saturate` and
         `orbit_wedge` build them, U is E + base, inside V, and the verdict
-        is V's."""
+        is V's.  The base and seeds enter as unit columns off E, so the
+        rank cut, relative to the largest singular value, reads the same
+        at every scale of the rates."""
         shape, complex_field = self.cone.shape, self.cone.complex_field
         fam = self.cone.analytic
-        extra = (self.cone.span().stack if fam is None else
-                 realify_stack([fam.base, *fam.seeds], shape, complex_field))
+        if fam is None:
+            extra = self.cone.span().stack
+        else:
+            cols = realify_stack([fam.base, *fam.seeds], shape, complex_field)
+            norms = np.linalg.norm(cols, axis=0)
+            extra = _edge_orthogonal_units(self.edge, cols[:, norms > 0] / norms[norms > 0])
         basis = unrealify_stack(_span_columns(np.hstack([self.edge.stack, extra])), shape,
                                 complex_field)
         i, j = np.triu_indices(len(basis), 1)

@@ -46,7 +46,6 @@ from liewedge.semialgebra import bch, orbit_wedge
 from liewedge.wedge import (Cone, ConjugationFamily, Wedge, _cone_fit, cone_contains,
                             cone_residual, initial_wedge, lineality, outer_contains, saturate,
                             wedge_contains)
-from test_semialgebra import _reference_probe
 
 REPS = ("r3", "qubit", "two_qubit")
 HILBERT_DIM = {"qubit": 2, "two_qubit": 4}
@@ -2327,16 +2326,17 @@ def _grid_wedge(channel: str, axes: str, drift) -> Wedge:
 @st.composite
 def _probed_wedges(draw) -> Wedge:
     """One of the 112 qubit (channel, control axes, drift) wedges, an
-    so(3) orbit wedge whose rates may be isotropic, or an r3 wedge whose
-    edge is {0}, span{H_Z} or so(3) and whose one to four generators are
-    diagonal, diagonal with two equal entries (commuting with H_Z), or
-    arbitrary."""
+    so(3) orbit wedge whose rates may be isotropic, scaled by 10^k for k in
+    -12..12, or an r3 wedge whose edge is {0}, span{H_Z} or so(3) and
+    whose one to four generators are diagonal, diagonal with two equal
+    entries (commuting with H_Z), or arbitrary."""
     kind = draw(st.sampled_from(("qubit", "orbit", "generators")))
     if kind == "qubit":
         return _grid_wedge(*draw(st.sampled_from(QUBIT_GRID)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "orbit":
-        lam, a, b = np.sort(rng.uniform(0.1, 2.0, size=3))[::-1]
+        scale = 10.0 ** draw(st.integers(-12, 12))
+        lam, a, b = np.sort(rng.uniform(0.1, 2.0, size=3))[::-1] * scale
         rates = draw(st.sampled_from(((lam, lam, lam), (lam, 0.0, 0.0), (lam, lam, 0.0),
                                       (lam, a, b))))
         return orbit_wedge(rates, hull_samples=24, seed=0)
@@ -2363,7 +2363,7 @@ def _span_certificate(w: Wedge) -> bool:
 
 @settings(max_examples=80, deadline=None)
 @given(_probed_wedges(), st.integers(0, 2**32 - 1))
-def test_bracket_certificate_is_sound(w, seed):
+def test_bracket_certificate_is_sound(reference_probe, w, seed):
     """The certificate is that of the table over edge + `Cone.span`.  Where
     it holds, the order-4 BCH tail of each random pair of unit members, at
     t = 1e-2 and 0.3, lies within 1e-12 (|tail| + t^2) of the edge; and
@@ -2379,5 +2379,5 @@ def test_bracket_certificate_is_sound(w, seed):
             cols = realify_stack(tails, w.cone.shape, w.cone.complex_field)
             off = np.linalg.norm(cols - q @ (q.T @ cols), axis=0)
             assert np.all(off <= 1e-12 * (np.linalg.norm(cols, axis=0) + t * t))
-    witness, _ = _reference_probe(w, 20, (1e-2,), 1e-8, seed)
+    witness, _ = reference_probe(w, 20, (1e-2,), 1e-8, seed)
     assert witness is None or not w.abelian_modulo_edge

@@ -97,9 +97,12 @@ def test_probe_finds_witness_on_example2():
     assert wit.residual > 0.0
 
 
-def test_probe_clears_isotropic_orbit_wedge():
+def test_probe_clears_isotropic_orbit_wedge(monkeypatch):
+    """Certified, and no sampled pair is a witness either."""
     w = orbit_wedge((1.0, 1.0, 1.0), hull_samples=96, seed=0)
     assert semialgebra_probe(w, pair_samples=150, t_grid=(1e-2,), seed=1) is None
+    assert semialgebra_probe(_sampled(monkeypatch, w), pair_samples=150, t_grid=(1e-2,),
+                             seed=1) is None
 
 
 def test_tangent_space_requires_membership():
@@ -440,42 +443,6 @@ def test_orbit_wedge_validates_rates():
 # the batched probe against the per-pair loop
 # ---------------------------------------------------------------------------
 
-def _reference_samples(w, count: int, rng) -> list:
-    """The sample loop the batched `_wedge_samples` replaced: one matrix at
-    a time, in the same draws."""
-    gens = w.cone.generators
-    dtype = complex if w.cone.complex_field else float
-    out = []
-    for k in range(count):
-        x = np.zeros(w.cone.shape, dtype=dtype)
-        if gens:
-            if k % 3 == 0:
-                x = x + gens[rng.integers(len(gens))]
-            else:
-                idx = rng.integers(len(gens), size=int(rng.integers(1, 4)))
-                for i, lam in zip(idx, rng.uniform(0.2, 1.0, size=len(idx))):
-                    x = x + lam * gens[i]
-        if w.edge.dim and (k % 3 == 2 or not gens):
-            coefs = rng.normal(size=w.edge.dim)
-            x = x + sum(cf * np.asarray(m) for cf, m in zip(coefs, w.edge.mats))
-        n = fro(x)
-        if n > 1e-12:
-            out.append(x / n)
-    return out
-
-
-def _reference_probe(w, pair_samples, t_grid, tol, seed):
-    """The per-pair loop the batched probe replaced: every pair goes to
-    `bch_witness` in turn.  Returns (first witness or None, calls made)."""
-    rng = np.random.default_rng(seed)
-    elems = _reference_samples(w, 2 * pair_samples, rng)
-    for k in range(len(elems) // 2):
-        wit = bch_witness(w, elems[2 * k], elems[2 * k + 1], t_grid, tol=tol)
-        if wit is not None:
-            return wit, k + 1
-    return None, len(elems) // 2
-
-
 @pytest.fixture(scope="module")
 def probe_wedges():
     def sat(system):
@@ -492,6 +459,13 @@ def probe_wedges():
     }
 
 
+def _sampled(monkeypatch, w):
+    """`w` with its certificate forced off for the test, so the probe takes
+    the sampled path even where the bracket table certifies the wedge."""
+    monkeypatch.setitem(w.__dict__, "abelian_modulo_edge", False)
+    return w
+
+
 def _same_witness(got, want) -> bool:
     if got is None or want is None:
         return got is None and want is None
@@ -504,18 +478,24 @@ def _same_witness(got, want) -> bool:
 @pytest.mark.parametrize("seed", [0, 3, 11])
 @pytest.mark.parametrize("name", ["isotropic", "rates100", "rates321", "example2",
                                   "example3", "phase_flip"])
-def test_batched_probe_matches_the_per_pair_loop(probe_wedges, name, seed, t_grid):
+def test_batched_probe_matches_the_per_pair_loop(monkeypatch, probe_wedges, reference_samples,
+                                                reference_probe, name, seed, t_grid):
     """Same samples, bitwise, and the same first witness, every field
-    bitwise, or None on both sides."""
+    bitwise, or None on both sides: from the probe as it runs, and from its
+    sampled path also where the certificate would answer first."""
     w = probe_wedges[name]
     got = semialgebra._wedge_samples(w, 240, np.random.default_rng(seed))
-    want = _reference_samples(w, 240, np.random.default_rng(seed))
+    want = reference_samples(w, 240, np.random.default_rng(seed))
     assert got.shape == (len(want), *w.cone.shape)
     assert all(g.tobytes() == x.tobytes() for g, x in zip(got, want))
     wit = semialgebra_probe(w, pair_samples=120, t_grid=t_grid, seed=seed)
-    ref, _ = _reference_probe(w, 120, t_grid, 1e-8, seed)
+    ref, _ = reference_probe(w, 120, t_grid, 1e-8, seed)
     assert (wit is None) == (name == "isotropic")
     assert _same_witness(wit, ref)
+    draws = _counted(monkeypatch, semialgebra, "_wedge_samples")
+    sampled = semialgebra_probe(_sampled(monkeypatch, w), pair_samples=120, t_grid=t_grid,
+                                seed=seed)
+    assert len(draws) == 1 and _same_witness(sampled, ref)
 
 
 @pytest.fixture(scope="module")
@@ -531,7 +511,8 @@ def branch_wedges(probe_wedges):
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
 @pytest.mark.parametrize("name", ["edge_only", "cone_only", "two_qubit_C"])
-def test_samples_match_the_loop_on_every_branch_and_carrier(branch_wedges, name, seed):
+def test_samples_match_the_loop_on_every_branch_and_carrier(branch_wedges, reference_samples,
+                                                            name, seed):
     """The edge-only wedge draws a normal for every sample, the cone-only
     one draws none, and two_qubit_C's samples are complex 16x16: each stack
     is bitwise the loop's, and leaves the generator in the loop's state."""
@@ -540,7 +521,7 @@ def test_samples_match_the_loop_on_every_branch_and_carrier(branch_wedges, name,
         "edge_only": (False, True), "cone_only": (True, False)}.get(name, (True, True))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = semialgebra._wedge_samples(w, 240, rng)
-    want = _reference_samples(w, 240, ref_rng)
+    want = reference_samples(w, 240, ref_rng)
     assert got.shape == (len(want), *w.cone.shape)
     assert all(g.tobytes() == x.tobytes() for g, x in zip(got, want))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -568,18 +549,18 @@ def test_normal_equals_standard_normal(dim):
     assert a.bit_generator.state == b.bit_generator.state
 
 
-def test_probe_fits_pair_by_pair_not_t_by_t(probe_wedges):
+def test_probe_fits_pair_by_pair_not_t_by_t(probe_wedges, reference_samples, reference_probe):
     """On the (3,2,1) wedge the first pair's tail misfit grows like t**3
     and the second pair's like t**2, so at tol 1e-3 the first pair is a
     witness only at t = 0.3 and the second already at t = 1e-2: pair-major
     order returns the first pair, t-major order would return the second."""
     w = probe_wedges["rates321"]
     t_grid = (1e-2, 0.3)
-    elems = _reference_samples(w, 4, np.random.default_rng(0))
+    elems = reference_samples(w, 4, np.random.default_rng(0))
     assert bch_witness(w, elems[0], elems[1], (1e-2,), tol=1e-3) is None
     assert bch_witness(w, elems[2], elems[3], (1e-2,), tol=1e-3) is not None
     wit = semialgebra_probe(w, pair_samples=20, t_grid=t_grid, tol=1e-3, seed=0)
-    ref, calls = _reference_probe(w, 20, t_grid, 1e-3, 0)
+    ref, calls = reference_probe(w, 20, t_grid, 1e-3, 0)
     assert (calls, ref.t) == (1, 0.3)
     assert _same_witness(wit, ref)
 
@@ -596,10 +577,21 @@ def _counted(monkeypatch, owner, attr) -> list:
     return calls
 
 
+def test_isotropic_probe_fits_no_pair(monkeypatch, probe_wedges):
+    """Every tail on the isotropic wedge lies in the edge so(3), so on the
+    sampled path the screen leaves no pair for a fit (the per-pair loop
+    fits all 1000)."""
+    w = _sampled(monkeypatch, probe_wedges["isotropic"])
+    draws = _counted(monkeypatch, semialgebra, "_wedge_samples")
+    calls = _counted(monkeypatch, semialgebra, "bch_witness")
+    assert semialgebra_probe(w, pair_samples=1000, seed=4) is None
+    assert (len(draws), calls) == (1, [])
+
+
 @pytest.mark.parametrize("seed", [0, 9])
-def test_probe_fits_every_pair_the_loop_fits(monkeypatch, probe_wedges, seed):
+def test_probe_fits_every_pair_the_loop_fits(monkeypatch, probe_wedges, reference_probe, seed):
     w = probe_wedges["rates321"]
-    want, want_calls = _reference_probe(w, 200, (1e-2,), 1e-8, seed)
+    want, want_calls = reference_probe(w, 200, (1e-2,), 1e-8, seed)
     calls = _counted(monkeypatch, semialgebra, "bch_witness")
     assert _same_witness(semialgebra_probe(w, pair_samples=200, seed=seed), want)
     assert len(calls) == want_calls
@@ -728,24 +720,41 @@ def certificate_wedges(probe_wedges, branch_wedges):
 
     return {**probe_wedges, **branch_wedges,
             "rates110": orbit_wedge((1.0, 1.0, 0.0), hull_samples=96, seed=0),
+            **{f"{name}_x{scale:g}": orbit_wedge(tuple(scale * r for r in rates),
+                                                 hull_samples=96, seed=0)
+               for name, rates in (("isotropic", (1.0, 1.0, 1.0)),
+                                   ("rates321", (3.0, 2.0, 1.0)))
+               for scale in SCALES},
             "example1": saturate(initial_wedge(example1()), orbit_samples=360),
             "depolarizing_xy": qubit("depolarizing", ("x", "y")),
             "depolarizing_x": qubit("depolarizing", ("x",))}
 
 
-CERTIFIED = ("isotropic", "edge_only", "depolarizing_xy")
+SCALES = (1e-10, 1e9)
+CERTIFIED = ("isotropic", "edge_only", "depolarizing_xy",
+             *(f"isotropic_x{scale:g}" for scale in SCALES))
 
 
 @pytest.mark.parametrize("name", CERTIFIED + (
     "rates100", "rates110", "rates321", "example1", "example2", "example3", "phase_flip",
-    "depolarizing_x", "two_qubit_C"))
+    "depolarizing_x", "two_qubit_C", *(f"rates321_x{scale:g}" for scale in SCALES)))
 def test_certificate_holds_where_the_span_is_abelian_modulo_the_edge(certificate_wedges,
                                                                      name):
-    """Isotropic relaxation under so(3), an edge without a cone, and the
-    depolarizing qubit under controls x and y have every bracket of their
-    span in the edge; the anisotropic orbits, the examples, phase flip,
-    depolarizing under x alone and two_qubit_C do not."""
+    """Isotropic relaxation under so(3), at any scale of its rate, an edge
+    without a cone, and the depolarizing qubit under controls x and y have
+    every bracket of their span in the edge; the anisotropic orbits, also
+    scaled far from unit rates, the examples, phase flip, depolarizing
+    under x alone and two_qubit_C do not."""
     assert certificate_wedges[name].abelian_modulo_edge == (name in CERTIFIED)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_scaled_anisotropic_orbit_is_disproved(certificate_wedges, scale):
+    """The (3,2,1) wedge scaled by 1e-10 or 1e9 is the same wedge up to
+    scale: the certificate leaves it to the sampled probe, which finds a
+    witness as it does at unit rates."""
+    w = certificate_wedges[f"rates321_x{scale:g}"]
+    assert semialgebra_probe(w, pair_samples=200, seed=0) is not None
 
 
 @pytest.mark.parametrize("name", CERTIFIED)
@@ -759,12 +768,12 @@ def test_certified_probe_draws_nothing(monkeypatch, certificate_wedges, name):
     assert counts == [[], [], []]
 
 
-def test_certified_probe_drops_the_rounding_noise_witness(probe_wedges):
+def test_certified_probe_drops_the_rounding_noise_witness(probe_wedges, reference_probe):
     """Declared change: at tol 1e-14 the sampled probe's first isotropic
     pair has a tail misfit of 1.42e-14, rounding noise on a tail that lies
     in the edge, and was returned as a witness; the certificate returns
     None, as both do at the default tol 1e-8, the only one the CLI uses."""
     w = probe_wedges["isotropic"]
-    noise, calls = _reference_probe(w, 1000, (1e-2,), 1e-14, 4)
+    noise, calls = reference_probe(w, 1000, (1e-2,), 1e-14, 4)
     assert calls == 1 and 1.4e-14 < noise.residual < 1.5e-14
     assert semialgebra_probe(w, pair_samples=1000, tol=1e-14, seed=4) is None
