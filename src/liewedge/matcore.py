@@ -20,8 +20,6 @@ from math import prod
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import expm as _expm
-from scipy.linalg import svd as _scipy_svd
 
 RANK_TOL = 1e-9
 
@@ -108,7 +106,10 @@ def expm(a: np.ndarray) -> np.ndarray:
 
     A ``(..., n, n)`` stack is exponentiated slice by slice with the same
     code as a single matrix, so each slice equals its own call bit for bit.
+    `scipy.linalg` is imported on the first call, not with this module, so
+    the callers that never exponentiate start without it.
     """
+    from scipy.linalg import expm as _expm
     return _expm(np.asarray(a))
 
 
@@ -239,6 +240,7 @@ def svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     try:
         return np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
+        from scipy.linalg import svd as _scipy_svd
         return _scipy_svd(m, full_matrices=full_matrices, compute_uv=compute_uv,
                           check_finite=False, lapack_driver="gesvd")
 

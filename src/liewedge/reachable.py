@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .lindblad import (ControlSystem, drift_direction, ptm_directions, superop_from_ptm,
                        vec)
@@ -291,6 +290,13 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
         "monotone": bool(np.all(diffs <= tol)) if len(diffs) else True,
         "tol": tol,
     }
+
+
+def least_squares(*args, **kwargs):
+    """scipy's `least_squares`; `scipy.optimize` is imported on the first
+    `steer`, not with this module."""
+    from scipy.optimize import least_squares as _least_squares
+    return _least_squares(*args, **kwargs)
 
 
 def steer(sys: ControlSystem, target, switches: int, budget: int = 20,

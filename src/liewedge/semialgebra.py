@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
+from . import wedge
 from .channels import H_X, H_Y, H_Z, P_X, P_Y, P_Z
 from .liealg import subspace_equal
 from .matcore import (Subspace, _checked_count, _checked_tol, comm, fro, orthonormal_span,
@@ -25,8 +25,9 @@ from .matcore import (Subspace, _checked_count, _checked_tol, comm, fro, orthono
 from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, wedge_contains
 
 BCH_MAX_ORDER = 4
-# bench/tracing.py wraps `semialgebra.nnls` by name; nothing here calls it
-nnls = scipy.optimize.nnls
+# `wedge.nnls` under a second name, which bench/tracing.py wraps; nothing
+# here calls it, so binding it loads no scipy
+nnls = wedge.nnls
 _SCREEN = 0.05  # half of bch_witness's fit target, in units of tol * t**2 * scale
 # Relative to ||tail|| + t**2 * scale: far above the d * eps by which the
 # probe's stacked products and projection may round apart from one pair's.

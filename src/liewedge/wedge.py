@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize, nnls
 
 from .liealg import lie_closure
 from .lindblad import (ControlSystem, _pauli_vecs, coherence_rep, control_directions,
@@ -605,6 +604,7 @@ class ConjugationFamily:
             params = self._ascend(self._coefficients(direction), thetas[k])
             value = float(f(params)[0])
         else:
+            from scipy.optimize import minimize
             res = minimize(lambda p: -float(f(p)[0]), x0=thetas[k], method="Nelder-Mead",
                            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
             params, value = res.x, float(-res.fun)
@@ -736,6 +736,13 @@ class Cone:
         which Schur-Horn does not cut out (`RotationOrbit.contains`)."""
         exact = None if self.analytic is None else self.analytic.exact
         return None if isinstance(exact, RotationOrbit) and not exact.rates.sum() > 0.0 else exact
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple:
+    """scipy's `nnls(a, b)`; `scipy.optimize` is imported on the first fit,
+    not with this module."""
+    from scipy.optimize import nnls as _nnls
+    return _nnls(a, b)
 
 
 def _cone_fit(c: Cone, x: np.ndarray, target: float = None) -> tuple:
