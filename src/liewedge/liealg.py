@@ -159,6 +159,13 @@ def check_conditions(sys: ControlSystem, tol: float = 1e-9) -> ConditionReport:
     with the trace-preserving target, when a drift or control transfer
     matrix has an identity column below its entry 0 of norm above `tol`
     times max(1, its norm).
+
+    Each target is also a ceiling: the algebra it names holds every
+    generator of its closure, so a closure past it (`kc` or `kd` above
+    `dim_target_k`, `s` above `dim_target_s`) is rounding noise taken for
+    new directions, not a verdict.  That raises `np.linalg.LinAlgError`
+    naming the closure, its dimension and the ceiling; the CLI exits 1 with
+    "numerical failure".
     """
     target_k, target_s = (15, 225) if sys.rep == "two_qubit" else (3, 9)
     drift, ctrl = ptm_directions(sys)
@@ -174,6 +181,11 @@ def check_conditions(sys: ControlSystem, tol: float = 1e-9) -> ConditionReport:
           orthonormal_span([], shape=drift.shape, complex_field=False))
     kd = lie_closure(ctrl + [ham], tol=tol)
     s = lie_closure(ctrl + [drift], tol=tol)
+    for name, sub, ceiling in (("kc", kc, target_k), ("kd", kd, target_k), ("s", s, target_s)):
+        if sub.dim > ceiling:
+            raise np.linalg.LinAlgError(
+                f"the closure {name} reached dimension {sub.dim}, past the ceiling {ceiling} "
+                f"of the algebra that holds its generators")
     holds_h = kc.dim == target_k
     return ConditionReport(
         dim_kc=kc.dim, dim_kd=kd.dim, dim_s=s.dim,

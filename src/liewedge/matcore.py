@@ -59,11 +59,15 @@ def stacked_fro(x: np.ndarray) -> np.ndarray:
     1e-150."""
     x = np.asarray(x)
     p = x.reshape(len(x), 1, prod(x.shape[1:]))
-    parts = (p.real, p.imag) if np.iscomplexobj(p) else (p,)
-    norms = np.sqrt(sum(q @ q.swapaxes(1, 2) for q in parts).reshape(len(x)))
-    small = np.flatnonzero(norms < 1e-150)
-    for i in small[p[small, 0].any(axis=-1)]:
-        norms[i] = fro(x[i])
+    if np.iscomplexobj(p):
+        squares = p.real @ p.real.swapaxes(1, 2) + p.imag @ p.imag.swapaxes(1, 2)
+    else:
+        squares = p @ p.swapaxes(1, 2)
+    norms = np.sqrt(squares.reshape(len(x)))
+    if norms.min(initial=np.inf) < 1e-150:
+        for i in np.flatnonzero(norms < 1e-150):
+            if p[i].any():
+                norms[i] = fro(x[i])
     return norms
 
 

@@ -22,7 +22,7 @@ from .channels import H_X, H_Y, H_Z, P_X, P_Y, P_Z
 from .liealg import subspace_equal
 from .matcore import (Subspace, _checked_count, _checked_tol, comm, fro, orthonormal_span,
                       realify_stack, stacked_fro)
-from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, wedge_contains
+from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, _membership
 
 BCH_MAX_ORDER = 4
 # `wedge.nnls` under a second name, which bench/tracing.py wraps; nothing
@@ -253,19 +253,20 @@ def tangent_space(w: Wedge, a_mat: np.ndarray, seed: int = 0):
     """Tangent space T_A w = (A^perp ∩ w*)^perp at a wedge member A, or None
     (undecided) where no closed form decides it.
 
-    With x = A minus its edge part, T_A is the edge plus `exact.tangent(x,
-    tol)` on a cone whose closed form decides it (`Cone.exact`), or plus x
-    (if |x| > tol) on a cone of at most one generator and no family, tol
-    being the cone's; other cones, which their generators only approximate,
-    give None.  No number is drawn, but `seed` must be an integer >= 0;
-    ValueError otherwise, or when A is not a member.
+    With x = A minus its edge part, taken from the projection of the
+    membership pass that checks A (`wedge._membership`), T_A is the edge
+    plus `exact.tangent(x, tol)` on a cone whose closed form decides it
+    (`Cone.exact`), or plus x (if |x| > tol) on a cone of at most one
+    generator and no family, tol being the cone's; other cones, which their
+    generators only approximate, give None.  No number is drawn, but `seed`
+    must be an integer >= 0; ValueError otherwise, when A is not one matrix
+    of the carrier's shape, or when A is not a member.
     """
     _checked_count("seed", seed)
-    a_mat = np.asarray(a_mat)
-    if not wedge_contains(w, a_mat):
+    _, (member,), (x,) = _membership(w.cone, a_mat, None, w.edge, stacked=False)
+    if not member:
         raise ValueError("tangent_space requires a wedge member")
     cone, exact = w.cone, w.cone.exact
-    x = a_mat - w.edge.project(a_mat)
     if exact is not None:
         rays = exact.tangent(x, cone.tol)
     elif cone.analytic is None and cone.n_generators <= 1:

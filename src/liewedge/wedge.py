@@ -13,7 +13,9 @@ swept on first read.  Membership is exact where the family's closed form
 decides it (`Cone.exact`: Schur-Horn bounds for full-rotation orbits,
 Caratheodory-Toeplitz bounds for one-parameter orbits with commensurate
 frequencies); elsewhere a nonnegative fit over the generators decides, an
-inner approximation that can only err towards "not a member".  Edges and
+inner approximation that can only err towards "not a member".
+`wedge_contains` and `cone_contains` take one matrix or a stack of them,
+in one pass that checks, projects and bounds the whole stack at once.  Edges and
 given generators are stored as realified column stacks (see `matcore`).
 
 `saturate` fixes the wedge by algebra alone: it Lie-closes the edge and
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .lindblad import (ControlSystem, _pauli_vecs, coherence_rep, control_direct
                        drift_direction, gks_margin, superop_from_coherence)
 from .matcore import (RANK_TOL, Subspace, _checked_count, _checked_tol, _null_rows, _rank,
                       _span_columns, comm, eig_sym, fro, orthonormal_span, realify,
-                      realify_stack, unrealify, unrealify_stack)
+                      realify_stack, stacked_fro, unrealify, unrealify_stack)
 
 _CG_MAX_NEW = 60
 # largest eigenphase |w| a row of `ConjugationFamily.elements` takes from the
@@ -97,8 +100,8 @@ class RotationOrbit:
         projected onto the coherence image, which holds every orbit element
         (`coherence_rep`'s product Re(V^H D V)^T, without its checks)."""
         if self.qubit:
-            v = _pauli_vecs(2)
-            direction = np.real(v.conj().T @ (direction @ v)).T
+            v, vh = self._vecs
+            direction = np.real(vh @ (direction @ v)).T
         w_d, v_d = eig_sym((direction + direction.T) / 2)
         g = v_d @ np.diag(self.rates) @ v_d.T
         if self.qubit:
@@ -114,13 +117,12 @@ class RotationOrbit:
         and two lam at c_k tr S) it adds U diag(d) U^T over F and U (e_i e_j^T
         + e_j e_i^T) U^T per tie lam_i ~ lam_j that no such I splits, on a
         qubit via `superop_from_coherence`.  [] at the apex, tr S <= eps."""
-        m = np.real(_pauli_vecs(2).conj().T @ x @ _pauli_vecs(2)) if self.qubit else np.real(x)
+        m = np.real(self._vecs[1] @ x @ self._vecs[0]) if self.qubit else np.real(x)
         lam, u = np.linalg.eigh((m + m.T) / 2)
         tr, eps = lam.sum(), tol * max(1.0, float(np.sqrt(lam @ lam)))
         if tr <= eps:
             return []
-        mu = self.rates.tolist()
-        c = np.array([mu[0]] * 3 + [mu[0] + mu[1]] * 3) / sum(mu)
+        c = np.repeat(self._fractions, 3)
         active = _SUBSETS @ lam >= c * tr - eps
         extras = []
         if not (active[2] and active[5]):  # off an orbit ray
@@ -133,6 +135,35 @@ class RotationOrbit:
             extras = [superop_from_coherence(e) for e in extras] if self.qubit else extras
         return [x] + [comm(s, x) for s in self.seeds] + extras
 
+    @cached_property
+    def _vecs(self) -> tuple:
+        """The qubit's coherence columns V = `_pauli_vecs(2)` and V^H."""
+        v = _pauli_vecs(2)
+        return v, v.conj().T
+
+    @cached_property
+    def _total(self) -> float:
+        return float(np.sum(self.rates))
+
+    @cached_property
+    def _fractions(self) -> np.ndarray:
+        """c_k = (mu_1 + ... + mu_k) / sum mu for k = 1, 2."""
+        return np.cumsum(self.rates)[:2] / self._total
+
+    @cached_property
+    def _functionals(self) -> np.ndarray:
+        """Every linear function of S's eigenvalues that `contains` reads,
+        as the columns of one (3, 14) table over them in ascending order:
+        -tr S / sqrt(3) and v_k over its Ky Fan denominator sqrt(k) +
+        sqrt(3) c_k (the lower bound's terms), v_k, g_k, the centred
+        eigenvalues lam_i - tr S / 3, the eigenvalues themselves, and tr S."""
+        c, k = self._fractions, np.array([1.0, 2.0])
+        tr = np.ones((3, 1))
+        partial = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) - tr * c
+        apart = np.hstack([-tr / np.sqrt(3.0), partial / (np.sqrt(k) + np.sqrt(3.0) * c)])
+        return np.hstack([apart, partial, tr * (c - k / 3), np.eye(3) - 1.0 / 3.0, np.eye(3),
+                          tr])
+
     def contains(self, xs: np.ndarray):
         """Rigorous (lower, upper) bounds on the distance from each matrix of
         the stack `xs` to K, the cone over the orbit; None when the rates sum
@@ -143,46 +174,51 @@ class RotationOrbit:
         that K never reaches, so dist^2 = off^2 + dist(S, K)^2.  With lam
         the eigenvalues of S and mu the rates, both descending, K holds S
         exactly when tr S >= 0 and lam is majorized by t mu, t = tr S / sum mu
-        (Schur-Horn).  Write v_k = sum_{i<=k} (lam_i - t mu_i) and
-        g_k = t sum_{i<=k} mu_i - k tr S / 3 for k = 1, 2.
+        (Schur-Horn).  Write c_k = sum_{i<=k} mu_i / sum mu,
+        v_k = sum_{i<=k} lam_i - c_k tr S and g_k = (c_k - k / 3) tr S for
+        k = 1, 2.
           lower: K lies in tr >= 0, which S misses by -tr S / sqrt(3); and by
             Ky Fan plus |tr E| <= sqrt(3)|E| for E = S - Y, every Y in K is at
-            least v_k / (sqrt(k) + sqrt(3) sum_{i<=k} mu_i / sum mu) from S.
+            least v_k / (sqrt(k) + sqrt(3) c_k) from S.
           upper: for tr S >= 0 the centroid (tr S / 3) I lies in K, and the
             mix of S toward it by s = max_k v_k+ / (v_k+ + g_k) is majorized,
             so dist(S, K) <= s |S - (tr S / 3) I|; for tr S < 0, the apex 0
             gives dist(S, K) <= |S|.
-        One stacked `eigvalsh` serves the whole stack.
+        One stacked `eigvalsh` serves the whole stack, and one product with
+        `_functionals`, the table of rate constants derived once per orbit,
+        gives every term above from its eigenvalues, so both norms of S are
+        read off them; off^2 is a sum of squares.  Every step acts slice by
+        slice, so each point's bounds do not depend on the rest of the stack.
         """
-        total = float(np.sum(self.rates))
-        if not total > 0.0:
+        if not self._total > 0.0:
             return None
         xs = np.asarray(xs)
         if self.qubit:
-            v = _pauli_vecs(2)
-            m = np.real(v.conj().T @ xs @ v)
-            off = np.linalg.norm(xs - v @ m @ v.conj().T, axis=(1, 2))
+            v, vh = self._vecs
+            m = np.real(vh @ xs @ v)
+            off = _squares(xs - v @ m @ vh)
         else:
             m = np.real(xs)
-            off = np.linalg.norm(np.imag(xs), axis=(1, 2))
+            off = _squares(np.imag(xs)) if np.iscomplexobj(xs) else 0.0
         s = (m + np.swapaxes(m, 1, 2)) / 2
-        off = np.hypot(off, np.linalg.norm(m - s, axis=(1, 2)))
-        lam = np.linalg.eigvalsh(s)[:, ::-1]
-        tr = lam.sum(axis=1)
-        t = tr / total
-        mu_k = np.cumsum(self.rates)[:2]
-        k = np.arange(1, 3)
-        v_k = np.cumsum(lam, axis=1)[:, :2] - t[:, None] * mu_k
-        g_k = np.maximum(t[:, None] * mu_k - k * tr[:, None] / 3, 0.0)
-        apart = np.maximum(np.maximum(-tr, 0.0) / np.sqrt(3.0),
-                           (v_k / (np.sqrt(k) + np.sqrt(3.0) * mu_k / total)).max(axis=1))
-        lower = np.hypot(off, np.maximum(apart, 0.0))
-        vp = np.maximum(v_k, 0.0)
-        mix = np.divide(vp, vp + g_k, out=np.zeros_like(vp), where=vp > 0.0).max(axis=1)
-        centred = np.linalg.norm(s - (tr / 3)[:, None, None] * np.eye(3), axis=(1, 2))
-        upper = np.hypot(off, np.where(tr >= 0.0, mix * centred,
-                                       np.linalg.norm(s, axis=(1, 2))))
-        return lower, upper
+        off = off + _squares(m - s)
+        lam = np.linalg.eigvalsh(s)
+        terms = lam @ self._functionals
+        apart = terms[:, :3].max(axis=1, initial=0.0)
+        vp, g_k = np.maximum(terms[:, 3:5], 0.0), np.maximum(terms[:, 5:7], 0.0)
+        # a zero vp_k adds 1 to its denominator, so its ratio reads 0, not 0 / 0
+        mix = (vp / (vp + g_k + (vp == 0.0))).max(axis=1)
+        norms = np.square(terms[:, 7:13]).reshape(-1, 2, 3).sum(axis=2)
+        inside = np.where(terms[:, 13] >= 0.0, np.square(mix) * norms[:, 0], norms[:, 1])
+        return np.sqrt(off + np.square(apart)), np.sqrt(off + inside)
+
+
+def _squares(xs: np.ndarray) -> np.ndarray:
+    """Sum of |entry|^2 over each slice of a stack."""
+    flat = xs.reshape(len(xs), prod(xs.shape[1:]))
+    if np.iscomplexobj(flat):
+        flat = np.concatenate([flat.real, flat.imag], axis=1)
+    return np.einsum("ij,ij->i", flat, flat)
 
 
 @dataclass(frozen=True)
@@ -246,23 +282,31 @@ class MomentCurve:
             int |sum_j v_j e^{ij phi}|^2 dmu >= 0 on K (Fejer-Riesz) and lam
             at Px; written <Y_v, y>, with Y_v = sum_i (v^H toeplitz_i v)
             basis_i, it puts every point of K at least -lam / |Y_v| from Px.
-        One stacked `eigh` of the Toeplitz matrices serves the whole stack.
+        One stacked `eigh` of the Toeplitz matrices serves the whole stack,
+        with the Toeplitz table reshaped once per curve (`_table`); every
+        product is taken slice by slice, so each point's bounds do not depend
+        on the rest of the stack.
         """
         xs = np.asarray(xs)
-        flat = xs.reshape(len(xs), -1)
-        flat = np.concatenate([np.real(flat), np.imag(flat)], axis=1)
+        flat = xs.reshape(len(xs), 1, prod(xs.shape[1:]))
+        flat = np.concatenate([np.real(flat), np.imag(flat)], axis=2)
         c = flat @ self.basis
-        off = np.linalg.norm(flat - c @ self.basis.T, axis=1)
-        m, n, _ = self.toeplitz.shape
-        toeplitz = self.toeplitz.reshape(m, n * n)
-        lam, vecs = np.linalg.eigh((c @ toeplitz).reshape(-1, n, n))
+        off = np.sqrt(_squares(flat - c @ self.basis.T))
+        table, n = self._table, self.degree + 1
+        lam, vecs = np.linalg.eigh((c @ table).reshape(-1, n, n))
         gap = np.maximum(-lam[:, 0], 0.0)
         v = vecs[:, :, 0]
-        normal = np.real((np.conj(v)[:, :, None] * v[:, None, :]).reshape(-1, n * n)
-                         @ toeplitz.T)
-        lower = np.hypot(off, gap / np.linalg.norm(normal, axis=1))
+        normal = np.real((np.conj(v)[:, :, None] * v[:, None, :]).reshape(-1, 1, n * n)
+                         @ table.T)
+        lower = np.hypot(off, gap / np.sqrt(_squares(normal)))
         upper = np.hypot(off, gap * self.m0_norm)
         return lower, upper
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """`toeplitz` as one (m, (d+1)^2) table, reshaped once."""
+        m, n, _ = self.toeplitz.shape
+        return self.toeplitz.reshape(m, n * n)
 
 
 def _exp_near_diagonal(b: np.ndarray) -> np.ndarray:
@@ -735,7 +779,7 @@ class Cone:
         cone, so everywhere but on a rotation orbit whose rates sum to <= 0,
         which Schur-Horn does not cut out (`RotationOrbit.contains`)."""
         exact = None if self.analytic is None else self.analytic.exact
-        return None if isinstance(exact, RotationOrbit) and not exact.rates.sum() > 0.0 else exact
+        return None if isinstance(exact, RotationOrbit) and not exact._total > 0.0 else exact
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -813,37 +857,83 @@ def cone_residual(c: Cone, x: np.ndarray) -> float:
     return fro(np.asarray(x) - _cone_fit(c, x)[1])
 
 
-def _checked_query(x, shape: tuple, tol) -> tuple:
-    """x as an array and tol as a float, after rejecting an x that is not of
-    the carrier's shape or not finite and a tol that is not positive and
-    finite, any of which makes a membership verdict meaningless."""
-    x = np.asarray(x)
-    if x.shape != tuple(shape):
-        raise ValueError(f"x must have the carrier's shape {tuple(shape)}, got {x.shape}")
+def _checked_query(x, shape: tuple, tol, stacked: bool = True) -> tuple:
+    """(xs, single, tol): x as a (k, *shape) stack, one matrix of the
+    carrier's shape as k = 1 and `single` true, and tol as a float, after
+    rejecting an x that is neither (a stack only where `stacked`), an x that
+    is not finite and a tol that is not positive and finite, any of which
+    makes a membership verdict meaningless.  A stack of no carrier gets its
+    own message."""
+    x, shape = np.asarray(x), tuple(shape)
+    single = x.shape == shape
+    if not single and (not stacked or x.ndim <= len(shape)):
+        raise ValueError(f"x must have the carrier's shape {shape}, got {x.shape}")
+    if not single and x.shape[1:] != shape:
+        raise ValueError(f"a stack x must have the shape (k, {', '.join(map(str, shape))}) "
+                         f"of k carrier matrices, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite, got a non-finite entry")
-    return x, _checked_tol(tol)
+    return (x[None] if single else x), single, _checked_tol(tol)
 
 
-def cone_contains(c: Cone, x: np.ndarray, tol: float = None) -> bool:
-    """Whether x lies within tol * max(1, |x|) of the cone.
+def _membership(c: Cone, x, tol, edge: Subspace = None, stacked: bool = True) -> tuple:
+    """The one membership pass of `cone_contains` (no edge) and
+    `wedge_contains`: (single, member mask, edge-orthogonal parts) of x,
+    checked by `_checked_query` with `stacked`, tol defaulting to the
+    cone's.
+
+    With an edge, one realified projection of the whole stack gives each
+    point's edge-orthogonal part p; on a real carrier p keeps any imaginary
+    part of x.  A point with |p| <= tol max(1, |x|) is a member.  Every
+    other point is decided on the cone at the threshold tol max(1, |p|):
+    one `_exact_verdicts` call over the stack, then `cone_residual` for
+    the points whose bounds straddle it, or all of them where no closed
+    form decides the cone.  Norms come from `stacked_fro`, bitwise `fro`,
+    and the projection and the bounds act slice by slice, so each verdict
+    is the one its point gets alone."""
+    xs, single, tol = _checked_query(x, c.shape, c.tol if tol is None else tol, stacked)
+    perp = xs
+    if edge is not None:
+        q, cplx = edge.stack, edge.complex_field
+        n = prod(c.shape)
+        rows = xs.reshape(len(xs), n)
+        if cplx:
+            rows = np.concatenate([np.real(rows), np.imag(rows)], axis=1)
+        proj = (q @ (q.T @ np.real(rows).astype(float, copy=False)[:, :, None]))[:, :, 0]
+        perp = xs - (proj[:, :n] + 1j * proj[:, n:] if cplx else proj).reshape(xs.shape)
+    size = stacked_fro(perp)
+    bounds = tol * np.maximum(1.0, size)
+    decided, member = _exact_verdicts(c, perp, bounds)
+    if edge is not None:
+        near = size <= tol * np.maximum(1.0, stacked_fro(xs))
+        decided, member = decided | near, member | near
+    if not decided.all():
+        for i in np.flatnonzero(~decided):
+            member[i] = cone_residual(c, perp[i]) <= bounds[i]
+    return single, member, perp
+
+
+def cone_contains(c: Cone, x: np.ndarray, tol: float = None):
+    """Whether x lies within tol * max(1, |x|) of the cone: a bool for one
+    matrix, and for a (k, *shape) stack an array of k verdicts, each the
+    one its matrix gets alone.
 
     Where the cone has a closed form that decides it (`Cone.exact`: Schur-Horn on
     full-rotation orbits, Caratheodory-Toeplitz on one-parameter orbits),
-    its distance bounds decide first: a lower bound above the threshold is a
-    non-member, an upper bound at or below it a member, so the verdict is
-    exact.  Otherwise, and for x whose bounds straddle the threshold, the
-    distance to the `_cone_fit` fit decides (`cone_residual`); the fit is a
-    cone member, so that path errs only towards "not a member".  Either way
-    the verdict is deterministic in (cone, x, tol).  On a real carrier, an
-    imaginary part of x counts in the distance.
+    its distance bounds decide first, from one call for the whole stack: a
+    lower bound above the threshold is a non-member, an upper bound at or
+    below it a member, so the verdict is exact.  The closed forms derive
+    their constants once per family (the rotation orbit's rate sums and Ky
+    Fan denominators, the moment curve's Toeplitz table).  Otherwise, and
+    for x whose bounds straddle the threshold, the distance to the
+    `_cone_fit` fit decides (`cone_residual`); the fit is a cone member, so
+    that path errs only towards "not a member".  Either way the verdict is
+    deterministic in (cone, x, tol).  On a real carrier, an imaginary part
+    of x counts in the distance.  One pass (`_membership`) serves this and
+    `wedge_contains`.
     """
-    x, tol = _checked_query(x, c.shape, c.tol if tol is None else tol)
-    bound = tol * max(1.0, fro(x))
-    (decided,), (member,) = _exact_verdicts(c, x[None], np.array([bound]))
-    if decided:
-        return bool(member)
-    return cone_residual(c, x) <= bound
+    single, member, _ = _membership(c, x, tol)
+    return bool(member[0]) if single else member
 
 
 def _exact_verdicts(c: Cone, xs: np.ndarray, bounds: np.ndarray) -> tuple:
@@ -879,8 +969,8 @@ def lineality(c: Cone, tol: float = None) -> Subspace:
     part off the fixed space, and the cone is pointed when |c| > tol |b|,
     else its lineality is V.  No fit is made.
     Without a family, an empty or one-generator cone is pointed, and a
-    larger one keeps the generators whose negatives `cone_contains` finds
-    in the cone, by a plain nonnegative fit.
+    larger one keeps the generators whose negatives one stacked
+    `cone_contains` call finds in the cone, by plain nonnegative fits.
     """
     tol = _checked_tol(c.tol if tol is None else tol)
     pointed = orthonormal_span([], shape=c.shape, complex_field=c.complex_field)
@@ -897,8 +987,9 @@ def lineality(c: Cone, tol: float = None) -> Subspace:
         return pointed if np.linalg.norm(rb - off @ (off.T @ rb)) > margin else span
     if c.n_generators <= 1:
         return pointed
-    two_sided = [g for g in c.generators if cone_contains(c, -g, tol)]
-    return orthonormal_span(two_sided, shape=c.shape, complex_field=c.complex_field)
+    gens = np.asarray(c.generators)
+    return orthonormal_span(gens[cone_contains(c, -gens, tol)], shape=c.shape,
+                            complex_field=c.complex_field)
 
 
 # ---------------------------------------------------------------------------
@@ -963,15 +1054,17 @@ class Wedge:
         return bool(np.linalg.norm(cols - q @ (q.T @ cols), axis=0).max(initial=0.0) <= 1e-12)
 
 
-def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None) -> bool:
-    """Membership of x in edge + cone (positive picture): the edge component
-    is unconstrained, the edge-orthogonal part must lie in the cone, decided
-    by `cone_contains` with the same tol and inputs checked the same way."""
-    x, tol = _checked_query(x, w.cone.shape, w.cone.tol if tol is None else tol)
-    perp = x - w.edge.project(x)
-    if fro(perp) <= tol * max(1.0, fro(x)):
-        return True
-    return cone_contains(w.cone, perp, tol)
+def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None):
+    """Membership of x in edge + cone (positive picture): a bool for one
+    matrix, and for a (k, *shape) stack an array of k verdicts, each the
+    one its matrix gets alone.  The edge component is unconstrained: x is
+    a member when its edge-orthogonal part p has |p| <= tol max(1, |x|),
+    and otherwise when p lies in the cone, decided as `cone_contains`
+    decides it with the same tol.  One pass (`_membership`) checks the
+    input once, projects the whole stack off the edge once and takes the
+    cone's closed-form bounds in one call."""
+    single, member, _ = _membership(w.cone, x, tol, w.edge)
+    return bool(member[0]) if single else member
 
 
 def outer_contains(w: Wedge, x: np.ndarray, tol: float = None) -> bool:
@@ -980,7 +1073,8 @@ def outer_contains(w: Wedge, x: np.ndarray, tol: float = None) -> bool:
     tol defaulting as in `wedge_contains`.  Every wedge `saturate` builds
     for the system lies in this outer wedge, so False certifies that x is
     in none of them; the test is exact and draws no random numbers."""
-    x, tol = _checked_query(x, w.cone.shape, w.cone.tol if tol is None else tol)
+    (x,), _, tol = _checked_query(x, w.cone.shape, w.cone.tol if tol is None else tol,
+                                  stacked=False)
     return bool(w.algebra.residual(x) <= tol * max(1.0, fro(x)) and gks_margin(x) >= -tol)
 
 

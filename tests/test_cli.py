@@ -280,6 +280,22 @@ def test_conditions_subcommand(r3_path, capsys):
     assert report["conditions"]["holds_WH"] is True
 
 
+def test_conditions_past_the_ceiling_exit_one(tmp_path, capsys):
+    """two_qubit_C at rates 1e-3: `s` closes past its 225-dim ceiling, which
+    is a numerical failure (exit 1, no report), not a verdict; at unit rates
+    the same command reports dim_s 225."""
+    path = tmp_path / "two_qubit_C_slow.sys"
+    path.write_text(format_system_file(build_system(
+        ChannelSpec(name="two_qubit_C", rates=(1e-3, 1e-3)))))
+    assert main(["conditions", "--system", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: the closure s reached dimension")
+    path.write_text(format_system_file(build_system(ChannelSpec(name="two_qubit_C"))))
+    assert main(["conditions", "--system", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["conditions"]["dim_s"] == 225
+
+
 def test_conditions_without_controls(tmp_path, capsys):
     """A system with no controls has kc = {0}: the run reports it instead
     of failing to close an empty generator list."""

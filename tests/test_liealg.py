@@ -213,3 +213,17 @@ def test_two_qubit_decay_takes_the_trace_preserving_target():
                         lindblad_ops=((decay, 0.3),))
     rep = check_conditions(sys)
     assert (rep.dim_s, rep.dim_target_s, rep.holds_A) == (119, 240, False)
+
+
+def test_a_closure_past_its_ceiling_raises_instead_of_reporting():
+    """two_qubit_C with both rates scaled by 1e-3 against its unit
+    Hamiltonian: rounding noise filled `s` to 256 dimensions, past the 225
+    of the unital algebra that holds every generator (and past the 240 of
+    the trace-preserving one), and `holds_A` read false.  A closure past its
+    target is a numerical failure, named with its dimension and ceiling."""
+    sys = build_system(ChannelSpec(name="two_qubit_C", rates=(1e-3, 1e-3)))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"the closure s reached dimension \d+, past the ceiling 225 "):
+        check_conditions(sys)
+    rep = check_conditions(build_system(ChannelSpec(name="two_qubit_C")))
+    assert (rep.dim_s, rep.dim_target_s, rep.holds_A) == (225, 225, True)

@@ -2381,3 +2381,189 @@ def test_bracket_certificate_is_sound(reference_probe, w, seed):
             assert np.all(off <= 1e-12 * (np.linalg.norm(cols, axis=0) + t * t))
     witness, _ = reference_probe(w, 20, (1e-2,), 1e-8, seed)
     assert witness is None or not w.abelian_modulo_edge
+
+
+# ---------------------------------------------------------------------------
+# one membership pass for one matrix or a stack, and the closed-form bounds
+# against the formulas they replaced
+# ---------------------------------------------------------------------------
+
+MEMBERSHIP_SPECS = {
+    "example1": ChannelSpec(name="example1"),
+    "example2": ChannelSpec(name="example2"),
+    "example3": ChannelSpec(name="example3"),
+    "phase_flip": ChannelSpec(name="phase_flip", control_axes=("x",), drift_axis="z"),
+    "depolarizing_xy": ChannelSpec(name="depolarizing", control_axes=("x", "y"),
+                                   drift_axis="z"),
+}
+_POINT_KINDS = ("member", "negative", "random", "imaginary", "straddling")
+
+
+@functools.lru_cache(maxsize=None)
+def _membership_wedge(name: str) -> Wedge:
+    """Examples 1-3 and phase_flip (control x, drift z), whose cones the
+    Schur-Horn (example 1) or Toeplitz bounds decide, and the depolarizing
+    qubit with controls x and y and drift z, a qubit rotation orbit with
+    equal rates; saturated at 48 samples."""
+    return saturate(initial_wedge(build_system(MEMBERSHIP_SPECS[name])), orbit_samples=48)
+
+
+def _membership_stack(w: Wedge, rng, kinds) -> np.ndarray:
+    """One point per entry of `kinds`: a member (a conic mix of 1-3 stored
+    generators plus an edge part), its negative, a normal draw on the
+    carrier, a member plus an imaginary part of size 10^-10 to 1 (on a real
+    carrier a non-member unless it is tiny), or a unit orbit point moved
+    10^-8.3 to 10^-7.7 along a random direction, where the closed-form
+    bounds can straddle the threshold and `cone_residual` decides."""
+    gens, shape = np.stack(w.cone.generators), w.cone.shape
+    complex_field = w.cone.complex_field
+
+    def member():
+        idx = rng.integers(len(gens), size=int(rng.integers(1, 4)))
+        x = np.tensordot(rng.uniform(0.2, 1.0, size=len(idx)), gens[idx], axes=1)
+        return x + np.tensordot(rng.normal(size=w.edge.dim), np.stack(w.edge.mats), axes=1)
+
+    points = []
+    for kind in kinds:
+        if kind == "member":
+            x = member()
+        elif kind == "negative":
+            x = -member()
+        elif kind == "random":
+            x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_field else 0)
+        elif kind == "imaginary":
+            x = member() + 1j * 10.0 ** rng.uniform(-10.0, 0.0) * rng.normal(size=shape)
+        else:
+            x = _orbit_points(w.cone, rng, [rng.uniform(-8.3, -7.7)])[0]
+        points.append(x)
+    return np.array(points, dtype=complex if any(np.iscomplexobj(p) for p in points)
+                    else float)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(tuple(MEMBERSHIP_SPECS)),
+       st.lists(st.sampled_from(_POINT_KINDS), min_size=1, max_size=10),
+       st.integers(0, 2**32 - 1))
+def test_stacked_membership_is_the_per_point_verdicts(name, kinds, seed):
+    """`wedge_contains` and `cone_contains` on a (k, *shape) stack return k
+    verdicts, each the one its matrix gets alone; a single matrix gets a
+    Python bool."""
+    w = _membership_wedge(name)
+    xs = _membership_stack(w, np.random.default_rng(seed), kinds)
+    for oracle, target in ((wedge_contains, w), (cone_contains, w.cone)):
+        got = oracle(target, xs)
+        want = [oracle(target, x) for x in xs]
+        assert all(type(v) is bool for v in want)
+        assert got.dtype == bool and got.shape == (len(xs),)
+        assert got.tolist() == want
+    assert wedge_contains(w, xs[:0]).shape == (0,)
+
+
+def _reference_schur_horn(exact, xs: np.ndarray):
+    """`RotationOrbit.contains` as it read before it took its rate constants
+    from cached tables and |S| and |S - (tr S / 3) I| from S's eigenvalues."""
+    total = float(np.sum(exact.rates))
+    xs = np.asarray(xs)
+    if exact.qubit:
+        v = np.stack([vec(b) for b in pauli_basis(2)], axis=1)
+        m = np.real(v.conj().T @ xs @ v)
+        off = np.linalg.norm(xs - v @ m @ v.conj().T, axis=(1, 2))
+    else:
+        m = np.real(xs)
+        off = np.linalg.norm(np.imag(xs), axis=(1, 2))
+    s = (m + np.swapaxes(m, 1, 2)) / 2
+    off = np.hypot(off, np.linalg.norm(m - s, axis=(1, 2)))
+    lam = np.linalg.eigvalsh(s)[:, ::-1]
+    tr = lam.sum(axis=1)
+    t = tr / total
+    mu_k = np.cumsum(exact.rates)[:2]
+    k = np.arange(1, 3)
+    v_k = np.cumsum(lam, axis=1)[:, :2] - t[:, None] * mu_k
+    g_k = np.maximum(t[:, None] * mu_k - k * tr[:, None] / 3, 0.0)
+    apart = np.maximum(np.maximum(-tr, 0.0) / np.sqrt(3.0),
+                       (v_k / (np.sqrt(k) + np.sqrt(3.0) * mu_k / total)).max(axis=1))
+    lower = np.hypot(off, np.maximum(apart, 0.0))
+    vp = np.maximum(v_k, 0.0)
+    mix = np.divide(vp, vp + g_k, out=np.zeros_like(vp), where=vp > 0.0).max(axis=1)
+    centred = np.linalg.norm(s - (tr / 3)[:, None, None] * np.eye(3), axis=(1, 2))
+    upper = np.hypot(off, np.where(tr >= 0.0, mix * centred, np.linalg.norm(s, axis=(1, 2))))
+    return lower, upper
+
+
+def _reference_toeplitz(exact, xs: np.ndarray):
+    """`MomentCurve.contains` as it read before it kept its reshaped
+    Toeplitz table and took its products slice by slice."""
+    xs = np.asarray(xs)
+    flat = xs.reshape(len(xs), -1)
+    flat = np.concatenate([np.real(flat), np.imag(flat)], axis=1)
+    c = flat @ exact.basis
+    off = np.linalg.norm(flat - c @ exact.basis.T, axis=1)
+    m, n, _ = exact.toeplitz.shape
+    toeplitz = exact.toeplitz.reshape(m, n * n)
+    lam, vecs = np.linalg.eigh((c @ toeplitz).reshape(-1, n, n))
+    gap = np.maximum(-lam[:, 0], 0.0)
+    v = vecs[:, :, 0]
+    normal = np.real((np.conj(v)[:, :, None] * v[:, None, :]).reshape(-1, n * n)
+                     @ toeplitz.T)
+    lower = np.hypot(off, gap / np.linalg.norm(normal, axis=1))
+    upper = np.hypot(off, gap * exact.m0_norm)
+    return lower, upper
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(tuple(MEMBERSHIP_SPECS)),
+       st.lists(st.sampled_from(_POINT_KINDS), min_size=1, max_size=10),
+       st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_closed_form_bounds_match_the_formulas_they_replaced(name, kinds, log_scale, seed):
+    """The Schur-Horn bounds (rate constants cached per orbit, both norms of
+    S read off its eigenvalues, sums of squares) and the Toeplitz bounds
+    (reshaped table kept, products slice by slice) agree with the reference
+    copies, run one point at a time, to 1e-13 of |x|, at scales 1e-3 to
+    1e3."""
+    w = _membership_wedge(name)
+    exact = w.cone.exact
+    reference = _reference_toeplitz if name in ("example2", "example3", "phase_flip") \
+        else _reference_schur_horn
+    xs = 10.0 ** log_scale * _membership_stack(w, np.random.default_rng(seed), kinds)
+    lower, upper = exact.contains(xs)
+    want = np.array([np.concatenate(reference(exact, x[None])) for x in xs])
+    size = np.array([fro(x) for x in xs])
+    assert np.all(np.abs(lower - want[:, 0]) <= 1e-13 * size)
+    assert np.all(np.abs(upper - want[:, 1]) <= 1e-13 * size)
+    assert np.all(lower <= upper + 1e-13 * size)
+
+
+@pytest.mark.parametrize("oracle", ["cone", "wedge"])
+@pytest.mark.parametrize("x, message", [
+    (np.zeros((2, 3, 4)), r"a stack x must have the shape \(k, 3, 3\) of k carrier matrices, "
+                          r"got \(2, 3, 4\)"),
+    (np.zeros((2, 4, 4)), r"a stack x must have the shape \(k, 3, 3\) of k carrier matrices, "
+                          r"got \(2, 4, 4\)"),
+    (np.zeros((1, 2, 3, 3)), r"a stack x must have the shape \(k, 3, 3\) of k carrier "
+                             r"matrices, got \(1, 2, 3, 3\)"),
+    (np.zeros((0, 4, 4)), r"a stack x must have the shape \(k, 3, 3\) of k carrier matrices, "
+                          r"got \(0, 4, 4\)"),
+    (np.zeros((2, 9)), r"x must have the carrier's shape \(3, 3\), got \(2, 9\)"),
+    (np.stack([np.eye(3), np.full((3, 3), np.nan)]), "x must be finite"),
+])
+def test_a_stack_of_no_carrier_gets_its_own_message(oracle, x, message):
+    """A stack whose matrices are not the carrier's shape is refused with
+    its own message; a 2-d array of another shape, and a stack with a
+    non-finite entry, get the single matrix's messages."""
+    w = _membership_wedge("example1")
+    with pytest.raises(ValueError, match=message):
+        if oracle == "cone":
+            cone_contains(w.cone, x)
+        else:
+            wedge_contains(w, x)
+
+
+def test_outer_contains_and_tangent_space_take_one_matrix():
+    """The outer wedge and the tangent space still take one matrix: a stack
+    gets the carrier-shape message."""
+    w = _membership_wedge("example1")
+    stack = np.stack([np.diag([3.0, 2.0, 1.0])] * 2)
+    for call in (lambda: outer_contains(w, stack), lambda: semialgebra.tangent_space(w, stack)):
+        with pytest.raises(ValueError, match=r"x must have the carrier's shape \(3, 3\), "
+                                             r"got \(2, 3, 3\)"):
+            call()
