@@ -15,7 +15,10 @@ minus its edge projection) and the conjugation `family` whose orbit of the
 base generates the cone (`kind`, `closed_form`, `periods`, `periodic` and
 `seeds`, the edge's orthonormal basis), or null when the cone is the ray of
 the base.  The sampled generators are not printed; with the echoed input
-they are `saturate(initial_wedge(system), ...).cone.generators`.
+they are `saturate(initial_wedge(system), ...).cone.generators`.  A qubit or
+two-qubit wedge is computed on Pauli transfer matrices, and every matrix a
+report prints from it (`base`, `seeds`, a BCH witness) is converted back to
+its superoperator by `lindblad.superop_from_ptm`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .channels import (ChannelSpec, H_AXIS, H_X, H_Y, H_Z, P_Y, build_system,
                        example3_delta, kraus_family, kraus_rank, kraus_superop,
                        sigma, two_qubit_operator)
 from .liealg import check_conditions
-from .lindblad import ControlSystem, cptp_audit, lindbladian, propagator
+from .lindblad import ControlSystem, cptp_audit, lindbladian, propagator, superop_from_ptm
 from .matcore import expm, inner
 from .reachable import contraction_audit, random_schedule, sample_reachable
 from .semialgebra import semialgebra_probe
@@ -344,6 +347,12 @@ def _conditions_report(system: ControlSystem) -> dict:
 _CLOSED_FORMS = {RotationOrbit: "rotation-orbit", MomentCurve: "moment-curve"}
 
 
+def _superop(m: np.ndarray) -> np.ndarray:
+    """A wedge's matrix as printed: an r3 generator as it is, a qubit or
+    two-qubit transfer matrix (or a stack of them) as its superoperator."""
+    return m if m.shape[-1] == 3 else superop_from_ptm(m)
+
+
 def _wedge_report(w) -> dict:
     """The wedge by the data that fixes it: the edge, and the cone over the
     orbit of `base` under the edge's group (`family`), or over its ray when
@@ -358,13 +367,13 @@ def _wedge_report(w) -> dict:
             "pointed": w.cone.pointed,
             "tol": w.cone.tol,
         },
-        "base": w.drift - w.edge.project(w.drift),
+        "base": _superop(w.drift - w.edge.project(w.drift)),
         "family": None if family is None else {
             "kind": family.kind,
             "closed_form": _CLOSED_FORMS.get(type(w.cone.exact)),
             "periods": family.periods,
             "periodic": family.periodic,
-            "seeds": family.seeds,
+            "seeds": tuple(_superop(np.stack(family.seeds))),
         },
         "saturation": dict(w.saturation),
     }
@@ -456,12 +465,12 @@ def cmd_semialgebra(args) -> int:
         "verdict": ("witness-found" if witness is not None
                     else "no-counterexample-found"),
         "witness": None if witness is None else {
-            "A": witness.A,
-            "B": witness.B,
+            "A": _superop(witness.A),
+            "B": _superop(witness.B),
             "t": witness.t,
             "residual": witness.residual,
-            "product": witness.product,
-            "offending_component": witness.offending_component,
+            "product": _superop(witness.product),
+            "offending_component": _superop(witness.offending_component),
         },
     })
     return _exit_code(w)

@@ -1,10 +1,9 @@
 """Lie closures of generator sets and controllability condition checks.
 
-The closure routine works in the coordinate space of `matcore`, realified
-only for complex generators; `check_conditions` hands it real Pauli
-transfer matrices, so a system algebra lives in the N^2 x N^2 real
-matrices rather than in the realified superoperators of twice that
-dimension.  The closure builds Lie(S) from right-nested brackets
+The closure routine works on real matrices, in the coordinate space of
+`matcore`; `check_conditions` hands it the real Pauli transfer matrices of
+a system's generators, so a system algebra lives in the N^2 x N^2 real
+matrices.  The closure builds Lie(S) from right-nested brackets
 [s1, [s2, [..., sk]]] of the generators: each round brackets only the
 directions the previous round added against an orthonormal basis of
 span(S), all in one broadcast `matcore.comm` call, a single BLAS matmul.
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lindblad import ControlSystem, ham_drift_direction, ptm_directions, ptm_rep
-from .matcore import Subspace, comm, orthonormal_span, realify_stack, svd, unrealify_stack
+from .matcore import Subspace, _columns, _real, comm, orthonormal_span, svd
 
 
 def lie_closure(gens, tol: float = 1e-9, by=None) -> Subspace:
@@ -41,30 +40,25 @@ def lie_closure(gens, tol: float = 1e-9, by=None) -> Subspace:
     real 16 x 16 brackets, 0.34 MB per array.  Every productive round adds
     at least one orthonormal column, so there are at most as many rounds as
     that real dimension.
-    The span is complex when any matrix of `gens` or `by` is.  `tol` must be
-    positive and finite (`orthonormal_span` checks it) and `by` a stack of
-    matrices of the shape of `gens`; anything else raises ValueError.
+    `tol` must be positive and finite (`orthonormal_span` checks it), the
+    generators real, and `by` a real stack of matrices of the shape of
+    `gens`; anything else raises ValueError.
     """
-    if by is None:
-        basis = orthonormal_span(gens, tol=tol)
-    else:
-        by = np.asarray(by)
-        basis = orthonormal_span(gens, tol=tol, complex_field=any(
-            np.iscomplexobj(m) for m in (*gens, by)))
+    basis = orthonormal_span(gens, tol=tol)
+    if by is not None:
+        by = _real(by, "a bracket matrix")
         if by.size and by.shape[-2:] != basis.shape:
             raise ValueError(f"by must hold matrices of the generators' shape {basis.shape}, "
                              f"got an array of shape {by.shape}")
     if basis.dim == 0:
         return basis
     shape = basis.shape
-    complex_field = basis.complex_field
     stack = basis.stack
-    frontier = unrealify_stack(stack, shape, complex_field)
+    frontier = np.asarray(basis.mats)
     seeds = frontier if by is None else by.reshape(-1, *shape)
 
     while stack.shape[1] < stack.shape[0]:
-        cols = realify_stack(comm(frontier[:, None], seeds[None]).reshape(-1, *shape), shape,
-                             complex_field)
+        cols = _columns(comm(frontier[:, None], seeds[None]).reshape(-1, *shape))
         res = cols - stack @ (stack.T @ cols)
         # Never normalise a bracket before this test: a near-zero bracket is
         # pure cancellation noise and blowing it up to unit size would
@@ -82,9 +76,9 @@ def lie_closure(gens, tol: float = 1e-9, by=None) -> Subspace:
             break
         add /= np.linalg.norm(add, axis=0)
         stack = np.concatenate([stack, add], axis=1)
-        frontier = unrealify_stack(add, shape, complex_field)
+        frontier = add.T.reshape(-1, *shape)
 
-    return Subspace(stack.copy(), shape, complex_field, tol)
+    return Subspace(stack.copy(), shape, tol)
 
 
 def cartan_split(a: np.ndarray):
@@ -110,7 +104,7 @@ def orthocomplement(sub: Subspace) -> Subspace:
         comp = np.eye(sub.stack.shape[0])
     else:
         comp = svd(sub.stack, full_matrices=True)[0][:, sub.dim:].copy()
-    return Subspace(comp, sub.shape, sub.complex_field, sub.tol)
+    return Subspace(comp, sub.shape, sub.tol)
 
 
 @dataclass(frozen=True)
@@ -178,7 +172,7 @@ def check_conditions(sys: ControlSystem, tol: float = 1e-9) -> ConditionReport:
         ham = ptm_rep(ham)
     # without controls, kc is the zero subspace of the drift's space
     kc = (lie_closure(ctrl, tol=tol) if ctrl else
-          orthonormal_span([], shape=drift.shape, complex_field=False))
+          orthonormal_span([], shape=drift.shape))
     kd = lie_closure(ctrl + [ham], tol=tol)
     s = lie_closure(ctrl + [drift], tol=tol)
     for name, sub, ceiling in (("kc", kc, target_k), ("kd", kd, target_k), ("s", s, target_s)):

@@ -1,15 +1,16 @@
 """Dense linear-algebra kernels shared by all higher layers.
 
-Everything in this package is phrased over the *real* trace inner product
+Everything in this package is phrased over the trace inner product
 
     <A, B> = Re tr(A^dag B),
 
-so complex matrices are handled as elements of a real vector space of twice
-the complex dimension ("realification").  A `Subspace` is an orthonormally
-spanned real subspace of matrices under that inner product, stored once as
-the realified column stack of its basis; its basis matrices are derived
-from that stack.  Rank decisions use a relative tolerance of 1e-9 against
-the largest singular value.
+which on the real matrices every carrier holds (3x3 generators on r3, Pauli
+transfer matrices on a qubit or two qubits) is the euclidean inner product
+of their entries.  A `Subspace` is an orthonormally spanned real subspace of
+matrices under it, stored once as the column stack of its flattened basis,
+``mats.reshape(m, -1).T``; its basis matrices are derived from that stack.
+Rank decisions use a relative tolerance of 1e-9 against the largest
+singular value.
 """
 
 from __future__ import annotations
@@ -140,64 +141,42 @@ def eig_sym(s: np.ndarray, tol: float = 1e-8):
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-# ---------------------------------------------------------------------------
-# realification helpers
-# ---------------------------------------------------------------------------
-
-def realify(a: np.ndarray, complex_field: bool) -> np.ndarray:
-    """Flatten a matrix into a real coordinate vector.
-
-    Complex matrices map to the concatenation (Re, Im) so that the euclidean
-    inner product of coordinates equals Re tr(a^dag b).
-    """
+def _real(a, what: str) -> np.ndarray:
+    """`a` as a real array: a complex one with imaginary part zero is read as
+    its real part, and one with a nonzero imaginary part raises ValueError
+    naming `what`, since every carrier is real."""
     a = np.asarray(a)
-    if complex_field:
-        return np.concatenate([np.real(a).ravel(), np.imag(a).ravel()]).astype(float)
-    return np.real(a).ravel().astype(float)
+    if np.iscomplexobj(a):
+        if np.any(a.imag):
+            raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+        a = a.real
+    return a
 
 
-def unrealify(v: np.ndarray, shape: tuple, complex_field: bool) -> np.ndarray:
-    """Inverse of `realify`."""
-    v = np.asarray(v, dtype=float)
-    n = int(np.prod(shape))
-    if complex_field:
-        return (v[:n] + 1j * v[n:]).reshape(shape)
-    return v.reshape(shape).copy()
-
-
-def realify_stack(mats, shape: tuple, complex_field: bool) -> np.ndarray:
-    """`realify` of every matrix in a stack, as the columns of a (d, m) array."""
-    flat = np.asarray(mats).reshape(len(mats), int(np.prod(shape)))
-    if complex_field:
-        flat = np.concatenate([np.real(flat), np.imag(flat)], axis=1)
-    return np.real(flat).T.astype(float, order="C")
-
-
-def unrealify_stack(cols: np.ndarray, shape: tuple, complex_field: bool) -> np.ndarray:
-    """Inverse of `realify_stack`: the (m, *shape) stack of matrices."""
-    cols = np.asarray(cols, dtype=float)
-    n = int(np.prod(shape))
-    flat = cols[:n] + 1j * cols[n:] if complex_field else cols
-    return flat.T.copy().reshape(-1, *shape)
+def _columns(mats: np.ndarray) -> np.ndarray:
+    """A (m, *shape) stack of matrices as the columns of one C-ordered
+    (prod(shape), m) array, the layout `Subspace.stack` holds."""
+    mats = np.asarray(mats)
+    return np.ascontiguousarray(mats.reshape(len(mats), prod(mats.shape[1:])).T)
 
 
 @dataclass
 class Subspace:
     """A real subspace of matrices with an orthonormal basis.
 
-    `stack` is the only stored form: the realified basis coordinates as
-    orthonormal columns, one per basis matrix.  `mats`, the basis matrices
-    (orthonormal under Re tr(a^dag b)), are derived from it on first use.
+    `stack` is the only stored form: the flattened basis matrices as
+    orthonormal columns, one per basis matrix.  `mats`, the basis matrices,
+    are derived from it on first use.  `project`, `residual` and `contains`
+    take real matrices (`_real`).
     """
 
     stack: np.ndarray = field(repr=False)
     shape: tuple
-    complex_field: bool
     tol: float = RANK_TOL
 
     @cached_property
     def mats(self) -> tuple:
-        return tuple(unrealify_stack(self.stack, self.shape, self.complex_field))
+        return tuple(self.stack.T.reshape(-1, *self.shape))
 
     @property
     def dim(self) -> int:
@@ -205,12 +184,12 @@ class Subspace:
 
     def project(self, a: np.ndarray) -> np.ndarray:
         """Orthogonal projection of `a` onto the subspace."""
-        p = self.stack @ (self.stack.T @ realify(a, self.complex_field))
-        return unrealify(p, self.shape, self.complex_field)
+        v = _real(a, "a matrix").ravel()
+        return (self.stack @ (self.stack.T @ v)).reshape(self.shape)
 
     def residual(self, a: np.ndarray) -> float:
         """Norm of the component of `a` orthogonal to the subspace."""
-        v = realify(a, self.complex_field)
+        v = _real(a, "a matrix").ravel()
         return float(np.linalg.norm(v - self.stack @ (self.stack.T @ v)))
 
     def contains(self, a: np.ndarray, tol: float = None) -> bool:
@@ -274,26 +253,22 @@ def _rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
     return int(np.count_nonzero(_kept(svd(m, compute_uv=False), tol)))
 
 
-def orthonormal_span(gens, tol: float = RANK_TOL, shape: tuple = None,
-                     complex_field: bool = None) -> Subspace:
-    """Orthonormal basis of the real span of `gens` (see `_span_columns`).
+def orthonormal_span(gens, tol: float = RANK_TOL, shape: tuple = None) -> Subspace:
+    """Orthonormal basis of the span of `gens` (see `_span_columns`).
 
-    For an empty generator list, `shape` (and optionally `complex_field`)
-    fix the ambient space.  `tol` must be positive and finite; anything else
-    raises ValueError.
+    For an empty generator list, `shape` fixes the ambient space.  `tol`
+    must be positive and finite, and the generators real (a complex dtype
+    with zero imaginary part is read as real); anything else raises
+    ValueError.
     """
     tol = _checked_tol(tol)
-    gens = [np.asarray(g) for g in gens]
+    gens = [_real(g, "a generator") for g in gens]
     if gens:
         shape = gens[0].shape
         if any(g.shape != shape for g in gens):
             raise ValueError("generators must share a common shape")
-        if complex_field is None:
-            complex_field = any(np.iscomplexobj(g) for g in gens)
-    else:
-        if shape is None:
-            raise ValueError("empty generator list needs an explicit shape")
-        complex_field = bool(complex_field)
+    elif shape is None:
+        raise ValueError("empty generator list needs an explicit shape")
     shape = tuple(shape)
-    cols = _span_columns(realify_stack(gens, shape, complex_field), tol)
-    return Subspace(cols, shape, complex_field, tol)
+    cols = _columns(np.reshape(gens, (len(gens), *shape)))
+    return Subspace(_span_columns(cols, tol), shape, tol)

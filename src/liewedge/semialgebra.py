@@ -8,7 +8,9 @@ the isotropic case) and elsewhere hunts for counterexample pairs at
 random, tangent spaces T_A w = (A^perp ∩ w*)^perp (exact, from the closed
 form that decides a cone, and None where none does), and the
 rotation-orbit case analysis (isotropic, rank-one, degenerate-pair, and
-generic relaxation rates).
+generic relaxation rates).  Like the wedges they test, the probe and the
+tangent spaces work on the real carrier: on a qubit or two qubits, the
+Pauli transfer matrices of the generators (`lindblad.ptm_rep`).
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from . import wedge
 from .channels import H_X, H_Y, H_Z, P_X, P_Y, P_Z
 from .liealg import subspace_equal
-from .matcore import (Subspace, _checked_count, _checked_tol, comm, fro, orthonormal_span,
-                      realify_stack, stacked_fro)
+from .matcore import (Subspace, _checked_count, _checked_tol, _columns, comm, fro,
+                      orthonormal_span, stacked_fro)
 from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, _membership
 
 BCH_MAX_ORDER = 4
@@ -32,6 +34,9 @@ _SCREEN = 0.05  # half of bch_witness's fit target, in units of tol * t**2 * sca
 # Relative to ||tail|| + t**2 * scale: far above the d * eps by which the
 # probe's stacked products and projection may round apart from one pair's.
 _ROUNDING = 1e-12
+# least tol of the probe: below about 1e-13 the witness threshold tol * t**2
+# falls under the rounding of the order-4 tail, which then reads as a witness
+_TOL_FLOOR = 1e-12
 
 _CASE_IDS = ("i", "ii", "iii", "iv")
 
@@ -97,13 +102,18 @@ def _wedge_fit(w: Wedge, x: np.ndarray, target: float = None) -> tuple:
 
 def _checked_grid(t_grid, tol: float) -> tuple:
     """The t grid as floats, after rejecting an empty grid and a t or tol
-    that is not positive and finite, any of which makes the probe vacuous."""
+    that is not positive and finite, any of which makes the probe vacuous,
+    and a tol below `_TOL_FLOOR`, where it would report rounding noise as a
+    witness."""
     ts = tuple(float(t) for t in t_grid)
     if not ts:
         raise ValueError("t_grid must hold at least one t, got ()")
     for name, v in [("t", t) for t in ts] + [("tol", tol)]:
         if not 0 < v < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {v}")
+    if tol < _TOL_FLOOR:
+        raise ValueError(f"tol must be at least {_TOL_FLOOR:g}, where the witness threshold "
+                         f"stays above the rounding of the order-4 tail, got {tol}")
     return ts
 
 
@@ -170,7 +180,7 @@ def _wedge_samples(w: Wedge, count: int, rng: np.random.Generator) -> np.ndarray
         if dim and (k % 3 == 2 or not n_gens):
             coefs.append(rng.standard_normal(dim))
             offset.append(k)
-    x = np.zeros((count, *w.cone.shape), dtype=complex if w.cone.complex_field else float)
+    x = np.zeros((count, *w.cone.shape))
     if n_gens:
         pick = np.zeros((count, 3), dtype=int)
         weight = np.zeros((count, 3))  # 0 marks an absent term
@@ -217,7 +227,8 @@ def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
     order, to `bch_witness`, whose fits are deterministic in (wedge, tail,
     tol), so the first witness is that of fitting every pair in turn.  Only
     the sample draws use `seed`, which must be an integer >= 0, and
-    `pair_samples`, which must be an integer >= 1.
+    `pair_samples`, which must be an integer >= 1; `tol` must be at least
+    1e-12 (`_checked_grid`).
     """
     pair_samples = _checked_count("pairs", pair_samples, 1)
     ts = _checked_grid(t_grid, tol)
@@ -230,8 +241,7 @@ def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
     a, b = elems[:2 * n_pairs:2], elems[1:2 * n_pairs:2]
     scale = np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)))
     tails = np.stack([bch(t * a, t * b) - t * (a + b) for t in ts])
-    cols = realify_stack(tails.reshape(-1, *w.cone.shape), w.cone.shape,
-                         w.cone.complex_field)
+    cols = _columns(tails.reshape(-1, *w.cone.shape))
     q = w.edge.stack
     off_edge = np.linalg.norm(cols - q @ (q.T @ cols), axis=0)
     t2s = (np.square(ts)[:, None] * scale).ravel()
@@ -273,8 +283,7 @@ def tangent_space(w: Wedge, a_mat: np.ndarray, seed: int = 0):
         rays = [x] if fro(x) > cone.tol else []
     else:
         return None
-    return orthonormal_span([*w.edge.mats, *rays], shape=cone.shape,
-                            complex_field=cone.complex_field)
+    return orthonormal_span([*w.edge.mats, *rays], shape=cone.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +305,9 @@ def orbit_wedge(rates, hull_samples: int = 192, seed: int = 0,
     rng = np.random.default_rng(_checked_count("seed", seed))
     gamma = np.diag(np.sort(rates)[::-1])
     seeds = tuple(h / fro(h) for h in (H_X, H_Y, H_Z))
-    edge = orthonormal_span([H_X, H_Y, H_Z], shape=(3, 3), complex_field=False)
+    edge = orthonormal_span([H_X, H_Y, H_Z], shape=(3, 3))
     fam = ConjugationFamily(seeds, gamma) if fro(gamma) > 0 else None
-    cone = Cone(shape=(3, 3), complex_field=False, analytic=fam, tol=tol,
+    cone = Cone(shape=(3, 3), analytic=fam, tol=tol,
                 thetas=None if fam is None else fam.params(hull_samples, rng))
     return Wedge(edge=edge, cone=cone, drift=gamma)
 
@@ -363,7 +372,7 @@ def expected_tangent(case_id: str, rates) -> Subspace:
         mats += [gamma, P_X, P_Y]
     else:
         mats += [gamma, P_X, P_Y, P_Z]
-    return orthonormal_span(mats, shape=(3, 3), complex_field=False)
+    return orthonormal_span(mats, shape=(3, 3))
 
 
 def semialgebra_case(case_id: str, params: dict = None) -> dict:
@@ -389,7 +398,7 @@ def semialgebra_case(case_id: str, params: dict = None) -> dict:
     w = orbit_wedge(rates, hull_samples=0)
     t_a = tangent_space(w, a_mat, seed=params.get("seed", 0))
     expected = expected_tangent(case_id, rates)
-    brackets = realify_stack([comm(a_mat, m) for m in t_a.mats], t_a.shape, t_a.complex_field)
+    brackets = _columns(comm(a_mat, np.reshape(t_a.mats, (-1, *t_a.shape))))
     top = np.linalg.norm(brackets, 2)
     off = brackets - t_a.stack @ (t_a.stack.T @ brackets)
     inv = np.linalg.norm(off, 2) / top if top > 0.0 else 0.0

@@ -15,8 +15,10 @@ Caratheodory-Toeplitz bounds for one-parameter orbits with commensurate
 frequencies); elsewhere a nonnegative fit over the generators decides, an
 inner approximation that can only err towards "not a member".
 `wedge_contains` and `cone_contains` take one matrix or a stack of them,
-in one pass that checks, projects and bounds the whole stack at once.  Edges and
-given generators are stored as realified column stacks (see `matcore`).
+in one pass that checks, projects and bounds the whole stack at once.  A
+qubit or two-qubit wedge lives on the real Pauli transfer matrices of its
+generators (`lindblad.ptm_directions`), so every query takes those
+(`lindblad.ptm_rep`); edges and generators are stored as column stacks.
 
 `saturate` fixes the wedge by algebra alone: it Lie-closes the edge and
 grows it by the cone's lineality until it stops growing, and the cone is
@@ -42,11 +44,10 @@ from math import prod
 import numpy as np
 
 from .liealg import lie_closure
-from .lindblad import (ControlSystem, _pauli_vecs, coherence_rep, control_directions,
-                       drift_direction, gks_margin, superop_from_coherence)
-from .matcore import (RANK_TOL, Subspace, _checked_count, _checked_tol, _null_rows, _rank,
-                      _span_columns, comm, eig_sym, fro, orthonormal_span, realify,
-                      realify_stack, stacked_fro, unrealify, unrealify_stack)
+from .lindblad import ControlSystem, gks_margin, ptm_directions, superop_from_ptm
+from .matcore import (RANK_TOL, Subspace, _checked_count, _checked_tol, _columns, _null_rows,
+                      _rank, _real, _span_columns, comm, eig_sym, fro, orthonormal_span,
+                      stacked_fro)
 
 _CG_MAX_NEW = 60
 # largest eigenphase |w| a row of `ConjugationFamily.elements` takes from the
@@ -79,45 +80,50 @@ _SUBSETS = np.vstack([np.eye(3), 1.0 - np.eye(3)[::-1]])
 @dataclass(frozen=True)
 class RotationOrbit:
     """Closed-form geometry of a full-rotation orbit {R b R^T : R in SO(3)}
-    of a symmetric 3x3 block b: the r3 carrier itself, or a qubit
-    superoperator's coherence representation (`qubit`).
+    of a symmetric 3x3 block b: the r3 carrier itself, or the traceless
+    block T[1:, 1:] of a qubit's Pauli transfer matrix (`qubit`), which is
+    the coherence representation transposed.
 
     Built only by `ConjugationFamily.exact`.  `seeds` are the family's seeds
     on its own carrier; `rates` are the eigenvalues of b, descending.  The
     closed forms: the support function (`support`), the tangent space at a
     member (`tangent`), and distance bounds to the orbit's cone that
-    decide membership (`contains`).
+    decide membership (`contains`).  Only symmetric parts of the block
+    enter them, so the transpose changes none of them.
     """
 
     seeds: tuple
     rates: np.ndarray
     qubit: bool
 
+    def _block(self, x: np.ndarray) -> np.ndarray:
+        """The orbit's 3x3 block of x or of a stack: T[..., 1:, 1:] on a qubit."""
+        return x[..., 1:, 1:] if self.qubit else x
+
+    def _padded(self, block: np.ndarray) -> np.ndarray:
+        return np.pad(block, ((1, 0), (1, 0))) if self.qubit else block
+
     def support(self, direction: np.ndarray):
         """Orbit element maximizing the inner product against `direction`,
-        and that maximum: b's eigenvalues placed on the direction's
-        eigenvectors in the same order.  On a qubit the direction is first
-        projected onto the coherence image, which holds every orbit element
-        (`coherence_rep`'s product Re(V^H D V)^T, without its checks)."""
-        if self.qubit:
-            v, vh = self._vecs
-            direction = np.real(vh @ (direction @ v)).T
-        w_d, v_d = eig_sym((direction + direction.T) / 2)
+        and that maximum: b's eigenvalues placed on the eigenvectors of the
+        direction's block in the same order; the rest of a qubit direction
+        is orthogonal to every orbit element."""
+        d = self._block(np.asarray(direction))
+        w_d, v_d = eig_sym((d + d.T) / 2)
         g = v_d @ np.diag(self.rates) @ v_d.T
-        if self.qubit:
-            g = superop_from_coherence(g)
-        return g, float(np.dot(self.rates, w_d))
+        return self._padded(g), float(np.dot(self.rates, w_d))
 
     def tangent(self, x: np.ndarray, tol: float) -> list:
         """Matrices spanning the tangent space of K, the orbit's cone, at a
-        member x.  With S = U diag(lam) U^T x's symmetric block, eps = tol
-        max(1, |S|) and c_k = (mu_1 + ... + mu_k) / sum mu, the sets I with
-        sum_I lam within eps of c_|I| tr S span the face F = null{1_I - c_|I|
-        1}.  The list is x and the [s_i, x]; off an orbit ray (the largest one
-        and two lam at c_k tr S) it adds U diag(d) U^T over F and U (e_i e_j^T
-        + e_j e_i^T) U^T per tie lam_i ~ lam_j that no such I splits, on a
-        qubit via `superop_from_coherence`.  [] at the apex, tr S <= eps."""
-        m = np.real(self._vecs[1] @ x @ self._vecs[0]) if self.qubit else np.real(x)
+        member x.  With S = U diag(lam) U^T the symmetric part of x's block,
+        eps = tol max(1, |S|) and c_k = (mu_1 + ... + mu_k) / sum mu, the
+        sets I with sum_I lam within eps of c_|I| tr S span the face F =
+        null{1_I - c_|I| 1}.  The list is x and the [s_i, x]; off an orbit
+        ray (the largest one and two lam at c_k tr S) it adds U diag(d) U^T
+        over F and U (e_i e_j^T + e_j e_i^T) U^T per tie lam_i ~ lam_j that
+        no such I splits, zero-padded on a qubit.  [] at the apex,
+        tr S <= eps."""
+        m = self._block(x)
         lam, u = np.linalg.eigh((m + m.T) / 2)
         tr, eps = lam.sum(), tol * max(1.0, float(np.sqrt(lam @ lam)))
         if tr <= eps:
@@ -130,16 +136,9 @@ class RotationOrbit:
             sides = _SUBSETS[active]
             ties = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2))
                     if abs(lam[i] - lam[j]) <= eps and np.array_equal(sides[:, i], sides[:, j])]
-            extras = [(u * d) @ u.T for d in face] + [
-                np.outer(u[:, i], u[:, j]) + np.outer(u[:, j], u[:, i]) for i, j in ties]
-            extras = [superop_from_coherence(e) for e in extras] if self.qubit else extras
+            extras = [self._padded(e) for e in [(u * d) @ u.T for d in face] + [
+                np.outer(u[:, i], u[:, j]) + np.outer(u[:, j], u[:, i]) for i, j in ties]]
         return [x] + [comm(s, x) for s in self.seeds] + extras
-
-    @cached_property
-    def _vecs(self) -> tuple:
-        """The qubit's coherence columns V = `_pauli_vecs(2)` and V^H."""
-        v = _pauli_vecs(2)
-        return v, v.conj().T
 
     @cached_property
     def _total(self) -> float:
@@ -169,9 +168,10 @@ class RotationOrbit:
         the stack `xs` to K, the cone over the orbit; None when the rates sum
         to <= 0, where K is no longer cut out by Schur-Horn.
 
-        Each x splits orthogonally into a symmetric 3x3 block S (on a qubit,
-        of x's projection onto the coherence image) and a remainder "off"
-        that K never reaches, so dist^2 = off^2 + dist(S, K)^2.  With lam
+        Each x splits orthogonally into a symmetric 3x3 block S (the
+        symmetric part of x's block) and a remainder "off" that K never
+        reaches (the antisymmetric part, and on a qubit the first row and
+        column), so dist^2 = off^2 + dist(S, K)^2.  With lam
         the eigenvalues of S and mu the rates, both descending, K holds S
         exactly when tr S >= 0 and lam is majorized by t mu, t = tr S / sum mu
         (Schur-Horn).  Write c_k = sum_{i<=k} mu_i / sum mu,
@@ -193,13 +193,8 @@ class RotationOrbit:
         if not self._total > 0.0:
             return None
         xs = np.asarray(xs)
-        if self.qubit:
-            v, vh = self._vecs
-            m = np.real(vh @ xs @ v)
-            off = _squares(xs - v @ m @ vh)
-        else:
-            m = np.real(xs)
-            off = _squares(np.imag(xs)) if np.iscomplexobj(xs) else 0.0
+        m = self._block(xs)
+        off = _squares(xs[:, 0]) + _squares(xs[:, 1:, 0]) if self.qubit else 0.0
         s = (m + np.swapaxes(m, 1, 2)) / 2
         off = off + _squares(m - s)
         lam = np.linalg.eigvalsh(s)
@@ -214,10 +209,8 @@ class RotationOrbit:
 
 
 def _squares(xs: np.ndarray) -> np.ndarray:
-    """Sum of |entry|^2 over each slice of a stack."""
+    """Sum of squared entries over each slice of a real stack."""
     flat = xs.reshape(len(xs), prod(xs.shape[1:]))
-    if np.iscomplexobj(flat):
-        flat = np.concatenate([flat.real, flat.imag], axis=1)
     return np.einsum("ij,ij->i", flat, flat)
 
 
@@ -234,8 +227,8 @@ class MomentCurve:
     moments of a nonnegative measure exactly when the (d+1)x(d+1) Hermitian
     Toeplitz matrix T(tau)_jl = tau_{j-l} is positive semidefinite.  The
     real-linear moment map (tau_0, Re tau_k, Im tau_k) -> sum_k tau_k M_k is
-    injective; `basis` holds orthonormal columns spanning its image,
-    realified with (Re, Im) on every carrier, and `toeplitz` the Toeplitz
+    injective; `basis` holds orthonormal columns spanning its image, the
+    flattened real matrices of the carrier, and `toeplitz` the Toeplitz
     matrix of each column, so a point x of the span has T = sum_i <basis_i,
     x> toeplitz_i.  `m0_norm` is |M_0|.  `contains` and `tangent` have
     closed forms; `support` returns None.
@@ -260,13 +253,12 @@ class MomentCurve:
         onto K, so that is the whole span inside K, span{gamma(theta_j),
         gamma'(theta_j)} over x's atoms on a face, and nothing at the apex."""
         x = np.asarray(x)
-        c = np.concatenate([x.real.ravel(), x.imag.ravel()]) @ self.basis
+        c = x.ravel() @ self.basis
         lam, vecs = np.linalg.eigh(np.tensordot(c, self.toeplitz, 1))
         v = vecs[:, lam <= tol * max(1.0, lam[-1])]
         faces = (v.conj().T @ self.toeplitz @ v).reshape(len(c), -1)
         null = _null_rows(np.concatenate([faces.real, faces.imag], axis=1).T, tol)
-        ys = unrealify_stack(self.basis @ null.T, x.shape, True)
-        return list(ys if np.iscomplexobj(x) else ys.real)
+        return list((null @ self.basis.T).reshape(-1, *x.shape))
 
     def contains(self, xs: np.ndarray):
         """Rigorous (lower, upper) bounds on the distance from each matrix of
@@ -289,7 +281,6 @@ class MomentCurve:
         """
         xs = np.asarray(xs)
         flat = xs.reshape(len(xs), 1, prod(xs.shape[1:]))
-        flat = np.concatenate([np.real(flat), np.imag(flat)], axis=2)
         c = flat @ self.basis
         off = np.sqrt(_squares(flat - c @ self.basis.T))
         table, n = self._table, self.degree + 1
@@ -382,7 +373,9 @@ def _moment_curve(q, m, index, units):
     cols = [parts[0]]
     for j in range(1, d + 1):
         cols += [parts[j] + parts[-j], 1j * (parts[j] - parts[-j])]
-    moment_map = realify_stack(cols, m.shape, True)
+    # real for a real base and real seeds, up to rounding: parts[-j] is the
+    # conjugate of parts[j]
+    moment_map = np.real(np.reshape(cols, (len(cols), -1))).T
     s = np.linalg.svd(moment_map, compute_uv=False)
     if s[-1] <= RANK_TOL * s[0]:
         return None
@@ -400,27 +393,35 @@ def _moment_curve(q, m, index, units):
 class ConjugationFamily:
     """Parameterized family theta -> Ad_{expm(sum theta_i seed_i)}(base).
 
-    A family is its seeds, which must be skew (r3) or anti-Hermitian
-    (superoperators), and its base; the constructor rejects any other seed.
-    Everything else derives from them.  ``kind`` is 'torus' when the seeds
-    co-diagonalise (`_phases`): one frequency table gives the box
+    A family is its seeds, which must be real skew matrices (r3 generators,
+    or the Pauli transfer matrices of Hamiltonian superoperators), and its
+    real base, which must be orthogonal to the seeds' span: the constructor
+    rejects any other seed, and a base whose projection onto that span
+    exceeds 1e-9 max(1, |base|).  Everything else derives from them.
+    ``kind`` is 'torus' when the seeds co-diagonalise (`_phases`): one
+    frequency table gives the box
     ``periods`` (2 pi / u_i by `_frequency_units`), sweep, support search
     and closed forms, and ``periodic`` says if the box is a true period;
     its units (`_units`) are derived once, and the box, `periodic` and the
     one-parameter closed form all read them.
     Otherwise it is 'orbit' (random exponentials of the seeds' span).
-    Callers pass a base orthogonal to the edge the seeds span; since edge
-    conjugation is an isometry fixing the edge, every family element stays
-    orthogonal to it.  Every element comes from the kernel `elements`.
+    Since conjugation by the seeds' group is an isometry fixing the edge
+    they span, every family element stays orthogonal to it.  Every element
+    comes from the kernel `elements`.
     """
 
     seeds: tuple
     base: np.ndarray
 
     def __post_init__(self):
-        if len(self.seeds) == 0 or any(fro(s + s.conj().T) > 1e-10 * max(1.0, fro(s))
-                                       for s in self._seed_stack):
-            raise ValueError("a family needs one or more skew/anti-Hermitian seeds")
+        object.__setattr__(self, "seeds", tuple(_real(s, "a seed") for s in self.seeds))
+        object.__setattr__(self, "base", _real(self.base, "the base"))
+        if not self.seeds or any(fro(s + s.T) > 1e-10 * max(1.0, fro(s)) for s in self.seeds):
+            raise ValueError("a family needs one or more real skew seeds")
+        inside = np.linalg.norm(self._seed_columns.T @ self.base.ravel())
+        if inside > 1e-9 * max(1.0, fro(self.base)):
+            raise ValueError(f"the base must be orthogonal to the seeds' span, but its "
+                             f"projection onto it has norm {inside:.3e}")
 
     @property
     def n_params(self) -> int:
@@ -429,6 +430,15 @@ class ConjugationFamily:
     @cached_property
     def _seed_stack(self) -> np.ndarray:
         return np.stack(self.seeds)
+
+    @cached_property
+    def _seed_columns(self) -> np.ndarray:
+        """Orthonormal columns spanning the seeds: the seeds themselves where
+        they are orthonormal (`saturate`'s edge basis), else `_span_columns`."""
+        cols = _columns(self._seed_stack)
+        if np.allclose(cols.T @ cols, np.eye(self.n_params), rtol=0.0, atol=1e-12):
+            return cols
+        return _span_columns(cols)
 
     @property
     def kind(self) -> str:
@@ -453,7 +463,7 @@ class ConjugationFamily:
 
     @cached_property
     def _phases(self):
-        """Co-diagonalization of the (commuting, anti-Hermitian) seeds and
+        """Co-diagonalization of the (commuting, skew) seeds and
         the merged frequency table of f(theta) = <element(theta), D>.
 
         Returns (q, m, freqs, index): the joint eigenbasis q, the base m in
@@ -464,7 +474,7 @@ class ConjugationFamily:
         exponential per distinct frequency instead of conjugating every
         parameter vector.  None when the seeds do not commute.
         """
-        hs = [1j * np.asarray(s, dtype=complex) for s in self.seeds]
+        hs = [1j * s for s in self.seeds]
         if len(hs) == 1:
             w0, q = np.linalg.eigh(hs[0])
             ws = [w0]
@@ -477,7 +487,7 @@ class ConjugationFamily:
             if not all(np.linalg.norm(q.conj().T @ h @ q - np.diag(w)) < 1e-8
                        for h, w in zip(hs, ws)):
                 return None
-        m = q.conj().T @ np.asarray(self.base, dtype=complex) @ q
+        m = q.conj().T @ self.base @ q
         deltas = np.stack([(w[:, None] - w[None, :]).ravel() for w in ws], axis=1)
         tol = 1e-12 * max(1.0, float(np.abs(deltas).max()))
         same = np.all(np.abs(deltas[:, None, :] - deltas[None, :, :]) <= tol, axis=2)
@@ -491,10 +501,10 @@ class ConjugationFamily:
         `thetas` is a (k, n_params) stack; `g` (default: the base) is one
         matrix or a stack of k.  One stacked eigh of i*A = V diag(w) V^dag
         gives expm(A) = V diag(e) V^dag with e = exp(-i w), so
-        Ad(g) = V ((V^dag g V) * e e^dag) V^dag; real seeds and a real g
-        give a real result.  That rounds each phase by about eps |w|, so a
-        row with a phase beyond `_PHASE_LIMIT` (a torus box far larger than
-        its shortest wavelength) is redone by `_far_conjugates`.
+        Ad(g) = V ((V^dag g V) * e e^dag) V^dag; a real g gives a real result
+        (a complex g a complex one).  That rounds each phase by about eps
+        |w|, so a row with a phase beyond `_PHASE_LIMIT` (a torus box far
+        larger than its shortest wavelength) is redone by `_far_conjugates`.
         """
         g = self.base if g is None else np.asarray(g)
         thetas = np.asarray(thetas, dtype=float).reshape(-1, self.n_params)
@@ -507,9 +517,7 @@ class ConjugationFamily:
         if far.any():
             out[far] = _far_conjugates(thetas[far], self._seed_stack, v[far],
                                        g if g.ndim == 2 else g[far])
-        if np.iscomplexobj(a) or np.iscomplexobj(g):
-            return out
-        return np.ascontiguousarray(out.real)
+        return out if np.iscomplexobj(g) else np.ascontiguousarray(out.real)
 
     def conjugate(self, g: np.ndarray, params) -> np.ndarray:
         return self.elements([params], g)[0]
@@ -547,8 +555,7 @@ class ConjugationFamily:
         exponential per frequency, or `waves` when the caller has them.  On
         an orbit it takes inner products of `elements`."""
         if self.kind == "orbit":
-            return lambda thetas: np.real(np.sum(np.conj(self.elements(thetas)) * direction,
-                                                 axis=(1, 2)))
+            return lambda thetas: np.sum(self.elements(thetas) * direction, axis=(1, 2))
         c = self._coefficients(direction)
         return lambda thetas, waves=None: np.real(
             (self._waves(thetas) if waves is None else waves) @ c)
@@ -667,8 +674,9 @@ class ConjugationFamily:
         """The family's closed-form geometry, or None.
 
         A `RotationOrbit` when three seeds generate every rotation of the
-        3x3 block (the r3 carrier itself, or a qubit superoperator through
-        `coherence_rep`) and the base is symmetric there.  A `MomentCurve`
+        3x3 block (the r3 carrier itself, or a qubit transfer matrix's
+        traceless block T[1:, 1:], off which base and seeds vanish to 1e-11
+        of their norm) and the base is symmetric there.  A `MomentCurve`
         for one seed whose eigenphase differences, where the base has a
         part, are the multiples -d..d of one unit with none missing, and
         whose moment map is injective (see `_moment_curve`); one-parameter
@@ -682,15 +690,17 @@ class ConjugationFamily:
         if self.n_params != 3 or self.base.shape not in ((3, 3), (4, 4)):
             return None
         qubit = self.base.shape == (4, 4)
-        try:
-            base = coherence_rep(self.base) if qubit else self.base
-            seeds = [coherence_rep(s) for s in self.seeds] if qubit else self.seeds
-        except ValueError:
-            return None
+        base, seeds = self.base, self._seed_stack
+        if qubit:
+            mats = np.concatenate([base[None], seeds])
+            border = np.hypot(stacked_fro(mats[:, 0]), stacked_fro(mats[:, 1:, 0]))
+            if np.any(border > 1e-11 * np.maximum(1.0, stacked_fro(mats))):
+                return None
+            base, seeds = base[1:, 1:], seeds[:, 1:, 1:]
         base_sym = (base + base.T) / 2
         if fro(base_sym - base) > 1e-10 * max(1.0, fro(base)):
             return None
-        if _span_columns(realify_stack(seeds, (3, 3), False)).shape[1] != 3:
+        if _rank(_columns(seeds)) != 3:
             return None  # the seeds generate a proper subgroup of the rotations
         return RotationOrbit(self.seeds, eig_sym(base_sym)[0], qubit)
 
@@ -703,8 +713,8 @@ class ConjugationFamily:
 class Cone:
     """Convex cone, held by its generators or by an orbit family.
 
-    Without a family it stores its generators as `stack`, realified unit
-    columns under the trace inner product (zero matrices dropped).  With a
+    Without a family it stores its generators as `stack`, unit columns
+    (zero matrices dropped; `matcore._real` checks them).  With a
     family (`analytic`) it is the cone over the base's orbit and holds the
     family and `thetas`, the rows of one sweep (none by default); `stack` is
     swept on first read, and `n_generators` is 1 + len(thetas).  Generators
@@ -713,39 +723,33 @@ class Cone:
     """
 
     shape: tuple
-    complex_field: bool
     analytic: ConjugationFamily = None
     thetas: np.ndarray = field(default=None, repr=False)
     tol: float = 1e-8
 
-    def __init__(self, generators=(), *, shape, complex_field, analytic=None, thetas=None,
-                 tol=1e-8):
+    def __init__(self, generators=(), *, shape, analytic=None, thetas=None, tol=1e-8):
         if len(generators) if analytic is not None else thetas is not None:
             raise ValueError("a cone holds generators, or a family and its sweep rows (thetas)")
         if analytic is None:
-            stack = realify_stack(generators, shape, complex_field)
+            stack = _columns(_real(np.reshape(generators, (len(generators), *shape)),
+                                   "a generator"))
             norms = np.linalg.norm(stack, axis=0)
             self.__dict__["stack"] = stack[:, norms > 0] / norms[norms > 0]
         else:
             thetas = np.reshape(() if thetas is None else thetas, (-1, analytic.n_params))
-        self.__dict__.update(shape=shape, complex_field=complex_field, analytic=analytic,
-                             thetas=thetas, tol=tol)
+        self.__dict__.update(shape=shape, analytic=analytic, thetas=thetas, tol=tol)
 
     @cached_property
     def stack(self) -> np.ndarray:
         """A family cone's unit columns, one evaluation of the orbit: the base
-        and `elements(thetas)` off the seeds' span (orthonormal seeds as is)."""
+        and `elements(thetas)` off the seeds' span."""
         fam = self.analytic
-        points = realify_stack([fam.base, *fam.elements(self.thetas)], self.shape,
-                               self.complex_field)
-        seeds = realify_stack(fam.seeds, self.shape, self.complex_field)
-        if not np.allclose(seeds.T @ seeds, np.eye(fam.n_params), rtol=0.0, atol=1e-12):
-            seeds = _span_columns(seeds)
-        return _edge_orthogonal_units(Subspace(seeds, self.shape, self.complex_field), points)
+        points = _columns(np.concatenate([fam.base[None], fam.elements(self.thetas)]))
+        return _edge_orthogonal_units(Subspace(fam._seed_columns, self.shape), points)
 
     @cached_property
     def generators(self) -> tuple:
-        return tuple(unrealify_stack(self.stack, self.shape, self.complex_field))
+        return tuple(self.stack.T.reshape(-1, *self.shape))
 
     @cached_property
     def pointed(self):
@@ -770,7 +774,7 @@ class Cone:
     def _span(self) -> Subspace:
         if self.analytic is not None:
             return self.analytic._orbit_span
-        return Subspace(_span_columns(self.stack), self.shape, self.complex_field)
+        return Subspace(_span_columns(self.stack), self.shape)
 
     @cached_property
     def exact(self):
@@ -800,20 +804,19 @@ def _cone_fit(c: Cone, x: np.ndarray, target: float = None) -> tuple:
     approximation); the residual is the one NNLS reports, which can fall a
     few percent below |x - fit| (see `cone_residual`).  Support elements
     come from the family's fixed candidates, so the fit is deterministic in
-    (cone, x, target).
+    (cone, x, target).  The carrier is real, so the fit is of x's real part.
     """
-    b = realify(x, c.complex_field)
+    b = np.real(x).ravel()
     nb = fro(b)
-    zero = np.zeros(c.shape, dtype=complex if c.complex_field else float)
     if c.stack.shape[1] == 0 and c.analytic is None:
-        return float(nb), zero
+        return float(nb), np.zeros(c.shape)
     a = c.stack
     if target is None:
         target = c.tol * max(1.0, nb)
     coef, rnorm = nnls(a, b) if a.shape[1] else (np.zeros(0), nb)
     if c.analytic is None:
         fit = a @ coef if a.shape[1] else b * 0.0
-        return float(rnorm), unrealify(fit, c.shape, c.complex_field)
+        return float(rnorm), fit.reshape(c.shape)
     added = 0
     # Boundary shortcut: for x on an extreme ray the residual-driven gain
     # vanishes quadratically with the angular error, so column generation
@@ -823,18 +826,16 @@ def _cone_fit(c: Cone, x: np.ndarray, target: float = None) -> tuple:
         g, _val = c.analytic.support(x)
         ng = fro(g)
         if ng > 0.0:
-            a = np.concatenate([a, realify(g / ng, c.complex_field)[:, None]],
-                               axis=1)
+            a = np.concatenate([a, (g / ng).reshape(-1, 1)], axis=1)
             coef, rnorm = nnls(a, b)
             added += 1
     while rnorm > target and added < _CG_MAX_NEW:
         r = b - (a @ coef if a.shape[1] else 0.0)
-        direction = unrealify(r, c.shape, c.complex_field)
-        g, _val = c.analytic.support(direction)
+        g, _val = c.analytic.support(r.reshape(c.shape))
         ng = fro(g)
         if ng == 0.0:
             break
-        col = realify(g / ng, c.complex_field)
+        col = (g / ng).ravel()
         gain = float(col @ r)
         if gain <= 1e-14 * max(1.0, np.linalg.norm(r)):
             break
@@ -846,14 +847,14 @@ def _cone_fit(c: Cone, x: np.ndarray, target: float = None) -> tuple:
             break
         added += 1
     fit = a @ coef if a.shape[1] else b * 0.0
-    return float(rnorm), unrealify(fit, c.shape, c.complex_field)
+    return float(rnorm), fit.reshape(c.shape)
 
 
 def cone_residual(c: Cone, x: np.ndarray) -> float:
     """Distance from x to its `_cone_fit` fit, a cone member, so at least the
     distance to the cone.  Measured as |x - fit|: the residual NNLS reports
-    can fall below it (by up to 7% on a phase_flip orbit cone), and on a real
-    carrier this counts an imaginary part of x."""
+    can fall below it (by up to 7% on a phase_flip orbit cone), and it
+    counts an imaginary part of x, which the real carrier never holds."""
     return fro(np.asarray(x) - _cone_fit(c, x)[1])
 
 
@@ -882,34 +883,33 @@ def _membership(c: Cone, x, tol, edge: Subspace = None, stacked: bool = True) ->
     checked by `_checked_query` with `stacked`, tol defaulting to the
     cone's.
 
-    With an edge, one realified projection of the whole stack gives each
-    point's edge-orthogonal part p; on a real carrier p keeps any imaginary
-    part of x.  A point with |p| <= tol max(1, |x|) is a member.  Every
-    other point is decided on the cone at the threshold tol max(1, |p|):
-    one `_exact_verdicts` call over the stack, then `cone_residual` for
-    the points whose bounds straddle it, or all of them where no closed
-    form decides the cone.  Norms come from `stacked_fro`, bitwise `fro`,
-    and the projection and the bounds act slice by slice, so each verdict
-    is the one its point gets alone."""
+    The carrier is real, so the pass decides x's real part, and an
+    imaginary part of x adds its norm in quadrature to every distance.
+    With an edge, one projection of the whole stack gives each point's
+    edge-orthogonal part p.  A point with |p| <= tol max(1, |x|) is a
+    member.  Every other point is decided on the cone at the threshold
+    tol max(1, |p|): one `_exact_verdicts` call over the stack, then
+    `cone_residual` for the points whose bounds straddle it, or all of them
+    where no closed form decides the cone.  Norms come from `stacked_fro`,
+    bitwise `fro`, and the projection and the bounds act slice by slice, so
+    each verdict is the one its point gets alone."""
     xs, single, tol = _checked_query(x, c.shape, c.tol if tol is None else tol, stacked)
+    imag = stacked_fro(xs.imag) if np.iscomplexobj(xs) else np.zeros(len(xs))
+    xs = np.real(xs)
     perp = xs
     if edge is not None:
-        q, cplx = edge.stack, edge.complex_field
-        n = prod(c.shape)
-        rows = xs.reshape(len(xs), n)
-        if cplx:
-            rows = np.concatenate([np.real(rows), np.imag(rows)], axis=1)
-        proj = (q @ (q.T @ np.real(rows).astype(float, copy=False)[:, :, None]))[:, :, 0]
-        perp = xs - (proj[:, :n] + 1j * proj[:, n:] if cplx else proj).reshape(xs.shape)
-    size = stacked_fro(perp)
+        q = edge.stack
+        proj = (q @ (q.T @ xs.reshape(len(xs), prod(c.shape), 1)))[:, :, 0]
+        perp = xs - proj.reshape(xs.shape)
+    size = np.hypot(stacked_fro(perp), imag)
     bounds = tol * np.maximum(1.0, size)
-    decided, member = _exact_verdicts(c, perp, bounds)
+    decided, member = _exact_verdicts(c, perp, bounds, imag)
     if edge is not None:
-        near = size <= tol * np.maximum(1.0, stacked_fro(xs))
+        near = size <= tol * np.maximum(1.0, np.hypot(stacked_fro(xs), imag))
         decided, member = decided | near, member | near
     if not decided.all():
         for i in np.flatnonzero(~decided):
-            member[i] = cone_residual(c, perp[i]) <= bounds[i]
+            member[i] = np.hypot(cone_residual(c, perp[i]), imag[i]) <= bounds[i]
     return single, member, perp
 
 
@@ -928,23 +928,24 @@ def cone_contains(c: Cone, x: np.ndarray, tol: float = None):
     for x whose bounds straddle the threshold, the distance to the
     `_cone_fit` fit decides (`cone_residual`); the fit is a cone member, so
     that path errs only towards "not a member".  Either way the verdict is
-    deterministic in (cone, x, tol).  On a real carrier, an imaginary part
-    of x counts in the distance.  One pass (`_membership`) serves this and
+    deterministic in (cone, x, tol).  The carrier is real, and an imaginary
+    part of x counts in the distance.  One pass (`_membership`) serves this and
     `wedge_contains`.
     """
     single, member, _ = _membership(c, x, tol)
     return bool(member[0]) if single else member
 
 
-def _exact_verdicts(c: Cone, xs: np.ndarray, bounds: np.ndarray) -> tuple:
-    """(decided, member) masks over the stack `xs` from the distance bounds
-    of `Cone.exact`, in one call: a lower bound above the point's entry of
+def _exact_verdicts(c: Cone, xs: np.ndarray, bounds: np.ndarray, imag: np.ndarray) -> tuple:
+    """(decided, member) masks over the real stack `xs` from the distance
+    bounds of `Cone.exact`, in one call, each bound taken in quadrature with
+    the point's entry of `imag`: a lower bound above the point's entry of
     `bounds` decides "outside", an upper bound at or below it "member";
     nothing is decided where the bounds straddle it or no closed form
     decides the cone."""
     if c.exact is None:
         return np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=bool)
-    lower, upper = c.exact.contains(xs)
+    lower, upper = (np.hypot(b, imag) for b in c.exact.contains(xs))
     outside = lower > bounds
     member = ~outside & (upper <= bounds)
     return outside | member, member
@@ -963,7 +964,7 @@ def lineality(c: Cone, tol: float = None) -> Subspace:
     c = 0 puts the centroid at the apex, so the cone is the orbit's linear
     span V, the smallest subspace that contains b and is closed under every
     [s_i, .] (`Cone.span`, computed once per cone).  Conjugation
-    fixes the identity, so |Re tr b| / sqrt(N) <= |c| on an N x N carrier,
+    fixes the identity, so |tr b| / sqrt(N) <= |c| on an N x N carrier,
     and a trace margin above `tol` decides "pointed" without V.  Otherwise
     c is b minus its projection onto the brackets [s_i, V], which span V's
     part off the fixed space, and the cone is pointed when |c| > tol |b|,
@@ -973,23 +974,21 @@ def lineality(c: Cone, tol: float = None) -> Subspace:
     `cone_contains` call finds in the cone, by plain nonnegative fits.
     """
     tol = _checked_tol(c.tol if tol is None else tol)
-    pointed = orthonormal_span([], shape=c.shape, complex_field=c.complex_field)
+    pointed = orthonormal_span([], shape=c.shape)
     if c.analytic is not None:
-        seeds, b = c.analytic.seeds, c.analytic.base
+        seeds, b = c.analytic._seed_stack, c.analytic.base
         margin = tol * fro(b)
-        if abs(np.trace(b).real) > margin * np.sqrt(b.shape[0]):
+        if abs(np.trace(b)) > margin * np.sqrt(b.shape[0]):
             return pointed
         span = c.span()
-        brackets = comm(np.asarray(seeds)[:, None], np.reshape(span.mats, (1, -1, *c.shape)))
-        off = _span_columns(realify_stack(brackets.reshape(-1, *c.shape), c.shape,
-                                          span.complex_field))
-        rb = realify(b, span.complex_field)
+        brackets = comm(seeds[:, None], np.reshape(span.mats, (1, -1, *c.shape)))
+        off = _span_columns(_columns(brackets.reshape(-1, *c.shape)))
+        rb = b.ravel()
         return pointed if np.linalg.norm(rb - off @ (off.T @ rb)) > margin else span
     if c.n_generators <= 1:
         return pointed
     gens = np.asarray(c.generators)
-    return orthonormal_span(gens[cone_contains(c, -gens, tol)], shape=c.shape,
-                            complex_field=c.complex_field)
+    return orthonormal_span(gens[cone_contains(c, -gens, tol)], shape=c.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,18 +1037,17 @@ class Wedge:
         is V's.  The base and seeds enter as unit columns off E, so the
         rank cut, relative to the largest singular value, reads the same
         at every scale of the rates."""
-        shape, complex_field = self.cone.shape, self.cone.complex_field
+        shape = self.cone.shape
         fam = self.cone.analytic
         if fam is None:
             extra = self.cone.span().stack
         else:
-            cols = realify_stack([fam.base, *fam.seeds], shape, complex_field)
+            cols = _columns(np.concatenate([fam.base[None], fam._seed_stack]))
             norms = np.linalg.norm(cols, axis=0)
             extra = _edge_orthogonal_units(self.edge, cols[:, norms > 0] / norms[norms > 0])
-        basis = unrealify_stack(_span_columns(np.hstack([self.edge.stack, extra])), shape,
-                                complex_field)
+        basis = _span_columns(np.hstack([self.edge.stack, extra])).T.reshape(-1, *shape)
         i, j = np.triu_indices(len(basis), 1)
-        cols = realify_stack(comm(basis[i], basis[j]), shape, complex_field)
+        cols = _columns(comm(basis[i], basis[j]))
         q = self.edge.stack
         return bool(np.linalg.norm(cols - q @ (q.T @ cols), axis=0).max(initial=0.0) <= 1e-12)
 
@@ -1069,24 +1067,26 @@ def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None):
 
 def outer_contains(w: Wedge, x: np.ndarray, tol: float = None) -> bool:
     """Whether x lies within tol * max(1, |x|) of the system's Lie algebra
-    (`Wedge.algebra`) and has `gks_margin(x) >= -tol`, inputs checked and
-    tol defaulting as in `wedge_contains`.  Every wedge `saturate` builds
-    for the system lies in this outer wedge, so False certifies that x is
-    in none of them; the test is exact and draws no random numbers."""
+    (`Wedge.algebra`), an imaginary part counting in full, and has
+    `gks_margin >= -tol`, of its superoperator (`superop_from_ptm`) on a
+    qubit or two qubits; inputs checked and tol defaulting as in
+    `wedge_contains`.  Every wedge `saturate` builds for the system lies in
+    this outer wedge, so False certifies that x is in none of them; the
+    test is exact and draws no random numbers."""
     (x,), _, tol = _checked_query(x, w.cone.shape, w.cone.tol if tol is None else tol,
                                   stacked=False)
-    return bool(w.algebra.residual(x) <= tol * max(1.0, fro(x)) and gks_margin(x) >= -tol)
+    off = np.hypot(w.algebra.residual(x.real), fro(x.imag))
+    margin = gks_margin(x.real if x.shape == (3, 3) else superop_from_ptm(x.real))
+    return bool(off <= tol * max(1.0, fro(x)) and margin >= -tol)
 
 
 def initial_wedge(sys: ControlSystem) -> Wedge:
-    """Step one of the inner approximation: control span plus the drift ray."""
-    drift = drift_direction(sys)
-    shape = drift.shape
-    complex_field = sys.rep != "r3"
-    edge = orthonormal_span(control_directions(sys), shape=shape, complex_field=complex_field)
+    """Step one of the inner approximation: control span plus the drift ray,
+    on the real carrier of `lindblad.ptm_directions`."""
+    drift, controls = ptm_directions(sys)
+    edge = orthonormal_span(controls, shape=drift.shape)
     gens = (drift,) if fro(drift) > 1e-12 else ()
-    cone = Cone(generators=gens, shape=shape, complex_field=complex_field)
-    return Wedge(edge=edge, cone=cone, drift=drift)
+    return Wedge(edge=edge, cone=Cone(generators=gens, shape=drift.shape), drift=drift)
 
 
 def _edge_orthogonal_units(edge: Subspace, cols: np.ndarray) -> np.ndarray:
@@ -1126,7 +1126,7 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
     max_rounds = _checked_count("max_rounds", max_rounds, 1)
     tol = _checked_tol(tol)
     seed = _checked_count("seed", seed)
-    shape, complex_field = w.cone.shape, w.cone.complex_field
+    shape = w.cone.shape
     drift = w.drift if w.drift is not None else np.zeros(shape)
     report = {"rounds": 0, "converged": False, "termination": None,
               "edge_dims": [], "novel_counts": [], "tol": tol,
@@ -1141,12 +1141,11 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
         report["edge_dims"].append(edge.dim)
         report["novel_counts"].append(0)
         if not edge.dim or fro(base) <= 1e-12:
-            cone = Cone((base,) if fro(base) > 1e-12 else (), shape=shape,
-                        complex_field=complex_field, tol=tol)
+            cone = Cone((base,) if fro(base) > 1e-12 else (), shape=shape, tol=tol)
             report.update(converged=True, termination="no-family")
             break
         family = ConjugationFamily(edge.mats, base)
-        cone = Cone(shape=shape, complex_field=complex_field, analytic=family, tol=tol)
+        cone = Cone(shape=shape, analytic=family, tol=tol)
         if rnd > 1 and not lin:  # this closure of an unchanged edge is the fixed point
             aperiodic = family.kind == "torus" and not family.periodic
             report.update(converged=not aperiodic,
@@ -1154,7 +1153,7 @@ def saturate(w: Wedge, orbit_samples: int = 720, max_rounds: int = 10,
             break
         lin = lineality(cone, tol).mats
     if cone.analytic is not None:  # the sweep rows of the returned family only
-        cone = Cone(shape=shape, complex_field=complex_field, analytic=cone.analytic, tol=tol,
+        cone = Cone(shape=shape, analytic=cone.analytic, tol=tol,
                     thetas=cone.analytic.params(orbit_samples, np.random.default_rng(seed)))
     return Wedge(edge=edge, cone=cone, drift=drift, saturation=report)
 

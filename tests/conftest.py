@@ -14,10 +14,9 @@ def _reference_samples(w, count: int, rng) -> list:
     """The sample loop the batched `_wedge_samples` replaced: one matrix at
     a time, in the same draws."""
     gens = w.cone.generators
-    dtype = complex if w.cone.complex_field else float
     out = []
     for k in range(count):
-        x = np.zeros(w.cone.shape, dtype=dtype)
+        x = np.zeros(w.cone.shape)
         if gens:
             if k % 3 == 0:
                 x = x + gens[rng.integers(len(gens))]

@@ -22,8 +22,8 @@ from liewedge.channels import (ChannelSpec, H_X, H_Y, H_Z, P_X, P_Y, P_Z,
                                two_qubit_wedge_generators)
 from liewedge.cli import main as cli_main
 from liewedge.liealg import lie_closure, subspace_equal
-from liewedge.lindblad import (ControlSystem, cptp_audit, drift_direction,
-                               gks_dissipator, lindbladian, propagator)
+from liewedge.lindblad import (ControlSystem, ad_hat, cptp_audit, drift_direction,
+                               gks_dissipator, lindbladian, propagator, ptm_rep)
 from liewedge.matcore import comm, expm, fro, inner, orthonormal_span
 from liewedge.reachable import Schedule, contraction_audit, propagate, steer
 from liewedge.semialgebra import (bch_witness, orbit_wedge, semialgebra_case,
@@ -102,12 +102,16 @@ def test_criterion_02_controllability_dimensions():
         assert lie_closure([H_X, H_Y]).dim == 3
         assert lie_closure([H_Y, H_Z]).dim == 3
         assert lie_closure([H_Y]).dim == 1
-        full = [1j * sigma2(p) / 2.0 for p in ("x1", "y1", "1x", "1y", "zz")]
+        # su(4) through its faithful adjoint action, as real transfer matrices
+        def ham(h):
+            return ptm_rep(1j * ad_hat(h / 2.0))
+
+        full = [ham(sigma2(p)) for p in ("x1", "y1", "1x", "1y", "zz")]
         assert lie_closure(full).dim == 15
-        local = [1j * sigma2(p) / 2.0 for p in ("x1", "y1", "1x", "1y")]
+        local = [ham(sigma2(p)) for p in ("x1", "y1", "1x", "1y")]
         assert lie_closure(local).dim == 6
-        damped = [1j * sigma2(p) / 2.0 for p in ("y1", "1y")]
-        damped.append(1j * sum(sigma2(p) for p in ("z1", "1z", "zz")) / 2.0)
+        damped = [ham(sigma2(p)) for p in ("y1", "1y")]
+        damped.append(ham(sum(sigma2(p) for p in ("z1", "1z", "zz"))))
         assert lie_closure(damped).dim == 15
         assert time.monotonic() - start < 10.0
 
@@ -116,8 +120,7 @@ def test_criterion_03_example1_saturation_vs_spectral_oracle(wedge1):
     with gate(3):
         start = time.monotonic()
         assert wedge1.saturation["converged"]
-        so3 = orthonormal_span([H_X, H_Y, H_Z], shape=(3, 3),
-                               complex_field=False)
+        so3 = orthonormal_span([H_X, H_Y, H_Z], shape=(3, 3))
         assert subspace_equal(wedge1.edge, so3)
 
         rng = np.random.default_rng(RNG_SEED)

@@ -12,8 +12,8 @@ from liewedge import wedge as wedge_module
 from liewedge.channels import ChannelSpec, build_system, two_qubit_operator
 from liewedge.cli import (SystemFileError, _build_parser, format_system_file, main,
                           parse_system_file)
-from liewedge.lindblad import ControlSystem
-from liewedge.matcore import unrealify_stack
+from liewedge.lindblad import ControlSystem, ptm_rep
+from liewedge.matcore import fro
 from liewedge.wedge import (_CERTIFIED, ConjugationFamily, MomentCurve, RotationOrbit,
                             initial_wedge, saturate)
 
@@ -100,7 +100,9 @@ _ROUND_TRIP = {
 def test_wedge_report_round_trips_to_the_library_family(name, tmp_path, capsys):
     """A report names the cone by its base and family instead of listing
     samples.  The family rebuilt from the printed seeds and base has the
-    library wedge's kind, box and closed form, bit for bit; a certified
+    library wedge's kind, box and closed form: bit for bit on r3, and to
+    rounding on a qubit or two qubits, whose reports print the
+    superoperators of the transfer matrices the library holds.  A certified
     closed form holds every library generator; no key lists generators."""
     if name.startswith("example"):
         system = build_system(_ROUND_TRIP[name])
@@ -118,24 +120,32 @@ def test_wedge_report_round_trips_to_the_library_family(name, tmp_path, capsys):
     assert report["cone"]["n_generators"] == cone.n_generators
 
     printed = report["family"]
-    base = _report_matrices(report["base"], cone.complex_field)
-    seeds = _report_matrices(printed["seeds"], cone.complex_field)
-    assert np.array_equal(base, family.base)
-    assert np.array_equal(seeds, np.stack(family.seeds))
+    quantum = cone.shape != (3, 3)
+    base = _report_matrices(report["base"], quantum)
+    seeds = _report_matrices(printed["seeds"], quantum)
+    if quantum:
+        base, seeds = ptm_rep(base), ptm_rep(seeds)
+        assert fro(base - family.base) <= 1e-14 * max(1.0, fro(family.base))
+        assert fro(seeds - np.stack(family.seeds)) <= 1e-14
+    else:
+        assert np.array_equal(base, family.base)
+        assert np.array_equal(seeds, np.stack(family.seeds))
     rebuilt = ConjugationFamily(tuple(seeds), base)
-    assert (rebuilt.kind, rebuilt.periods, rebuilt.periodic) == \
-        (family.kind, family.periods, family.periodic)
+    assert (rebuilt.kind, rebuilt.periodic) == (family.kind, family.periodic)
+    if quantum and family.periods is not None:
+        assert np.allclose(rebuilt.periods, family.periods, rtol=1e-12, atol=0.0)
+    else:
+        assert rebuilt.periods == family.periods
     assert (printed["kind"], printed["periodic"]) == (family.kind, family.periodic)
     assert printed["periods"] == (None if family.periods is None else list(family.periods))
     assert type(rebuilt.exact) is type(family.exact)
     assert _CLOSED_FORMS[printed["closed_form"]] is type(cone.exact)
     if cone.exact is not None:
-        gens = unrealify_stack(cone.stack, cone.shape, cone.complex_field)
+        gens = np.asarray(cone.generators)
         assert np.all(rebuilt.exact.contains(gens)[1] <= _CERTIFIED)
 
     assert "cone_samples" not in report and "generators" not in report
-    assert max(_matrix_lists(report, cone.shape, cone.complex_field), default=0) \
-        < cone.n_generators
+    assert max(_matrix_lists(report, cone.shape, quantum), default=0) < cone.n_generators
 
 
 def test_example_output_is_deterministic(capsys):

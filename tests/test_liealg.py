@@ -9,7 +9,7 @@ from liewedge.channels import (ChannelSpec, H_X, H_Y, H_Z, P_X, P_Y, P_Z,
                                build_system, sigma, sigma2, two_qubit_operator)
 from liewedge.liealg import (cartan_split, check_conditions, lie_closure,
                              orthocomplement, subspace_equal, subspace_leq)
-from liewedge.lindblad import ControlSystem, ptm_directions
+from liewedge.lindblad import ControlSystem, ad_hat, ptm_directions, ptm_rep
 from liewedge.matcore import comm, orthonormal_span
 
 RNG = np.random.default_rng(911)
@@ -40,18 +40,40 @@ def test_closure_of_two_rotations_is_so3():
     assert sub.contains(H_Z)
 
 
+def _ham(h):
+    """A Hamiltonian's generator on the real carrier, its transfer matrix."""
+    return ptm_rep(1j * ad_hat(h / 2.0))
+
+
 def test_closure_of_qubit_pair():
-    hx, hy, hz = (sigma(a) / 2.0 for a in "xyz")
-    assert lie_closure([1j * hx, 1j * hy]).dim == 3
-    assert lie_closure([1j * hy, 1j * hz]).dim == 3
-    assert lie_closure([1j * hy]).dim == 1
+    hx, hy, hz = (_ham(sigma(a)) for a in "xyz")
+    assert lie_closure([hx, hy]).dim == 3
+    assert lie_closure([hy, hz]).dim == 3
+    assert lie_closure([hy]).dim == 1
 
 
 def test_two_qubit_closure_dims():
-    full = [1j * sigma2(p) / 2.0 for p in ("x1", "y1", "1x", "1y", "zz")]
+    full = [_ham(sigma2(p)) for p in ("x1", "y1", "1x", "1y", "zz")]
     assert lie_closure(full).dim == 15
-    local = [1j * sigma2(p) / 2.0 for p in ("x1", "y1", "1x", "1y")]
+    local = [_ham(sigma2(p)) for p in ("x1", "y1", "1x", "1y")]
     assert lie_closure(local).dim == 6
+
+
+@pytest.mark.parametrize("by", [None, "complex"])
+def test_closure_refuses_an_imaginary_part(by):
+    """Every carrier is real: a generator or bracket matrix with a nonzero
+    imaginary part is refused, not read as its real part, while a complex
+    dtype with zero imaginary part is read as real."""
+    hx, hy = _ham(sigma("x")), _ham(sigma("y"))
+    gens, brackets = [hx, 1j * hy], None
+    if by is not None:
+        gens, brackets = [hx], [1j * hy]
+    with pytest.raises(ValueError, match="must be real, got a nonzero imaginary part"):
+        lie_closure(gens, by=brackets)
+    with pytest.raises(ValueError, match="a generator must be real"):
+        orthonormal_span([hx, 1j * hy])
+    assert lie_closure([hx, hy.astype(complex)]).dim == 3
+    assert orthonormal_span([hx.astype(complex)]).dim == 1
 
 
 def test_closure_rejects_empty_and_mismatched():
@@ -100,8 +122,8 @@ def test_cartan_split_reconstructs():
 
 
 def test_subspace_comparisons():
-    so3 = orthonormal_span([H_X, H_Y, H_Z], shape=(3, 3), complex_field=False)
-    plane = orthonormal_span([H_X, H_Y], shape=(3, 3), complex_field=False)
+    so3 = orthonormal_span([H_X, H_Y, H_Z], shape=(3, 3))
+    plane = orthonormal_span([H_X, H_Y], shape=(3, 3))
     assert subspace_leq(plane, so3)
     assert not subspace_leq(so3, plane)
     assert subspace_equal(so3, lie_closure([H_X, H_Y]))
@@ -109,7 +131,7 @@ def test_subspace_comparisons():
 
 
 def test_orthocomplement_dimension_and_orthogonality():
-    sub = orthonormal_span([H_X, H_Y], shape=(3, 3), complex_field=False)
+    sub = orthonormal_span([H_X, H_Y], shape=(3, 3))
     perp = orthocomplement(sub)
     assert perp.dim == 9 - 2
     for g in perp.mats:
@@ -187,7 +209,7 @@ def test_condition_subspaces_hold_real_pauli_transfer_matrices():
     sys = build_system(ChannelSpec(name="two_qubit_C"))
     rep = check_conditions(sys)
     for sub in (rep.kc, rep.kd, rep.s):
-        assert sub.shape == (16, 16) and not sub.complex_field
+        assert sub.shape == (16, 16) and sub.stack.dtype == float
     drift, controls = ptm_directions(sys)
     assert all(rep.s.contains(m) for m in (drift, *controls))
     assert all(rep.kc.contains(m) for m in controls)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from liewedge.matcore import (RANK_TOL, Subspace, comm, eig_sym, expm, fro,
-                              inner, orthonormal_span, realify, stacked_fro, svd, unrealify)
+                              inner, orthonormal_span, stacked_fro, svd)
 
 RNG = np.random.default_rng(20260825)
 
@@ -104,18 +104,9 @@ def test_eig_sym_descending():
     assert np.allclose(v @ np.diag(w) @ v.T, s, atol=1e-12)
 
 
-def test_realify_round_trip():
-    m = RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3))
-    vec = realify(m, True)
-    assert vec.dtype.kind == "f"
-    assert np.allclose(unrealify(vec, (3, 3), True), m)
-    r = RNG.normal(size=(3, 3))
-    assert np.allclose(unrealify(realify(r, complex_field=False), (3, 3), False), r)
-
-
 def test_subspace_projection_and_membership():
     basis = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]
-    sub = orthonormal_span(basis, shape=(3, 3), complex_field=False)
+    sub = orthonormal_span(basis, shape=(3, 3))
     assert sub.dim == 2
     x = np.diag([2.0, -3.0, 0.0])
     assert sub.contains(x)
@@ -129,12 +120,12 @@ def test_subspace_projection_and_membership():
 def test_orthonormal_span_deduplicates_dependent_inputs():
     a = RNG.normal(size=(3, 3))
     sub = orthonormal_span([a, 2.0 * a, a + 1e-14 * np.eye(3)],
-                           shape=(3, 3), complex_field=False)
+                           shape=(3, 3))
     assert sub.dim == 1
 
 
 def test_orthonormal_span_empty():
-    sub = orthonormal_span([], shape=(3, 3), complex_field=False)
+    sub = orthonormal_span([], shape=(3, 3))
     assert sub.dim == 0
     z = RNG.normal(size=(3, 3))
     assert fro(sub.project(z)) == 0.0
@@ -144,11 +135,19 @@ def test_rank_tol_default():
     assert RANK_TOL == 1e-9
 
 
-def test_complex_subspace_real_span_distinguishes_i_multiples():
+def test_real_subspace_refuses_an_imaginary_part():
+    """Every carrier is real: a span or a subspace query with a nonzero
+    imaginary part raises, and a complex dtype with zero imaginary part is
+    read as real."""
     h = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    sub = orthonormal_span([h], shape=(2, 2), complex_field=True)
+    sub = orthonormal_span([h], shape=(2, 2))
+    assert sub.stack.dtype == float
     assert sub.contains(2.0 * h)
-    assert not sub.contains(1j * h)
+    for call in (sub.contains, sub.project, sub.residual):
+        with pytest.raises(ValueError, match="a matrix must be real"):
+            call(1j * h)
+    with pytest.raises(ValueError, match="a generator must be real"):
+        orthonormal_span([h, 1j * h])
 
 
 def _svd_bytes(result) -> list:

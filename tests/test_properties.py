@@ -36,16 +36,15 @@ from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
                                pauli_basis, ptm_directions, ptm_rep,
                                superop_from_coherence, superop_from_ptm, unvec, vec)
 from liewedge.matcore import (Subspace, _rank, comm, eig_sym, expm, fro, inner, kron,
-                              orthonormal_span, realify, realify_stack, unrealify,
-                              unrealify_stack)
+                              orthonormal_span)
 from liewedge import reachable, semialgebra
 from liewedge import wedge as wedge_module
 from liewedge.reachable import (Schedule, _jacobian, contraction_audit, propagate,
                                 random_schedule, sample_reachable, steer)
 from liewedge.semialgebra import bch, orbit_wedge
-from liewedge.wedge import (Cone, ConjugationFamily, Wedge, _cone_fit, cone_contains,
-                            cone_residual, initial_wedge, lineality, outer_contains, saturate,
-                            wedge_contains)
+from liewedge.wedge import (Cone, ConjugationFamily, MomentCurve, RotationOrbit, Wedge,
+                            _cone_fit, cone_contains, cone_residual, initial_wedge, lineality,
+                            outer_contains, saturate, wedge_contains)
 
 REPS = ("r3", "qubit", "two_qubit")
 HILBERT_DIM = {"qubit": 2, "two_qubit": 4}
@@ -60,6 +59,30 @@ def _hermitian(rng, n):
 def _skew(rng):
     a = rng.normal(size=(3, 3))
     return (a - a.T) / 2.0
+
+
+def _ham(h: np.ndarray) -> np.ndarray:
+    """The generator i ad(h) of a Hamiltonian on the real carrier: its Pauli
+    transfer matrix."""
+    return ptm_rep(1j * ad_hat(h))
+
+
+def _off_span(base: np.ndarray, seeds) -> np.ndarray:
+    """`base` minus its projection onto the seeds' span, as a family's base
+    must be."""
+    return base - orthonormal_span(list(seeds)).project(base)
+
+
+def _columns(mats) -> np.ndarray:
+    """A stack of matrices as the columns of one array."""
+    mats = np.asarray(mats)
+    return mats.reshape(len(mats), -1).T
+
+
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """The real matrix [[Re m, -Im m], [Im m, Re m]] of a complex one: a
+    faithful real representation, so brackets and real spans carry over."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
 def _random_system(rep: str, seed: int, n_controls: int, n_ops: int,
@@ -585,37 +608,22 @@ def test_steered_schedules_stay_in_the_box(name, seed, switches, u_max):
     assert dist == pytest.approx(fro(propagate(sys, sched) - propagate(sys, truth)))
 
 
-@SETTINGS
-@given(st.sampled_from(REPS), st.integers(0, 2**32 - 1), st.integers(0, 4))
-def test_realify_stack_is_per_matrix_realify(rep, seed, m):
-    rng = np.random.default_rng(seed)
-    n = 3 if rep == "r3" else HILBERT_DIM[rep] ** 2
-    complex_field = rep != "r3"
-    mats = [rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_field else 0)
-            for _ in range(m)]
-    cols = realify_stack(mats, (n, n), complex_field)
-    assert cols.shape == ((2 if complex_field else 1) * n * n, m)
-    for i, a in enumerate(mats):
-        assert cols[:, i].tobytes() == realify(a, complex_field).tobytes()
-    back = unrealify_stack(cols, (n, n), complex_field)
-    assert back.shape == (m, n, n)
-    for i, a in enumerate(mats):
-        assert back[i].tobytes() == unrealify(cols[:, i], (n, n), complex_field).tobytes()
-        assert np.array_equal(back[i], a)
-
-
 # family shapes of `_family`: one seed, two commuting seeds (both tori) and
-# three random seeds (an orbit); `_commuting_family` adds three commuting ones
+# three random seeds (an orbit; two on r3); `_commuting_family` adds three
+# commuting ones
 KINDS = ("torus1", "torus2", "orbit")
 TORI = ("torus1", "torus2", "torus3")
 
 
 def _family(rep: str, kind: str, seed: int, skew: bool = True) -> ConjugationFamily:
-    """Unit-norm seeds: skew 3x3 (r3) or i*ad_hat(H) (quantum), commuting
-    for torus2; a real (r3) or complex base; a perturbed, non-normal first
-    seed unless `skew`, which the constructor rejects."""
+    """Unit-norm seeds: skew 3x3 (r3) or the transfer matrices of i*ad_hat(H)
+    (quantum), commuting for torus2; a random base projected off the seeds'
+    span; a perturbed, non-skew first seed unless `skew`, which the
+    constructor rejects.  An r3 orbit takes two seeds: three span so(3),
+    where every base off their span is symmetric, a full-rotation orbit with
+    a closed form."""
     rng = np.random.default_rng(seed)
-    n_params = {"torus1": 1, "torus2": 2, "orbit": 3}[kind]
+    n_params = {"torus1": 1, "torus2": 2, "orbit": 2 if rep == "r3" else 3}[kind]
     if rep == "r3":
         first = _skew(rng)
         seeds = ([first, 2.0 * first] if kind == "torus2"
@@ -629,11 +637,11 @@ def _family(rep: str, kind: str, seed: int, skew: bool = True) -> ConjugationFam
         if kind == "torus2":
             q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
             hs = [q @ np.diag(rng.normal(size=n)) @ q.conj().T for _ in range(2)]
-        seeds = [1j * ad_hat(h) for h in hs]
+        seeds = [_ham(h) for h in hs]
         if not skew:
             seeds[0] = seeds[0] + rng.normal(size=seeds[0].shape)
-        base = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
-    fam = ConjugationFamily(tuple(s / fro(s) for s in seeds), base)
+        base = rng.normal(size=(n * n, n * n))
+    fam = ConjugationFamily(tuple(s / fro(s) for s in seeds), _off_span(base, seeds))
     assert fam.kind == ("orbit" if kind == "orbit" else "torus")
     return fam
 
@@ -685,7 +693,7 @@ def test_conjugation_kernel_matches_expm(rep, kind, seed, count):
     the long double reference."""
     fam = _family(rep, kind, seed)
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=fam.base.shape) + (0 if rep == "r3" else 1j * rng.normal(size=fam.base.shape))
+    g = rng.normal(size=fam.base.shape)
     params = rng.normal(scale=np.pi, size=fam.n_params)
     assert _close(fam.conjugate(g, params), _reference(fam, g, params), g)
     assert _close(fam.element(params), _reference(fam, fam.base, params), fam.base)
@@ -706,9 +714,9 @@ def test_conjugation_kernel_matches_expm(rep, kind, seed, count):
 @SETTINGS
 @given(st.sampled_from(REPS), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
 def test_non_skew_seeds_are_rejected(rep, kind, seed):
-    """A seed that is not skew/anti-Hermitian exponentiates to no rotation,
-    so it has no period and no eigh kernel: the family refuses it."""
-    with pytest.raises(ValueError, match="skew/anti-Hermitian seeds"):
+    """A seed that is not skew exponentiates to no rotation, so it has no
+    period and no eigh kernel: the family refuses it."""
+    with pytest.raises(ValueError, match="real skew seeds"):
         _family(rep, kind, seed, skew=False)
 
 
@@ -734,13 +742,10 @@ def test_cone_fit_residual_never_exceeds_the_norm(rep, kind, seed, count, analyt
     rng = np.random.default_rng(seed)
     thetas = fam.params(count, rng)
     gens = list(fam.elements(thetas))
-    shape, complex_field = fam.base.shape, np.iscomplexobj(fam.base)
-    cone = (Cone(shape=shape, complex_field=complex_field, analytic=fam, thetas=thetas)
-            if analytic else Cone(generators=tuple(gens), shape=shape,
-                                  complex_field=complex_field))
+    shape = fam.base.shape
+    cone = (Cone(shape=shape, analytic=fam, thetas=thetas)
+            if analytic else Cone(generators=tuple(gens), shape=shape))
     x = noise * rng.normal(size=fam.base.shape)
-    if cone.complex_field:
-        x = x + 1j * noise * rng.normal(size=fam.base.shape)
     for g in gens:
         x = x + rng.normal() * g
     x = 10.0 ** log_scale * x
@@ -775,9 +780,10 @@ def test_derived_kind_matches_the_edge_rule(rep, seed, count, commuting):
         q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
         hs = [q @ np.diag(rng.normal(size=n)) @ q.conj().T if commuting
               else _hermitian(rng, n) for _ in range(count)]
-        gens = [1j * ad_hat(h) for h in hs]
+        gens = [_ham(h) for h in hs]
     edge = orthonormal_span(gens)
-    fam = ConjugationFamily(edge.mats, rng.normal(size=edge.shape))
+    base = rng.normal(size=edge.shape)
+    fam = ConjugationFamily(edge.mats, base - edge.project(base))
     want = _reference_periods(fam)
     assert fam.kind == ("orbit" if want is None else "torus")
     if want is None:
@@ -791,9 +797,10 @@ def test_derived_kind_matches_the_edge_rule(rep, seed, count, commuting):
 
 def _integer_torus(rep: str, p: int, seed: int, integral: bool) -> ConjugationFamily:
     """p commuting unit-norm seeds around a dense base: integer multiples of
-    one skew matrix on r3, i*ad_hat(H_i) of jointly diagonal, non-scalar H_i
-    otherwise, whose spectra are integers (drawn from -3..3) when
-    `integral`, else normal draws."""
+    one skew matrix on r3, the transfer matrices of i*ad_hat(H_i) of jointly
+    diagonal, non-scalar H_i otherwise, whose spectra are integers (drawn
+    from -3..3) when `integral`, else normal draws; the base is projected
+    off the seeds' span."""
     rng = np.random.default_rng(seed)
     if rep == "r3":
         first = _skew(rng)
@@ -805,9 +812,9 @@ def _integer_torus(rep: str, p: int, seed: int, integral: bool) -> ConjugationFa
         spectra = rng.integers(-3, 4, size=(p, n)).astype(float) if integral \
             else rng.normal(size=(p, n))
         spectra[:, 0] = spectra[:, 1] + 1.0  # no scalar H, whose seed is zero
-        seeds = [1j * ad_hat(q @ np.diag(w) @ q.conj().T) for w in spectra]
-        base = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
-    return ConjugationFamily(tuple(s / fro(s) for s in seeds), base)
+        seeds = [_ham(q @ np.diag(w) @ q.conj().T) for w in spectra]
+        base = rng.normal(size=(n * n, n * n))
+    return ConjugationFamily(tuple(s / fro(s) for s in seeds), _off_span(base, seeds))
 
 
 @SETTINGS
@@ -949,8 +956,7 @@ def test_merged_support_matches_the_three_routines(rep, kind, seed):
     merged objective."""
     fam = _family(rep, kind, seed)
     rng = np.random.default_rng(seed)
-    direction = rng.normal(size=fam.base.shape) + (
-        0 if rep == "r3" else 1j * rng.normal(size=fam.base.shape))
+    direction = rng.normal(size=fam.base.shape)
     tol = 1e-12 * max(1.0, fro(direction))
     assert fam.exact is None or fam.exact.support(direction) is None
     g, val = fam.support(direction)
@@ -972,8 +978,9 @@ def test_merged_support_matches_the_three_routines(rep, kind, seed):
 
 def _commuting_family(rep: str, kind: str, seed: int) -> ConjugationFamily:
     """`_family` for one and two parameters; for 'torus3', three commuting
-    unit-norm seeds (multiples of one skew matrix on r3, i*ad_hat of jointly
-    diagonal H otherwise), so the seeds co-diagonalise."""
+    unit-norm seeds (multiples of one skew matrix on r3, transfer matrices
+    of i*ad_hat of jointly diagonal H otherwise), so the seeds
+    co-diagonalise, around a base off their span."""
     if kind != "torus3":
         return _family(rep, kind, seed)
     rng = np.random.default_rng(seed)
@@ -984,16 +991,15 @@ def _commuting_family(rep: str, kind: str, seed: int) -> ConjugationFamily:
     else:
         n = HILBERT_DIM[rep]
         q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-        seeds = [1j * ad_hat(q @ np.diag(rng.normal(size=n)) @ q.conj().T) for _ in range(3)]
-        base = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
-    fam = ConjugationFamily(tuple(s / fro(s) for s in seeds), base)
+        seeds = [_ham(q @ np.diag(rng.normal(size=n)) @ q.conj().T) for _ in range(3)]
+        base = rng.normal(size=(n * n, n * n))
+    fam = ConjugationFamily(tuple(s / fro(s) for s in seeds), _off_span(base, seeds))
     assert fam.kind == "torus" and fam._phases is not None
     return fam
 
 
 def _direction(fam: ConjugationFamily, rng) -> np.ndarray:
-    shape = fam.base.shape
-    return rng.normal(size=shape) + (0 if shape == (3, 3) else 1j * rng.normal(size=shape))
+    return rng.normal(size=fam.base.shape)
 
 
 @SETTINGS
@@ -1081,17 +1087,17 @@ def test_real_seeds_and_base_give_real_elements(kind):
 def _reference_closure(gens, tol: float = 1e-9):
     """The full pairwise closure: each round brackets the newest directions
     against the whole current basis, in one broadcast matmul.  Returns the
-    realified basis stack and the number of rounds that added directions."""
+    basis stack and the number of rounds that added directions."""
     basis = orthonormal_span(gens, tol=tol)
-    shape, complex_field = basis.shape, basis.complex_field
-    ambient = int(np.prod(shape)) * (2 if complex_field else 1)
+    shape = basis.shape
+    ambient = int(np.prod(shape))
     stack = basis.stack
-    mats = unrealify_stack(stack, shape, complex_field)
+    mats = np.asarray(basis.mats)
     frontier = mats
     productive = 0
     while stack.shape[1] < ambient:
         br = frontier[:, None] @ mats[None] - mats[None] @ frontier[:, None]
-        cols = realify_stack(br.reshape(-1, *shape), shape, complex_field)
+        cols = _columns(br.reshape(-1, *shape)).copy()
         res = cols - stack @ (stack.T @ cols)
         sel = np.linalg.norm(res, axis=0) > tol * np.maximum(1.0, np.linalg.norm(cols, axis=0))
         if not np.any(sel):
@@ -1104,7 +1110,7 @@ def _reference_closure(gens, tol: float = 1e-9):
             break
         add /= np.linalg.norm(add, axis=0)
         stack = np.concatenate([stack, add], axis=1)
-        frontier = unrealify_stack(add, shape, complex_field)
+        frontier = add.T.reshape(-1, *shape)
         mats = np.concatenate([mats, frontier], axis=0)
         productive += 1
     return stack, productive
@@ -1116,18 +1122,21 @@ PAULI_PAIRS = [a + b for a in "1xyz" for b in "1xyz"]
 
 def _closure_gens(carrier: str, seed: int, n: int) -> list:
     """n random generators: real 3x3 (general or skew), complex 2x2, 4x4
-    anti-Hermitian, or i/2 times a sum of one or two Pauli pairs."""
+    anti-Hermitian, or i/2 times a sum of one or two Pauli pairs, the
+    complex ones in their real form (`_real_form`)."""
     rng = np.random.default_rng(seed)
     if carrier == "r3":
         return [rng.normal(size=(3, 3)) for _ in range(n)]
     if carrier == "r3_skew":
         return [_skew(rng) for _ in range(n)]
     if carrier == "qubit":
-        return [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)]
-    if carrier == "antihermitian4":
-        return [1j * _hermitian(rng, 4) for _ in range(n)]
-    return [0.5j * sum(sigma2(p) for p in rng.choice(PAULI_PAIRS, size=rng.integers(1, 3)))
-            for _ in range(n)]
+        mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)]
+    elif carrier == "antihermitian4":
+        mats = [1j * _hermitian(rng, 4) for _ in range(n)]
+    else:
+        mats = [0.5j * sum(sigma2(p) for p in rng.choice(PAULI_PAIRS, size=rng.integers(1, 3)))
+                for _ in range(n)]
+    return [_real_form(m) for m in mats]
 
 
 def _bracket_residual(sub, a: np.ndarray, b: np.ndarray) -> float:
@@ -1164,13 +1173,12 @@ def test_lie_closure_matches_the_full_pairwise_closure(carrier, seed, n):
 def _reference_closure_by(gens, by, tol: float = 1e-9) -> np.ndarray:
     """The closure of span(gens) under [s, .] for s in `by`: each round
     brackets the whole current basis with `by`, pair by pair, until a round
-    adds nothing.  Returns the realified basis stack."""
-    complex_field = any(np.iscomplexobj(m) for m in (*gens, *by))
-    basis = orthonormal_span(gens, tol=tol, complex_field=complex_field)
+    adds nothing.  Returns the basis stack."""
+    basis = orthonormal_span(gens, tol=tol)
     shape, stack = basis.shape, basis.stack
     while True:
-        mats = unrealify_stack(stack, shape, complex_field)
-        cols = realify_stack([s @ m - m @ s for m in mats for s in by], shape, complex_field)
+        mats = stack.T.reshape(-1, *shape)
+        cols = _columns([s @ m - m @ s for m in mats for s in by])
         res = cols - stack @ (stack.T @ cols)
         sel = np.linalg.norm(res, axis=0) > tol * np.maximum(1.0, np.linalg.norm(cols, axis=0))
         if not np.any(sel):
@@ -1204,8 +1212,8 @@ def test_closure_under_a_bracket_set_matches_the_whole_basis_reference(carrier, 
 
 def test_two_qubit_c_closure_is_closed_under_brackets():
     sys = build_system(ChannelSpec(name="two_qubit_C"))
-    s = lie_closure([np.asarray(c) for c in control_directions(sys)]
-                    + [np.asarray(drift_direction(sys))])
+    drift, controls = ptm_directions(sys)
+    s = lie_closure([*controls, drift])
     assert s.dim == 225
     rng = np.random.default_rng(225)
     for i, j in rng.integers(s.dim, size=(200, 2)):
@@ -1229,11 +1237,11 @@ def _conjugated(sys: ControlSystem, seed: int) -> ControlSystem:
 
 def _superoperator_condition_dims(sys: ControlSystem) -> tuple:
     """(dim_kc, dim_kd, dim_s) closed on the complex superoperators, in
-    their realified coordinates."""
-    ctrl = [np.asarray(c) for c in control_directions(sys)]
+    their real form (`_real_form`)."""
+    ctrl = [_real_form(c) for c in control_directions(sys)]
     kc = lie_closure(ctrl).dim if ctrl else 0
-    kd = lie_closure(ctrl + [ham_drift_direction(sys)]).dim
-    return kc, kd, lie_closure(ctrl + [drift_direction(sys)]).dim
+    kd = lie_closure(ctrl + [_real_form(ham_drift_direction(sys))]).dim
+    return kc, kd, lie_closure(ctrl + [_real_form(drift_direction(sys))]).dim
 
 
 @SETTINGS
@@ -1243,7 +1251,8 @@ def test_condition_dims_are_unitarily_invariant_within_the_ptm_ceiling(rep, seed
                                                                       n_ops, unital):
     """Hermitian (unital) or general jumps; a trace-preserving generator's
     transfer matrix has a zero first row, so no algebra exceeds N^2 (N^2 - 1)
-    dimensions; on qubits the realified superoperators give the same dims."""
+    dimensions; on qubits the superoperators in real form give the same
+    dims."""
     sys = _random_system(rep, seed, n_controls, n_ops, unital)
     got = check_conditions(sys)
     dims = (got.dim_kc, got.dim_kd, got.dim_s)
@@ -1260,18 +1269,16 @@ def test_condition_dims_are_unitarily_invariant_within_the_ptm_ceiling(rep, seed
 # ---------------------------------------------------------------------------
 
 def _carrier(rep: str) -> tuple:
-    """(shape, complex_field) of a rep's generators."""
+    """The shape of a rep's generators on its real carrier."""
     if rep == "r3":
-        return (3, 3), False
+        return (3, 3)
     n = HILBERT_DIM[rep] ** 2
-    return (n, n), True
+    return (n, n)
 
 
 def _matrices(rng, rep: str, m: int) -> list:
-    shape, complex_field = _carrier(rep)
-    return [10.0 ** rng.uniform(-3, 3)
-            * (rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_field else 0))
-            for _ in range(m)]
+    shape = _carrier(rep)
+    return [10.0 ** rng.uniform(-3, 3) * rng.normal(size=shape) for _ in range(m)]
 
 
 @SETTINGS
@@ -1279,17 +1286,16 @@ def _matrices(rng, rep: str, m: int) -> list:
        st.integers(0, 3))
 def test_cone_stores_unit_columns_and_derives_its_generators(rep, seed, m, zeros):
     rng = np.random.default_rng(seed)
-    shape, complex_field = _carrier(rep)
+    shape = _carrier(rep)
     mats = _matrices(rng, rep, m) + [np.zeros(shape)] * zeros
     mats = [mats[i] for i in rng.permutation(len(mats))]
-    c = Cone(generators=tuple(mats), shape=shape, complex_field=complex_field)
+    c = Cone(generators=tuple(mats), shape=shape)
     nonzero = [a for a in mats if fro(a) > 0]
-    assert c.stack.shape == (realify(mats[0] if mats else np.zeros(shape),
-                                     complex_field).size, len(nonzero))
+    assert c.stack.shape == (np.prod(shape), len(nonzero))
     assert c.n_generators == len(c.generators) == len(nonzero)
     assert np.max(np.abs(np.linalg.norm(c.stack, axis=0) - 1.0), initial=0.0) <= 1e-14
     for k, (g, a) in enumerate(zip(c.generators, nonzero)):
-        assert g.tobytes() == unrealify(c.stack[:, k], shape, complex_field).tobytes()
+        assert g.tobytes() == c.stack[:, k].reshape(shape).tobytes()
         assert np.max(np.abs(g - a / fro(a))) <= 1e-14
 
 
@@ -1297,21 +1303,20 @@ def test_cone_stores_unit_columns_and_derives_its_generators(rep, seed, m, zeros
 @given(st.sampled_from(REPS), st.integers(0, 2**32 - 1), st.integers(0, 4))
 def test_orthonormal_span_derives_its_matrices_from_its_stack(rep, seed, m):
     rng = np.random.default_rng(seed)
-    shape, complex_field = _carrier(rep)
+    shape = _carrier(rep)
     gens = _matrices(rng, rep, m)
     if m:
         gens.append(gens[0] - 2.0 * gens[-1])  # a dependent generator
-    sub = orthonormal_span(gens, shape=shape, complex_field=complex_field)
+    sub = orthonormal_span(gens, shape=shape)
     assert sub.dim == sub.stack.shape[1] == len(sub.mats) == min(m, sub.stack.shape[0])
     assert np.allclose(sub.stack.T @ sub.stack, np.eye(sub.dim), atol=1e-12)
-    for got, want in zip(sub.mats, unrealify_stack(sub.stack, shape, complex_field)):
-        assert got.tobytes() == want.tobytes()
+    for k, got in enumerate(sub.mats):
+        assert got.tobytes() == sub.stack[:, k].reshape(shape).tobytes()
     a = _matrices(rng, rep, 1)[0]
-    for empty in (orthonormal_span([], shape=shape, complex_field=complex_field),
-                  orthonormal_span([np.zeros(shape)], complex_field=complex_field)):
+    for empty in (orthonormal_span([], shape=shape), orthonormal_span([np.zeros(shape)])):
         assert empty.dim == 0 and empty.mats == ()
         assert empty.project(a).shape == shape and not np.any(empty.project(a))
-        assert empty.residual(a) == np.linalg.norm(realify(a, complex_field))
+        assert empty.residual(a) == np.linalg.norm(a.ravel())
 
 
 def _reference_wedge_dim(w: Wedge) -> int:
@@ -1320,7 +1325,7 @@ def _reference_wedge_dim(w: Wedge) -> int:
     <= 1e-12 are rounding noise inside the edge and dropped, as in `saturate`."""
     perp = [g - w.edge.project(g) for g in w.cone.generators]
     perp = [p / fro(p) for p in perp if fro(p) > 1e-12]
-    extra = orthonormal_span(perp, shape=w.cone.shape, complex_field=w.cone.complex_field)
+    extra = orthonormal_span(perp, shape=w.cone.shape)
     return w.edge.dim + extra.dim
 
 
@@ -1330,14 +1335,13 @@ def _reference_wedge_dim(w: Wedge) -> int:
 def test_wedge_dim_matches_the_per_generator_projection(rep, seed, k, in_edge, outside):
     """Cone generators inside the edge, off it, and sums of the two."""
     rng = np.random.default_rng(seed)
-    shape, complex_field = _carrier(rep)
-    edge = orthonormal_span(_matrices(rng, rep, k), shape=shape, complex_field=complex_field)
+    shape = _carrier(rep)
+    edge = orthonormal_span(_matrices(rng, rep, k), shape=shape)
     mixed = [sum(c * m for c, m in zip(rng.normal(size=k), edge.mats))
              for _ in range(in_edge)] if k else []
     off = _matrices(rng, rep, outside)
     gens = mixed + off + [a + b for a, b in zip(mixed, off)]
-    w = Wedge(edge=edge, cone=Cone(generators=tuple(gens), shape=shape,
-                                   complex_field=complex_field))
+    w = Wedge(edge=edge, cone=Cone(generators=tuple(gens), shape=shape))
     assert w.dim == _reference_wedge_dim(w)
     assert w.dim == k + len(off)
 
@@ -1368,7 +1372,7 @@ def test_saturation_ends_at_the_edge_base_fixed_point(rep, seed, n_controls, n_o
     edge, family = w.edge, w.cone.analytic
     base = w.drift - edge.project(w.drift)
     assert edge.dim == 0 or lie_closure(edge.mats).dim == edge.dim
-    assert all(edge.residual(c) <= 1e-9 * max(1.0, fro(c)) for c in control_directions(system))
+    assert all(edge.residual(c) <= 1e-9 * max(1.0, fro(c)) for c in ptm_directions(system)[1])
     assert all(abs(inner(m, base)) <= 1e-12 * max(1.0, fro(base)) for m in edge.mats)
     if family is None:
         return
@@ -1382,8 +1386,10 @@ def test_saturation_ends_at_the_edge_base_fixed_point(rep, seed, n_controls, n_o
 
 def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
     """The r3 and qubit branches of the closed-form orbit support, kept apart.
-    A qubit direction off the coherence image is projected onto it, through
-    the image's orthonormal basis superop_from_coherence(E_ij)."""
+    The qubit branch works on the coherence representation of the
+    superoperators (`superop_from_ptm`, `coherence_rep`); a qubit direction
+    off the coherence image is projected onto it, through the image's
+    orthonormal basis, the transfer matrices of superop_from_coherence(E_ij)."""
     if rep == "r3" and fam.n_params == 3:
         base_sym = (fam.base + fam.base.T) / 2
         if fro(base_sym - fam.base) > 1e-10 * max(1.0, fro(fam.base)):
@@ -1395,15 +1401,15 @@ def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
         return g, float(np.dot(w_b, w_d))
     if rep == "qubit" and fam.n_params == 3:
         try:
-            cr_b = coherence_rep(fam.base)
+            cr_b = coherence_rep(superop_from_ptm(fam.base))
         except ValueError:
             return None
         try:
-            cr_d = coherence_rep(direction)
+            cr_d = coherence_rep(superop_from_ptm(direction))
         except ValueError:
             units = np.eye(3)
-            cr_d = np.array([[inner(superop_from_coherence(np.outer(e_i, e_j)), direction)
-                              for e_j in units] for e_i in units])
+            cr_d = np.array([[inner(ptm_rep(superop_from_coherence(np.outer(e_i, e_j))),
+                                    direction) for e_j in units] for e_i in units])
         cr_bs = (cr_b + cr_b.T) / 2
         if fro(cr_bs - cr_b) > 1e-10 * max(1.0, fro(cr_b)):
             return None
@@ -1411,7 +1417,7 @@ def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
         w_b, _ = eig_sym(cr_bs)
         w_d, v_d = eig_sym(d_sym)
         g_cr = v_d @ np.diag(w_b) @ v_d.T
-        g = superop_from_coherence(g_cr)
+        g = ptm_rep(superop_from_coherence(g_cr))
         return g, float(np.dot(w_b, w_d))
     return None
 
@@ -1422,11 +1428,12 @@ def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
        st.sampled_from(("coherent", "non-unital")))
 def test_aligned_support_matches_the_two_branch_routine(rep, seed, n_seeds, base_kind,
                                                         direction_kind):
-    """Symmetric and general bases, and (qubit) bases or directions that
-    `coherence_rep` rejects, on orbit families with 2- and 3-dim edges.  A
-    qubit direction off the coherence image gets the support of its
-    projection, which the reference forms by another product, so there the
-    values agree to 1e-12 and the element is an orbit point scoring it."""
+    """Symmetric and general bases, projected off the seeds' span, and
+    (qubit) transfer matrices of bases or directions that `coherence_rep`
+    rejects, on orbit families with 2- and 3-dim edges.  On r3 the element
+    and the value are the reference's bit for bit.  The qubit reference
+    passes through the superoperators, so there the values agree to 1e-12
+    and the element is an orbit point scoring the value."""
     rng = np.random.default_rng(seed)
 
     def block(kind):
@@ -1435,28 +1442,26 @@ def test_aligned_support_matches_the_two_branch_routine(rep, seed, n_seeds, base
         if rep == "r3":
             return a
         if kind == "non-unital":
-            return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        return superop_from_coherence(a)
+            return rng.normal(size=(4, 4))
+        return ptm_rep(superop_from_coherence(a))
 
     if rep == "r3":
         seeds = [_skew(rng) for _ in range(n_seeds)]
     else:
-        seeds = [1j * ad_hat(sigma(axis) / 2.0) for axis in "xyz"[:n_seeds]]
+        seeds = [_ham(sigma(axis) / 2.0) for axis in "xyz"[:n_seeds]]
     seeds = tuple(s / fro(s) for s in seeds)
-    fam = ConjugationFamily(seeds, block(base_kind))
+    fam = ConjugationFamily(seeds, _off_span(block(base_kind), seeds))
     assert orthonormal_span(list(seeds)).dim == n_seeds
     direction = block(direction_kind)
     got = None if fam.exact is None else fam.exact.support(direction)
     want = _reference_support_aligned(fam, direction, rep)
     assert (got is None) == (want is None)
-    if want is not None and rep == "qubit" and direction_kind == "non-unital":
-        # the value is well conditioned; the element is any orbit point
-        # that scores it
+    if want is not None and rep == "qubit":
         tol = 1e-12 * max(1.0, fro(fam.base)) * max(1.0, fro(direction))
         assert abs(got[1] - want[1]) <= tol
         assert abs(inner(got[0], direction) - got[1]) <= tol
-        assert np.allclose(eig_sym(coherence_rep(got[0]))[0], fam.exact.rates,
-                           rtol=0.0, atol=1e-12 * max(1.0, fro(fam.base)))
+        assert np.allclose(eig_sym(coherence_rep(superop_from_ptm(got[0])))[0],
+                           fam.exact.rates, rtol=0.0, atol=1e-12 * max(1.0, fro(fam.base)))
     elif want is not None:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1] == want[1]
@@ -1650,8 +1655,10 @@ def _rotation_orbit(rep: str, rates) -> tuple:
         seeds = tuple(np.asarray(h) for h in (H_X, H_Y, H_Z))
         lift = np.asarray
     else:
-        seeds = tuple(1j * ad_hat(sigma(a) / 2.0) for a in "xyz")
-        lift = superop_from_coherence
+        seeds = tuple(_ham(sigma(a) / 2.0) for a in "xyz")
+
+        def lift(block):
+            return ptm_rep(superop_from_coherence(block))
     exact = ConjugationFamily(tuple(s / fro(s) for s in seeds), lift(np.diag(rates))).exact
     assert exact is not None and exact.qubit == (rep == "qubit")
     return exact, lift
@@ -1708,9 +1715,8 @@ def test_schur_horn_bounds_bracket_the_sampled_distance(rep, rates, kind, log_pu
     (lower,), (upper,) = exact.contains(x[None])
     qs = _rotations(np.random.default_rng(0), 4000)
     orbit = np.einsum("kij,j,klj->kil", qs, rates, qs)
-    complex_field = rep == "qubit"
-    a = realify_stack([lift(g) for g in orbit], x.shape, complex_field)
-    b = realify(x, complex_field)
+    a = _columns([lift(g) for g in orbit])
+    b = x.ravel()
     coef, _ = nnls(a, b)
     sampled = np.linalg.norm(a @ coef - b)
     slack = 1e-12 * fro(x)
@@ -1768,9 +1774,8 @@ def test_toeplitz_bounds_bracket_the_sampled_distance(rep, kind, log_push, side,
     if noisy:
         x = x + 1e-3 * scale * _direction(fam, rng)
     (lower,), (upper,) = exact.contains(x[None])
-    complex_field = rep != "r3"
-    a = realify_stack(orbit, x.shape, complex_field)
-    b = realify(x, complex_field)
+    a = _columns(orbit)
+    b = x.ravel()
     coef, _ = nnls(a, b)
     sampled = np.linalg.norm(a @ coef - b)
     slack = 1e-12 * max(1.0, fro(x))
@@ -1795,8 +1800,7 @@ def _audit_tangent(exact, x: np.ndarray, span: Subspace):
     a missing tangent direction fails the second check and a spurious one
     the first, at eps = 1e-3 and 1e-4."""
     x = x / fro(x)
-    tangent = orthonormal_span(exact.tangent(x, 1e-8), shape=span.shape,
-                               complex_field=span.complex_field)
+    tangent = orthonormal_span(exact.tangent(x, 1e-8), shape=span.shape)
     q = span.stack - tangent.stack @ (tangent.stack.T @ span.stack)
     assert np.linalg.norm(tangent.stack - span.stack @ (span.stack.T @ tangent.stack)) < 1e-9
     u, sv, _ = np.linalg.svd(q, full_matrices=False)
@@ -1805,7 +1809,7 @@ def _audit_tangent(exact, x: np.ndarray, span: Subspace):
         for cols, along in ((tangent.stack, True), (normal, False)):
             if cols.shape[1] == 0:
                 continue
-            ys = unrealify_stack(cols, span.shape, span.complex_field)
+            ys = cols.T.reshape(-1, *span.shape)
             lower, upper = exact.contains(np.concatenate([x + eps * ys, x - eps * ys]))
             if along:
                 assert upper.max() <= 200.0 * eps ** 2, (eps, upper.max())
@@ -1836,12 +1840,10 @@ def test_rotation_orbit_tangent_is_certified_by_differences(rep, rates, weights,
               for k, w in weights.items())
     q = _rotations(np.random.default_rng(seed), 1)[0]
     x = lift(q @ np.diag(lam) @ q.T)
-    span = orthonormal_span([lift(m) for m in _SYMMETRIC], shape=x.shape,
-                            complex_field=rep == "qubit")
+    span = orthonormal_span([lift(m) for m in _SYMMETRIC], shape=x.shape)
     tangent = _audit_tangent(exact, x, span)
     if len(weights) == 1:  # an orbit ray: x and its brackets, no more
-        ray = orthonormal_span([x, *comm(np.asarray(exact.seeds), x)], shape=x.shape,
-                               complex_field=rep == "qubit")
+        ray = orthonormal_span([x, *comm(np.asarray(exact.seeds), x)], shape=x.shape)
         assert tangent.dim == ray.dim
 
 
@@ -1871,9 +1873,7 @@ def test_moment_curve_tangent_is_certified_by_differences(source, weights):
     exact = fam.exact
     atoms = fam.elements(np.array(sorted(weights))[:, None] * (fam.periods[0] / 6))
     x = np.tensordot([weights[k] for k in sorted(weights)], atoms, axes=1)
-    complex_field = np.iscomplexobj(fam.base)
-    span = orthonormal_span(list(unrealify_stack(exact.basis, x.shape, True)),
-                            shape=x.shape, complex_field=complex_field)
+    span = orthonormal_span(list(exact.basis.T.reshape(-1, *x.shape)), shape=x.shape)
     tangent = _audit_tangent(exact, x, span)
     if len(weights) == 1:  # one atom: the ray and the orbit's direction
         assert tangent.dim == 2
@@ -1964,22 +1964,20 @@ def _reference_lineality(c: Cone, tol: float) -> Subspace:
         two_sided = []
     else:
         two_sided = [g for g in c.generators if cone_contains(c, -g, tol)]
-    return orthonormal_span(two_sided, shape=c.shape, complex_field=c.complex_field)
+    return orthonormal_span(two_sided, shape=c.shape)
 
 
 def _reference_centroid(fam: ConjugationFamily) -> np.ndarray:
     """Projection of the base onto the common kernel of the maps [s_i, .],
-    each written out as a dense real-linear map of the whole carrier."""
+    each written out as a dense linear map of the whole carrier."""
     shape = fam.base.shape
-    complex_field = np.iscomplexobj(fam.base) or np.iscomplexobj(fam._seed_stack)
-    dim = int(np.prod(shape)) * (2 if complex_field else 1)
-    units = unrealify_stack(np.eye(dim), shape, complex_field)
-    ad = np.concatenate([realify_stack(comm(np.broadcast_to(s, units.shape), units), shape,
-                                       complex_field) for s in fam.seeds])
+    units = np.eye(int(np.prod(shape))).reshape(-1, *shape)
+    ad = np.concatenate([_columns(comm(np.broadcast_to(s, units.shape), units))
+                         for s in fam.seeds])
     _, sv, vt = np.linalg.svd(ad)
     kernel = vt[np.count_nonzero(sv > 1e-9 * sv[0]):]
-    b = realify(fam.base, complex_field)
-    return unrealify(kernel.T @ (kernel @ b), shape, complex_field)
+    b = fam.base.ravel()
+    return (kernel.T @ (kernel @ b)).reshape(shape)
 
 
 def _dichotomy_family(rep: str, kind: str, seed: int, case: str) -> ConjugationFamily:
@@ -2013,8 +2011,7 @@ def test_lineality_of_an_orbit_cone_is_the_centroid_dichotomy(rep, kind, seed, c
     fam = _dichotomy_family(rep, kind, seed, case)
     b = fam.base
     rng = np.random.default_rng(seed)
-    cone = Cone(shape=b.shape, complex_field=rep != "r3", analytic=fam,
-                thetas=fam.params(24, rng))
+    cone = Cone(shape=b.shape, analytic=fam, thetas=fam.params(24, rng))
     calls = []
     closure = wedge_module.lie_closure
     with pytest.MonkeyPatch.context() as mp:
@@ -2035,7 +2032,7 @@ def test_lineality_of_an_orbit_cone_is_the_centroid_dichotomy(rep, kind, seed, c
         points = fam.elements(rng.normal(scale=np.pi, size=(64, fam.n_params)))
         for g in points:
             assert got.contains(g) and got.contains(-g)
-        assert got.dim == _rank(realify_stack(points, b.shape, cone.complex_field))
+        assert got.dim == _rank(_columns(points))
     if kind == "torus1":
         want = _reference_lineality(cone, cone.tol)
         assert got.dim == want.dim
@@ -2049,7 +2046,7 @@ def test_lineality_of_z_rotation_orbits(base, dim):
     centroid, a pointed ray; diag(1, -1, 0) turns on a circle around the
     apex, whose cone is a plane.  The fitted rule agrees."""
     fam = ConjugationFamily((H_Z,), base)
-    cone = Cone(shape=(3, 3), complex_field=False, analytic=fam,
+    cone = Cone(shape=(3, 3), analytic=fam,
                 thetas=fam.params(24, np.random.default_rng(0)))
     got = lineality(cone)
     want = _reference_lineality(cone, cone.tol)
@@ -2065,8 +2062,8 @@ def test_wedge_dim_is_the_span_columns_count(rep, seed, k, rank, extra, noise):
     combinations of them, with noise far below or far above the rank
     tolerance: the singular-value count is the `_span_columns` count."""
     rng = np.random.default_rng(seed)
-    shape, complex_field = _carrier(rep)
-    edge = orthonormal_span(_matrices(rng, rep, k), shape=shape, complex_field=complex_field)
+    shape = _carrier(rep)
+    edge = orthonormal_span(_matrices(rng, rep, k), shape=shape)
     basis = _matrices(rng, rep, rank)
     combos = [sum(c * b for c, b in zip(rng.normal(size=rank), basis))
               for _ in range(extra if rank else 0)]
@@ -2074,8 +2071,7 @@ def test_wedge_dim_is_the_span_columns_count(rep, seed, k, rank, extra, noise):
     for g in basis + combos:
         d = _matrices(rng, rep, 1)[0]
         gens.append(g + noise * fro(g) * d / fro(d))
-    w = Wedge(edge=edge, cone=Cone(generators=tuple(gens), shape=shape,
-                                   complex_field=complex_field))
+    w = Wedge(edge=edge, cone=Cone(generators=tuple(gens), shape=shape))
     units = wedge_module._edge_orthogonal_units(edge, w.cone.stack)
     assert w.dim == edge.dim + wedge_module._span_columns(units).shape[1]
 
@@ -2193,13 +2189,14 @@ def test_inner_wedge_lies_in_the_outer_wedge(name, seed):
        st.sampled_from((0.1, 0.01)), st.integers(0, 2**32 - 1))
 def test_one_segment_channels_have_generators_in_the_outer_wedge(name, t, seed):
     """-log(X) / t of a one-segment channel X = expm(-t L_u), with amplitudes
-    u uniform in [-U_MAX, U_MAX], passes the outer test."""
+    u uniform in [-U_MAX, U_MAX], passes the outer test (as its transfer
+    matrix on a qubit or two qubits)."""
     w = _named_wedge(name)
     system = _named_system(name)
     u = np.random.default_rng(seed).uniform(-reachable.U_MAX, reachable.U_MAX,
                                             size=system.n_controls)
     x = -logm(propagate(system, Schedule(((t, u),)))) / t
-    assert outer_contains(w, x)
+    assert outer_contains(w, x if x.shape == (3, 3) else ptm_rep(x))
 
 
 # ---------------------------------------------------------------------------
@@ -2210,7 +2207,7 @@ def _reference_saturate(w: Wedge, orbit_samples: int, max_rounds: int, tol: floa
                         seed: int) -> Wedge:
     """The saturation loop as it was while every round drew its family's
     sweep rows, including the rounds whose cone only `lineality` reads."""
-    shape, complex_field = w.cone.shape, w.cone.complex_field
+    shape = w.cone.shape
     drift = w.drift if w.drift is not None else np.zeros(shape)
     report = {"rounds": 0, "converged": False, "termination": None,
               "edge_dims": [], "novel_counts": [], "tol": tol,
@@ -2225,12 +2222,11 @@ def _reference_saturate(w: Wedge, orbit_samples: int, max_rounds: int, tol: floa
         report["edge_dims"].append(edge.dim)
         report["novel_counts"].append(0)
         if not edge.dim or fro(base) <= 1e-12:
-            cone = Cone((base,) if fro(base) > 1e-12 else (), shape=shape,
-                        complex_field=complex_field, tol=tol)
+            cone = Cone((base,) if fro(base) > 1e-12 else (), shape=shape, tol=tol)
             report.update(converged=True, termination="no-family")
             break
         family = ConjugationFamily(edge.mats, base)
-        cone = Cone(shape=shape, complex_field=complex_field, analytic=family, tol=tol,
+        cone = Cone(shape=shape, analytic=family, tol=tol,
                     thetas=family.params(orbit_samples, np.random.default_rng(seed)))
         if rnd > 1 and not lin:
             aperiodic = family.kind == "torus" and not family.periodic
@@ -2323,6 +2319,23 @@ def _grid_wedge(channel: str, axes: str, drift) -> Wedge:
     return saturate(initial_wedge(build_system(spec)), orbit_samples=24)
 
 
+@pytest.mark.parametrize("channel, axes, drift", QUBIT_GRID)
+def test_qubit_grid_closed_forms_follow_the_control_axes(channel, axes, drift):
+    """On the Pauli transfer matrices, two or more control axes generate
+    every rotation of the coherence vector: the edge is so(3), the cone a
+    full-rotation orbit decided by Schur-Horn (`RotationOrbit`, read off
+    the traceless block), and the wedge has dimension 9, or 4 for the
+    depolarizing channel, whose rates are equal, so its orbit is one point.
+    One control axis gives a one-parameter torus decided by the
+    Caratheodory-Toeplitz bounds (`MomentCurve`)."""
+    w = _grid_wedge(channel, axes, drift)
+    if len(axes) >= 2:
+        assert type(w.cone.exact) is RotationOrbit and w.cone.exact.qubit
+        assert (w.edge.dim, w.dim) == ((3, 4) if channel == "depolarizing" else (3, 9))
+    else:
+        assert type(w.cone.exact) is MomentCurve
+
+
 @st.composite
 def _probed_wedges(draw) -> Wedge:
     """One of the 112 qubit (channel, control axes, drift) wedges, an
@@ -2341,7 +2354,7 @@ def _probed_wedges(draw) -> Wedge:
                                       (lam, a, b))))
         return orbit_wedge(rates, hull_samples=24, seed=0)
     edge = orthonormal_span(draw(st.sampled_from(((), (H_Z,), (H_X, H_Y, H_Z)))),
-                            shape=(3, 3), complex_field=False)
+                            shape=(3, 3))
     pattern = draw(st.sampled_from(("diagonal", "z-symmetric", "arbitrary")))
     gens = []
     for _ in range(draw(st.integers(1, 4))):
@@ -2349,14 +2362,13 @@ def _probed_wedges(draw) -> Wedge:
         if pattern == "z-symmetric":
             d[1] = d[0]
         gens.append(np.diag(d) if pattern != "arbitrary" else rng.normal(size=(3, 3)))
-    return Wedge(edge=edge, cone=Cone(gens, shape=(3, 3), complex_field=False))
+    return Wedge(edge=edge, cone=Cone(gens, shape=(3, 3)))
 
 
 def _span_certificate(w: Wedge) -> bool:
     """The bracket table over an orthonormal basis of edge + `Cone.span`
     itself, the orbit's span included."""
-    span = orthonormal_span([*w.edge.mats, *w.cone.span().mats], shape=w.cone.shape,
-                            complex_field=w.cone.complex_field)
+    span = orthonormal_span([*w.edge.mats, *w.cone.span().mats], shape=w.cone.shape)
     return all(w.edge.residual(comm(a, b)) <= 1e-12
                for k, a in enumerate(span.mats) for b in span.mats[k + 1:])
 
@@ -2376,7 +2388,7 @@ def test_bracket_certificate_is_sound(reference_probe, w, seed):
         q = w.edge.stack
         for t in (1e-2, 0.3):
             tails = bch(t * a, t * b) - t * (a + b)
-            cols = realify_stack(tails, w.cone.shape, w.cone.complex_field)
+            cols = _columns(tails)
             off = np.linalg.norm(cols - q @ (q.T @ cols), axis=0)
             assert np.all(off <= 1e-12 * (np.linalg.norm(cols, axis=0) + t * t))
     witness, _ = reference_probe(w, 20, (1e-2,), 1e-8, seed)
@@ -2416,7 +2428,6 @@ def _membership_stack(w: Wedge, rng, kinds) -> np.ndarray:
     10^-8.3 to 10^-7.7 along a random direction, where the closed-form
     bounds can straddle the threshold and `cone_residual` decides."""
     gens, shape = np.stack(w.cone.generators), w.cone.shape
-    complex_field = w.cone.complex_field
 
     def member():
         idx = rng.integers(len(gens), size=int(rng.integers(1, 4)))
@@ -2430,7 +2441,7 @@ def _membership_stack(w: Wedge, rng, kinds) -> np.ndarray:
         elif kind == "negative":
             x = -member()
         elif kind == "random":
-            x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_field else 0)
+            x = rng.normal(size=shape)
         elif kind == "imaginary":
             x = member() + 1j * 10.0 ** rng.uniform(-10.0, 0.0) * rng.normal(size=shape)
         else:
@@ -2465,12 +2476,10 @@ def _reference_schur_horn(exact, xs: np.ndarray):
     total = float(np.sum(exact.rates))
     xs = np.asarray(xs)
     if exact.qubit:
-        v = np.stack([vec(b) for b in pauli_basis(2)], axis=1)
-        m = np.real(v.conj().T @ xs @ v)
-        off = np.linalg.norm(xs - v @ m @ v.conj().T, axis=(1, 2))
+        m = xs[:, 1:, 1:]
+        off = np.hypot(np.linalg.norm(xs[:, 0], axis=1), np.linalg.norm(xs[:, 1:, 0], axis=1))
     else:
-        m = np.real(xs)
-        off = np.linalg.norm(np.imag(xs), axis=(1, 2))
+        m, off = xs, np.zeros(len(xs))
     s = (m + np.swapaxes(m, 1, 2)) / 2
     off = np.hypot(off, np.linalg.norm(m - s, axis=(1, 2)))
     lam = np.linalg.eigvalsh(s)[:, ::-1]
@@ -2493,9 +2502,7 @@ def _reference_schur_horn(exact, xs: np.ndarray):
 def _reference_toeplitz(exact, xs: np.ndarray):
     """`MomentCurve.contains` as it read before it kept its reshaped
     Toeplitz table and took its products slice by slice."""
-    xs = np.asarray(xs)
-    flat = xs.reshape(len(xs), -1)
-    flat = np.concatenate([np.real(flat), np.imag(flat)], axis=1)
+    flat = np.asarray(xs).reshape(len(xs), -1)
     c = flat @ exact.basis
     off = np.linalg.norm(flat - c @ exact.basis.T, axis=1)
     m, n, _ = exact.toeplitz.shape
@@ -2519,12 +2526,13 @@ def test_closed_form_bounds_match_the_formulas_they_replaced(name, kinds, log_sc
     S read off its eigenvalues, sums of squares) and the Toeplitz bounds
     (reshaped table kept, products slice by slice) agree with the reference
     copies, run one point at a time, to 1e-13 of |x|, at scales 1e-3 to
-    1e3."""
+    1e3.  The closed forms take real points, so an imaginary part is
+    dropped here; `_membership` adds it to their bounds."""
     w = _membership_wedge(name)
     exact = w.cone.exact
     reference = _reference_toeplitz if name in ("example2", "example3", "phase_flip") \
         else _reference_schur_horn
-    xs = 10.0 ** log_scale * _membership_stack(w, np.random.default_rng(seed), kinds)
+    xs = 10.0 ** log_scale * _membership_stack(w, np.random.default_rng(seed), kinds).real
     lower, upper = exact.contains(xs)
     want = np.array([np.concatenate(reference(exact, x[None])) for x in xs])
     size = np.array([fro(x) for x in xs])

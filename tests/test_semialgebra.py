@@ -151,7 +151,7 @@ def test_tangent_contains_edge_and_generator_line():
         w = orbit_wedge(r["rates"])
         t = tangent_space(w, np.asarray(r["A"]))
         need = orthonormal_span([H_X, H_Y, H_Z, np.asarray(r["A"])],
-                                shape=(3, 3), complex_field=False)
+                                shape=(3, 3))
         assert subspace_leq(need, t)
 
 
@@ -292,7 +292,7 @@ def test_closed_form_tangent_matches_the_spectral_dual_face(rates, seed, scale, 
         assert dual_cone_margin(g, phi) >= -1e-9
         assert abs(inner(phi, a_mat)) <= 1e-8 * max(1.0, fro(a_mat))
         phis.append(phi)
-    sampled = orthocomplement(orthonormal_span(phis, shape=(3, 3), complex_field=False))
+    sampled = orthocomplement(orthonormal_span(phis, shape=(3, 3)))
     closed = tangent_space(w, a_mat)
     assert subspace_equal(sampled, closed) and subspace_equal(closed, sampled)
 
@@ -305,7 +305,7 @@ def test_indefinite_base_of_zero_trace_is_undecided():
     seeds = tuple(np.asarray(h) / fro(h) for h in (H_X, H_Y, H_Z))
     fam = ConjugationFamily(seeds, base)
     w = Wedge(edge=orthonormal_span(list(seeds)),
-              cone=Cone(shape=(3, 3), complex_field=False, analytic=fam,
+              cone=Cone(shape=(3, 3), analytic=fam,
                         thetas=fam.params(48, np.random.default_rng(0))))
     assert fam.exact is not None and w.cone.exact is None
     assert tangent_space(w, base + np.asarray(H_Z)) is None
@@ -319,9 +319,8 @@ def test_generator_off_the_orbit_is_refused():
     base = np.diag([3.0, 2.0, 1.0])
     fam = ConjugationFamily(seeds, base)
     with pytest.raises(ValueError, match="generators, or a family"):
-        Cone(generators=(base, np.diag([1.0, 0.0, 0.0])), shape=(3, 3),
-             complex_field=False, analytic=fam)
-    cone = Cone(shape=(3, 3), complex_field=False, analytic=fam)
+        Cone(generators=(base, np.diag([1.0, 0.0, 0.0])), shape=(3, 3), analytic=fam)
+    cone = Cone(shape=(3, 3), analytic=fam)
     w = Wedge(edge=orthonormal_span(list(seeds)), cone=cone)
     assert cone.exact is fam.exact and len(fam.exact.tangent(base, cone.tol)) == 4
     assert tangent_space(w, base + np.asarray(H_Z)).dim == 7
@@ -427,7 +426,7 @@ def test_invariance_residual_ignores_the_tangent_basis(monkeypatch, case_id):
     def rotated(*args, **kwargs):
         t = closed(*args, **kwargs)
         q = np.linalg.qr(rng.normal(size=(t.dim, t.dim)))[0]
-        return Subspace(t.stack @ q, t.shape, t.complex_field, t.tol)
+        return Subspace(t.stack @ q, t.shape, t.tol)
 
     monkeypatch.setattr(semialgebra, "tangent_space", rotated)
     got = semialgebra_case(case_id)["invariance_residual"]
@@ -503,7 +502,7 @@ def branch_wedges(probe_wedges):
     two_qubit = build_system(ChannelSpec(name="two_qubit_C"))
     return {
         "edge_only": orbit_wedge((0.0, 0.0, 0.0), hull_samples=96, seed=0),
-        "cone_only": Wedge(edge=orthonormal_span([], shape=(3, 3), complex_field=False),
+        "cone_only": Wedge(edge=orthonormal_span([], shape=(3, 3)),
                            cone=probe_wedges["rates321"].cone),
         "two_qubit_C": saturate(initial_wedge(two_qubit), orbit_samples=24),
     }
@@ -768,12 +767,20 @@ def test_certified_probe_draws_nothing(monkeypatch, certificate_wedges, name):
     assert counts == [[], [], []]
 
 
-def test_certified_probe_drops_the_rounding_noise_witness(probe_wedges, reference_probe):
-    """Declared change: at tol 1e-14 the sampled probe's first isotropic
-    pair has a tail misfit of 1.42e-14, rounding noise on a tail that lies
-    in the edge, and was returned as a witness; the certificate returns
-    None, as both do at the default tol 1e-8, the only one the CLI uses."""
-    w = probe_wedges["isotropic"]
-    noise, calls = reference_probe(w, 1000, (1e-2,), 1e-14, 4)
-    assert calls == 1 and 1.4e-14 < noise.residual < 1.5e-14
-    assert semialgebra_probe(w, pair_samples=1000, tol=1e-14, seed=4) is None
+@pytest.mark.parametrize("tol", [1e-14, 9.99e-13])
+@pytest.mark.parametrize("name", ["rates321", "isotropic"])
+def test_probe_refuses_a_tol_under_the_tail_rounding(probe_wedges, name, tol):
+    """Below 1e-12 the witness threshold tol t^2 falls under the rounding of
+    the order-4 tail: at tol 1e-14 the sampled probe's first isotropic pair
+    had a tail misfit of 1.42e-14, rounding noise on a tail that lies in the
+    edge, and read as a witness.  The probe and the single-pair test refuse
+    such a tol before any work, on a certified wedge too; 1e-12 is taken."""
+    w = probe_wedges[name]
+    message = f"tol must be at least 1e-12, .* got {tol}"
+    with pytest.raises(ValueError, match=message):
+        semialgebra_probe(w, pair_samples=10, tol=tol, seed=4)
+    with pytest.raises(ValueError, match=message):
+        bch_witness(w, GAMMA2 + H_Z, GAMMA2 + H_X, tol=tol)
+    bch_witness(w, GAMMA2 + H_Z, GAMMA2 + H_X, tol=1e-12)
+    assert (semialgebra_probe(w, pair_samples=10, tol=1e-12, seed=4) is None) == \
+        (name == "isotropic")
