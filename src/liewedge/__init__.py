@@ -12,11 +12,11 @@ __version__ = "0.1.0"
 
 from .matcore import (RANK_TOL, Subspace, comm, expm, fro, inner,
                       orthonormal_span)
-from .lindblad import (ControlSystem, ad_hat, choi_matrix,
-                       coherence_rep, cptp_audit, gks_dissipator, gks_margin, gks_term,
+from .lindblad import (ControlSystem, ad_hat, choi_matrix, cptp_audit,
+                       gks_dissipator, gks_margin, gks_term,
                        is_trace_preserving, is_unital, lindbladian,
-                       pauli_basis, propagator, ptm_rep, superop_from_coherence,
-                       superop_from_ptm, unvec, vec)
+                       pauli_basis, propagator, ptm_rep, superop_from_ptm,
+                       unvec, vec)
 from .liealg import (ConditionReport, cartan_split, check_conditions,
                      lie_closure, orthocomplement, subspace_equal,
                      subspace_leq)
@@ -37,10 +37,9 @@ __all__ = [
     "__version__",
     "RANK_TOL", "Subspace", "comm", "expm", "fro", "inner",
     "orthonormal_span",
-    "ControlSystem", "ad_hat", "choi_matrix", "coherence_rep",
-    "cptp_audit", "gks_dissipator", "gks_margin", "gks_term", "is_trace_preserving",
-    "is_unital", "lindbladian", "pauli_basis", "propagator", "ptm_rep",
-    "superop_from_coherence", "superop_from_ptm", "unvec", "vec",
+    "ControlSystem", "ad_hat", "choi_matrix", "cptp_audit", "gks_dissipator",
+    "gks_margin", "gks_term", "is_trace_preserving", "is_unital", "lindbladian",
+    "pauli_basis", "propagator", "ptm_rep", "superop_from_ptm", "unvec", "vec",
     "ConditionReport", "cartan_split", "check_conditions", "lie_closure",
     "orthocomplement", "subspace_equal", "subspace_leq",
     "ChannelSpec", "KrausSet", "build_system", "example1", "example2",

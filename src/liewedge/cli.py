@@ -347,12 +347,6 @@ def _conditions_report(system: ControlSystem) -> dict:
 _CLOSED_FORMS = {RotationOrbit: "rotation-orbit", MomentCurve: "moment-curve"}
 
 
-def _superop(m: np.ndarray) -> np.ndarray:
-    """A wedge's matrix as printed: an r3 generator as it is, a qubit or
-    two-qubit transfer matrix (or a stack of them) as its superoperator."""
-    return m if m.shape[-1] == 3 else superop_from_ptm(m)
-
-
 def _wedge_report(w) -> dict:
     """The wedge by the data that fixes it: the edge, and the cone over the
     orbit of `base` under the edge's group (`family`), or over its ray when
@@ -367,13 +361,13 @@ def _wedge_report(w) -> dict:
             "pointed": w.cone.pointed,
             "tol": w.cone.tol,
         },
-        "base": _superop(w.drift - w.edge.project(w.drift)),
+        "base": superop_from_ptm(w.drift - w.edge.project(w.drift)),
         "family": None if family is None else {
             "kind": family.kind,
             "closed_form": _CLOSED_FORMS.get(type(w.cone.exact)),
             "periods": family.periods,
             "periodic": family.periodic,
-            "seeds": tuple(_superop(np.stack(family.seeds))),
+            "seeds": tuple(superop_from_ptm(np.stack(family.seeds))),
         },
         "saturation": dict(w.saturation),
     }
@@ -465,12 +459,12 @@ def cmd_semialgebra(args) -> int:
         "verdict": ("witness-found" if witness is not None
                     else "no-counterexample-found"),
         "witness": None if witness is None else {
-            "A": _superop(witness.A),
-            "B": _superop(witness.B),
+            "A": superop_from_ptm(witness.A),
+            "B": superop_from_ptm(witness.B),
             "t": witness.t,
             "residual": witness.residual,
-            "product": _superop(witness.product),
-            "offending_component": _superop(witness.offending_component),
+            "product": superop_from_ptm(witness.product),
+            "offending_component": superop_from_ptm(witness.offending_component),
         },
     })
     return _exit_code(w)

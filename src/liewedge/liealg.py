@@ -167,9 +167,7 @@ def check_conditions(sys: ControlSystem, tol: float = 1e-9) -> ConditionReport:
     if sys.rep != "r3" and any(np.linalg.norm(m[1:, 0]) > tol * max(1.0, np.linalg.norm(m))
                                for m in (drift, *ctrl)):
         target_s = (target_k + 1) * target_k
-    ham = ham_drift_direction(sys)
-    if sys.rep != "r3":
-        ham = ptm_rep(ham)
+    ham = ptm_rep(ham_drift_direction(sys))
     # without controls, kc is the zero subspace of the drift's space
     kc = (lie_closure(ctrl, tol=tol) if ctrl else
           orthonormal_span([], shape=drift.shape))

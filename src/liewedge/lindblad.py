@@ -22,19 +22,21 @@ Conventions fixed here and relied on everywhere else:
 * column stacking, ``vec(A X B) = (B.T otimes A) vec(X)``;
 * semigroups are propagated as ``expm(-t * L)``, so a dissipative ``L``
   has positive-semidefinite Hermitian part;
-* the coherence representation is the matrix of ``L`` on the traceless
-  Hermitian sector with entries ``M[i, j] = <B_j, L(B_i)>`` over the
-  orthonormal Pauli basis, which maps ``i * ad(sigma_z / 2)`` to the
-  rotation generator about the z axis with the usual orientation;
 * the Pauli transfer matrix (PTM) of a superoperator ``L`` on C^N is
   ``T = Re(W^H L W)`` with the unitary ``W = [vec(I)/sqrt(N), vec(B_1), ...]``
-  over the same basis, so ``L = W T W^H`` whenever ``L`` preserves
-  Hermiticity (then ``W^H L W`` is real); its traceless block
-  ``T[1:, 1:]`` is the coherence representation transposed, and ``L`` is
-  unital and trace-preserving when ``T[1:, 0]`` and ``T[0, 1:]`` vanish.
-  Both maps run on the unnormalised Pauli products ``P = sqrt(N) W``,
-  whose entries are 0, +-1 and +-i, and scale by 1/N, a power of two, so
-  the identity channel has exactly the identity PTM and back.
+  over the orthonormal Pauli basis ``B_k`` of `pauli_basis`, so
+  ``L = W T W^H`` whenever ``L`` preserves Hermiticity (then ``W^H L W`` is
+  real), and ``L`` is unital and trace-preserving when ``T[1:, 0]`` and
+  ``T[0, 1:]`` vanish.  The traceless block ``T[1:, 1:]`` is the coherence
+  representation transposed: the coherence representation is the real
+  matrix ``M[i, j] = <B_j, L(B_i)>`` of ``L`` on the traceless Hermitian
+  sector, which maps ``i * ad(sigma_z / 2)`` to the rotation generator
+  about the z axis with the usual orientation.  `ptm_rep` and its
+  inverse `superop_from_ptm` run on the unnormalised Pauli products
+  ``P = sqrt(N) W``, whose entries are 0, +-1 and +-i, and scale by 1/N, a
+  power of two, so the identity channel has exactly the identity PTM and
+  back.  On r3 the generators act on coherence vectors already and are
+  their own PTMs.
 
 `gks_margin` tests the Lindblad-Kossakowski wedge, the ``L`` for which
 ``expm(-t * L)`` is a channel for every t >= 0 (Wolf and Cirac, CMP 2008).
@@ -166,9 +168,10 @@ class ControlSystem:
     lindblad_ops : pairs (V, gamma); for r3, V is a symmetric
         positive-semidefinite relaxation generator entering as gamma * V.
 
-    All arrays are stored as read-only copies.  The drift and control
-    generators, and their Pauli transfer matrices, are assembled once, on
-    first use, and kept with the system.
+    All arrays are stored as read-only copies.  The Pauli transfer
+    matrices of the drift and control generators (`ptm_directions`) are
+    assembled once, on first use, and kept with the system; they are the
+    only generators it keeps.
     """
 
     rep: str
@@ -246,56 +249,42 @@ def dissipator_direction(sys: ControlSystem) -> np.ndarray:
     return gks_dissipator(sys.lindblad_ops)
 
 
-def _directions_of(sys: ControlSystem) -> tuple:
-    """(drift, controls, PTM drift, PTM control stack) of `sys`, read-only.
-
-    Assembled on the first call and cached on the system; every generator
-    handed out by this module is read from here.  The PTMs of all
-    generators come from one stacked `ptm_rep`; on r3 they are the
-    generators themselves, which are real already.
-    """
-    if sys._directions is None:
-        drift = ham_drift_direction(sys) + dissipator_direction(sys)
-        if sys.rep == "r3":
-            controls = sys.controls
-            ptm = np.stack([drift, *controls])
-        else:
-            controls = tuple(1j * ad_hat(c) for c in sys.controls)
-            ptm = ptm_rep(np.stack([drift, *controls]))
-        for m in (drift, *controls, ptm):
-            m.setflags(write=False)
-        object.__setattr__(sys, "_directions", (drift, controls, ptm[0], ptm[1:]))
-    return sys._directions
+def _control_generators(sys: ControlSystem) -> list:
+    """Generators multiplying the control amplitudes: ``1j * ad_hat(c)``
+    for each control Hamiltonian ``c``, or on r3 the controls themselves."""
+    if sys.rep == "r3":
+        return list(sys.controls)
+    return [1j * ad_hat(c) for c in sys.controls]
 
 
 def ptm_directions(sys: ControlSystem) -> tuple:
     """(drift, controls) as real Pauli transfer matrices, read-only: the
     drift's (N^2, N^2) matrix and the (n_controls, N^2, N^2) stack of the
     controls'; on r3 the generators themselves, as a 3x3 matrix and a
-    (n_controls, 3, 3) stack."""
-    return _directions_of(sys)[2:]
+    (n_controls, 3, 3) stack.
 
-
-def control_directions(sys: ControlSystem) -> tuple:
-    """Generators multiplying the control amplitudes (read-only matrices)."""
-    return _directions_of(sys)[1]
-
-
-def drift_direction(sys: ControlSystem) -> np.ndarray:
-    """Full drift generator, Hamiltonian plus dissipative part (read-only)."""
-    return _directions_of(sys)[0]
+    Assembled by one stacked `ptm_rep` on the first call and cached on the
+    system, which keeps no other form of its generators.
+    """
+    if sys._directions is None:
+        drift = ham_drift_direction(sys) + dissipator_direction(sys)
+        ptm = ptm_rep(np.stack([drift, *_control_generators(sys)]))
+        ptm.setflags(write=False)
+        object.__setattr__(sys, "_directions", (ptm[0], ptm[1:]))
+    return sys._directions
 
 
 def lindbladian(sys: ControlSystem, u=None) -> np.ndarray:
-    """Generator at control amplitudes u, propagated as expm(-t * L)."""
+    """Generator at control amplitudes u, propagated as expm(-t * L): the
+    Hamiltonian drift, plus the dissipator, plus each control generator
+    times its amplitude, assembled on each call."""
     if u is None:
         u = np.zeros(sys.n_controls)
     u = np.asarray(u, dtype=float)
     if u.shape != (sys.n_controls,):
         raise ValueError(f"expected {sys.n_controls} control amplitudes, got shape {u.shape}")
-    drift, controls = _directions_of(sys)[:2]
-    m = drift.copy()
-    for uj, cj in zip(u, controls):
+    m = ham_drift_direction(sys) + dissipator_direction(sys)
+    for uj, cj in zip(u, _control_generators(sys)):
         m = m + uj * cj
     return m
 
@@ -308,65 +297,11 @@ def propagator(L, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# coherence representation (traceless Hermitian sector)
+# Pauli transfer matrices
 # ---------------------------------------------------------------------------
 
-# Hilbert dimension n of the carrier, by superoperator shape (n^2 x n^2) and
-# by coherence-matrix size (n^2 - 1).
+# Hilbert dimension n of the carrier by superoperator shape (n^2 x n^2)
 _SUPEROP_CARRIER = {(4, 4): 2, (16, 16): 4}
-_COHERENCE_CARRIER = {3: 2, 15: 4}
-
-
-@lru_cache(maxsize=None)
-def _pauli_vecs(n: int) -> np.ndarray:
-    """Columns vec(B_k) of `pauli_basis(n)`, read-only."""
-    v = np.stack([vec(b) for b in pauli_basis(n)], axis=1)
-    v.setflags(write=False)
-    return v
-
-
-def coherence_rep(L, tol: float = 1e-12) -> np.ndarray:
-    """Real matrix of a unital superoperator on the traceless sector.
-
-    The carrier is read from the shape: a 4x4 ``L`` acts on a qubit, a
-    16x16 one on two qubits, and any other shape raises ValueError.  A
-    ``(..., 4, 4)`` or ``(..., 16, 16)`` stack is mapped slice by slice,
-    each slice exactly as if it were passed alone.
-    Entries are ``M[i, j] = <B_j, L(B_i)>`` over `pauli_basis`, computed as
-    one product ``Re(V^H L V)^T`` with ``V = [vec(B_1), ...]``; raises
-    ValueError if ``L`` mixes the identity with the traceless sector or
-    produces non-real overlaps beyond ``10 * tol * max(1, ||L||_F)``, each
-    slice of a stack against its own norm.  In a stack the first failing
-    slice decides the error.
-    """
-    m = np.asarray(L)
-    n = _SUPEROP_CARRIER.get(m.shape[-2:])
-    if n is None:
-        raise ValueError(f"no qubit or two-qubit superoperator has shape {m.shape}; "
-                         f"expected 4x4 or 16x16, or a stack of them")
-    v = _pauli_vecs(n)
-    k = v.shape[1]
-    bound = tol * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1))) * 10
-    eye_v = vec(np.eye(n)) / np.sqrt(n)
-    out_id = m @ eye_v
-    leak = out_id - eye_v * (out_id @ eye_v.conj())[..., None]
-    out = m @ v
-    gram = v.conj().T @ out
-    trace = np.abs(vec(np.eye(n)) @ out)
-    worst = np.maximum(trace, np.abs(gram.imag).max(axis=-2))
-    not_unital = (np.linalg.norm(leak, axis=-1) > bound).reshape(-1)
-    bad = (worst > bound[..., None]).reshape(-1, k)
-    if not_unital.any() or bad.any():
-        # The first failing slice decides the error; within it the first
-        # basis element L(B_i) that fails does, its trace checked before its
-        # overlaps.
-        first = np.argmax(not_unital | bad.any(axis=1))
-        if not_unital[first]:
-            raise ValueError("superoperator is not unital: identity leaks into the traceless sector")
-        if trace.reshape(-1, k)[first, np.argmax(bad[first])] > bound.reshape(-1)[first]:
-            raise ValueError("superoperator does not preserve tracelessness")
-        raise ValueError("coherence representation has non-real entries")
-    return gram.real.swapaxes(-1, -2).copy()
 
 
 @lru_cache(maxsize=None)
@@ -386,20 +321,33 @@ def _pauli_frame(n: int) -> tuple:
     return p, ph
 
 
+def _pauli_carrier(m: np.ndarray, what: str) -> int:
+    """Hilbert dimension of the qubit or two-qubit matrix, or stack, `m`;
+    0 for an r3 matrix or stack, and ValueError naming `what` for any other
+    shape."""
+    if m.shape[-2:] == (3, 3):
+        return 0
+    n = _SUPEROP_CARRIER.get(m.shape[-2:])
+    if n is None:
+        raise ValueError(f"no qubit or two-qubit {what} has shape {m.shape}; "
+                         f"expected 4x4 or 16x16, or a stack of them")
+    return n
+
+
 def ptm_rep(L) -> np.ndarray:
     """Pauli transfer matrix ``Re(W^H L W)`` of a superoperator, or of each
     slice of a ``(..., 4, 4)`` or ``(..., 16, 16)`` stack, computed as
     ``Re(P^H L P) / N`` (see the module docstring).
 
     The imaginary part, which vanishes up to rounding on a
-    Hermiticity-preserving ``L``, is dropped unchecked.  Any other shape
-    raises ValueError.
+    Hermiticity-preserving ``L``, is dropped unchecked.  An r3 matrix, or a
+    ``(..., 3, 3)`` stack, is its own transfer matrix and is returned
+    unchanged.  Any other shape raises ValueError.
     """
     m = np.asarray(L)
-    n = _SUPEROP_CARRIER.get(m.shape[-2:])
-    if n is None:
-        raise ValueError(f"no qubit or two-qubit superoperator has shape {m.shape}; "
-                         f"expected 4x4 or 16x16, or a stack of them")
+    n = _pauli_carrier(m, "superoperator")
+    if not n:
+        return m
     p, ph = _pauli_frame(n)
     return (ph @ m @ p).real / n
 
@@ -408,36 +356,15 @@ def superop_from_ptm(t) -> np.ndarray:
     """Superoperator ``W T W^H`` of a real Pauli transfer matrix, or of each
     slice of a stack, computed as ``P T P^H / N``; the inverse of
     `ptm_rep` on Hermiticity-preserving superoperators.  The carrier is
-    read from the shape as in `ptm_rep`; any other shape raises ValueError.
+    read from the shape as in `ptm_rep`: an r3 matrix or stack is returned
+    unchanged, and any other shape raises ValueError.
     """
     t = np.asarray(t)
-    n = _SUPEROP_CARRIER.get(t.shape[-2:])
-    if n is None:
-        raise ValueError(f"no qubit or two-qubit transfer matrix has shape {t.shape}; "
-                         f"expected 4x4 or 16x16, or a stack of them")
+    n = _pauli_carrier(t, "transfer matrix")
+    if not n:
+        return t
     p, ph = _pauli_frame(n)
     return p @ t @ ph / n
-
-
-def superop_from_coherence(s: np.ndarray) -> np.ndarray:
-    """Right inverse of `coherence_rep` on the traceless sector: the one
-    product ``V S^T V^H`` with ``V = [vec(B_1), ...]`` over `pauli_basis`,
-    so that ``L(B_i) = sum_j S[i, j] B_j``.
-
-    The carrier is read from the column count: 3 columns for a qubit, 15
-    for two qubits; any other count, or a matrix that is not square,
-    raises ValueError.
-    """
-    s = np.asarray(s, dtype=float)
-    n = _COHERENCE_CARRIER.get(s.shape[-1] if s.ndim == 2 else None)
-    if n is None:
-        raise ValueError(f"no qubit or two-qubit coherence matrix has shape {s.shape}; "
-                         f"expected 3x3 or 15x15")
-    v = _pauli_vecs(n)
-    k = v.shape[1]
-    if s.shape != (k, k):
-        raise ValueError(f"expected a {k}x{k} matrix, got shape {s.shape}")
-    return v @ s.T @ v.conj().T
 
 
 # ---------------------------------------------------------------------------

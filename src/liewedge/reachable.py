@@ -20,8 +20,7 @@ from math import isqrt
 
 import numpy as np
 
-from .lindblad import (ControlSystem, drift_direction, ptm_directions, superop_from_ptm,
-                       vec)
+from .lindblad import ControlSystem, ptm_directions, superop_from_ptm
 from .matcore import _checked_count, _checked_tol, expm, fro, stacked_fro
 
 U_MAX = 5.0
@@ -83,12 +82,6 @@ def _identity(sys: ControlSystem) -> np.ndarray:
     return np.eye(ptm_directions(sys)[0].shape[0])
 
 
-def _superop(sys: ControlSystem, t: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of a transfer matrix or stack on the carrier of
-    `sys` (`lindblad.superop_from_ptm`); r3 matrices as they are."""
-    return t if sys.rep == "r3" else superop_from_ptm(t)
-
-
 def _exponentials(durations, gens: np.ndarray) -> np.ndarray:
     """Stack of ``expm(-d * gen)`` over the pairs, from one stacked `expm`
     call, or an empty stack without a call for no pairs; scipy's `expm`
@@ -110,7 +103,7 @@ def propagate(sys: ControlSystem, sched: Schedule) -> np.ndarray:
     out = _identity(sys)
     for e in _exponentials([d for d, _ in sched.segments], gens):
         out = e @ out
-    return _superop(sys, out)
+    return superop_from_ptm(out)
 
 
 def _jacobian(sys: ControlSystem, sched: Schedule) -> np.ndarray:
@@ -133,7 +126,7 @@ def _jacobian(sys: ControlSystem, sched: Schedule) -> np.ndarray:
     ident = _identity(sys)
     k, n = len(gens), ident.shape[0]
     if not k:
-        return _superop(sys, np.empty((0, n, n)))
+        return superop_from_ptm(np.empty((0, n, n)))
     durs = np.array([d for d, _ in sched.segments])[:, None, None]
     big = np.zeros((k, (m + 1) * n, (m + 1) * n))
     for j in range(m + 1):
@@ -151,7 +144,7 @@ def _jacobian(sys: ControlSystem, sched: Schedule) -> np.ndarray:
     for j in reversed(range(k)):
         out.append(suffix @ derivs[j] @ prefix[j])
         suffix = suffix @ exps[j]
-    return _superop(sys, np.concatenate(out[::-1]))
+    return superop_from_ptm(np.concatenate(out[::-1]))
 
 
 def random_schedule(n_controls: int, depth: int, horizon: float, seed,
@@ -198,7 +191,7 @@ def sample_reachable(sys: ControlSystem, n: int, depth: int,
     out = _identity(sys)
     for k in range(depth):
         out = exps[:, k] @ out
-    return list(_superop(sys, out))
+    return list(superop_from_ptm(out))
 
 
 def _witness(sys: ControlSystem, x: np.ndarray) -> np.ndarray:
@@ -207,9 +200,9 @@ def _witness(sys: ControlSystem, x: np.ndarray) -> np.ndarray:
     transposed), or on r3 the whole matrix.
 
     One stacked test first checks each quantum channel's identity column
-    and trace row off the identity entry, as `lindblad.coherence_rep` does
-    against ``1e-11 * max(1, ||x||_F)``; ValueError at the first failing
-    channel, its leak checked before its trace.
+    and trace row off the identity entry against
+    ``1e-11 * max(1, ||x||_F)``; ValueError at the first failing channel,
+    its leak checked before its trace.
     """
     if sys.rep == "r3":
         return stacked_fro(x) ** 2
@@ -251,8 +244,10 @@ def contraction_audit(sys: ControlSystem, sched: Schedule,
     grid = _checked_count("grid", grid, 2)
     tol = _checked_tol(tol)
     if sys.rep != "r3":
-        drift = drift_direction(sys)
-        defect = np.linalg.norm(drift @ vec(np.eye(isqrt(drift.shape[0]))))
+        # |L vec(I)| = sqrt(N) |T[:, 0]| for the drift's transfer matrix T,
+        # since L = W T W^H with W unitary and W^H vec(I) = sqrt(N) e_0
+        drift = ptm_directions(sys)[0]
+        defect = np.sqrt(isqrt(drift.shape[0])) * np.linalg.norm(drift[:, 0])
         if defect > 1e-10 * max(1.0, float(np.linalg.norm(drift))):
             raise ValueError("contraction audit requires unital dynamics")
     gens = _segment_generators(sys, sched.segments)
@@ -319,10 +314,10 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
     positive and finite; ValueError otherwise, before any propagation.
     """
     tmat = np.asarray(target)
-    drift = drift_direction(sys)
-    if tmat.shape != drift.shape:
+    shape = ptm_directions(sys)[0].shape
+    if tmat.shape != shape:
         raise ValueError(f"target has shape {tmat.shape}, but the system's "
-                         f"generators have shape {drift.shape}")
+                         f"generators have shape {shape}")
     if not np.isfinite(tmat).all():
         raise ValueError("target has non-finite entries")
     switches = _checked_count("switches", switches)
@@ -334,7 +329,7 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
         sched = Schedule(())
         return sched, float(fro(_identity(sys) - tmat))
     width = 1 + m
-    cplx = np.iscomplexobj(drift) or np.iscomplexobj(tmat)
+    cplx = sys.rep != "r3" or np.iscomplexobj(tmat)
     lower = np.tile(np.r_[0.0, np.full(m, -u_max)], switches)
     upper = np.tile(np.r_[np.inf, np.full(m, u_max)], switches)
     best = {"val": np.inf, "params": None}

@@ -1068,15 +1068,15 @@ def wedge_contains(w: Wedge, x: np.ndarray, tol: float = None):
 def outer_contains(w: Wedge, x: np.ndarray, tol: float = None) -> bool:
     """Whether x lies within tol * max(1, |x|) of the system's Lie algebra
     (`Wedge.algebra`), an imaginary part counting in full, and has
-    `gks_margin >= -tol`, of its superoperator (`superop_from_ptm`) on a
-    qubit or two qubits; inputs checked and tol defaulting as in
+    `gks_margin >= -tol` of its superoperator (`superop_from_ptm`; an r3
+    generator is its own); inputs checked and tol defaulting as in
     `wedge_contains`.  Every wedge `saturate` builds for the system lies in
     this outer wedge, so False certifies that x is in none of them; the
     test is exact and draws no random numbers."""
     (x,), _, tol = _checked_query(x, w.cone.shape, w.cone.tol if tol is None else tol,
                                   stacked=False)
     off = np.hypot(w.algebra.residual(x.real), fro(x.imag))
-    margin = gks_margin(x.real if x.shape == (3, 3) else superop_from_ptm(x.real))
+    margin = gks_margin(superop_from_ptm(x.real))
     return bool(off <= tol * max(1.0, fro(x)) and margin >= -tol)
 
 

@@ -22,8 +22,8 @@ from liewedge.channels import (ChannelSpec, H_X, H_Y, H_Z, P_X, P_Y, P_Z,
                                two_qubit_wedge_generators)
 from liewedge.cli import main as cli_main
 from liewedge.liealg import lie_closure, subspace_equal
-from liewedge.lindblad import (ControlSystem, ad_hat, cptp_audit, drift_direction,
-                               gks_dissipator, lindbladian, propagator, ptm_rep)
+from liewedge.lindblad import (ControlSystem, ad_hat, cptp_audit, gks_dissipator,
+                               lindbladian, propagator, ptm_rep)
 from liewedge.matcore import comm, expm, fro, inner, orthonormal_span
 from liewedge.reachable import Schedule, contraction_audit, propagate, steer
 from liewedge.semialgebra import (bch_witness, orbit_wedge, semialgebra_case,
@@ -219,7 +219,7 @@ def test_criterion_06_dissipator_and_conjugation_closed_forms():
                 assert np.max(np.abs(direct - p_component(c, ks, theta))) <= 1e-10
 
         spec = ChannelSpec(name="two_qubit_C")
-        g0 = drift_direction(build_system(spec))
+        g0 = lindbladian(build_system(spec))
         for _ in range(100):
             th, thp = rng.uniform(-np.pi, np.pi, size=2)
             u = (expm(-1j * th * np.asarray(sigma_hat2("y1")))

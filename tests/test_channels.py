@@ -12,7 +12,7 @@ from liewedge.channels import (ChannelSpec, KrausSet, build_system, eps,
                                sigma_hat2, sigma2, third_axis,
                                two_qubit_generator_parts,
                                two_qubit_wedge_generators)
-from liewedge.lindblad import drift_direction, lindbladian, propagator
+from liewedge.lindblad import lindbladian, propagator
 from liewedge.matcore import expm
 
 RNG = np.random.default_rng(1408)
@@ -162,7 +162,7 @@ def test_p_component_validates_axes():
 def test_two_qubit_parts_sum_to_direct_conjugation():
     spec = ChannelSpec(name="two_qubit_C")
     sys = build_system(spec)
-    g0 = drift_direction(sys)
+    g0 = lindbladian(sys)
     for _ in range(10):
         th, thp = RNG.uniform(-np.pi, np.pi, size=2)
         u = (expm(-1j * th * np.asarray(sigma_hat2("y1")))

@@ -8,12 +8,11 @@ import re
 import numpy as np
 import pytest
 
-from liewedge.lindblad import (ControlSystem, ad_hat, choi_matrix,
-                               coherence_rep, control_directions, cptp_audit,
-                               drift_direction, gks_dissipator,
-                               gks_margin, gks_term, is_trace_preserving, is_unital,
-                               lindbladian, pauli_basis, propagator,
-                               superop_from_coherence, unvec, vec)
+from liewedge.lindblad import (ControlSystem, ad_hat, choi_matrix, cptp_audit,
+                               gks_dissipator, gks_margin, gks_term,
+                               is_trace_preserving, is_unital, lindbladian,
+                               pauli_basis, propagator, ptm_directions, ptm_rep,
+                               superop_from_ptm, unvec, vec)
 from liewedge.channels import H_Z, sigma, sigma_hat
 from liewedge.matcore import expm, fro
 
@@ -140,20 +139,13 @@ def test_choi_of_identity_is_maximally_entangled():
     assert np.allclose(np.sort(w), [0.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
-def test_coherence_rep_round_trip():
-    sys = ControlSystem(rep="qubit", drift_H=sigma("y") / 2.0,
-                        controls=(), lindblad_ops=((sigma("z") / 2.0, 0.2),))
-    l = lindbladian(sys)
-    small = coherence_rep(l)
-    back = superop_from_coherence(small)
-    assert np.max(np.abs(back - l)) < 1e-10
-
-
-def test_coherence_rep_of_hamiltonian_is_antisymmetric():
-    h = _random_hermitian(2)
-    l = 1j * ad_hat(h)
-    m = coherence_rep(l)
-    assert np.max(np.abs(m + m.T)) < 1e-10
+@pytest.mark.parametrize("n", [2, 4])
+def test_ptm_of_a_hamiltonian_is_antisymmetric(n):
+    """i ad(h) generates a rotation of the coherence vector: its transfer
+    matrix is antisymmetric and leaves the identity entry alone."""
+    t = ptm_rep(1j * ad_hat(_random_hermitian(n)))
+    assert np.max(np.abs(t + t.T)) < 1e-10
+    assert np.max(np.abs(t[0])) < 1e-12 and np.max(np.abs(t[:, 0])) < 1e-12
 
 
 def test_propagator_reads_the_carrier_from_the_shape():
@@ -165,67 +157,27 @@ def test_propagator_reads_the_carrier_from_the_shape():
     assert np.array_equal(propagator(l, 0.5), expm(-0.5 * l))
 
 
-def test_coherence_maps_read_the_carrier_from_the_shape():
-    for n2, k in ((4, 3), (16, 15)):
-        assert np.max(np.abs(coherence_rep(np.eye(n2)) - np.eye(k))) < 1e-14
-        assert superop_from_coherence(np.zeros((k, k))).shape == (n2, n2)
-
-
-@pytest.mark.parametrize("shape", [(9, 9), (3, 3), (15, 15), (4, 16)])
-def test_coherence_rep_rejects_a_shape_of_no_carrier(shape):
-    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
-        coherence_rep(np.zeros(shape))
-
-
-@pytest.mark.parametrize("shape", [(2, 9, 9), (3, 4, 16), (16,)])
-def test_coherence_rep_rejects_a_stack_of_no_carrier(shape):
-    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
-        coherence_rep(np.zeros(shape))
-
-
-def _failing_superops(n: int) -> dict:
-    """A superoperator that fails each check of `coherence_rep`, keyed by
-    the message it raises."""
-    v = np.stack([vec(b) for b in pauli_basis(n)], axis=1)
-    eye_v = vec(np.eye(n)) / np.sqrt(n)
-    lower = np.zeros((n, n), dtype=complex)
-    lower[n - 1, 0] = 1.0
-    amplitude = ControlSystem(rep="qubit" if n == 2 else "two_qubit",
-                              drift_H=np.zeros((n, n)), controls=(),
-                              lindblad_ops=((lower, 0.5),))
-    non_real = np.eye(v.shape[1], dtype=complex)
-    non_real[0, 1] = 0.5j
-    return {
-        "not unital": lindbladian(amplitude),
-        "does not preserve tracelessness": np.eye(n * n) + np.outer(eye_v, v[:, 1].conj()),
-        "non-real entries": v @ non_real @ v.conj().T,
-    }
-
-
-@pytest.mark.parametrize("n", [2, 4])
-@pytest.mark.parametrize("second, fourth", [("not unital", "non-real entries"),
-                                            ("non-real entries", "not unital"),
-                                            ("does not preserve tracelessness", "not unital"),
-                                            ("non-real entries",
-                                             "does not preserve tracelessness")])
-def test_stacked_coherence_rep_raises_for_the_first_failing_slice(n, second, fourth):
-    failing = _failing_superops(n)
-    for msg, m in failing.items():
-        with pytest.raises(ValueError, match=msg):
-            coherence_rep(m)
-    stack = np.stack([expm(-0.1 * k * 1j * ad_hat(_random_hermitian(n))) for k in range(6)])
-    coherence_rep(stack)
-    stack[2], stack[4] = failing[second], failing[fourth]
-    with pytest.raises(ValueError, match=second):
-        coherence_rep(stack)
-    with pytest.raises(ValueError, match=second):
-        coherence_rep(stack.reshape(2, 3, n * n, n * n))
-
-
-@pytest.mark.parametrize("shape", [(8, 8), (4, 4), (16, 16)])
-def test_superop_from_coherence_rejects_a_shape_of_no_carrier(shape):
-    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
-        superop_from_coherence(np.zeros(shape))
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3), (2, 1, 3, 3), (9, 9), (4, 16),
+                                   (15, 15), (2, 9, 9), (3, 4, 16), (16,), (3,)])
+def test_transfer_maps_pass_r3_through_and_refuse_other_shapes(shape):
+    """An r3 generator, or a stack of them, is its own transfer matrix, so
+    `ptm_rep` and `superop_from_ptm` return it unchanged; a shape of no
+    carrier raises in both."""
+    m = np.random.default_rng(len(shape)).normal(size=shape)
+    if shape[-2:] == (3, 3):
+        for fn in (ptm_rep, superop_from_ptm):
+            got = fn(m)
+            assert got.shape == m.shape and got.dtype == m.dtype
+            assert got.tobytes() == m.tobytes()
+        return
+    with pytest.raises(ValueError, match=re.escape(
+            f"no qubit or two-qubit superoperator has shape {shape}; "
+            f"expected 4x4 or 16x16, or a stack of them")):
+        ptm_rep(m)
+    with pytest.raises(ValueError, match=re.escape(
+            f"no qubit or two-qubit transfer matrix has shape {shape}; "
+            f"expected 4x4 or 16x16, or a stack of them")):
+        superop_from_ptm(m)
 
 
 def test_pauli_basis_orthogonality():
@@ -281,7 +233,8 @@ def test_control_system_stores_read_only_copies(rep):
         assert not ours.flags.writeable
     h[0, 1] = c[0, 1] = v[0, 0] = 7.0
     assert np.array_equal(lindbladian(sys, (0.3,)), before)
-    for cached in (sys.drift_H, drift_direction(sys), control_directions(sys)[0]):
+    drift_t, controls_t = ptm_directions(sys)
+    for cached in (sys.drift_H, drift_t, controls_t, controls_t[0]):
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
     assert lindbladian(sys, (0.3,)).flags.writeable

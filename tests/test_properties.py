@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -30,11 +31,9 @@ from scipy.optimize import minimize, minimize_scalar, nnls
 from liewedge.channels import NAMES, H_X, H_Y, H_Z, ChannelSpec, build_system, sigma, sigma2
 from liewedge.cli import _dumps, format_system_file
 from liewedge.liealg import check_conditions, lie_closure
-from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep,
-                               control_directions, drift_direction, gks_dissipator,
-                               gks_margin, gks_term, ham_drift_direction, lindbladian,
-                               pauli_basis, ptm_directions, ptm_rep,
-                               superop_from_coherence, superop_from_ptm, unvec, vec)
+from liewedge.lindblad import (ControlSystem, ad_hat, gks_dissipator, gks_margin,
+                               gks_term, ham_drift_direction, lindbladian, pauli_basis,
+                               ptm_directions, ptm_rep, superop_from_ptm, unvec, vec)
 from liewedge.matcore import (Subspace, _rank, comm, eig_sym, expm, fro, inner, kron,
                               orthonormal_span)
 from liewedge import reachable, semialgebra
@@ -113,14 +112,20 @@ systems = st.builds(_random_system, st.sampled_from(REPS), st.integers(0, 2**32 
                     st.integers(0, 2), st.integers(0, 2), st.booleans())
 
 
+def _control_generators(sys: ControlSystem) -> list:
+    """i ad(c) of each control Hamiltonian c, or on r3 the controls."""
+    if sys.rep == "r3":
+        return [c.copy() for c in sys.controls]
+    return [1j * ad_hat(c) for c in sys.controls]
+
+
 def _reference_lindbladian(sys: ControlSystem, u) -> np.ndarray:
-    """Fresh assembly from ad_hat / gks_term, in the cached path's order."""
+    """Fresh assembly from ad_hat / gks_term, in the library's order."""
     if sys.rep == "r3":
         diss = np.zeros((3, 3))
         for v, g in sys.lindblad_ops:
             diss += g * v
         drift = sys.drift_H.copy() + diss
-        controls = [c.copy() for c in sys.controls]
     else:
         n = sys.drift_H.shape[0]
         if sys.lindblad_ops:
@@ -128,9 +133,8 @@ def _reference_lindbladian(sys: ControlSystem, u) -> np.ndarray:
         else:
             diss = np.zeros((n * n, n * n), dtype=complex)
         drift = 1j * ad_hat(sys.drift_H) + diss
-        controls = [1j * ad_hat(c) for c in sys.controls]
     m = drift.copy()
-    for uj, cj in zip(np.asarray(u, dtype=float), controls):
+    for uj, cj in zip(np.asarray(u, dtype=float), _control_generators(sys)):
         m = m + uj * cj
     return m
 
@@ -157,15 +161,23 @@ def _reference_coherence_rep(m: np.ndarray, n: int, tol: float = 1e-12) -> np.nd
     return cr
 
 
-def _reference_superop_from_coherence(s: np.ndarray, n: int) -> np.ndarray:
-    """Double loop over the Pauli basis: sum_ij S[i, j] vec(B_j) vec(B_i)^H."""
-    vecs = [vec(b) for b in pauli_basis(n)]
-    m = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(len(vecs)):
-        for j in range(len(vecs)):
-            if s[i, j] != 0.0:
-                m += s[i, j] * np.outer(vecs[j], vecs[i].conj())
-    return m
+def _coherence_ptm(s: np.ndarray) -> np.ndarray:
+    """The transfer matrix of the unital map whose coherence representation
+    is s: the traceless block s.T inside a zero border."""
+    t = np.zeros((len(s) + 1, len(s) + 1))
+    t[1:, 1:] = np.asarray(s).T
+    return t
+
+
+def _coherence(x: np.ndarray) -> np.ndarray:
+    """The coherence representation ``Re(V^H x V)^T`` of a unital quantum
+    superoperator, ``V = [vec(B_1), ...]`` over `pauli_basis`, in one
+    product (the audit references call it at every grid point, where the
+    entry loop is too slow); an r3 matrix as it is."""
+    if x.shape == (3, 3):
+        return x
+    v = np.stack([vec(b) for b in pauli_basis(isqrt(x.shape[0]))], axis=1)
+    return (v.conj().T @ x @ v).real.T
 
 
 def _reference_audit_s(sys: ControlSystem, sched: Schedule, grid: int) -> list:
@@ -182,8 +194,7 @@ def _reference_audit_s(sys: ControlSystem, sched: Schedule, grid: int) -> list:
             if t <= lo:
                 break
             x = expm(-(min(t, hi) - lo) * gen) @ x
-        cr = x if sys.rep == "r3" else coherence_rep(x)
-        vals.append(float(np.linalg.norm(cr, "fro") ** 2))
+        vals.append(float(np.linalg.norm(_coherence(x), "fro") ** 2))
     return vals
 
 
@@ -200,90 +211,16 @@ def test_lindbladian_is_bitwise_a_fresh_assembly(sys, seed):
 
 @SETTINGS
 @given(st.sampled_from(("qubit", "two_qubit")), st.integers(0, 2**32 - 1),
-       st.integers(0, 2), st.integers(0, 2), st.floats(0.0, 2.0))
-def test_coherence_rep_matches_the_loop(rep, seed, n_controls, n_ops, t):
-    sys = _random_system(rep, seed, n_controls, n_ops)
-    u = np.random.default_rng(seed).uniform(-5.0, 5.0, size=n_controls)
-    gen = lindbladian(sys, u)
-    n = HILBERT_DIM[rep]
-    for m in (gen, expm(-t * gen)):
-        got = coherence_rep(m)
-        want = _reference_coherence_rep(m, n)
-        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, fro(m))
-
-
-@SETTINGS
-@given(st.sampled_from(("qubit", "two_qubit")), st.integers(0, 2**32 - 1),
-       st.floats(0.1, 1.0))
-def test_coherence_rep_rejects_non_unital_generators(rep, seed, gamma):
-    n = HILBERT_DIM[rep]
-    lower = np.zeros((n, n), dtype=complex)
-    lower[n - 1, 0] = 1.0
-    rng = np.random.default_rng(seed)
-    sys = ControlSystem(rep=rep, drift_H=_hermitian(rng, n), controls=(),
-                        lindblad_ops=((lower, gamma),))
-    m = lindbladian(sys)
-    for fn in (lambda: coherence_rep(m),
-               lambda: _reference_coherence_rep(m, n)):
-        with pytest.raises(ValueError, match="not unital"):
-            fn()
-
-
-@SETTINGS
-@given(st.sampled_from(("qubit", "two_qubit")), st.integers(0, 2**32 - 1),
-       st.floats(-3.0, 3.0), st.booleans())
-def test_superop_from_coherence_matches_the_loop(rep, seed, log_scale, sparse):
-    """The one product V S^T V^H against the double loop, on dense and
-    sparse S, and the round trip through `coherence_rep`."""
-    rng = np.random.default_rng(seed)
-    n = HILBERT_DIM[rep]
-    k = n * n - 1
-    s = 10.0 ** log_scale * rng.normal(size=(k, k))
-    if sparse:
-        s[rng.uniform(size=(k, k)) < 0.7] = 0.0
-    got = superop_from_coherence(s)
-    assert got.shape == (n * n, n * n)
-    scale = max(1.0, fro(s))
-    assert np.max(np.abs(got - _reference_superop_from_coherence(s, n))) <= 1e-15 * scale
-    assert np.max(np.abs(coherence_rep(got) - s)) <= 1e-14 * scale
-    with pytest.raises(ValueError, match=f"expected a {k}x{k} matrix"):
-        superop_from_coherence(s[:-1])
-
-
-@SETTINGS
-@given(st.sampled_from(("qubit", "two_qubit")), st.integers(0, 2**32 - 1))
-def test_coherence_rep_raises_as_the_loop_does(rep, seed):
-    """Unital maps with a few trace-carrying rows and non-real overlaps
-    raise the loop's error for the first offending basis element."""
-    rng = np.random.default_rng(seed)
-    n = HILBERT_DIM[rep]
-    v = np.stack([vec(b) for b in pauli_basis(n)], axis=1)
-    d = v.shape[1]
-    g = rng.normal(size=(d, d)).astype(complex)
-    g[rng.integers(d, size=2), rng.integers(d, size=2)] += 1j * rng.integers(0, 2, size=2)
-    trace_row = np.where(rng.uniform(size=d) < 0.1, 1.0, 0.0)
-    m = v @ g @ v.conj().T + np.outer(vec(np.eye(n)) / np.sqrt(n), trace_row) @ v.conj().T
-    try:
-        want = _reference_coherence_rep(m, n)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=str(exc)):
-            coherence_rep(m)
-    else:
-        got = coherence_rep(m)
-        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, fro(m))
-
-
-@SETTINGS
-@given(st.sampled_from(("qubit", "two_qubit")), st.integers(0, 2**32 - 1),
        st.integers(0, 2), st.integers(0, 2), st.booleans())
 def test_ptm_is_real_round_trips_and_holds_the_coherence_rep(rep, seed, n_controls, n_ops,
                                                            unital):
     """On random generators, non-unital ones included, with W = [vec(I)/sqrt(N),
     vec(B_k)] built here from `pauli_basis`: W^H L W is real to rounding and
     `ptm_rep` is its real part, W T W^H gives L back, the cached transfer
-    matrices are `ptm_rep` of the cached generators, and `coherence_rep(L)`
-    is the traceless block transposed, or, where L is not unital, refused
-    while T's identity column leaks into the traceless block."""
+    matrices are `ptm_rep` of the freshly assembled generators, and the
+    reference loop's coherence representation of L is the traceless block
+    transposed, or, where L is not unital, refused while T's identity
+    column leaks into the traceless block."""
     sys = _random_system(rep, seed, n_controls, n_ops, unital)
     n = HILBERT_DIM[rep]
     w = np.column_stack([vec(np.eye(n)) / np.sqrt(n), *(vec(b) for b in pauli_basis(n))])
@@ -296,18 +233,18 @@ def test_ptm_is_real_round_trips_and_holds_the_coherence_rep(rep, seed, n_contro
     assert np.max(np.abs(t - full.real)) <= 1e-14 * scale
     assert np.max(np.abs(superop_from_ptm(t) - gen)) <= 1e-14 * scale
     drift_t, controls_t = ptm_directions(sys)
-    assert drift_t.tobytes() == ptm_rep(drift_direction(sys)).tobytes()
+    assert drift_t.tobytes() == ptm_rep(lindbladian(sys)).tobytes()
     assert controls_t.shape == (n_controls, n * n, n * n)
-    for c, ct in zip(control_directions(sys), controls_t):
-        assert ct.tobytes() == ptm_rep(c).tobytes()
+    for c, ct in zip(sys.controls, controls_t):
+        assert ct.tobytes() == ptm_rep(1j * ad_hat(c)).tobytes()
     assert np.max(np.abs(t[0])) <= 1e-14 * scale  # trace-preserving
     if unital or not n_ops:
         assert fro(t[1:, 0]) <= 1e-13 * scale
-        assert np.max(np.abs(coherence_rep(gen) - t[1:, 1:].T)) <= 1e-14 * scale
+        assert np.max(np.abs(_reference_coherence_rep(gen, n) - t[1:, 1:].T)) <= 1e-14 * scale
     else:
         assert fro(t[1:, 0]) > 1e-11 * scale
         with pytest.raises(ValueError, match="not unital"):
-            coherence_rep(gen)
+            _reference_coherence_rep(gen, n)
 
 
 def _assert_close(got, want):
@@ -340,7 +277,7 @@ def test_contraction_audit_is_bitwise_naive_repropagation(rep, seed, n_controls,
 
 
 def _identity_channel(sys: ControlSystem) -> np.ndarray:
-    drift = drift_direction(sys)
+    drift = lindbladian(sys)
     return np.eye(*drift.shape, dtype=drift.dtype)
 
 
@@ -360,7 +297,7 @@ def _reference_sample_reachable(sys: ControlSystem, n: int, depth: int,
 
 
 def _reference_audit_loop(sys: ControlSystem, sched: Schedule, grid: int) -> list:
-    """s(t) point by point: one `expm` and one `coherence_rep` per grid point
+    """s(t) point by point: one `expm` and one coherence loop per grid point
     inside a segment, whole segments taken from the prefix products."""
     gens = [lindbladian(sys, u) for _, u in sched.segments]
     times = np.linspace(0.0, sched.total_duration, grid)
@@ -375,14 +312,13 @@ def _reference_audit_loop(sys: ControlSystem, sched: Schedule, grid: int) -> lis
             x = prefix[k]
         else:
             x = expm(-(t - bounds[k - 1]) * gens[k - 1]) @ prefix[k - 1]
-        cr = x if sys.rep == "r3" else coherence_rep(x)
-        vals.append(float(np.linalg.norm(cr, "fro") ** 2))
+        vals.append(float(np.linalg.norm(_coherence(x), "fro") ** 2))
     return vals
 
 
 def _reference_jacobian(sys: ControlSystem, sched: Schedule) -> np.ndarray:
     """The block-triangular exponential of each segment by its own call."""
-    controls = control_directions(sys)
+    controls = _control_generators(sys)
     m = len(controls)
     exps, derivs = [], []
     for dur, u in sched.segments:
@@ -458,7 +394,7 @@ def test_contraction_audit_keeps_the_coherence_band(sys, quarters, seed):
         lams = []
         for _, u in sched.segments:
             gen = lindbladian(sys, u)
-            a = gen if sys.rep == "r3" else coherence_rep(gen)
+            a = _coherence(gen)
             lams.extend(np.linalg.eigvalsh((a + a.T) / 2.0)[[0, -1]])
         ratio, dt = s[1:] / s[:-1], np.diff(times)
         assert np.all(ratio >= np.exp(-2.0 * max(lams) * dt) * (1.0 - 1e-12))
@@ -527,23 +463,6 @@ def test_reachable_runs_make_one_expm_call_each(monkeypatch):
         _jacobian(sys, Schedule(()))
         contraction_audit(sys, Schedule(()), grid=5)
         assert calls == []
-
-
-@SETTINGS
-@given(st.sampled_from(("qubit", "two_qubit")), st.integers(0, 2**32 - 1),
-       st.integers(0, 2), st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
-       st.booleans())
-def test_stacked_coherence_rep_is_bitwise_per_slice(rep, seed, n_controls, ts, generators):
-    """A (2, k/2 or k, n, n) stack of channels or generators maps slice by
-    slice to exactly what each slice gives alone."""
-    sys = _random_system(rep, seed, n_controls, 2)
-    gen = lindbladian(sys, np.random.default_rng(seed).uniform(-5.0, 5.0, size=n_controls))
-    mats = np.stack([t * gen if generators else expm(-t * gen) for t in ts * 2])
-    stack = mats.reshape(2, len(ts), *gen.shape)
-    got = coherence_rep(stack)
-    assert got.shape == (2, len(ts), *coherence_rep(gen).shape)
-    for g, m in zip(got.reshape(-1, *got.shape[2:]), mats):
-        assert g.tobytes() == coherence_rep(m).tobytes()
 
 
 # Steering systems: r3 with two controls, a qubit with one, two qubits with two.
@@ -1238,10 +1157,10 @@ def _conjugated(sys: ControlSystem, seed: int) -> ControlSystem:
 def _superoperator_condition_dims(sys: ControlSystem) -> tuple:
     """(dim_kc, dim_kd, dim_s) closed on the complex superoperators, in
     their real form (`_real_form`)."""
-    ctrl = [_real_form(c) for c in control_directions(sys)]
+    ctrl = [_real_form(c) for c in _control_generators(sys)]
     kc = lie_closure(ctrl).dim if ctrl else 0
     kd = lie_closure(ctrl + [_real_form(ham_drift_direction(sys))]).dim
-    return kc, kd, lie_closure(ctrl + [_real_form(drift_direction(sys))]).dim
+    return kc, kd, lie_closure(ctrl + [_real_form(lindbladian(sys))]).dim
 
 
 @SETTINGS
@@ -1387,9 +1306,9 @@ def test_saturation_ends_at_the_edge_base_fixed_point(rep, seed, n_controls, n_o
 def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
     """The r3 and qubit branches of the closed-form orbit support, kept apart.
     The qubit branch works on the coherence representation of the
-    superoperators (`superop_from_ptm`, `coherence_rep`); a qubit direction
-    off the coherence image is projected onto it, through the image's
-    orthonormal basis, the transfer matrices of superop_from_coherence(E_ij)."""
+    superoperators (`superop_from_ptm`, `_reference_coherence_rep`); a qubit
+    direction off the coherence image is projected onto it, through the
+    image's orthonormal basis, the transfer matrices `_coherence_ptm(E_ij)`."""
     if rep == "r3" and fam.n_params == 3:
         base_sym = (fam.base + fam.base.T) / 2
         if fro(base_sym - fam.base) > 1e-10 * max(1.0, fro(fam.base)):
@@ -1401,15 +1320,15 @@ def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
         return g, float(np.dot(w_b, w_d))
     if rep == "qubit" and fam.n_params == 3:
         try:
-            cr_b = coherence_rep(superop_from_ptm(fam.base))
+            cr_b = _reference_coherence_rep(superop_from_ptm(fam.base), 2)
         except ValueError:
             return None
         try:
-            cr_d = coherence_rep(superop_from_ptm(direction))
+            cr_d = _reference_coherence_rep(superop_from_ptm(direction), 2)
         except ValueError:
             units = np.eye(3)
-            cr_d = np.array([[inner(ptm_rep(superop_from_coherence(np.outer(e_i, e_j))),
-                                    direction) for e_j in units] for e_i in units])
+            cr_d = np.array([[inner(_coherence_ptm(np.outer(e_i, e_j)), direction)
+                              for e_j in units] for e_i in units])
         cr_bs = (cr_b + cr_b.T) / 2
         if fro(cr_bs - cr_b) > 1e-10 * max(1.0, fro(cr_b)):
             return None
@@ -1417,7 +1336,7 @@ def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
         w_b, _ = eig_sym(cr_bs)
         w_d, v_d = eig_sym(d_sym)
         g_cr = v_d @ np.diag(w_b) @ v_d.T
-        g = ptm_rep(superop_from_coherence(g_cr))
+        g = _coherence_ptm(g_cr)
         return g, float(np.dot(w_b, w_d))
     return None
 
@@ -1429,8 +1348,8 @@ def _reference_support_aligned(fam: ConjugationFamily, direction, rep: str):
 def test_aligned_support_matches_the_two_branch_routine(rep, seed, n_seeds, base_kind,
                                                         direction_kind):
     """Symmetric and general bases, projected off the seeds' span, and
-    (qubit) transfer matrices of bases or directions that `coherence_rep`
-    rejects, on orbit families with 2- and 3-dim edges.  On r3 the element
+    (qubit) transfer matrices of bases or directions that the coherence
+    loop rejects, on orbit families with 2- and 3-dim edges.  On r3 the element
     and the value are the reference's bit for bit.  The qubit reference
     passes through the superoperators, so there the values agree to 1e-12
     and the element is an orbit point scoring the value."""
@@ -1443,7 +1362,7 @@ def test_aligned_support_matches_the_two_branch_routine(rep, seed, n_seeds, base
             return a
         if kind == "non-unital":
             return rng.normal(size=(4, 4))
-        return ptm_rep(superop_from_coherence(a))
+        return _coherence_ptm(a)
 
     if rep == "r3":
         seeds = [_skew(rng) for _ in range(n_seeds)]
@@ -1460,7 +1379,7 @@ def test_aligned_support_matches_the_two_branch_routine(rep, seed, n_seeds, base
         tol = 1e-12 * max(1.0, fro(fam.base)) * max(1.0, fro(direction))
         assert abs(got[1] - want[1]) <= tol
         assert abs(inner(got[0], direction) - got[1]) <= tol
-        assert np.allclose(eig_sym(coherence_rep(superop_from_ptm(got[0])))[0],
+        assert np.allclose(eig_sym(_reference_coherence_rep(superop_from_ptm(got[0]), 2))[0],
                            fam.exact.rates, rtol=0.0, atol=1e-12 * max(1.0, fro(fam.base)))
     elif want is not None:
         assert got[0].tobytes() == want[0].tobytes()
@@ -1657,8 +1576,7 @@ def _rotation_orbit(rep: str, rates) -> tuple:
     else:
         seeds = tuple(_ham(sigma(a) / 2.0) for a in "xyz")
 
-        def lift(block):
-            return ptm_rep(superop_from_coherence(block))
+        lift = _coherence_ptm
     exact = ConjugationFamily(tuple(s / fro(s) for s in seeds), lift(np.diag(rates))).exact
     assert exact is not None and exact.qubit == (rep == "qubit")
     return exact, lift
@@ -2135,12 +2053,13 @@ def test_gks_margin_refuses_a_negative_rate(n, seed, rate):
 def test_gks_margin_matches_the_r3_rule_on_unital_qubit_generators(seed):
     """On a unital qubit generator (Hermitian noise operators, rates of
     either sign) the Choi margin admits x exactly when the relaxation rates
-    r of coherence_rep(x) obey r_i <= r_j + r_k, off the boundary."""
+    r of its coherence representation ptm_rep(x)[1:, 1:].T obey
+    r_i <= r_j + r_k, off the boundary."""
     rng = np.random.default_rng(seed)
     x = 1j * ad_hat(_hermitian(rng, 2))
     for g in rng.uniform(-0.3, 1.0, size=3):
         x = x + gks_term(_hermitian(rng, 2), g)
-    r3 = gks_margin(coherence_rep(x))
+    r3 = gks_margin(ptm_rep(x)[1:, 1:].T)
     if abs(r3) > 1e-9:
         assert (gks_margin(x) >= -1e-12) == (r3 > 0.0)
 

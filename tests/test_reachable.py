@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from liewedge import reachable
-from liewedge.channels import ChannelSpec, build_system, example2, sigma
+from liewedge.channels import NAMES, ChannelSpec, build_system, example2, sigma
 from liewedge.lindblad import ControlSystem, cptp_audit, lindbladian
 from liewedge.matcore import expm, fro
 from liewedge.reachable import (U_MAX, Schedule, contraction_audit, propagate,
@@ -110,6 +110,44 @@ def test_contraction_audit_closed_system_is_constant():
     audit = contraction_audit(sys, sched, grid=40)
     svals = np.asarray(audit["s"])
     assert np.max(np.abs(svals - svals[0])) < 1e-10
+
+
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+_AMPLITUDE_DAMPING = {
+    "amp_damp": ControlSystem(rep="qubit", drift_H=sigma("z") / 2.0,
+                           controls=(sigma("x") / 2.0,), lindblad_ops=((_LOWER, 0.3),)),
+    "amp_damp_two_qubit": ControlSystem(rep="two_qubit", drift_H=np.kron(sigma("z"), sigma("z")) / 2.0,
+                               controls=(np.kron(sigma("x"), np.eye(2)) / 2.0,),
+                               lindblad_ops=((np.kron(_LOWER, np.eye(2)), 0.3),)),
+}
+
+
+_QUBIT_GRID = {f"{channel}-{axes}-{drift}": ChannelSpec(channel, control_axes=tuple(axes),
+                                                        drift_axis=drift)
+               for channel in ("bit_flip", "phase_flip", "bit_phase_flip", "depolarizing")
+               for axes in ("x", "y", "z", "xy", "xz", "yz", "xyz")
+               for drift in (None, "x", "y", "z")}
+
+
+@pytest.mark.parametrize("name", [*_AMPLITUDE_DAMPING,
+                                  *(n for n in NAMES if ChannelSpec(name=n).rep != "r3"),
+                                  *_QUBIT_GRID])
+def test_contraction_audit_refuses_exactly_the_non_unital_systems(name):
+    """Amplitude damping leaks the identity into the traceless sector, so
+    the witness s(t) is not monotone and the audit refuses it; every named
+    quantum system, and every qubit channel under any control axes and
+    drift, is unital and audits."""
+    if name in _AMPLITUDE_DAMPING:
+        sys = _AMPLITUDE_DAMPING[name]
+    else:
+        sys = build_system(_QUBIT_GRID.get(name) or ChannelSpec(name=name))
+    sched = random_schedule(sys.n_controls, 3, 1.0, 5)
+    if name in _AMPLITUDE_DAMPING:
+        with pytest.raises(ValueError, match="contraction audit requires unital dynamics"):
+            contraction_audit(sys, sched)
+    else:
+        assert contraction_audit(sys, sched)["monotone"]
 
 
 def _strang_schedule(n: int, dt: float) -> Schedule:

@@ -17,8 +17,7 @@ from liewedge.channels import (H_X, H_Y, H_Z, NAMES, P_Y, ChannelSpec, build_sys
                                example1, example2, example3, example3_delta, sigma,
                                two_qubit_operator)
 from liewedge.liealg import subspace_leq
-from liewedge.lindblad import (ControlSystem, ad_hat, coherence_rep, gks_margin, pauli_basis,
-                               ptm_rep, superop_from_coherence, superop_from_ptm)
+from liewedge.lindblad import ControlSystem, ad_hat, gks_margin, pauli_basis, ptm_rep
 from liewedge.matcore import Subspace, comm, expm, fro, inner, orthonormal_span
 from liewedge.semialgebra import bch, orbit_wedge
 from liewedge.wedge import (Cone, ConjugationFamily, MomentCurve, RotationOrbit, Wedge,
@@ -31,6 +30,12 @@ RNG = np.random.default_rng(73)
 
 GAMMA2 = np.diag([1.0, 0.0, 1.0])
 GAMMA3 = np.diag([1.0, 1.0, 2.0])
+
+
+def _coherence_ptm(s: np.ndarray) -> np.ndarray:
+    """The qubit transfer matrix of the unital map whose coherence
+    representation is the 3x3 s: the traceless block s.T in a zero border."""
+    return np.pad(np.asarray(s, dtype=float).T, ((1, 0), (1, 0)))
 
 
 def _orthant_cone() -> Cone:
@@ -150,7 +155,7 @@ def test_seeds_that_miss_a_rotation_get_no_closed_form(rep):
         seeds, base = (s, -s, s), block
     else:
         s = ptm_rep(1j * ad_hat(np.diag([0.5, -0.5])))
-        seeds, base = (s, 2.0 * s, -0.5 * s), ptm_rep(superop_from_coherence(block))
+        seeds, base = (s, 2.0 * s, -0.5 * s), _coherence_ptm(block)
     fam = ConjugationFamily(seeds, base)
     assert fam.exact is None
     thetas = np.zeros((2 ** 15, 3))
@@ -158,7 +163,7 @@ def test_seeds_that_miss_a_rotation_get_no_closed_form(rep):
     orbit = fam.elements(thetas)
     for _ in range(6):
         d = rng.normal(size=(3, 3))
-        d = d + d.T if rep == "r3" else ptm_rep(superop_from_coherence(d + d.T))
+        d = d + d.T if rep == "r3" else _coherence_ptm(d + d.T)
         _, val = fam.support(d)
         scan = np.sum(orbit * d, axis=(1, 2)).max()
         assert val <= scan + 1e-6 * max(1.0, abs(scan))
@@ -497,8 +502,9 @@ def test_schur_horn_oracle_matches_majorization_on_criterion_3_draws():
 def test_qubit_orbit_verdicts_match_majorization():
     """phase_flip with x and y controls: the edge is every rotation of the
     coherence vector and the cone an orbit cone of rates (2, 2, 0).  Verdicts
-    on the transfer matrices of superoperators (plus an edge part for the
-    wedge) agree with Schur-Horn on their coherence representation."""
+    on the transfer matrices of unital maps (plus an edge part for the
+    wedge) agree with Schur-Horn on their coherence representation, the
+    traceless block transposed."""
     sys = build_system(ChannelSpec(name="phase_flip", control_axes=("x", "y")))
     w = saturate(initial_wedge(sys), orbit_samples=360)
     exact = w.cone.exact
@@ -515,9 +521,8 @@ def test_qubit_orbit_verdicts_match_majorization():
         else:
             s = rng.normal(size=(3, 3))
             s = (s + s.T) / 2.0
-        superop = superop_from_coherence(s)
-        x = ptm_rep(superop)
-        truth = _schur_horn(coherence_rep(superop), rates)
+        x = _coherence_ptm(s)
+        truth = _schur_horn(x[1:, 1:].T, rates)
         edge_part = sum(c * m for c, m in zip(rng.normal(size=w.edge.dim), w.edge.mats))
         assert cone_contains(w.cone, x) == truth
         assert wedge_contains(w, x + edge_part) == truth
@@ -574,8 +579,7 @@ def test_off_image_qubit_directions_get_the_exact_support():
     samples = fam.elements(rng.normal(scale=np.pi, size=(4000, 3)))
     for _ in range(5):
         d = rng.normal(size=(4, 4))
-        with pytest.raises(ValueError):
-            coherence_rep(superop_from_ptm(d))
+        assert fro(d[1:, 0]) > 1e-11 * fro(d)
         aligned = fam.exact.support(d)
         assert aligned is not None
         g, val = aligned
