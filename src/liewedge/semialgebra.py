@@ -23,17 +23,13 @@ from . import wedge
 from .channels import H_X, H_Y, H_Z, P_X, P_Y, P_Z
 from .liealg import subspace_equal
 from .matcore import (Subspace, _checked_count, _checked_tol, _columns, comm, fro,
-                      orthonormal_span, stacked_fro)
+                      orthonormal_span)
 from .wedge import Cone, ConjugationFamily, Wedge, _cone_fit, _membership
 
 BCH_MAX_ORDER = 4
 # `wedge.nnls` under a second name, which bench/tracing.py wraps; nothing
 # here calls it, so binding it loads no scipy
 nnls = wedge.nnls
-_SCREEN = 0.05  # half of bch_witness's fit target, in units of tol * t**2 * scale
-# Relative to ||tail|| + t**2 * scale: far above the d * eps by which the
-# probe's stacked products and projection may round apart from one pair's.
-_ROUNDING = 1e-12
 # least tol of the probe: below about 1e-13 the witness threshold tol * t**2
 # falls under the rounding of the order-4 tail, which then reads as a witness
 _TOL_FLOOR = 1e-12
@@ -93,13 +89,6 @@ class BchWitness:
     residual: float
 
 
-def _wedge_fit(w: Wedge, x: np.ndarray, target: float = None) -> tuple:
-    """Best approximation of x inside edge + cone: (residual norm, fit)."""
-    e = w.edge.project(x)
-    rnorm, cfit = _cone_fit(w.cone, x - e, target=target)
-    return rnorm, e + cfit
-
-
 def _checked_grid(t_grid, tol: float) -> tuple:
     """The t grid as floats, after rejecting an empty grid and a t or tol
     that is not positive and finite, any of which makes the probe vacuous,
@@ -119,85 +108,57 @@ def _checked_grid(t_grid, tol: float) -> tuple:
 
 def bch_witness(w: Wedge, a: np.ndarray, b: np.ndarray, t_grid=(1e-2,),
                 tol: float = 1e-8):
-    """Tail test for a single ordered pair; see `semialgebra_probe`."""
+    """Tail test for a single ordered pair; see `semialgebra_probe`.
+
+    For each t in turn, the tail beyond t(a+b) is split into its edge part
+    e and the rest p, and p is fitted by the cone.  The first t whose fit
+    residual exceeds tol*t**2*max(1, |a||b|) gives the witness.  Zero lies
+    in every cone, so a fit leaves at most |p| (up to a relative 1e-12 of
+    rounding); a p with |p|(1 + 1e-12) at most the threshold can never be a
+    witness, and its fit is skipped.  Every result is that of fitting each t.
+    """
     ts = _checked_grid(t_grid, tol)
+    a, b = np.asarray(a), np.asarray(b)
     scale = max(1.0, fro(a) * fro(b))
     for t in ts:
-        prod = bch(t * np.asarray(a), t * np.asarray(b), order=4)
-        tail = prod - t * (np.asarray(a) + np.asarray(b))
+        prod = bch(t * a, t * b, order=4)
+        tail = prod - t * (a + b)
         threshold = tol * t * t * scale
-        rnorm, fit = _wedge_fit(w, tail, target=0.1 * threshold)
+        e = w.edge.project(tail)
+        p = tail - e
+        if fro(p) * (1 + 1e-12) <= threshold:
+            continue
+        rnorm, cfit = _cone_fit(w.cone, p, target=0.1 * threshold)
         if rnorm > threshold:
-            return BchWitness(A=np.asarray(a), B=np.asarray(b), t=t,
-                              product=prod, offending_component=tail - fit,
+            return BchWitness(A=a, B=b, t=t, product=prod, offending_component=tail - (e + cfit),
                               residual=float(rnorm / (t * t)))
     return None
 
 
-def _wedge_samples(w: Wedge, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm wedge members: generators, conic mixes, and edge offsets.
+def _wedge_samples(w: Wedge, count: int, rng: np.random.Generator):
+    """Yield unit-norm wedge members, one per draw, at most `count`.
 
-    Returns a (m, *shape) stack, m <= count: draws of norm <= 1e-12 are
-    dropped.  Samples k = 0, 3, 6, ... take one generator; the others mix
-    1-3 generators with weights in [0.2, 1); every third sample, and every
-    sample of a wedge without generators, adds a Gaussian edge offset.
-
-    The loop only draws from `rng`, into Python lists, with the cheapest
-    call that gives the draws of one sample built alone:
-
-    - `rng.integers(n)` once per generator index, which is bitwise
-      `rng.integers(n, size=m)` and leaves the same generator state (both
-      run one bounded draw on `next_uint32` per index);
-    - `rng.uniform(0.2, 1.0, m)` for the weights.  `0.2 + 0.8 *
-      rng.random(m)` gives the same floats only where the compiler does not
-      fuse numpy's `lower + range * u` into one multiply-add, so it stays;
-    - `rng.standard_normal(dim)` for the edge coefficients, which is
-      bitwise `rng.normal(size=dim)` (numpy's normal is `0 + 1 * z`).
-
-    The lists are scattered into index arrays once, and the stack is summed
-    term by term, each masked add in the order one sample adds its terms (a
-    lone generator is added with weight 1.0, which is exact).  The norms
-    come from `matcore.stacked_fro`, bitwise `fro` of each sample.  So every
-    sample is bitwise what building it alone gives.
+    Draw k = 0, 3, 6, ... takes one generator; the others mix 1-3
+    generators with weights in [0.2, 1); every third draw, and every draw
+    of a wedge without generators, adds a Gaussian edge offset.  A draw of
+    norm <= 1e-12 is skipped.  A draw is made only when its sample is asked
+    for, so a probe that stops at its first witness draws no further.
     """
-    gens = w.cone.generators
-    n_gens, dim = len(gens), w.edge.dim
-    rows, slots, picks, weights = [], [], [], []  # one entry per generator term
-    coefs, offset = [], []
+    gens, edge = w.cone.generators, w.edge.mats
     for k in range(count):
-        if n_gens:
+        x = np.zeros(w.cone.shape)
+        if gens:
             if k % 3 == 0:
-                rows.append(k)
-                slots.append(0)
-                picks.append(rng.integers(n_gens))
-                weights.append(1.0)
+                x = x + gens[rng.integers(len(gens))]
             else:
-                m = int(rng.integers(1, 4))
-                rows += [k] * m
-                slots += range(m)
-                picks += [rng.integers(n_gens) for _ in range(m)]
-                weights += rng.uniform(0.2, 1.0, m).tolist()
-        if dim and (k % 3 == 2 or not n_gens):
-            coefs.append(rng.standard_normal(dim))
-            offset.append(k)
-    x = np.zeros((count, *w.cone.shape))
-    if n_gens:
-        pick = np.zeros((count, 3), dtype=int)
-        weight = np.zeros((count, 3))  # 0 marks an absent term
-        pick[rows, slots] = picks
-        weight[rows, slots] = weights
-        g = np.asarray(gens)
-        for j in range(3):
-            on = weight[:, j] > 0
-            x[on] = x[on] + weight[on, j, None, None] * g[pick[on, j]]
-    if offset:
-        e = 0
-        for cf, mat in zip(np.array(coefs).T, w.edge.mats):
-            e = e + cf[:, None, None] * mat
-        x[offset] = x[offset] + e
-    norms = stacked_fro(x)
-    keep = norms > 1e-12
-    return x[keep] / norms[keep, None, None]
+                idx = rng.integers(len(gens), size=int(rng.integers(1, 4)))
+                for i, lam in zip(idx, rng.uniform(0.2, 1.0, size=len(idx))):
+                    x = x + lam * gens[i]
+        if edge and (k % 3 == 2 or not gens):
+            x = x + sum(cf * m for cf, m in zip(rng.normal(size=len(edge)), edge))
+        n = fro(x)
+        if n > 1e-12:
+            yield x / n
 
 
 def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
@@ -216,40 +177,22 @@ def semialgebra_probe(w: Wedge, pair_samples: int = 200, t_grid=(1e-2,),
     found at this sampling budget" on an inner-approximated membership
     oracle -- never a proof.
 
-    Otherwise one batched pass: all samples are drawn first, every tail for
-    each t comes from one stacked `bch` call, and one matmul projects all
-    tails off the edge.  Zero lies in the cone, so a tail's fit residual is
-    at most the norm of its edge-orthogonal part.  A tail whose
-    edge-orthogonal norm, plus a 1e-12 allowance for the rounding by which
-    this pass and the single-pair fit may differ, is at most half of
-    `bch_witness`'s fit target 0.1*tol*t**2*scale can therefore not meet
-    the witness threshold; it is skipped.  The remaining (pair, t) tails go, pair by pair in sample
-    order, to `bch_witness`, whose fits are deterministic in (wedge, tail,
-    tol), so the first witness is that of fitting every pair in turn.  Only
-    the sample draws use `seed`, which must be an integer >= 0, and
-    `pair_samples`, which must be an integer >= 1; `tol` must be at least
-    1e-12 (`_checked_grid`).
+    Otherwise the probe draws `2 * pair_samples` samples as it goes
+    (`_wedge_samples`), takes them two at a time as (A, B), and hands each
+    pair to `bch_witness`, every t of the grid for one pair before the
+    next pair; the first witness ends the draws.  The fits are deterministic
+    in (wedge, tail, tol).  Only the sample draws use `seed`, which must be
+    an integer >= 0, and `pair_samples`, which must be an integer >= 1;
+    `tol` must be at least 1e-12 (`_checked_grid`).
     """
     pair_samples = _checked_count("pairs", pair_samples, 1)
     ts = _checked_grid(t_grid, tol)
     seed = _checked_count("seed", seed)
     if w.abelian_modulo_edge:
         return None
-    rng = np.random.default_rng(seed)
-    elems = _wedge_samples(w, 2 * pair_samples, rng)
-    n_pairs = len(elems) // 2
-    a, b = elems[:2 * n_pairs:2], elems[1:2 * n_pairs:2]
-    scale = np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)))
-    tails = np.stack([bch(t * a, t * b) - t * (a + b) for t in ts])
-    cols = _columns(tails.reshape(-1, *w.cone.shape))
-    q = w.edge.stack
-    off_edge = np.linalg.norm(cols - q @ (q.T @ cols), axis=0)
-    t2s = (np.square(ts)[:, None] * scale).ravel()
-    allowance = _ROUNDING * (np.linalg.norm(cols, axis=0) + t2s)
-    leaves = (off_edge + allowance > _SCREEN * tol * t2s).reshape(len(ts), n_pairs)
-    for k in np.flatnonzero(leaves.any(axis=0)):
-        wit = bch_witness(w, a[k], b[k], [t for t, out in zip(ts, leaves[:, k]) if out],
-                          tol=tol)
+    samples = _wedge_samples(w, 2 * pair_samples, np.random.default_rng(seed))
+    for a, b in zip(samples, samples):
+        wit = bch_witness(w, a, b, ts, tol=tol)
         if wit is not None:
             return wit
     return None

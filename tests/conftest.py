@@ -1,5 +1,5 @@
 """Fixtures shared by the test modules: the per-pair references that the
-batched BCH probe is checked against."""
+BCH probe and its lazy sampler are checked against."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from liewedge.semialgebra import bch_witness
 
 
 def _reference_samples(w, count: int, rng) -> list:
-    """The sample loop the batched `_wedge_samples` replaced: one matrix at
-    a time, in the same draws."""
+    """The sample loop `_wedge_samples` must reproduce: one matrix at a
+    time, collected into a list."""
     gens = w.cone.generators
     out = []
     for k in range(count):
@@ -34,9 +34,9 @@ def _reference_samples(w, count: int, rng) -> list:
 
 
 def _reference_probe(w, pair_samples, t_grid, tol, seed):
-    """The per-pair loop the batched probe replaced: every pair goes to
-    `bch_witness` in turn.  Returns (first witness or None, calls made).
-    It samples whatever the wedge's certificate says."""
+    """Every sample drawn first, then every pair to `bch_witness` in turn.
+    Returns (first witness or None, calls made).  It samples whatever the
+    wedge's certificate says."""
     rng = np.random.default_rng(seed)
     elems = _reference_samples(w, 2 * pair_samples, rng)
     for k in range(len(elems) // 2):

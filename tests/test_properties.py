@@ -653,7 +653,7 @@ def test_non_skew_seeds_are_rejected(rep, kind, seed):
 def test_cone_fit_residual_never_exceeds_the_norm(rep, kind, seed, count, analytic,
                                                   noise, log_scale):
     """Zero lies in every cone, so a fit's residual is at most ||x||: the
-    invariant the BCH-closure probe's edge screen rests on.  The points of
+    invariant by which `bch_witness` skips an exact fit.  The points of
     the family's sweep, held as the family's cone (which fits with column
     generation) or as plain generators (tori: the random orbit search costs
     seconds per fit); x a signed mix of them plus noise, at any scale."""
@@ -2301,7 +2301,8 @@ def test_bracket_certificate_is_sound(reference_probe, w, seed):
     wherever the per-pair sampled probe finds a witness, it does not."""
     assert w.abelian_modulo_edge == _span_certificate(w)
     if w.abelian_modulo_edge:
-        elems = semialgebra._wedge_samples(w, 40, np.random.default_rng(seed))
+        elems = np.reshape(list(semialgebra._wedge_samples(w, 40, np.random.default_rng(seed))),
+                           (-1, *w.cone.shape))
         n = len(elems) // 2
         a, b = elems[:2 * n:2], elems[1:2 * n:2]
         q = w.edge.stack
