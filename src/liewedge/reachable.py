@@ -25,22 +25,39 @@ from .matcore import _checked_count, _checked_tol, expm, fro, stacked_fro
 
 U_MAX = 5.0
 
+# A `steer` restart ends once it stalls (`_stalled`).
+_STALL_STEPS = 3
+_STALL_RATIO = 1e-3
+
 
 @dataclass(frozen=True)
 class Schedule:
     """Piecewise-constant control schedule: (duration, amplitudes) segments.
 
-    Durations must be finite and nonnegative and amplitudes finite;
-    ValueError naming the segment otherwise.
+    Each segment is a pair; durations must be finite, nonnegative numbers
+    and the amplitudes a flat sequence of finite numbers (one number
+    counts as one amplitude); ValueError naming the segment otherwise.
     """
 
     segments: tuple
 
     def __post_init__(self):
         segs = []
-        for k, (dur, u) in enumerate(self.segments):
-            dur = float(dur)
-            u = tuple(float(v) for v in np.atleast_1d(u))
+        for k, seg in enumerate(self.segments):
+            try:
+                dur, u = seg
+            except (TypeError, ValueError):
+                raise ValueError(f"segment {k} is not a (duration, amplitudes) "
+                                 f"pair: {seg!r}") from None
+            try:
+                dur = float(dur)
+            except (TypeError, ValueError):
+                raise ValueError(f"segment {k} has a non-numeric duration {dur!r}") from None
+            try:
+                u = tuple(float(v) for v in np.atleast_1d(u))
+            except (TypeError, ValueError):
+                raise ValueError(f"segment {k} amplitudes are not a flat sequence of "
+                                 f"numbers: {u!r}") from None
             if not np.isfinite(dur):
                 raise ValueError(f"segment {k} has a non-finite duration {dur}")
             if dur < 0:
@@ -65,14 +82,20 @@ def _segment_generators(sys: ControlSystem, segments) -> np.ndarray:
     amplitude, added control by control, so every slice is what its segment
     alone gives.  ValueError naming the first segment whose amplitude count
     is not the system's control count."""
-    drift, controls = ptm_directions(sys)
     m = sys.n_controls
     for k, (_, u) in enumerate(segments):
         if len(u) != m:
             raise ValueError(f"segment {k} has {len(u)} amplitudes for {m} controls")
-    amps = np.array([u for _, u in segments], dtype=float).reshape(len(segments), m)
-    gens = np.broadcast_to(drift, (len(segments), *drift.shape))
-    for j in range(m):
+    return _generators(sys, np.array([u for _, u in segments], dtype=float)
+                       .reshape(len(segments), m))
+
+
+def _generators(sys: ControlSystem, amps: np.ndarray) -> np.ndarray:
+    """Generators L(u) for the rows u of the (k, n_controls) array `amps`,
+    as `_segment_generators` builds them."""
+    drift, controls = ptm_directions(sys)
+    gens = np.broadcast_to(drift, (len(amps), *drift.shape))
+    for j in range(sys.n_controls):
         gens = gens + amps[:, j, None, None] * controls[j]
     return gens
 
@@ -156,17 +179,31 @@ def random_schedule(n_controls: int, depth: int, horizon: float, seed,
     `depth` must be an integer >= 1, and `horizon` and `u_max` nonnegative
     and finite; ValueError otherwise.
     """
+    depth = _checked_sampling(depth, horizon, u_max)
+    return Schedule(tuple(_draw_segments(np.random.default_rng(seed), n_controls,
+                                         depth, horizon, u_max)))
+
+
+def _checked_sampling(depth, horizon, u_max) -> int:
+    """`depth` as an integer >= 1, after checking that `horizon` and
+    `u_max` are nonnegative and finite; ValueError naming the first bad
+    setting otherwise."""
     depth = _checked_count("depth", depth, 1)
     if not 0 <= horizon < np.inf:
         raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
     if not 0 <= u_max < np.inf:
         raise ValueError(f"u_max must be nonnegative and finite, got {u_max}")
-    rng = np.random.default_rng(seed)
+    return depth
+
+
+def _draw_segments(rng, n_controls: int, depth: int, horizon: float, u_max: float) -> list:
+    """The (duration, amplitudes) pairs of a random schedule drawn from
+    `rng`, each duration drawn before its segment's amplitudes."""
     segs = []
     for _ in range(depth):
         dur = (horizon / depth) * (1.0 - rng.uniform(0.0, 1.0))
         segs.append((dur, rng.uniform(-u_max, u_max, size=n_controls)))
-    return Schedule(tuple(segs))
+    return segs
 
 
 def sample_reachable(sys: ControlSystem, n: int, depth: int,
@@ -176,17 +213,20 @@ def sample_reachable(sys: ControlSystem, n: int, depth: int,
 
     Each sample propagates a `random_schedule` drawn from its own child
     stream spawned from `seed`, so results are reproducible regardless of
-    evaluation order.  All n*depth segment exponentials come from one
-    stacked `expm` call, and each sample is multiplied, and turned into a
-    superoperator, as `propagate` does, so it equals `propagate` on its
-    schedule bit for bit.  `n` must be an integer >= 1, and
-    `random_schedule` checks `depth`, `horizon` and `u_max`; ValueError
-    otherwise, before any draw.
+    evaluation order; the segments are drawn as `random_schedule` draws
+    them, without building a `Schedule`.  All n*depth segment exponentials
+    come from one stacked `expm` call, and each sample is multiplied, and
+    turned into a superoperator, as `propagate` does, so it equals
+    `propagate` on its schedule bit for bit.  `n` must be an integer >= 1, and `depth`,
+    `horizon` and `u_max` are checked as `random_schedule` checks them,
+    once; ValueError otherwise, before any draw.
     """
     n = _checked_count("count", n, 1)
+    depth = _checked_sampling(depth, horizon, u_max)
+    m = sys.n_controls
     segs = [seg for child in np.random.SeedSequence(seed).spawn(n)
-            for seg in random_schedule(sys.n_controls, depth, horizon, child, u_max).segments]
-    gens = _segment_generators(sys, segs)
+            for seg in _draw_segments(np.random.default_rng(child), m, depth, horizon, u_max)]
+    gens = _generators(sys, np.array([u for _, u in segs]).reshape(n * depth, m))
     exps = _exponentials([d for d, _ in segs], gens).reshape(n, depth, *gens.shape[1:])
     out = _identity(sys)
     for k in range(depth):
@@ -294,6 +334,23 @@ def least_squares(*args, **kwargs):
     return _least_squares(*args, **kwargs)
 
 
+class _Stalled(Exception):
+    """Raised inside `least_squares` to end a `steer` restart that stalls."""
+
+
+def _stalled(costs: list) -> bool:
+    """Whether a restart whose accepted costs, oldest first, are `costs`
+    has stalled: each of its last _STALL_STEPS steps lowered the cost by
+    less than _STALL_RATIO of the cost before the step, and the drops did
+    not grow from one of these steps to the next.  A restart that creeps
+    along a valley toward the target speeds up and is not stalled."""
+    recent = costs[-_STALL_STEPS - 1:]
+    drops = [a - b for a, b in zip(recent, recent[1:])]
+    return (len(drops) == _STALL_STEPS
+            and all(d < _STALL_RATIO * a for d, a in zip(drops, recent))
+            and all(x >= y for x, y in zip(drops, drops[1:])))
+
+
 def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
           seed: int = 0, u_max: float = U_MAX) -> tuple:
     """Heuristic schedule search toward a target channel.
@@ -307,8 +364,12 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
     inside that box, and stops after the first restart that brings the
     distance to at most 1e-12 * max(1, ||target||).  Best-so-far bookkeeping
     makes the returned Frobenius distance monotone in the evaluation
-    history, and the returned schedule lies in the box.  This is a
-    heuristic: no optimality claim is made.
+    history, and the returned schedule lies in the box.  A restart also
+    ends once it stalls: once each of its last 3 accepted steps
+    (`_STALL_STEPS`) lowered the cost, the squared distance, by less than
+    1e-3 (`_STALL_RATIO`) of the cost before the step, and these drops did
+    not grow from one step to the next.  This is a heuristic: no
+    optimality claim is made.
     `target` must be finite and have the shape of the system's generators,
     `switches` an integer >= 0, `budget` an integer >= 1 and `u_max`
     positive and finite; ValueError otherwise, before any propagation.
@@ -333,6 +394,8 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
     lower = np.tile(np.r_[0.0, np.full(m, -u_max)], switches)
     upper = np.tile(np.r_[np.inf, np.full(m, u_max)], switches)
     best = {"val": np.inf, "params": None}
+    last = {"cost": np.inf}  # squared distance at the latest evaluation
+    costs = []  # squared distances at the restart's accepted points
 
     def unpack(p):
         return Schedule(tuple((p[j * width], p[j * width + 1:(j + 1) * width])
@@ -345,12 +408,18 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
     def residual(p):
         diff = propagate(sys, unpack(p)) - tmat
         d = float(fro(diff))
+        last["cost"] = d * d
         if d < best["val"]:
             best["val"] = d
             best["params"] = np.array(p, dtype=float)
         return realified(diff)
 
     def jacobian(p):
+        # the solver asks for the Jacobian once per accepted step, at the
+        # point `residual` has just evaluated
+        costs.append(last["cost"])
+        if _stalled(costs):
+            raise _Stalled
         return realified(_jacobian(sys, unpack(p))).T
 
     converged = 1e-12 * max(1.0, float(fro(tmat)))
@@ -360,8 +429,12 @@ def steer(sys: ControlSystem, target, switches: int, budget: int = 20,
         for j in range(switches):
             x0[j * width] = rng.uniform(0.05, 1.0)
             x0[j * width + 1:(j + 1) * width] = rng.uniform(-u_max, u_max, size=m)
-        least_squares(residual, x0, jac=jacobian, bounds=(lower, upper),
-                      method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        costs.clear()
+        try:
+            least_squares(residual, x0, jac=jacobian, bounds=(lower, upper),
+                          method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        except _Stalled:
+            pass
         if best["val"] <= converged:
             break
     return unpack(best["params"]), float(best["val"])

@@ -41,6 +41,18 @@ def test_schedule_rejects_non_finite_entries(segments, message):
         Schedule(segments)
 
 
+@pytest.mark.parametrize("segments, message", [
+    (((0.1, [[0.1, 0.2]]),), "segment 0 amplitudes are not a flat sequence of numbers"),
+    (((0.1, (0.0,)), (0.2, None)), "segment 1 amplitudes are not a flat sequence of numbers"),
+    (((0.1,),), r"segment 0 is not a \(duration, amplitudes\) pair"),
+])
+def test_schedule_names_the_segment_of_a_malformed_entry(segments, message):
+    """A nested or missing amplitude leaked numpy's TypeError and a
+    one-element segment an unpacking error naming no segment."""
+    with pytest.raises(ValueError, match=message):
+        Schedule(segments)
+
+
 def test_propagate_matches_manual_product():
     sys = _qubit_system()
     sched = Schedule(((0.3, (0.7,)), (0.2, (-1.1,))))
@@ -258,13 +270,34 @@ def test_steer_rejects_a_bad_amplitude_bound(monkeypatch, u_max):
         steer(sys, target, 1, u_max=u_max)
 
 
-def test_steer_recovers_the_depolarizing_benchmark_target():
-    depol = build_system(ChannelSpec(name="depolarizing", rates=(0.2, 0.2, 0.2),
-                                     control_axes=("x",), drift_axis="z"))
+def _count_propagations(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return propagate(*args)
+
+    monkeypatch.setattr(reachable, "propagate", counted)
+    return calls
+
+
+def _depolarizing_qubit() -> ControlSystem:
+    return build_system(ChannelSpec(name="depolarizing", rates=(0.2, 0.2, 0.2),
+                                    control_axes=("x",), drift_axis="z"))
+
+
+def test_steer_recovers_the_depolarizing_benchmark_target(monkeypatch):
+    """The first restart stalls near a local minimum at distance 0.6 and
+    ends there; it took 103 propagations when a restart ran until the
+    solver's 1e-15 tolerances stopped it."""
+    depol = _depolarizing_qubit()
     truth = Schedule(((0.3, (1.2,)), (0.25, (-0.7,))))
-    sched, dist = steer(depol, propagate(depol, truth), 2, budget=5, seed=0)
+    target = propagate(depol, truth)
+    calls = _count_propagations(monkeypatch)
+    sched, dist = steer(depol, target, 2, budget=5, seed=0)
     assert sched.n_segments == 2
     assert dist <= 1e-12
+    assert len(calls) <= 60
 
 
 def test_steer_recovers_a_three_switch_example2_target():
@@ -300,11 +333,90 @@ def test_steer_stops_after_the_restart_that_converges(monkeypatch):
 
 
 def test_steer_runs_every_restart_short_of_the_target(monkeypatch):
-    """Half the identity is no channel of the system: all restarts run."""
+    """Half the identity is no channel of the system: all restarts run,
+    and each ends once it stalls (44 propagations in all; 88 when a
+    restart ran until the solver's tolerances stopped it)."""
     calls = _count_restarts(monkeypatch)
+    propagations = _count_propagations(monkeypatch)
     _, dist = steer(_qubit_system(), 0.5 * np.eye(4), 1, budget=3, seed=0)
     assert dist > 1e-12
     assert len(calls) == 3
+    assert len(propagations) <= 60
+
+
+_STEER_SYSTEMS = {
+    "depolarizing": (_depolarizing_qubit, 5),
+    "phase_flip": (lambda: build_system(ChannelSpec(name="phase_flip", rates=(0.4,),
+                                                    control_axes=("x",), drift_axis="z")), 5),
+    "example2": (example2, 5),
+    "two_qubit_C": (lambda: build_system(ChannelSpec(name="two_qubit_C")), 4),
+}
+
+
+@pytest.mark.parametrize("name, switches, target_seed", [
+    ("depolarizing", 1, 100), ("depolarizing", 2, 105), ("depolarizing", 3, 104),
+    ("depolarizing", 3, 105), ("phase_flip", 2, 103), ("phase_flip", 3, 103),
+    ("example2", 1, 100), ("example2", 2, 102), ("example2", 3, 103),
+    ("two_qubit_C", 1, 100), ("two_qubit_C", 2, 102), ("two_qubit_C", 3, 100),
+])
+def test_steer_reaches_seeded_targets_within_its_budget(name, switches, target_seed):
+    """Targets that restarts run to the solver's tolerances reach; the
+    stall rule must lose none of them."""
+    make, budget = _STEER_SYSTEMS[name]
+    sys = make()
+    target = propagate(sys, random_schedule(sys.n_controls, switches, 1.0, target_seed,
+                                            u_max=2.0))
+    sched, dist = steer(sys, target, switches, budget=budget, seed=0)
+    assert sched.n_segments == switches
+    assert dist <= 1e-12 * max(1.0, fro(target))
+
+
+def test_steer_keeps_a_restart_that_creeps_toward_the_target(monkeypatch):
+    """The third restart lowers the cost by under 1e-3 of itself per step
+    for about 80 steps near distance 9e-6, but each drop is larger than
+    the one before, and it reaches the target; a rule on the relative
+    drops alone ended it and missed the target."""
+    sys = _STEER_SYSTEMS["phase_flip"][0]()
+    target = propagate(sys, random_schedule(1, 2, 0.8, 205, u_max=1.5))
+    calls = _count_restarts(monkeypatch)
+    _, dist = steer(sys, target, 2, budget=5, seed=1)
+    assert dist <= 1e-12 * max(1.0, fro(target))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("costs, stalled", [
+    ([1.0, 0.9999, 0.9998, 0.9997], True),
+    ([1.0, 0.9999, 0.9998], False),
+    ([1.0, 0.9, 0.8999, 0.8998, 0.8997], True),
+    ([1.0, 0.9999, 0.99985, 0.9997], False),
+    ([1.0, 0.9999, 0.9998, 0.9], False),
+])
+def test_a_restart_stalls_on_three_small_drops_that_do_not_grow(costs, stalled):
+    assert reachable._stalled(costs) is stalled
+
+
+# Keyword arguments of `scipy.optimize.least_squares` in scipy 1.10, the
+# oldest scipy the package supports; `callback` and `workers` came later.
+_LEAST_SQUARES_1_10 = {"jac", "bounds", "method", "ftol", "xtol", "gtol", "x_scale",
+                       "loss", "f_scale", "diff_step", "tr_solver", "tr_options",
+                       "jac_sparsity", "max_nfev", "verbose", "args", "kwargs"}
+
+
+def test_steer_calls_least_squares_as_scipy_1_10_accepts(monkeypatch):
+    seen = []
+    solve = reachable.least_squares
+
+    def recorded(*args, **kwargs):
+        seen.append((len(args), set(kwargs)))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(reachable, "least_squares", recorded)
+    steer(_qubit_system(), 0.5 * np.eye(4), 1, budget=2, seed=0)
+    assert len(seen) == 2
+    for n_args, keys in seen:
+        assert n_args <= 2
+        assert "callback" not in keys and "workers" not in keys
+        assert keys <= _LEAST_SQUARES_1_10
 
 
 @pytest.mark.parametrize("name,value", [("phase_flip", 3.0), ("two_qubit_C", 15.0),
